@@ -4,7 +4,8 @@ Each group of a configuration picks curve points near x; their span cuts out
 d - q linear conditions, and the stacked conditions of all groups meet in a
 single projective point.  Everything is carried as jets in the curve variable
 so the output is again a curve germ, which `curves.normalized_lift` rescales
-to the unit-Wronskian representative.
+to the unit-Wronskian representative.  A span of q+1 points is one matrix jet
+of shape (K+1, q+1, d+1), its rows the lift jets of the points.
 """
 
 from itertools import combinations
@@ -13,35 +14,11 @@ import numpy as np
 
 from . import linalg
 from .curves import gamma_jet, normalized_lift
-from .jets import DegenerateSystem, Jet, det_jet, jet_solver, solve_linear_jets
+from .jets import DegenerateSystem, Jet, det_jet, jet_solver
 
 
 class DegenerateIntersection(Exception):
     """Spans that fail to meet in a single point at working precision."""
-
-
-class SubspaceSpan:
-    """Spanning vectors of one subspace, each a vector of jets in x."""
-
-    __slots__ = ("vectors",)
-
-    def __init__(self, vectors):
-        vs = [list(v) for v in vectors]
-        if len({len(v) for v in vs}) != 1:
-            raise ValueError("span vectors must share the ambient dimension")
-        self.vectors = vs
-
-    @property
-    def q(self):
-        return len(self.vectors) - 1
-
-    @property
-    def ambient(self):
-        return len(self.vectors[0]) - 1
-
-    def value_matrix(self):
-        """Constant terms of the spanning vectors, one per row."""
-        return np.array([[jet.value for jet in v] for v in self.vectors])
 
 
 def build_spans(spec, chi, x, eps, kmax):
@@ -54,76 +31,70 @@ def build_spans(spec, chi, x, eps, kmax):
         raise ValueError("eps must be nonzero")
     if chi.d != spec.d:
         raise ValueError("configuration dimension does not match the curve")
-    spans = []
-    for g in chi.groups:
-        vs = [gamma_jet(spec, x + p * eps, kmax).component_jets() for p in g]
-        spans.append(SubspaceSpan(vs))
-    return spans
+    return [Jet(np.stack([gamma_jet(spec, x + p * eps, kmax).c for p in g],
+                         axis=1), copy=False)
+            for g in chi.groups]
 
 
 def _span_normals(span):
-    """d - q jet covectors vanishing on the span to every carried order.
+    """Matrix jet of the d - q covectors vanishing on the span, one per row,
+    to every carried order.
 
     Constant terms come from the orthogonal complement of the constant-term
     span; higher orders are corrected by solving the span completed with its
     own complement, which makes each correction the minimum-norm one and
-    reuses a single factorization for all the normals of the span.
+    gets all the normals of the span from one solve.
     """
-    vecs = span.vectors
-    m = len(vecs)
-    want = len(vecs[0]) - m
+    order = span.order
+    m, n = span.c.shape[1:]
+    want = n - m
     if want == 0:
-        return []
+        return Jet(np.zeros((order + 1, 0, n), dtype=span.c.dtype), copy=False)
     try:
-        comp = linalg.null_basis(span.value_matrix())
+        comp = linalg.null_basis(span.value)
     except linalg.SingularMatrixError as exc:
         raise DegenerateIntersection(
             f"span vectors numerically dependent: {exc}") from exc
-    order = min(j.order for v in vecs for j in v)
-    dtype = np.result_type(comp.dtype, *[j.c.dtype for v in vecs for j in v])
-    zero = Jet.const(0.0, order, dtype)
-    one = Jet.const(1.0, order, dtype)
-    rows = [list(v) for v in vecs]
-    rows += [[Jet.const(c, order, dtype) for c in crow] for crow in comp]
-    solve = jet_solver(rows)
-    normals = []
-    for a in range(want):
-        rhs = [zero] * m + [one if i == a else zero for i in range(want)]
-        normals.append(solve(rhs))
-    return normals
+    dtype = np.result_type(comp.dtype, span.c.dtype)
+    a = np.zeros((order + 1, n, n), dtype=dtype)
+    a[:, :m] = span.c
+    a[0, m:] = comp
+    rhs = np.zeros((order + 1, n, want), dtype=dtype)
+    rhs[0, m:] = np.eye(want)
+    normals = jet_solver(Jet(a, copy=False))(Jet(rhs, copy=False))
+    return Jet(normals.c.transpose(0, 2, 1), copy=False)
 
 
 def intersect_spans(spans):
-    """The common point of the spans as a vector of jets.
+    """The common point of the spans as a (K+1, d+1) jet.
 
     The point is gauged so its largest constant-term component equals one;
     callers renormalize afterwards.  Raises DegenerateIntersection when the
     stacked conditions do not cut down to a single point.
     """
-    n = len(spans[0].vectors[0])
+    n = spans[0].c.shape[2]
     d = n - 1
-    codim = sum(d - s.q for s in spans)
+    codim = sum(n - s.c.shape[1] for s in spans)
     if codim != d:
         raise ValueError(f"constraint count {codim} does not match d = {d}")
-    rows = []
-    for s in spans:
-        if len(s.vectors[0]) != n:
-            raise ValueError("spans live in different ambient spaces")
-        rows.extend(_span_normals(s))
-    const = np.array([[jet.value for jet in r] for r in rows])
+    if any(s.c.shape[2] != n for s in spans):
+        raise ValueError("spans live in different ambient spaces")
+    order = min(s.order for s in spans)
+    rows = np.concatenate([_span_normals(s).c[:order + 1] for s in spans],
+                          axis=1)
     try:
-        g0 = linalg.null_basis(const)
+        g0 = linalg.null_basis(rows[0])
     except linalg.SingularMatrixError as exc:
         raise DegenerateIntersection(
             f"stacked constraints are rank deficient: {exc}") from exc
     pivot = int(np.argmax(np.abs(g0[0])))
-    order = min(j.order for r in rows for j in r)
-    dtype = np.result_type(*[j.c.dtype for r in rows for j in r])
-    zero = Jet.const(0.0, order, dtype)
-    one = Jet.const(1.0, order, dtype)
-    gauge = [one if j == pivot else zero for j in range(n)]
+    a = np.zeros((order + 1, n, n), dtype=rows.dtype)
+    a[:, :d] = rows
+    a[0, d, pivot] = 1
+    rhs = np.zeros((order + 1, n), dtype=rows.dtype)
+    rhs[0, d] = 1
     try:
-        return solve_linear_jets(rows + [gauge], [zero] * d + [one])
+        return jet_solver(Jet(a, copy=False))(Jet(rhs, copy=False))
     except DegenerateSystem as exc:
         raise DegenerateIntersection(str(exc)) from exc
 
@@ -137,9 +108,10 @@ def coplanarity_residual(point, spans):
     """
     worst = 0.0
     for s in spans:
-        rows = [list(point)] + [list(v) for v in s.vectors]
-        for cols in combinations(range(len(point)), len(rows)):
-            minor = det_jet([[r[c] for c in cols] for r in rows])
+        k = min(point.order, s.order) + 1
+        rows = np.concatenate([point.c[:k, None], s.c[:k]], axis=1)
+        for cols in combinations(range(rows.shape[2]), rows.shape[1]):
+            minor = det_jet(Jet(rows[:, :, cols], copy=False))
             worst = max(worst, float(np.max(np.abs(minor.c))))
     return worst
 
@@ -147,9 +119,9 @@ def coplanarity_residual(point, spans):
 def chi_map_point(spec, chi, x, eps, kmax):
     """Apply the map once at x and renormalize.
 
-    Returns (FrameJet of the output lift, list of its d coefficient jets).
-    kmax must leave enough orders for the Wronskian rescaling and the
-    coefficient extraction behind it.
+    Returns (lift, u): the output lift as a (K-d+1, d+1) jet and its d
+    coefficients as a (K-2d, d) jet.  kmax must leave enough orders for the
+    Wronskian rescaling and the coefficient extraction behind it.
     """
     if kmax < 2 * spec.d + 2:
         raise ValueError(f"need jet order >= {2 * spec.d + 2} to renormalize")

@@ -16,15 +16,16 @@ import numpy as np
 from .chimap import DegenerateIntersection
 from .configs import (
     ChiConfig,
+    SymTable,
     dual_dented_chi,
     dual_dented_shift,
     evenly_spaced_chi,
     short_diagonal_chi,
     solve_alpha_diag,
-    sym_table,
 )
 from .curves import CurveSpec, DegenerateLift, random_curve_spec
-from .expansion import EpsLadder, alpha_constancy_check, extract_alphas, kdv_rhs_check
+from .expansion import (FIRST_ORDER_TOL, KMAX_DOUBLE, KMAX_EXTENDED, EpsLadder,
+                        alpha_constancy_check, extract_alphas, kdv_rhs_check)
 from .jets import DegenerateSystem
 from .lax import lax_limit_diagnostics
 from .linalg import SingularMatrixError
@@ -91,7 +92,7 @@ class RunConfig:
         rc.out = args.out
         rc.fmt = args.format
         rc.kmax = getattr(args, "kmax", 2)
-        kmax_limit = 6 if rc.dtype == np.longdouble else 4
+        kmax_limit = KMAX_EXTENDED if rc.dtype == np.longdouble else KMAX_DOUBLE
         if not 0 <= rc.kmax <= kmax_limit:
             raise UsageError(f"--kmax must be in 0..{kmax_limit} "
                              f"for {args.precision} precision")
@@ -162,7 +163,7 @@ def cmd_families(args):
         "d": chi.d,
         "chi": chi.to_dict(),
         "applied_shift": applied,
-        "sigma_top": [float(v) for v in sym_table(chi).top()],
+        "sigma_top": [float(v) for v in SymTable(chi).top()],
         "alpha_diag": None if diag is None else [float(v) for v in diag],
         "centralized": centralized,
     }
@@ -184,7 +185,7 @@ def cmd_centralize(rc):
     report = extract_alphas(rc.spec, rc.chi, rc.xs[0], rc.ladder, rc.kmax)
     spread = alpha_constancy_check(rc.spec, rc.chi, rc.xs, rc.ladder, rc.kmax)
     alpha11 = float(report.alpha[1, 1])
-    centralized = bool(abs(alpha11) <= 1e-3)
+    centralized = bool(abs(alpha11) <= FIRST_ORDER_TOL)
     payload = {
         "schema": 1,
         "seed": rc.seed,

@@ -69,10 +69,6 @@ class ChiConfig:
                 and self.d == other.d and self.groups == other.groups)
 
 
-def shift_chi(chi, delta):
-    return chi.shift(delta)
-
-
 # -- named families -----------------------------------------------------------
 
 
@@ -149,10 +145,6 @@ class SymTable:
         return np.array([s[-1] for s in self.sigma])
 
 
-def sym_table(chi):
-    return SymTable(chi)
-
-
 # -- closed-form centralization data ------------------------------------------
 
 
@@ -163,7 +155,7 @@ def assemble_M0_c0(chi):
     if not chi.is_hyperplane():
         raise ValueError("closed-form system needs hyperplane groups (size d)")
     d = chi.d
-    table = sym_table(chi)
+    table = SymTable(chi)
     m0 = np.empty((d, d))
     c0 = np.empty(d)
     for i in range(d):
@@ -202,7 +194,7 @@ def hyperplane_centralization_test(chi, rtol=1e-12):
     d-th one is (-1)^(d+1) sigma_d / d!; the full diagonal from the linear
     system is returned alongside for cross-checking.
     """
-    table = sym_table(chi)
+    table = SymTable(chi)
     top = table.top()
     scale = max(np.max(np.abs(top)), 1e-30)
     flag = bool(np.max(np.abs(top - top[0])) <= rtol * scale)

@@ -9,7 +9,9 @@ base point: the lift solves the linear ODE
 componentwise, and because the equation has no g^(d) term the frame
 determinant (Wronskian) is conserved, so det = 1 propagates from the initial
 frame.  Jets of any order then come from the ODE recursion for free, which is
-the ground truth every downstream check leans on.
+the ground truth every downstream check leans on.  A lift jet is one
+``Jet`` of shape (K+1, d+1): row k holds the k-th Taylor coefficients of all
+d+1 components.
 
 Frame transport uses Taylor stepping on a fixed anchor grid (order 14, step
 1/16), caching frames at visited anchors, rather than a generic ODE
@@ -23,7 +25,8 @@ import json
 import numpy as np
 
 from . import linalg
-from .jets import AnalyticFn, DegenerateSystem, Jet, det_jet, eval_jet, solve_linear_jets, trig_poly
+from .jets import (AnalyticFn, DegenerateSystem, Jet, derivative_stack, det_jet, eval_jet,
+                   jet_solver, trig_poly)
 
 _STEP = 1.0 / 16.0
 _STEP_ORDER = 14
@@ -43,55 +46,6 @@ def _falling(n, k):
     for j in range(k):
         out = out * (np.asarray(n, dtype=np.float64) - j)
     return out
-
-
-class FrameJet:
-    """Jets of all d+1 lift components at one base point.
-
-    coeffs has shape (K+1, d+1): row k holds the k-th Taylor coefficients
-    (derivative/k! convention) of the components.  When the jets come from
-    frame transport the exact frame rows are kept alongside, so derivative
-    rows 0..d reproduce the transported frame bit for bit.
-    """
-
-    __slots__ = ("coeffs", "x", "_frame")
-
-    def __init__(self, coeffs, x=None, frame=None):
-        self.coeffs = np.asarray(coeffs)
-        self.x = x
-        self._frame = frame
-
-    @property
-    def d(self):
-        return self.coeffs.shape[1] - 1
-
-    @property
-    def order(self):
-        return self.coeffs.shape[0] - 1
-
-    def value(self):
-        """The point itself: lift components at the base point."""
-        if self._frame is not None:
-            return self._frame[0].copy()
-        return self.coeffs[0].copy()
-
-    def component(self, i):
-        return Jet(self.coeffs[:, i])
-
-    def component_jets(self):
-        return [Jet(self.coeffs[:, i]) for i in range(self.coeffs.shape[1])]
-
-    def deriv_rows(self, kmax):
-        """Matrix with row k = k-th derivative of the lift, k = 0..kmax."""
-        if kmax > self.order:
-            raise ValueError("requested derivative exceeds jet order")
-        k = np.arange(kmax + 1)
-        fact = np.array([math.factorial(int(v)) for v in k], dtype=self.coeffs.dtype)
-        rows = self.coeffs[: kmax + 1] * fact[:, None]
-        if self._frame is not None:
-            upto = min(kmax, self._frame.shape[0] - 1)
-            rows[: upto + 1] = self._frame[: upto + 1]
-        return rows
 
 
 class CurveSpec:
@@ -204,13 +158,13 @@ def _frame_from_coeffs(g, h, d):
     return out
 
 
-def gamma_jet(spec: CurveSpec, x, order) -> FrameJet:
-    """Jets of the normalized lift at x, to the given order (>= d)."""
+def gamma_jet(spec: CurveSpec, x, order) -> Jet:
+    """Jet (order+1, d+1) of the normalized lift at x, to the given order (>= d)."""
     if order < spec.d:
         raise ValueError(f"jet order must be at least d = {spec.d}")
     frame = spec.frame_at(x)
     g = _ode_taylor_coeffs(spec._u_jets(x, order), frame, spec.d, order)
-    return FrameJet(g, x=x, frame=frame)
+    return Jet(g, copy=False)
 
 
 def wronskian(spec: CurveSpec, x) -> float:
@@ -221,9 +175,9 @@ def wronskian(spec: CurveSpec, x) -> float:
 def normalized_lift(raw, d, ref=None):
     """Rescale an arbitrary lift to unit Wronskian and read off its u's.
 
-    raw: FrameJet or list of d+1 component Jets, order >= 2d+1.
-    Returns (FrameJet, u_jets) with u_jets the d coefficient jets of the
-    ODE satisfied by the rescaled lift.
+    raw: (K+1, d+1) jet of the lift components, K >= 2d+1.
+    Returns (lift, u): the rescaled lift as a (K-d+1, d+1) jet and the d
+    coefficients of the ODE it satisfies as a (K-2d, d) jet.
 
     Sign handling: when d+1 is odd the real odd root of the Wronskian fixes
     the lift uniquely whatever the sign of W.  When d+1 is even the Wronskian
@@ -231,17 +185,12 @@ def normalized_lift(raw, d, ref=None):
     root normalize, so the leftover overall sign is chosen to make the dot
     product with ref positive when ref is given.
     """
-    comps = raw.component_jets() if isinstance(raw, FrameJet) else list(raw)
-    if len(comps) != d + 1:
-        raise ValueError(f"need {d + 1} components, got {len(comps)}")
-    korder = min(c.order for c in comps)
-    if korder < 2 * d + 1:
+    if raw.c.shape[1:] != (d + 1,):
+        raise ValueError(f"need {d + 1} components, got shape {raw.c.shape[1:]}")
+    if raw.order < 2 * d + 1:
         raise ValueError(f"component jets must have order >= {2 * d + 1}")
 
-    rows = [comps]
-    for _ in range(d):
-        rows.append([c.derivative() for c in rows[-1]])
-    w = det_jet(rows)
+    w = det_jet(derivative_stack(raw, d + 1))
     w0 = float(w.value)
     if w0 == 0.0 or not np.isfinite(w0):
         raise DegenerateLift("vanishing Wronskian")
@@ -254,24 +203,16 @@ def normalized_lift(raw, d, ref=None):
             raise DegenerateLift("negative Wronskian admits no normalized lift")
         f = w ** (-1.0 / (d + 1))
 
-    scaled = [f * c for c in comps]
-    if sign_free and ref is not None \
-            and float(np.dot(ref, [c.value for c in scaled])) < 0:
-        scaled = [-c for c in scaled]
+    scaled = f * raw
+    if sign_free and ref is not None and float(np.dot(ref, scaled.value)) < 0:
+        scaled = -scaled
 
-    srows = [scaled]
-    for _ in range(d + 1):
-        srows.append([c.derivative() for c in srows[-1]])
-    a_rows = [[srows[k][i] for k in range(d + 1)] for i in range(d + 1)]
-    rhs = [-srows[d + 1][i] for i in range(d + 1)]
+    frame = derivative_stack(scaled, d + 2)
     try:
-        coeffs = solve_linear_jets(a_rows, rhs)
+        coeffs = jet_solver(frame[:, :d + 1])(-frame[:, d + 1])
     except DegenerateSystem as exc:
         raise DegenerateLift(f"frame not invertible: {exc}") from exc
-    u_jets = coeffs[:d]
-
-    out = np.stack([c.c for c in scaled], axis=1)
-    return FrameJet(out), u_jets
+    return scaled, coeffs[:d]
 
 
 def random_curve_spec(d, seed=None, rng=None, amplitude=0.5, x0=0.0, dtype=np.float64):

@@ -17,8 +17,11 @@ from .jets import eval_jet
 from .kdvops import kdv_rhs, l_operator
 from .linalg import lu_solver
 
-_KMAX_DOUBLE = 4
-_KMAX_EXTENDED = 6
+# deepest expansion order the step ladder resolves, per precision
+KMAX_DOUBLE = 4
+KMAX_EXTENDED = 6
+# |alpha_11| at or below this counts as no first-order term
+FIRST_ORDER_TOL = 1e-3
 _COND_LIMIT = 1e8
 
 
@@ -91,7 +94,7 @@ def extract_alphas(spec, chi, x, ladder=None, kmax=2):
     """Fit the frame coordinates of the image curve on a step ladder."""
     if ladder is None:
         ladder = EpsLadder()
-    limit = _KMAX_EXTENDED if spec.dtype == np.longdouble else _KMAX_DOUBLE
+    limit = KMAX_EXTENDED if spec.dtype == np.longdouble else KMAX_DOUBLE
     if not 0 <= kmax <= limit:
         raise ValueError(f"kmax must lie in [0, {limit}] at this precision")
     d = spec.d
@@ -102,9 +105,9 @@ def extract_alphas(spec, chi, x, ladder=None, kmax=2):
     c_samples = np.empty((eps.size, d + 1), dtype=spec.dtype)
     u_samples = np.empty((eps.size, d), dtype=spec.dtype)
     for idx, e in enumerate(eps):
-        lifted, u_jets = chi_map_point(spec, chi, x, e, korder)
-        c_samples[idx] = solve(lifted.value())
-        u_samples[idx] = [uj.value for uj in u_jets]
+        lifted, u = chi_map_point(spec, chi, x, e, korder)
+        c_samples[idx] = solve(lifted.value)
+        u_samples[idx] = u.value
 
     degree = kmax + 2
     alpha = np.zeros((kmax + 1, d + 1))
@@ -156,11 +159,9 @@ def alpha_constancy_check(spec, chi, xs, ladder=None, kmax=2):
     """Spread of the diagonal coefficients across working points."""
     if len(set(float(x) for x in xs)) < 3:
         raise ValueError("need at least 3 distinct working points")
-    diag = np.array([
-        [extract_alphas(spec, chi, x, ladder, kmax).alpha[i, i]
-         for i in range(min(2, kmax) + 1)]
-        for x in xs
-    ])
+    reports = [extract_alphas(spec, chi, x, ladder, kmax) for x in xs]
+    diag = np.array([[r.alpha[i, i] for i in range(min(2, kmax) + 1)]
+                     for r in reports])
     return float(np.max(diag.max(axis=0) - diag.min(axis=0)))
 
 
@@ -171,7 +172,7 @@ def kdv_rhs_check(spec, chi, x, ladder=None, kmax=2):
     at the ε² timescale with velocity a22 times the commutator coefficients.
     """
     report = extract_alphas(spec, chi, x, ladder, kmax)
-    if abs(report.alpha[1, 1]) > 1e-3:
+    if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise ValueError("configuration is not centralized at first order")
     d = spec.d
     u_jets = [eval_jet(spec.u[i], x, 24) for i in range(d)]

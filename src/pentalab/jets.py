@@ -1,19 +1,22 @@
-"""Truncated Taylor-jet arithmetic, expression trees, and jet linear algebra.
+"""Truncated Taylor series, expression trees, and linear algebra over series.
 
-A ``Jet`` holds the first K+1 Taylor coefficients of a scalar function of x
-at a base point, in the derivative/k! convention, so multiplication is a
-plain truncated convolution.  Everything downstream (curve frames, subspace
-intersections, operator coefficients) is built from jets, which is what makes
-d/dx exact: derivatives are coefficient shifts, never finite differences.
+A ``Jet`` holds the first K+1 Taylor coefficients of a function of x at a
+base point, in the derivative/k! convention, as one array ``c`` of shape
+(K+1, *tail): the Taylor order runs along axis 0 and the trailing axes hold
+the values, which may be a scalar, a vector (a lift of a curve) or a matrix
+(the frame of a span, a Wronskian).  Multiplication is a truncated
+convolution along axis 0 with the tails broadcast, so the series of a curve
+point, of a span or of a whole linear system is one object, and d/dx is
+exact: derivatives are coefficient shifts, never finite differences.
 
 ``AnalyticFn`` is a tiny closed expression language (constants, x, +, -, *,
 /, sin, cos, powers) used for curve coefficient functions.  It evaluates to a
-jet of any requested order and round-trips through a JSON tree, so curve
-files can carry their coefficient functions.
+scalar jet of any requested order and round-trips through a JSON tree, so
+curve files can carry their coefficient functions.
 
-Linear algebra over the jet ring (``solve_linear_jets``, ``det_jet``) pivots
-on constant terms only: a system is solved order by order against the LU
-factorization of its constant-term matrix.
+Linear algebra over series (``jet_solver``, ``det_jet``) takes matrix jets
+and pivots on constant terms only: a system is solved order by order against
+the LU factorization of its constant-term matrix.
 """
 
 import math
@@ -28,14 +31,18 @@ class DegenerateSystem(Exception):
 
 
 class Jet:
-    """Truncated Taylor series: coeffs[k] = f^(k)(x0) / k!."""
+    """Truncated Taylor series: c[k] = f^(k)(x0) / k!, c of shape (K+1, *tail).
+
+    Sums and products broadcast the tails numpy-style; ``jet[i]`` indexes
+    the tail.  Division, fractional powers, sin and cos take scalar jets.
+    """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs, copy=True):
         c = np.array(coeffs, copy=copy)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("jet coefficients must be a nonempty 1-d array")
+        if c.ndim == 0 or len(c) == 0:
+            raise ValueError("jet coefficients need a nonempty order axis")
         if not np.issubdtype(c.dtype, np.floating):
             c = c.astype(np.float64)
         c.flags.writeable = False
@@ -62,7 +69,7 @@ class Jet:
 
     @property
     def order(self):
-        return self.c.size - 1
+        return len(self.c) - 1
 
     @property
     def value(self):
@@ -77,25 +84,22 @@ class Jet:
     def derivative(self):
         """Jet of f', one order shorter."""
         if self.order == 0:
-            return Jet(np.zeros(1, dtype=self.c.dtype), copy=False)
+            return Jet(np.zeros_like(self.c), copy=False)
         k = np.arange(1, self.order + 1)
+        if self.c.ndim > 1:
+            k = k.reshape((-1,) + (1,) * (self.c.ndim - 1))
         return Jet(self.c[1:] * k, copy=False)
 
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return Jet(self.c[: order + 1])
-
-    def eval_at(self, h):
-        """Evaluate the truncated series at offset h from the base point."""
-        acc = self.c.dtype.type(0)
-        for ck in self.c[::-1]:
-            acc = acc * h + ck
-        return acc
+    def __getitem__(self, index):
+        if not isinstance(index, tuple):
+            index = (index,)
+        return Jet(self.c[(slice(None),) + index], copy=False)
 
     def __repr__(self):
-        head = np.array2string(self.c[: min(4, self.c.size)], precision=6)
-        return f"Jet(order={self.order}, c={head}{'...' if self.order > 3 else ''})"
+        head = np.array2string(self.c[:4], precision=6)
+        tail = f", tail={self.c.shape[1:]}" if self.c.ndim > 1 else ""
+        more = "..." if self.order > 3 else ""
+        return f"Jet(order={self.order}{tail}, c={head}{more})"
 
     # -- arithmetic ---------------------------------------------------
 
@@ -112,7 +116,10 @@ class Jet:
         if o is None:
             return NotImplemented
         k = min(self.order, o.order) + 1
-        return Jet(self.c[:k] + o.c[:k], copy=False)
+        a, b = self.c[:k], o.c[:k]
+        if a.ndim != b.ndim:
+            a, b = _align(a, b)
+        return Jet(a + b, copy=False)
 
     __radd__ = __add__
 
@@ -124,7 +131,10 @@ class Jet:
         if o is None:
             return NotImplemented
         k = min(self.order, o.order) + 1
-        return Jet(self.c[:k] - o.c[:k], copy=False)
+        a, b = self.c[:k], o.c[:k]
+        if a.ndim != b.ndim:
+            a, b = _align(a, b)
+        return Jet(a - b, copy=False)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -132,7 +142,9 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             k = min(self.order, other.order) + 1
-            return Jet(np.convolve(self.c[:k], other.c[:k])[:k], copy=False)
+            if self.c.ndim == 1 and other.c.ndim == 1:
+                return Jet(np.convolve(self.c[:k], other.c[:k])[:k], copy=False)
+            return Jet(_convolve(*_align(self.c[:k], other.c[:k])), copy=False)
         if np.isscalar(other) or isinstance(other, np.generic):
             return Jet(self.c * other, copy=False)
         return NotImplemented
@@ -176,6 +188,27 @@ class Jet:
         for n in range(1, self.order + 1):
             series[n] = series[n - 1] * (p - n + 1) / (n * a0)
         return _outer_series(self, series)
+
+
+def _align(a, b):
+    """Reshape two coefficient arrays so their tails broadcast numpy-style."""
+    n = max(a.ndim, b.ndim)
+    return (a.reshape(a.shape[:1] + (1,) * (n - a.ndim) + a.shape[1:]),
+            b.reshape(b.shape[:1] + (1,) * (n - b.ndim) + b.shape[1:]))
+
+
+def _convolve(a, b):
+    """Truncated product of two coefficient arrays with broadcastable tails.
+
+    out[m] = sum_j a[j] b[m-j]: b is gathered into its lower-triangular
+    Toeplitz stack T[m, j] = b[m-j] and contracted with a over j.
+    """
+    k = a.shape[0]
+    m = np.arange(k)
+    lag = m[:, None] - m
+    lower = (lag >= 0).reshape(lag.shape + (1,) * (b.ndim - 1))
+    toeplitz = np.where(lower, b[np.maximum(lag, 0)], 0)
+    return np.einsum("mj...,j...->m...", toeplitz, a)
 
 
 def _outer_series(jet, series):
@@ -396,76 +429,63 @@ def eval_jet(f, x, order, dtype=np.float64):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over the jet ring
+# linear algebra over series
 
 
-def _entry_tensor(rows):
-    n = len(rows)
-    m = len(rows[0])
-    order = min(min(e.order for e in r) for r in rows)
-    dtype = np.result_type(*[e.c.dtype for r in rows for e in r])
-    t = np.empty((order + 1, n, m), dtype=dtype)
-    for i, r in enumerate(rows):
-        for j, e in enumerate(r):
-            t[:, i, j] = e.c[: order + 1]
-    return t
+def jet_solver(a):
+    """Factor a square matrix jet (K+1, n, n) once; returns solve(b) -> Jet.
 
-
-def jet_solver(a_rows):
-    """Factor a square jet matrix once; returns solve(b_jets) -> list of Jets.
-
-    Solves order by order against the LU factors of the constant-term matrix,
-    so pivoting sees constant terms only.
+    b is a (K+1, n) vector or (K+1, n, m) matrix jet; the solution has the
+    shape of b and the smaller of the two orders.  Solves order by order
+    against the LU factors of the constant-term matrix, so pivoting sees
+    constant terms only.
     """
-    t = _entry_tensor(a_rows)
+    t = a.c
     try:
         solve0 = linalg.lu_solver(t[0])
     except linalg.SingularMatrixError as exc:
         raise DegenerateSystem(str(exc)) from exc
 
-    def solve(b_jets):
-        kb = min(t.shape[0] - 1, min(e.order for e in b_jets))
-        dtype = np.result_type(t.dtype, *[e.c.dtype for e in b_jets])
-        bc = np.empty((kb + 1, len(b_jets)), dtype=dtype)
-        for j, e in enumerate(b_jets):
-            bc[:, j] = e.c[: kb + 1]
-        x = np.empty((kb + 1, t.shape[1]), dtype=dtype)
-        for m in range(kb + 1):
+    def solve(b):
+        bc = b.c[: t.shape[0]]
+        x = np.empty(bc.shape, dtype=np.result_type(t.dtype, bc.dtype))
+        for m in range(bc.shape[0]):
             rhs = bc[m]
             for k in range(1, m + 1):
                 rhs = rhs - t[k] @ x[m - k]
             x[m] = solve0(rhs)
-        return [Jet(x[:, j]) for j in range(t.shape[1])]
+        return Jet(x, copy=False)
 
     return solve
 
 
-def solve_linear_jets(a_rows, b_jets):
-    """Solve A x = b over the jet ring (A square, invertible constant term)."""
-    return jet_solver(a_rows)(b_jets)
+def derivative_stack(jet, count):
+    """Matrix jet whose column k < count is the k-th derivative of a vector
+    jet, all cut to the order of the last derivative."""
+    chain = [jet]
+    for _ in range(count - 1):
+        chain.append(chain[-1].derivative())
+    k = chain[-1].order + 1
+    return Jet(np.stack([c.c[:k] for c in chain], axis=-1), copy=False)
 
 
-def jet_matvec(a_rows, x_jets):
-    out = []
-    for row in a_rows:
-        acc = row[0] * x_jets[0]
-        for e, v in zip(row[1:], x_jets[1:]):
-            acc = acc + e * v
-        out.append(acc)
-    return out
+def det_jet(a):
+    """Determinant of a square matrix jet by cofactor expansion (small n)."""
+    return Jet(_det(a.c), copy=False)
 
 
-def det_jet(a_rows):
-    """Determinant over the jet ring by cofactor expansion (small matrices)."""
-    n = len(a_rows)
+def _det(c):
+    """Cofactor expansion of a (K+1, n, n) coefficient array along its first
+    column, every product a convolution truncated to K+1 terms."""
+    k, n = c.shape[:2]
     if n == 1:
-        return a_rows[0][0]
+        return c[:, 0, 0]
     if n == 2:
-        return a_rows[0][0] * a_rows[1][1] - a_rows[0][1] * a_rows[1][0]
+        return (np.convolve(c[:, 0, 0], c[:, 1, 1])[:k]
+                - np.convolve(c[:, 0, 1], c[:, 1, 0])[:k])
     acc = None
     for i in range(n):
-        minor = [row[1:] for k, row in enumerate(a_rows) if k != i]
-        term = a_rows[i][0] * det_jet(minor)
+        term = np.convolve(c[:, i, 0], _det(np.delete(c[:, :, 1:], i, axis=1)))[:k]
         if i % 2:
             term = -term
         acc = term if acc is None else acc + term

@@ -17,9 +17,9 @@ import numpy as np
 from .chimap import chi_map_point
 from .curves import gamma_jet
 from .discretize import coords_from_samples, tilde_a
-from .expansion import EpsLadder, extract_alphas
+from .expansion import FIRST_ORDER_TOL, EpsLadder, extract_alphas
 from .fitting import fit_poly_coeffs, loglog_slope
-from .jets import eval_jet, jet_solver
+from .jets import Jet, derivative_stack, eval_jet, jet_solver
 from .linalg import solve_dense
 
 
@@ -42,37 +42,31 @@ def u_matrix(spec, x):
     return m
 
 
-def v_matrix_jets(spec, x, c, order=2):
-    """Entry jets of the matrix V with V Φ = c (Q_2 Γ derivative stack).
+def _q2_gamma(spec, x, depth):
+    """Jets of the lift Γ and of Q_2 Γ = Γ'' + 2 u_{d-1} Γ/(d+1) at x."""
+    d = spec.d
+    g = gamma_jet(spec, x, depth)
+    u_top = eval_jet(spec.u[d - 1], x, depth, dtype=spec.dtype)
+    return g, g.derivative().derivative() + g * u_top * (2.0 / (d + 1))
 
-    Q_2 Γ is Γ'' plus 2 u_{d-1} Γ/(d+1); each of its first d derivatives is
-    resolved against the frame, one jet solve per row.  `order` is the jet
-    depth of the returned entries (>= 1 keeps dV/dx available).
+
+def v_matrix_jets(spec, x, c, order=2):
+    """Matrix jet (order+1, d+1, d+1) of V with V Φ = c (Q_2 Γ derivative stack).
+
+    Row k of V resolves the k-th derivative of Q_2 Γ against the frame
+    Γ, Γ', ..., Γ^(d); all rows come from one jet solve.  `order` is the jet
+    depth of the result (>= 1 keeps dV/dx available).
     """
     d = spec.d
-    depth = order + d + 2
-    g = gamma_jet(spec, x, depth).component_jets()
-    u_top = eval_jet(spec.u[d - 1], x, depth, dtype=spec.dtype)
-    scale = 2.0 / (d + 1)
-    q2g = [gj.derivative().derivative() + gj * u_top * scale for gj in g]
-    chains = [[gj] for gj in g]
-    for _ in range(d):
-        for chain in chains:
-            chain.append(chain[-1].derivative())
-    solve = jet_solver([[chains[m][j] for j in range(d + 1)]
-                        for m in range(d + 1)])
-    rows = []
-    rhs = q2g
-    for _ in range(d + 1):
-        rows.append(solve([e * c for e in rhs]))
-        rhs = [e.derivative() for e in rhs]
-    return rows
+    g, q2g = _q2_gamma(spec, x, order + d + 2)
+    solve = jet_solver(derivative_stack(g, d + 1))
+    rows = solve(derivative_stack(q2g, d + 1) * c)
+    return Jet(rows.c.transpose(0, 2, 1), copy=False)
 
 
 def v_matrix(spec, x, c):
     """Value matrix of v_matrix_jets at x."""
-    rows = v_matrix_jets(spec, x, c, order=0)
-    return np.array([[e.value for e in r] for r in rows])
+    return v_matrix_jets(spec, x, c, order=0).value
 
 
 def _shift_companion(a_tilde, z=1.0):
@@ -127,14 +121,10 @@ def frame_drift_matrix(spec, x, c):
     the discrete Lax combination; only the shift difference dV/dx survives.
     """
     d = spec.d
-    depth = d + 4
-    g = gamma_jet(spec, x, depth).component_jets()
-    u_top = eval_jet(spec.u[d - 1], x, depth, dtype=spec.dtype)
-    q2g = [gj.derivative().derivative() + gj * u_top * (2.0 / (d + 1))
-           for gj in g]
+    q2g = _q2_gamma(spec, x, d + 4)[1]
     for _ in range(d + 1):
-        q2g = [q.derivative() for q in q2g]
-    e_coeff = solve_dense(spec.frame_at(x).T, np.array([q.value for q in q2g]))
+        q2g = q2g.derivative()
+    e_coeff = solve_dense(spec.frame_at(x).T, q2g.value)
     v = v_matrix(spec, x, c)
     t0 = np.zeros((d + 1, d + 1))
     tp = np.zeros((d + 1, d + 1))
@@ -149,21 +139,31 @@ def frame_drift_matrix(spec, x, c):
     return t0 @ v - v @ tp + c * (d / 2.0) * np.outer(last, e_coeff)
 
 
+def _mapped_points(spec, chi, x, eps, ks):
+    """Points of the mapped curve at x + k eps, one row per k."""
+    korder = 2 * spec.d + 2
+    return np.stack([chi_map_point(spec, chi, x + k * eps, eps, korder)[0]
+                     .value for k in ks])
+
+
+def _transfer(spec, x, eps, mapped, shift_index):
+    """P with P (curve rows) = mapped, rows sampled at x + (shift + j) eps."""
+    w = np.stack([spec.frame_at(x + (shift_index + j) * eps)[0]
+                  for j in range(spec.d + 1)])
+    return solve_dense(w.T, mapped.T).T
+
+
 def p_tilde(spec, chi, x, eps, shift_index=0):
     """Transfer matrix from the curve frame to the mapped-curve frame.
 
-    Rows of both frames sample at x + shift_index*eps + j*eps; the result P
+    Rows of both frames sample at x + (shift_index + j) eps; the result P
     satisfies P (curve rows) = (mapped rows).
     """
     if shift_index not in (0, 1):
         raise ValueError("shift_index must be 0 or 1")
-    d = spec.d
-    base = x + shift_index * eps
-    korder = 2 * d + 2
-    w = np.stack([spec.frame_at(base + j * eps)[0] for j in range(d + 1)])
-    wt = np.stack([chi_map_point(spec, chi, base + j * eps, eps, korder)[0]
-                   .value() for j in range(d + 1)])
-    return solve_dense(w.T, wt.T).T
+    ks = range(shift_index, shift_index + spec.d + 1)
+    return _transfer(spec, x, eps, _mapped_points(spec, chi, x, eps, ks),
+                     shift_index)
 
 
 def _entry_fit(eps, stack, degree):
@@ -227,14 +227,14 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     if ladder is None:
         ladder = EpsLadder()
     report = extract_alphas(spec, chi, x, ladder, kmax)
-    if abs(report.alpha[1, 1]) > 1e-3:
+    if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise ValueError("configuration is not centralized at first order")
     d = spec.d
     c22 = float(report.alpha[2, 2])
     U = np.asarray(u_matrix(spec, x), dtype=np.float64)
     vj = v_matrix_jets(spec, x, c22, order=2)
-    V = np.array([[e.value for e in r] for r in vj])
-    V_prime = np.array([[e.derivative().value for e in r] for r in vj])
+    V = vj.value
+    V_prime = vj.derivative().value
     target = V @ U - U @ V + V_prime
     dudt_w = np.zeros_like(U)
     dudt_w[d, :d] = -np.asarray(report.w, dtype=np.float64)
@@ -242,7 +242,6 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     eps = ladder.values(spec.dtype)
     n = eps.size
     eye = np.eye(d + 1)
-    korder = 2 * d + 2
     conj_err = np.empty(n)
     ident = np.empty(n)
     conj_stack = np.empty((n, d + 1, d + 1))
@@ -256,13 +255,9 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
         lt0 = l_tilde(spec, x, e)
         conj_stack[r] = (dm @ lt0 @ dmi - eye) / e
         conj_err[r] = _maxabs(conj_stack[r] - U)
-        window = np.stack([chi_map_point(spec, chi, x + k * e, e, korder)[0]
-                           .value() for k in range(d + 2)])
-        w0 = np.stack([spec.frame_at(x + j * e)[0] for j in range(d + 1)])
-        w1 = np.stack([spec.frame_at(x + (1 + j) * e)[0]
-                       for j in range(d + 1)])
-        p0 = solve_dense(w0.T, window[:d + 1].T).T
-        p1 = solve_dense(w1.T, window[1:].T).T
+        window = _mapped_points(spec, chi, x, e, range(d + 2))
+        p0 = _transfer(spec, x, e, window[:d + 1], 0)
+        p1 = _transfer(spec, x, e, window[1:], 1)
         lt1 = _shift_companion(coords_from_samples(window, x, e).a_tilde)
         conjugated = p1 @ lt0 @ solve_dense(p0, eye)
         ident[r] = _maxabs(lt1 - conjugated)

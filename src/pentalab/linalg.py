@@ -107,15 +107,6 @@ def lstsq_dense(a, b):
     return _solve_ge(a.T @ a, a.T @ b)
 
 
-def least_norm_solve(a, b):
-    """Minimum-norm x with a @ x = b for wide full-row-rank a."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    gram = a @ a.T
-    y = solve_dense(gram, b)
-    return a.T @ y
-
-
 def null_basis(a, rtol=1e-10):
     """Orthonormal basis (rows) of the nullspace of a (m x n, m <= n)."""
     a = np.asarray(a)

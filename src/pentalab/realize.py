@@ -17,7 +17,7 @@ import numpy as np
 from scipy import optimize
 
 from .chimap import DegenerateIntersection
-from .configs import ChiConfig, sym_table
+from .configs import ChiConfig, SymTable
 from .expansion import EpsLadder, extract_alphas
 from .jets import eval_jet
 from .kdvops import l_operator, q_m
@@ -128,14 +128,12 @@ def check_34(chi, probe_curves, x, ladder=None):
     if ladder is None:
         ladder = _node_ladder(chi)
 
-    top = sym_table(chi).top()
+    top = SymTable(chi).top()
     scale = max(np.max(np.abs(top)), 1e-30)
     sigma_equal = bool(np.max(np.abs(top - top[0])) <= 1e-9 * scale
                        and abs(float(top[0])) > 0.0)
 
-    g1 = 0.0
-    g2 = 0.0
-    rows = []
+    alphas = []
     targets = []
     skipped = []
     for idx, spec in enumerate(probe_curves):
@@ -144,27 +142,36 @@ def check_34(chi, probe_curves, x, ladder=None):
         except DegenerateIntersection:
             skipped.append(idx)
             continue
-        g1 = max(g1, float(np.max(np.abs(rep.alpha[1]))))
-        g2 = max(g2, float(np.max(np.abs(rep.alpha[2]))))
-        rows.append(rep.alpha[3])
+        alphas.append(rep.alpha)
         targets.append(_q3_row(spec, x))
-    if not rows:
+    if not alphas:
         raise RuntimeError("every probe curve hit a degenerate intersection")
-
-    rows = np.array(rows, dtype=np.float64)
-    targets = np.array(targets, dtype=np.float64)
-    c_fit = float(np.sum(rows * targets) / np.sum(targets * targets))
 
     out = Realization34Report()
     out.chi = chi
     out.sigma_top = np.asarray(top, dtype=np.float64)
     out.sigma_equal = sigma_equal
-    out.g1_norm = g1
-    out.g2_norm = g2
-    out.g3_match = float(np.max(np.abs(rows - c_fit * targets)))
-    out.c_fit = c_fit
+    out.g1_norm, out.g2_norm, out.g3_match, out.c_fit = _residuals(
+        alphas, targets)
     out.skipped = tuple(skipped)
     return out
+
+
+def _residuals(alphas, targets):
+    """(g1, g2, g3, c) over the probes: the largest first- and second-order
+    coefficients, and the third-order rows against c (L^{3/4})_+ with the
+    least-squares c shared by all probes.
+
+    alphas stacks each probe's (4 x 4) alpha, targets each probe's row of
+    (L^{3/4})_+ coefficients, a (probes x 4) stack.
+    """
+    alphas = np.array(alphas, dtype=np.float64)
+    targets = np.array(targets, dtype=np.float64)
+    rows = alphas[:, 3]
+    c = float(np.sum(rows * targets) / np.sum(targets * targets))
+    return (float(np.max(np.abs(alphas[:, 1]))),
+            float(np.max(np.abs(alphas[:, 2]))),
+            float(np.max(np.abs(rows - c * targets))), c)
 
 
 def _project_node_products(params):
@@ -234,11 +241,7 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
             rep = extract_alphas(probe, chi, x, _node_ladder(chi), kmax=3)
         except (ValueError, DegenerateIntersection):
             return 1e6
-        target = _q3_row(probe, x)
-        c = float(np.dot(rep.alpha[3], target) / np.dot(target, target))
-        g1 = float(np.max(np.abs(rep.alpha[1])))
-        g2 = float(np.max(np.abs(rep.alpha[2])))
-        g3 = float(np.max(np.abs(rep.alpha[3] - c * target)))
+        g1, g2, g3, _ = _residuals([rep.alpha], [_q3_row(probe, x)])
         f = g1 * g1 + g2 * g2 + g3 * g3
         if f < best["f"]:
             best["f"] = f

@@ -34,7 +34,6 @@ from pentalab import (
     q_m,
     r_poly_roots,
     random_curve_spec,
-    shift_chi,
     short_diagonal_chi,
     solve_alpha_diag,
     trig_poly,
@@ -177,16 +176,16 @@ def test_05_dual_dented_centralization(curve3):
     for s in (1, 2):
         delta = dual_dented_shift(3, s)
         full = dual_dented_chi(3, s, variant="full")
-        shifted = shift_chi(full, delta)
+        shifted = full.shift(delta)
         rep = extract_alphas(curve3, shifted, X0, kmax=3)
         worst_shifted = max(worst_shifted, abs(rep.alpha[1, 1]))
         rep0 = extract_alphas(curve3, full, X0, kmax=2)
         least_unshifted = min(least_unshifted, abs(rep0.alpha[1, 1]))
-        reduced = shift_chi(dual_dented_chi(3, s, variant="reduced"), delta)
+        reduced = dual_dented_chi(3, s, variant="reduced").shift(delta)
         for eps in (0.1, 0.05):
             a, _ = chi_map_point(curve3, shifted, X0, eps, 10)
             b, _ = chi_map_point(curve3, reduced, X0, eps, 10)
-            worst_pt = max(worst_pt, float(np.max(np.abs(a.coeffs - b.coeffs))))
+            worst_pt = max(worst_pt, float(np.max(np.abs(a.c - b.c))))
     ok = worst_shifted <= 1e-5 and least_unshifted >= 1e-2 and worst_pt <= 1e-10
     _verdict(5, "dual-dented centralization", ok,
              f"shifted a11 {worst_shifted:.1e}, unshifted a11 "

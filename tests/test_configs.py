@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from pentalab.configs import (
     ChiConfig,
+    SymTable,
     alpha11_evenly_spaced,
     assemble_M0_c0,
     dual_dented_chi,
@@ -14,10 +15,8 @@ from pentalab.configs import (
     elementary_symmetric,
     evenly_spaced_chi,
     hyperplane_centralization_test,
-    shift_chi,
     short_diagonal_chi,
     solve_alpha_diag,
-    sym_table,
 )
 
 
@@ -158,17 +157,17 @@ def test_dual_dented_shift_values(d, s, expected):
 
 def test_shift_zero_is_identity():
     chi = short_diagonal_chi(3)
-    assert shift_chi(chi, 0.0) == chi
+    assert chi.shift(0.0) == chi
 
 
 def test_shift_composes_exactly():
     # dyadic offsets so float addition itself is exact
     chi = short_diagonal_chi(3)
-    assert shift_chi(shift_chi(chi, 0.5), -2.25) == shift_chi(chi, -1.75)
+    assert chi.shift(0.5).shift(-2.25) == chi.shift(-1.75)
 
 
 def test_shifted_dual_dented_groups():
-    chi = shift_chi(dual_dented_chi(3, 1), dual_dented_shift(3, 1))
+    chi = dual_dented_chi(3, 1).shift(dual_dented_shift(3, 1))
     expected = [
         [-7 / 3, -4 / 3, -1 / 3],
         [-4 / 3, -1 / 3, 2 / 3],
@@ -182,7 +181,7 @@ def test_shifted_dual_dented_groups():
 
 
 def test_two_node_sigma():
-    table = sym_table(short_diagonal_chi(2))
+    table = SymTable(short_diagonal_chi(2))
     assert table.get(0, 0) == 1.0
     assert table.get(0, 1) == pytest.approx(-1.0)
     assert table.get(0, 2) == pytest.approx(-0.75)
@@ -209,7 +208,7 @@ def test_newton_identities(rng):
 
 
 def test_sym_table_top():
-    assert_allclose(sym_table(short_diagonal_chi(3)).top(), [3.0, 0.0, -3.0])
+    assert_allclose(SymTable(short_diagonal_chi(3)).top(), [3.0, 0.0, -3.0])
 
 
 # -- closed-form centralization data ---------------------------------------------

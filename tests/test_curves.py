@@ -22,16 +22,16 @@ def test_affine_motion_d1():
     spec = zero_curve_spec(1)
     fj = gamma_jet(spec, 1.3, 4)
     # second derivative vanishes, so the lift is (1, x - x0) exactly
-    assert_allclose(fj.value(), [1.0, 1.3], atol=1e-14)
-    assert_allclose(fj.deriv_rows(1)[1], [0.0, 1.0], atol=1e-14)
-    assert_allclose(fj.coeffs[2:], 0.0, atol=1e-14)
+    assert_allclose(fj.value, [1.0, 1.3], atol=1e-14)
+    assert_allclose(fj.deriv(1), [0.0, 1.0], atol=1e-14)
+    assert_allclose(fj.c[2:], 0.0, atol=1e-14)
 
 
 def test_zero_curve_d2_is_polynomial():
     spec = zero_curve_spec(2)
     fj = gamma_jet(spec, 0.7, 6)
-    assert_allclose(fj.coeffs[3:], 0.0, atol=1e-15)
-    assert fj.deriv_rows(2)[2][2] == pytest.approx(1.0)  # g_2 = x^2/2
+    assert_allclose(fj.c[3:], 0.0, atol=1e-15)
+    assert fj.deriv(2)[2] == pytest.approx(1.0)  # g_2 = x^2/2
 
 
 def test_frame_against_ode_oracle():
@@ -68,8 +68,7 @@ def test_wronskian_conserved(d, seed):
 
 
 def test_frame_at_base_point_is_initial_frame(curve_d3):
-    fj = gamma_jet(curve_d3, curve_d3.x0, 6)
-    assert np.array_equal(fj.deriv_rows(3), curve_d3.F0)
+    assert np.array_equal(curve_d3.frame_at(curve_d3.x0), curve_d3.F0)
 
 
 def test_local_consistency_step_vs_taylor(curve_d2):
@@ -77,8 +76,10 @@ def test_local_consistency_step_vs_taylor(curve_d2):
     x, k = 0.4, 10
     fj = gamma_jet(curve_d2, x, k)
     for h in (1e-3, 5e-3, 2e-2):
-        stepped = gamma_jet(curve_d2, x + h, 2).value()
-        taylor = np.array([fj.component(i).eval_at(h) for i in range(3)])
+        stepped = gamma_jet(curve_d2, x + h, 2).value
+        taylor = np.zeros(3)
+        for ck in fj.c[::-1]:  # Horner in the offset h
+            taylor = taylor * h + ck
         assert_allclose(stepped, taylor, atol=3.0 * h ** (k + 1) + 1e-14)
 
 
@@ -86,7 +87,7 @@ def test_jet_recursion_matches_ode(curve_d3):
     # the order-(d+1) coefficient must reproduce -sum u_i g^(i)
     x = 0.9
     fj = gamma_jet(curve_d3, x, 8)
-    rows = fj.deriv_rows(4)
+    rows = [fj.deriv(k) for k in range(5)]
     u = [f(x) for f in curve_d3.u]
     lhs = rows[4]
     rhs = -(u[0] * rows[0] + u[1] * rows[1] + u[2] * rows[2])
@@ -107,34 +108,34 @@ def test_normalized_lift_idempotent(curve_d2):
     fj = gamma_jet(curve_d2, x, 8)
     out, u_eps = normalized_lift(fj, 2)
     assert out.order == fj.order - 2  # determinant jets cost d orders
-    assert_allclose(out.coeffs, fj.coeffs[: out.order + 1], rtol=1e-11, atol=1e-13)
-    for i, uj in enumerate(u_eps):
-        assert uj.value == pytest.approx(curve_d2.u[i](x), abs=1e-10)
+    assert_allclose(out.c, fj.c[: out.order + 1], rtol=1e-11, atol=1e-13)
+    for i in range(2):
+        assert u_eps[i].value == pytest.approx(curve_d2.u[i](x), abs=1e-10)
 
 
 def test_normalized_lift_constant_rescale():
     spec = zero_curve_spec(1)
     fj = gamma_jet(spec, 0.5, 5)
-    out, _ = normalized_lift([c * 2.0 for c in fj.component_jets()], 1)
-    rows = out.deriv_rows(1)
+    out, _ = normalized_lift(fj * 2.0, 1)
+    rows = [out.deriv(k) for k in range(2)]
     assert np.linalg.det(rows) == pytest.approx(1.0, abs=1e-13)
-    assert_allclose(out.value(), fj.value(), atol=1e-13)
+    assert_allclose(out.value, fj.value, atol=1e-13)
 
 
 def test_normalized_lift_scalar_gauge_invariance(curve_d3, rng):
     x = -0.6
     fj = gamma_jet(curve_d3, x, 10)
-    base, ub = normalized_lift(fj, 3, ref=fj.value())
+    base, ub = normalized_lift(fj, 3, ref=fj.value)
     gauge = 1.5 + 0.3 * np.sin(x)  # positive scalar jet, nonconstant
     from pentalab.jets import Jet, jet_sin
 
     gj = 1.5 + 0.3 * jet_sin(Jet.variable(x, 10))
-    scaled = [gj * c for c in fj.component_jets()]
-    out, uo = normalized_lift(scaled, 3, ref=fj.value())
+    scaled = gj * fj
+    out, uo = normalized_lift(scaled, 3, ref=fj.value)
     assert gauge > 0
-    assert_allclose(out.coeffs, base.coeffs[: out.order + 1], rtol=1e-10, atol=1e-12)
-    for a, b in zip(ub, uo):
-        assert_allclose(a.c, b.c, rtol=1e-9, atol=1e-10)
+    assert_allclose(out.c, base.c[: out.order + 1], rtol=1e-10, atol=1e-12)
+    for i in range(3):
+        assert_allclose(ub[i].c, uo[i].c, rtol=1e-9, atol=1e-10)
 
 
 def test_normalized_lift_even_frame_dimension_sign():
@@ -142,21 +143,21 @@ def test_normalized_lift_even_frame_dimension_sign():
     # reference vector picks the branch continuously
     spec = random_curve_spec(3, seed=9)
     fj = gamma_jet(spec, 0.2, 10)
-    flipped = [-c for c in fj.component_jets()]
-    out, _ = normalized_lift(flipped, 3, ref=fj.value())
+    flipped = -fj
+    out, _ = normalized_lift(flipped, 3, ref=fj.value)
     k = out.order + 1
-    assert_allclose(out.coeffs, fj.coeffs[:k], rtol=1e-11, atol=1e-13)
+    assert_allclose(out.c, fj.c[:k], rtol=1e-11, atol=1e-13)
     out2, _ = normalized_lift(flipped, 3)  # no ref: keeps the flipped branch
-    assert_allclose(out2.coeffs, -fj.coeffs[:k], rtol=1e-11, atol=1e-13)
+    assert_allclose(out2.c, -fj.c[:k], rtol=1e-11, atol=1e-13)
 
 
 def test_normalized_lift_degenerate():
     from pentalab.jets import Jet
 
-    z = Jet.const(0.0, 8)
-    one = Jet.const(1.0, 8)
+    lift = np.zeros((9, 4))
+    lift[0, :2] = 1.0  # components (1, 1, 0, 0): every derivative vanishes
     with pytest.raises(DegenerateLift):
-        normalized_lift([one, one, z, z], 3)
+        normalized_lift(Jet(lift), 3)
 
 
 def test_curve_json_roundtrip(curve_d2, tmp_path):

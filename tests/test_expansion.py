@@ -99,8 +99,8 @@ class TestConstancy:
                                      xs) <= 2e-3
 
     def test_d3_dual_dented_shifted_spread(self, curve_d3):
-        from pentalab import dual_dented_chi, dual_dented_shift, shift_chi
-        chi = shift_chi(dual_dented_chi(3, 1), dual_dented_shift(3, 1))
+        from pentalab import dual_dented_chi, dual_dented_shift
+        chi = dual_dented_chi(3, 1).shift(dual_dented_shift(3, 1))
         assert alpha_constancy_check(curve_d3, chi, [-0.2, 0.3, 0.8]) <= 2e-3
 
     def test_alpha20_tracks_potential(self):
@@ -115,6 +115,25 @@ class TestConstancy:
     def test_needs_three_points(self, curve_d2):
         with pytest.raises(ValueError):
             alpha_constancy_check(curve_d2, short_diagonal_chi(2), [0.0, 0.5])
+
+    def test_one_extraction_per_point(self, curve_d2, monkeypatch):
+        import pentalab.expansion as expansion
+
+        chi = short_diagonal_chi(2)
+        xs = [-0.4, 0.3, 1.1]
+        ladder = EpsLadder(count=8)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return extract_alphas(*args, **kwargs)
+
+        monkeypatch.setattr(expansion, "extract_alphas", counted)
+        spread = alpha_constancy_check(curve_d2, chi, xs, ladder)
+        assert calls == xs
+        diag = np.array([np.diag(extract_alphas(curve_d2, chi, x, ladder).alpha)
+                         for x in xs])
+        assert spread == float(np.max(diag.max(axis=0) - diag.min(axis=0)))
 
 
 class TestKdvCheck:

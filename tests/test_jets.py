@@ -10,8 +10,7 @@ from pentalab.jets import (
     Jet,
     det_jet,
     eval_jet,
-    jet_matvec,
-    solve_linear_jets,
+    jet_solver,
     trig_poly,
 )
 
@@ -120,69 +119,122 @@ def test_eval_jet_matches_numeric_derivatives(rng):
     assert j.deriv(2) == pytest.approx(d2, abs=1e-5)
 
 
+# -- jets with tails -----------------------------------------------------------
+
+
+def test_tail_product_matches_entrywise_convolve(rng):
+    order = 6
+    a = rng.uniform(-1, 1, (order + 1, 2, 3))
+    b = rng.uniform(-1, 1, (order + 1, 2, 3))
+    prod = (Jet(a) * Jet(b)).c
+    assert prod.shape == a.shape
+    for i in range(2):
+        for j in range(3):
+            expect = np.convolve(a[:, i, j], b[:, i, j])[: order + 1]
+            assert_allclose(prod[:, i, j], expect, rtol=1e-13, atol=1e-15)
+
+
+def test_scalar_times_vector_broadcasts(rng):
+    s = random_jet(rng, 7)
+    v = rng.uniform(-1, 1, (6, 4))  # shorter vector jet: the product has order 5
+    for prod in (s * Jet(v), Jet(v) * s):
+        assert prod.c.shape == (6, 4)
+        for i in range(4):
+            expect = np.convolve(s.c[:6], v[:, i])[:6]
+            assert_allclose(prod.c[:, i], expect, rtol=1e-13, atol=1e-15)
+    summed = Jet(v) + s
+    assert_allclose(summed.c, v + s.c[:6, None], atol=0)
+
+
+def test_tail_indexing_and_derivative(rng):
+    m = Jet(rng.uniform(-1, 1, (5, 3, 3)))
+    assert_allclose(m[1, 2].c, m.c[:, 1, 2], atol=0)
+    assert m[:, :2].c.shape == (5, 3, 2)
+    dm = m.derivative()
+    for i in range(3):
+        assert_allclose(dm[i, 0].c, m[i, 0].derivative().c, atol=0)
+
+
 # -- linear algebra over jets -------------------------------------------------
 
 
 def jet_eye(n, order):
-    return [[Jet.const(1.0 if i == j else 0.0, order) for j in range(n)] for i in range(n)]
+    c = np.zeros((order + 1, n, n))
+    c[0] = np.eye(n)
+    return Jet(c)
+
+
+def jet_matvec(a, x):
+    """Series product A x, order by order."""
+    k = min(a.order, x.order) + 1
+    return np.array([sum(a.c[j] @ x.c[m - j] for j in range(m + 1))
+                     for m in range(k)])
 
 
 def test_solve_identity(rng):
-    b = [random_jet(rng, 5) for _ in range(3)]
-    x = solve_linear_jets(jet_eye(3, 5), b)
-    for xi, bi in zip(x, b):
-        assert_allclose(xi.c, bi.c, atol=1e-14)
+    b = Jet(rng.uniform(-1, 1, (6, 3)))
+    x = jet_solver(jet_eye(3, 5))(b)
+    assert_allclose(x.c, b.c, atol=1e-14)
 
 
 def test_solve_scalar_division():
-    a = [[Jet([1.0, 1.0, 0, 0, 0])]]
-    x = solve_linear_jets(a, [Jet.const(1.0, 4)])
-    assert_allclose(x[0].c, [1, -1, 1, -1, 1], atol=1e-13)
+    a = Jet(np.array([1.0, 1.0, 0, 0, 0]).reshape(5, 1, 1))
+    x = jet_solver(a)(Jet(np.array([1.0, 0, 0, 0, 0]).reshape(5, 1)))
+    assert_allclose(x.c[:, 0], [1, -1, 1, -1, 1], atol=1e-13)
 
 
 def test_solve_random_system_residual(rng):
     n, order = 4, 5
-    a = [[random_jet(rng, order) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        a[i][i] = a[i][i] + 3.0  # keep the constant-term matrix well conditioned
-    b = [random_jet(rng, order) for _ in range(n)]
-    x = solve_linear_jets(a, b)
-    ax = jet_matvec(a, x)
-    for lhs, rhs in zip(ax, b):
-        assert_allclose(lhs.c, rhs.c, rtol=1e-10, atol=1e-12)
+    a = rng.uniform(-1, 1, (order + 1, n, n))
+    a[0] += 3.0 * np.eye(n)  # keep the constant-term matrix well conditioned
+    b = Jet(rng.uniform(-1, 1, (order + 1, n)))
+    x = jet_solver(Jet(a))(b)
+    assert_allclose(jet_matvec(Jet(a), x), b.c, rtol=1e-10, atol=1e-12)
+
+
+def test_solve_matrix_rhs_matches_columns(rng):
+    n, order = 4, 5
+    a = rng.uniform(-1, 1, (order + 1, n, n))
+    a[0] += 3.0 * np.eye(n)
+    b = rng.uniform(-1, 1, (order + 1, n, 3))
+    solve = jet_solver(Jet(a))
+    x = solve(Jet(b))
+    assert x.c.shape == b.shape
+    for j in range(3):
+        assert_allclose(x.c[:, :, j], solve(Jet(b[:, :, j])).c,
+                        rtol=1e-12, atol=1e-14)
 
 
 def test_solve_singular_constant_term():
-    a = [[Jet([0.0, 1.0]), Jet([0.0, 0.0])],
-         [Jet([0.0, 0.0]), Jet([1.0, 0.0])]]
+    a = Jet(np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]]))
     with pytest.raises(DegenerateSystem):
-        solve_linear_jets(a, [Jet.const(1.0, 1), Jet.const(1.0, 1)])
+        jet_solver(a)(Jet(np.ones((2, 2))))
 
 
 def test_det_identity_and_diagonal(rng):
     assert_allclose(det_jet(jet_eye(4, 3)).c, [1, 0, 0, 0], atol=1e-15)
     a, b = random_jet(rng, 5), random_jet(rng, 5)
-    z = Jet.const(0.0, 5)
-    d = det_jet([[a, z], [z, b]])
-    assert_allclose(d.c, (a * b).c, atol=1e-14)
+    m = np.zeros((6, 2, 2))
+    m[:, 0, 0] = a.c
+    m[:, 1, 1] = b.c
+    assert_allclose(det_jet(Jet(m)).c, (a * b).c, atol=1e-14)
 
 
 def test_det_order_zero_matches_scalar(rng):
     m = rng.uniform(-1, 1, (3, 3))
-    rows = [[Jet([v]) for v in r] for r in m]
-    assert det_jet(rows).value == pytest.approx(np.linalg.det(m), rel=1e-12)
+    assert det_jet(Jet(m[None])).value == pytest.approx(np.linalg.det(m), rel=1e-12)
 
 
 def test_det_higher_order_against_product_expansion(rng):
     # det of a triangular jet matrix is the product of its diagonal
     n, order = 4, 6
-    rows = [[Jet.const(0.0, order) for _ in range(n)] for _ in range(n)]
+    m = np.zeros((order + 1, n, n))
     diag = [random_jet(rng, order) + 2.0 for _ in range(n)]
     for i in range(n):
-        rows[i][i] = diag[i]
+        m[:, i, i] = diag[i].c
         for j in range(i + 1, n):
-            rows[i][j] = random_jet(rng, order)
+            m[:, i, j] = random_jet(rng, order).c
     expect = diag[0]
     for dj in diag[1:]:
         expect = expect * dj
-    assert_allclose(det_jet(rows).c, expect.c, rtol=1e-12)
+    assert_allclose(det_jet(Jet(m)).c, expect.c, rtol=1e-12)

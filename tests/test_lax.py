@@ -36,11 +36,11 @@ def report_d3():
 
 def frame_values(spec, x, rows):
     """Stack of derivative rows Γ, Γ', ... as plain floats."""
-    g = gamma_jet(spec, x, rows + 1).component_jets()
+    g = gamma_jet(spec, x, rows + 1)
     out = np.empty((rows, spec.d + 1))
     for i in range(rows):
-        out[i] = [jet.value for jet in g]
-        g = [jet.derivative() for jet in g]
+        out[i] = g.value
+        g = g.derivative()
     return out
 
 
@@ -87,21 +87,20 @@ class TestVMatrix:
         spec = random_curve_spec(d, seed=seed)
         c = 0.4
         v = v_matrix(spec, X0, c)
-        g = gamma_jet(spec, X0, d + 4).component_jets()
+        g = gamma_jet(spec, X0, d + 4)
         u_top = eval_jet(spec.u[d - 1], X0, d + 4)
-        q2g = [gj.derivative().derivative() + gj * u_top * (2.0 / (d + 1))
-               for gj in g]
+        q2g = g.derivative().derivative() + g * u_top * (2.0 / (d + 1))
         rows = np.empty((d + 1, d + 1))
         for k in range(d + 1):
-            rows[k] = [jet.value for jet in q2g]
-            q2g = [jet.derivative() for jet in q2g]
+            rows[k] = q2g.value
+            q2g = q2g.derivative()
         frame = frame_values(spec, X0, d + 1)
         assert_allclose(v @ frame, c * rows, atol=1e-9)
 
     def test_jet_derivative_matches_difference(self, curve_d2):
         h = 1e-4
         vj = v_matrix_jets(curve_d2, X0, 0.375, order=2)
-        vp = np.array([[e.derivative().value for e in r] for r in vj])
+        vp = vj.derivative().value
         fd = (v_matrix(curve_d2, X0 + h, 0.375)
               - v_matrix(curve_d2, X0 - h, 0.375)) / (2 * h)
         assert_allclose(vp, fd, atol=1e-5)
@@ -169,7 +168,7 @@ class TestTransfer:
         base = X0 + shift * e
         w = np.stack([curve_d2.frame_at(base + j * e)[0] for j in range(3)])
         wt = np.stack([chi_map_point(curve_d2, chi, base + j * e, e, 6)[0]
-                       .value() for j in range(3)])
+                       .value for j in range(3)])
         assert_allclose(p @ w, wt, atol=1e-8)
 
     def test_rejects_other_shifts(self, curve_d2):

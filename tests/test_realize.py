@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pentalab.configs import ChiConfig, sym_table
+from pentalab.configs import ChiConfig, SymTable
 from pentalab.curves import random_curve_spec
 from pentalab.realize import (
     Realization34Report,
@@ -67,7 +67,7 @@ class TestFamily:
     def test_zero_residual_members_have_equal_products(self, a, b, c):
         chi, residual = mari_beffa_family(a, b, c)
         assert residual <= 1e-12
-        top = sym_table(chi).top()
+        top = SymTable(chi).top()
         assert_allclose(top, -a * b * c, atol=1e-12)
 
 
