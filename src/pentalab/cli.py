@@ -23,9 +23,9 @@ from .configs import (
     short_diagonal_chi,
     solve_alpha_diag,
 )
-from .curves import CurveSpec, DegenerateLift, random_curve_spec
+from .curves import CurveSpec, DegenerateLift, IntegrationFailure, random_curve_spec
 from .expansion import (FIRST_ORDER_TOL, KMAX_DOUBLE, KMAX_EXTENDED, EpsLadder,
-                        alpha_constancy_check, extract_alphas, kdv_rhs_check)
+                        _constancy, extract_alphas, kdv_rhs_check)
 from .jets import DegenerateSystem
 from .lax import lax_limit_diagnostics
 from .linalg import SingularMatrixError
@@ -33,7 +33,7 @@ from .realize import check_34, dof_lower_bound, mari_beffa_family, r_poly_roots
 
 _FAMILY_NAMES = ("short-diagonal", "evenly-spaced", "dual-dented")
 _RUN_ERRORS = (DegenerateIntersection, DegenerateLift, DegenerateSystem,
-               SingularMatrixError, RuntimeError, ValueError)
+               IntegrationFailure, SingularMatrixError, RuntimeError, ValueError)
 
 
 class UsageError(Exception):
@@ -182,8 +182,7 @@ def cmd_expand(rc):
 def cmd_centralize(rc):
     if len(rc.xs) < 3:
         raise UsageError("centralize needs at least three --x values")
-    report = extract_alphas(rc.spec, rc.chi, rc.xs[0], rc.ladder, rc.kmax)
-    spread = alpha_constancy_check(rc.spec, rc.chi, rc.xs, rc.ladder, rc.kmax)
+    report, spread = _constancy(rc.spec, rc.chi, rc.xs, rc.ladder, rc.kmax)
     alpha11 = float(report.alpha[1, 1])
     centralized = bool(abs(alpha11) <= FIRST_ORDER_TOL)
     payload = {

@@ -11,7 +11,9 @@ determinant (Wronskian) is conserved, so det = 1 propagates from the initial
 frame.  Jets of any order then come from the ODE recursion for free, which is
 the ground truth every downstream check leans on.  A lift jet is one
 ``Jet`` of shape (K+1, d+1): row k holds the k-th Taylor coefficients of all
-d+1 components.
+d+1 components.  ``CurveSpec.u_jet`` is the one evaluator of the u_i: a
+(K+1, d) ``Jet`` in the spec's dtype, used by frame transport, lift jets and
+every module that needs the invariants at a point.
 
 Frame transport uses Taylor stepping on a fixed anchor grid (order 14, step
 1/16), caching frames at visited anchors, rather than a generic ODE
@@ -96,11 +98,13 @@ class CurveSpec:
 
     # -- frame transport -------------------------------------------------
 
-    def _u_jets(self, x, order):
-        return [eval_jet(f, x, order, dtype=self.dtype).c for f in self.u]
+    def u_jet(self, x, order) -> Jet:
+        """Jet (order+1, d) of u_0..u_{d-1} at x, in the spec's dtype."""
+        return Jet(np.stack([eval_jet(f, x, order, dtype=self.dtype).c
+                             for f in self.u], axis=1), copy=False)
 
     def _advance(self, frame, t, h):
-        g = _ode_taylor_coeffs(self._u_jets(t, _STEP_ORDER), frame, self.d, _STEP_ORDER)
+        g = _ode_taylor_coeffs(self.u_jet(t, _STEP_ORDER).c, frame, self.d, _STEP_ORDER)
         return _frame_from_coeffs(g, h, self.d)
 
     def frame_at(self, x):
@@ -129,8 +133,9 @@ def _ode_taylor_coeffs(u_coeffs, frame, d, order):
     """Taylor coefficients of the lift at the frame's base point.
 
     Rows 0..d come from the frame; higher rows from the ODE recursion
-    g^(d+1) = -sum_i u_i g^(i), expanded coefficientwise: the m-th Taylor
-    coefficient of u_i g^(i) is sum_k u_i[k] * g[m-k+i] * (m-k+i)!/(m-k)!.
+    g^(d+1) = -sum_i u_i g^(i), expanded coefficientwise with u_coeffs the
+    (order+1, d) array of the u_i: the m-th Taylor coefficient of
+    u_i g^(i) is sum_k u_i[k] * g[m-k+i] * (m-k+i)!/(m-k)!.
     """
     dtype = frame.dtype
     g = np.zeros((order + 1, d + 1), dtype=dtype)
@@ -141,7 +146,7 @@ def _ode_taylor_coeffs(u_coeffs, frame, d, order):
         js = np.arange(m, -1, -1)  # j = m-k as k runs 0..m
         for i in range(d):
             w = _falling(js + i, i).astype(dtype)
-            acc += (u_coeffs[i][: m + 1] * w) @ g[js + i]
+            acc += (u_coeffs[: m + 1, i] * w) @ g[js + i]
         g[m + d + 1] = -acc / _falling(m + d + 1, d + 1)
     return g
 
@@ -163,7 +168,7 @@ def gamma_jet(spec: CurveSpec, x, order) -> Jet:
     if order < spec.d:
         raise ValueError(f"jet order must be at least d = {spec.d}")
     frame = spec.frame_at(x)
-    g = _ode_taylor_coeffs(spec._u_jets(x, order), frame, spec.d, order)
+    g = _ode_taylor_coeffs(spec.u_jet(x, order).c, frame, spec.d, order)
     return Jet(g, copy=False)
 
 

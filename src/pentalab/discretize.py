@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from . import linalg
-from .fitting import fit_poly_coeffs, geometric_ladder, loglog_slope
+from .expansion import EpsLadder
+from .fitting import fit_poly_coeffs, loglog_slope
 
 _DEFINED_FLOOR = 1e-10
 
@@ -136,13 +137,14 @@ class LimitTable:
 
 
 def limit_diagnostics(spec, x, ladder=None, fit_window=8, fit_degree=5):
-    """Measure the small-step limits of the recurrence coefficients at x."""
+    """Measure the small-step limits of the recurrence coefficients at x.
+
+    The steps come from an EpsLadder, by default 0.2 * 0.8^k for k < 12.
+    """
     if ladder is None:
-        ladder = geometric_ladder()
-    eps = np.asarray(sorted(ladder, reverse=True), dtype=np.float64)
+        ladder = EpsLadder(0.2, 0.8, 12)
+    eps = ladder.values()
     n = eps.size
-    if n < 8:
-        raise ValueError("need a ladder of at least 8 steps")
     if not 2 <= fit_window <= n:
         raise ValueError("fit window must fit inside the ladder")
     coords = [discrete_coords(spec, x, e) for e in eps]

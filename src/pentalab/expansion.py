@@ -13,7 +13,6 @@ import numpy as np
 
 from . import fitting
 from .chimap import chi_map_point
-from .jets import eval_jet
 from .kdvops import kdv_rhs, l_operator
 from .linalg import lu_solver
 
@@ -144,7 +143,7 @@ def verify_G2_structure(report, spec, x):
     if report.kmax < 2:
         raise ValueError("report must carry at least the second order")
     d = report.d
-    u_top = float(spec.u[d - 1](x))
+    u_top = float(spec.u_jet(x, 0).value[d - 1])
     a11 = report.alpha[1, 1]
     a22 = report.alpha[2, 2]
     predicted = np.zeros(d + 1)
@@ -157,12 +156,17 @@ def verify_G2_structure(report, spec, x):
 
 def alpha_constancy_check(spec, chi, xs, ladder=None, kmax=2):
     """Spread of the diagonal coefficients across working points."""
+    return _constancy(spec, chi, xs, ladder, kmax)[1]
+
+
+def _constancy(spec, chi, xs, ladder, kmax):
+    """(report at xs[0], diagonal spread over xs), one fit per point."""
     if len(set(float(x) for x in xs)) < 3:
         raise ValueError("need at least 3 distinct working points")
     reports = [extract_alphas(spec, chi, x, ladder, kmax) for x in xs]
     diag = np.array([[r.alpha[i, i] for i in range(min(2, kmax) + 1)]
                      for r in reports])
-    return float(np.max(diag.max(axis=0) - diag.min(axis=0)))
+    return reports[0], float(np.max(diag.max(axis=0) - diag.min(axis=0)))
 
 
 def kdv_rhs_check(spec, chi, x, ladder=None, kmax=2):
@@ -174,8 +178,7 @@ def kdv_rhs_check(spec, chi, x, ladder=None, kmax=2):
     report = extract_alphas(spec, chi, x, ladder, kmax)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise ValueError("configuration is not centralized at first order")
-    d = spec.d
-    u_jets = [eval_jet(spec.u[i], x, 24) for i in range(d)]
-    flow = kdv_rhs(l_operator(u_jets), 2)
+    u = spec.u_jet(x, 24)
+    flow = kdv_rhs(l_operator([u[i] for i in range(spec.d)]), 2)
     predicted = report.alpha[2, 2] * np.array([c.value for c in flow])
     return float(np.max(np.abs(report.w - predicted)))

@@ -5,15 +5,6 @@ import numpy as np
 from . import linalg
 
 
-def geometric_ladder(eps0=0.2, ratio=0.8, count=12):
-    """Steps eps0 * ratio^k for k = 0..count-1, largest first."""
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must sit strictly between 0 and 1")
-    if eps0 <= 0:
-        raise ValueError("eps0 must be positive")
-    return eps0 * ratio ** np.arange(count)
-
-
 def fit_poly_coeffs(eps, vals, degree):
     """Coefficients c_k of vals ~ sum c_k eps^k by least squares.
 

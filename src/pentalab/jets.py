@@ -10,9 +10,12 @@ point, of a span or of a whole linear system is one object, and d/dx is
 exact: derivatives are coefficient shifts, never finite differences.
 
 ``AnalyticFn`` is a tiny closed expression language (constants, x, +, -, *,
-/, sin, cos, powers) used for curve coefficient functions.  It evaluates to a
-scalar jet of any requested order and round-trips through a JSON tree, so
-curve files can carry their coefficient functions.
+/, sin, cos, powers) used for curve coefficient functions.  ``eval_jet``
+runs a tree on raw coefficient arrays (sums elementwise, products as
+truncated convolutions, quotients, powers, sin and cos by their series
+recurrences) and wraps the result in one ``Jet`` of any requested order.
+Trees round-trip through JSON, so curve files can carry their coefficient
+functions.
 
 Linear algebra over series (``jet_solver``, ``det_jet``) takes matrix jets
 and pivots on constant terms only: a system is solved order by order against
@@ -33,8 +36,9 @@ class DegenerateSystem(Exception):
 class Jet:
     """Truncated Taylor series: c[k] = f^(k)(x0) / k!, c of shape (K+1, *tail).
 
-    Sums and products broadcast the tails numpy-style; ``jet[i]`` indexes
-    the tail.  Division, fractional powers, sin and cos take scalar jets.
+    Sums and products of jets broadcast the tails numpy-style, products
+    with a number scale; ``jet[i]`` indexes the tail.  Powers take scalar
+    jets with a positive constant term.
     """
 
     __slots__ = ("c",)
@@ -54,15 +58,6 @@ class Jet:
     def const(value, order, dtype=np.float64):
         c = np.zeros(order + 1, dtype=dtype)
         c[0] = value
-        return Jet(c, copy=False)
-
-    @staticmethod
-    def variable(x, order, dtype=np.float64):
-        """Jet of the identity function t -> t at base point x."""
-        c = np.zeros(order + 1, dtype=dtype)
-        c[0] = x
-        if order >= 1:
-            c[1] = 1
         return Jet(c, copy=False)
 
     # -- basic queries ------------------------------------------------
@@ -103,41 +98,20 @@ class Jet:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        if np.isscalar(other) or isinstance(other, np.generic):
-            dt = np.result_type(self.c.dtype, np.asarray(other).dtype)
-            return Jet.const(other, self.order, dtype=dt)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Jet):
             return NotImplemented
-        k = min(self.order, o.order) + 1
-        a, b = self.c[:k], o.c[:k]
-        if a.ndim != b.ndim:
-            a, b = _align(a, b)
-        return Jet(a + b, copy=False)
-
-    __radd__ = __add__
+        k = min(self.order, other.order) + 1
+        return Jet(np.add(*_align(self.c[:k], other.c[:k])), copy=False)
 
     def __neg__(self):
         return Jet(-self.c, copy=False)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Jet):
             return NotImplemented
-        k = min(self.order, o.order) + 1
-        a, b = self.c[:k], o.c[:k]
-        if a.ndim != b.ndim:
-            a, b = _align(a, b)
-        return Jet(a - b, copy=False)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+        k = min(self.order, other.order) + 1
+        return Jet(np.subtract(*_align(self.c[:k], other.c[:k])), copy=False)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -151,43 +125,9 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        k = min(self.order, o.order)
-        b = o.c
-        if b[0] == 0:
-            raise ZeroDivisionError("jet division needs a nonzero constant term")
-        out = np.zeros(k + 1, dtype=np.result_type(self.c.dtype, b.dtype))
-        for m in range(k + 1):
-            s = self.c[m] if m <= self.order else 0.0
-            if m:
-                s = s - b[1 : m + 1] @ out[:m][::-1]
-            out[m] = s / b[0]
-        return Jet(out, copy=False)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o.__truediv__(self)
-
     def __pow__(self, p):
-        if isinstance(p, (int, np.integer)):
-            if p >= 0:
-                out = Jet.const(1.0, self.order, dtype=self.c.dtype)
-                for _ in range(int(p)):
-                    out = out * self
-                return out
-            return (1.0 / self) ** (-int(p))
-        a0 = self.c[0]
-        if a0 <= 0:
-            raise ValueError("fractional jet power needs a positive constant term")
-        # generalized binomial series around the constant term
-        series = np.zeros(self.order + 1, dtype=self.c.dtype)
-        series[0] = a0 ** self.c.dtype.type(p)
-        for n in range(1, self.order + 1):
-            series[n] = series[n - 1] * (p - n + 1) / (n * a0)
-        return _outer_series(self, series)
+        """Real power of a scalar jet with a positive constant term."""
+        return Jet(_pow(self.c, p), copy=False)
 
 
 def _align(a, b):
@@ -211,37 +151,57 @@ def _convolve(a, b):
     return np.einsum("mj...,j...->m...", toeplitz, a)
 
 
-def _outer_series(jet, series):
-    """Compose f(a0 + h) = sum series[n] * h^n with h the nilpotent part."""
-    h = np.array(jet.c, copy=True)
+# ---------------------------------------------------------------------------
+# kernels on raw coefficient arrays of shape (K+1,)
+
+
+def _compose(c, series):
+    """f(a0 + h) = sum series[n] h^n by Horner, h the nilpotent part of c."""
+    h = c.copy()
     h[0] = 0
-    hjet = Jet(h, copy=False)
-    acc = Jet.const(series[-1], jet.order, dtype=jet.c.dtype)
-    for n in range(len(series) - 2, -1, -1):
-        acc = acc * hjet + series[n]
+    acc = np.zeros_like(c)
+    acc[0] = series[-1]
+    for s in series[-2::-1]:
+        acc = np.convolve(acc, h)[:len(c)]
+        acc[0] += s
     return acc
 
 
-def jet_sin(jet):
-    a0 = jet.c[0]
-    s, c = np.sin(a0), np.cos(a0)
-    cycle = (s, c, -s, -c)
-    series = np.array(
-        [cycle[n % 4] / math.factorial(n) for n in range(jet.order + 1)],
-        dtype=jet.c.dtype,
-    )
-    return _outer_series(jet, series)
+def _pow(c, p):
+    """c ** p for real p by the generalized binomial series around c[0]."""
+    a0 = c[0]
+    if a0 <= 0:
+        raise ValueError("fractional jet power needs a positive constant term")
+    series = np.zeros(len(c), dtype=c.dtype)
+    series[0] = a0 ** c.dtype.type(p)
+    for n in range(1, len(c)):
+        series[n] = series[n - 1] * (p - n + 1) / (n * a0)
+    return _compose(c, series)
 
 
-def jet_cos(jet):
-    a0 = jet.c[0]
-    s, c = np.sin(a0), np.cos(a0)
-    cycle = (c, -s, -c, s)
+def _div(a, b):
+    """a / b by the recurrence b[0] q[m] = a[m] - sum_{j>=1} b[j] q[m-j]."""
+    if b[0] == 0:
+        raise ZeroDivisionError("jet division needs a nonzero constant term")
+    out = np.zeros(len(a), dtype=np.result_type(a.dtype, b.dtype))
+    for m in range(len(a)):
+        s = a[m]
+        if m:
+            s = s - b[1 : m + 1] @ out[:m][::-1]
+        out[m] = s / b[0]
+    return out
+
+
+def _trig(c, shift):
+    """sin (shift 0) or cos (shift 1) of c: the Taylor series of sin at
+    c[0] cycles through (sin, cos, -sin, -cos) / n!, cos starts one later."""
+    s, co = np.sin(c[0]), np.cos(c[0])
+    cycle = (s, co, -s, -co)
     series = np.array(
-        [cycle[n % 4] / math.factorial(n) for n in range(jet.order + 1)],
-        dtype=jet.c.dtype,
+        [cycle[(n + shift) % 4] / math.factorial(n) for n in range(len(c))],
+        dtype=c.dtype,
     )
-    return _outer_series(jet, series)
+    return _compose(c, series)
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +282,35 @@ class AnalyticFn:
 
     # evaluation
 
-    def jet(self, x, order, dtype=np.float64):
+    def _coeffs(self, x, order, dtype):
+        """Taylor coefficients at x as a raw (order+1,) array."""
         op = self.op
         if op == "const":
-            return Jet.const(self.value, order, dtype=dtype)
+            c = np.zeros(order + 1, dtype=dtype)
+            c[0] = self.value
+            return c
         if op == "x":
-            return Jet.variable(x, order, dtype=dtype)
-        if op in _BINARY:
-            a = self.args[0].jet(x, order, dtype)
-            b = self.args[1].jet(x, order, dtype)
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            if op == "mul":
-                return a * b
-            return a / b
-        a = self.args[0].jet(x, order, dtype)
+            c = np.zeros(order + 1, dtype=dtype)
+            c[0] = x
+            if order >= 1:
+                c[1] = 1
+            return c
+        a = self.args[0]._coeffs(x, order, dtype)
         if op == "sin":
-            return jet_sin(a)
+            return _trig(a, 0)
         if op == "cos":
-            return jet_cos(a)
+            return _trig(a, 1)
         if op == "pow":
-            return a ** self.value
+            return _pow(a, self.value)
+        b = self.args[1]._coeffs(x, order, dtype)
+        if op == "add":
+            return a + b
+        if op == "sub":
+            return a - b
+        if op == "mul":
+            return np.convolve(a, b)[:order + 1]
+        if op == "div":
+            return _div(a, b)
         raise ValueError(f"unknown op {op!r}")
 
     def __call__(self, x):
@@ -425,7 +391,7 @@ def eval_jet(f, x, order, dtype=np.float64):
     """Jet of an AnalyticFn at x: coefficient k is f^(k)(x)/k! to roundoff."""
     if order < 0:
         raise ValueError("jet order must be nonnegative")
-    return f.jet(x, order, dtype=dtype)
+    return Jet(f._coeffs(x, order, np.dtype(dtype)), copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .curves import gamma_jet
 from .discretize import coords_from_samples, tilde_a
 from .expansion import FIRST_ORDER_TOL, EpsLadder, extract_alphas
 from .fitting import fit_poly_coeffs, loglog_slope
-from .jets import Jet, derivative_stack, eval_jet, jet_solver
+from .jets import Jet, derivative_stack, jet_solver
 from .linalg import solve_dense
 
 
@@ -37,8 +37,7 @@ def u_matrix(spec, x):
     m = np.zeros((d + 1, d + 1), dtype=spec.dtype)
     for i in range(d):
         m[i, i + 1] = 1
-    for i in range(d):
-        m[d, i] = -eval_jet(spec.u[i], x, 0, dtype=spec.dtype).value
+    m[d, :d] = -spec.u_jet(x, 0).value
     return m
 
 
@@ -46,8 +45,16 @@ def _q2_gamma(spec, x, depth):
     """Jets of the lift Γ and of Q_2 Γ = Γ'' + 2 u_{d-1} Γ/(d+1) at x."""
     d = spec.d
     g = gamma_jet(spec, x, depth)
-    u_top = eval_jet(spec.u[d - 1], x, depth, dtype=spec.dtype)
+    u_top = spec.u_jet(x, depth)[d - 1]
     return g, g.derivative().derivative() + g * u_top * (2.0 / (d + 1))
+
+
+def _v_jets(g, q2g, c):
+    """Matrix jet of V from the jets of Γ and Q_2 Γ (see v_matrix_jets)."""
+    d = g.c.shape[1] - 1
+    solve = jet_solver(derivative_stack(g, d + 1))
+    rows = solve(derivative_stack(q2g, d + 1) * c)
+    return Jet(rows.c.transpose(0, 2, 1), copy=False)
 
 
 def v_matrix_jets(spec, x, c, order=2):
@@ -57,11 +64,7 @@ def v_matrix_jets(spec, x, c, order=2):
     Γ, Γ', ..., Γ^(d); all rows come from one jet solve.  `order` is the jet
     depth of the result (>= 1 keeps dV/dx available).
     """
-    d = spec.d
-    g, q2g = _q2_gamma(spec, x, order + d + 2)
-    solve = jet_solver(derivative_stack(g, d + 1))
-    rows = solve(derivative_stack(q2g, d + 1) * c)
-    return Jet(rows.c.transpose(0, 2, 1), copy=False)
+    return _v_jets(*_q2_gamma(spec, x, order + spec.d + 2), c)
 
 
 def v_matrix(spec, x, c):
@@ -120,20 +123,22 @@ def frame_drift_matrix(spec, x, c):
     quotients.  Both transfer matrices carry the same Σ, so it cancels in
     the discrete Lax combination; only the shift difference dV/dx survives.
     """
+    g, q2g = _q2_gamma(spec, x, spec.d + 4)
+    return _drift(spec, x, c, _v_jets(g, q2g, c).value, q2g)
+
+
+def _drift(spec, x, c, v, q2g):
+    """frame_drift_matrix from V and a Q_2 Γ jet of order at least d + 1."""
     d = spec.d
-    q2g = _q2_gamma(spec, x, d + 4)[1]
     for _ in range(d + 1):
         q2g = q2g.derivative()
     e_coeff = solve_dense(spec.frame_at(x).T, q2g.value)
-    v = v_matrix(spec, x, c)
     t0 = np.zeros((d + 1, d + 1))
     tp = np.zeros((d + 1, d + 1))
     for k in range(d):
         t0[k, k + 1] = k / 2.0
         tp[k, k + 1] = k / 2.0
-    for i in range(d):
-        tp[d, i] = -(d / 2.0) * eval_jet(spec.u[i], x, 0,
-                                         dtype=spec.dtype).value
+    tp[d] = (d / 2.0) * u_matrix(spec, x)[d]
     last = np.zeros(d + 1)
     last[d] = 1.0
     return t0 @ v - v @ tp + c * (d / 2.0) * np.outer(last, e_coeff)
@@ -232,7 +237,8 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     d = spec.d
     c22 = float(report.alpha[2, 2])
     U = np.asarray(u_matrix(spec, x), dtype=np.float64)
-    vj = v_matrix_jets(spec, x, c22, order=2)
+    g, q2g = _q2_gamma(spec, x, d + 4)
+    vj = _v_jets(g, q2g, c22)
     V = vj.value
     V_prime = vj.derivative().value
     target = V @ U - U @ V + V_prime
@@ -288,7 +294,7 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     out.p0_v_dev = _maxabs(p0_fit[2] - V)
     out.p1_v_dev = _maxabs(p1_fit[2] - V)
     out.shift_vprime_dev = _maxabs((p1_fit[3] - p0_fit[3]) - V_prime)
-    out.drift_dev = _maxabs(p0_fit[3] - frame_drift_matrix(spec, x, c22))
+    out.drift_dev = _maxabs(p0_fit[3] - _drift(spec, x, c22, V, q2g))
     out.lhs_dev_per_eps = np.array([_maxabs(qlhs[k] - target)
                                     for k in range(n)])
     out.rhs_dev_per_eps = np.array([_maxabs(qrhs[k] - target)

@@ -19,7 +19,6 @@ from scipy import optimize
 from .chimap import DegenerateIntersection
 from .configs import ChiConfig, SymTable
 from .expansion import EpsLadder, extract_alphas
-from .jets import eval_jet
 from .kdvops import l_operator, q_m
 
 _G12_TOL = 1e-4
@@ -106,8 +105,8 @@ def _node_ladder(chi):
 
 
 def _q3_row(spec, x):
-    u_jets = [eval_jet(f, x, 24, dtype=spec.dtype) for f in spec.u]
-    q3 = q_m(l_operator(u_jets), 3)
+    u = spec.u_jet(x, 24)
+    q3 = q_m(l_operator([u[i] for i in range(spec.d)]), 3)
     return np.array([q3.coefficient(k).value for k in range(4)])
 
 

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from pentalab.cli import main
-from pentalab.configs import ChiConfig
+from pentalab.configs import ChiConfig, short_diagonal_chi
 from pentalab.curves import random_curve_spec
+from pentalab.expansion import EpsLadder, alpha_constancy_check
 
 
 def run(capsys, argv):
@@ -146,6 +147,19 @@ class TestExpand:
         assert code == 2
         assert "cannot load chi" in err
 
+    def test_blown_up_frame_is_a_run_error(self, capsys, tmp_path):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({
+            "d": 2, "x0": 0.0, "F0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "u": [{"op": "const", "value": -1000.0},
+                  {"op": "const", "value": 0.0}]}))
+        code, out, err = run(capsys, ["expand", "--curve", str(path),
+                                      "--x", "4"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error in expansion.extract_alphas: "
+                              "IntegrationFailure: frame blew up")
+
 
 class TestCentralize:
     def test_short_diagonal_passes(self, capsys):
@@ -168,6 +182,34 @@ class TestCentralize:
                                     "--d", "2", "--x", "0.1", "0.5"])
         assert code == 2
         assert "three" in err
+
+    def test_one_extraction_per_point(self, capsys, monkeypatch):
+        import pentalab.cli
+        import pentalab.expansion
+
+        calls = []
+        inner = pentalab.expansion.extract_alphas
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(pentalab.expansion, "extract_alphas", counted)
+        monkeypatch.setattr(pentalab.cli, "extract_alphas", counted)
+        code, out, _ = run(capsys, ["centralize", "--d", "2", "--seed", "11",
+                                    "--x", "-0.4", "0.3", "1.1"])
+        assert code == 0
+        assert calls == [-0.4, 0.3, 1.1]
+        # the report of fitting the first point on its own, then the spread
+        spec, chi = random_curve_spec(2, seed=11), short_diagonal_chi(2)
+        xs = (-0.4, 0.3, 1.1)
+        first = inner(spec, chi, xs[0], EpsLadder(), 2)
+        payload = {"schema": 1, "seed": 11, "chi": chi.to_dict(),
+                   "x_values": list(xs),
+                   "alpha11": float(first.alpha[1, 1]),
+                   "diag_spread": alpha_constancy_check(spec, chi, xs),
+                   "centralized": True}
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestKdvVerify:

@@ -127,9 +127,9 @@ def test_normalized_lift_scalar_gauge_invariance(curve_d3, rng):
     fj = gamma_jet(curve_d3, x, 10)
     base, ub = normalized_lift(fj, 3, ref=fj.value)
     gauge = 1.5 + 0.3 * np.sin(x)  # positive scalar jet, nonconstant
-    from pentalab.jets import Jet, jet_sin
+    from pentalab.jets import AnalyticFn, eval_jet
 
-    gj = 1.5 + 0.3 * jet_sin(Jet.variable(x, 10))
+    gj = eval_jet(1.5 + 0.3 * AnalyticFn.x().sin(), x, 10)
     scaled = gj * fj
     out, uo = normalized_lift(scaled, 3, ref=fj.value)
     assert gauge > 0

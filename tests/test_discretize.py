@@ -10,6 +10,7 @@ from pentalab.discretize import (
     tilde_from_A,
 )
 from pentalab.curves import zero_curve_spec
+from pentalab.expansion import EpsLadder
 
 
 def test_zero_curve_recurrence_is_binomial():
@@ -104,4 +105,6 @@ def test_zero_curve_flags_undefined():
 
 def test_ladder_validation(curve_d2):
     with pytest.raises(ValueError):
-        limit_diagnostics(curve_d2, 0.0, ladder=[0.1, 0.05, 0.025])
+        limit_diagnostics(curve_d2, 0.0, ladder=EpsLadder(0.1, 0.5, 3))
+    with pytest.raises(ValueError):
+        limit_diagnostics(curve_d2, 0.0, fit_window=13)

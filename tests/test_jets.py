@@ -44,15 +44,13 @@ def test_square_jet():
 
 
 def test_division_series():
-    one = Jet.const(1.0, 6)
-    onepx = Jet([1.0, 1.0, 0, 0, 0, 0, 0])
-    q = one / onepx
+    q = eval_jet(1.0 / (1.0 + AnalyticFn.x()), 0.0, 6)
     assert_allclose(q.c, [(-1.0) ** k for k in range(7)], atol=1e-15)
 
 
 def test_division_needs_nonzero_constant():
     with pytest.raises(ZeroDivisionError):
-        Jet.const(1.0, 3) / Jet([0.0, 1.0, 0, 0])
+        eval_jet(1.0 / AnalyticFn.x(), 0.0, 3)
 
 
 def test_fractional_power_roundtrip(rng):
@@ -64,8 +62,10 @@ def test_fractional_power_roundtrip(rng):
 
 
 def test_integer_power_matches_repeated_product(rng):
-    a = random_jet(rng, 7)
-    assert_allclose((a ** 3).c, (a * a * a).c, rtol=1e-13)
+    f = 2.0 + random_fn(rng)  # positive constant term
+    x = rng.uniform(-2, 2)
+    assert_allclose(eval_jet(f ** 3.0, x, 7).c, eval_jet(f * f * f, x, 7).c,
+                    rtol=1e-13)
 
 
 def test_ring_axioms_on_random_triples(rng):
@@ -106,6 +106,45 @@ def test_json_roundtrip(rng):
     for x in rng.uniform(-2, 2, 5):
         assert g(x) == pytest.approx(f(x), rel=1e-14)
         assert_allclose(eval_jet(g, x, 5).c, eval_jet(f, x, 5).c, rtol=1e-13)
+
+
+def trig_oracle(a0, harmonics, x, order, dtype):
+    """Closed-form Taylor coefficients of a trig polynomial at x: coefficient
+    n of cos(kx) is k^n cos(kx + n pi/2)/n!, of sin(kx) it is
+    k^n sin(kx + n pi/2)/n!, the phase taken from the quarter-turn cycle."""
+    out = np.zeros(order + 1, dtype=dtype)
+    out[0] = a0
+    for k, (ck, sk) in enumerate(harmonics, start=1):
+        theta = dtype(k) * dtype(x)
+        cos_cycle = (np.cos(theta), -np.sin(theta), -np.cos(theta), np.sin(theta))
+        sin_cycle = (np.sin(theta), np.cos(theta), -np.sin(theta), -np.cos(theta))
+        for n in range(order + 1):
+            scale = dtype(k) ** n / dtype(math.factorial(n))
+            out[n] += scale * (dtype(ck) * cos_cycle[n % 4]
+                               + dtype(sk) * sin_cycle[n % 4])
+    return out
+
+
+@pytest.mark.parametrize("order", [14, 24])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-14), (np.longdouble, 1e-17)])
+def test_trig_poly_jets_match_closed_form(rng, order, dtype, tol):
+    from pentalab.curves import CurveSpec
+
+    coeffs = [(rng.uniform(-0.5, 0.5),
+               [tuple(rng.uniform(-0.5, 0.5, 2)) for _ in range(2)])
+              for _ in range(3)]
+    fns = [trig_poly(a0, harmonics) for a0, harmonics in coeffs]
+    spec = CurveSpec(3, fns, 0.0, np.eye(4), dtype=dtype)
+    for x in rng.uniform(-3, 3, 3):
+        u = spec.u_jet(x, order)
+        assert u.c.shape == (order + 1, 3)
+        assert u.c.dtype == np.dtype(dtype)
+        for i, (a0, harmonics) in enumerate(coeffs):
+            expect = trig_oracle(a0, harmonics, x, order, dtype)
+            assert np.max(np.abs(u.c[:, i] - expect)) <= tol
+            j = eval_jet(fns[i], x, order, dtype=dtype)
+            assert j.c.dtype == np.dtype(dtype)
+            assert np.max(np.abs(j.c - expect)) <= tol
 
 
 def test_eval_jet_matches_numeric_derivatives(rng):
@@ -229,7 +268,7 @@ def test_det_higher_order_against_product_expansion(rng):
     # det of a triangular jet matrix is the product of its diagonal
     n, order = 4, 6
     m = np.zeros((order + 1, n, n))
-    diag = [random_jet(rng, order) + 2.0 for _ in range(n)]
+    diag = [random_jet(rng, order) + Jet.const(2.0, order) for _ in range(n)]
     for i in range(n):
         m[:, i, i] = diag[i].c
         for j in range(i + 1, n):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from pentalab.configs import evenly_spaced_chi, short_diagonal_chi
 from pentalab.curves import gamma_jet, random_curve_spec, zero_curve_spec
+from pentalab.expansion import EpsLadder
 from pentalab.jets import eval_jet
 from pentalab.lax import (
     d_eps,
@@ -229,6 +230,21 @@ class TestLimits:
         assert rep.quot_lhs_dev <= 1e-6
         assert rep.quot_rhs_dev <= 1e-6
         assert rep.identity_max <= 1e-11
+
+    def test_one_q2_gamma_per_run(self, curve_d2, monkeypatch):
+        import pentalab.lax
+
+        calls = []
+        inner = pentalab.lax._q2_gamma
+
+        def counted(*args):
+            calls.append(args[1:])
+            return inner(*args)
+
+        monkeypatch.setattr(pentalab.lax, "_q2_gamma", counted)
+        lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0,
+                              EpsLadder(0.2, 0.85, 8))
+        assert len(calls) == 1
 
     def test_requires_centralized_configuration(self, curve_d2):
         chi = evenly_spaced_chi((-0.8, 0.5), 0.9, 2)
