@@ -16,11 +16,16 @@ d+1 components.  ``CurveSpec.u_jet`` is the one evaluator of the u_i: a
 every module that needs the invariants at a point.
 
 Frame transport uses Taylor stepping on a fixed anchor grid (order 14, step
-1/16), caching frames at visited anchors, rather than a generic ODE
-integrator: the recursion hands us the Taylor method directly and keeps the
-Wronskian at machine precision.
+1/16) rather than a generic ODE integrator: the recursion hands us the
+Taylor method directly and keeps the Wronskian at machine precision.  Each
+visited anchor keeps its frame and, once needed, its order-14 Taylor series,
+so stepping on and the last partial step to x are Horner evaluations of a
+cached series.  Lift jets are memoized on the spec by exact (x, order), up to
+``_LIFT_MEMO`` entries, oldest evicted first.  Neither cache changes a
+result: anchor frames do not depend on the order in which points are asked.
 """
 
+import functools
 import math
 import json
 
@@ -32,6 +37,9 @@ from .jets import (AnalyticFn, DegenerateSystem, Jet, derivative_stack, det_jet,
 
 _STEP = 1.0 / 16.0
 _STEP_ORDER = 14
+# lift jets kept per spec: 4x the most distinct (x, order) one benchmark
+# command asks for (232, lax-verify at d = 3)
+_LIFT_MEMO = 1024
 
 
 class IntegrationFailure(Exception):
@@ -42,12 +50,15 @@ class DegenerateLift(Exception):
     """No normalized lift exists (vanishing or wrong-sign Wronskian)."""
 
 
-def _falling(n, k):
-    """Falling factorial n (n-1) ... (n-k+1) as exact small-int float."""
-    out = np.ones_like(np.asarray(n, dtype=np.float64))
-    for j in range(k):
-        out = out * (np.asarray(n, dtype=np.float64) - j)
-    return out
+@functools.lru_cache(maxsize=None)
+def _falling_table(order):
+    """Read-only float64 table, entry [k, n] = n (n-1) ... (n-k+1), k, n <= order."""
+    n = np.arange(order + 1, dtype=np.float64)
+    table = np.ones((order + 1, order + 1))
+    for k in range(1, order + 1):
+        table[k] = table[k - 1] * (n - (k - 1))
+    table.flags.writeable = False
+    return table
 
 
 class CurveSpec:
@@ -64,7 +75,11 @@ class CurveSpec:
         if f0.shape != (d + 1, d + 1):
             raise ValueError(f"initial frame must be {(d+1, d+1)}, got {f0.shape}")
         self.F0 = f0
-        self._frames = {0: f0}
+        # anchor j -> [frame, Taylor coefficients or None]; the keys are
+        # always the contiguous run lo..hi, which contains 0
+        self._anchors = {0: [f0, None]}
+        self._lo = self._hi = 0
+        self._lifts = {}
 
     # -- serialization --------------------------------------------------
 
@@ -103,27 +118,30 @@ class CurveSpec:
         return Jet(np.stack([eval_jet(f, x, order, dtype=self.dtype).c
                              for f in self.u], axis=1), copy=False)
 
-    def _advance(self, frame, t, h):
-        g = _ode_taylor_coeffs(self.u_jet(t, _STEP_ORDER).c, frame, self.d, _STEP_ORDER)
-        return _frame_from_coeffs(g, h, self.d)
+    def _taylor(self, j):
+        """Order-14 Taylor coefficients of the lift at visited anchor j."""
+        anchor = self._anchors[j]
+        if anchor[1] is None:
+            u = self.u_jet(self.x0 + j * _STEP, _STEP_ORDER).c
+            anchor[1] = _ode_taylor_coeffs(u, anchor[0], self.d, _STEP_ORDER)
+        return anchor[1]
 
     def frame_at(self, x):
         """Rows g(x), g'(x), ..., g^(d)(x) of the normalized lift."""
         j_target = int(math.floor((x - self.x0) / _STEP + 0.5))
-        known = [j for j in self._frames if abs(j - j_target) <= abs(x - self.x0) / _STEP + 1]
-        j = min(known, key=lambda v: abs(v - j_target))
-        frame = self._frames[j]
+        j = min(max(j_target, self._lo), self._hi)
         while j != j_target:
             step = 1 if j_target > j else -1
-            frame = self._advance(frame, self.x0 + j * _STEP, step * _STEP)
+            frame = _frame_from_coeffs(self._taylor(j), step * _STEP, self.d)
             if not np.all(np.isfinite(frame)) or np.max(np.abs(frame)) > 1e12:
                 raise IntegrationFailure(f"frame blew up near x = {self.x0 + j * _STEP:g}")
             j += step
-            self._frames[j] = frame
+            self._anchors[j] = [frame, None]
+            self._lo, self._hi = min(self._lo, j), max(self._hi, j)
         h = x - (self.x0 + j_target * _STEP)
         if h == 0.0:
-            return frame.copy()
-        out = self._advance(frame, self.x0 + j_target * _STEP, h)
+            return self._anchors[j][0].copy()
+        out = _frame_from_coeffs(self._taylor(j), h, self.d)
         if not np.all(np.isfinite(out)):
             raise IntegrationFailure(f"frame blew up near x = {x:g}")
         return out
@@ -138,6 +156,7 @@ def _ode_taylor_coeffs(u_coeffs, frame, d, order):
     u_i g^(i) is sum_k u_i[k] * g[m-k+i] * (m-k+i)!/(m-k)!.
     """
     dtype = frame.dtype
+    falling = _falling_table(order)
     g = np.zeros((order + 1, d + 1), dtype=dtype)
     for k in range(d + 1):
         g[k] = frame[k] / math.factorial(k)
@@ -145,31 +164,47 @@ def _ode_taylor_coeffs(u_coeffs, frame, d, order):
         acc = np.zeros(d + 1, dtype=dtype)
         js = np.arange(m, -1, -1)  # j = m-k as k runs 0..m
         for i in range(d):
-            w = _falling(js + i, i).astype(dtype)
-            acc += (u_coeffs[: m + 1, i] * w) @ g[js + i]
-        g[m + d + 1] = -acc / _falling(m + d + 1, d + 1)
+            acc += (u_coeffs[: m + 1, i] * falling[i, js + i]) @ g[js + i]
+        g[m + d + 1] = -acc / falling[d + 1, m + d + 1]
     return g
 
 
 def _frame_from_coeffs(g, h, d):
-    """Evaluate rows g^(k)(t+h), k = 0..d, from Taylor coefficients at t."""
+    """Evaluate rows g^(k)(t+h), k = 0..d, from Taylor coefficients at t.
+
+    One Horner pass for all rows: row k takes the terms m = order..k.
+    """
     order = g.shape[0] - 1
-    out = np.empty((d + 1, d + 1), dtype=g.dtype)
-    for k in range(d + 1):
-        acc = np.zeros(d + 1, dtype=g.dtype)
-        for m in range(order, k - 1, -1):
-            acc = acc * h + g[m] * _falling(m, k)
-        out[k] = acc
+    falling = _falling_table(order)
+    out = np.zeros((d + 1, d + 1), dtype=g.dtype)
+    for m in range(order, -1, -1):
+        k = min(m, d) + 1
+        out[:k] = out[:k] * h + g[m] * falling[:k, m, None]
     return out
+
+
+def _lift_coeffs(spec, x, order):
+    """Read-only coefficient arrays at x of the lift, (order+1, d+1), and of
+    the u_i it was built from, (order+1, d); memoized on the spec."""
+    if order < spec.d:
+        raise ValueError(f"jet order must be at least d = {spec.d}")
+    # exact: float(x) would merge extended-precision points one double apart
+    key = (x if isinstance(x, np.longdouble) else float(x), order)
+    hit = spec._lifts.get(key)
+    if hit is None:
+        frame = spec.frame_at(x)
+        u = spec.u_jet(x, order).c
+        g = _ode_taylor_coeffs(u, frame, spec.d, order)
+        g.flags.writeable = False
+        if len(spec._lifts) >= _LIFT_MEMO:
+            del spec._lifts[next(iter(spec._lifts))]
+        hit = spec._lifts[key] = (g, u)
+    return hit
 
 
 def gamma_jet(spec: CurveSpec, x, order) -> Jet:
     """Jet (order+1, d+1) of the normalized lift at x, to the given order (>= d)."""
-    if order < spec.d:
-        raise ValueError(f"jet order must be at least d = {spec.d}")
-    frame = spec.frame_at(x)
-    g = _ode_taylor_coeffs(spec.u_jet(x, order).c, frame, spec.d, order)
-    return Jet(g, copy=False)
+    return Jet(_lift_coeffs(spec, x, order)[0], copy=False)
 
 
 def wronskian(spec: CurveSpec, x) -> float:

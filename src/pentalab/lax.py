@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .chimap import chi_map_point
-from .curves import gamma_jet
+from .curves import _lift_coeffs, gamma_jet
 from .discretize import coords_from_samples, tilde_a
 from .expansion import FIRST_ORDER_TOL, EpsLadder, extract_alphas
 from .fitting import fit_poly_coeffs, loglog_slope
@@ -45,8 +45,8 @@ def _q2_gamma(spec, x, depth):
     """Jets of the lift Γ and of Q_2 Γ = Γ'' + 2 u_{d-1} Γ/(d+1) at x."""
     d = spec.d
     g = gamma_jet(spec, x, depth)
-    u_top = spec.u_jet(x, depth)[d - 1]
-    return g, g.derivative().derivative() + g * u_top * (2.0 / (d + 1))
+    u = _lift_coeffs(spec, x, depth)[1]  # the u-jet g was built from
+    return g, g.derivative().derivative() + g * Jet(u[:, d - 1]) * (2.0 / (d + 1))
 
 
 def _v_jets(g, q2g, c):

@@ -12,6 +12,8 @@ derivative-free search for new configurations.
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 from scipy import optimize
@@ -187,7 +189,7 @@ class Search34Result:
     """Best configuration found by the descent, with its full report."""
 
     __slots__ = ("chi", "report", "objective", "converged", "improved",
-                 "evaluations")
+                 "evaluations", "resumed")
 
     def to_dict(self):
         return {
@@ -197,7 +199,22 @@ class Search34Result:
             "converged": self.converged,
             "improved": self.improved,
             "evaluations": self.evaluations,
+            "resumed": self.resumed,
         }
+
+
+def _write_checkpoint(path, blob):
+    """Replace path by blob as JSON through a temp file in the same
+    directory, so a crash mid-write leaves the old file, never a torn one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(blob, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
@@ -211,7 +228,8 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
     and a run that fails to improve on the seed returns the seed flagged as
     not converged.  When a checkpoint path is given the best point found is
     saved there after every improvement and reused as the starting point by
-    a later call.
+    a later call; ``resumed`` says whether it was (a missing, unreadable or
+    mis-sized checkpoint starts from the seed).
     """
     if seed_chi.d != 3 or any(seed_chi.q(i) != 2 for i in range(seed_chi.r)):
         raise ValueError("need three plane groups in dimension 3")
@@ -220,12 +238,14 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
     probe = probe_curves[0]
 
     params0 = np.array([p for g in seed_chi.groups for p in g])
+    resumed = False
     if checkpoint is not None:
         try:
             with open(checkpoint) as fh:
                 saved = json.load(fh)
             if len(saved.get("params", [])) == params0.size:
                 params0 = np.array(saved["params"], dtype=np.float64)
+                resumed = True
         except (OSError, ValueError):
             pass
 
@@ -248,8 +268,7 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
             if checkpoint is not None:
                 blob = {"params": list(map(float, best["params"])),
                         "objective": f, "evaluations": evals[0]}
-                with open(checkpoint, "w") as fh:
-                    json.dump(blob, fh)
+                _write_checkpoint(checkpoint, blob)
         return f
 
     f0 = objective(params0)
@@ -279,4 +298,5 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
     out.converged = bool(best["f"] <= tol * tol)
     out.improved = improved
     out.evaluations = evals[0]
+    out.resumed = resumed
     return out

@@ -94,6 +94,97 @@ def test_jet_recursion_matches_ode(curve_d3):
     assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
+def _count_u_evaluations(monkeypatch):
+    import pentalab.curves
+
+    calls = []
+    inner = pentalab.curves.eval_jet
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
+    return calls
+
+
+def test_repeated_frame_at_reuses_the_anchor_series(monkeypatch):
+    spec = random_curve_spec(3, seed=23)
+    first = spec.frame_at(0.3)  # 0.3 is not an anchor
+    calls = _count_u_evaluations(monkeypatch)
+    assert np.array_equal(spec.frame_at(0.3), first)
+    assert calls == []
+
+
+def test_repeated_gamma_jet_is_memoized(monkeypatch):
+    spec = random_curve_spec(3, seed=23)
+    first = gamma_jet(spec, 0.37, 8)
+    calls = _count_u_evaluations(monkeypatch)
+    again = gamma_jet(spec, 0.37, 8)
+    assert calls == []
+    assert np.array_equal(again.c, first.c)
+    with pytest.raises(ValueError):
+        again.c[0, 0] = 99.0
+    assert np.array_equal(gamma_jet(spec, 0.37, 8).c, first.c)
+    gamma_jet(spec, 0.37, 9)  # another order is another key
+    assert len(calls) == spec.d
+
+
+def test_lift_memo_stays_at_its_cap(monkeypatch):
+    import pentalab.curves
+
+    monkeypatch.setattr(pentalab.curves, "_LIFT_MEMO", 3)
+    spec = random_curve_spec(2, seed=11)
+    xs = [0.1, 0.2, 0.3, 0.4, 0.5]
+    jets = [gamma_jet(spec, x, 6).c for x in xs]
+    assert list(spec._lifts) == [(x, 6) for x in xs[-3:]]  # oldest go first
+    assert np.array_equal(gamma_jet(spec, xs[0], 6).c, jets[0])
+    assert len(spec._lifts) == 3
+
+
+def test_results_do_not_depend_on_call_history():
+    # a warmed spec has anchors and lifts cached on both sides of x0; every
+    # answer must equal the one a fresh spec gives
+    xs = [1.7, -1.23, 0.3, -0.05, 2.9, 0.3125, -2.6, 0.02]
+    warm = random_curve_spec(3, seed=23)
+    for x in xs:
+        warm.frame_at(x)
+        gamma_jet(warm, x, 9)
+    for x in reversed(xs):
+        fresh = random_curve_spec(3, seed=23)
+        assert np.array_equal(warm.frame_at(x), fresh.frame_at(x))
+        fresh = random_curve_spec(3, seed=23)
+        assert np.array_equal(gamma_jet(warm, x, 9).c, gamma_jet(fresh, x, 9).c)
+
+
+def test_falling_factorial_table_is_exact():
+    from pentalab.curves import _falling_table
+
+    table = _falling_table(18)
+    for n in range(19):
+        for k in range(n + 1):
+            assert table[k, n] == float(math.perm(n, k))
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_frame_from_coeffs_matches_row_by_row_horner(dtype, rng):
+    from pentalab.curves import _frame_from_coeffs
+
+    d, order = 3, 14
+    g = rng.standard_normal((order + 1, d + 1)).astype(dtype)
+    for h in (0.0625, -0.0625, dtype(0.0217)):
+        want = np.empty((d + 1, d + 1), dtype=dtype)
+        for k in range(d + 1):
+            acc = np.zeros(d + 1, dtype=dtype)
+            for m in range(order, k - 1, -1):
+                acc = acc * h + g[m] * np.float64(math.perm(m, k))
+            want[k] = acc
+        got = _frame_from_coeffs(g, h, d)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+
 def test_integration_failure_on_exploding_curve():
     spec = CurveSpec(1, [AnalyticFn.const(-1e8)], 0.0, np.eye(2))
     with pytest.raises(IntegrationFailure):

@@ -246,6 +246,27 @@ class TestLimits:
                               EpsLadder(0.2, 0.85, 8))
         assert len(calls) == 1
 
+    def test_q2_gamma_evaluates_the_u_trees_once(self, monkeypatch):
+        import pentalab.curves
+        from pentalab.lax import _q2_gamma
+
+        calls = []
+        inner = pentalab.curves.eval_jet
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
+        spec = random_curve_spec(3, seed=23)
+        x = 0.01  # nearest anchor is the base point
+        g, q2g = _q2_gamma(spec, x, 7)
+        assert len(calls) == 2 * spec.d  # the u's at the anchor and at x
+        monkeypatch.undo()
+        u_top = random_curve_spec(3, seed=23).u_jet(x, 7)[2]
+        want = g.derivative().derivative() + g * u_top * (2.0 / 4)
+        assert np.array_equal(q2g.c, want.c)
+
     def test_requires_centralized_configuration(self, curve_d2):
         chi = evenly_spaced_chi((-0.8, 0.5), 0.9, 2)
         with pytest.raises(ValueError, match="centralized"):

@@ -164,6 +164,20 @@ class TestSearch:
         assert again.converged
         assert again.evaluations == 1
 
+    def test_truncated_checkpoint_is_not_resumed(self, integer_instance,
+                                                 probes, tmp_path):
+        path = tmp_path / "search.json"
+        path.write_text('{"params": [5.0, -2.0, 3')  # a write cut short
+        first = search_34(integer_instance, probes, X0, max_iters=10,
+                          checkpoint=str(path))
+        assert first.resumed is False
+        assert len(json.loads(path.read_text())["params"]) == 9
+        assert [p.name for p in tmp_path.iterdir()] == ["search.json"]
+        again = search_34(integer_instance, probes, X0, max_iters=10,
+                          checkpoint=str(path))
+        assert again.resumed is True
+        assert json.loads(json.dumps(again.to_dict()))["resumed"] is True
+
     def test_rejects_too_few_probes(self, integer_instance, probes):
         with pytest.raises(ValueError):
             search_34(integer_instance, probes[:1], X0)
