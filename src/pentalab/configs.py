@@ -15,6 +15,8 @@ import numpy as np
 
 from . import linalg
 
+_TOP_RTOL = 1e-12
+
 
 class ChiConfig:
     """Ambient dimension d plus groups of distinct node offsets."""
@@ -187,7 +189,7 @@ class CentralizationResult:
         self.alpha_diag = alpha_diag
 
 
-def hyperplane_centralization_test(chi, rtol=1e-12):
+def hyperplane_centralization_test(chi):
     """Equality test of the groups' top symmetric polynomials.
 
     When they all agree the first d-1 diagonal coefficients vanish and the
@@ -197,6 +199,6 @@ def hyperplane_centralization_test(chi, rtol=1e-12):
     table = SymTable(chi)
     top = table.top()
     scale = max(np.max(np.abs(top)), 1e-30)
-    flag = bool(np.max(np.abs(top - top[0])) <= rtol * scale)
+    flag = bool(np.max(np.abs(top - top[0])) <= _TOP_RTOL * scale)
     alpha_dd = (-1) ** (chi.d + 1) * top[0] / math.factorial(chi.d)
     return CentralizationResult(flag, float(alpha_dd), top, solve_alpha_diag(chi))

@@ -255,24 +255,23 @@ def normalized_lift(raw, d, ref=None):
     return scaled, coeffs[:d]
 
 
-def random_curve_spec(d, seed=None, rng=None, amplitude=0.5, x0=0.0, dtype=np.float64):
+def random_curve_spec(d, seed=None, dtype=np.float64):
     """Random test curve: trig-polynomial u_i with damped harmonics, identity frame."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     u = []
     for _ in range(d):
         damp = (1.0, 0.5, 0.25)
-        a0 = rng.uniform(-amplitude, amplitude) * damp[0]
+        a0 = rng.uniform(-0.5, 0.5) * damp[0]
         harmonics = [
-            (rng.uniform(-amplitude, amplitude) * damp[k],
-             rng.uniform(-amplitude, amplitude) * damp[k])
+            (rng.uniform(-0.5, 0.5) * damp[k],
+             rng.uniform(-0.5, 0.5) * damp[k])
             for k in (1, 2)
         ]
         u.append(trig_poly(a0, harmonics))
-    return CurveSpec(d, u, x0, np.eye(d + 1), dtype=dtype)
+    return CurveSpec(d, u, 0.0, np.eye(d + 1), dtype=dtype)
 
 
-def zero_curve_spec(d, x0=0.0, dtype=np.float64):
+def zero_curve_spec(d, dtype=np.float64):
     """The curve with u identically zero: polynomial lift components."""
     u = [AnalyticFn.const(0.0) for _ in range(d)]
-    return CurveSpec(d, u, x0, np.eye(d + 1), dtype=dtype)
+    return CurveSpec(d, u, 0.0, np.eye(d + 1), dtype=dtype)

@@ -94,12 +94,16 @@ def coords_from_samples(pts, x, eps):
     return DiscreteCoords(d, x, eps, tilde_from_A(A), A)
 
 
+def _curve_points(spec, x, eps, ks):
+    """Points of the curve at x + k eps, one row per k."""
+    return np.stack([spec.frame_at(x + k * eps)[0] for k in ks])
+
+
 def discrete_coords(spec, x, eps):
     """Recurrence coordinates of the curve itself at (x, eps)."""
     if eps == 0:
         raise ValueError("eps must be nonzero")
-    pts = np.stack([spec.frame_at(x + i * eps)[0]
-                    for i in range(spec.d + 2)])
+    pts = _curve_points(spec, x, eps, range(spec.d + 2))
     return coords_from_samples(pts, x, eps)
 
 

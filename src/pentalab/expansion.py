@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fitting
 from .chimap import chi_map_point
-from .kdvops import kdv_rhs, l_operator
+from .kdvops import JET_ORDER, kdv_rhs, l_operator
 from .linalg import lu_solver
 
 # deepest expansion order the step ladder resolves, per precision
@@ -178,7 +178,7 @@ def kdv_rhs_check(spec, chi, x, ladder=None, kmax=2):
     report = extract_alphas(spec, chi, x, ladder, kmax)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise ValueError("configuration is not centralized at first order")
-    u = spec.u_jet(x, 24)
+    u = spec.u_jet(x, JET_ORDER)
     flow = kdv_rhs(l_operator([u[i] for i in range(spec.d)]), 2)
     predicted = report.alpha[2, 2] * np.array([c.value for c in flow])
     return float(np.max(np.abs(report.w - predicted)))

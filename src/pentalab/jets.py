@@ -215,19 +215,18 @@ _UNARY = ("sin", "cos")
 class AnalyticFn:
     """Expression tree over constants, x, +, -, *, /, sin, cos, pow."""
 
-    __slots__ = ("op", "args", "value", "periodic")
+    __slots__ = ("op", "args", "value")
 
-    def __init__(self, op, args=(), value=None, periodic=False):
+    def __init__(self, op, args=(), value=None):
         self.op = op
         self.args = tuple(args)
         self.value = value
-        self.periodic = periodic
 
     # constructors
 
     @staticmethod
     def const(v):
-        return AnalyticFn("const", value=float(v), periodic=True)
+        return AnalyticFn("const", value=float(v))
 
     @staticmethod
     def x():
@@ -242,7 +241,7 @@ class AnalyticFn:
     def _binary(self, other, op, swap=False):
         other = AnalyticFn._wrap(other)
         a, b = (other, self) if swap else (self, other)
-        return AnalyticFn(op, (a, b), periodic=a.periodic and b.periodic)
+        return AnalyticFn(op, (a, b))
 
     def __add__(self, other):
         return self._binary(other, "add")
@@ -272,13 +271,13 @@ class AnalyticFn:
         return AnalyticFn.const(0.0) - self
 
     def __pow__(self, p):
-        return AnalyticFn("pow", (self,), value=float(p), periodic=self.periodic)
+        return AnalyticFn("pow", (self,), value=float(p))
 
     def sin(self):
-        return AnalyticFn("sin", (self,), periodic=self.periodic)
+        return AnalyticFn("sin", (self,))
 
     def cos(self):
-        return AnalyticFn("cos", (self,), periodic=self.periodic)
+        return AnalyticFn("cos", (self,))
 
     # evaluation
 
@@ -360,14 +359,13 @@ class AnalyticFn:
             return AnalyticFn.x()
         if op in _BINARY:
             a, b = (AnalyticFn.from_dict(n) for n in node["args"])
-            return AnalyticFn(op, (a, b), periodic=a.periodic and b.periodic)
+            return AnalyticFn(op, (a, b))
         if op in _UNARY:
             a = AnalyticFn.from_dict(node["arg"])
-            return AnalyticFn(op, (a,), periodic=a.periodic)
+            return AnalyticFn(op, (a,))
         if op == "pow":
             a = AnalyticFn.from_dict(node["arg"])
-            return AnalyticFn("pow", (a,), value=float(node["exponent"]),
-                              periodic=a.periodic)
+            return AnalyticFn("pow", (a,), value=float(node["exponent"]))
         raise ValueError(f"unknown op {op!r}")
 
 
@@ -383,7 +381,6 @@ def trig_poly(a0, harmonics):
             f = f + AnalyticFn.const(ck) * (AnalyticFn.const(k) * x).cos()
         if sk:
             f = f + AnalyticFn.const(sk) * (AnalyticFn.const(k) * x).sin()
-    f.periodic = True
     return f
 
 

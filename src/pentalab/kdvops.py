@@ -6,11 +6,17 @@ the Leibniz rule extended by generalized binomials, so negative powers of D
 produce the usual infinite tails, cut at the floor.  Powers of D dropped by
 the cut can only influence degrees at or below the floor, which is what
 makes the truncated ring usable for root extraction and commutators.
+
+(R^m)_+ reads only the root's degrees 0 ... 1 - m, so `q_m` builds the root
+only that deep; the deep default of `psdo_root` is the power-back reference.
 """
 
 import numpy as np
 
 from .jets import Jet
+
+# Taylor order of the u-jets that the hierarchy checks build L from
+JET_ORDER = 24
 
 
 def _binom(k, n):
@@ -129,30 +135,27 @@ def psdo_pow(a, m):
     return out
 
 
-def l_operator(u_jets, floor=None):
+def l_operator(u_jets):
     """The normalized operator D^{d+1} + u_{d-1} D^{d-1} + ... + u_0."""
     d = len(u_jets)
-    if floor is None:
-        floor = -(d + 3)
     order = max(c.order for c in u_jets)
     coeff = {i: u_jets[i] for i in range(d)}
     coeff[d + 1] = Jet.const(1.0, order)
-    return PseudoDiffOp(coeff, floor)
+    return PseudoDiffOp(coeff, -(d + 3))
 
 
-def psdo_root(L, p, depth=None):
-    """The p-th root D + sum of negative-degree corrections of L.
+def psdo_root(L, depth=None):
+    """The root R = D + b_0 + ... + b_{-depth} D^{-depth} of L, R^p = L.
 
-    Matched degree by degree: when the root is correct above degree g, the
-    error L - R^p starts at degree p - 1 + g with coefficient p * b_g.  The
-    root is built at a floor p - 1 lower than L's so that the power-back
-    identity holds down to L's own floor.
+    Matched degree by degree, p = L.order: when R is correct above degree g,
+    L - R^p starts at degree p - 1 + g with coefficient p * b_g.  The floor
+    sits p - 1 below the last degree, under every degree the matching reads;
+    the default depth carries the power-back identity down to L's floor.
     """
-    if L.order != p:
-        raise ValueError("root power must equal the operator order")
+    p = L.order
     if depth is None:
         depth = p - 1 - L.floor
-    floor_r = min(L.floor, -depth) - (p - 1)
+    floor_r = -depth - (p - 1)
     deep = L.with_floor(floor_r)
     order = max(c.order for c in L.coeff.values())
     root = PseudoDiffOp({1: Jet.const(1.0, order)}, floor_r)
@@ -165,11 +168,10 @@ def psdo_root(L, p, depth=None):
 
 
 def q_m(L, m):
-    """Differential part of the m-th power of the root of L."""
+    """Differential part of R^m, R the root of L built only m - 1 deep."""
     if m < 1:
         raise ValueError("need m >= 1")
-    r = psdo_root(L, L.order)
-    return psdo_pow(r, m).differential_part()
+    return psdo_pow(psdo_root(L, m - 1), m).differential_part()
 
 
 def kdv_rhs(L, m):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chimap import chi_map_point
 from .curves import _lift_coeffs, gamma_jet
-from .discretize import coords_from_samples, tilde_a
+from .discretize import _curve_points, coords_from_samples, tilde_a
 from .expansion import FIRST_ORDER_TOL, EpsLadder, extract_alphas
 from .fitting import fit_poly_coeffs, loglog_slope
 from .jets import Jet, derivative_stack, jet_solver
@@ -151,11 +151,9 @@ def _mapped_points(spec, chi, x, eps, ks):
                      .value for k in ks])
 
 
-def _transfer(spec, x, eps, mapped, shift_index):
-    """P with P (curve rows) = mapped, rows sampled at x + (shift + j) eps."""
-    w = np.stack([spec.frame_at(x + (shift_index + j) * eps)[0]
-                  for j in range(spec.d + 1)])
-    return solve_dense(w.T, mapped.T).T
+def _transfer(curve, mapped):
+    """P with P (curve rows) = mapped rows, both sampled at the same steps."""
+    return solve_dense(curve.T, mapped.T).T
 
 
 def p_tilde(spec, chi, x, eps, shift_index=0):
@@ -167,8 +165,8 @@ def p_tilde(spec, chi, x, eps, shift_index=0):
     if shift_index not in (0, 1):
         raise ValueError("shift_index must be 0 or 1")
     ks = range(shift_index, shift_index + spec.d + 1)
-    return _transfer(spec, x, eps, _mapped_points(spec, chi, x, eps, ks),
-                     shift_index)
+    return _transfer(_curve_points(spec, x, eps, ks),
+                     _mapped_points(spec, chi, x, eps, ks))
 
 
 def _entry_fit(eps, stack, degree):
@@ -183,13 +181,11 @@ def _entry_fit(eps, stack, degree):
 class LaxReport:
     """Ladder diagnostics of the discrete Lax relation and its limit."""
 
-    __slots__ = ("d", "x", "c", "eps", "U", "V", "V_prime", "target",
-                 "dudt_w", "conj_err", "conj_slope", "conj_limit_dev",
-                 "identity_resid", "identity_max", "quot_lhs_limit",
-                 "quot_rhs_limit", "quot_lhs_dev", "quot_rhs_dev",
-                 "w_target_dev", "p0_eps1", "p0_v_dev", "p1_v_dev",
-                 "shift_vprime_dev", "drift_dev", "lhs_dev_per_eps",
-                 "rhs_dev_per_eps")
+    __slots__ = ("d", "x", "c", "eps", "target", "conj_slope",
+                 "conj_limit_dev", "identity_resid", "identity_max",
+                 "quot_lhs_dev", "quot_rhs_dev", "w_target_dev", "p0_eps1",
+                 "p0_v_dev", "p1_v_dev", "shift_vprime_dev", "drift_dev",
+                 "lhs_dev_per_eps", "rhs_dev_per_eps")
 
     def to_dict(self):
         return {
@@ -222,10 +218,10 @@ class LaxReport:
 def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     """Run the full transfer-matrix ladder at z = 1 and fit every limit.
 
-    Needs a configuration with no first-order drift; the image curve windows
-    are computed once per rung and shared between the transfer matrices and
-    the mapped-curve companion, which is what makes the discrete relation an
-    identity to solver precision.  The fitted expansions of the conjugated
+    Needs a configuration with no first-order drift; the curve and image
+    curve windows are computed once per rung and shared between the transfer
+    matrices and the two companions, which is what makes the discrete
+    relation an identity to solver precision.  The fitted expansions of the conjugated
     transfer matrices are checked against V at second order and against the
     frame drift plus dV/dx at third order.
     """
@@ -258,12 +254,13 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     for r, e in enumerate(eps):
         dm = d_eps(d, e)
         dmi = d_eps_inv(d, e)
-        lt0 = l_tilde(spec, x, e)
+        curve = _curve_points(spec, x, e, range(d + 2))
+        lt0 = _shift_companion(coords_from_samples(curve, x, e).a_tilde)
         conj_stack[r] = (dm @ lt0 @ dmi - eye) / e
         conj_err[r] = _maxabs(conj_stack[r] - U)
         window = _mapped_points(spec, chi, x, e, range(d + 2))
-        p0 = _transfer(spec, x, e, window[:d + 1], 0)
-        p1 = _transfer(spec, x, e, window[1:], 1)
+        p0 = _transfer(curve[:d + 1], window[:d + 1])
+        p1 = _transfer(curve[1:], window[1:])
         lt1 = _shift_companion(coords_from_samples(window, x, e).a_tilde)
         conjugated = p1 @ lt0 @ solve_dense(p0, eye)
         ident[r] = _maxabs(lt1 - conjugated)
@@ -276,17 +273,13 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     out = LaxReport()
     out.d, out.x, out.c = d, float(x), c22
     out.eps = np.asarray(eps, dtype=np.float64)
-    out.U, out.V, out.V_prime = U, V, V_prime
-    out.target, out.dudt_w = target, dudt_w
-    out.conj_err = conj_err
+    out.target = target
     out.conj_slope = loglog_slope(eps[tail], conj_err[tail])
     out.conj_limit_dev = _maxabs(_entry_fit(eps, conj_stack, 3)[0] - U)
     out.identity_resid = ident
     out.identity_max = float(np.max(ident))
-    out.quot_lhs_limit = _entry_fit(eps, qlhs, 3)[0]
-    out.quot_rhs_limit = _entry_fit(eps, qrhs, 3)[0]
-    out.quot_lhs_dev = _maxabs(out.quot_lhs_limit - target)
-    out.quot_rhs_dev = _maxabs(out.quot_rhs_limit - target)
+    out.quot_lhs_dev = _maxabs(_entry_fit(eps, qlhs, 3)[0] - target)
+    out.quot_rhs_dev = _maxabs(_entry_fit(eps, qrhs, 3)[0] - target)
     out.w_target_dev = _maxabs(dudt_w - target)
     p0_fit = _entry_fit(eps, p0_stack, 6)
     p1_fit = _entry_fit(eps, p1_stack, 6)

@@ -12,6 +12,8 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+_NULL_RTOL = 1e-10
+
 
 class SingularMatrixError(Exception):
     pass
@@ -107,21 +109,21 @@ def lstsq_dense(a, b):
     return _solve_ge(a.T @ a, a.T @ b)
 
 
-def null_basis(a, rtol=1e-10):
+def null_basis(a):
     """Orthonormal basis (rows) of the nullspace of a (m x n, m <= n)."""
     a = np.asarray(a)
     m, n = a.shape
     if _is_lapack_friendly(a):
         u, s, vt = np.linalg.svd(a)
         smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > rtol * max(smax, 1.0)))
+        rank = int(np.sum(s > _NULL_RTOL * max(smax, 1.0)))
         if rank < m:
             raise SingularMatrixError("input rows are numerically dependent")
         return vt[rank:]
-    return _null_basis_ge(a, rtol)
+    return _null_basis_ge(a)
 
 
-def _null_basis_ge(a, rtol):
+def _null_basis_ge(a):
     a = np.array(a, copy=True)
     m, n = a.shape
     scale = max(np.max(np.abs(a)), a.dtype.type(1))
@@ -131,7 +133,7 @@ def _null_basis_ge(a, rtol):
         if row == m:
             break
         p = row + int(np.argmax(np.abs(a[row:, col])))
-        if np.abs(a[p, col]) <= rtol * scale:
+        if np.abs(a[p, col]) <= _NULL_RTOL * scale:
             continue
         if p != row:
             a[[row, p]] = a[[p, row]]

@@ -21,7 +21,7 @@ from scipy import optimize
 from .chimap import DegenerateIntersection
 from .configs import ChiConfig, SymTable
 from .expansion import EpsLadder, extract_alphas
-from .kdvops import l_operator, q_m
+from .kdvops import JET_ORDER, l_operator, q_m
 
 _G12_TOL = 1e-4
 _G3_TOL = 1e-3
@@ -83,9 +83,9 @@ class Realization34Report:
     __slots__ = ("chi", "sigma_top", "sigma_equal", "g1_norm", "g2_norm",
                  "g3_match", "c_fit", "skipped")
 
-    def passes(self, g12_tol=_G12_TOL, g3_tol=_G3_TOL):
-        return bool(self.sigma_equal and self.g1_norm <= g12_tol
-                    and self.g2_norm <= g12_tol and self.g3_match <= g3_tol)
+    def passes(self):
+        return bool(self.sigma_equal and self.g1_norm <= _G12_TOL
+                    and self.g2_norm <= _G12_TOL and self.g3_match <= _G3_TOL)
 
     def to_dict(self):
         return {
@@ -107,12 +107,12 @@ def _node_ladder(chi):
 
 
 def _q3_row(spec, x):
-    u = spec.u_jet(x, 24)
+    u = spec.u_jet(x, JET_ORDER)
     q3 = q_m(l_operator([u[i] for i in range(spec.d)]), 3)
     return np.array([q3.coefficient(k).value for k in range(4)])
 
 
-def check_34(chi, probe_curves, x, ladder=None):
+def check_34(chi, probe_curves, x):
     """Test whether the map on chi produces the third-order flow.
 
     Requires three plane groups in dimension 3 and at least three probe
@@ -126,8 +126,7 @@ def check_34(chi, probe_curves, x, ladder=None):
         raise ValueError("need three plane groups in dimension 3")
     if len(probe_curves) < 3:
         raise ValueError("need at least three probe curves")
-    if ladder is None:
-        ladder = _node_ladder(chi)
+    ladder = _node_ladder(chi)
 
     top = SymTable(chi).top()
     scale = max(np.max(np.abs(top)), 1e-30)
@@ -217,8 +216,7 @@ def _write_checkpoint(path, blob):
         raise
 
 
-def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
-              checkpoint=None):
+def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
     """Derivative-free descent toward a third-order flow configuration.
 
     The nine nodes are the free parameters; the node-product equalities are
@@ -272,9 +270,9 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
         return f
 
     f0 = objective(params0)
-    if f0 > tol * tol:
+    if f0 > _G3_TOL * _G3_TOL:
         def stop_when_inside(_xk):
-            if best["f"] <= tol * tol:
+            if best["f"] <= _G3_TOL * _G3_TOL:
                 raise StopIteration
 
         try:
@@ -295,7 +293,7 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, tol=_G3_TOL,
     out.chi = chi
     out.report = check_34(chi, probe_curves, x)
     out.objective = float(best["f"])
-    out.converged = bool(best["f"] <= tol * tol)
+    out.converged = bool(best["f"] <= _G3_TOL * _G3_TOL)
     out.improved = improved
     out.evaluations = evals[0]
     out.resumed = resumed

