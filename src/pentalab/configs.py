@@ -146,6 +146,13 @@ class SymTable:
         """The degree-(group size) polynomial of each group."""
         return np.array([s[-1] for s in self.sigma])
 
+    def tops_agree(self):
+        """Whether every group's top polynomial equals the first one, to a
+        relative _TOP_RTOL of the largest."""
+        top = self.top()
+        scale = max(np.max(np.abs(top)), 1e-30)
+        return bool(np.max(np.abs(top - top[0])) <= _TOP_RTOL * scale)
+
 
 # -- closed-form centralization data ------------------------------------------
 
@@ -198,7 +205,6 @@ def hyperplane_centralization_test(chi):
     """
     table = SymTable(chi)
     top = table.top()
-    scale = max(np.max(np.abs(top)), 1e-30)
-    flag = bool(np.max(np.abs(top - top[0])) <= _TOP_RTOL * scale)
     alpha_dd = (-1) ** (chi.d + 1) * top[0] / math.factorial(chi.d)
-    return CentralizationResult(flag, float(alpha_dd), top, solve_alpha_diag(chi))
+    return CentralizationResult(table.tops_agree(), float(alpha_dd), top,
+                                solve_alpha_diag(chi))

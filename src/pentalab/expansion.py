@@ -91,6 +91,12 @@ class ExpansionReport:
 
 def extract_alphas(spec, chi, x, ladder=None, kmax=2):
     """Fit the frame coordinates of the image curve on a step ladder."""
+    return _extract(spec, chi, x, ladder, kmax)[0]
+
+
+def _extract(spec, chi, x, ladder, kmax):
+    """(extract_alphas report, the image-curve point at x of every rung as
+    a (rungs, d+1) array)."""
     if ladder is None:
         ladder = EpsLadder()
     limit = KMAX_EXTENDED if spec.dtype == np.longdouble else KMAX_DOUBLE
@@ -101,10 +107,12 @@ def extract_alphas(spec, chi, x, ladder=None, kmax=2):
     frame = spec.frame_at(x)
     solve = lu_solver(frame.T.copy())
     korder = 2 * d + 2
+    points = []
     c_samples = np.empty((eps.size, d + 1), dtype=spec.dtype)
     u_samples = np.empty((eps.size, d), dtype=spec.dtype)
     for idx, e in enumerate(eps):
         lifted, u = chi_map_point(spec, chi, x, e, korder)
+        points.append(lifted.value)
         c_samples[idx] = solve(lifted.value)
         u_samples[idx] = u.value
 
@@ -130,7 +138,7 @@ def extract_alphas(spec, chi, x, ladder=None, kmax=2):
         w[i] = coeffs[2]
         fit_residual = max(fit_residual, resid)
     return ExpansionReport(x, d, kmax, alpha, uncertainty, fit_residual, w,
-                           flagged)
+                           flagged), np.stack(points)
 
 
 def verify_G2_structure(report, spec, x):

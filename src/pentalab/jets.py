@@ -14,14 +14,18 @@ exact: derivatives are coefficient shifts, never finite differences.
 runs a tree on raw coefficient arrays (sums elementwise, products as
 truncated convolutions, quotients, powers, sin and cos by their series
 recurrences) and wraps the result in one ``Jet`` of any requested order.
-Trees round-trip through JSON, so curve files can carry their coefficient
-functions.
+It also takes a 1-D array of points and walks the tree once for all of
+them, each array carrying a trailing point axis; every column equals the
+one-point jet bit for bit.  sin and cos of an affine argument (x, 2x) are
+in closed form.  Trees round-trip through JSON, so curve files can carry
+their coefficient functions.
 
 Linear algebra over series (``jet_solver``, ``det_jet``) takes matrix jets
 and pivots on constant terms only: a system is solved order by order against
 the LU factorization of its constant-term matrix.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -152,11 +156,40 @@ def _convolve(a, b):
 
 
 # ---------------------------------------------------------------------------
-# kernels on raw coefficient arrays of shape (K+1,)
+# kernels on raw coefficient arrays of shape (K+1,), or (K+1, P) with one
+# column per point
+
+
+def _by_point(kernel, *arrays):
+    """kernel on each point column of (K+1, P) arrays, stacked back.
+
+    Columns are handed over contiguous, so every column gets the arithmetic,
+    summation order included, of a one-point call.
+    """
+    columns = zip(*(np.ascontiguousarray(a.T) for a in arrays))
+    return np.stack([kernel(*col) for col in columns], axis=1)
+
+
+def _mul(a, b):
+    """Truncated product of two series.
+
+    A factor with no terms past order 0 scales the other: that is exactly
+    the convolution, whose sums add only zeros to the one product, and
+    ``+ 0.0`` gives a zero the sign such a sum gives it.
+    """
+    if not a[1:].any():
+        return a[0] * b + 0.0
+    if not b[1:].any():
+        return a * b[0] + 0.0
+    if a.ndim > 1:
+        return _by_point(_mul, a, b)
+    return np.convolve(a, b)[:len(a)]
 
 
 def _compose(c, series):
     """f(a0 + h) = sum series[n] h^n by Horner, h the nilpotent part of c."""
+    if c.ndim > 1:
+        return _by_point(_compose, c, series)
     h = c.copy()
     h[0] = 0
     acc = np.zeros_like(c)
@@ -169,6 +202,8 @@ def _compose(c, series):
 
 def _pow(c, p):
     """c ** p for real p by the generalized binomial series around c[0]."""
+    if c.ndim > 1:
+        return _by_point(functools.partial(_pow, p=p), c)
     a0 = c[0]
     if a0 <= 0:
         raise ValueError("fractional jet power needs a positive constant term")
@@ -181,6 +216,8 @@ def _pow(c, p):
 
 def _div(a, b):
     """a / b by the recurrence b[0] q[m] = a[m] - sum_{j>=1} b[j] q[m-j]."""
+    if a.ndim > 1:
+        return _by_point(_div, a, b)
     if b[0] == 0:
         raise ZeroDivisionError("jet division needs a nonzero constant term")
     out = np.zeros(len(a), dtype=np.result_type(a.dtype, b.dtype))
@@ -192,16 +229,34 @@ def _div(a, b):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _factorials(count, dtype):
+    """Read-only array of n!, n < count, in dtype."""
+    table = np.array([math.factorial(n) for n in range(count)], dtype=dtype)
+    table.flags.writeable = False
+    return table
+
+
 def _trig(c, shift):
-    """sin (shift 0) or cos (shift 1) of c: the Taylor series of sin at
-    c[0] cycles through (sin, cos, -sin, -cos) / n!, cos starts one later."""
+    """sin (shift 0) or cos (shift 1) of c.
+
+    The Taylor series of sin at c[0] cycles through (sin, cos, -sin, -cos)
+    / n!, cos starts one later.  An affine argument c[0] + a h has the
+    closed form series[n] a^n: Horner's rule would only multiply by a, n
+    times, which gives the same bits when a is a power of two (``+ 0.0``
+    gives zeros the sign Horner's sums give them).  Any other argument is
+    composed by Horner; at order 0 the series is the answer.
+    """
+    k = len(c)
+    tail = (1,) * (c.ndim - 1)
     s, co = np.sin(c[0]), np.cos(c[0])
-    cycle = (s, co, -s, -co)
-    series = np.array(
-        [cycle[(n + shift) % 4] / math.factorial(n) for n in range(len(c))],
-        dtype=c.dtype,
-    )
-    return _compose(c, series)
+    series = (np.stack((s, co, -s, -co))[(np.arange(k) + shift) % 4]
+              / _factorials(k, c.dtype).reshape((k,) + tail))
+    if k == 1:
+        return series
+    if c[2:].any():
+        return _compose(c, series)
+    return series * c[1] ** np.arange(k).reshape((k,) + tail) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +337,16 @@ class AnalyticFn:
     # evaluation
 
     def _coeffs(self, x, order, dtype):
-        """Taylor coefficients at x as a raw (order+1,) array."""
+        """Taylor coefficients at x, (order+1,) + np.shape(x), raw array."""
         op = self.op
-        if op == "const":
-            c = np.zeros(order + 1, dtype=dtype)
-            c[0] = self.value
-            return c
-        if op == "x":
-            c = np.zeros(order + 1, dtype=dtype)
-            c[0] = x
-            if order >= 1:
-                c[1] = 1
+        if op == "const" or op == "x":
+            c = np.zeros((order + 1,) + np.shape(x), dtype=dtype)
+            if op == "const":
+                c[0] = self.value
+            else:
+                c[0] = x
+                if order >= 1:
+                    c[1] = 1
             return c
         a = self.args[0]._coeffs(x, order, dtype)
         if op == "sin":
@@ -307,7 +361,7 @@ class AnalyticFn:
         if op == "sub":
             return a - b
         if op == "mul":
-            return np.convolve(a, b)[:order + 1]
+            return _mul(a, b)
         if op == "div":
             return _div(a, b)
         raise ValueError(f"unknown op {op!r}")
@@ -385,7 +439,11 @@ def trig_poly(a0, harmonics):
 
 
 def eval_jet(f, x, order, dtype=np.float64):
-    """Jet of an AnalyticFn at x: coefficient k is f^(k)(x)/k! to roundoff."""
+    """Jet of an AnalyticFn at x: coefficient k is f^(k)(x)/k! to roundoff.
+
+    x is a number, or a 1-D array of P points, which gives a (order+1, P)
+    jet whose column p equals the jet at x[p] bit for bit.
+    """
     if order < 0:
         raise ValueError("jet order must be nonnegative")
     return Jet(f._coeffs(x, order, np.dtype(dtype)), copy=False)

@@ -17,7 +17,7 @@ import numpy as np
 from .chimap import chi_map_point
 from .curves import _lift_coeffs, gamma_jet
 from .discretize import _curve_points, coords_from_samples, tilde_a
-from .expansion import FIRST_ORDER_TOL, EpsLadder, extract_alphas
+from .expansion import FIRST_ORDER_TOL, EpsLadder, _extract
 from .fitting import fit_poly_coeffs, loglog_slope
 from .jets import Jet, derivative_stack, jet_solver
 from .linalg import solve_dense
@@ -219,7 +219,8 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     """Run the full transfer-matrix ladder at z = 1 and fit every limit.
 
     Needs a configuration with no first-order drift; the curve and image
-    curve windows are computed once per rung and shared between the transfer
+    curve windows are computed once per rung (the image point at x is the
+    one the extraction already mapped) and shared between the transfer
     matrices and the two companions, which is what makes the discrete
     relation an identity to solver precision.  The fitted expansions of the conjugated
     transfer matrices are checked against V at second order and against the
@@ -227,7 +228,7 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     """
     if ladder is None:
         ladder = EpsLadder()
-    report = extract_alphas(spec, chi, x, ladder, kmax)
+    report, at_x = _extract(spec, chi, x, ladder, kmax)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise ValueError("configuration is not centralized at first order")
     d = spec.d
@@ -258,7 +259,8 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
         lt0 = _shift_companion(coords_from_samples(curve, x, e).a_tilde)
         conj_stack[r] = (dm @ lt0 @ dmi - eye) / e
         conj_err[r] = _maxabs(conj_stack[r] - U)
-        window = _mapped_points(spec, chi, x, e, range(d + 2))
+        window = np.vstack([at_x[r],
+                            _mapped_points(spec, chi, x, e, range(1, d + 2))])
         p0 = _transfer(curve[:d + 1], window[:d + 1])
         p1 = _transfer(curve[1:], window[1:])
         lt1 = _shift_companion(coords_from_samples(window, x, e).a_tilde)

@@ -42,14 +42,25 @@ def lu_solver(a):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu_piv = scipy.linalg.lu_factor(a)
+                lu, piv = scipy.linalg.lu_factor(a)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularMatrixError(str(exc)) from exc
-        if not np.all(np.isfinite(lu_piv[0])):
+        if not np.all(np.isfinite(lu)):
             raise SingularMatrixError("non-finite factorization")
-        if np.min(np.abs(np.diag(lu_piv[0]))) == 0.0:
+        if np.min(np.abs(np.diag(lu))) == 0.0:
             raise SingularMatrixError("exactly singular matrix")
-        return lambda b: scipy.linalg.lu_solve(lu_piv, np.asarray(b))
+
+        def solve(b):
+            # what scipy.linalg.lu_solve does for one b, without its
+            # batching wrapper; getrs itself rejects a b of the wrong length
+            b = np.asarray_chkfinite(b)
+            getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu, b))
+            x, info = getrs(lu, piv, b)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of getrs")
+            return x
+
+        return solve
     a = a.copy()
     return lambda b: _solve_ge(a, np.asarray(b))
 

@@ -128,10 +128,9 @@ def check_34(chi, probe_curves, x):
         raise ValueError("need at least three probe curves")
     ladder = _node_ladder(chi)
 
-    top = SymTable(chi).top()
-    scale = max(np.max(np.abs(top)), 1e-30)
-    sigma_equal = bool(np.max(np.abs(top - top[0])) <= 1e-9 * scale
-                       and abs(float(top[0])) > 0.0)
+    table = SymTable(chi)
+    top = table.top()
+    sigma_equal = table.tops_agree() and abs(float(top[0])) > 0.0
 
     alphas = []
     targets = []

@@ -157,6 +157,76 @@ def test_results_do_not_depend_on_call_history():
         assert np.array_equal(gamma_jet(warm, x, 9).c, gamma_jet(fresh, x, 9).c)
 
 
+def test_fresh_far_frame_evaluates_each_u_tree_once(monkeypatch):
+    spec = random_curve_spec(3, seed=23)
+    calls = _count_u_evaluations(monkeypatch)
+    spec.frame_at(20.0)  # 320 anchors away
+    assert len(calls) == spec.d
+    assert all(np.shape(x) == (320,) for x in calls)
+    calls.clear()
+    spec.frame_at(20.03)  # one more anchor series, the target's
+    assert len(calls) == spec.d
+
+
+def test_long_walk_evaluates_its_u_trees_in_bounded_passes(monkeypatch):
+    import pentalab.curves
+
+    want = random_curve_spec(3, seed=23).frame_at(-20.0)
+    monkeypatch.setattr(pentalab.curves, "_AHEAD", 100)
+    spec = random_curve_spec(3, seed=23)
+    calls = _count_u_evaluations(monkeypatch)
+    assert np.array_equal(spec.frame_at(-20.0), want)
+    assert [np.shape(x) for x in calls] == [(100,)] * 9 + [(20,)] * 3
+
+
+def reference_frames(spec, xs):
+    """frame_at at each of xs, all on one side of x0 and in walk order, by
+    stepping anchor to anchor from x0, one u-jet per anchor, with the ODE
+    recursion written out term by term."""
+    from pentalab.curves import _frame_from_coeffs
+
+    d, order, step = spec.d, 14, 1.0 / 16.0
+    perm = np.array([[math.perm(n, k) for n in range(order + 1)]
+                     for k in range(d + 2)], dtype=np.float64)
+
+    def series(j, frame):
+        u = spec.u_jet(spec.x0 + j * step, order).c
+        g = np.zeros((order + 1, d + 1), dtype=spec.dtype)
+        for k in range(d + 1):
+            g[k] = frame[k] / math.factorial(k)
+        for m in range(order - d):
+            acc = np.zeros(d + 1, dtype=spec.dtype)
+            js = np.arange(m, -1, -1)
+            for i in range(d):
+                acc += (u[: m + 1, i] * perm[i, js + i]) @ g[js + i]
+            g[m + d + 1] = -acc / perm[d + 1, m + d + 1]
+        return g
+
+    frame, j, out = spec.F0, 0, []
+    for x in xs:
+        target = int(math.floor((x - spec.x0) / step + 0.5))
+        while j != target:
+            sign = 1 if target > j else -1
+            frame = _frame_from_coeffs(series(j, frame), sign * step, d)
+            j += sign
+        h = x - (spec.x0 + j * step)
+        out.append(frame if h == 0.0 else _frame_from_coeffs(series(j, frame), h, d))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_far_frames_match_anchor_by_anchor_reference(d, dtype):
+    for xs in ((0.4, 7.03, 19.97), (-3.3, -12.5, -20.0)):
+        want = reference_frames(random_curve_spec(d, seed=41, dtype=dtype), xs)
+        spec = random_curve_spec(d, seed=41, dtype=dtype)
+        # the farthest point first: one long walk, then points behind it
+        got = [spec.frame_at(x) for x in xs[::-1]][::-1]
+        for g, w in zip(got, want):
+            assert g.dtype == np.dtype(dtype)
+            assert np.array_equal(g, w)
+
+
 def test_falling_factorial_table_is_exact():
     from pentalab.curves import _falling_table
 

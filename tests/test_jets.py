@@ -276,3 +276,114 @@ def test_det_higher_order_against_product_expansion(rng):
     for dj in diag[1:]:
         expect = expect * dj
     assert_allclose(det_jet(Jet(m)).c, expect.c, rtol=1e-12)
+
+
+# -- closed-form trig and evaluation at many points ------------------------------
+
+
+def horner_trig(c, shift):
+    """sin (shift 0) or cos (shift 1) of a series c, composed by Horner's
+    rule: one truncated convolution with the nilpotent part per order."""
+    s, co = np.sin(c[0]), np.cos(c[0])
+    cycle = (s, co, -s, -co)
+    series = [cycle[(n + shift) % 4] / math.factorial(n) for n in range(len(c))]
+    h = c.copy()
+    h[0] = 0
+    acc = np.zeros_like(c)
+    acc[0] = series[-1]
+    for term in series[-2::-1]:
+        acc = np.convolve(acc, h)[:len(c)]
+        acc[0] += term
+    return acc
+
+
+def affine(x, slope, order, dtype):
+    c = np.zeros(order + 1, dtype=dtype)
+    c[0] = dtype(slope) * dtype(x)
+    if order:
+        c[1] = slope
+    return c
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("slope", [1.0, 2.0, -2.0, 0.5])
+@pytest.mark.parametrize("order", [0, 1, 14, 24])
+def test_affine_trig_equals_horner_bit_for_bit(rng, dtype, slope, order):
+    from pentalab.jets import _trig
+
+    for x in np.concatenate([[0.0], rng.uniform(-20, 20, 12)]):
+        c = affine(x, slope, order, dtype)
+        for shift in (0, 1):
+            got = _trig(c, shift)
+            assert got.dtype == np.dtype(dtype)
+            assert np.array_equal(got, horner_trig(c, shift))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("order", [0, 1, 14, 24])
+def test_affine_trig_slope_three_within_two_ulp(rng, dtype, order):
+    # 3 is no power of two, so Horner's repeated products by 3 round where
+    # the closed form's one product by 3^n does not; both are held to the
+    # exact series
+    mpmath = pytest.importorskip("mpmath")
+    from pentalab.jets import _trig
+
+    mpmath.mp.dps = 40
+
+    def exact(v):  # a longdouble is the sum of two doubles
+        hi = float(v)
+        return mpmath.mpf(hi) + mpmath.mpf(float(v - dtype(hi)))
+
+    def rounded(t):
+        hi = float(t)
+        return dtype(hi) + dtype(float(t - hi))
+
+    for x in rng.uniform(-3, 3, 8):
+        c = affine(x, 3.0, order, dtype)
+        for shift in (0, 1):
+            got = _trig(c, shift)
+            # n-th derivative of sin at t is sin(t + n pi/2), cos starts one later
+            want = np.array([rounded(mpmath.sin(exact(c[0]) + (n + shift) * mpmath.pi / 2)
+                                     / mpmath.factorial(n) * 3 ** n)
+                             for n in range(order + 1)], dtype=dtype)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_non_affine_trig_argument_goes_through_horner(rng, dtype):
+    x = AnalyticFn.x()
+    for at in rng.uniform(-2, 2, 4):
+        for order in (0, 1, 6, 14):
+            arg = eval_jet(x * x, at, order, dtype).c
+            for fn, shift in (((x * x).sin(), 0), ((x * x).cos(), 1)):
+                got = eval_jet(fn, at, order, dtype).c
+                assert np.array_equal(got, horner_trig(arg, shift))
+
+
+def every_node_kind():
+    x = AnalyticFn.x()
+    two = AnalyticFn.const(2.0)
+    return {
+        "const": AnalyticFn.const(0.75),
+        "x": x,
+        "add": x + x.sin(),
+        "sub": two.cos() - x,
+        "mul": x * (two * x).sin() * 0.5,
+        "div": x.sin() / (two + x.cos()),
+        "pow": (1.5 + (two * x).cos()) ** 0.5,
+        "sin": (x * x).sin(),
+        "cos": (-2.0 * x).cos(),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(every_node_kind()))
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_eval_jet_at_points_matches_per_point_calls(kind, dtype):
+    f = every_node_kind()[kind]
+    xs = np.array([-7.25, -1.3, 0.0, 0.4, 2.2, 19.9375])
+    for order in (0, 5, 14):
+        batch = eval_jet(f, xs, order, dtype).c
+        assert batch.shape == (order + 1, xs.size)
+        assert batch.dtype == np.dtype(dtype)
+        for p, x in enumerate(xs):
+            assert np.array_equal(batch[:, p], eval_jet(f, x, order, dtype).c)

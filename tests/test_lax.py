@@ -267,6 +267,26 @@ class TestLimits:
         want = g.derivative().derivative() + g * u_top * (2.0 / 4)
         assert np.array_equal(q2g.c, want.c)
 
+    def test_mapped_point_at_x_is_computed_once_per_rung(self, curve_d2,
+                                                           monkeypatch):
+        import pentalab.chimap
+        import pentalab.expansion
+        import pentalab.lax
+
+        calls = []
+        inner = pentalab.chimap.chi_map_point
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return inner(*args)
+
+        monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
+        monkeypatch.setattr(pentalab.lax, "chi_map_point", counted)
+        lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
+        # 14 rungs: the extraction maps x, the window x + eps .. x + 3 eps
+        assert len(calls) == 14 * 4
+        assert len(set(calls)) == len(calls)
+
     def test_requires_centralized_configuration(self, curve_d2):
         chi = evenly_spaced_chi((-0.8, 0.5), 0.9, 2)
         with pytest.raises(ValueError, match="centralized"):

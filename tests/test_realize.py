@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pentalab.configs import ChiConfig, SymTable
+from pentalab.configs import ChiConfig, SymTable, hyperplane_centralization_test
 from pentalab.curves import random_curve_spec
 from pentalab.realize import (
     Realization34Report,
@@ -116,6 +116,16 @@ class TestCheck34:
         assert not rep.sigma_equal
         assert rep.g1_norm >= 1e-3
         assert not rep.passes()
+
+    def test_products_equal_to_1e_10_are_unequal_everywhere(self, probes):
+        # one decision, one tolerance: check_34 and the closed-form
+        # criterion judge the node products alike
+        chi = ChiConfig(3, [[-2.0, 3.0, 5.0 * (1 + 1e-10)], [-5.0, 2.0, 3.0],
+                            [-5.0, -1.0, -6.0]])
+        top = SymTable(chi).top()
+        assert 5e-11 < np.ptp(top) / np.max(np.abs(top)) < 2e-10
+        assert not hyperplane_centralization_test(chi).centralized_through
+        assert not check_34(chi, probes, X0).sigma_equal
 
     def test_rejects_wrong_shape(self, probes):
         flat = ChiConfig(2, [[-1.0, 1.0], [-2.0, 2.0]])
