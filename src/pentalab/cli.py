@@ -24,8 +24,8 @@ from .configs import (
     solve_alpha_diag,
 )
 from .curves import CurveSpec, DegenerateLift, IntegrationFailure, random_curve_spec
-from .expansion import (FIRST_ORDER_TOL, KMAX_DOUBLE, KMAX_EXTENDED, EpsLadder,
-                        _constancy, extract_alphas, kdv_rhs_check)
+from .expansion import (FIRST_ORDER_TOL, EpsLadder, _constancy, check_kmax,
+                        extract_alphas, kdv_rhs_check)
 from .jets import DegenerateSystem
 from .lax import lax_limit_diagnostics
 from .linalg import SingularMatrixError
@@ -92,10 +92,10 @@ class RunConfig:
         rc.out = args.out
         rc.fmt = args.format
         rc.kmax = getattr(args, "kmax", 2)
-        kmax_limit = KMAX_EXTENDED if rc.dtype == np.longdouble else KMAX_DOUBLE
-        if not 0 <= rc.kmax <= kmax_limit:
-            raise UsageError(f"--kmax must be in 0..{kmax_limit} "
-                             f"for {args.precision} precision")
+        try:
+            check_kmax(rc.kmax, rc.dtype)
+        except ValueError as exc:
+            raise UsageError(f"--{exc}")
         rc.ladder = EpsLadder(args.eps0, args.ratio, args.count)
 
         spec = None
@@ -273,8 +273,6 @@ def _add_output_flags(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for random curves, recorded in the report")
-    p.add_argument("--precision", choices=("double", "extended"),
-                   default="double")
 
 
 def _add_run_flags(p, kmax_default=2):
@@ -297,6 +295,8 @@ def _add_run_flags(p, kmax_default=2):
     p.add_argument("--ratio", type=float, default=0.85)
     p.add_argument("--count", type=int, default=14)
     p.add_argument("--kmax", type=int, default=kmax_default)
+    p.add_argument("--precision", choices=("double", "extended"),
+                   default="double")
     _add_output_flags(p)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .expansion import EpsLadder
-from .fitting import fit_poly_coeffs, loglog_slope
+from .fitting import fit_poly, loglog_slope
 
 _DEFINED_FLOOR = 1e-10
 
@@ -157,12 +157,11 @@ def limit_diagnostics(spec, x, ladder=None, fit_window=8, fit_degree=5):
     d = spec.d
     powers = np.array([d + 1 - i if i < d else 2 for i in range(d + 1)])
     slopes = np.full(d + 1, np.nan)
-    limits = np.zeros(d + 1)
+    limits = fit_poly(eps, A / eps[:, None] ** powers, fit_degree)[0][0]
     ok = np.zeros(d + 1, dtype=bool)
     win = slice(n - fit_window, n)
     for i in range(d + 1):
         mags = np.abs(A[:, i])
-        limits[i] = fit_poly_coeffs(eps, A[:, i] / eps ** powers[i], fit_degree)[0]
         if np.max(mags) <= _DEFINED_FLOOR:
             continue
         slopes[i] = loglog_slope(eps[win], A[win, i])

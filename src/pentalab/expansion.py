@@ -24,6 +24,13 @@ FIRST_ORDER_TOL = 1e-3
 _COND_LIMIT = 1e8
 
 
+def check_kmax(kmax, dtype):
+    """Raise ValueError unless the ladder resolves order kmax at dtype."""
+    limit = KMAX_EXTENDED if dtype == np.longdouble else KMAX_DOUBLE
+    if not 0 <= kmax <= limit:
+        raise ValueError(f"kmax must lie in [0, {limit}] at this precision")
+
+
 class EpsLadder:
     """Geometric ladder of step sizes used for the coefficient fits."""
 
@@ -60,10 +67,10 @@ class ExpansionReport:
         self.x = float(x)
         self.d = int(d)
         self.kmax = int(kmax)
-        self.alpha = np.asarray(alpha)
-        self.uncertainty = np.asarray(uncertainty)
+        self.alpha = np.asarray(alpha, dtype=np.float64)
+        self.uncertainty = np.asarray(uncertainty, dtype=np.float64)
         self.fit_residual = float(fit_residual)
-        self.w = np.asarray(w)
+        self.w = np.asarray(w, dtype=np.float64)
         self.flagged = bool(flagged)
 
     def to_dict(self):
@@ -99,46 +106,28 @@ def _extract(spec, chi, x, ladder, kmax):
     a (rungs, d+1) array)."""
     if ladder is None:
         ladder = EpsLadder()
-    limit = KMAX_EXTENDED if spec.dtype == np.longdouble else KMAX_DOUBLE
-    if not 0 <= kmax <= limit:
-        raise ValueError(f"kmax must lie in [0, {limit}] at this precision")
+    check_kmax(kmax, spec.dtype)
     d = spec.d
     eps = ladder.values(spec.dtype)
     frame = spec.frame_at(x)
     solve = lu_solver(frame.T.copy())
     korder = 2 * d + 2
     points = []
-    c_samples = np.empty((eps.size, d + 1), dtype=spec.dtype)
-    u_samples = np.empty((eps.size, d), dtype=spec.dtype)
+    # frame coordinates in columns 0..d, curve invariants after them
+    samples = np.empty((eps.size, 2 * d + 1), dtype=spec.dtype)
     for idx, e in enumerate(eps):
         lifted, u = chi_map_point(spec, chi, x, e, korder)
         points.append(lifted.value)
-        c_samples[idx] = solve(lifted.value)
-        u_samples[idx] = u.value
-
-    degree = kmax + 2
-    alpha = np.zeros((kmax + 1, d + 1))
-    uncertainty = np.zeros((kmax + 1, d + 1))
-    fit_residual = 0.0
-    flagged = False
-    for j in range(d + 1):
-        coeffs, sigma, resid, cond = fitting.fit_poly_full(
-            eps, c_samples[:, j], degree)
-        if cond > _COND_LIMIT:
-            flagged = True
-            sigma = sigma * (cond / _COND_LIMIT)
-        alpha[:, j] = coeffs[:kmax + 1]
-        uncertainty[:, j] = sigma[:kmax + 1]
-        fit_residual = max(fit_residual, resid)
-    w = np.zeros(d)
-    for i in range(d):
-        coeffs, _, resid, cond = fitting.fit_poly_full(
-            eps, u_samples[:, i], degree)
-        flagged = flagged or cond > _COND_LIMIT
-        w[i] = coeffs[2]
-        fit_residual = max(fit_residual, resid)
-    return ExpansionReport(x, d, kmax, alpha, uncertainty, fit_residual, w,
-                           flagged), np.stack(points)
+        samples[idx, :d + 1] = solve(lifted.value)
+        samples[idx, d + 1:] = u.value
+    coeffs, sigma, fit_residual, cond = fitting.fit_poly(eps, samples,
+                                                         kmax + 2)
+    flagged = cond > _COND_LIMIT
+    if flagged:
+        sigma = sigma * (cond / _COND_LIMIT)
+    return ExpansionReport(x, d, kmax, coeffs[:kmax + 1, :d + 1],
+                           sigma[:kmax + 1, :d + 1], fit_residual,
+                           coeffs[2, d + 1:], flagged), np.stack(points)
 
 
 def verify_G2_structure(report, spec, x):

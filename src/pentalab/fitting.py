@@ -5,12 +5,15 @@ import numpy as np
 from . import linalg
 
 
-def fit_poly_coeffs(eps, vals, degree):
-    """Coefficients c_k of vals ~ sum c_k eps^k by least squares.
+def fit_poly(eps, vals, degree):
+    """Least-squares fit vals ~ sum_k c_k eps^k of every column at once.
 
-    The variable is rescaled by its largest value before the Vandermonde
-    matrix is formed, which keeps the fit well conditioned on geometric
-    ladders; the coefficients are scaled back afterwards.
+    vals has shape (n, *tail) for n rungs.  eps is rescaled by its largest
+    value before the Vandermonde V is formed, which keeps geometric ladders
+    well conditioned.  Sigma is the usual least-squares one: RSS over the
+    residual degrees of freedom times the diagonal of (V^T V)^{-1}.
+    Returns (coeffs, sigma, max_residual, condition of V); coeffs and sigma
+    have shape (degree + 1, *tail).
     """
     eps = np.asarray(eps)
     vals = np.asarray(vals)
@@ -18,38 +21,19 @@ def fit_poly_coeffs(eps, vals, degree):
         raise ValueError("need more samples than fitted coefficients")
     s = np.max(np.abs(eps))
     v = np.vander(eps / s, degree + 1, increasing=True)
-    c = linalg.lstsq_dense(v, vals)
-    return c / s ** np.arange(degree + 1)
-
-
-def fit_poly_full(eps, vals, degree):
-    """Polynomial fit with residual, per-coefficient sigma, and condition.
-
-    Same scaled Vandermonde as fit_poly_coeffs.  Sigma comes from the usual
-    least-squares covariance (RSS over the residual degrees of freedom times
-    the diagonal of (V^T V)^{-1}), mapped back through the eps scaling.
-    Returns (coeffs, sigma, max_residual, condition).
-    """
-    eps = np.asarray(eps)
-    vals = np.asarray(vals)
-    if eps.size <= degree:
-        raise ValueError("need more samples than fit coefficients")
-    s = np.max(np.abs(eps))
-    v = np.vander(eps / s, degree + 1, increasing=True)
-    c = linalg.lstsq_dense(v, vals)
-    resid = v @ c - vals
-    max_resid = float(np.max(np.abs(resid)))
-    dof = eps.size - (degree + 1)
-    rss = float(resid @ resid)
-    noise = rss / dof if dof > 0 else rss
-    vtv = v.T @ v
-    eye = np.eye(degree + 1, dtype=v.dtype)
-    inv_diag = np.array(
-        [linalg.solve_dense(vtv, eye[k])[k] for k in range(degree + 1)])
-    powers = np.arange(degree + 1)
-    sigma = np.sqrt(np.abs(noise * inv_diag)) / s ** powers
+    flat = vals.reshape(eps.size, -1)
+    c = linalg.lstsq_dense(v, flat)
+    resid = v @ c - flat
+    dof = max(eps.size - (degree + 1), 1)
+    noise = np.sum(resid * resid, axis=0) / dof
+    inv_diag = np.diagonal(
+        linalg.solve_dense(v.T @ v, np.eye(degree + 1, dtype=v.dtype)))
+    scale = s ** np.arange(degree + 1)[:, None]
+    sigma = np.sqrt(np.abs(inv_diag[:, None] * noise)) / scale
     cond = float(np.linalg.cond(np.asarray(v, dtype=np.float64)))
-    return c / s ** powers, sigma, max_resid, cond
+    shape = (degree + 1,) + vals.shape[1:]
+    return ((c / scale).reshape(shape), sigma.reshape(shape),
+            float(np.max(np.abs(resid))), cond)
 
 
 def loglog_slope(eps, vals):

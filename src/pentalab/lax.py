@@ -18,7 +18,7 @@ from .chimap import chi_map_point
 from .curves import _lift_coeffs, gamma_jet
 from .discretize import _curve_points, coords_from_samples, tilde_a
 from .expansion import FIRST_ORDER_TOL, EpsLadder, _extract
-from .fitting import fit_poly_coeffs, loglog_slope
+from .fitting import fit_poly, loglog_slope
 from .jets import Jet, derivative_stack, jet_solver
 from .linalg import solve_dense
 
@@ -169,15 +169,6 @@ def p_tilde(spec, chi, x, eps, shift_index=0):
                      _mapped_points(spec, chi, x, eps, ks))
 
 
-def _entry_fit(eps, stack, degree):
-    n1, n2 = stack.shape[1:]
-    out = np.zeros((degree + 1, n1, n2))
-    for i in range(n1):
-        for j in range(n2):
-            out[:, i, j] = fit_poly_coeffs(eps, stack[:, i, j], degree)
-    return out
-
-
 class LaxReport:
     """Ladder diagnostics of the discrete Lax relation and its limit."""
 
@@ -277,14 +268,14 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     out.eps = np.asarray(eps, dtype=np.float64)
     out.target = target
     out.conj_slope = loglog_slope(eps[tail], conj_err[tail])
-    out.conj_limit_dev = _maxabs(_entry_fit(eps, conj_stack, 3)[0] - U)
+    out.conj_limit_dev = _maxabs(fit_poly(eps, conj_stack, 3)[0][0] - U)
     out.identity_resid = ident
     out.identity_max = float(np.max(ident))
-    out.quot_lhs_dev = _maxabs(_entry_fit(eps, qlhs, 3)[0] - target)
-    out.quot_rhs_dev = _maxabs(_entry_fit(eps, qrhs, 3)[0] - target)
+    out.quot_lhs_dev = _maxabs(fit_poly(eps, qlhs, 3)[0][0] - target)
+    out.quot_rhs_dev = _maxabs(fit_poly(eps, qrhs, 3)[0][0] - target)
     out.w_target_dev = _maxabs(dudt_w - target)
-    p0_fit = _entry_fit(eps, p0_stack, 6)
-    p1_fit = _entry_fit(eps, p1_stack, 6)
+    p0_fit = fit_poly(eps, p0_stack, 6)[0]
+    p1_fit = fit_poly(eps, p1_stack, 6)[0]
     out.p0_eps1 = _maxabs(p0_fit[1])
     out.p0_v_dev = _maxabs(p0_fit[2] - V)
     out.p1_v_dev = _maxabs(p1_fit[2] - V)

@@ -163,3 +163,19 @@ def test_reduced_dual_dented_equals_full(curve_d3):
 def test_kmax_floor(curve_d2):
     with pytest.raises(ValueError):
         chi_map_point(curve_d2, short_diagonal_chi(2), 0.0, 0.1, 5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_extended_normals_annihilate_their_span(d):
+    # the complement is a float64 gauge; the normals built on it must still
+    # vanish on the span to longdouble roundoff at every order
+    from pentalab.chimap import _span_normals
+
+    spec = random_curve_spec(d, seed=d, dtype=np.longdouble)
+    for span in build_spans(spec, short_diagonal_chi(d), 0.3, 0.1, 2 * d + 2):
+        normals = _span_normals(span)
+        assert normals.c.dtype == np.longdouble
+        scale = np.max(np.abs(span.c)) * np.max(np.abs(normals.c))
+        for m in range(span.order + 1):
+            prod = sum(span.c[j] @ normals.c[m - j].T for j in range(m + 1))
+            assert np.max(np.abs(prod)) <= 1e-18 * scale

@@ -290,3 +290,12 @@ class TestRealize34:
         code, _, err = run(capsys, ["realize34", "--probes", "2"])
         assert code == 2
         assert "probes" in err
+
+    @pytest.mark.parametrize("argv", [["realize34"],
+                                      ["families", "short-diagonal", "--d", "2"]])
+    def test_precision_is_not_accepted(self, capsys, argv):
+        # both commands run in double only, so the flag would be a no-op
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--precision", "extended"])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err

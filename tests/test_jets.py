@@ -249,6 +249,17 @@ def test_solve_singular_constant_term():
         jet_solver(a)(Jet(np.ones((2, 2))))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_singular_constant_term_raises_when_factored(dtype):
+    # rank one with no zero column: elimination meets the zero pivot in
+    # column 1, and must report it as DegenerateSystem at every dtype
+    c = np.zeros((3, 2, 2), dtype=dtype)
+    c[0] = [[1, 2], [2, 4]]
+    c[1] = np.eye(2)
+    with pytest.raises(DegenerateSystem):
+        jet_solver(Jet(c))
+
+
 def test_det_identity_and_diagonal(rng):
     assert_allclose(det_jet(jet_eye(4, 3)).c, [1, 0, 0, 0], atol=1e-15)
     a, b = random_jet(rng, 5), random_jet(rng, 5)

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pentalab.linalg import lu_solver
+from pentalab.linalg import (SingularMatrixError, det_dense, lstsq_dense,
+                             lu_solver, null_basis, solve_dense)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -29,3 +32,99 @@ def test_lu_solver_returns_a_plain_function(rng):
     import types
 
     assert type(lu_solver(rng.standard_normal((2, 2)))) is types.FunctionType
+
+
+# -- the extended path against exact rational answers ---------------------------
+
+RTOL_EXTENDED = 1e-17  # a float64 answer misses this on non-dyadic solutions
+
+
+def rational_solve(a, b):
+    """(x, det) of integer a @ x = b by Gauss-Jordan over the rationals."""
+    n = len(a)
+    m = [[Fraction(int(v)) for v in row] + [Fraction(int(v)) for v in rhs]
+         for row, rhs in zip(a, b)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next(i for i in range(k, n) if m[i][k] != 0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k] / m[k][k]
+                m[i] = [u - f * v for u, v in zip(m[i], m[k])]
+    return [[v / m[i][i] for v in m[i][n:]] for i in range(n)], det
+
+
+def rel_err(got, want):
+    """Largest |got - want| over the largest |want|, exactly."""
+    got = np.atleast_2d(np.asarray(got).reshape(len(want), -1))
+    err = max(abs(Fraction(*g.as_integer_ratio()) - w)
+              for grow, wrow in zip(got, want) for g, w in zip(grow, wrow))
+    return float(err / max(abs(w) for wrow in want for w in wrow))
+
+
+def integer_systems(rng, count=12):
+    for t in range(count):
+        n = 2 + t % 4
+        a = rng.integers(-3, 4, (n, n)) + 9 * np.eye(n, dtype=int)
+        yield a, rng.integers(-5, 6, (n, 2))
+
+
+def test_extended_solve_and_det_match_rationals(rng):
+    worst64 = 0.0
+    for a, b in integer_systems(rng):
+        want, det = rational_solve(a, b)
+        got = solve_dense(a.astype(np.longdouble), b.astype(np.longdouble))
+        assert got.dtype == np.longdouble
+        assert rel_err(got, want) <= RTOL_EXTENDED
+        for j in range(b.shape[1]):
+            col = lu_solver(a.astype(np.longdouble))(b[:, j].astype(np.longdouble))
+            assert rel_err(col, [[w[j]] for w in want]) <= RTOL_EXTENDED
+        got_det = det_dense(a.astype(np.longdouble))
+        assert got_det.dtype == np.longdouble
+        assert rel_err(got_det, [[det]]) <= RTOL_EXTENDED
+        worst64 = max(worst64, rel_err(np.linalg.solve(a, b), want))
+    assert worst64 > RTOL_EXTENDED  # the tolerance tells the precisions apart
+
+
+def test_extended_lstsq_matches_rational_normal_equations(rng):
+    worst64 = 0.0
+    for t in range(12):
+        n = 2 + t % 3
+        v = rng.integers(-4, 5, (n + 3, n))
+        y = rng.integers(-5, 6, (n + 3, 1))
+        want, det = rational_solve(v.T @ v, v.T @ y)
+        assert det != 0
+        got = lstsq_dense(v.astype(np.longdouble), y.astype(np.longdouble))
+        assert got.dtype == np.longdouble
+        assert rel_err(got, want) <= RTOL_EXTENDED
+        worst64 = max(worst64, rel_err(lstsq_dense(v.astype(float), y), want))
+    assert worst64 > RTOL_EXTENDED
+
+
+def test_extended_singular_matrix_fails_at_factorization():
+    a = np.array([[1, 2], [2, 4]], dtype=np.longdouble)
+    with pytest.raises(SingularMatrixError):
+        lu_solver(a)
+    assert det_dense(a) == 0
+
+
+# -- one rank rule for the orthogonal complement --------------------------------
+
+
+@pytest.mark.parametrize("gap", [1e-12, 3e-10, 5e-10, 8e-10, 1e-9, 1e-6])
+def test_null_basis_rank_verdict_is_the_same_at_both_dtypes(gap):
+    def verdict(dtype):
+        a = np.array([[1, 2, 3, 4], [1, 2, 3, 4]], dtype=dtype)
+        a[1, 3] += dtype(gap)
+        try:
+            basis = null_basis(a)
+        except SingularMatrixError:
+            return "dependent"
+        assert basis.dtype == dtype and basis.shape == (2, 4)
+        return "independent"
+
+    assert verdict(np.float64) == verdict(np.longdouble)
