@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .curves import gamma_jet, normalized_lift
+from .curves import _lift_coeffs, normalized_lift
 from .jets import DegenerateSystem, Jet, det_jet, jet_solver
 
 
@@ -26,13 +26,16 @@ def build_spans(spec, chi, x, eps, kmax):
 
     The jets are taken in the curve variable itself, so every span (and the
     intersection point computed from them) lives at the common base point x.
+    Nodes shared by several groups are lifted once, all in one pass.
     """
     if eps == 0:
         raise ValueError("eps must be nonzero")
     if chi.d != spec.d:
         raise ValueError("configuration dimension does not match the curve")
-    return [Jet(np.stack([gamma_jet(spec, x + p * eps, kmax).c for p in g],
-                         axis=1), copy=False)
+    nodes = sorted({p for g in chi.groups for p in g})
+    coeffs = _lift_coeffs(spec, x + np.array(nodes) * eps, kmax)[0]
+    lifts = np.moveaxis(coeffs, -1, 1)  # (K+1, node, d+1)
+    return [Jet(lifts[:, [nodes.index(p) for p in g]], copy=False)
             for g in chi.groups]
 
 

@@ -96,13 +96,16 @@ class RunConfig:
             check_kmax(rc.kmax, rc.dtype)
         except ValueError as exc:
             raise UsageError(f"--{exc}")
-        rc.ladder = EpsLadder(args.eps0, args.ratio, args.count)
+        try:
+            rc.ladder = EpsLadder(args.eps0, args.ratio, args.count)
+        except ValueError as exc:
+            raise UsageError(str(exc))
 
         spec = None
         if args.curve != "random":
             try:
                 spec = CurveSpec.load(args.curve, dtype=rc.dtype)
-            except (OSError, KeyError, json.JSONDecodeError) as exc:
+            except (OSError, KeyError, ValueError) as exc:
                 raise UsageError(f"cannot load curve from {args.curve!r}: {exc}")
 
         chi_arg = args.chi
@@ -112,7 +115,7 @@ class RunConfig:
         else:
             try:
                 rc.chi = ChiConfig.load(chi_arg)
-            except (OSError, KeyError, json.JSONDecodeError) as exc:
+            except (OSError, KeyError, ValueError) as exc:
                 raise UsageError(f"cannot load chi from {chi_arg!r}: {exc}")
             rc.applied_shift = 0.0
 
@@ -252,7 +255,7 @@ def cmd_realize34(args):
     else:
         try:
             chi = ChiConfig.load(args.chi)
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, ValueError) as exc:
             raise UsageError(f"cannot load chi from {args.chi!r}: {exc}")
     curves = [random_curve_spec(3, seed=args.seed + k)
               for k in range(args.probes)]
@@ -271,8 +274,6 @@ def cmd_dof(args):
 def _add_output_flags(p):
     p.add_argument("--out", default="-", help="report path, - for stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for random curves, recorded in the report")
 
 
 def _add_run_flags(p, kmax_default=2):
@@ -297,6 +298,8 @@ def _add_run_flags(p, kmax_default=2):
     p.add_argument("--kmax", type=int, default=kmax_default)
     p.add_argument("--precision", choices=("double", "extended"),
                    default="double")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for random curves, recorded in the report")
     _add_output_flags(p)
 
 
@@ -355,6 +358,8 @@ def build_parser():
     p.add_argument("--root-index", type=int, default=0)
     p.add_argument("--probes", type=int, default=3)
     p.add_argument("--x", type=float, default=0.3)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for random curves, recorded in the report")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_realize34, needs_run_config=False)
 

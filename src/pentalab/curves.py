@@ -22,10 +22,13 @@ visited anchor keeps its frame and, once needed, its order-14 Taylor series,
 so stepping on and the last partial step to x are Horner evaluations of a
 cached series.  A walk evaluates the u-jets of the anchors it newly needs
 in one pass over the u-trees (``u_jet`` at an array of points, at most
-``_AHEAD`` anchors per pass) before it steps.  Lift jets are memoized on
-the spec by exact (x, order), up to ``_LIFT_MEMO`` entries, oldest evicted
-first.  Neither cache changes a result: anchor frames do not depend on the
-order in which points are asked.
+``_AHEAD`` anchors per pass) before it steps.  The cache never changes a
+result: anchor frames do not depend on the order in which points are asked.
+
+Lift jets are not cached.  ``_lift_coeffs`` takes an array of points and
+evaluates their u-jets in one pass over the u-trees, so one application of
+the map (``chimap.build_spans``) lifts all its distinct nodes in one pass;
+``gamma_jet`` is the one-point case.
 """
 
 import functools
@@ -43,9 +46,6 @@ _STEP_ORDER = 14
 # anchors whose u-jets one pass evaluates ahead of a walk (x = 64 away):
 # bounds the memory of a long walk that the frame check may cut short
 _AHEAD = 1024
-# lift jets kept per spec: 4x the most distinct (x, order) one benchmark
-# command asks for (232, lax-verify at d = 3)
-_LIFT_MEMO = 1024
 
 
 class IntegrationFailure(Exception):
@@ -87,7 +87,6 @@ class CurveSpec:
         self._lo = self._hi = 0
         # anchor j -> u-jet, evaluated ahead of a walk and not yet used
         self._ahead = {}
-        self._lifts = {}
 
     # -- serialization --------------------------------------------------
 
@@ -222,28 +221,21 @@ def _frame_from_coeffs(g, h, d):
     return out
 
 
-def _lift_coeffs(spec, x, order):
-    """Read-only coefficient arrays at x of the lift, (order+1, d+1), and of
-    the u_i it was built from, (order+1, d); memoized on the spec."""
+def _lift_coeffs(spec, xs, order):
+    """Coefficient arrays of the lift, (order+1, d+1, P), and of the u_i it
+    was built from, (order+1, d, P), at a 1-D array of P points: one pass
+    over the u-trees serves every point."""
     if order < spec.d:
         raise ValueError(f"jet order must be at least d = {spec.d}")
-    # exact: float(x) would merge extended-precision points one double apart
-    key = (x if isinstance(x, np.longdouble) else float(x), order)
-    hit = spec._lifts.get(key)
-    if hit is None:
-        frame = spec.frame_at(x)
-        u = spec.u_jet(x, order).c
-        g = _ode_taylor_coeffs(u, frame, spec.d, order)
-        g.flags.writeable = False
-        if len(spec._lifts) >= _LIFT_MEMO:
-            del spec._lifts[next(iter(spec._lifts))]
-        hit = spec._lifts[key] = (g, u)
-    return hit
+    u = spec.u_jet(xs, order).c
+    g = np.stack([_ode_taylor_coeffs(u[..., i], spec.frame_at(x), spec.d, order)
+                  for i, x in enumerate(xs)], axis=-1)
+    return g, u
 
 
 def gamma_jet(spec: CurveSpec, x, order) -> Jet:
     """Jet (order+1, d+1) of the normalized lift at x, to the given order (>= d)."""
-    return Jet(_lift_coeffs(spec, x, order)[0], copy=False)
+    return Jet(_lift_coeffs(spec, np.array([x]), order)[0][..., 0], copy=False)
 
 
 def wronskian(spec: CurveSpec, x) -> float:

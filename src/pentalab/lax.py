@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .chimap import chi_map_point
-from .curves import _lift_coeffs, gamma_jet
+from .curves import _lift_coeffs
 from .discretize import _curve_points, coords_from_samples, tilde_a
 from .expansion import FIRST_ORDER_TOL, EpsLadder, _extract
 from .fitting import fit_poly, loglog_slope
@@ -44,9 +44,9 @@ def u_matrix(spec, x):
 def _q2_gamma(spec, x, depth):
     """Jets of the lift Γ and of Q_2 Γ = Γ'' + 2 u_{d-1} Γ/(d+1) at x."""
     d = spec.d
-    g = gamma_jet(spec, x, depth)
-    u = _lift_coeffs(spec, x, depth)[1]  # the u-jet g was built from
-    return g, g.derivative().derivative() + g * Jet(u[:, d - 1]) * (2.0 / (d + 1))
+    g, u = _lift_coeffs(spec, np.array([x]), depth)
+    g = Jet(g[..., 0], copy=False)
+    return g, g.derivative().derivative() + g * Jet(u[:, d - 1, 0]) * (2.0 / (d + 1))
 
 
 def _v_jets(g, q2g, c):

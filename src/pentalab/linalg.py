@@ -145,4 +145,5 @@ def null_basis(a):
     rank = int(np.sum(s > _NULL_RTOL * max(smax, 1.0)))
     if rank < m:
         raise SingularMatrixError("input rows are numerically dependent")
-    return vt[rank:].astype(a.dtype, copy=False)
+    # the rows of Vᴴ past the rank are the conjugates of null vectors
+    return vt[rank:].conj().astype(a.dtype, copy=False)

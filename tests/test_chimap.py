@@ -9,7 +9,8 @@ from pentalab.chimap import (
     coplanarity_residual,
     intersect_spans,
 )
-from pentalab.configs import dual_dented_chi, dual_dented_shift, short_diagonal_chi
+from pentalab.configs import (dual_dented_chi, dual_dented_shift, evenly_spaced_chi,
+                              short_diagonal_chi)
 from pentalab.curves import gamma_jet, random_curve_spec, zero_curve_spec
 from pentalab.jets import Jet
 
@@ -92,6 +93,41 @@ def test_build_spans_rejects_zero_eps(curve_d2):
 def test_build_spans_rejects_dim_mismatch(curve_d2):
     with pytest.raises(ValueError):
         build_spans(curve_d2, short_diagonal_chi(3), 0.0, 0.1, 6)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("chi", [
+    short_diagonal_chi(2), short_diagonal_chi(3), short_diagonal_chi(4),
+    dual_dented_chi(3, 1),  # groups share nodes 1, 2 and 3
+    evenly_spaced_chi([0.0, 1.0], 0.25, 2),
+], ids=["sd2", "sd3", "sd4", "dd3", "es2"])
+def test_build_spans_equals_the_per_point_lifts(chi, dtype):
+    spec = random_curve_spec(chi.d, seed=7, dtype=dtype)
+    x, eps, k = 0.45, dtype(0.13) / 3, 2 * chi.d + 2
+    spans = build_spans(spec, chi, x, eps, k)
+    for s, g in zip(spans, chi.groups):
+        want = np.stack([gamma_jet(spec, x + p * eps, k).c for p in g], axis=1)
+        assert s.c.dtype == want.dtype == dtype
+        assert np.array_equal(s.c, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_warm_build_spans_walks_each_u_tree_once(d, monkeypatch):
+    import pentalab.curves
+
+    spec = random_curve_spec(d, seed=7)
+    chi = short_diagonal_chi(d)
+    build_spans(spec, chi, 0.41, 0.1, 2 * d + 2)  # visits the anchors
+    calls = []
+    inner = pentalab.curves.eval_jet
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
+    build_spans(spec, chi, 0.41, 0.0999, 2 * d + 2)
+    assert len(calls) == d  # one per u-tree, for every distinct node at once
 
 
 # -- the full map ---------------------------------------------------------------

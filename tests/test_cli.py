@@ -69,6 +69,13 @@ class TestFamilies:
         assert code == 2
         assert "--p" in err
 
+    def test_seed_is_not_accepted(self, capsys):
+        # families draws no random curve, so the flag would be a no-op
+        with pytest.raises(SystemExit) as exc:
+            main(["families", "short-diagonal", "--d", "3", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestExpand:
     def test_json_report(self, capsys):
@@ -146,6 +153,32 @@ class TestExpand:
         code, _, err = run(capsys, ["expand", "--chi", "no-such.json"])
         assert code == 2
         assert "cannot load chi" in err
+
+    @pytest.mark.parametrize("argv, file, why", [
+        (["expand", "--d", "2", "--eps0", "-1"], None, "eps0 must be positive"),
+        (["expand", "--d", "2", "--ratio", "1.5"], None, "ratio must lie"),
+        (["expand", "--d", "2", "--count", "3"], None, "at least 8 rungs"),
+        (["expand", "--chi"], {"d": 2, "groups": [[0, 0], [-1, 1]]},
+         "repeated node"),
+        (["realize34", "--chi"], {"d": 3, "groups": [[0, 0, 1], [1, 2, 3],
+                                                     [4, 5, 6]]},
+         "repeated node"),
+        (["expand", "--curve"], {"d": 2, "x0": 0.0, "F0": [[0, 0, 0]] * 3,
+                                 "u": [{"op": "const", "value": 0.0}] * 2},
+         "singular"),
+    ], ids=["eps0", "ratio", "count", "chi-repeated-node",
+            "realize34-repeated-node", "singular-frame"])
+    def test_bad_input_is_a_usage_error(self, capsys, tmp_path, argv, file,
+                                        why):
+        # rejected before any extraction runs, so exit 2, not a run error
+        if file is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(file))
+            argv = argv + [str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and why in err
 
     def test_blown_up_frame_is_a_run_error(self, capsys, tmp_path):
         path = tmp_path / "curve.json"

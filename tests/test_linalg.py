@@ -128,3 +128,12 @@ def test_null_basis_rank_verdict_is_the_same_at_both_dtypes(gap):
         return "independent"
 
     assert verdict(np.float64) == verdict(np.longdouble)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 4)])
+def test_null_basis_annihilates_complex_input(shape):
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    basis = null_basis(a)
+    assert basis.shape == (shape[1] - shape[0], shape[1])
+    assert np.max(np.abs(a @ basis.T)) <= 1e-14
