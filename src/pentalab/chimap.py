@@ -6,6 +6,14 @@ single projective point.  Everything is carried as jets in the curve variable
 so the output is again a curve germ, which `curves.normalized_lift` rescales
 to the unit-Wronskian representative.  A span of q+1 points is one matrix jet
 of shape (K+1, q+1, d+1), its rows the lift jets of the points.
+
+One application maps a whole batch of (x, eps) pairs: x and eps may be
+arrays that broadcast to a batch shape, and every stage then carries that
+shape in the tail ahead of its own axes, (K+1, *batch, q+1, d+1) for a
+span.  All the nodes of the batch are lifted in one pass over the u-trees,
+and each solve, nullspace and determinant is one stacked call, so a whole
+step ladder costs about what one rung did.  A number for x and for eps is
+the batch of one pair with no batch axes.
 """
 
 from itertools import combinations
@@ -26,16 +34,21 @@ def build_spans(spec, chi, x, eps, kmax):
 
     The jets are taken in the curve variable itself, so every span (and the
     intersection point computed from them) lives at the common base point x.
-    Nodes shared by several groups are lifted once, all in one pass.
+    Arrays x and eps give each span the batch shape they broadcast to ahead
+    of its (q+1, d+1) matrix.  Every node of every pair is lifted in one
+    pass; a node shared by several groups is lifted once.
     """
-    if eps == 0:
+    x, eps = np.asarray(x), np.asarray(eps)
+    if np.any(eps == 0):
         raise ValueError("eps must be nonzero")
     if chi.d != spec.d:
         raise ValueError("configuration dimension does not match the curve")
     nodes = sorted({p for g in chi.groups for p in g})
-    coeffs = _lift_coeffs(spec, x + np.array(nodes) * eps, kmax)[0]
-    lifts = np.moveaxis(coeffs, -1, 1)  # (K+1, node, d+1)
-    return [Jet(lifts[:, [nodes.index(p) for p in g]], copy=False)
+    points = x[..., None] + np.array(nodes) * eps[..., None]
+    coeffs = _lift_coeffs(spec, points.reshape(-1), kmax)[0]
+    lifts = np.moveaxis(coeffs, 1, -1).reshape(
+        (kmax + 1,) + points.shape + (spec.d + 1,))  # (K+1, *batch, node, d+1)
+    return [Jet(lifts[..., [nodes.index(p) for p in g], :], copy=False)
             for g in chi.groups]
 
 
@@ -49,53 +62,56 @@ def _span_normals(span):
     gets all the normals of the span from one solve.
     """
     order = span.order
-    m, n = span.c.shape[1:]
+    m, n = span.c.shape[-2:]
+    stack = span.c.shape[1:-2]
     want = n - m
     if want == 0:
-        return Jet(np.zeros((order + 1, 0, n), dtype=span.c.dtype), copy=False)
+        return Jet(np.zeros((order + 1,) + stack + (0, n), dtype=span.c.dtype),
+                   copy=False)
     try:
-        comp = linalg.null_basis(span.value)
+        comp = linalg.null_bases(span.value)
     except linalg.SingularMatrixError as exc:
         raise DegenerateIntersection(
             f"span vectors numerically dependent: {exc}") from exc
     dtype = np.result_type(comp.dtype, span.c.dtype)
-    a = np.zeros((order + 1, n, n), dtype=dtype)
-    a[:, :m] = span.c
-    a[0, m:] = comp
-    rhs = np.zeros((order + 1, n, want), dtype=dtype)
-    rhs[0, m:] = np.eye(want)
+    a = np.zeros((order + 1,) + stack + (n, n), dtype=dtype)
+    a[..., :m, :] = span.c
+    a[0, ..., m:, :] = comp
+    rhs = np.zeros((order + 1,) + stack + (n, want), dtype=dtype)
+    rhs[0, ..., m:, :] = np.eye(want)
     normals = jet_solver(Jet(a, copy=False))(Jet(rhs, copy=False))
-    return Jet(normals.c.transpose(0, 2, 1), copy=False)
+    return Jet(np.swapaxes(normals.c, -1, -2), copy=False)
 
 
 def intersect_spans(spans):
-    """The common point of the spans as a (K+1, d+1) jet.
+    """The common point of the spans as a (K+1, d+1) jet, or (K+1, *batch,
+    d+1) for spans over a batch.
 
-    The point is gauged so its largest constant-term component equals one;
+    Each point is gauged so its largest constant-term component equals one;
     callers renormalize afterwards.  Raises DegenerateIntersection when the
     stacked conditions do not cut down to a single point.
     """
-    n = spans[0].c.shape[2]
+    n = spans[0].c.shape[-1]
     d = n - 1
-    codim = sum(n - s.c.shape[1] for s in spans)
+    codim = sum(n - s.c.shape[-2] for s in spans)
     if codim != d:
         raise ValueError(f"constraint count {codim} does not match d = {d}")
-    if any(s.c.shape[2] != n for s in spans):
+    if any(s.c.shape[-1] != n for s in spans):
         raise ValueError("spans live in different ambient spaces")
     order = min(s.order for s in spans)
     rows = np.concatenate([_span_normals(s).c[:order + 1] for s in spans],
-                          axis=1)
+                          axis=-2)
     try:
-        g0 = linalg.null_basis(rows[0])
+        g0 = linalg.null_bases(rows[0])
     except linalg.SingularMatrixError as exc:
         raise DegenerateIntersection(
             f"stacked constraints are rank deficient: {exc}") from exc
-    pivot = int(np.argmax(np.abs(g0[0])))
-    a = np.zeros((order + 1, n, n), dtype=rows.dtype)
-    a[:, :d] = rows
-    a[0, d, pivot] = 1
-    rhs = np.zeros((order + 1, n), dtype=rows.dtype)
-    rhs[0, d] = 1
+    pivot = np.argmax(np.abs(g0[..., 0, :]), axis=-1)
+    a = np.zeros(rows.shape[:-2] + (n, n), dtype=rows.dtype)
+    a[..., :d, :] = rows
+    a[0, ..., d, :] = np.arange(n) == pivot[..., None]
+    rhs = np.zeros(rows.shape[:-2] + (n,), dtype=rows.dtype)
+    rhs[0, ..., d] = 1
     try:
         return jet_solver(Jet(a, copy=False))(Jet(rhs, copy=False))
     except DegenerateSystem as exc:
@@ -124,10 +140,12 @@ def chi_map_point(spec, chi, x, eps, kmax):
 
     Returns (lift, u): the output lift as a (K-d+1, d+1) jet and its d
     coefficients as a (K-2d, d) jet.  kmax must leave enough orders for the
-    Wronskian rescaling and the coefficient extraction behind it.
+    Wronskian rescaling and the coefficient extraction behind it.  Arrays x
+    and eps map the whole batch of pairs they broadcast to in one pass, and
+    both jets then carry the batch shape ahead of their last axis.
     """
     if kmax < 2 * spec.d + 2:
         raise ValueError(f"need jet order >= {2 * spec.d + 2} to renormalize")
     spans = build_spans(spec, chi, x, eps, kmax)
     point = intersect_spans(spans)
-    return normalized_lift(point, spec.d, ref=spec.frame_at(x)[0])
+    return normalized_lift(point, spec.d, ref=spec.frame_at(x)[..., 0, :])

@@ -24,16 +24,21 @@ from .configs import (
     solve_alpha_diag,
 )
 from .curves import CurveSpec, DegenerateLift, IntegrationFailure, random_curve_spec
-from .expansion import (FIRST_ORDER_TOL, EpsLadder, _constancy, check_kmax,
-                        extract_alphas, kdv_rhs_check)
-from .jets import DegenerateSystem
+from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized, _constancy,
+                        check_kmax, extract_alphas, kdv_rhs_check)
+from .jets import DegenerateSystem, NonPositiveBase
+from .kdvops import CommutatorResidue
 from .lax import lax_limit_diagnostics
 from .linalg import SingularMatrixError
-from .realize import check_34, dof_lower_bound, mari_beffa_family, r_poly_roots
+from .realize import (DegenerateProbes, NotPlaneConfig, check_34,
+                      dof_lower_bound, mari_beffa_family, r_poly_roots)
 
 _FAMILY_NAMES = ("short-diagonal", "evenly-spaced", "dual-dented")
+# what a run can meet on a geometry it cannot handle; anything else is a
+# bug and is raised, not reported as a failed run
 _RUN_ERRORS = (DegenerateIntersection, DegenerateLift, DegenerateSystem,
-               IntegrationFailure, SingularMatrixError, RuntimeError, ValueError)
+               IntegrationFailure, SingularMatrixError, NotCentralized,
+               NonPositiveBase, DegenerateProbes, CommutatorResidue)
 
 
 class UsageError(Exception):
@@ -259,7 +264,10 @@ def cmd_realize34(args):
             raise UsageError(f"cannot load chi from {args.chi!r}: {exc}")
     curves = [random_curve_spec(3, seed=args.seed + k)
               for k in range(args.probes)]
-    report = check_34(chi, curves, args.x)
+    try:
+        report = check_34(chi, curves, args.x)
+    except NotPlaneConfig as exc:
+        raise UsageError(str(exc))
     payload = {"schema": 1, "seed": args.seed, "x": float(args.x),
                **report.to_dict()}
     _emit(payload, args.out, args.format)

@@ -24,11 +24,16 @@ cached series.  A walk evaluates the u-jets of the anchors it newly needs
 in one pass over the u-trees (``u_jet`` at an array of points, at most
 ``_AHEAD`` anchors per pass) before it steps.  The cache never changes a
 result: anchor frames do not depend on the order in which points are asked.
+``frame_at`` also takes an array of points: it walks out to the farthest
+ones, then takes every partial step in one Horner pass, each point's frame
+bit for bit the one a one-point call gives.
 
-Lift jets are not cached.  ``_lift_coeffs`` takes an array of points and
-evaluates their u-jets in one pass over the u-trees, so one application of
-the map (``chimap.build_spans``) lifts all its distinct nodes in one pass;
-``gamma_jet`` is the one-point case.
+Lift jets are not cached.  ``_lift_coeffs`` takes an array of points,
+evaluates their u-jets in one pass over the u-trees and runs the ODE
+recursion for all of them at once, so one application of the map
+(``chimap.build_spans``), over a whole batch of (x, eps) pairs, lifts all
+its nodes in one pass; ``gamma_jet`` is the one-point case.
+``normalized_lift`` takes a stack of raw lifts as well.
 """
 
 import functools
@@ -143,47 +148,71 @@ class CurveSpec:
                                            _STEP_ORDER)
         return anchor[1]
 
-    def frame_at(self, x):
-        """Rows g(x), g'(x), ..., g^(d)(x) of the normalized lift."""
-        j_target = int(math.floor((x - self.x0) / _STEP + 0.5))
+    def _walk(self, j_target, partial):
+        """Visit every anchor from the cached run out to j_target; partial
+        says whether a point then takes a partial step from j_target."""
         j = min(max(j_target, self._lo), self._hi)
-        h = x - (self.x0 + j_target * _STEP)
         step = 1 if j_target > j else -1
         # the walk reads a series at every anchor it steps from, and at the
         # target when the last step is partial
-        stop = j_target + step if h != 0.0 else j_target
+        stop = j_target + step if partial else j_target
         while j != j_target:
-            frame = _frame_from_coeffs(self._taylor(j, stop, step), step * _STEP, self.d)
+            frame = _frame_from_coeffs(self._taylor(j, stop, step),
+                                       step * _STEP, self.d)
             if not np.all(np.isfinite(frame)) or np.max(np.abs(frame)) > 1e12:
                 raise IntegrationFailure(f"frame blew up near x = {self.x0 + j * _STEP:g}")
             j += step
             self._anchors[j] = [frame, None]
             self._lo, self._hi = min(self._lo, j), max(self._hi, j)
-        if h == 0.0:
-            return self._anchors[j][0].copy()
-        out = _frame_from_coeffs(self._taylor(j, stop, step), h, self.d)
-        if not np.all(np.isfinite(out)):
-            raise IntegrationFailure(f"frame blew up near x = {x:g}")
-        return out
+
+    def frame_at(self, x):
+        """Rows g(x), g'(x), ..., g^(d)(x) of the normalized lift; an array
+        of points gives one frame per point, (*x.shape, d+1, d+1)."""
+        x = np.asarray(x)
+        xs = x.reshape(-1)
+        js = np.floor((xs - self.x0) / _STEP + 0.5).astype(np.int64)
+        hs = xs - (self.x0 + js * _STEP)
+        partial = hs != 0.0
+        for j in {int(js.max()), int(js.min())}:
+            self._walk(j, bool(np.any(partial & (js == j))))
+        need = [j for j in sorted(set(js[partial].tolist()))
+                if self._anchors[j][1] is None]
+        fresh = [j for j in need if j not in self._ahead]
+        if fresh:  # series the walks left out: their u-jets in one pass
+            u = self.u_jet(self.x0 + np.array(fresh) * _STEP, _STEP_ORDER).c
+            self._ahead.update(zip(fresh, np.moveaxis(u, -1, 0)))
+        for j in need:
+            anchor = self._anchors[j]
+            anchor[1] = _ode_taylor_coeffs(self._ahead.pop(j), anchor[0],
+                                           self.d, _STEP_ORDER)
+        out = np.stack([self._anchors[j][0] for j in js.tolist()])
+        if partial.any():
+            series = np.stack([self._anchors[j][1] for j in js[partial].tolist()],
+                              axis=-1)
+            frames = np.moveaxis(_frame_from_coeffs(series, hs[partial], self.d), -1, 0)
+            bad = ~np.all(np.isfinite(frames), axis=(1, 2))
+            if bad.any():
+                raise IntegrationFailure(
+                    f"frame blew up near x = {xs[partial][bad.argmax()]:g}")
+            out[partial] = frames
+        return out.reshape(x.shape + out.shape[1:])
 
 
 @functools.lru_cache(maxsize=None)
 def _ode_table(order, d):
     """Per-order index and weight arrays of the ODE recursion, read-only.
 
-    Entry m is a tuple over i < d of (rows, weights): rows j + i and
-    weights (j + i)!/j! for j = m..0, plus the divisor (m + d + 1)!/m!.
+    Entry m is (rows, weights, divisor): row i < d of rows holds j + i and
+    of weights (j + i)!/j! for j = m..0, and the divisor is (m + d + 1)!/m!.
     """
     falling = _falling_table(order)
     table = []
     for m in range(order - d):
         js = np.arange(m, -1, -1)  # j = m-k as k runs 0..m
-        terms = []
-        for i in range(d):
-            rows, weights = js + i, falling[i, js + i]
-            rows.flags.writeable = weights.flags.writeable = False
-            terms.append((rows, weights))
-        table.append((tuple(terms), falling[d + 1, m + d + 1]))
+        rows = js + np.arange(d)[:, None]
+        weights = falling[np.arange(d)[:, None], rows]
+        rows.flags.writeable = weights.flags.writeable = False
+        table.append((rows, weights, falling[d + 1, m + d + 1]))
     return tuple(table)
 
 
@@ -193,44 +222,56 @@ def _ode_taylor_coeffs(u_coeffs, frame, d, order):
     Rows 0..d come from the frame; higher rows from the ODE recursion
     g^(d+1) = -sum_i u_i g^(i), expanded coefficientwise with u_coeffs the
     (order+1, d) array of the u_i: the m-th Taylor coefficient of
-    u_i g^(i) is sum_k u_i[k] * g[m-k+i] * (m-k+i)!/(m-k)!.
+    u_i g^(i) is sum_k u_i[k] * g[m-k+i] * (m-k+i)!/(m-k)!, one vector-matrix
+    product per i, summed in order of i.  A trailing axis of P points on
+    u_coeffs and on the frame, (d+1, d+1, P), gives (order+1, d+1, P).
     """
+    one = frame.ndim == 2
+    if one:
+        u_coeffs, frame = u_coeffs[..., None], frame[..., None]
+    # point-major contiguous operands (``take``, where ``g[:, rows]`` is
+    # not): one stacked matmul then makes every product with the BLAS call
+    # a lone product makes, so each point's result is the same bit for bit
+    u = np.ascontiguousarray(np.transpose(u_coeffs, (2, 1, 0)))  # (P, d, order+1)
     dtype = frame.dtype
-    g = np.zeros((order + 1, d + 1), dtype=dtype)
+    g = np.zeros((u.shape[0], order + 1, d + 1), dtype=dtype)
     for k in range(d + 1):
-        g[k] = frame[k] / math.factorial(k)
-    for m, (terms, divisor) in enumerate(_ode_table(order, d)):
-        acc = np.zeros(d + 1, dtype=dtype)
-        for i, (rows, weights) in enumerate(terms):
-            acc += (u_coeffs[: m + 1, i] * weights) @ g[rows]
-        g[m + d + 1] = -acc / divisor
-    return g
+        g[:, k] = frame[k].T / math.factorial(k)
+    for m, (rows, weights, divisor) in enumerate(_ode_table(order, d)):
+        terms = (u[:, :, None, : m + 1] * weights[:, None]) @ np.take(g, rows, axis=1)
+        acc = np.zeros((u.shape[0], d + 1), dtype=dtype)
+        for i in range(d):
+            acc += terms[:, i, 0]
+        g[:, m + d + 1] = -acc / divisor
+    g = np.moveaxis(g, 0, -1)
+    return g[..., 0] if one else g
 
 
 def _frame_from_coeffs(g, h, d):
     """Evaluate rows g^(k)(t+h), k = 0..d, from Taylor coefficients at t.
 
-    One Horner pass for all rows: row k takes the terms m = order..k.
+    One Horner pass for all rows: row k takes the terms m = order..k.  A
+    trailing axis of P points on g and on h gives (d+1, d+1, P).
     """
     order = g.shape[0] - 1
     falling = _falling_table(order)
-    out = np.zeros((d + 1, d + 1), dtype=g.dtype)
+    tail = (1,) * (g.ndim - 1)
+    out = np.zeros((d + 1,) + g.shape[1:], dtype=g.dtype)
     for m in range(order, -1, -1):
         k = min(m, d) + 1
-        out[:k] = out[:k] * h + g[m] * falling[:k, m, None]
+        out[:k] = out[:k] * h + g[m] * falling[:k, m].reshape((k,) + tail)
     return out
 
 
 def _lift_coeffs(spec, xs, order):
     """Coefficient arrays of the lift, (order+1, d+1, P), and of the u_i it
     was built from, (order+1, d, P), at a 1-D array of P points: one pass
-    over the u-trees serves every point."""
+    over the u-trees and one run of the ODE recursion serve every point."""
     if order < spec.d:
         raise ValueError(f"jet order must be at least d = {spec.d}")
     u = spec.u_jet(xs, order).c
-    g = np.stack([_ode_taylor_coeffs(u[..., i], spec.frame_at(x), spec.d, order)
-                  for i, x in enumerate(xs)], axis=-1)
-    return g, u
+    frames = np.moveaxis(spec.frame_at(xs), 0, -1)
+    return _ode_taylor_coeffs(u, frames, spec.d, order), u
 
 
 def gamma_jet(spec: CurveSpec, x, order) -> Jet:
@@ -248,7 +289,9 @@ def normalized_lift(raw, d, ref=None):
 
     raw: (K+1, d+1) jet of the lift components, K >= 2d+1.
     Returns (lift, u): the rescaled lift as a (K-d+1, d+1) jet and the d
-    coefficients of the ODE it satisfies as a (K-2d, d) jet.
+    coefficients of the ODE it satisfies as a (K-2d, d) jet.  A stack of
+    lifts, (K+1, ..., d+1), is rescaled all at once, each on its own, and
+    gives stacks of both; ref then broadcasts against the stack.
 
     Sign handling: when d+1 is odd the real odd root of the Wronskian fixes
     the lift uniquely whatever the sign of W.  When d+1 is even the Wronskian
@@ -256,34 +299,36 @@ def normalized_lift(raw, d, ref=None):
     root normalize, so the leftover overall sign is chosen to make the dot
     product with ref positive when ref is given.
     """
-    if raw.c.shape[1:] != (d + 1,):
+    if raw.c.shape[-1] != d + 1 or raw.c.ndim < 2:
         raise ValueError(f"need {d + 1} components, got shape {raw.c.shape[1:]}")
     if raw.order < 2 * d + 1:
         raise ValueError(f"component jets must have order >= {2 * d + 1}")
 
     w = det_jet(derivative_stack(raw, d + 1))
-    w0 = float(w.value)
-    if w0 == 0.0 or not np.isfinite(w0):
+    w0 = w.value
+    if np.any(w0 == 0.0) or not np.all(np.isfinite(w0)):
         raise DegenerateLift("vanishing Wronskian")
     sign_free = (d + 1) % 2 == 0
     if not sign_free:  # d+1 odd: the odd root handles either sign of W
-        s = 1.0 if w0 > 0 else -1.0
-        f = ((w * s) ** (-1.0 / (d + 1))) * s
+        s = np.where(w0 > 0, 1.0, -1.0)
+        f = Jet(w.c * s, copy=False) ** (-1.0 / (d + 1))
+        f = Jet(f.c * s, copy=False)
     else:
-        if w0 < 0:
+        if np.any(w0 < 0):
             raise DegenerateLift("negative Wronskian admits no normalized lift")
         f = w ** (-1.0 / (d + 1))
 
-    scaled = f * raw
-    if sign_free and ref is not None and float(np.dot(ref, scaled.value)) < 0:
-        scaled = -scaled
+    scaled = Jet(f.c[..., None], copy=False) * raw
+    if sign_free and ref is not None:
+        flip = np.sum(ref * scaled.value, axis=-1) < 0
+        scaled = Jet(np.where(flip[..., None], -scaled.c, scaled.c), copy=False)
 
     frame = derivative_stack(scaled, d + 2)
     try:
-        coeffs = jet_solver(frame[:, :d + 1])(-frame[:, d + 1])
+        coeffs = jet_solver(frame[..., :d + 1])(-frame[..., d + 1])
     except DegenerateSystem as exc:
         raise DegenerateLift(f"frame not invertible: {exc}") from exc
-    return scaled, coeffs[:d]
+    return scaled, coeffs[..., :d]
 
 
 def random_curve_spec(d, seed=None, dtype=np.float64):

@@ -96,7 +96,7 @@ def coords_from_samples(pts, x, eps):
 
 def _curve_points(spec, x, eps, ks):
     """Points of the curve at x + k eps, one row per k."""
-    return np.stack([spec.frame_at(x + k * eps)[0] for k in ks])
+    return spec.frame_at(x + np.asarray(ks) * eps)[:, 0]
 
 
 def discrete_coords(spec, x, eps):

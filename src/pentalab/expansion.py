@@ -6,7 +6,8 @@ step sizes, is fitted by a polynomial in ε.  The fitted coefficient of ε^k on
 the j-th frame vector is the operator coefficient α_{k,j}.  The first two
 corrections are heavily structured (a bare first derivative, then a Schwarzian
 like second-order operator), and the checks in this module pin that structure
-against the fitted numbers.
+against the fitted numbers.  One application of the map covers every rung of
+the ladder, and every working point of a constancy check, at once.
 """
 
 import numpy as np
@@ -22,6 +23,10 @@ KMAX_EXTENDED = 6
 # |alpha_11| at or below this counts as no first-order term
 FIRST_ORDER_TOL = 1e-3
 _COND_LIMIT = 1e8
+
+
+class NotCentralized(ValueError):
+    """The configuration has a first-order term where the check needs none."""
 
 
 def check_kmax(kmax, dtype):
@@ -98,36 +103,34 @@ class ExpansionReport:
 
 def extract_alphas(spec, chi, x, ladder=None, kmax=2):
     """Fit the frame coordinates of the image curve on a step ladder."""
-    return _extract(spec, chi, x, ladder, kmax)[0]
+    return _extract(spec, chi, [x], ladder, kmax)[0][0]
 
 
-def _extract(spec, chi, x, ladder, kmax):
-    """(extract_alphas report, the image-curve point at x of every rung as
-    a (rungs, d+1) array)."""
+def _extract(spec, chi, xs, ladder, kmax):
+    """(an extract_alphas report per working point in xs, the image-curve
+    point at each of them on every rung, (len(xs), rungs, d+1)), from one
+    application of the map to every (x, rung) pair."""
     if ladder is None:
         ladder = EpsLadder()
     check_kmax(kmax, spec.dtype)
     d = spec.d
     eps = ladder.values(spec.dtype)
-    frame = spec.frame_at(x)
-    solve = lu_solver(frame.T.copy())
-    korder = 2 * d + 2
-    points = []
-    # frame coordinates in columns 0..d, curve invariants after them
-    samples = np.empty((eps.size, 2 * d + 1), dtype=spec.dtype)
-    for idx, e in enumerate(eps):
-        lifted, u = chi_map_point(spec, chi, x, e, korder)
-        points.append(lifted.value)
-        samples[idx, :d + 1] = solve(lifted.value)
-        samples[idx, d + 1:] = u.value
-    coeffs, sigma, fit_residual, cond = fitting.fit_poly(eps, samples,
-                                                         kmax + 2)
-    flagged = cond > _COND_LIMIT
-    if flagged:
-        sigma = sigma * (cond / _COND_LIMIT)
-    return ExpansionReport(x, d, kmax, coeffs[:kmax + 1, :d + 1],
-                           sigma[:kmax + 1, :d + 1], fit_residual,
-                           coeffs[2, d + 1:], flagged), np.stack(points)
+    lifted, u = chi_map_point(spec, chi, np.asarray(xs)[:, None], eps,
+                              2 * d + 2)
+    reports = []
+    for x, points, invariants in zip(xs, lifted.value, u.value):
+        solve = lu_solver(spec.frame_at(x).T.copy())
+        # frame coordinates in columns 0..d, curve invariants after them
+        samples = np.concatenate([solve(points.T).T, invariants], axis=1)
+        coeffs, sigma, fit_residual, cond = fitting.fit_poly(eps, samples,
+                                                             kmax + 2)
+        flagged = cond > _COND_LIMIT
+        if flagged:
+            sigma = sigma * (cond / _COND_LIMIT)
+        reports.append(ExpansionReport(
+            x, d, kmax, coeffs[:kmax + 1, :d + 1], sigma[:kmax + 1, :d + 1],
+            fit_residual, coeffs[2, d + 1:], flagged))
+    return reports, lifted.value
 
 
 def verify_G2_structure(report, spec, x):
@@ -160,7 +163,7 @@ def _constancy(spec, chi, xs, ladder, kmax):
     """(report at xs[0], diagonal spread over xs), one fit per point."""
     if len(set(float(x) for x in xs)) < 3:
         raise ValueError("need at least 3 distinct working points")
-    reports = [extract_alphas(spec, chi, x, ladder, kmax) for x in xs]
+    reports = _extract(spec, chi, xs, ladder, kmax)[0]
     diag = np.array([[r.alpha[i, i] for i in range(min(2, kmax) + 1)]
                      for r in reports])
     return reports[0], float(np.max(diag.max(axis=0) - diag.min(axis=0)))
@@ -174,7 +177,7 @@ def kdv_rhs_check(spec, chi, x, ladder=None, kmax=2):
     """
     report = extract_alphas(spec, chi, x, ladder, kmax)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
-        raise ValueError("configuration is not centralized at first order")
+        raise NotCentralized("configuration is not centralized at first order")
     u = spec.u_jet(x, JET_ORDER)
     flow = kdv_rhs(l_operator([u[i] for i in range(spec.d)]), 2)
     predicted = report.alpha[2, 2] * np.array([c.value for c in flow])

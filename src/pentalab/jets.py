@@ -8,6 +8,7 @@ the values, which may be a scalar, a vector (a lift of a curve) or a matrix
 convolution along axis 0 with the tails broadcast, so the series of a curve
 point, of a span or of a whole linear system is one object, and d/dx is
 exact: derivatives are coefficient shifts, never finite differences.
+Coefficients are real or complex; any other array is cast to float64.
 
 ``AnalyticFn`` is a tiny closed expression language (constants, x, +, -, *,
 /, sin, cos, powers) used for curve coefficient functions.  ``eval_jet``
@@ -22,7 +23,10 @@ their coefficient functions.
 
 Linear algebra over series (``jet_solver``, ``det_jet``) takes matrix jets
 and pivots on constant terms only: a system is solved order by order against
-the LU factorization of its constant-term matrix.
+the LU factorization of its constant-term matrix.  Both take a stack of
+matrix jets, the stack in the tail ahead of the matrix axes, and treat it in
+stacked calls; every product over series with a tail sums in a fixed order,
+so each member of a stack comes out as it would on its own.
 """
 
 import functools
@@ -35,6 +39,10 @@ from . import linalg
 
 class DegenerateSystem(Exception):
     """Constant-term matrix of a jet linear system is singular."""
+
+
+class NonPositiveBase(ValueError):
+    """Fractional power of a series whose constant term is not positive."""
 
 
 class Jet:
@@ -51,7 +59,7 @@ class Jet:
         c = np.array(coeffs, copy=copy)
         if c.ndim == 0 or len(c) == 0:
             raise ValueError("jet coefficients need a nonempty order axis")
-        if not np.issubdtype(c.dtype, np.floating):
+        if not np.issubdtype(c.dtype, np.inexact):
             c = c.astype(np.float64)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -144,15 +152,15 @@ def _align(a, b):
 def _convolve(a, b):
     """Truncated product of two coefficient arrays with broadcastable tails.
 
-    out[m] = sum_j a[j] b[m-j]: b is gathered into its lower-triangular
-    Toeplitz stack T[m, j] = b[m-j] and contracted with a over j.
+    out[m] = sum_j a[j] b[m-j], summed in order of j by whole-array steps,
+    so every tail entry gets the same arithmetic whatever else the tail
+    holds: a stack of series multiplies as each series would on its own.
     """
     k = a.shape[0]
-    m = np.arange(k)
-    lag = m[:, None] - m
-    lower = (lag >= 0).reshape(lag.shape + (1,) * (b.ndim - 1))
-    toeplitz = np.where(lower, b[np.maximum(lag, 0)], 0)
-    return np.einsum("mj...,j...->m...", toeplitz, a)
+    out = a[0] * b
+    for j in range(1, k):
+        out[j:] += a[j] * b[:k - j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +169,15 @@ def _convolve(a, b):
 
 
 def _by_point(kernel, *arrays):
-    """kernel on each point column of (K+1, P) arrays, stacked back.
+    """kernel on each point column of (K+1, *tail) arrays, stacked back.
 
     Columns are handed over contiguous, so every column gets the arithmetic,
     summation order included, of a one-point call.
     """
-    columns = zip(*(np.ascontiguousarray(a.T) for a in arrays))
-    return np.stack([kernel(*col) for col in columns], axis=1)
+    shape = arrays[0].shape
+    columns = zip(*(np.ascontiguousarray(a.reshape(shape[0], -1).T)
+                    for a in arrays))
+    return np.stack([kernel(*col) for col in columns], axis=1).reshape(shape)
 
 
 def _mul(a, b):
@@ -206,7 +216,7 @@ def _pow(c, p):
         return _by_point(functools.partial(_pow, p=p), c)
     a0 = c[0]
     if a0 <= 0:
-        raise ValueError("fractional jet power needs a positive constant term")
+        raise NonPositiveBase("fractional jet power needs a positive constant term")
     series = np.zeros(len(c), dtype=c.dtype)
     series[0] = a0 ** c.dtype.type(p)
     for n in range(1, len(c)):
@@ -454,28 +464,33 @@ def eval_jet(f, x, order, dtype=np.float64):
 
 
 def jet_solver(a):
-    """Factor a square matrix jet (K+1, n, n) once; returns solve(b) -> Jet.
+    """Factor a square matrix jet (K+1, ..., n, n) once; returns solve(b) -> Jet.
 
-    b is a (K+1, n) vector or (K+1, n, m) matrix jet; the solution has the
-    shape of b and the smaller of the two orders.  Solves order by order
-    against the LU factors of the constant-term matrix, so pivoting sees
-    constant terms only.
+    The tail may stack matrices ahead of the last two axes; each is solved
+    on its own, all of them in one stacked call per order.  b is a vector
+    jet (K+1, ..., n) or a matrix jet (K+1, ..., n, m) over the same stack;
+    the solution has the shape of b and the smaller of the two orders.
+    Solves order by order against the constant-term matrices, so pivoting
+    sees constant terms only.
     """
     t = a.c
     try:
-        solve0 = linalg.lu_solver(t[0])
+        solve0 = linalg.stack_solver(t[0])
     except linalg.SingularMatrixError as exc:
         raise DegenerateSystem(str(exc)) from exc
 
     def solve(b):
         bc = b.c[: t.shape[0]]
+        vector = bc.ndim == t.ndim - 1
+        if vector:
+            bc = bc[..., None]
         x = np.empty(bc.shape, dtype=np.result_type(t.dtype, bc.dtype))
         for m in range(bc.shape[0]):
             rhs = bc[m]
             for k in range(1, m + 1):
                 rhs = rhs - t[k] @ x[m - k]
             x[m] = solve0(rhs)
-        return Jet(x, copy=False)
+        return Jet(x[..., 0] if vector else x, copy=False)
 
     return solve
 
@@ -491,22 +506,25 @@ def derivative_stack(jet, count):
 
 
 def det_jet(a):
-    """Determinant of a square matrix jet by cofactor expansion (small n)."""
+    """Determinant of a square matrix jet (K+1, ..., n, n) by cofactor
+    expansion (small n); a stack of matrices gives a stack of determinants."""
     return Jet(_det(a.c), copy=False)
 
 
 def _det(c):
-    """Cofactor expansion of a (K+1, n, n) coefficient array along its first
-    column, every product a convolution truncated to K+1 terms."""
-    k, n = c.shape[:2]
+    """Cofactor expansion of a (K+1, ..., n, n) coefficient array along its
+    first column, every product a convolution truncated to K+1 terms (each
+    determinant of a stack comes out as it would on its own)."""
+    n = c.shape[-1]
     if n == 1:
-        return c[:, 0, 0]
+        return c[..., 0, 0]
     if n == 2:
-        return (np.convolve(c[:, 0, 0], c[:, 1, 1])[:k]
-                - np.convolve(c[:, 0, 1], c[:, 1, 0])[:k])
+        return (_convolve(c[..., 0, 0], c[..., 1, 1])
+                - _convolve(c[..., 0, 1], c[..., 1, 0]))
     acc = None
     for i in range(n):
-        term = np.convolve(c[:, i, 0], _det(np.delete(c[:, :, 1:], i, axis=1)))[:k]
+        term = _convolve(c[..., i, 0],
+                         _det(np.delete(c[..., 1:], i, axis=-2)))
         if i % 2:
             term = -term
         acc = term if acc is None else acc + term

@@ -19,6 +19,10 @@ from .jets import Jet
 JET_ORDER = 24
 
 
+class CommutatorResidue(RuntimeError):
+    """[Q_m, L] kept a term at degree d or above: the operator arithmetic broke."""
+
+
 def _binom(k, n):
     """Generalized binomial C(k, n) for integer k of either sign."""
     out = 1.0
@@ -186,6 +190,6 @@ def kdv_rhs(L, m):
     comm = psdo_mul(q, L) - psdo_mul(L, q)
     for k, c in comm.coeff.items():
         if k >= d and np.max(np.abs(c.c)) > 1e-11:
-            raise RuntimeError(
+            raise CommutatorResidue(
                 f"commutator coefficient at degree {k} is nonzero")
     return [comm.coefficient(i) for i in range(d)]

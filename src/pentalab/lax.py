@@ -17,7 +17,7 @@ import numpy as np
 from .chimap import chi_map_point
 from .curves import _lift_coeffs
 from .discretize import _curve_points, coords_from_samples, tilde_a
-from .expansion import FIRST_ORDER_TOL, EpsLadder, _extract
+from .expansion import FIRST_ORDER_TOL, EpsLadder, NotCentralized, _extract
 from .fitting import fit_poly, loglog_slope
 from .jets import Jet, derivative_stack, jet_solver
 from .linalg import solve_dense
@@ -144,13 +144,6 @@ def _drift(spec, x, c, v, q2g):
     return t0 @ v - v @ tp + c * (d / 2.0) * np.outer(last, e_coeff)
 
 
-def _mapped_points(spec, chi, x, eps, ks):
-    """Points of the mapped curve at x + k eps, one row per k."""
-    korder = 2 * spec.d + 2
-    return np.stack([chi_map_point(spec, chi, x + k * eps, eps, korder)[0]
-                     .value for k in ks])
-
-
 def _transfer(curve, mapped):
     """P with P (curve rows) = mapped rows, both sampled at the same steps."""
     return solve_dense(curve.T, mapped.T).T
@@ -164,9 +157,9 @@ def p_tilde(spec, chi, x, eps, shift_index=0):
     """
     if shift_index not in (0, 1):
         raise ValueError("shift_index must be 0 or 1")
-    ks = range(shift_index, shift_index + spec.d + 1)
-    return _transfer(_curve_points(spec, x, eps, ks),
-                     _mapped_points(spec, chi, x, eps, ks))
+    ks = np.arange(shift_index, shift_index + spec.d + 1)
+    mapped = chi_map_point(spec, chi, x + ks * eps, eps, 2 * spec.d + 2)[0]
+    return _transfer(_curve_points(spec, x, eps, ks), mapped.value)
 
 
 class LaxReport:
@@ -210,8 +203,9 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     """Run the full transfer-matrix ladder at z = 1 and fit every limit.
 
     Needs a configuration with no first-order drift; the curve and image
-    curve windows are computed once per rung (the image point at x is the
-    one the extraction already mapped) and shared between the transfer
+    curve windows of every rung come from one array frame_at and one
+    application of the map (the image point at x is the one the extraction
+    already mapped), and each window is shared between the transfer
     matrices and the two companions, which is what makes the discrete
     relation an identity to solver precision.  The fitted expansions of the conjugated
     transfer matrices are checked against V at second order and against the
@@ -219,9 +213,9 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     """
     if ladder is None:
         ladder = EpsLadder()
-    report, at_x = _extract(spec, chi, x, ladder, kmax)
+    (report,), (at_x,) = _extract(spec, chi, [x], ladder, kmax)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
-        raise ValueError("configuration is not centralized at first order")
+        raise NotCentralized("configuration is not centralized at first order")
     d = spec.d
     c22 = float(report.alpha[2, 2])
     U = np.asarray(u_matrix(spec, x), dtype=np.float64)
@@ -235,6 +229,11 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
 
     eps = ladder.values(spec.dtype)
     n = eps.size
+    steps = eps[:, None]
+    ks = np.arange(d + 2)
+    curves = spec.frame_at(x + ks * steps)[..., 0, :]  # (rung, d+2, d+1)
+    mapped = chi_map_point(spec, chi, x + ks[1:] * steps, steps,
+                           2 * d + 2)[0].value  # x + eps .. x + (d+1) eps
     eye = np.eye(d + 1)
     conj_err = np.empty(n)
     ident = np.empty(n)
@@ -246,12 +245,11 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     for r, e in enumerate(eps):
         dm = d_eps(d, e)
         dmi = d_eps_inv(d, e)
-        curve = _curve_points(spec, x, e, range(d + 2))
+        curve = curves[r]
         lt0 = _shift_companion(coords_from_samples(curve, x, e).a_tilde)
         conj_stack[r] = (dm @ lt0 @ dmi - eye) / e
         conj_err[r] = _maxabs(conj_stack[r] - U)
-        window = np.vstack([at_x[r],
-                            _mapped_points(spec, chi, x, e, range(1, d + 2))])
+        window = np.vstack([at_x[r], mapped[r]])
         p0 = _transfer(curve[:d + 1], window[:d + 1])
         p1 = _transfer(curve[1:], window[1:])
         lt1 = _shift_companion(coords_from_samples(window, x, e).a_tilde)

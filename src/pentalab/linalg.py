@@ -6,6 +6,12 @@ pivoting, adequate for the small (<= 8 x 8) systems this package produces.
 The nullspace comes from a float64 SVD at every dtype, which is exact
 enough: the basis is only a gauge, since the span normals built on it are
 solved to every order in the working dtype.
+
+``stack_solver`` and ``null_bases`` take a stack (..., m, n) of matrices and
+treat each on its own, the whole stack in one of numpy's stacked LAPACK
+calls; in extended precision ``stack_solver`` loops the hand-written LU
+over the stack instead.  ``lu_solver`` factors one matrix through scipy's
+LAPACK and back-solves with ``getrs`` directly.
 """
 
 import warnings
@@ -74,6 +80,40 @@ def solve_dense(a, b):
     return _lu_solve(_lu_ge(a), b)
 
 
+def stack_solver(a):
+    """Check a square matrix, or a stack (..., n, n) of them, once; returns a
+    callable solving a @ x = b for b of shape (..., n, k), or (n,) or (n, k)
+    with one matrix.
+
+    Raises SingularMatrixError here, when a is checked, not at a solve.  In
+    float64 each solve is one call of numpy's stacked LAPACK solve, which
+    factors again: for the few-by-few stacks here that costs less than any
+    loop over stored factors.  Other dtypes factor each matrix once with the
+    hand-written LU and loop over the stack at a solve.
+    """
+    a = np.asarray(a)
+    if _is_lapack_friendly(a):
+        if not np.all(np.isfinite(a)):
+            raise SingularMatrixError("array must not contain infs or NaNs")
+        # the sign is 0 exactly when LAPACK meets a zero pivot, which is
+        # when the solve would fail
+        if np.any(np.linalg.slogdet(a)[0] == 0):
+            raise SingularMatrixError("exactly singular matrix")
+        return lambda b: np.linalg.solve(a, b)
+    n = a.shape[-1]
+    factors = [_lu_ge(m) for m in a.reshape(-1, n, n)]
+    if a.ndim == 2:
+        return lambda b: _lu_solve(factors[0], b)
+
+    def solve(b):
+        b = np.asarray(b)
+        cols = b.reshape((-1,) + b.shape[-2:])
+        return np.stack([_lu_solve(f, c) for f, c in zip(factors, cols)]
+                        ).reshape(b.shape)
+
+    return solve
+
+
 def lu_solver(a):
     """Factor square a once; returns a callable solving a @ x = b.
 
@@ -132,18 +172,19 @@ def lstsq_dense(a, b):
     return _lu_solve(_lu_ge(a.T @ a), a.T @ b)
 
 
-def null_basis(a):
-    """Orthonormal basis (rows) of the nullspace of a (m x n, m <= n),
-    from a float64 (or complex128) SVD cast back to a's dtype."""
+def null_bases(a):
+    """Orthonormal bases (rows) of the nullspaces of a stack (..., m, n) of
+    matrices, m <= n, as a stack (..., n - m, n): one float64 (or complex128)
+    SVD of the stack, cast back to a's dtype.  Raises SingularMatrixError
+    when the rows of any matrix are numerically dependent."""
     a = np.asarray(a)
-    m = a.shape[0]
+    m = a.shape[-2]
     work = a
     if not _is_lapack_friendly(a):
         work = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
     _, s, vt = np.linalg.svd(work)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > _NULL_RTOL * max(smax, 1.0)))
-    if rank < m:
+    smax = np.maximum(s[..., :1], 1.0)
+    if np.any(np.sum(s > _NULL_RTOL * smax, axis=-1) < m):
         raise SingularMatrixError("input rows are numerically dependent")
     # the rows of Vᴴ past the rank are the conjugates of null vectors
-    return vt[rank:].conj().astype(a.dtype, copy=False)
+    return vt[..., m:, :].conj().astype(a.dtype, copy=False)

@@ -27,6 +27,19 @@ _G12_TOL = 1e-4
 _G3_TOL = 1e-3
 
 
+class DegenerateProbes(RuntimeError):
+    """Every probe curve hit a degenerate intersection."""
+
+
+class NotPlaneConfig(ValueError):
+    """A configuration that is not three plane groups in dimension 3."""
+
+
+def _require_planes(chi):
+    if chi.d != 3 or any(chi.q(i) != 2 for i in range(chi.r)):
+        raise NotPlaneConfig("need three plane groups in dimension 3")
+
+
 def dof_lower_bound(m):
     """Minimum number of node constraints for the order-m flow to lead.
 
@@ -122,8 +135,7 @@ def check_34(chi, probe_curves, x):
     constant shared across probes.  A probe whose intersection degenerates
     is skipped and recorded.
     """
-    if chi.d != 3 or any(chi.q(i) != 2 for i in range(chi.r)):
-        raise ValueError("need three plane groups in dimension 3")
+    _require_planes(chi)
     if len(probe_curves) < 3:
         raise ValueError("need at least three probe curves")
     ladder = _node_ladder(chi)
@@ -144,7 +156,7 @@ def check_34(chi, probe_curves, x):
         alphas.append(rep.alpha)
         targets.append(_q3_row(spec, x))
     if not alphas:
-        raise RuntimeError("every probe curve hit a degenerate intersection")
+        raise DegenerateProbes("every probe curve hit a degenerate intersection")
 
     out = Realization34Report()
     out.chi = chi
@@ -228,8 +240,7 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
     a later call; ``resumed`` says whether it was (a missing, unreadable or
     mis-sized checkpoint starts from the seed).
     """
-    if seed_chi.d != 3 or any(seed_chi.q(i) != 2 for i in range(seed_chi.r)):
-        raise ValueError("need three plane groups in dimension 3")
+    _require_planes(seed_chi)
     if len(probe_curves) < 3:
         raise ValueError("need at least three probe curves")
     probe = probe_curves[0]

@@ -215,3 +215,52 @@ def test_extended_normals_annihilate_their_span(d):
         for m in range(span.order + 1):
             prod = sum(span.c[j] @ normals.c[m - j].T for j in range(m + 1))
             assert np.max(np.abs(prod)) <= 1e-18 * scale
+
+
+# -- one application over a batch of (x, eps) pairs ----------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("chi", [
+    short_diagonal_chi(2), short_diagonal_chi(3), short_diagonal_chi(4),
+    dual_dented_chi(3, 1).shift(dual_dented_shift(3, 1)),
+    evenly_spaced_chi([0.0, 1.0], 0.25, 2),
+], ids=["sd2", "sd3", "sd4", "dd3", "es2"])
+def test_batch_equals_the_one_pair_loop(chi, dtype):
+    spec = random_curve_spec(chi.d, seed=7, dtype=dtype)
+    xs = np.array([0.3, -0.45, 1.1])
+    eps = dtype(0.2) * dtype(0.85) ** np.arange(4)
+    k = 2 * chi.d + 2
+    lift, u = chi_map_point(spec, chi, xs[:, None], eps, k)
+    assert lift.c.shape == (k - chi.d + 1, 3, 4, chi.d + 1)
+    assert u.c.shape == (k - 2 * chi.d, 3, 4, chi.d)
+    for i, x in enumerate(xs):
+        for j, e in enumerate(eps):
+            one, u_one = chi_map_point(spec, chi, x, e, k)
+            assert one.c.dtype == lift.c.dtype == dtype
+            # every stage treats each pair as a call with that pair alone
+            assert np.array_equal(lift.c[:, i, j], one.c)
+            assert np.array_equal(u.c[:, i, j], u_one.c)
+
+
+@pytest.mark.parametrize("d, seed, bad, message", [
+    (2, 5, (20.0, 0.2), "stacked constraints are rank deficient"),
+    (3, 23, (15.0, 0.033468648737922845), "span vectors numerically dependent"),
+])
+def test_batch_with_one_degenerate_pair_raises_as_the_loop(d, seed, bad, message):
+    spec = random_curve_spec(d, seed=seed)
+    chi = short_diagonal_chi(d)
+    pairs = [(0.3, 0.2), bad, (0.3, 0.1)]
+    with pytest.raises(DegenerateIntersection) as one:
+        chi_map_point(spec, chi, *bad, 2 * d + 2)
+    assert message in str(one.value)
+    xs, eps = (np.array(v) for v in zip(*pairs))
+    with pytest.raises(DegenerateIntersection) as batch:
+        chi_map_point(spec, chi, xs, eps, 2 * d + 2)
+    assert str(batch.value) == str(one.value)
+    chi_map_point(spec, chi, xs[::2], eps[::2], 2 * d + 2)  # the rest map
+
+
+def test_batch_rejects_any_zero_eps(curve_d2):
+    with pytest.raises(ValueError, match="eps must be nonzero"):
+        build_spans(curve_d2, short_diagonal_chi(2), 0.3, np.array([0.1, 0.0]), 6)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pentalab.cli import main
@@ -163,11 +164,13 @@ class TestExpand:
         (["realize34", "--chi"], {"d": 3, "groups": [[0, 0, 1], [1, 2, 3],
                                                      [4, 5, 6]]},
          "repeated node"),
+        (["realize34", "--chi"], {"d": 2, "groups": [[-1, 1], [0, 2]]},
+         "three plane groups"),
         (["expand", "--curve"], {"d": 2, "x0": 0.0, "F0": [[0, 0, 0]] * 3,
                                  "u": [{"op": "const", "value": 0.0}] * 2},
          "singular"),
     ], ids=["eps0", "ratio", "count", "chi-repeated-node",
-            "realize34-repeated-node", "singular-frame"])
+            "realize34-repeated-node", "realize34-not-planes", "singular-frame"])
     def test_bad_input_is_a_usage_error(self, capsys, tmp_path, argv, file,
                                         why):
         # rejected before any extraction runs, so exit 2, not a run error
@@ -192,6 +195,20 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error in expansion.extract_alphas: "
                               "IntegrationFailure: frame blew up")
+
+    @pytest.mark.parametrize("bug", [np.linalg.LinAlgError("Singular matrix"),
+                                     ValueError("operands could not be broadcast"),
+                                     RuntimeError("unexpected")])
+    def test_a_bug_is_raised_not_reported_as_degenerate(self, capsys,
+                                                        monkeypatch, bug):
+        import pentalab.cli
+
+        def broken(*args, **kwargs):
+            raise bug
+
+        monkeypatch.setattr(pentalab.cli, "extract_alphas", broken)
+        with pytest.raises(type(bug)):
+            main(["expand", "--d", "2"])
 
 
 class TestCentralize:
@@ -221,18 +238,21 @@ class TestCentralize:
         import pentalab.expansion
 
         calls = []
+        mapper = pentalab.expansion.chi_map_point
         inner = pentalab.expansion.extract_alphas
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return inner(*args, **kwargs)
+        def counted(*args):
+            x, eps = np.broadcast_arrays(*args[2:4])
+            calls.append((x[:, 0].tolist(), eps.shape))
+            return mapper(*args)
 
-        monkeypatch.setattr(pentalab.expansion, "extract_alphas", counted)
-        monkeypatch.setattr(pentalab.cli, "extract_alphas", counted)
+        monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
         code, out, _ = run(capsys, ["centralize", "--d", "2", "--seed", "11",
                                     "--x", "-0.4", "0.3", "1.1"])
+        monkeypatch.undo()
         assert code == 0
-        assert calls == [-0.4, 0.3, 1.1]
+        # one application maps every point on every rung, each pair once
+        assert calls == [([-0.4, 0.3, 1.1], (3, 14))]
         # the report of fitting the first point on its own, then the spread
         spec, chi = random_curve_spec(2, seed=11), short_diagonal_chi(2)
         xs = (-0.4, 0.3, 1.1)

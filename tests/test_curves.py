@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from pentalab.jets import AnalyticFn
+from pentalab.jets import AnalyticFn, Jet
 from pentalab.curves import (
     CurveSpec,
     DegenerateLift,
@@ -203,6 +203,37 @@ def test_far_frames_match_anchor_by_anchor_reference(d, dtype):
             assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_frame_at_an_array_equals_the_one_point_frames(dtype, monkeypatch):
+    # anchors, partial steps on both sides of x0 and a repeated point, in
+    # no particular order; a fresh spec answers one point at a time
+    xs = np.array([[0.3, -1.25, 2.0625], [0.3, 0.0, -0.07]], dtype=dtype)
+    spec = random_curve_spec(3, seed=23, dtype=dtype)
+    calls = _count_u_evaluations(monkeypatch)
+    got = spec.frame_at(xs)
+    assert len(calls) == 2 * spec.d  # one pass for each walk
+    # -1.25 is the anchor the walk ended on: its series is made now, in
+    # one pass with the other anchor that lacks one
+    near = np.array([-1.26, 0.31, -1.24, -0.03], dtype=dtype)
+    calls.clear()
+    got_near = spec.frame_at(near)
+    assert [np.shape(x) for x in calls] == [(1,)] * spec.d
+    monkeypatch.undo()
+    assert got.shape == (2, 3, 4, 4) and got.dtype == np.dtype(dtype)
+    for x, frame in [(xs[idx], got[idx]) for idx in np.ndindex(xs.shape)] \
+            + list(zip(near, got_near)):
+        fresh = random_curve_spec(3, seed=23, dtype=dtype)
+        assert np.array_equal(frame, fresh.frame_at(x))
+
+
+def test_frame_at_an_array_names_the_point_that_blew_up():
+    # the partial step to 0.01 overflows, the anchor at 0 does not
+    spec = CurveSpec(1, [AnalyticFn.const(-1e300)], 0.0, np.eye(2))
+    with pytest.raises(IntegrationFailure, match="near x = 0.01$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        spec.frame_at(np.array([0.0, 0.01]))
+
+
 def test_falling_factorial_table_is_exact():
     from pentalab.curves import _falling_table
 
@@ -286,6 +317,18 @@ def test_normalized_lift_even_frame_dimension_sign():
     assert_allclose(out.c, fj.c[:k], rtol=1e-11, atol=1e-13)
     out2, _ = normalized_lift(flipped, 3)  # no ref: keeps the flipped branch
     assert_allclose(out2.c, -fj.c[:k], rtol=1e-11, atol=1e-13)
+
+
+def test_normalized_lift_of_a_stack_equals_each_lift(curve_d3, rng):
+    raws = [Jet(gamma_jet(curve_d3, x, 9).c * rng.uniform(0.5, 2.0))
+            for x in (0.1, 0.6, 1.3)]
+    refs = np.stack([r.value for r in raws])
+    stack = Jet(np.stack([-r.c for r in raws], axis=1))
+    out, u = normalized_lift(stack, 3, ref=refs)
+    for i, raw in enumerate(raws):
+        one, u_one = normalized_lift(-raw, 3, ref=refs[i])
+        assert np.array_equal(out.c[:, i], one.c)
+        assert np.array_equal(u.c[:, i], u_one.c)
 
 
 def test_normalized_lift_degenerate():

@@ -19,6 +19,7 @@ from pentalab import (
 )
 from pentalab.expansion import (
     EpsLadder,
+    NotCentralized,
     alpha_constancy_check,
     extract_alphas,
     kdv_rhs_check,
@@ -91,6 +92,27 @@ class TestExtraction:
         assert abs(r.alpha[2, 0]) <= 1e-4
         assert abs(r.alpha[2, 1]) <= 1e-4
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_warm_extraction_walks_each_u_tree_once(self, d, monkeypatch):
+        import pentalab.curves
+
+        spec = random_curve_spec(d, seed=7)
+        chi = short_diagonal_chi(d)
+        want = extract_alphas(spec, chi, 0.45)  # visits the anchors
+        calls = []
+        inner = pentalab.curves.eval_jet
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
+        got = extract_alphas(spec, chi, 0.45)
+        # one pass per u-tree lifts every node of all 14 rungs at once
+        nodes = len({p for g in chi.groups for p in g})
+        assert calls == [(14 * nodes,)] * d
+        assert np.array_equal(got.alpha, want.alpha)
+
 
 class TestConstancy:
     def test_d2_short_diagonal_spread(self, curve_d2):
@@ -123,14 +145,18 @@ class TestConstancy:
         xs = [-0.4, 0.3, 1.1]
         ladder = EpsLadder(count=8)
         calls = []
+        inner = expansion.chi_map_point
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return extract_alphas(*args, **kwargs)
+        def counted(*args):
+            x, eps = np.broadcast_arrays(*args[2:4])
+            calls.append(x[:, 0].tolist())
+            assert eps.shape == (3, 8)
+            return inner(*args)
 
-        monkeypatch.setattr(expansion, "extract_alphas", counted)
+        monkeypatch.setattr(expansion, "chi_map_point", counted)
         spread = alpha_constancy_check(curve_d2, chi, xs, ladder)
-        assert calls == xs
+        monkeypatch.undo()
+        assert calls == [xs]  # every point on every rung in one application
         diag = np.array([np.diag(extract_alphas(curve_d2, chi, x, ladder).alpha)
                          for x in xs])
         assert spread == float(np.max(diag.max(axis=0) - diag.min(axis=0)))
@@ -153,8 +179,9 @@ class TestKdvCheck:
 
     def test_rejects_non_centralized(self, curve_d2):
         chi = evenly_spaced_chi((-0.8, 0.5), 0.9, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(NotCentralized):
             kdv_rhs_check(curve_d2, chi, 0.3)
+        assert issubclass(NotCentralized, ValueError)
 
 
 class TestReport:

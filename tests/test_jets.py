@@ -8,6 +8,7 @@ from pentalab.jets import (
     AnalyticFn,
     DegenerateSystem,
     Jet,
+    NonPositiveBase,
     det_jet,
     eval_jet,
     jet_solver,
@@ -57,8 +58,22 @@ def test_fractional_power_roundtrip(rng):
     a = Jet(rng.uniform(0.5, 1.5, 9))
     b = (a ** 0.5) * (a ** 0.5)
     assert_allclose(b.c, a.c, rtol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPositiveBase):
         Jet([-1.0, 0.3, 0.1]) ** 0.5
+    assert issubclass(NonPositiveBase, ValueError)
+
+
+def test_complex_coefficients_are_kept():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = Jet(np.array([1 + 2j, 3j]))
+    assert jet.c.dtype == np.complex128
+    assert np.array_equal(jet.c, [1 + 2j, 3j])
+    assert (jet * jet).c[1] == 2 * (1 + 2j) * 3j
+    assert Jet(np.array([1, 2])).c.dtype == np.float64  # integers still cast
+    assert Jet(np.array([1, 2], dtype=np.float32)).c.dtype == np.float32
 
 
 def test_integer_power_matches_repeated_product(rng):
@@ -241,6 +256,31 @@ def test_solve_matrix_rhs_matches_columns(rng):
     for j in range(3):
         assert_allclose(x.c[:, :, j], solve(Jet(b[:, :, j])).c,
                         rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stacked_solve_and_det_equal_each_system(rng, dtype):
+    n, order = 4, 5
+    a = rng.uniform(-1, 1, (order + 1, 2, 3, n, n)).astype(dtype)
+    a[0] += 3.0 * np.eye(n, dtype=dtype)
+    b = rng.uniform(-1, 1, (order + 1, 2, 3, n)).astype(dtype)
+    x = jet_solver(Jet(a))(Jet(b))
+    det = det_jet(Jet(a))
+    assert x.c.shape == b.shape and x.c.dtype == dtype
+    assert det.c.shape == (order + 1, 2, 3)
+    for i, j in np.ndindex(2, 3):
+        one = jet_solver(Jet(a[:, i, j]))(Jet(b[:, i, j]))
+        assert np.array_equal(x.c[:, i, j], one.c)
+        assert np.array_equal(det.c[:, i, j], det_jet(Jet(a[:, i, j])).c)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stack_with_one_singular_constant_term_raises(dtype):
+    c = np.zeros((2, 3, 2, 2), dtype=dtype)
+    c[0] = np.eye(2)
+    c[0, 1] = [[1, 2], [2, 4]]
+    with pytest.raises(DegenerateSystem):
+        jet_solver(Jet(c))
 
 
 def test_solve_singular_constant_term():

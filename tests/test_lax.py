@@ -277,15 +277,18 @@ class TestLimits:
         inner = pentalab.chimap.chi_map_point
 
         def counted(*args):
-            calls.append(args[2:4])
+            x, eps = np.broadcast_arrays(*args[2:4])
+            calls.append(list(zip(x.ravel().tolist(), eps.ravel().tolist())))
             return inner(*args)
 
         monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
         monkeypatch.setattr(pentalab.lax, "chi_map_point", counted)
         lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
-        # 14 rungs: the extraction maps x, the window x + eps .. x + 3 eps
-        assert len(calls) == 14 * 4
-        assert len(set(calls)) == len(calls)
+        # 14 rungs: the extraction maps x, the window x + eps .. x + 3 eps,
+        # each in one batched application
+        assert [len(c) for c in calls] == [14, 14 * 3]
+        pairs = calls[0] + calls[1]
+        assert len(set(pairs)) == len(pairs)
 
     def test_requires_centralized_configuration(self, curve_d2):
         chi = evenly_spaced_chi((-0.8, 0.5), 0.9, 2)

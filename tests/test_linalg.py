@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.testing import assert_allclose
 
 from pentalab.linalg import (SingularMatrixError, det_dense, lstsq_dense,
-                             lu_solver, null_basis, solve_dense)
+                             lu_solver, null_bases, solve_dense, stack_solver)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -121,7 +122,7 @@ def test_null_basis_rank_verdict_is_the_same_at_both_dtypes(gap):
         a = np.array([[1, 2, 3, 4], [1, 2, 3, 4]], dtype=dtype)
         a[1, 3] += dtype(gap)
         try:
-            basis = null_basis(a)
+            basis, = null_bases(a[None])
         except SingularMatrixError:
             return "dependent"
         assert basis.dtype == dtype and basis.shape == (2, 4)
@@ -134,6 +135,41 @@ def test_null_basis_rank_verdict_is_the_same_at_both_dtypes(gap):
 def test_null_basis_annihilates_complex_input(shape):
     rng = np.random.default_rng(41)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    basis = null_basis(a)
+    basis, = null_bases(a[None])
     assert basis.shape == (shape[1] - shape[0], shape[1])
     assert np.max(np.abs(a @ basis.T)) <= 1e-14
+
+
+# -- stacks of matrices ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stack_solver_solves_each_matrix(rng, dtype):
+    a = (rng.standard_normal((2, 3, 4, 4)) + 4 * np.eye(4)).astype(dtype)
+    b = rng.standard_normal((2, 3, 4, 2)).astype(dtype)
+    x = stack_solver(a)(b)
+    assert x.shape == b.shape and x.dtype == dtype
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(x[i, j], stack_solver(a[i, j])(b[i, j]))
+        assert_allclose(np.asarray(a[i, j] @ x[i, j], dtype=float),
+                        np.asarray(b[i, j], dtype=float), atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_stack_solver_rejects_any_bad_matrix_up_front(rng, bad):
+    a = rng.standard_normal((3, 2, 2))
+    a[1] = [[1.0, 2.0], [2.0, 4.0]] if bad == 0.0 else [[1.0, bad], [0.0, 1.0]]
+    with pytest.raises(SingularMatrixError):
+        stack_solver(a)
+
+
+def test_null_bases_of_a_stack_match_each_matrix(rng):
+    a = rng.standard_normal((5, 2, 4))
+    bases = null_bases(a)
+    assert bases.shape == (5, 2, 4)
+    for m, basis in zip(a, bases):
+        assert np.array_equal(basis, null_bases(m[None])[0])
+        assert np.max(np.abs(m @ basis.T)) <= 1e-14
+    a[3, 1] = 2 * a[3, 0]
+    with pytest.raises(SingularMatrixError, match="numerically dependent"):
+        null_bases(a)

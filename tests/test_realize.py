@@ -132,6 +132,20 @@ class TestCheck34:
         with pytest.raises(ValueError):
             check_34(flat, probes, X0)
 
+    def test_every_probe_degenerate_is_typed(self, integer_instance, probes,
+                                             monkeypatch):
+        import pentalab.realize
+        from pentalab.chimap import DegenerateIntersection
+        from pentalab.realize import DegenerateProbes
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateIntersection("stacked constraints are rank deficient")
+
+        monkeypatch.setattr(pentalab.realize, "extract_alphas", degenerate)
+        with pytest.raises(DegenerateProbes, match="every probe curve"):
+            check_34(integer_instance, probes, X0)
+        assert issubclass(DegenerateProbes, RuntimeError)
+
     def test_rejects_too_few_probes(self, integer_instance, probes):
         with pytest.raises(ValueError):
             check_34(integer_instance, probes[:2], X0)
