@@ -15,7 +15,7 @@ import numpy as np
 from . import fitting
 from .chimap import chi_map_point
 from .kdvops import JET_ORDER, kdv_rhs, l_operator
-from .linalg import lu_solver
+from .linalg import solve_dense
 
 # deepest expansion order the step ladder resolves, per precision
 KMAX_DOUBLE = 4
@@ -119,9 +119,11 @@ def _extract(spec, chi, xs, ladder, kmax):
                               2 * d + 2)
     reports = []
     for x, points, invariants in zip(xs, lifted.value, u.value):
-        solve = lu_solver(spec.frame_at(x).T.copy())
-        # frame coordinates in columns 0..d, curve invariants after them
-        samples = np.concatenate([solve(points.T).T, invariants], axis=1)
+        # frame coordinates in columns 0..d, curve invariants after them;
+        # a non-finite image point raises ValueError, never NaN coefficients
+        coords = solve_dense(spec.frame_at(x).T,
+                             np.asarray_chkfinite(points.T)).T
+        samples = np.concatenate([coords, invariants], axis=1)
         coeffs, sigma, fit_residual, cond = fitting.fit_poly(eps, samples,
                                                              kmax + 2)
         flagged = cond > _COND_LIMIT

@@ -10,14 +10,10 @@ solved to every order in the working dtype.
 ``stack_solver`` and ``null_bases`` take a stack (..., m, n) of matrices and
 treat each on its own, the whole stack in one of numpy's stacked LAPACK
 calls; in extended precision ``stack_solver`` loops the hand-written LU
-over the stack instead.  ``lu_solver`` factors one matrix through scipy's
-LAPACK and back-solves with ``getrs`` directly.
+over the stack instead.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 _NULL_RTOL = 1e-10
 
@@ -112,39 +108,6 @@ def stack_solver(a):
                         ).reshape(b.shape)
 
     return solve
-
-
-def lu_solver(a):
-    """Factor square a once; returns a callable solving a @ x = b.
-
-    Raises SingularMatrixError here, when a is factored, not at a solve.
-    """
-    a = np.asarray(a)
-    if _is_lapack_friendly(a):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(a)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SingularMatrixError(str(exc)) from exc
-        if not np.all(np.isfinite(lu)):
-            raise SingularMatrixError("non-finite factorization")
-        if np.min(np.abs(np.diag(lu))) == 0.0:
-            raise SingularMatrixError("exactly singular matrix")
-
-        def solve(b):
-            # what scipy.linalg.lu_solve does for one b, without its
-            # batching wrapper; getrs itself rejects a b of the wrong length
-            b = np.asarray_chkfinite(b)
-            getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu, b))
-            x, info = getrs(lu, piv, b)
-            if info:
-                raise ValueError(f"illegal value in argument {-info} of getrs")
-            return x
-
-        return solve
-    factors = _lu_ge(a)
-    return lambda b: _lu_solve(factors, b)
 
 
 def det_dense(a):

@@ -16,15 +16,21 @@ import os
 import tempfile
 
 import numpy as np
-from scipy import optimize
 
 from .chimap import DegenerateIntersection
 from .configs import ChiConfig, SymTable
+from .curves import DegenerateLift
 from .expansion import EpsLadder, extract_alphas
+from .jets import DegenerateSystem, NonPositiveBase
 from .kdvops import JET_ORDER, l_operator, q_m
+from .linalg import SingularMatrixError
 
 _G12_TOL = 1e-4
 _G3_TOL = 1e-3
+# the geometric failures of one extraction; the descent scores them as a bad
+# configuration, and anything else is a bug and propagates
+_DEGENERATE = (DegenerateIntersection, DegenerateLift, DegenerateSystem,
+               SingularMatrixError, NonPositiveBase)
 
 
 class DegenerateProbes(RuntimeError):
@@ -265,8 +271,11 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
         projected = _project_node_products(params)
         try:
             chi = ChiConfig(3, projected.reshape(3, 3))
+        except ValueError:  # projected nodes that collide
+            return 1e6
+        try:
             rep = extract_alphas(probe, chi, x, _node_ladder(chi), kmax=3)
-        except (ValueError, DegenerateIntersection):
+        except _DEGENERATE:
             return 1e6
         g1, g2, g3, _ = _residuals([rep.alpha], [_q3_row(probe, x)])
         f = g1 * g1 + g2 * g2 + g3 * g3
@@ -281,6 +290,9 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
 
     f0 = objective(params0)
     if f0 > _G3_TOL * _G3_TOL:
+        # imported here, its only use: scipy.optimize costs about 0.35 s
+        from scipy import optimize
+
         def stop_when_inside(_xk):
             if best["f"] <= _G3_TOL * _G3_TOL:
                 raise StopIteration

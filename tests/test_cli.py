@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pentalab
 from pentalab.cli import main
 from pentalab.configs import ChiConfig, short_diagonal_chi
 from pentalab.curves import random_curve_spec
@@ -13,6 +17,27 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_runs_without_importing_scipy():
+    # scipy costs about two thirds of a one-shot run's start-up; only
+    # search_34 uses it, and imports it itself
+    script = """
+import json, sys
+import pentalab, pentalab.cli
+codes = [pentalab.cli.main(["expand", "--chi", "short-diagonal", "--d", "2",
+                            "--x", "0.3"]),
+         pentalab.cli.main(["families", "short-diagonal", "--d", "3"])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pentalab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert scipy_modules == []
 
 
 class TestDof:

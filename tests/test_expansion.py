@@ -113,6 +113,23 @@ class TestExtraction:
         assert calls == [(14 * nodes,)] * d
         assert np.array_equal(got.alpha, want.alpha)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_point_raises(self, curve_d2, bad, monkeypatch):
+        import pentalab.expansion as expansion
+        from pentalab.jets import Jet
+
+        inner = expansion.chi_map_point
+
+        def poisoned(*args):
+            lifted, u = inner(*args)
+            c = lifted.c.copy()
+            c[0, 0, 3, 1] = bad  # the point of rung 3, coordinate 1
+            return Jet(c), u
+
+        monkeypatch.setattr(expansion, "chi_map_point", poisoned)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            extract_alphas(curve_d2, short_diagonal_chi(2), 0.3)
+
 
 class TestConstancy:
     def test_d2_short_diagonal_spread(self, curve_d2):

@@ -2,37 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 from pentalab.linalg import (SingularMatrixError, det_dense, lstsq_dense,
-                             lu_solver, null_bases, solve_dense, stack_solver)
-
-
-@pytest.mark.parametrize("n", [1, 3, 6])
-def test_lu_solver_equals_scipy_lu_solve(rng, n):
-    a = rng.standard_normal((n, n))
-    solve = lu_solver(a)
-    factors = scipy.linalg.lu_factor(a)
-    for b in (rng.standard_normal(n), rng.standard_normal((n, 4))):
-        got = solve(b)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, scipy.linalg.lu_solve(factors, b))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_lu_solver_rejects_non_finite_right_side(rng, bad):
-    solve = lu_solver(rng.standard_normal((3, 3)))
-    b = np.ones(3)
-    b[1] = bad
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        solve(b)
-
-
-def test_lu_solver_returns_a_plain_function(rng):
-    import types
-
-    assert type(lu_solver(rng.standard_normal((2, 2)))) is types.FunctionType
+                             null_bases, solve_dense, stack_solver)
 
 
 # -- the extended path against exact rational answers ---------------------------
@@ -82,7 +55,8 @@ def test_extended_solve_and_det_match_rationals(rng):
         assert got.dtype == np.longdouble
         assert rel_err(got, want) <= RTOL_EXTENDED
         for j in range(b.shape[1]):
-            col = lu_solver(a.astype(np.longdouble))(b[:, j].astype(np.longdouble))
+            col = solve_dense(a.astype(np.longdouble),
+                              b[:, j].astype(np.longdouble))
             assert rel_err(col, [[w[j]] for w in want]) <= RTOL_EXTENDED
         got_det = det_dense(a.astype(np.longdouble))
         assert got_det.dtype == np.longdouble
@@ -109,7 +83,7 @@ def test_extended_lstsq_matches_rational_normal_equations(rng):
 def test_extended_singular_matrix_fails_at_factorization():
     a = np.array([[1, 2], [2, 4]], dtype=np.longdouble)
     with pytest.raises(SingularMatrixError):
-        lu_solver(a)
+        stack_solver(a)
     assert det_dense(a) == 0
 
 

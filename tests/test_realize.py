@@ -202,6 +202,23 @@ class TestSearch:
         assert again.resumed is True
         assert json.loads(json.dumps(again.to_dict()))["resumed"] is True
 
+    @pytest.mark.parametrize("bug", [ValueError, np.linalg.LinAlgError])
+    def test_bug_in_extraction_propagates(self, integer_instance, probes,
+                                          bug, monkeypatch):
+        import pentalab.realize
+
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args[1])
+            raise bug("not a geometric failure")
+
+        monkeypatch.setattr(pentalab.realize, "extract_alphas", broken)
+        with pytest.raises(bug, match="not a geometric failure"):
+            search_34(integer_instance, probes, X0, max_iters=5)
+        # raised by the seed's own evaluation, not scored as a bad point
+        assert calls == [integer_instance]
+
     def test_rejects_too_few_probes(self, integer_instance, probes):
         with pytest.raises(ValueError):
             search_34(integer_instance, probes[:1], X0)
