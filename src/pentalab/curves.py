@@ -28,6 +28,12 @@ result: anchor frames do not depend on the order in which points are asked.
 ones, then takes every partial step in one Horner pass, each point's frame
 bit for bit the one a one-point call gives.
 
+Everything downstream of a lift is SL(d+1)-invariant, so a working point
+far from x0 need not walk the anchors out to it: ``CurveSpec.near(x)``
+gives the same curve based at x with the identity frame once x lies more
+than ``_REBASE_DISTANCE`` from x0, and the spec itself otherwise.  The raw
+walk of ``frame_at`` stays for whoever asks it for a far frame.
+
 Lift jets are not cached.  ``_lift_coeffs`` takes an array of points,
 evaluates their u-jets in one pass over the u-trees and runs the ODE
 recursion for all of them at once, so one application of the map
@@ -51,6 +57,9 @@ _STEP_ORDER = 14
 # anchors whose u-jets one pass evaluates ahead of a walk (x = 64 away):
 # bounds the memory of a long walk that the frame check may cut short
 _AHEAD = 1024
+# working points farther than this from x0 are served from a spec based at
+# them (CurveSpec.near): no walk from a base exceeds 32 anchors
+_REBASE_DISTANCE = 2.0
 
 
 class IntegrationFailure(Exception):
@@ -122,6 +131,14 @@ class CurveSpec:
     def load(path, dtype=np.float64):
         with open(path) as fh:
             return CurveSpec.from_dict(json.load(fh), dtype=dtype)
+
+    def near(self, x):
+        """This spec when x lies within _REBASE_DISTANCE of x0; otherwise
+        the same curve up to an SL(d+1) transform, based at x with the
+        identity frame, so nothing is walked out to x."""
+        if abs(float(x) - self.x0) <= _REBASE_DISTANCE:
+            return self
+        return CurveSpec(self.d, self.u, x, np.eye(self.d + 1), dtype=self.dtype)
 
     # -- frame transport -------------------------------------------------
 

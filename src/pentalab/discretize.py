@@ -151,6 +151,7 @@ def limit_diagnostics(spec, x, ladder=None, fit_window=8, fit_degree=5):
     n = eps.size
     if not 2 <= fit_window <= n:
         raise ValueError("fit window must fit inside the ladder")
+    spec = spec.near(x)  # the recurrence is SL(d+1)-invariant
     coords = [discrete_coords(spec, x, e) for e in eps]
     A = np.stack([c.A for c in coords])
     a_tilde = np.stack([c.a_tilde for c in coords])

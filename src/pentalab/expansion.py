@@ -7,7 +7,9 @@ the j-th frame vector is the operator coefficient α_{k,j}.  The first two
 corrections are heavily structured (a bare first derivative, then a Schwarzian
 like second-order operator), and the checks in this module pin that structure
 against the fitted numbers.  One application of the map covers every rung of
-the ladder, and every working point of a constancy check, at once.
+the ladder, and every working point of a constancy check, at once; a working
+point far from the curve's base point is served from the curve re-based
+there (``CurveSpec.near``), which leaves every fitted number invariant.
 """
 
 import numpy as np
@@ -108,20 +110,30 @@ def extract_alphas(spec, chi, x, ladder=None, kmax=2):
 
 def _extract(spec, chi, xs, ladder, kmax):
     """(an extract_alphas report per working point in xs, the image-curve
-    point at each of them on every rung, (len(xs), rungs, d+1)), from one
-    application of the map to every (x, rung) pair."""
+    point at each of them on every rung, (len(xs), rungs, d+1), in the
+    coordinates of spec.near(x)).
+
+    The working points spec keeps share one application of the map to
+    every (x, rung) pair; a far point is mapped on its own re-based spec.
+    """
     if ladder is None:
         ladder = EpsLadder()
     check_kmax(kmax, spec.dtype)
     d = spec.d
     eps = ladder.values(spec.dtype)
-    lifted, u = chi_map_point(spec, chi, np.asarray(xs)[:, None], eps,
-                              2 * d + 2)
+    bases = [spec.near(x) for x in xs]
+    mapped = {}
+    for base in dict.fromkeys(bases):  # one application per distinct base
+        at = [i for i, b in enumerate(bases) if b is base]
+        lifted, u = chi_map_point(base, chi, np.asarray(xs)[at, None], eps,
+                                  2 * d + 2)
+        mapped.update(zip(at, zip(lifted.value, u.value)))
     reports = []
-    for x, points, invariants in zip(xs, lifted.value, u.value):
+    for i, (x, base) in enumerate(zip(xs, bases)):
+        points, invariants = mapped[i]
         # frame coordinates in columns 0..d, curve invariants after them;
         # a non-finite image point raises ValueError, never NaN coefficients
-        coords = solve_dense(spec.frame_at(x).T,
+        coords = solve_dense(base.frame_at(x).T,
                              np.asarray_chkfinite(points.T)).T
         samples = np.concatenate([coords, invariants], axis=1)
         coeffs, sigma, fit_residual, cond = fitting.fit_poly(eps, samples,
@@ -132,7 +144,7 @@ def _extract(spec, chi, xs, ladder, kmax):
         reports.append(ExpansionReport(
             x, d, kmax, coeffs[:kmax + 1, :d + 1], sigma[:kmax + 1, :d + 1],
             fit_residual, coeffs[2, d + 1:], flagged))
-    return reports, lifted.value
+    return reports, np.stack([mapped[i][0] for i in range(len(xs))])
 
 
 def verify_G2_structure(report, spec, x):

@@ -207,12 +207,14 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     application of the map (the image point at x is the one the extraction
     already mapped), and each window is shared between the transfer
     matrices and the two companions, which is what makes the discrete
-    relation an identity to solver precision.  The fitted expansions of the conjugated
-    transfer matrices are checked against V at second order and against the
-    frame drift plus dV/dx at third order.
+    relation an identity to solver precision.  A far x is served from the
+    curve re-based there (CurveSpec.near), which no limit sees.  The fitted
+    expansions of the conjugated transfer matrices are checked against V at
+    second order and against the frame drift plus dV/dx at third order.
     """
     if ladder is None:
         ladder = EpsLadder()
+    spec = spec.near(x)
     (report,), (at_x,) = _extract(spec, chi, [x], ladder, kmax)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")

@@ -137,6 +137,14 @@ class TestExpand:
         assert out == ""
         assert json.loads(path.read_text())["schema"] == 1
 
+    def test_far_working_point_answers_right(self, capsys):
+        # walked out from x0 this read |a11| = 1.34 and still exited 0
+        code, out, _ = run(capsys, ["expand", "--chi", "short-diagonal",
+                                    "--d", "3", "--seed", "3", "--x", "15",
+                                    "--kmax", "2"])
+        assert code == 0
+        assert abs(json.loads(out)["alpha"][1][1]) <= 1e-3
+
     def test_extended_precision_allows_deeper_fit(self, capsys):
         code, out, _ = run(capsys, ["expand", "--chi", "short-diagonal",
                                     "--d", "2", "--kmax", "5",
@@ -209,13 +217,15 @@ class TestExpand:
         assert err.startswith("usage error: ") and why in err
 
     def test_blown_up_frame_is_a_run_error(self, capsys, tmp_path):
+        # x lies within the re-base distance, so the frame walks out from
+        # x0 and grows like exp(46 x) on the way
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({
             "d": 2, "x0": 0.0, "F0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            "u": [{"op": "const", "value": -1000.0},
+            "u": [{"op": "const", "value": -1e5},
                   {"op": "const", "value": 0.0}]}))
         code, out, err = run(capsys, ["expand", "--curve", str(path),
-                                      "--x", "4"])
+                                      "--x", "2"])
         assert code == 1
         assert out == ""
         assert err.startswith("error in expansion.extract_alphas: "

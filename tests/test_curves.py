@@ -71,6 +71,25 @@ def test_frame_at_base_point_is_initial_frame(curve_d3):
     assert np.array_equal(curve_d3.frame_at(curve_d3.x0), curve_d3.F0)
 
 
+@pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 3.0])
+def test_near_keeps_spec_within_rebase_distance(x):
+    spec = CurveSpec(2, random_curve_spec(2, seed=3).u, 1.0, np.eye(3))
+    assert spec.near(x) is spec
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_near_rebases_far_point(dtype):
+    spec = random_curve_spec(2, seed=5, dtype=dtype)
+    far = spec.near(40.0)
+    assert (far.d, far.u, far.x0, far.dtype) == (2, spec.u, 40.0, spec.dtype)
+    assert far.F0.dtype == dtype and np.array_equal(far.F0, np.eye(3))
+    assert spec.near(-2.0 - 1e-9) is not spec
+    # the walk from x0 reaches x = 40 with its Wronskian off by 8e3; from
+    # the re-based frame it stays unimodular, and x0 keeps its one anchor
+    assert abs(wronskian(far, 40.5) - 1.0) <= 1e-12
+    assert list(spec._anchors) == [0]
+
+
 def test_local_consistency_step_vs_taylor(curve_d2):
     # stepping to x+h must agree with evaluating the order-K jet at x
     x, k = 0.4, 10

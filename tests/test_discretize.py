@@ -9,7 +9,7 @@ from pentalab.discretize import (
     tilde_a,
     tilde_from_A,
 )
-from pentalab.curves import zero_curve_spec
+from pentalab.curves import CurveSpec, zero_curve_spec
 from pentalab.expansion import EpsLadder
 
 
@@ -72,6 +72,20 @@ def test_limits_d3(curve_d3):
         assert table.limits[i] == pytest.approx(curve_d3.u[i](0.1), abs=1e-3)
     assert table.limits[3] == pytest.approx(curve_d3.u[2](0.1), abs=1e-3)
     assert table.a0_slope >= 2.8
+
+
+def test_far_point_is_rebased(curve_d2):
+    # the recurrence coefficients are SL(3)-invariant, so the table at a far
+    # x comes from the curve re-based there, with the limits of test_limits_d2
+    x = 20.3
+    table = limit_diagnostics(curve_d2, x)
+    assert list(curve_d2._anchors) == [0]
+    rebased = limit_diagnostics(CurveSpec(2, curve_d2.u, x, np.eye(3)), x)
+    assert np.array_equal(table.A, rebased.A)
+    assert table.ok.all()
+    assert_allclose(table.slopes, [3.0, 2.0, 2.0], atol=0.2)
+    u0, u1 = curve_d2.u[0](x), curve_d2.u[1](x)
+    assert_allclose(table.limits, [u0, u1, u1], atol=1e-3)
 
 
 def test_point_coefficients_approach_binomials(curve_d2):

@@ -131,6 +131,53 @@ class TestExtraction:
             extract_alphas(curve_d2, short_diagonal_chi(2), 0.3)
 
 
+class TestFarWorkingPoint:
+    """A working point far from x0 is served from the curve re-based there."""
+
+    @pytest.mark.parametrize("x", [20.0, 40.0])
+    def test_far_reproducer_d2(self, x):
+        # the walk from x0 made both raise DegenerateIntersection
+        spec = random_curve_spec(2, seed=5)
+        r = extract_alphas(spec, short_diagonal_chi(2), x)
+        assert abs(r.alpha[1, 1]) < 1e-5
+        assert abs(r.alpha[2, 2] - 0.375) < 1e-4
+        assert list(spec._anchors) == [0]  # nothing walked out to x
+
+    def test_far_reproducer_d3(self):
+        spec = random_curve_spec(3, seed=23)
+        r = extract_alphas(spec, short_diagonal_chi(3), 20.0)
+        assert abs(r.alpha[1, 1]) < 1e-5
+        assert list(spec._anchors) == [0]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rebased_curve_gives_the_same_expansion(self, d):
+        # what re-basing rests on: the fit is SL(d+1)-invariant
+        spec = random_curve_spec(d, seed=11)
+        chi = short_diagonal_chi(d)
+        here = extract_alphas(spec, chi, 0.3)
+        moved = extract_alphas(CurveSpec(d, spec.u, 0.3, np.eye(d + 1)), chi,
+                               0.3)
+        assert_allclose(moved.alpha, here.alpha, rtol=0, atol=1e-9)
+        # w reads ε² off the image's invariants, d + 1 derivatives deeper,
+        # and moves by 3e-8 at d = 3, far inside its fit sigma of 1e-5
+        assert_allclose(moved.w, here.w, rtol=0, atol=1e-6)
+
+    def test_near_points_keep_their_bits_next_to_a_far_one(self, curve_d2):
+        from pentalab.expansion import _constancy, _extract
+
+        chi = short_diagonal_chi(2)
+        mixed, mixed_points = _extract(curve_d2, chi, (0.2, 0.3, 20.0), None, 2)
+        near, near_points = _extract(curve_d2, chi, (0.2, 0.3, 0.4), None, 2)
+        for got, want in zip(mixed[:2], near[:2]):
+            assert got.to_dict() == want.to_dict()
+        assert np.array_equal(mixed_points[:2], near_points[:2])
+        assert abs(mixed[2].alpha[1, 1]) <= 1e-3
+        assert abs(mixed[2].alpha[2, 2] - 0.375) <= 2e-3
+        report, spread = _constancy(curve_d2, chi, (0.2, 0.3, 20.0), None, 2)
+        assert report.to_dict() == near[0].to_dict()
+        assert spread <= 2e-3
+
+
 class TestConstancy:
     def test_d2_short_diagonal_spread(self, curve_d2):
         xs = [-0.4, 0.0, 0.3, 0.7, 1.2]

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pentalab.configs import evenly_spaced_chi, short_diagonal_chi
-from pentalab.curves import gamma_jet, random_curve_spec, zero_curve_spec
+from pentalab.curves import (CurveSpec, gamma_jet, random_curve_spec,
+                             zero_curve_spec)
 from pentalab.expansion import EpsLadder
 from pentalab.jets import eval_jet
 from pentalab.lax import (
@@ -289,6 +290,24 @@ class TestLimits:
         assert [len(c) for c in calls] == [14, 14 * 3]
         pairs = calls[0] + calls[1]
         assert len(set(pairs)) == len(pairs)
+
+    @pytest.mark.parametrize("d,seed", [(2, 5), (3, 23)])
+    def test_far_working_point_is_rebased(self, d, seed):
+        # walked out from x0 to x = 20 the ladder lost its limits (d = 2,
+        # seed 11 read p0_v_dev 0.64) or raised DegenerateIntersection
+        spec = random_curve_spec(d, seed=seed)
+        chi = short_diagonal_chi(d)
+        got = lax_limit_diagnostics(spec, chi, 20.0)
+        assert list(spec._anchors) == [0]
+        rebased = CurveSpec(d, spec.u, 20.0, np.eye(d + 1))
+        assert got.to_dict() == lax_limit_diagnostics(rebased, chi,
+                                                      20.0).to_dict()
+        assert got.identity_max <= 1e-9
+        assert got.p0_eps1 <= 1e-4
+        assert got.p0_v_dev <= 1e-3
+        assert got.conj_limit_dev <= 1e-3
+        assert max(got.quot_lhs_dev, got.quot_rhs_dev) <= 2e-2
+        assert abs(got.conj_slope - 1.0) <= 0.2
 
     def test_requires_centralized_configuration(self, curve_d2):
         chi = evenly_spaced_chi((-0.8, 0.5), 0.9, 2)
