@@ -16,13 +16,11 @@ step ladder costs about what one rung did.  A number for x and for eps is
 the batch of one pair with no batch axes.
 """
 
-from itertools import combinations
-
 import numpy as np
 
 from . import linalg
 from .curves import _lift_coeffs, normalized_lift
-from .jets import DegenerateSystem, Jet, det_jet, jet_solver
+from .jets import DegenerateSystem, Jet, jet_solver
 
 
 class DegenerateIntersection(Exception):
@@ -116,23 +114,6 @@ def intersect_spans(spans):
         return jet_solver(Jet(a, copy=False))(Jet(rhs, copy=False))
     except DegenerateSystem as exc:
         raise DegenerateIntersection(str(exc)) from exc
-
-
-def coplanarity_residual(point, spans):
-    """Largest wedge coefficient of the point against every span.
-
-    For each span the point must be a combination of the spanning vectors,
-    so every maximal minor of the stacked matrix vanishes; the worst jet
-    coefficient over all minors measures how far the point is from that.
-    """
-    worst = 0.0
-    for s in spans:
-        k = min(point.order, s.order) + 1
-        rows = np.concatenate([point.c[:k, None], s.c[:k]], axis=1)
-        for cols in combinations(range(rows.shape[2]), rows.shape[1]):
-            minor = det_jet(Jet(rows[:, :, cols], copy=False))
-            worst = max(worst, float(np.max(np.abs(minor.c))))
-    return worst
 
 
 def chi_map_point(spec, chi, x, eps, kmax):

@@ -24,8 +24,9 @@ from .configs import (
     solve_alpha_diag,
 )
 from .curves import CurveSpec, DegenerateLift, IntegrationFailure, random_curve_spec
-from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized, _constancy,
-                        check_kmax, extract_alphas, kdv_rhs_check)
+from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized,
+                        alpha_constancy_check, check_kmax, extract_alphas,
+                        kdv_rhs_check)
 from .jets import DegenerateSystem, NonPositiveBase
 from .kdvops import CommutatorResidue
 from .lax import lax_limit_diagnostics
@@ -39,6 +40,8 @@ _FAMILY_NAMES = ("short-diagonal", "evenly-spaced", "dual-dented")
 _RUN_ERRORS = (DegenerateIntersection, DegenerateLift, DegenerateSystem,
                IntegrationFailure, SingularMatrixError, NotCentralized,
                NonPositiveBase, DegenerateProbes, CommutatorResidue)
+# largest kdv-verify deviation that passes
+_KDV_TOL = 1e-3
 
 
 class UsageError(Exception):
@@ -190,7 +193,8 @@ def cmd_expand(rc):
 def cmd_centralize(rc):
     if len(rc.xs) < 3:
         raise UsageError("centralize needs at least three --x values")
-    report, spread = _constancy(rc.spec, rc.chi, rc.xs, rc.ladder, rc.kmax)
+    report, spread = alpha_constancy_check(rc.spec, rc.chi, rc.xs,
+                                           rc.ladder, rc.kmax)
     alpha11 = float(report.alpha[1, 1])
     centralized = bool(abs(alpha11) <= FIRST_ORDER_TOL)
     payload = {
@@ -211,14 +215,14 @@ def cmd_kdv_verify(rc):
     # can exceed the verdict tolerance for d = 3
     kmax = max(rc.kmax, 3)
     deviation = float(kdv_rhs_check(rc.spec, rc.chi, rc.xs[0], rc.ladder, kmax))
-    ok = deviation <= 1e-3
+    ok = deviation <= _KDV_TOL
     payload = {
         "schema": 1,
         "seed": rc.seed,
         "chi": rc.chi.to_dict(),
         "x": float(rc.xs[0]),
         "deviation": deviation,
-        "tolerance": 1e-3,
+        "tolerance": _KDV_TOL,
         "pass": ok,
     }
     _emit(payload, rc.out, rc.fmt)
@@ -284,12 +288,7 @@ def _add_output_flags(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _add_run_flags(p, kmax_default=2):
-    p.add_argument("--chi", default="short-diagonal",
-                   help="family name (short-diagonal, evenly-spaced, "
-                        "dual-dented) or a JSON file path")
-    p.add_argument("--curve", default="random",
-                   help="'random' or a curve JSON file path")
+def _add_family_flags(p):
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--p", type=float, nargs="+", default=None,
                    help="node set for evenly-spaced")
@@ -300,6 +299,15 @@ def _add_run_flags(p, kmax_default=2):
     p.add_argument("--shift", default=None,
                    help="node shift for dual-dented: a number or 'auto'")
     p.add_argument("--variant", choices=("full", "reduced"), default="full")
+
+
+def _add_run_flags(p, kmax_default=2):
+    p.add_argument("--chi", default="short-diagonal",
+                   help="family name (short-diagonal, evenly-spaced, "
+                        "dual-dented) or a JSON file path")
+    p.add_argument("--curve", default="random",
+                   help="'random' or a curve JSON file path")
+    _add_family_flags(p)
     p.add_argument("--eps0", type=float, default=0.2)
     p.add_argument("--ratio", type=float, default=0.85)
     p.add_argument("--count", type=int, default=14)
@@ -326,12 +334,7 @@ def build_parser():
     p = sub.add_parser("families", help="print a named configuration and "
                                         "its closed-form verdict")
     p.add_argument("family", choices=_FAMILY_NAMES)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--p", type=float, nargs="+", default=None)
-    p.add_argument("--r-step", type=float, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--shift", default=None)
-    p.add_argument("--variant", choices=("full", "reduced"), default="full")
+    _add_family_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_families, needs_run_config=False)
 

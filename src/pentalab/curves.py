@@ -18,15 +18,13 @@ every module that needs the invariants at a point.
 Frame transport uses Taylor stepping on a fixed anchor grid (order 14, step
 1/16) rather than a generic ODE integrator: the recursion hands us the
 Taylor method directly and keeps the Wronskian at machine precision.  Each
-visited anchor keeps its frame and, once needed, its order-14 Taylor series,
-so stepping on and the last partial step to x are Horner evaluations of a
-cached series.  A walk evaluates the u-jets of the anchors it newly needs
-in one pass over the u-trees (``u_jet`` at an array of points, at most
-``_AHEAD`` anchors per pass) before it steps.  The cache never changes a
-result: anchor frames do not depend on the order in which points are asked.
-``frame_at`` also takes an array of points: it walks out to the farthest
-ones, then takes every partial step in one Horner pass, each point's frame
-bit for bit the one a one-point call gives.
+visited anchor keeps its frame and, once a walk steps from it, its order-14
+Taylor series.  A walk makes the series it reads, with the u-jets of their
+anchors from one pass over the u-trees (at most ``_AHEAD`` per pass); only
+the two ends of the visited run lack one.  The cache never changes a
+result.  ``frame_at`` also takes an array of points: it walks out to the
+lowest and the highest, then takes every partial step in one Horner pass,
+each point's frame bit for bit the one a one-point call gives.
 
 Everything downstream of a lift is SL(d+1)-invariant, so a working point
 far from x0 need not walk the anchors out to it: ``CurveSpec.near(x)``
@@ -54,7 +52,7 @@ from .jets import (AnalyticFn, DegenerateSystem, Jet, derivative_stack, det_jet,
 
 _STEP = 1.0 / 16.0
 _STEP_ORDER = 14
-# anchors whose u-jets one pass evaluates ahead of a walk (x = 64 away):
+# anchors whose u-jets one pass evaluates during a walk (x = 64 away):
 # bounds the memory of a long walk that the frame check may cut short
 _AHEAD = 1024
 # working points farther than this from x0 are served from a spec based at
@@ -99,8 +97,6 @@ class CurveSpec:
         # always the contiguous run lo..hi, which contains 0
         self._anchors = {0: [f0, None]}
         self._lo = self._hi = 0
-        # anchor j -> u-jet, evaluated ahead of a walk and not yet used
-        self._ahead = {}
 
     # -- serialization --------------------------------------------------
 
@@ -148,39 +144,30 @@ class CurveSpec:
         return Jet(np.stack([eval_jet(f, x, order, dtype=self.dtype).c
                              for f in self.u], axis=1), copy=False)
 
-    def _taylor(self, j, stop, step):
-        """Order-14 Taylor coefficients of the lift at visited anchor j.
-
-        A walk towards stop that lacks them evaluates the u-jets at j and at
-        up to _AHEAD - 1 anchors after it in one pass over the u-trees; the
-        rest wait in ``_ahead`` for the steps that follow.
-        """
-        anchor = self._anchors[j]
-        if anchor[1] is None:
-            if j not in self._ahead:
-                walk = range(j, stop, step)[:_AHEAD]
-                u = self.u_jet(self.x0 + np.array(walk) * _STEP, _STEP_ORDER).c
-                self._ahead = dict(zip(walk, np.moveaxis(u, -1, 0)))
-            anchor[1] = _ode_taylor_coeffs(self._ahead.pop(j), anchor[0], self.d,
-                                           _STEP_ORDER)
-        return anchor[1]
-
     def _walk(self, j_target, partial):
-        """Visit every anchor from the cached run out to j_target; partial
-        says whether a point then takes a partial step from j_target."""
+        """Visit every anchor from the cached run out to j_target, making the
+        series of each anchor it steps from, and of j_target when partial
+        says a point takes a partial step from it (also inside the run)."""
         j = min(max(j_target, self._lo), self._hi)
         step = 1 if j_target > j else -1
-        # the walk reads a series at every anchor it steps from, and at the
-        # target when the last step is partial
-        stop = j_target + step if partial else j_target
-        while j != j_target:
-            frame = _frame_from_coeffs(self._taylor(j, stop, step),
-                                       step * _STEP, self.d)
+        walk = range(j, j_target + step if partial else j_target, step)
+        u = {}  # anchor -> u-jet, for the anchors of the current pass
+        for n, k in enumerate(walk):
+            anchor = self._anchors[k]
+            if anchor[1] is None:
+                if k not in u:
+                    ks = walk[n:n + _AHEAD]
+                    c = self.u_jet(self.x0 + np.array(ks) * _STEP, _STEP_ORDER).c
+                    u = dict(zip(ks, np.moveaxis(c, -1, 0)))
+                anchor[1] = _ode_taylor_coeffs(u.pop(k), anchor[0], self.d,
+                                               _STEP_ORDER)
+            if k == j_target:
+                break  # the partial step is frame_at's
+            frame = _frame_from_coeffs(anchor[1], step * _STEP, self.d)
             if not np.all(np.isfinite(frame)) or np.max(np.abs(frame)) > 1e12:
-                raise IntegrationFailure(f"frame blew up near x = {self.x0 + j * _STEP:g}")
-            j += step
-            self._anchors[j] = [frame, None]
-            self._lo, self._hi = min(self._lo, j), max(self._hi, j)
+                raise IntegrationFailure(f"frame blew up near x = {self.x0 + k * _STEP:g}")
+            self._anchors[k + step] = [frame, None]
+            self._lo, self._hi = min(self._lo, k + step), max(self._hi, k + step)
 
     def frame_at(self, x):
         """Rows g(x), g'(x), ..., g^(d)(x) of the normalized lift; an array
@@ -192,16 +179,6 @@ class CurveSpec:
         partial = hs != 0.0
         for j in {int(js.max()), int(js.min())}:
             self._walk(j, bool(np.any(partial & (js == j))))
-        need = [j for j in sorted(set(js[partial].tolist()))
-                if self._anchors[j][1] is None]
-        fresh = [j for j in need if j not in self._ahead]
-        if fresh:  # series the walks left out: their u-jets in one pass
-            u = self.u_jet(self.x0 + np.array(fresh) * _STEP, _STEP_ORDER).c
-            self._ahead.update(zip(fresh, np.moveaxis(u, -1, 0)))
-        for j in need:
-            anchor = self._anchors[j]
-            anchor[1] = _ode_taylor_coeffs(self._ahead.pop(j), anchor[0],
-                                           self.d, _STEP_ORDER)
         out = np.stack([self._anchors[j][0] for j in js.tolist()])
         if partial.any():
             series = np.stack([self._anchors[j][1] for j in js[partial].tolist()],

@@ -16,6 +16,10 @@ from .expansion import EpsLadder
 from .fitting import fit_poly, loglog_slope
 
 _DEFINED_FLOOR = 1e-10
+# steps 0.2 * 0.8^k, k < 12: slopes over the last 8, limits by a degree-5 fit
+_LADDER = EpsLadder(0.2, 0.8, 12)
+_FIT_WINDOW = 8
+_FIT_DEGREE = 5
 
 
 class DiscreteCoords:
@@ -46,27 +50,6 @@ def tilde_from_A(A):
         out[i] = sum((-1) ** (k - i + 1) * math.comb(k, i) * full[k]
                      for k in range(i, d + 2))
     return out
-
-
-def A_coords(obj):
-    """Difference-basis coefficients, from DiscreteCoords or point-basis values.
-
-    The relation between the two systems is unitriangular in A, so it
-    inverts by back substitution from the top.
-    """
-    if isinstance(obj, DiscreteCoords):
-        return obj.A.copy()
-    a_tilde = np.asarray(obj)
-    d = a_tilde.size - 1
-    dtype = np.result_type(a_tilde.dtype, np.float64)
-    full = np.empty(d + 2, dtype=dtype)
-    full[d + 1] = 1
-    for i in range(d, -1, -1):
-        acc = -a_tilde[i]
-        for k in range(i + 1, d + 2):
-            acc += (-1) ** (k - i + 1) * math.comb(k, i) * full[k]
-        full[i] = acc
-    return full[: d + 1]
 
 
 def coords_from_samples(pts, x, eps):
@@ -107,11 +90,6 @@ def discrete_coords(spec, x, eps):
     return coords_from_samples(pts, x, eps)
 
 
-def tilde_a(spec, x, eps):
-    """Point-basis recurrence coefficients a_tilde_0..a_tilde_d."""
-    return discrete_coords(spec, x, eps).a_tilde
-
-
 class LimitTable:
     """Ladder of recurrence coefficients with fitted orders and limits.
 
@@ -140,17 +118,10 @@ class LimitTable:
         self.a0_ok = a0_ok
 
 
-def limit_diagnostics(spec, x, ladder=None, fit_window=8, fit_degree=5):
-    """Measure the small-step limits of the recurrence coefficients at x.
-
-    The steps come from an EpsLadder, by default 0.2 * 0.8^k for k < 12.
-    """
-    if ladder is None:
-        ladder = EpsLadder(0.2, 0.8, 12)
-    eps = ladder.values()
+def limit_diagnostics(spec, x):
+    """Measure the small-step limits of the recurrence coefficients at x."""
+    eps = _LADDER.values()
     n = eps.size
-    if not 2 <= fit_window <= n:
-        raise ValueError("fit window must fit inside the ladder")
     spec = spec.near(x)  # the recurrence is SL(d+1)-invariant
     coords = [discrete_coords(spec, x, e) for e in eps]
     A = np.stack([c.A for c in coords])
@@ -158,9 +129,9 @@ def limit_diagnostics(spec, x, ladder=None, fit_window=8, fit_degree=5):
     d = spec.d
     powers = np.array([d + 1 - i if i < d else 2 for i in range(d + 1)])
     slopes = np.full(d + 1, np.nan)
-    limits = fit_poly(eps, A / eps[:, None] ** powers, fit_degree)[0][0]
+    limits = fit_poly(eps, A / eps[:, None] ** powers, _FIT_DEGREE)[0][0]
     ok = np.zeros(d + 1, dtype=bool)
-    win = slice(n - fit_window, n)
+    win = slice(n - _FIT_WINDOW, n)
     for i in range(d + 1):
         mags = np.abs(A[:, i])
         if np.max(mags) <= _DEFINED_FLOOR:

@@ -169,12 +169,8 @@ def verify_G2_structure(report, spec, x):
 
 
 def alpha_constancy_check(spec, chi, xs, ladder=None, kmax=2):
-    """Spread of the diagonal coefficients across working points."""
-    return _constancy(spec, chi, xs, ladder, kmax)[1]
-
-
-def _constancy(spec, chi, xs, ladder, kmax):
-    """(report at xs[0], diagonal spread over xs), one fit per point."""
+    """(report at xs[0], spread of the diagonal coefficients over xs), one
+    fit per working point."""
     if len(set(float(x) for x in xs)) < 3:
         raise ValueError("need at least 3 distinct working points")
     reports = _extract(spec, chi, xs, ladder, kmax)[0]

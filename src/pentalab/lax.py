@@ -16,7 +16,7 @@ import numpy as np
 
 from .chimap import chi_map_point
 from .curves import _lift_coeffs
-from .discretize import _curve_points, coords_from_samples, tilde_a
+from .discretize import coords_from_samples
 from .expansion import FIRST_ORDER_TOL, EpsLadder, NotCentralized, _extract
 from .fitting import fit_poly, loglog_slope
 from .jets import Jet, derivative_stack, jet_solver
@@ -50,43 +50,23 @@ def _q2_gamma(spec, x, depth):
 
 
 def _v_jets(g, q2g, c):
-    """Matrix jet of V from the jets of Γ and Q_2 Γ (see v_matrix_jets)."""
+    """Matrix jet of V, V Φ = c (Q_2 Γ derivative stack), from the jets of
+    Γ and Q_2 Γ: row k resolves (Q_2 Γ)^(k) against the frame in one jet
+    solve, and a lift jet of order n gives V to order n - d - 2."""
     d = g.c.shape[1] - 1
     solve = jet_solver(derivative_stack(g, d + 1))
     rows = solve(derivative_stack(q2g, d + 1) * c)
     return Jet(rows.c.transpose(0, 2, 1), copy=False)
 
 
-def v_matrix_jets(spec, x, c, order=2):
-    """Matrix jet (order+1, d+1, d+1) of V with V Φ = c (Q_2 Γ derivative stack).
-
-    Row k of V resolves the k-th derivative of Q_2 Γ against the frame
-    Γ, Γ', ..., Γ^(d); all rows come from one jet solve.  `order` is the jet
-    depth of the result (>= 1 keeps dV/dx available).
-    """
-    return _v_jets(*_q2_gamma(spec, x, order + spec.d + 2), c)
-
-
-def v_matrix(spec, x, c):
-    """Value matrix of v_matrix_jets at x."""
-    return v_matrix_jets(spec, x, c, order=0).value
-
-
-def _shift_companion(a_tilde, z=1.0):
-    """Zero first column, Λ(z) block, recurrence coefficients in last row."""
+def _shift_companion(a_tilde):
+    """Zero first column, identity block, recurrence coefficients in last row."""
     a_tilde = np.asarray(a_tilde)
     d = a_tilde.size - 1
-    m = np.zeros((d + 1, d + 1), dtype=np.result_type(a_tilde.dtype, type(z)))
-    for i in range(d):
-        odd_d = d % 2 == 1
-        m[i, i + 1] = z if odd_d == (i % 2 == 0) else 1.0
+    m = np.zeros((d + 1, d + 1), dtype=np.result_type(a_tilde.dtype, np.float64))
+    m[:d, 1:] = np.eye(d)
     m[d] = a_tilde
     return m
-
-
-def l_tilde(spec, x, eps, z=1.0):
-    """Shift companion of the sampled curve, spectral parameter in Λ."""
-    return _shift_companion(tilde_a(spec, x, eps), z)
 
 
 def d_eps(d, eps):
@@ -113,7 +93,7 @@ def d_eps_inv(d, eps):
     return m
 
 
-def frame_drift_matrix(spec, x, c):
+def _drift(spec, x, c, v, q2g):
     """Third-order drift of the conjugated transfer matrices.
 
     The scaled difference frames are themselves ε-dependent at first order,
@@ -122,13 +102,8 @@ def frame_drift_matrix(spec, x, c):
     frame), where T0 and T' hold the half-integer drift of the difference
     quotients.  Both transfer matrices carry the same Σ, so it cancels in
     the discrete Lax combination; only the shift difference dV/dx survives.
+    v is V at x and q2g a Q_2 Γ jet of order at least d + 1.
     """
-    g, q2g = _q2_gamma(spec, x, spec.d + 4)
-    return _drift(spec, x, c, _v_jets(g, q2g, c).value, q2g)
-
-
-def _drift(spec, x, c, v, q2g):
-    """frame_drift_matrix from V and a Q_2 Γ jet of order at least d + 1."""
     d = spec.d
     for _ in range(d + 1):
         q2g = q2g.derivative()
@@ -147,19 +122,6 @@ def _drift(spec, x, c, v, q2g):
 def _transfer(curve, mapped):
     """P with P (curve rows) = mapped rows, both sampled at the same steps."""
     return solve_dense(curve.T, mapped.T).T
-
-
-def p_tilde(spec, chi, x, eps, shift_index=0):
-    """Transfer matrix from the curve frame to the mapped-curve frame.
-
-    Rows of both frames sample at x + (shift_index + j) eps; the result P
-    satisfies P (curve rows) = (mapped rows).
-    """
-    if shift_index not in (0, 1):
-        raise ValueError("shift_index must be 0 or 1")
-    ks = np.arange(shift_index, shift_index + spec.d + 1)
-    mapped = chi_map_point(spec, chi, x + ks * eps, eps, 2 * spec.d + 2)[0]
-    return _transfer(_curve_points(spec, x, eps, ks), mapped.value)
 
 
 class LaxReport:

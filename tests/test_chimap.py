@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,17 +8,34 @@ from pentalab.chimap import (
     DegenerateIntersection,
     build_spans,
     chi_map_point,
-    coplanarity_residual,
     intersect_spans,
 )
 from pentalab.configs import (dual_dented_chi, dual_dented_shift, evenly_spaced_chi,
                               short_diagonal_chi)
 from pentalab.curves import gamma_jet, random_curve_spec, zero_curve_spec
-from pentalab.jets import Jet
+from pentalab.jets import Jet, det_jet
 
 
 def const_span(rows):
     return Jet(np.asarray(rows, dtype=float)[None])
+
+
+def coplanarity_residual(point, spans):
+    """Largest wedge coefficient of the point against every span.
+
+    For each span the point must be a combination of the spanning vectors,
+    so every maximal minor of the stacked matrix vanishes; the worst jet
+    coefficient over all minors measures how far the point is from that.
+    Shares no code with intersect_spans, which solves for the point.
+    """
+    worst = 0.0
+    for s in spans:
+        k = min(point.order, s.order) + 1
+        rows = np.concatenate([point.c[:k, None], s.c[:k]], axis=1)
+        for cols in combinations(range(rows.shape[2]), rows.shape[1]):
+            minor = det_jet(Jet(rows[:, :, cols], copy=False))
+            worst = max(worst, float(np.max(np.abs(minor.c))))
+    return worst
 
 
 def direction(vec):

@@ -95,6 +95,25 @@ class TestFamilies:
         assert code == 2
         assert "--p" in err
 
+    def test_family_flags_match_the_run_commands(self):
+        import argparse
+
+        from pentalab.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+
+        def family_flags(command):
+            return {a.dest: (a.option_strings, a.default, a.type, a.nargs,
+                             a.choices)
+                    for a in sub.choices[command]._actions
+                    if a.dest in ("d", "p", "r_step", "s", "shift", "variant")}
+
+        want = family_flags("families")
+        assert len(want) == 6
+        for command in ("expand", "centralize", "kdv-verify", "lax-verify"):
+            assert family_flags(command) == want
+
     def test_seed_is_not_accepted(self, capsys):
         # families draws no random curve, so the flag would be a no-op
         with pytest.raises(SystemExit) as exc:
@@ -295,7 +314,7 @@ class TestCentralize:
         payload = {"schema": 1, "seed": 11, "chi": chi.to_dict(),
                    "x_values": list(xs),
                    "alpha11": float(first.alpha[1, 1]),
-                   "diag_spread": alpha_constancy_check(spec, chi, xs),
+                   "diag_spread": alpha_constancy_check(spec, chi, xs)[1],
                    "centralized": True}
         assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -231,8 +231,8 @@ def test_frame_at_an_array_equals_the_one_point_frames(dtype, monkeypatch):
     calls = _count_u_evaluations(monkeypatch)
     got = spec.frame_at(xs)
     assert len(calls) == 2 * spec.d  # one pass for each walk
-    # -1.25 is the anchor the walk ended on: its series is made now, in
-    # one pass with the other anchor that lacks one
+    # -1.25 is the anchor the walk ended on: its series is made now, by
+    # the walk to it, which steps nowhere
     near = np.array([-1.26, 0.31, -1.24, -0.03], dtype=dtype)
     calls.clear()
     got_near = spec.frame_at(near)
@@ -243,6 +243,19 @@ def test_frame_at_an_array_equals_the_one_point_frames(dtype, monkeypatch):
             + list(zip(near, got_near)):
         fresh = random_curve_spec(3, seed=23, dtype=dtype)
         assert np.array_equal(frame, fresh.frame_at(x))
+
+
+def test_partial_steps_from_both_ends_of_the_run():
+    # each warm-up walk ends on an anchor, so both ends of the run lack a
+    # series; the array then takes a partial step from each end
+    warm = random_curve_spec(3, seed=23)
+    warm.frame_at(1.0)
+    warm.frame_at(-1.0)
+    assert warm._anchors[16][1] is None and warm._anchors[-16][1] is None
+    xs = np.array([0.99, -0.99, 0.3])
+    got = warm.frame_at(xs)
+    for x, frame in zip(xs, got):
+        assert np.array_equal(frame, random_curve_spec(3, seed=23).frame_at(x))
 
 
 def test_frame_at_an_array_names_the_point_that_blew_up():

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pentalab.discretize import (
-    A_coords,
-    discrete_coords,
-    limit_diagnostics,
-    tilde_a,
-    tilde_from_A,
-)
+from pentalab.discretize import discrete_coords, limit_diagnostics, tilde_from_A
 from pentalab.curves import CurveSpec, zero_curve_spec
-from pentalab.expansion import EpsLadder
 
 
 def test_zero_curve_recurrence_is_binomial():
@@ -24,29 +17,19 @@ def test_zero_curve_any_step():
     # the recurrence for polynomial components is exact at every step size
     spec = zero_curve_spec(3)
     for eps in (0.05, 0.3, 1.1):
-        assert_allclose(tilde_a(spec, 0.0, eps), [-1.0, 4.0, -6.0, 4.0],
+        assert_allclose(discrete_coords(spec, 0.0, eps).a_tilde, [-1.0, 4.0, -6.0, 4.0],
                         atol=1e-10)
 
 
 def test_round_trip_from_curve(curve_d3):
-    at = tilde_a(curve_d3, 0.2, 0.09)
-    assert_allclose(tilde_from_A(A_coords(at)), at, atol=1e-13)
-
-
-def test_round_trip_random_A(rng):
-    a = rng.uniform(-0.5, 0.5, size=4)
-    assert_allclose(A_coords(tilde_from_A(a)), a, atol=1e-13)
-
-
-def test_A_coords_accepts_coords_object(curve_d2):
-    coords = discrete_coords(curve_d2, 0.0, 0.1)
-    assert_allclose(A_coords(coords), coords.A, atol=0.0)
+    coords = discrete_coords(curve_d3, 0.2, 0.09)
+    assert np.array_equal(tilde_from_A(coords.A), coords.a_tilde)
 
 
 @pytest.mark.parametrize("d, x, eps", [(2, 0.3, 0.1), (3, -0.2, 0.08)])
 def test_reconstruction_residual(d, x, eps, curve_d2, curve_d3):
     spec = {2: curve_d2, 3: curve_d3}[d]
-    at = tilde_a(spec, x, eps)
+    at = discrete_coords(spec, x, eps).a_tilde
     pts = np.stack([spec.frame_at(x + i * eps)[0] for i in range(d + 2)])
     resid = pts[d + 1] - at @ pts[: d + 1]
     assert np.linalg.norm(resid) <= 1e-11 * np.linalg.norm(pts[d + 1])
@@ -104,7 +87,7 @@ def test_second_order_tilde_term_d2(curve_d2):
     u1 = curve_d2.u[1](0.3)
     vals = []
     for eps in (0.1, 0.05):
-        at = tilde_a(curve_d2, 0.3, eps)
+        at = discrete_coords(curve_d2, 0.3, eps).a_tilde
         vals.append(abs(at[1] + 3.0 - eps ** 2 * u1))
     assert vals[1] <= 0.25 * vals[0]
 
@@ -115,10 +98,3 @@ def test_zero_curve_flags_undefined():
     assert not table.a0_ok
     assert np.isnan(table.slopes).all()
     assert_allclose(table.limits, 0.0, atol=1e-6)
-
-
-def test_ladder_validation(curve_d2):
-    with pytest.raises(ValueError):
-        limit_diagnostics(curve_d2, 0.0, ladder=EpsLadder(0.1, 0.5, 3))
-    with pytest.raises(ValueError):
-        limit_diagnostics(curve_d2, 0.0, fit_window=13)

@@ -163,7 +163,7 @@ class TestFarWorkingPoint:
         assert_allclose(moved.w, here.w, rtol=0, atol=1e-6)
 
     def test_near_points_keep_their_bits_next_to_a_far_one(self, curve_d2):
-        from pentalab.expansion import _constancy, _extract
+        from pentalab.expansion import _extract
 
         chi = short_diagonal_chi(2)
         mixed, mixed_points = _extract(curve_d2, chi, (0.2, 0.3, 20.0), None, 2)
@@ -173,7 +173,8 @@ class TestFarWorkingPoint:
         assert np.array_equal(mixed_points[:2], near_points[:2])
         assert abs(mixed[2].alpha[1, 1]) <= 1e-3
         assert abs(mixed[2].alpha[2, 2] - 0.375) <= 2e-3
-        report, spread = _constancy(curve_d2, chi, (0.2, 0.3, 20.0), None, 2)
+        report, spread = alpha_constancy_check(curve_d2, chi,
+                                               (0.2, 0.3, 20.0))
         assert report.to_dict() == near[0].to_dict()
         assert spread <= 2e-3
 
@@ -182,12 +183,12 @@ class TestConstancy:
     def test_d2_short_diagonal_spread(self, curve_d2):
         xs = [-0.4, 0.0, 0.3, 0.7, 1.2]
         assert alpha_constancy_check(curve_d2, short_diagonal_chi(2),
-                                     xs) <= 2e-3
+                                     xs)[1] <= 2e-3
 
     def test_d3_dual_dented_shifted_spread(self, curve_d3):
         from pentalab import dual_dented_chi, dual_dented_shift
         chi = dual_dented_chi(3, 1).shift(dual_dented_shift(3, 1))
-        assert alpha_constancy_check(curve_d3, chi, [-0.2, 0.3, 0.8]) <= 2e-3
+        assert alpha_constancy_check(curve_d3, chi, [-0.2, 0.3, 0.8])[1] <= 2e-3
 
     def test_alpha20_tracks_potential(self):
         # alpha_{2,0} is proportional to u_{d-1}, so it must move with x
@@ -218,12 +219,14 @@ class TestConstancy:
             return inner(*args)
 
         monkeypatch.setattr(expansion, "chi_map_point", counted)
-        spread = alpha_constancy_check(curve_d2, chi, xs, ladder)
+        first, spread = alpha_constancy_check(curve_d2, chi, xs, ladder)
         monkeypatch.undo()
         assert calls == [xs]  # every point on every rung in one application
         diag = np.array([np.diag(extract_alphas(curve_d2, chi, x, ladder).alpha)
                          for x in xs])
         assert spread == float(np.max(diag.max(axis=0) - diag.min(axis=0)))
+        want = extract_alphas(curve_d2, chi, xs[0], ladder)
+        assert first.to_dict() == want.to_dict()
 
 
 class TestKdvCheck:

@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pentalab.chimap import chi_map_point
 from pentalab.configs import evenly_spaced_chi, short_diagonal_chi
 from pentalab.curves import (CurveSpec, gamma_jet, random_curve_spec,
                              zero_curve_spec)
+from pentalab.discretize import discrete_coords
 from pentalab.expansion import EpsLadder
 from pentalab.jets import eval_jet
 from pentalab.lax import (
+    _drift,
+    _q2_gamma,
+    _shift_companion,
+    _transfer,
+    _v_jets,
     d_eps,
     d_eps_inv,
-    frame_drift_matrix,
-    l_tilde,
     lax_limit_diagnostics,
-    p_tilde,
     u_matrix,
-    v_matrix,
-    v_matrix_jets,
 )
 
 X0 = 0.3
@@ -34,6 +36,25 @@ def report_d2():
 def report_d3():
     spec = random_curve_spec(3, seed=23)
     return spec, lax_limit_diagnostics(spec, short_diagonal_chi(3), X0)
+
+
+def v_jets(spec, x, c, order):
+    """Matrix jet of V at x to the given order, as the ladder builds it."""
+    return _v_jets(*_q2_gamma(spec, x, order + spec.d + 2), c)
+
+
+def v_matrix(spec, x, c):
+    return v_jets(spec, x, c, 0).value
+
+
+def drift(spec, x, c):
+    """Third-order drift at x, from V and Q_2 Γ as the ladder builds them."""
+    g, q2g = _q2_gamma(spec, x, spec.d + 4)
+    return _drift(spec, x, c, _v_jets(g, q2g, c).value, q2g)
+
+
+def shift_companion(spec, x, eps):
+    return _shift_companion(discrete_coords(spec, x, eps).a_tilde)
 
 
 def frame_values(spec, x, rows):
@@ -101,7 +122,7 @@ class TestVMatrix:
 
     def test_jet_derivative_matches_difference(self, curve_d2):
         h = 1e-4
-        vj = v_matrix_jets(curve_d2, X0, 0.375, order=2)
+        vj = v_jets(curve_d2, X0, 0.375, 2)
         vp = vj.derivative().value
         fd = (v_matrix(curve_d2, X0 + h, 0.375)
               - v_matrix(curve_d2, X0 - h, 0.375)) / (2 * h)
@@ -110,15 +131,9 @@ class TestVMatrix:
 
 class TestShiftCompanion:
     def test_zero_curve_binomial_row(self):
-        lt = l_tilde(zero_curve_spec(2), 0.4, 0.17)
+        lt = shift_companion(zero_curve_spec(2), 0.4, 0.17)
         assert_allclose(lt[2], [1.0, -3.0, 3.0], atol=1e-10)
         assert_allclose(lt[:2], [[0, 1, 0], [0, 0, 1]], atol=0)
-
-    def test_spectral_slot_placement(self, curve_d2, curve_d3):
-        lt3 = l_tilde(curve_d3, X0, 0.1, z=7.0)
-        assert (lt3[0, 1], lt3[1, 2], lt3[2, 3]) == (7.0, 1.0, 7.0)
-        lt2 = l_tilde(curve_d2, X0, 0.1, z=7.0)
-        assert (lt2[0, 1], lt2[1, 2]) == (1.0, 7.0)
 
     @pytest.mark.parametrize("d,seed", [(2, 11), (3, 23)])
     def test_advances_sample_stack(self, d, seed):
@@ -126,7 +141,7 @@ class TestShiftCompanion:
         e = 0.08
         samples = np.stack([spec.frame_at(X0 + k * e)[0]
                             for k in range(d + 2)])
-        lt = l_tilde(spec, X0, e)
+        lt = shift_companion(spec, X0, e)
         assert_allclose(lt @ samples[:d + 1], samples[1:], atol=1e-9)
 
 
@@ -162,20 +177,18 @@ class TestDifferenceBasis:
 class TestTransfer:
     @pytest.mark.parametrize("shift", [0, 1])
     def test_defining_relation(self, curve_d2, shift):
-        from pentalab.chimap import chi_map_point
-
+        # P from the array frame_at and one batched map application, as the
+        # ladder builds it, against rows sampled one point at a time
         chi = short_diagonal_chi(2)
         e = 0.1
-        p = p_tilde(curve_d2, chi, X0, e, shift_index=shift)
+        ks = np.arange(shift, shift + 3)
+        p = _transfer(curve_d2.frame_at(X0 + ks * e)[:, 0],
+                      chi_map_point(curve_d2, chi, X0 + ks * e, e, 6)[0].value)
         base = X0 + shift * e
         w = np.stack([curve_d2.frame_at(base + j * e)[0] for j in range(3)])
         wt = np.stack([chi_map_point(curve_d2, chi, base + j * e, e, 6)[0]
                        .value for j in range(3)])
         assert_allclose(p @ w, wt, atol=1e-8)
-
-    def test_rejects_other_shifts(self, curve_d2):
-        with pytest.raises(ValueError):
-            p_tilde(curve_d2, short_diagonal_chi(2), X0, 0.1, shift_index=2)
 
 
 class TestLimits:
@@ -317,13 +330,12 @@ class TestLimits:
 
 class TestDrift:
     def test_zero_curve_has_no_drift(self):
-        assert_allclose(frame_drift_matrix(zero_curve_spec(2), 0.4, 0.375),
-                        0.0, atol=1e-13)
+        assert_allclose(drift(zero_curve_spec(2), 0.4, 0.375), 0.0,
+                        atol=1e-13)
 
     def test_scales_linearly(self, curve_d2):
-        assert_allclose(frame_drift_matrix(curve_d2, X0, 0.75),
-                        2.0 * frame_drift_matrix(curve_d2, X0, 0.375),
-                        atol=1e-12)
+        assert_allclose(drift(curve_d2, X0, 0.75),
+                        2.0 * drift(curve_d2, X0, 0.375), atol=1e-12)
 
 
 class TestReportInterface:
