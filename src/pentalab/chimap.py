@@ -12,15 +12,19 @@ arrays that broadcast to a batch shape, and every stage then carries that
 shape in the tail ahead of its own axes, (K+1, *batch, q+1, d+1) for a
 span.  All the nodes of the batch are lifted in one pass over the u-trees,
 and each solve, nullspace and determinant is one stacked call, so a whole
-step ladder costs about what one rung did.  A number for x and for eps is
-the batch of one pair with no batch axes.
+contour or step ladder costs about what one pair did.  A number for x and
+for eps is the batch of one pair with no batch axes; eps may be complex.
 """
 
 import numpy as np
 
 from . import linalg
-from .curves import _lift_coeffs, normalized_lift
-from .jets import DegenerateSystem, Jet, jet_solver
+from .curves import (IntegrationFailure, _frame_from_coeffs, _lift_coeffs,
+                     normalized_lift)
+from .jets import DegenerateSystem, Jet, _factorials, jet_solver
+
+# order of the lift jet at x that the nodes of a complex step shift from
+_SHIFT_ORDER = 40
 
 
 class DegenerateIntersection(Exception):
@@ -34,7 +38,10 @@ def build_spans(spec, chi, x, eps, kmax):
     intersection point computed from them) lives at the common base point x.
     Arrays x and eps give each span the batch shape they broadcast to ahead
     of its (q+1, d+1) matrix.  Every node of every pair is lifted in one
-    pass; a node shared by several groups is lifted once.
+    pass; a node shared by several groups is lifted once.  A complex eps
+    shifts each node lift, by h = p eps, from one order-40 lift jet at its
+    x, and raises IntegrationFailure when the shift's last term is not
+    below roundoff: h then lies outside the lift's radius of convergence.
     """
     x, eps = np.asarray(x), np.asarray(eps)
     if np.any(eps == 0):
@@ -42,12 +49,32 @@ def build_spans(spec, chi, x, eps, kmax):
     if chi.d != spec.d:
         raise ValueError("configuration dimension does not match the curve")
     nodes = sorted({p for g in chi.groups for p in g})
-    points = x[..., None] + np.array(nodes) * eps[..., None]
-    coeffs = _lift_coeffs(spec, points.reshape(-1), kmax)[0]
-    lifts = np.moveaxis(coeffs, 1, -1).reshape(
-        (kmax + 1,) + points.shape + (spec.d + 1,))  # (K+1, *batch, node, d+1)
+    if np.iscomplexobj(eps):
+        lifts = _shifted_lifts(spec, x, np.array(nodes) * eps[..., None], kmax)
+    else:
+        points = x[..., None] + np.array(nodes) * eps[..., None]
+        coeffs = _lift_coeffs(spec, points.reshape(-1), kmax)[0]
+        lifts = np.moveaxis(coeffs, 1, -1).reshape(
+            (kmax + 1,) + points.shape + (spec.d + 1,))  # (K+1, *batch, node, d+1)
     return [Jet(lifts[..., [nodes.index(p) for p in g], :], copy=False)
             for g in chi.groups]
+
+
+def _shifted_lifts(spec, x, h, kmax):
+    """Lift coefficients (K+1, *batch, node, d+1) at x + h, for real x and
+    complex node offsets h that broadcast to (*batch, node)."""
+    shape = np.broadcast_shapes(x.shape + (1,), h.shape)
+    g = _lift_coeffs(spec, x.reshape(-1), _SHIFT_ORDER)[0]
+    g = np.broadcast_to(g.reshape(g.shape[:2] + x.shape + (1,)),
+                        g.shape[:2] + shape).reshape(g.shape[:2] + (-1,))
+    h = np.broadcast_to(h, shape).reshape(-1)
+    rows = (_frame_from_coeffs(g, h, kmax)
+            / _factorials(kmax + 1, g.dtype)[:, None, None])
+    last = np.max(np.abs(g[-1]), axis=0) * np.abs(h) ** _SHIFT_ORDER
+    if np.any(last > np.finfo(g.dtype).eps * np.max(np.abs(rows[0]), axis=0)):
+        raise IntegrationFailure(f"node offset {np.max(np.abs(h)):.3g} lies "
+                                 "outside the lift's radius of convergence")
+    return np.moveaxis(rows, 1, -1).reshape((kmax + 1,) + shape + (spec.d + 1,))
 
 
 def _span_normals(span):

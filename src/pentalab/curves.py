@@ -245,12 +245,13 @@ def _frame_from_coeffs(g, h, d):
     """Evaluate rows g^(k)(t+h), k = 0..d, from Taylor coefficients at t.
 
     One Horner pass for all rows: row k takes the terms m = order..k.  A
-    trailing axis of P points on g and on h gives (d+1, d+1, P).
+    trailing axis of P points on g and on h gives (d+1, d+1, P); a complex
+    h gives complex rows.
     """
     order = g.shape[0] - 1
     falling = _falling_table(order)
     tail = (1,) * (g.ndim - 1)
-    out = np.zeros((d + 1,) + g.shape[1:], dtype=g.dtype)
+    out = np.zeros((d + 1,) + g.shape[1:], dtype=np.result_type(g, h))
     for m in range(order, -1, -1):
         k = min(m, d) + 1
         out[:k] = out[:k] * h + g[m] * falling[:k, m].reshape((k,) + tail)
@@ -291,7 +292,9 @@ def normalized_lift(raw, d, ref=None):
     the lift uniquely whatever the sign of W.  When d+1 is even the Wronskian
     must be positive (raises DegenerateLift otherwise) and both signs of the
     root normalize, so the leftover overall sign is chosen to make the dot
-    product with ref positive when ref is given.
+    product with ref positive when ref is given.  A complex lift takes the
+    principal root, turned by the (d+1)-th root of unity that brings its dot
+    product with ref nearest the positive real axis.
     """
     if raw.c.shape[-1] != d + 1 or raw.c.ndim < 2:
         raise ValueError(f"need {d + 1} components, got shape {raw.c.shape[1:]}")
@@ -303,7 +306,9 @@ def normalized_lift(raw, d, ref=None):
     if np.any(w0 == 0.0) or not np.all(np.isfinite(w0)):
         raise DegenerateLift("vanishing Wronskian")
     sign_free = (d + 1) % 2 == 0
-    if not sign_free:  # d+1 odd: the odd root handles either sign of W
+    if np.iscomplexobj(w0):
+        f = w ** (-1.0 / (d + 1))
+    elif not sign_free:  # d+1 odd: the odd root handles either sign of W
         s = np.where(w0 > 0, 1.0, -1.0)
         f = Jet(w.c * s, copy=False) ** (-1.0 / (d + 1))
         f = Jet(f.c * s, copy=False)
@@ -313,7 +318,12 @@ def normalized_lift(raw, d, ref=None):
         f = w ** (-1.0 / (d + 1))
 
     scaled = Jet(f.c[..., None], copy=False) * raw
-    if sign_free and ref is not None:
+    if np.iscomplexobj(w0) and ref is not None:
+        turns = _roots_of_unity(d + 1, w0.real.dtype)
+        dots = np.sum(ref * scaled.value, axis=-1)[..., None] * turns
+        turn = turns[np.argmin(np.abs(np.angle(dots)), axis=-1)]
+        scaled = Jet(scaled.c * turn[..., None], copy=False)
+    elif sign_free and ref is not None:
         flip = np.sum(ref * scaled.value, axis=-1) < 0
         scaled = Jet(np.where(flip[..., None], -scaled.c, scaled.c), copy=False)
 
@@ -323,6 +333,12 @@ def normalized_lift(raw, d, ref=None):
     except DegenerateSystem as exc:
         raise DegenerateLift(f"frame not invertible: {exc}") from exc
     return scaled, coeffs[..., :d]
+
+
+def _roots_of_unity(n, dtype):
+    """exp(2 pi i j / n), j = 0..n-1, with the angles taken in the real dtype."""
+    turns = 2 * np.arccos(np.asarray(-1, dtype=dtype)) * np.arange(n) / n
+    return np.exp(1j * turns)
 
 
 def random_curve_spec(d, seed=None, dtype=np.float64):

@@ -129,7 +129,7 @@ def limit_diagnostics(spec, x):
     d = spec.d
     powers = np.array([d + 1 - i if i < d else 2 for i in range(d + 1)])
     slopes = np.full(d + 1, np.nan)
-    limits = fit_poly(eps, A / eps[:, None] ** powers, _FIT_DEGREE)[0][0]
+    limits = fit_poly(eps, A / eps[:, None] ** powers, _FIT_DEGREE)[0]
     ok = np.zeros(d + 1, dtype=bool)
     win = slice(n - _FIT_WINDOW, n)
     for i in range(d + 1):

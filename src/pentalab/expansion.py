@@ -1,45 +1,46 @@
-"""Extraction of the small-step expansion of the map from ladder data.
+"""The small-step expansion of the map, read off a Cauchy contour.
 
 The image curve evaluated at the working point is resolved against the frame
-Γ, Γ', ..., Γ^(d); each frame coordinate, sampled along a geometric ladder of
-step sizes, is fitted by a polynomial in ε.  The fitted coefficient of ε^k on
-the j-th frame vector is the operator coefficient α_{k,j}.  The first two
-corrections are heavily structured (a bare first derivative, then a Schwarzian
-like second-order operator), and the checks in this module pin that structure
-against the fitted numbers.  One application of the map covers every rung of
-the ladder, and every working point of a constancy check, at once; a working
+Γ, Γ', ..., Γ^(d).  The map is analytic in the step ε, so the trapezoidal
+rule on a circle |ε| = r gives the Taylor coefficients of each frame
+coordinate to roundoff over r^k (Lyness & Moler, SIAM J. Numer. Anal. 4
+(1967); Trefethen & Weideman, SIAM Review 56 (2014)); the coefficient of ε^k
+on the j-th frame vector is the operator coefficient α_{k,j}.  The first two
+corrections are heavily structured (a bare first derivative, then a
+Schwarzian like second-order operator), and the checks in this module pin
+that structure.  One application of the map covers every node of the
+circle, and every working point of a constancy check, at once; a working
 point far from the curve's base point is served from the curve re-based
-there (``CurveSpec.near``), which leaves every fitted number invariant.
+there (``CurveSpec.near``), which leaves every coefficient invariant.
 """
 
 import numpy as np
 
-from . import fitting
 from .chimap import chi_map_point
+from .curves import _roots_of_unity
 from .kdvops import JET_ORDER, kdv_rhs, l_operator
 from .linalg import solve_dense
 
-# deepest expansion order the step ladder resolves, per precision
-KMAX_DOUBLE = 4
-KMAX_EXTENDED = 6
+# deepest expansion order a report carries
+KMAX = 6
+# nodes on the contour; the real map needs only the upper half circle
+_NODES = 24
 # |alpha_11| at or below this counts as no first-order term
 FIRST_ORDER_TOL = 1e-3
-_COND_LIMIT = 1e8
 
 
 class NotCentralized(ValueError):
     """The configuration has a first-order term where the check needs none."""
 
 
-def check_kmax(kmax, dtype):
-    """Raise ValueError unless the ladder resolves order kmax at dtype."""
-    limit = KMAX_EXTENDED if dtype == np.longdouble else KMAX_DOUBLE
-    if not 0 <= kmax <= limit:
-        raise ValueError(f"kmax must lie in [0, {limit}] at this precision")
+def check_kmax(kmax):
+    """Raise ValueError unless a report can carry order kmax."""
+    if not 0 <= kmax <= KMAX:
+        raise ValueError(f"kmax must lie in [0, {KMAX}]")
 
 
 class EpsLadder:
-    """Geometric ladder of step sizes used for the coefficient fits."""
+    """Geometric ladder of real step sizes for the transfer-matrix limits."""
 
     __slots__ = ("eps0", "ratio", "count")
 
@@ -60,25 +61,22 @@ class EpsLadder:
 
 
 class ExpansionReport:
-    """Fitted expansion coefficients at one working point.
+    """Expansion coefficients at one working point.
 
     alpha[k][j] multiplies the j-th frame vector at order ε^k; w holds the
-    fitted ε² coefficients of the transformed curve invariants.
+    ε² coefficients of the transformed curve invariants.  uncertainty is
+    the gap to the same rule on every other node of the contour.
     """
 
-    __slots__ = ("x", "d", "kmax", "alpha", "uncertainty", "fit_residual",
-                 "w", "flagged")
+    __slots__ = ("x", "d", "kmax", "alpha", "uncertainty", "w")
 
-    def __init__(self, x, d, kmax, alpha, uncertainty, fit_residual, w,
-                 flagged):
+    def __init__(self, x, d, kmax, alpha, uncertainty, w):
         self.x = float(x)
         self.d = int(d)
         self.kmax = int(kmax)
         self.alpha = np.asarray(alpha, dtype=np.float64)
         self.uncertainty = np.asarray(uncertainty, dtype=np.float64)
-        self.fit_residual = float(fit_residual)
         self.w = np.asarray(w, dtype=np.float64)
-        self.flagged = bool(flagged)
 
     def to_dict(self):
         return {
@@ -88,39 +86,38 @@ class ExpansionReport:
             "alpha": [[float(v) for v in row] for row in self.alpha],
             "uncertainty": [[float(v) for v in row]
                             for row in self.uncertainty],
-            "fit_residual": self.fit_residual,
             "w": [float(v) for v in self.w],
-            "flagged": self.flagged,
         }
 
     def csv_rows(self):
         """Flat (k, j, alpha, uncertainty) rows."""
-        rows = []
-        for k in range(self.kmax + 1):
-            for j in range(self.d + 1):
-                rows.append((k, j, float(self.alpha[k, j]),
-                             float(self.uncertainty[k, j])))
-        return rows
+        return [(k, j, float(self.alpha[k, j]), float(self.uncertainty[k, j]))
+                for k in range(self.kmax + 1) for j in range(self.d + 1)]
 
 
-def extract_alphas(spec, chi, x, ladder=None, kmax=2):
-    """Fit the frame coordinates of the image curve on a step ladder."""
-    return _extract(spec, chi, [x], ladder, kmax)[0][0]
+def extract_alphas(spec, chi, x, kmax=2):
+    """Taylor coefficients in ε of the frame coordinates of the image curve."""
+    return _extract(spec, chi, [x], kmax)[0]
 
 
-def _extract(spec, chi, xs, ladder, kmax):
-    """(an extract_alphas report per working point in xs, the image-curve
-    point at each of them on every rung, (len(xs), rungs, d+1), in the
-    coordinates of spec.near(x)).
+def _taylor(samples, radius):
+    """Taylor coefficients (n, columns) of a function real on the real axis,
+    from its samples at radius * exp(2 pi i j / n), j = 0..n/2."""
+    n = 2 * (len(samples) - 1)
+    return np.fft.hfft(samples, n, axis=0) / n / radius ** np.arange(n)[:, None]
 
-    The working points spec keeps share one application of the map to
-    every (x, rung) pair; a far point is mapped on its own re-based spec.
+
+def _extract(spec, chi, xs, kmax):
+    """An extract_alphas report per working point in xs.
+
+    The contour radius keeps every node offset |p ε| within 0.2.  The
+    working points spec keeps share one application of the map to every
+    (x, node) pair; a far point is mapped on its own re-based spec.
     """
-    if ladder is None:
-        ladder = EpsLadder()
-    check_kmax(kmax, spec.dtype)
+    check_kmax(kmax)
     d = spec.d
-    eps = ladder.values(spec.dtype)
+    radius = 0.2 / max(1.0, max(abs(p) for g in chi.groups for p in g))
+    eps = radius * _roots_of_unity(_NODES, spec.dtype)[:_NODES // 2 + 1]
     bases = [spec.near(x) for x in xs]
     mapped = {}
     for base in dict.fromkeys(bases):  # one application per distinct base
@@ -136,22 +133,20 @@ def _extract(spec, chi, xs, ladder, kmax):
         coords = solve_dense(base.frame_at(x).T,
                              np.asarray_chkfinite(points.T)).T
         samples = np.concatenate([coords, invariants], axis=1)
-        coeffs, sigma, fit_residual, cond = fitting.fit_poly(eps, samples,
-                                                             kmax + 2)
-        flagged = cond > _COND_LIMIT
-        if flagged:
-            sigma = sigma * (cond / _COND_LIMIT)
+        coeffs = _taylor(samples, radius)
+        # against the same rule on the even-indexed nodes alone
+        gap = np.abs(coeffs[:_NODES // 2] - _taylor(samples[::2], radius))
         reports.append(ExpansionReport(
-            x, d, kmax, coeffs[:kmax + 1, :d + 1], sigma[:kmax + 1, :d + 1],
-            fit_residual, coeffs[2, d + 1:], flagged))
-    return reports, np.stack([mapped[i][0] for i in range(len(xs))])
+            x, d, kmax, coeffs[:kmax + 1, :d + 1], gap[:kmax + 1, :d + 1],
+            coeffs[2, d + 1:]))
+    return reports
 
 
 def verify_G2_structure(report, spec, x):
-    """Residual of the fitted first and second corrections against theory.
+    """Residual of the extracted first and second corrections against theory.
 
     The first correction must be a pure first derivative; the second must be
-    a22*(D^2 + 2 u_{d-1}/(d+1)) - a11^2 u_{d-1}/(d+1) with the fitted a11 and
+    a22*(D^2 + 2 u_{d-1}/(d+1)) - a11^2 u_{d-1}/(d+1) with the report's a11 and
     a22 plugged in.  Returns the worst coefficient mismatch.
     """
     if report.kmax < 2:
@@ -168,24 +163,23 @@ def verify_G2_structure(report, spec, x):
     return max(resid, float(np.max(off_first)))
 
 
-def alpha_constancy_check(spec, chi, xs, ladder=None, kmax=2):
+def alpha_constancy_check(spec, chi, xs):
     """(report at xs[0], spread of the diagonal coefficients over xs), one
-    fit per working point."""
+    extraction per working point."""
     if len(set(float(x) for x in xs)) < 3:
         raise ValueError("need at least 3 distinct working points")
-    reports = _extract(spec, chi, xs, ladder, kmax)[0]
-    diag = np.array([[r.alpha[i, i] for i in range(min(2, kmax) + 1)]
-                     for r in reports])
+    reports = _extract(spec, chi, xs, 2)
+    diag = np.array([np.diag(r.alpha) for r in reports])
     return reports[0], float(np.max(diag.max(axis=0) - diag.min(axis=0)))
 
 
-def kdv_rhs_check(spec, chi, x, ladder=None, kmax=2):
-    """Fitted ε² drift of the invariants against the hierarchy commutator.
+def kdv_rhs_check(spec, chi, x):
+    """ε² drift of the invariants against the hierarchy commutator.
 
     Valid only when the first-order term is absent; then the invariants move
     at the ε² timescale with velocity a22 times the commutator coefficients.
     """
-    report = extract_alphas(spec, chi, x, ladder, kmax)
+    report = extract_alphas(spec, chi, x)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     u = spec.u_jet(x, JET_ORDER)

@@ -50,7 +50,7 @@ class Jet:
 
     Sums and products of jets broadcast the tails numpy-style, products
     with a number scale; ``jet[i]`` indexes the tail.  Powers take scalar
-    jets with a positive constant term.
+    jets with a positive or a complex constant term.
     """
 
     __slots__ = ("c",)
@@ -81,12 +81,6 @@ class Jet:
     @property
     def value(self):
         return self.c[0]
-
-    def deriv(self, k):
-        """Value of the k-th derivative at the base point."""
-        if k > self.order:
-            raise ValueError(f"derivative {k} exceeds jet order {self.order}")
-        return self.c[k] * math.factorial(k)
 
     def derivative(self):
         """Jet of f', one order shorter."""
@@ -138,7 +132,8 @@ class Jet:
     __rmul__ = __mul__
 
     def __pow__(self, p):
-        """Real power of a scalar jet with a positive constant term."""
+        """Real power of a scalar jet with a positive constant term, or the
+        principal power of a complex one."""
         return Jet(_pow(self.c, p), copy=False)
 
 
@@ -215,7 +210,7 @@ def _pow(c, p):
     if c.ndim > 1:
         return _by_point(functools.partial(_pow, p=p), c)
     a0 = c[0]
-    if a0 <= 0:
+    if not np.iscomplexobj(c) and a0 <= 0:
         raise NonPositiveBase("fractional jet power needs a positive constant term")
     series = np.zeros(len(c), dtype=c.dtype)
     series[0] = a0 ** c.dtype.type(p)

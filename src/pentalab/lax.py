@@ -17,7 +17,8 @@ import numpy as np
 from .chimap import chi_map_point
 from .curves import _lift_coeffs
 from .discretize import coords_from_samples
-from .expansion import FIRST_ORDER_TOL, EpsLadder, NotCentralized, _extract
+from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized,
+                        extract_alphas)
 from .fitting import fit_poly, loglog_slope
 from .jets import Jet, derivative_stack, jet_solver
 from .linalg import solve_dense
@@ -133,51 +134,51 @@ class LaxReport:
                  "p0_v_dev", "p1_v_dev", "shift_vprime_dev", "drift_dev",
                  "lhs_dev_per_eps", "rhs_dev_per_eps")
 
+    # check -> (fields, lowest and highest passing value of each field)
+    _GATES = {
+        "slope_in_band": (("conj_slope",), 0.8, 1.2),
+        "conj_limit": (("conj_limit_dev",), 0.0, 1e-3),
+        "identity": (("identity_max",), 0.0, 1e-9),
+        "quotients": (("quot_lhs_dev", "quot_rhs_dev"), 0.0, 2e-2),
+        "no_first_order": (("p0_eps1",), 0.0, 1e-4),
+        "second_order_v": (("p0_v_dev",), 0.0, 1e-3),
+    }
+
+    def checks(self):
+        """{check: whether every field it gates lies in its band}."""
+        return {name: all(low <= getattr(self, f) <= high for f in fields)
+                for name, (fields, low, high) in self._GATES.items()}
+
     def to_dict(self):
-        return {
-            "d": self.d,
-            "x": self.x,
-            "c": self.c,
-            "conj_slope": self.conj_slope,
-            "conj_limit_dev": self.conj_limit_dev,
-            "identity_max": self.identity_max,
-            "quot_lhs_dev": self.quot_lhs_dev,
-            "quot_rhs_dev": self.quot_rhs_dev,
-            "w_target_dev": self.w_target_dev,
-            "p0_eps1": self.p0_eps1,
-            "p0_v_dev": self.p0_v_dev,
-            "p1_v_dev": self.p1_v_dev,
-            "shift_vprime_dev": self.shift_vprime_dev,
-            "drift_dev": self.drift_dev,
-        }
+        return {k: getattr(self, k) for k in (
+            "d", "x", "c", "conj_slope", "conj_limit_dev", "identity_max",
+            "quot_lhs_dev", "quot_rhs_dev", "w_target_dev", "p0_eps1",
+            "p0_v_dev", "p1_v_dev", "shift_vprime_dev", "drift_dev")}
 
     def csv_rows(self):
         """Per-rung (eps, lhs deviation, rhs deviation, identity residual)."""
-        rows = []
-        for k in range(self.eps.size):
-            rows.append((float(self.eps[k]), float(self.lhs_dev_per_eps[k]),
-                         float(self.rhs_dev_per_eps[k]),
-                         float(self.identity_resid[k])))
-        return rows
+        return [tuple(map(float, row)) for row in zip(
+            self.eps, self.lhs_dev_per_eps, self.rhs_dev_per_eps,
+            self.identity_resid)]
 
 
-def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
+def lax_limit_diagnostics(spec, chi, x, ladder=None):
     """Run the full transfer-matrix ladder at z = 1 and fit every limit.
 
-    Needs a configuration with no first-order drift; the curve and image
-    curve windows of every rung come from one array frame_at and one
-    application of the map (the image point at x is the one the extraction
-    already mapped), and each window is shared between the transfer
-    matrices and the two companions, which is what makes the discrete
-    relation an identity to solver precision.  A far x is served from the
-    curve re-based there (CurveSpec.near), which no limit sees.  The fitted
-    expansions of the conjugated transfer matrices are checked against V at
-    second order and against the frame drift plus dV/dx at third order.
+    Needs a configuration with no first-order drift; c22 and w come from
+    the expansion at x.  The curve and image curve windows of every rung
+    come from one array frame_at and one application of the map, and each
+    window is shared between the transfer matrices and the two companions,
+    which is what makes the discrete relation an identity to solver
+    precision.  A far x is served from the curve re-based there
+    (CurveSpec.near), which no limit sees.  The fitted expansions of the
+    conjugated transfer matrices are checked against V at second order and
+    against the frame drift plus dV/dx at third order.
     """
     if ladder is None:
         ladder = EpsLadder()
     spec = spec.near(x)
-    (report,), (at_x,) = _extract(spec, chi, [x], ladder, kmax)
+    report = extract_alphas(spec, chi, x)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     d = spec.d
@@ -196,8 +197,8 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     steps = eps[:, None]
     ks = np.arange(d + 2)
     curves = spec.frame_at(x + ks * steps)[..., 0, :]  # (rung, d+2, d+1)
-    mapped = chi_map_point(spec, chi, x + ks[1:] * steps, steps,
-                           2 * d + 2)[0].value  # x + eps .. x + (d+1) eps
+    windows = chi_map_point(spec, chi, x + ks * steps, steps,
+                            2 * d + 2)[0].value  # x .. x + (d+1) eps
     eye = np.eye(d + 1)
     conj_err = np.empty(n)
     ident = np.empty(n)
@@ -206,14 +207,12 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     qrhs = np.empty((n, d + 1, d + 1))
     p0_stack = np.empty((n, d + 1, d + 1))
     p1_stack = np.empty((n, d + 1, d + 1))
-    for r, e in enumerate(eps):
+    for r, (e, curve, window) in enumerate(zip(eps, curves, windows)):
         dm = d_eps(d, e)
         dmi = d_eps_inv(d, e)
-        curve = curves[r]
         lt0 = _shift_companion(coords_from_samples(curve, x, e).a_tilde)
         conj_stack[r] = (dm @ lt0 @ dmi - eye) / e
         conj_err[r] = _maxabs(conj_stack[r] - U)
-        window = np.vstack([at_x[r], mapped[r]])
         p0 = _transfer(curve[:d + 1], window[:d + 1])
         p1 = _transfer(curve[1:], window[1:])
         lt1 = _shift_companion(coords_from_samples(window, x, e).a_tilde)
@@ -230,14 +229,14 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None, kmax=2):
     out.eps = np.asarray(eps, dtype=np.float64)
     out.target = target
     out.conj_slope = loglog_slope(eps[tail], conj_err[tail])
-    out.conj_limit_dev = _maxabs(fit_poly(eps, conj_stack, 3)[0][0] - U)
+    out.conj_limit_dev = _maxabs(fit_poly(eps, conj_stack, 3)[0] - U)
     out.identity_resid = ident
     out.identity_max = float(np.max(ident))
-    out.quot_lhs_dev = _maxabs(fit_poly(eps, qlhs, 3)[0][0] - target)
-    out.quot_rhs_dev = _maxabs(fit_poly(eps, qrhs, 3)[0][0] - target)
+    out.quot_lhs_dev = _maxabs(fit_poly(eps, qlhs, 3)[0] - target)
+    out.quot_rhs_dev = _maxabs(fit_poly(eps, qrhs, 3)[0] - target)
     out.w_target_dev = _maxabs(dudt_w - target)
-    p0_fit = fit_poly(eps, p0_stack, 6)[0]
-    p1_fit = fit_poly(eps, p1_stack, 6)[0]
+    p0_fit = fit_poly(eps, p0_stack, 6)
+    p1_fit = fit_poly(eps, p1_stack, 6)
     out.p0_eps1 = _maxabs(p0_fit[1])
     out.p0_v_dev = _maxabs(p0_fit[2] - V)
     out.p1_v_dev = _maxabs(p1_fit[2] - V)

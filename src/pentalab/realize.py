@@ -20,7 +20,7 @@ import numpy as np
 from .chimap import DegenerateIntersection
 from .configs import ChiConfig, SymTable
 from .curves import DegenerateLift
-from .expansion import EpsLadder, extract_alphas
+from .expansion import extract_alphas
 from .jets import DegenerateSystem, NonPositiveBase
 from .kdvops import JET_ORDER, l_operator, q_m
 from .linalg import SingularMatrixError
@@ -120,11 +120,6 @@ class Realization34Report:
         }
 
 
-def _node_ladder(chi):
-    radius = max(1.0, max(abs(p) for g in chi.groups for p in g))
-    return EpsLadder(0.2 / radius, 0.85, 14)
-
-
 def _q3_row(spec, x):
     u = spec.u_jet(x, JET_ORDER)
     q3 = q_m(l_operator([u[i] for i in range(spec.d)]), 3)
@@ -136,7 +131,7 @@ def check_34(chi, probe_curves, x):
 
     Requires three plane groups in dimension 3 and at least three probe
     curves.  The node-product condition is exact arithmetic; the residuals
-    are fitted from the expansion of each probe curve at x to order 3 and
+    are read off the expansion of each probe curve at x to order 3, and
     the third-order row is compared against c * (L^{3/4})_+ with a single
     constant shared across probes.  A probe whose intersection degenerates
     is skipped and recorded.
@@ -144,7 +139,6 @@ def check_34(chi, probe_curves, x):
     _require_planes(chi)
     if len(probe_curves) < 3:
         raise ValueError("need at least three probe curves")
-    ladder = _node_ladder(chi)
 
     table = SymTable(chi)
     top = table.top()
@@ -155,7 +149,7 @@ def check_34(chi, probe_curves, x):
     skipped = []
     for idx, spec in enumerate(probe_curves):
         try:
-            rep = extract_alphas(spec, chi, x, ladder, kmax=3)
+            rep = extract_alphas(spec, chi, x, kmax=3)
         except DegenerateIntersection:
             skipped.append(idx)
             continue
@@ -274,7 +268,7 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
         except ValueError:  # projected nodes that collide
             return 1e6
         try:
-            rep = extract_alphas(probe, chi, x, _node_ladder(chi), kmax=3)
+            rep = extract_alphas(probe, chi, x, kmax=3)
         except _DEGENERATE:
             return 1e6
         g1, g2, g3, _ = _residuals([rep.alpha], [_q3_row(probe, x)])

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_output_satisfies_coplanarity(curve_d2):
 
 def test_output_wronskian_is_one(curve_d3):
     out, _ = chi_map_point(curve_d3, short_diagonal_chi(3), 0.1, 0.08, 10)
-    rows = [out.deriv(k) for k in range(4)]
+    rows = [out.c[k] * math.factorial(k) for k in range(4)]
     assert np.linalg.det(rows) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -174,6 +175,19 @@ def test_symmetric_config_even_in_eps(d, eps):
     minus, u_minus = chi_map_point(spec, chi, 0.4, -eps, kmax)
     assert_allclose(plus.c, minus.c, atol=1e-10)
     assert_allclose(u_plus.c, u_minus.c, atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_complex_step_on_the_real_axis_equals_the_real_step(d):
+    # the complex path shifts every node from one lift jet at x and takes
+    # the principal Wronskian root; the real path lifts each node itself
+    spec = random_curve_spec(d, seed=30 + d)
+    chi = short_diagonal_chi(d)
+    real, u_real = chi_map_point(spec, chi, 0.3, 0.1, 2 * d + 2)
+    cplx, u_cplx = chi_map_point(spec, chi, 0.3, 0.1 + 0j, 2 * d + 2)
+    assert np.iscomplexobj(cplx.c)
+    assert_allclose(cplx.value, real.value, rtol=0, atol=1e-12)
+    assert_allclose(u_cplx.value, u_real.value, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -10,7 +10,7 @@ import pentalab
 from pentalab.cli import main
 from pentalab.configs import ChiConfig, short_diagonal_chi
 from pentalab.curves import random_curve_spec
-from pentalab.expansion import EpsLadder, alpha_constancy_check
+from pentalab.expansion import alpha_constancy_check
 
 
 def run(capsys, argv):
@@ -175,7 +175,7 @@ class TestExpand:
 
     def test_kmax_capped_for_double(self, capsys):
         code, _, err = run(capsys, ["expand", "--chi", "short-diagonal",
-                                    "--d", "2", "--kmax", "5"])
+                                    "--d", "2", "--kmax", "7"])
         assert code == 2
         assert "kmax" in err
 
@@ -250,6 +250,24 @@ class TestExpand:
         assert err.startswith("error in expansion.extract_alphas: "
                               "IntegrationFailure: frame blew up")
 
+    def test_lift_past_its_radius_of_convergence_is_a_run_error(
+            self, capsys, tmp_path):
+        # u_0 has a pole 0.15 from x, inside the node offsets' reach of 0.2;
+        # walked on a real ladder this printed a22 - 3/8 = 1.84 and exited 0
+        path = tmp_path / "curve.json"
+        pole = {"op": "div", "args": [
+            {"op": "const", "value": 0.05},
+            {"op": "sub", "args": [{"op": "const", "value": 0.45},
+                                   {"op": "x"}]}]}
+        path.write_text(json.dumps({
+            "d": 2, "x0": 0.0, "F0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "u": [pole, {"op": "const", "value": 0.0}]}))
+        code, out, err = run(capsys, ["expand", "--curve", str(path),
+                                      "--x", "0.3"])
+        assert code == 1
+        assert out == ""
+        assert "IntegrationFailure" in err
+
     @pytest.mark.parametrize("bug", [np.linalg.LinAlgError("Singular matrix"),
                                      ValueError("operands could not be broadcast"),
                                      RuntimeError("unexpected")])
@@ -305,12 +323,13 @@ class TestCentralize:
                                     "--x", "-0.4", "0.3", "1.1"])
         monkeypatch.undo()
         assert code == 0
-        # one application maps every point on every rung, each pair once
-        assert calls == [([-0.4, 0.3, 1.1], (3, 14))]
-        # the report of fitting the first point on its own, then the spread
+        # one application maps every point on the upper half of the
+        # contour, each pair once
+        assert calls == [([-0.4, 0.3, 1.1], (3, 13))]
+        # the report of the first point on its own, then the spread
         spec, chi = random_curve_spec(2, seed=11), short_diagonal_chi(2)
         xs = (-0.4, 0.3, 1.1)
-        first = inner(spec, chi, xs[0], EpsLadder(), 2)
+        first = inner(spec, chi, xs[0])
         payload = {"schema": 1, "seed": 11, "chi": chi.to_dict(),
                    "x_values": list(xs),
                    "alpha11": float(first.alpha[1, 1]),
@@ -330,8 +349,8 @@ class TestKdvVerify:
         assert blob["deviation"] <= 1e-3
 
     def test_default_fit_depth_carries_d3(self, capsys):
-        # the verdict needs a fit one order past the term under test; the
-        # shallower depth fails d = 3 on truncation bias alone
+        # a ladder fit needed one order past the term under test to pass
+        # d = 3; the contour reads the term exactly at any depth
         code, out, _ = run(capsys, ["kdv-verify", "--chi", "short-diagonal",
                                     "--d", "3", "--curve", "random",
                                     "--seed", "23", "--x", "0.3"])
@@ -362,6 +381,17 @@ class TestLaxVerify:
         lines = out.strip().splitlines()
         assert lines[0] == "eps,lhs_dev,rhs_dev,identity"
         assert len(lines) == 1 + 14
+
+    @pytest.mark.parametrize("argv", [
+        ["lax-verify", "--kmax", "1"], ["centralize", "--kmax", "0"],
+        ["kdv-verify", "--kmax", "3"], ["centralize", "--count", "8"],
+        ["kdv-verify", "--eps0", "0.1"]])
+    def test_flags_the_command_does_not_read_are_refused(self, capsys, argv):
+        # lax-verify --kmax 0|1 and centralize --kmax 0 died on an IndexError
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--d", "2"])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
 
 
 class TestRealize34:

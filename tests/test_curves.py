@@ -23,7 +23,7 @@ def test_affine_motion_d1():
     fj = gamma_jet(spec, 1.3, 4)
     # second derivative vanishes, so the lift is (1, x - x0) exactly
     assert_allclose(fj.value, [1.0, 1.3], atol=1e-14)
-    assert_allclose(fj.deriv(1), [0.0, 1.0], atol=1e-14)
+    assert_allclose(fj.c[1], [0.0, 1.0], atol=1e-14)
     assert_allclose(fj.c[2:], 0.0, atol=1e-14)
 
 
@@ -31,7 +31,7 @@ def test_zero_curve_d2_is_polynomial():
     spec = zero_curve_spec(2)
     fj = gamma_jet(spec, 0.7, 6)
     assert_allclose(fj.c[3:], 0.0, atol=1e-15)
-    assert fj.deriv(2)[2] == pytest.approx(1.0)  # g_2 = x^2/2
+    assert 2 * fj.c[2][2] == pytest.approx(1.0)  # g_2 = x^2/2
 
 
 def test_frame_against_ode_oracle():
@@ -106,7 +106,7 @@ def test_jet_recursion_matches_ode(curve_d3):
     # the order-(d+1) coefficient must reproduce -sum u_i g^(i)
     x = 0.9
     fj = gamma_jet(curve_d3, x, 8)
-    rows = [fj.deriv(k) for k in range(5)]
+    rows = [fj.c[k] * math.factorial(k) for k in range(5)]
     u = [f(x) for f in curve_d3.u]
     lhs = rows[4]
     rhs = -(u[0] * rows[0] + u[1] * rows[1] + u[2] * rows[2])
@@ -317,7 +317,7 @@ def test_normalized_lift_constant_rescale():
     spec = zero_curve_spec(1)
     fj = gamma_jet(spec, 0.5, 5)
     out, _ = normalized_lift(fj * 2.0, 1)
-    rows = [out.deriv(k) for k in range(2)]
+    rows = [out.c[k] * math.factorial(k) for k in range(2)]
     assert np.linalg.det(rows) == pytest.approx(1.0, abs=1e-13)
     assert_allclose(out.value, fj.value, atol=1e-13)
 

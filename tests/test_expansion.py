@@ -1,6 +1,8 @@
-"""Ladder extraction of expansion coefficients and structure checks."""
+"""Contour extraction of expansion coefficients and structure checks."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from pentalab import (
     AnalyticFn,
+    ChiConfig,
     CurveSpec,
     alpha11_evenly_spaced,
     evenly_spaced_chi,
@@ -52,7 +55,6 @@ class TestExtraction:
         assert abs(r.alpha[2, 2] - 0.375) <= 1e-3
         assert abs(r.alpha[1, 0]) <= 1e-5
         assert abs(r.alpha[2, 1]) <= 1e-5
-        assert not r.flagged
         assert verify_G2_structure(r, curve_d2, 0.3) <= 1e-3
 
     def test_d3_short_diagonal_matches_system(self, curve_d3):
@@ -83,7 +85,7 @@ class TestExtraction:
 
     def test_kmax_guard(self, curve_d2):
         with pytest.raises(ValueError):
-            extract_alphas(curve_d2, short_diagonal_chi(2), 0.0, kmax=5)
+            extract_alphas(curve_d2, short_diagonal_chi(2), 0.0, kmax=7)
 
     def test_vanishing_top_invariant(self):
         u = [trig_poly(0.3, [(0.2, 0.1)]), AnalyticFn.const(0.0)]
@@ -108,9 +110,9 @@ class TestExtraction:
 
         monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
         got = extract_alphas(spec, chi, 0.45)
-        # one pass per u-tree lifts every node of all 14 rungs at once
-        nodes = len({p for g in chi.groups for p in g})
-        assert calls == [(14 * nodes,)] * d
+        # one pass per u-tree lifts the working point; every node of the
+        # contour is a shift of that lift
+        assert calls == [(1,)] * d
         assert np.array_equal(got.alpha, want.alpha)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -151,7 +153,7 @@ class TestFarWorkingPoint:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_rebased_curve_gives_the_same_expansion(self, d):
-        # what re-basing rests on: the fit is SL(d+1)-invariant
+        # what re-basing rests on: the expansion is SL(d+1)-invariant
         spec = random_curve_spec(d, seed=11)
         chi = short_diagonal_chi(d)
         here = extract_alphas(spec, chi, 0.3)
@@ -159,18 +161,17 @@ class TestFarWorkingPoint:
                                0.3)
         assert_allclose(moved.alpha, here.alpha, rtol=0, atol=1e-9)
         # w reads ε² off the image's invariants, d + 1 derivatives deeper,
-        # and moves by 3e-8 at d = 3, far inside its fit sigma of 1e-5
-        assert_allclose(moved.w, here.w, rtol=0, atol=1e-6)
+        # and moves by 1.1e-10 at d = 3
+        assert_allclose(moved.w, here.w, rtol=0, atol=1e-8)
 
     def test_near_points_keep_their_bits_next_to_a_far_one(self, curve_d2):
         from pentalab.expansion import _extract
 
         chi = short_diagonal_chi(2)
-        mixed, mixed_points = _extract(curve_d2, chi, (0.2, 0.3, 20.0), None, 2)
-        near, near_points = _extract(curve_d2, chi, (0.2, 0.3, 0.4), None, 2)
+        mixed = _extract(curve_d2, chi, (0.2, 0.3, 20.0), 2)
+        near = _extract(curve_d2, chi, (0.2, 0.3, 0.4), 2)
         for got, want in zip(mixed[:2], near[:2]):
             assert got.to_dict() == want.to_dict()
-        assert np.array_equal(mixed_points[:2], near_points[:2])
         assert abs(mixed[2].alpha[1, 1]) <= 1e-3
         assert abs(mixed[2].alpha[2, 2] - 0.375) <= 2e-3
         report, spread = alpha_constancy_check(curve_d2, chi,
@@ -208,35 +209,32 @@ class TestConstancy:
 
         chi = short_diagonal_chi(2)
         xs = [-0.4, 0.3, 1.1]
-        ladder = EpsLadder(count=8)
         calls = []
         inner = expansion.chi_map_point
 
         def counted(*args):
             x, eps = np.broadcast_arrays(*args[2:4])
             calls.append(x[:, 0].tolist())
-            assert eps.shape == (3, 8)
+            assert eps.shape == (3, 13)  # the upper half of the contour
             return inner(*args)
 
         monkeypatch.setattr(expansion, "chi_map_point", counted)
-        first, spread = alpha_constancy_check(curve_d2, chi, xs, ladder)
+        first, spread = alpha_constancy_check(curve_d2, chi, xs)
         monkeypatch.undo()
-        assert calls == [xs]  # every point on every rung in one application
-        diag = np.array([np.diag(extract_alphas(curve_d2, chi, x, ladder).alpha)
+        assert calls == [xs]  # every point on every node in one application
+        diag = np.array([np.diag(extract_alphas(curve_d2, chi, x).alpha)
                          for x in xs])
         assert spread == float(np.max(diag.max(axis=0) - diag.min(axis=0)))
-        want = extract_alphas(curve_d2, chi, xs[0], ladder)
+        want = extract_alphas(curve_d2, chi, xs[0])
         assert first.to_dict() == want.to_dict()
 
 
 class TestKdvCheck:
     def test_d2_short_diagonal(self, curve_d2):
-        assert kdv_rhs_check(curve_d2, short_diagonal_chi(2), 0.3,
-                             kmax=4) <= 1e-3
+        assert kdv_rhs_check(curve_d2, short_diagonal_chi(2), 0.3) <= 1e-3
 
     def test_d3_short_diagonal(self, curve_d3):
-        assert kdv_rhs_check(curve_d3, short_diagonal_chi(3), 0.3,
-                             kmax=4) <= 1e-3
+        assert kdv_rhs_check(curve_d3, short_diagonal_chi(3), 0.3) <= 1e-3
 
     def test_zero_curve_trivial(self):
         spec = zero_curve_spec(2)
@@ -270,3 +268,60 @@ class TestReport:
         r = extract_alphas(curve_d2, short_diagonal_chi(2), 0.3, kmax=4)
         err = abs(r.alpha[2, 2] - 0.375)
         assert err <= max(50 * r.uncertainty[2, 2], 1e-4)
+
+
+def _exact_diagonal(groups):
+    """(alpha_11, ..., alpha_dd) of a hyperplane configuration, solved in
+    exact rationals: group i gives sum_j (-1)^(j+1) j! e_{d-j} alpha_jj = e_d,
+    with e the elementary symmetric polynomials of its nodes."""
+    d = len(groups)
+    rows = []
+    for g in groups:
+        e = [Fraction(1)] + [Fraction(0)] * d
+        for p in g:
+            for j in range(d, 0, -1):
+                e[j] += Fraction(p) * e[j - 1]
+        rows.append([(-1) ** (j + 1) * math.factorial(j) * e[d - j]
+                     for j in range(1, d + 1)] + [e[d]])
+    for c in range(d):  # Gauss-Jordan, exact
+        pivot = next(r for r in range(c, d) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(d):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [rows[i][d] / rows[i][i] for i in range(d)]
+
+
+class TestOracles:
+    """Checks against values that share no code with the extraction."""
+
+    def test_hyperplane_diagonal_matches_exact_rationals(self):
+        rng = np.random.default_rng(13)
+        done = 0
+        while done < 40:
+            d = 2 + done % 3
+            # quarter-integer nodes are exact in binary and in Fraction
+            groups = [sorted(rng.choice(np.arange(-8, 9), d, replace=False)
+                             / 4.0) for _ in range(d)]
+            try:
+                exact = _exact_diagonal(groups)
+            except StopIteration:  # singular system
+                continue
+            radius = 0.2 / max(1.0, float(np.max(np.abs(groups))))
+            if abs(exact[0]) * radius > 0.5:
+                continue
+            rep = extract_alphas(random_curve_spec(d, seed=done),
+                                 ChiConfig(d, groups), 0.3, kmax=d)
+            for k in range(1, d + 1):
+                err = abs(rep.alpha[k, k] - float(exact[k - 1]))
+                assert err <= max(rep.uncertainty[k, k], 1e-10), (done, k, err)
+            done += 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_short_diagonal_has_no_odd_orders(self, d):
+        # the family is symmetric under eps -> -eps, so the map is even
+        for seed in (0, 11, 23):
+            rep = extract_alphas(random_curve_spec(d, seed=seed),
+                                 short_diagonal_chi(d), 0.3, kmax=3)
+            assert np.max(np.abs(rep.alpha[[1, 3]])) <= 1e-10

@@ -298,9 +298,10 @@ class TestLimits:
         monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
         monkeypatch.setattr(pentalab.lax, "chi_map_point", counted)
         lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
-        # 14 rungs: the extraction maps x, the window x + eps .. x + 3 eps,
-        # each in one batched application
-        assert [len(c) for c in calls] == [14, 14 * 3]
+        # the extraction maps x on 13 contour nodes, the ladder the window
+        # x .. x + 3 eps of each of its 14 rungs, each in one application
+        assert [len(c) for c in calls] == [13, 14 * 4]
+        assert sum(x == X0 for x, _ in calls[1]) == 14
         pairs = calls[0] + calls[1]
         assert len(set(pairs)) == len(pairs)
 
