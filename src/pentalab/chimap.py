@@ -12,8 +12,8 @@ arrays that broadcast to a batch shape, and every stage then carries that
 shape in the tail ahead of its own axes, (K+1, *batch, q+1, d+1) for a
 span.  All the nodes of the batch are lifted in one pass over the u-trees,
 and each solve, nullspace and determinant is one stacked call, so a whole
-contour or step ladder costs about what one pair did.  A number for x and
-for eps is the batch of one pair with no batch axes; eps may be complex.
+contour costs about what one pair did.  A number for x and for eps is the
+batch of one pair with no batch axes; eps may be real or complex.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from .curves import (IntegrationFailure, _frame_from_coeffs, _lift_coeffs,
                      normalized_lift)
 from .jets import DegenerateSystem, Jet, _factorials, jet_solver
 
-# order of the lift jet at x that the nodes of a complex step shift from
+# order of the lift jet at x that every node lift is shifted from
 _SHIFT_ORDER = 40
 
 
@@ -31,17 +31,18 @@ class DegenerateIntersection(Exception):
     """Spans that fail to meet in a single point at working precision."""
 
 
-def build_spans(spec, chi, x, eps, kmax):
+def build_spans(spec, chi, x, eps, kmax, shift=0):
     """Jets of the curve points spanning each subspace at step eps.
 
     The jets are taken in the curve variable itself, so every span (and the
     intersection point computed from them) lives at the common base point x.
-    Arrays x and eps give each span the batch shape they broadcast to ahead
-    of its (q+1, d+1) matrix.  Every node of every pair is lifted in one
-    pass; a node shared by several groups is lifted once.  A complex eps
-    shifts each node lift, by h = p eps, from one order-40 lift jet at its
-    x, and raises IntegrationFailure when the shift's last term is not
-    below roundoff: h then lies outside the lift's radius of convergence.
+    Arrays x, eps and shift give each span the batch shape they broadcast to
+    ahead of its (q+1, d+1) matrix.  A shift k takes the configuration
+    shifted by k, whose image at x is the image at x + k eps.  Each node
+    lift, at real or complex eps, is a Taylor shift h = (p + k) eps of one
+    order-40 lift jet at its x; IntegrationFailure when the shift's last
+    term is not below roundoff means h lies outside the lift's radius of
+    convergence.
     """
     x, eps = np.asarray(x), np.asarray(eps)
     if np.any(eps == 0):
@@ -49,24 +50,19 @@ def build_spans(spec, chi, x, eps, kmax):
     if chi.d != spec.d:
         raise ValueError("configuration dimension does not match the curve")
     nodes = sorted({p for g in chi.groups for p in g})
-    if np.iscomplexobj(eps):
-        lifts = _shifted_lifts(spec, x, np.array(nodes) * eps[..., None], kmax)
-    else:
-        points = x[..., None] + np.array(nodes) * eps[..., None]
-        coeffs = _lift_coeffs(spec, points.reshape(-1), kmax)[0]
-        lifts = np.moveaxis(coeffs, 1, -1).reshape(
-            (kmax + 1,) + points.shape + (spec.d + 1,))  # (K+1, *batch, node, d+1)
+    h = (np.array(nodes) + np.asarray(shift)[..., None]) * eps[..., None]
+    lifts = _shifted_lifts(spec, x, h, kmax)
     return [Jet(lifts[..., [nodes.index(p) for p in g], :], copy=False)
             for g in chi.groups]
 
 
 def _shifted_lifts(spec, x, h, kmax):
     """Lift coefficients (K+1, *batch, node, d+1) at x + h, for real x and
-    complex node offsets h that broadcast to (*batch, node)."""
+    node offsets h that broadcast to (*batch, node)."""
     shape = np.broadcast_shapes(x.shape + (1,), h.shape)
     g = _lift_coeffs(spec, x.reshape(-1), _SHIFT_ORDER)[0]
-    g = np.broadcast_to(g.reshape(g.shape[:2] + x.shape + (1,)),
-                        g.shape[:2] + shape).reshape(g.shape[:2] + (-1,))
+    at = np.broadcast_to(np.arange(x.size).reshape(x.shape + (1,)), shape)
+    g = g[..., at.reshape(-1)]
     h = np.broadcast_to(h, shape).reshape(-1)
     rows = (_frame_from_coeffs(g, h, kmax)
             / _factorials(kmax + 1, g.dtype)[:, None, None])
@@ -143,17 +139,18 @@ def intersect_spans(spans):
         raise DegenerateIntersection(str(exc)) from exc
 
 
-def chi_map_point(spec, chi, x, eps, kmax):
+def chi_map_point(spec, chi, x, eps, kmax, shift=0):
     """Apply the map once at x and renormalize.
 
     Returns (lift, u): the output lift as a (K-d+1, d+1) jet and its d
     coefficients as a (K-2d, d) jet.  kmax must leave enough orders for the
-    Wronskian rescaling and the coefficient extraction behind it.  Arrays x
-    and eps map the whole batch of pairs they broadcast to in one pass, and
-    both jets then carry the batch shape ahead of their last axis.
+    Wronskian rescaling and the coefficient extraction behind it.  Arrays x,
+    eps and shift (see build_spans) map the whole batch they broadcast to in
+    one pass, and both jets then carry the batch shape ahead of their last
+    axis.
     """
     if kmax < 2 * spec.d + 2:
         raise ValueError(f"need jet order >= {2 * spec.d + 2} to renormalize")
-    spans = build_spans(spec, chi, x, eps, kmax)
+    spans = build_spans(spec, chi, x, eps, kmax, shift)
     point = intersect_spans(spans)
     return normalized_lift(point, spec.d, ref=spec.frame_at(x)[..., 0, :])

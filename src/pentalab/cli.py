@@ -9,6 +9,7 @@ are sorted, the seed is recorded, and nothing time-dependent is written.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,19 @@ class UsageError(Exception):
     """Configuration rejected before any computation."""
 
 
+def _finite_float(text):
+    """The argparse type of every float flag: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _shift_value(text):
+    """--shift: 'auto' or a finite number."""
+    return text if text == "auto" else _finite_float(text)
+
+
 def _build_family(args, d_default=None):
     name = args.family if hasattr(args, "family") else args.chi
     d = args.d if args.d is not None else d_default
@@ -76,7 +90,7 @@ def _build_family(args, d_default=None):
     if shift is not None:
         if name != "dual-dented":
             raise UsageError("--shift only applies to dual-dented")
-        applied = dual_dented_shift(d, args.s) if shift == "auto" else float(shift)
+        applied = dual_dented_shift(d, args.s) if shift == "auto" else shift
         chi = chi.shift(applied)
     return chi, applied
 
@@ -185,8 +199,8 @@ def cmd_expand(rc):
 
 
 def cmd_centralize(rc):
-    if len(rc.xs) < 3:
-        raise UsageError("centralize needs at least three --x values")
+    if len(set(rc.xs)) < 3:
+        raise UsageError("centralize needs at least three distinct --x values")
     report, spread = alpha_constancy_check(rc.spec, rc.chi, rc.xs)
     alpha11 = float(report.alpha[1, 1])
     centralized = bool(abs(alpha11) <= FIRST_ORDER_TOL)
@@ -225,8 +239,7 @@ def cmd_lax_verify(rc):
     ok = all(checks.values())
     payload = {"schema": 1, "seed": rc.seed, "pass": ok, "checks": checks,
                **report.to_dict()}
-    _emit(payload, rc.out, rc.fmt, csv_rows=report.csv_rows(),
-          csv_header=("eps", "lhs_dev", "rhs_dev", "identity"))
+    _emit(payload, rc.out, rc.fmt)
     return 0 if ok else 1
 
 
@@ -271,21 +284,22 @@ def _add_output_flags(p):
 
 def _add_family_flags(p):
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--p", type=float, nargs="+", default=None,
+    p.add_argument("--p", type=_finite_float, nargs="+", default=None,
                    help="node set for evenly-spaced")
-    p.add_argument("--r-step", type=float, default=None,
+    p.add_argument("--r-step", type=_finite_float, default=None,
                    help="group translation step for evenly-spaced")
     p.add_argument("--s", type=int, default=None,
                    help="dent position for dual-dented")
-    p.add_argument("--shift", default=None,
+    p.add_argument("--shift", type=_shift_value, default=None,
                    help="node shift for dual-dented: a number or 'auto'")
     p.add_argument("--variant", choices=("full", "reduced"), default="full")
 
 
 def _add_ladder_flags(p):
-    p.add_argument("--eps0", type=float, default=0.2,
-                   help="largest step of the lax-verify ladder")
-    p.add_argument("--ratio", type=float, default=0.85)
+    p.add_argument("--eps0", type=_finite_float, default=0.2,
+                   help="largest step of the ladder lax-verify reads "
+                        "conj_slope on")
+    p.add_argument("--ratio", type=_finite_float, default=0.85)
     p.add_argument("--count", type=int, default=14)
 
 
@@ -310,9 +324,8 @@ def build_parser():
                     "series extraction, flow verification, transfer-matrix "
                     "limits, and configuration search.",
         epilog="CSV columns: expand emits (order, frame_index, alpha, "
-               "uncertainty) per coefficient; lax-verify emits "
-               "(eps, lhs_dev, rhs_dev, identity) per ladder rung; other "
-               "commands emit (key, value) pairs.")
+               "uncertainty) per coefficient; the other commands emit "
+               "(key, value) pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("families", help="print a named configuration and "
@@ -325,7 +338,7 @@ def build_parser():
     p = sub.add_parser("expand", help="the expansion coefficients of the "
                                       "mapped curve at one point")
     _add_run_flags(p)
-    p.add_argument("--x", type=float, default=0.3)
+    p.add_argument("--x", type=_finite_float, default=0.3)
     p.add_argument("--kmax", type=int, default=2)
     _add_ladder_flags(p)  # accepted and ignored, for older command lines
     p.set_defaults(handler=cmd_expand, needs_run_config=True)
@@ -333,20 +346,21 @@ def build_parser():
     p = sub.add_parser("centralize", help="test first-order vanishing and "
                                           "coefficient constancy across x")
     _add_run_flags(p)
-    p.add_argument("--x", type=float, nargs="+", default=[-0.4, 0.3, 1.1])
+    p.add_argument("--x", type=_finite_float, nargs="+",
+                   default=[-0.4, 0.3, 1.1])
     p.set_defaults(handler=cmd_centralize, needs_run_config=True)
 
     p = sub.add_parser("kdv-verify", help="compare the second-order flow "
                                           "against the commutator right-hand "
                                           "side")
     _add_run_flags(p)
-    p.add_argument("--x", type=float, default=0.3)
+    p.add_argument("--x", type=_finite_float, default=0.3)
     p.set_defaults(handler=cmd_kdv_verify, needs_run_config=True)
 
-    p = sub.add_parser("lax-verify", help="run the transfer-matrix ladder "
-                                          "and check its limits")
+    p = sub.add_parser("lax-verify", help="check the limits of the "
+                                          "transfer-matrix picture")
     _add_run_flags(p)
-    p.add_argument("--x", type=float, default=0.3)
+    p.add_argument("--x", type=_finite_float, default=0.3)
     _add_ladder_flags(p)
     p.set_defaults(handler=cmd_lax_verify, needs_run_config=True)
 
@@ -356,7 +370,7 @@ def build_parser():
                    help="'integer-instance', 'r-root', or a JSON file path")
     p.add_argument("--root-index", type=int, default=0)
     p.add_argument("--probes", type=int, default=3)
-    p.add_argument("--x", type=float, default=0.3)
+    p.add_argument("--x", type=_finite_float, default=0.3)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for random curves, recorded in the report")
     _add_output_flags(p)

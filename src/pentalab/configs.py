@@ -19,13 +19,15 @@ _TOP_RTOL = 1e-12
 
 
 class ChiConfig:
-    """Ambient dimension d plus groups of distinct node offsets."""
+    """Ambient dimension d plus groups of distinct, finite node offsets."""
 
     def __init__(self, d, groups):
         self.d = int(d)
         gs = []
         for g in groups:
             g = tuple(sorted(float(v) for v in g))
+            if not all(math.isfinite(v) for v in g):
+                raise ValueError(f"non-finite node in group {g}")
             if len(g) < 2:
                 raise ValueError("every group needs at least two nodes")
             if len(set(g)) != len(g):

@@ -112,7 +112,10 @@ class CurveSpec:
     def from_dict(obj, dtype=np.float64):
         d = int(obj["d"])
         u = [AnalyticFn.from_dict(node) for node in obj["u"]]
+        x0 = float(obj["x0"])
         f0 = np.array(obj["F0"], dtype=np.float64)
+        if not (math.isfinite(x0) and np.all(np.isfinite(f0))):
+            raise ValueError("x0 and the initial frame must be finite")
         det = float(np.linalg.det(f0))
         if abs(det - 1.0) > 1e-12:
             if det <= 0 and (d + 1) % 2 == 0:
@@ -121,7 +124,7 @@ class CurveSpec:
                 raise ValueError("initial frame is singular")
             scale = math.copysign(abs(det) ** (1.0 / (d + 1)), det)
             f0 = f0 / scale
-        return CurveSpec(d, u, float(obj["x0"]), f0, dtype=dtype)
+        return CurveSpec(d, u, x0, f0, dtype=dtype)
 
     @staticmethod
     def load(path, dtype=np.float64):

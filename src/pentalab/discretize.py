@@ -77,16 +77,9 @@ def coords_from_samples(pts, x, eps):
     return DiscreteCoords(d, x, eps, tilde_from_A(A), A)
 
 
-def _curve_points(spec, x, eps, ks):
-    """Points of the curve at x + k eps, one row per k."""
-    return spec.frame_at(x + np.asarray(ks) * eps)[:, 0]
-
-
 def discrete_coords(spec, x, eps):
     """Recurrence coordinates of the curve itself at (x, eps)."""
-    if eps == 0:
-        raise ValueError("eps must be nonzero")
-    pts = _curve_points(spec, x, eps, range(spec.d + 2))
+    pts = spec.frame_at(x + np.arange(spec.d + 2) * eps)[:, 0]
     return coords_from_samples(pts, x, eps)
 
 

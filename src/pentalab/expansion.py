@@ -45,8 +45,8 @@ class EpsLadder:
     __slots__ = ("eps0", "ratio", "count")
 
     def __init__(self, eps0=0.2, ratio=0.85, count=14):
-        if eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        if not 0 < eps0 < np.inf:
+            raise ValueError("eps0 must be positive and finite")
         if not 0 < ratio < 1:
             raise ValueError("ratio must lie in (0, 1)")
         if count < 8:
@@ -107,39 +107,45 @@ def _taylor(samples, radius):
     return np.fft.hfft(samples, n, axis=0) / n / radius ** np.arange(n)[:, None]
 
 
+def _contour(chi, dtype):
+    """(radius, the 13 upper-half nodes in dtype) of chi's contour; the
+    radius keeps every node offset |p ε| within 0.2."""
+    radius = 0.2 / max(1.0, max(abs(p) for g in chi.groups for p in g))
+    return radius, radius * _roots_of_unity(_NODES, dtype)[:_NODES // 2 + 1]
+
+
+def _report(base, x, kmax, radius, points, invariants):
+    """The extract_alphas report at x from the image points (node, d+1)
+    and invariants (node, d) on the contour nodes, mapped on base."""
+    d = base.d
+    # frame coordinates in columns 0..d, curve invariants after them;
+    # a non-finite image point raises ValueError, never NaN coefficients
+    coords = solve_dense(base.frame_at(x).T, np.asarray_chkfinite(points.T)).T
+    samples = np.concatenate([coords, invariants], axis=1)
+    coeffs = _taylor(samples, radius)
+    # against the same rule on the even-indexed nodes alone
+    gap = np.abs(coeffs[:_NODES // 2] - _taylor(samples[::2], radius))
+    return ExpansionReport(x, d, kmax, coeffs[:kmax + 1, :d + 1],
+                           gap[:kmax + 1, :d + 1], coeffs[2, d + 1:])
+
+
 def _extract(spec, chi, xs, kmax):
     """An extract_alphas report per working point in xs.
 
-    The contour radius keeps every node offset |p ε| within 0.2.  The
-    working points spec keeps share one application of the map to every
+    The working points spec keeps share one application of the map to every
     (x, node) pair; a far point is mapped on its own re-based spec.
     """
     check_kmax(kmax)
-    d = spec.d
-    radius = 0.2 / max(1.0, max(abs(p) for g in chi.groups for p in g))
-    eps = radius * _roots_of_unity(_NODES, spec.dtype)[:_NODES // 2 + 1]
+    radius, eps = _contour(chi, spec.dtype)
     bases = [spec.near(x) for x in xs]
     mapped = {}
     for base in dict.fromkeys(bases):  # one application per distinct base
         at = [i for i, b in enumerate(bases) if b is base]
         lifted, u = chi_map_point(base, chi, np.asarray(xs)[at, None], eps,
-                                  2 * d + 2)
+                                  2 * spec.d + 2)
         mapped.update(zip(at, zip(lifted.value, u.value)))
-    reports = []
-    for i, (x, base) in enumerate(zip(xs, bases)):
-        points, invariants = mapped[i]
-        # frame coordinates in columns 0..d, curve invariants after them;
-        # a non-finite image point raises ValueError, never NaN coefficients
-        coords = solve_dense(base.frame_at(x).T,
-                             np.asarray_chkfinite(points.T)).T
-        samples = np.concatenate([coords, invariants], axis=1)
-        coeffs = _taylor(samples, radius)
-        # against the same rule on the even-indexed nodes alone
-        gap = np.abs(coeffs[:_NODES // 2] - _taylor(samples[::2], radius))
-        reports.append(ExpansionReport(
-            x, d, kmax, coeffs[:kmax + 1, :d + 1], gap[:kmax + 1, :d + 1],
-            coeffs[2, d + 1:]))
-    return reports
+    return [_report(base, x, kmax, radius, *mapped[i])
+            for i, (x, base) in enumerate(zip(xs, bases))]
 
 
 def verify_G2_structure(report, spec, x):

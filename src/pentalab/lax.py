@@ -14,12 +14,12 @@ import math
 
 import numpy as np
 
-from .chimap import chi_map_point
+from .chimap import _shifted_lifts, chi_map_point
 from .curves import _lift_coeffs
 from .discretize import coords_from_samples
-from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized,
-                        extract_alphas)
-from .fitting import fit_poly, loglog_slope
+from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized, _contour,
+                        _report, _taylor)
+from .fitting import loglog_slope
 from .jets import Jet, derivative_stack, jet_solver
 from .linalg import solve_dense
 
@@ -72,8 +72,8 @@ def _shift_companion(a_tilde):
 
 def d_eps(d, eps):
     """Point samples to scaled differences: (-1)^{k-i} C(k,i) / eps^k."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if eps == 0:
+        raise ValueError("eps must be nonzero")
     dtype = np.result_type(np.asarray(eps).dtype, np.float64)
     m = np.zeros((d + 1, d + 1), dtype=dtype)
     for k in range(d + 1):
@@ -84,8 +84,8 @@ def d_eps(d, eps):
 
 def d_eps_inv(d, eps):
     """Pascal inverse of d_eps: entries C(k,i) eps^i."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if eps == 0:
+        raise ValueError("eps must be nonzero")
     dtype = np.result_type(np.asarray(eps).dtype, np.float64)
     m = np.zeros((d + 1, d + 1), dtype=dtype)
     for k in range(d + 1):
@@ -126,13 +126,12 @@ def _transfer(curve, mapped):
 
 
 class LaxReport:
-    """Ladder diagnostics of the discrete Lax relation and its limit."""
+    """Contour diagnostics of the discrete Lax relation and its limit."""
 
-    __slots__ = ("d", "x", "c", "eps", "target", "conj_slope",
-                 "conj_limit_dev", "identity_resid", "identity_max",
-                 "quot_lhs_dev", "quot_rhs_dev", "w_target_dev", "p0_eps1",
-                 "p0_v_dev", "p1_v_dev", "shift_vprime_dev", "drift_dev",
-                 "lhs_dev_per_eps", "rhs_dev_per_eps")
+    __slots__ = ("d", "x", "c", "target", "conj_slope", "conj_limit_dev",
+                 "identity_max", "quot_lhs_dev", "quot_rhs_dev",
+                 "w_target_dev", "p0_eps1", "p0_v_dev", "p1_v_dev",
+                 "shift_vprime_dev", "drift_dev")
 
     # check -> (fields, lowest and highest passing value of each field)
     _GATES = {
@@ -150,100 +149,83 @@ class LaxReport:
                 for name, (fields, low, high) in self._GATES.items()}
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in (
-            "d", "x", "c", "conj_slope", "conj_limit_dev", "identity_max",
-            "quot_lhs_dev", "quot_rhs_dev", "w_target_dev", "p0_eps1",
-            "p0_v_dev", "p1_v_dev", "shift_vprime_dev", "drift_dev")}
-
-    def csv_rows(self):
-        """Per-rung (eps, lhs deviation, rhs deviation, identity residual)."""
-        return [tuple(map(float, row)) for row in zip(
-            self.eps, self.lhs_dev_per_eps, self.rhs_dev_per_eps,
-            self.identity_resid)]
+        return {k: getattr(self, k) for k in self.__slots__ if k != "target"}
 
 
 def lax_limit_diagnostics(spec, chi, x, ladder=None):
-    """Run the full transfer-matrix ladder at z = 1 and fit every limit.
+    """Read every limit of the transfer-matrix picture off the ε-contour.
 
-    Needs a configuration with no first-order drift; c22 and w come from
-    the expansion at x.  The curve and image curve windows of every rung
-    come from one array frame_at and one application of the map, and each
-    window is shared between the transfer matrices and the two companions,
-    which is what makes the discrete relation an identity to solver
-    precision.  A far x is served from the curve re-based there
-    (CurveSpec.near), which no limit sees.  The fitted expansions of the
-    conjugated transfer matrices are checked against V at second order and
-    against the frame drift plus dV/dx at third order.
+    Needs a configuration with no first-order drift.  One application of
+    the map covers the contour nodes of the extraction times the window
+    columns k = 0..d+1, the configuration shifted by k (its image at x is
+    the image at x + kε), and column 0 gives c22 and w as extract_alphas
+    reads them.  Each window is shared between the transfer matrices and
+    the two companions, which makes the discrete relation an identity to
+    solver precision.  Only conj_slope, where the order itself is the
+    claim, comes from the real ladder.  A far x is served from the curve
+    re-based there (CurveSpec.near), which no limit sees.
     """
     if ladder is None:
         ladder = EpsLadder()
     spec = spec.near(x)
-    report = extract_alphas(spec, chi, x)
+    d = spec.d
+    radius, eps = _contour(chi, spec.dtype)
+    ks = np.arange(d + 2)
+    windows, u = chi_map_point(spec, chi, x, eps[:, None], 2 * d + 2,
+                               shift=ks)
+    windows = windows.value  # (node, k, d+1): x .. x + (d+1) eps
+    report = _report(spec, x, 2, radius, windows[:, 0], u.value[:, 0])
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
-    d = spec.d
     c22 = float(report.alpha[2, 2])
     U = np.asarray(u_matrix(spec, x), dtype=np.float64)
     g, q2g = _q2_gamma(spec, x, d + 4)
     vj = _v_jets(g, q2g, c22)
-    V = vj.value
-    V_prime = vj.derivative().value
+    V, V_prime = vj.value, vj.derivative().value
     target = V @ U - U @ V + V_prime
     dudt_w = np.zeros_like(U)
     dudt_w[d, :d] = -np.asarray(report.w, dtype=np.float64)
 
-    eps = ladder.values(spec.dtype)
-    n = eps.size
-    steps = eps[:, None]
-    ks = np.arange(d + 2)
-    curves = spec.frame_at(x + ks * steps)[..., 0, :]  # (rung, d+2, d+1)
-    windows = chi_map_point(spec, chi, x + ks * steps, steps,
-                            2 * d + 2)[0].value  # x .. x + (d+1) eps
+    # the curve windows are shifts of the lift jet at x, like the nodes
+    curves = _shifted_lifts(spec, np.asarray(x), ks * eps[:, None], 0)[0]
     eye = np.eye(d + 1)
-    conj_err = np.empty(n)
-    ident = np.empty(n)
-    conj_stack = np.empty((n, d + 1, d + 1))
-    qlhs = np.empty((n, d + 1, d + 1))
-    qrhs = np.empty((n, d + 1, d + 1))
-    p0_stack = np.empty((n, d + 1, d + 1))
-    p1_stack = np.empty((n, d + 1, d + 1))
-    for r, (e, curve, window) in enumerate(zip(eps, curves, windows)):
-        dm = d_eps(d, e)
-        dmi = d_eps_inv(d, e)
+    ident = np.empty(eps.size)
+    # per node: conjugated companion, both quotients, both transfer matrices
+    stacks = np.empty((eps.size, 5, d + 1, d + 1), dtype=windows.dtype)
+    for j, (e, curve, window) in enumerate(zip(eps, curves, windows)):
+        dm, dmi = d_eps(d, e), d_eps_inv(d, e)
         lt0 = _shift_companion(coords_from_samples(curve, x, e).a_tilde)
-        conj_stack[r] = (dm @ lt0 @ dmi - eye) / e
-        conj_err[r] = _maxabs(conj_stack[r] - U)
+        lt1 = _shift_companion(coords_from_samples(window, x, e).a_tilde)
         p0 = _transfer(curve[:d + 1], window[:d + 1])
         p1 = _transfer(curve[1:], window[1:])
-        lt1 = _shift_companion(coords_from_samples(window, x, e).a_tilde)
         conjugated = p1 @ lt0 @ solve_dense(p0, eye)
-        ident[r] = _maxabs(lt1 - conjugated)
-        qlhs[r] = dm @ (lt1 - lt0) @ dmi / e ** 3
-        qrhs[r] = dm @ (conjugated - lt0) @ dmi / e ** 3
-        p0_stack[r] = dm @ p0 @ dmi - eye
-        p1_stack[r] = dm @ p1 @ dmi - eye
+        ident[j] = _maxabs(lt1 - conjugated)
+        stacks[j] = [(dm @ lt0 @ dmi - eye) / e,
+                     dm @ (lt1 - lt0) @ dmi / e ** 3,
+                     dm @ (conjugated - lt0) @ dmi / e ** 3,
+                     dm @ p0 @ dmi - eye, dm @ p1 @ dmi - eye]
+    coeffs = _taylor(stacks.reshape(eps.size, -1), radius)
+    conj, qlhs, qrhs, p0, p1 = np.moveaxis(
+        coeffs.reshape((-1, 5, d + 1, d + 1)), 1, 0)
+    # the conjugated companion's approach to U on the last eight rungs
+    steps = ladder.values(spec.dtype)
+    rungs = spec.frame_at(x + ks * steps[:, None])[..., 0, :]
+    err = [_maxabs((d_eps(d, e) @ _shift_companion(coords_from_samples(
+        curve, x, e).a_tilde) @ d_eps_inv(d, e) - eye) / e - U)
+        for e, curve in zip(steps, rungs)]
 
-    tail = slice(max(0, n - 8), n)
     out = LaxReport()
     out.d, out.x, out.c = d, float(x), c22
-    out.eps = np.asarray(eps, dtype=np.float64)
     out.target = target
-    out.conj_slope = loglog_slope(eps[tail], conj_err[tail])
-    out.conj_limit_dev = _maxabs(fit_poly(eps, conj_stack, 3)[0] - U)
-    out.identity_resid = ident
+    out.conj_slope = loglog_slope(steps[-8:], err[-8:])
+    out.conj_limit_dev = _maxabs(conj[0] - U)
     out.identity_max = float(np.max(ident))
-    out.quot_lhs_dev = _maxabs(fit_poly(eps, qlhs, 3)[0] - target)
-    out.quot_rhs_dev = _maxabs(fit_poly(eps, qrhs, 3)[0] - target)
+    out.quot_lhs_dev = _maxabs(qlhs[0] - target)
+    out.quot_rhs_dev = _maxabs(qrhs[0] - target)
     out.w_target_dev = _maxabs(dudt_w - target)
-    p0_fit = fit_poly(eps, p0_stack, 6)
-    p1_fit = fit_poly(eps, p1_stack, 6)
-    out.p0_eps1 = _maxabs(p0_fit[1])
-    out.p0_v_dev = _maxabs(p0_fit[2] - V)
-    out.p1_v_dev = _maxabs(p1_fit[2] - V)
-    out.shift_vprime_dev = _maxabs((p1_fit[3] - p0_fit[3]) - V_prime)
-    out.drift_dev = _maxabs(p0_fit[3] - _drift(spec, x, c22, V, q2g))
-    out.lhs_dev_per_eps = np.array([_maxabs(qlhs[k] - target)
-                                    for k in range(n)])
-    out.rhs_dev_per_eps = np.array([_maxabs(qrhs[k] - target)
-                                    for k in range(n)])
+    out.p0_eps1 = _maxabs(p0[1])
+    out.p0_v_dev = _maxabs(p0[2] - V)
+    out.p1_v_dev = _maxabs(p1[2] - V)
+    out.shift_vprime_dev = _maxabs((p1[3] - p0[3]) - V_prime)
+    out.drift_dev = _maxabs(p0[3] - _drift(spec, x, c22, V, q2g))
     return out

@@ -235,6 +235,43 @@ class TestExpand:
         assert out == ""
         assert err.startswith("usage error: ") and why in err
 
+    @pytest.mark.parametrize("argv, file", [
+        (["families", "evenly-spaced", "--d", "2", "--p", "nan", "0.5",
+          "--r-step", "0.7"], None),
+        (["expand", "--chi", "evenly-spaced", "--d", "2", "--p", "0.1", "inf",
+          "--r-step", "0.7"], None),
+        (["expand", "--chi", "dual-dented", "--d", "3", "--s", "1",
+          "--shift", "nan"], None),
+        (["expand", "--d", "2", "--x", "nan"], None),
+        (["centralize", "--d", "2", "--x", "0.1", "inf", "0.5"], None),
+        (["lax-verify", "--d", "2", "--eps0", "nan"], None),
+        (["expand", "--curve"], {"d": 2, "x0": float("nan"),
+                                 "F0": np.eye(3).tolist(),
+                                 "u": [{"op": "const", "value": 0.0}] * 2}),
+        (["expand", "--curve"], {"d": 2, "x0": 0.0,
+                                 "F0": [[1, 0, 0], [0, 1, 0], [0, 0, "inf"]],
+                                 "u": [{"op": "const", "value": 0.0}] * 2}),
+        (["expand", "--chi"], {"d": 2, "groups": [[0, float("nan")],
+                                                  [-1, 1]]}),
+    ], ids=["families-p", "expand-p", "shift", "x", "centralize-x", "eps0",
+            "curve-x0", "curve-F0", "chi-node"])
+    def test_non_finite_input_is_a_usage_error(self, capsys, tmp_path, argv,
+                                               file):
+        # these exited 0 with NaN in the report, 1 on an IntegrationFailure,
+        # or died on an uncaught ValueError or LinAlgError
+        if file is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(file).replace('"inf"', "Infinity"))
+            argv = argv + [str(path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # refused by argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_blown_up_frame_is_a_run_error(self, capsys, tmp_path):
         # x lies within the re-base distance, so the frame walks out from
         # x0 and grows like exp(46 x) on the way
@@ -304,6 +341,13 @@ class TestCentralize:
                                     "--d", "2", "--x", "0.1", "0.5"])
         assert code == 2
         assert "three" in err
+
+    def test_needs_three_distinct_points(self, capsys):
+        # a repeated x died on an uncaught ValueError
+        code, _, err = run(capsys, ["centralize", "--d", "2",
+                                    "--x", "0.3", "0.3", "0.5"])
+        assert code == 2
+        assert "distinct" in err
 
     def test_one_extraction_per_point(self, capsys, monkeypatch):
         import pentalab.cli
@@ -375,12 +419,16 @@ class TestLaxVerify:
         assert all(blob["checks"].values())
 
     def test_csv_per_rung(self, capsys):
-        code, out, _ = run(capsys, ["lax-verify", "--chi", "short-diagonal",
-                                    "--d", "2", "--format", "csv"])
+        # no per-rung table is left: lax-verify emits the (key, value) rows
+        # of its JSON report, as every command but expand does
+        argv = ["lax-verify", "--chi", "short-diagonal", "--d", "2"]
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "eps,lhs_dev,rhs_dev,identity"
-        assert len(lines) == 1 + 14
+        rows = dict(line.split(",", 1) for line in out.strip().splitlines())
+        _, blob, _ = run(capsys, argv)
+        blob = json.loads(blob)
+        assert sorted(rows) == sorted(blob)
+        assert all(json.loads(rows[k]) == blob[k] for k in blob)
 
     @pytest.mark.parametrize("argv", [
         ["lax-verify", "--kmax", "1"], ["centralize", "--kmax", "0"],

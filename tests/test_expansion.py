@@ -40,7 +40,8 @@ class TestLadder:
 
     @pytest.mark.parametrize("bad", [
         dict(eps0=0.0), dict(eps0=-0.1), dict(ratio=1.0), dict(ratio=0.0),
-        dict(count=7),
+        dict(count=7), dict(eps0=np.nan), dict(eps0=np.inf),
+        dict(ratio=np.nan),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
