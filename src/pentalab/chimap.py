@@ -10,8 +10,8 @@ of shape (K+1, q+1, d+1), its rows the lift jets of the points.
 One application maps a whole batch of (x, eps) pairs: x and eps may be
 arrays that broadcast to a batch shape, and every stage then carries that
 shape in the tail ahead of its own axes, (K+1, *batch, q+1, d+1) for a
-span.  All the nodes of the batch are lifted in one pass over the u-trees,
-and each solve, nullspace and determinant is one stacked call, so a whole
+span.  Every node lift is a Taylor shift of the lift jet at its x, and
+each solve, nullspace and determinant is one stacked call, so a whole
 contour costs about what one pair did.  A number for x and for eps is the
 batch of one pair with no batch axes; eps may be real or complex.
 """
@@ -19,12 +19,8 @@ batch of one pair with no batch axes; eps may be real or complex.
 import numpy as np
 
 from . import linalg
-from .curves import (IntegrationFailure, _frame_from_coeffs, _lift_coeffs,
-                     normalized_lift)
-from .jets import DegenerateSystem, Jet, _factorials, jet_solver
-
-# order of the lift jet at x that every node lift is shifted from
-_SHIFT_ORDER = 40
+from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts, normalized_lift
+from .jets import DegenerateSystem, Jet, jet_solver
 
 
 class DegenerateIntersection(Exception):
@@ -39,11 +35,17 @@ def build_spans(spec, chi, x, eps, kmax, shift=0):
     Arrays x, eps and shift give each span the batch shape they broadcast to
     ahead of its (q+1, d+1) matrix.  A shift k takes the configuration
     shifted by k, whose image at x is the image at x + k eps.  Each node
-    lift, at real or complex eps, is a Taylor shift h = (p + k) eps of one
-    order-40 lift jet at its x; IntegrationFailure when the shift's last
-    term is not below roundoff means h lies outside the lift's radius of
-    convergence.
+    lift, at real or complex eps, is a Taylor shift h = (p + k) eps of the
+    order-40 lift jet at its x (``curves._shifted_lifts``, which raises
+    IntegrationFailure when h lies outside the lift's radius of
+    convergence).
     """
+    return _spans(spec, chi, x, eps, kmax,
+                  _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0], shift)
+
+
+def _spans(spec, chi, x, eps, kmax, lifts, shift):
+    """build_spans from the lift coefficients at x, (41, d+1, x.size)."""
     x, eps = np.asarray(x), np.asarray(eps)
     if np.any(eps == 0):
         raise ValueError("eps must be nonzero")
@@ -51,26 +53,10 @@ def build_spans(spec, chi, x, eps, kmax, shift=0):
         raise ValueError("configuration dimension does not match the curve")
     nodes = sorted({p for g in chi.groups for p in g})
     h = (np.array(nodes) + np.asarray(shift)[..., None]) * eps[..., None]
-    lifts = _shifted_lifts(spec, x, h, kmax)
-    return [Jet(lifts[..., [nodes.index(p) for p in g], :], copy=False)
+    rows = _shifted_lifts(lifts.reshape(lifts.shape[:2] + x.shape + (1,)), h,
+                          kmax)
+    return [Jet(rows[..., [nodes.index(p) for p in g], :], copy=False)
             for g in chi.groups]
-
-
-def _shifted_lifts(spec, x, h, kmax):
-    """Lift coefficients (K+1, *batch, node, d+1) at x + h, for real x and
-    node offsets h that broadcast to (*batch, node)."""
-    shape = np.broadcast_shapes(x.shape + (1,), h.shape)
-    g = _lift_coeffs(spec, x.reshape(-1), _SHIFT_ORDER)[0]
-    at = np.broadcast_to(np.arange(x.size).reshape(x.shape + (1,)), shape)
-    g = g[..., at.reshape(-1)]
-    h = np.broadcast_to(h, shape).reshape(-1)
-    rows = (_frame_from_coeffs(g, h, kmax)
-            / _factorials(kmax + 1, g.dtype)[:, None, None])
-    last = np.max(np.abs(g[-1]), axis=0) * np.abs(h) ** _SHIFT_ORDER
-    if np.any(last > np.finfo(g.dtype).eps * np.max(np.abs(rows[0]), axis=0)):
-        raise IntegrationFailure(f"node offset {np.max(np.abs(h)):.3g} lies "
-                                 "outside the lift's radius of convergence")
-    return np.moveaxis(rows, 1, -1).reshape((kmax + 1,) + shape + (spec.d + 1,))
 
 
 def _span_normals(span):
@@ -149,8 +135,16 @@ def chi_map_point(spec, chi, x, eps, kmax, shift=0):
     one pass, and both jets then carry the batch shape ahead of their last
     axis.
     """
+    return _map_lifted(spec, chi, x, eps, kmax,
+                       _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0],
+                       shift=shift)
+
+
+def _map_lifted(spec, chi, x, eps, kmax, lifts, shift=0):
+    """chi_map_point from the lift coefficients at x, (41, d+1, x.size),
+    whose row 0 is the curve point that fixes the output lift's sign."""
     if kmax < 2 * spec.d + 2:
         raise ValueError(f"need jet order >= {2 * spec.d + 2} to renormalize")
-    spans = build_spans(spec, chi, x, eps, kmax, shift)
-    point = intersect_spans(spans)
-    return normalized_lift(point, spec.d, ref=spec.frame_at(x)[..., 0, :])
+    point = intersect_spans(_spans(spec, chi, x, eps, kmax, lifts, shift))
+    ref = np.moveaxis(lifts[0], 0, -1).reshape(np.shape(x) + (spec.d + 1,))
+    return normalized_lift(point, spec.d, ref=ref)

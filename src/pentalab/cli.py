@@ -246,13 +246,15 @@ def cmd_lax_verify(rc):
 def cmd_realize34(args):
     if args.probes < 3:
         raise UsageError("realize34 needs --probes >= 3")
+    if args.root_index is not None and args.chi != "r-root":
+        raise UsageError("--root-index only applies to r-root")
     if args.chi == "integer-instance":
         chi, _ = mari_beffa_family(-2, 3, -5)
     elif args.chi == "r-root":
-        roots = r_poly_roots()
-        if not 0 <= args.root_index < roots.size:
+        roots, index = r_poly_roots(), args.root_index or 0
+        if not 0 <= index < roots.size:
             raise UsageError(f"--root-index must be in 0..{roots.size - 1}")
-        r = roots[args.root_index]
+        r = roots[index]
         chi = ChiConfig(3, [[-1.0, 1.5, 4.0], [1.2, 10.0, -0.5],
                             [1.0, -r, 6.0 / r]])
     else:
@@ -273,7 +275,10 @@ def cmd_realize34(args):
 
 
 def cmd_dof(args):
-    print(dof_lower_bound(args.m))
+    try:
+        print(dof_lower_bound(args.m))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return 0
 
 
@@ -368,7 +373,7 @@ def build_parser():
                                          "the third-order flow")
     p.add_argument("--chi", default="integer-instance",
                    help="'integer-instance', 'r-root', or a JSON file path")
-    p.add_argument("--root-index", type=int, default=0)
+    p.add_argument("--root-index", type=int, default=None)
     p.add_argument("--probes", type=int, default=3)
     p.add_argument("--x", type=_finite_float, default=0.3)
     p.add_argument("--seed", type=int, default=0,

@@ -32,12 +32,12 @@ gives the same curve based at x with the identity frame once x lies more
 than ``_REBASE_DISTANCE`` from x0, and the spec itself otherwise.  The raw
 walk of ``frame_at`` stays for whoever asks it for a far frame.
 
-Lift jets are not cached.  ``_lift_coeffs`` takes an array of points,
-evaluates their u-jets in one pass over the u-trees and runs the ODE
-recursion for all of them at once, so one application of the map
-(``chimap.build_spans``), over a whole batch of (x, eps) pairs, lifts all
-its nodes in one pass; ``gamma_jet`` is the one-point case.
-``normalized_lift`` takes a stack of raw lifts as well.
+Lift jets are not cached.  ``_lift_coeffs`` lifts an array of points in
+one pass over the u-trees and one run of the ODE recursion; ``gamma_jet``
+is the one-point case.  Every curve sample near a working point, at a real
+or complex offset, is a Taylor shift (``_shifted_lifts``, guarded row by
+row) of the one order-40 lift jet there, so the map and ``lax`` build that
+jet once per working point.  ``normalized_lift`` takes a stack of lifts.
 """
 
 import functools
@@ -47,8 +47,8 @@ import json
 import numpy as np
 
 from . import linalg
-from .jets import (AnalyticFn, DegenerateSystem, Jet, derivative_stack, det_jet, eval_jet,
-                   jet_solver, trig_poly)
+from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, derivative_stack, det_jet,
+                   eval_jet, jet_solver, trig_poly)
 
 _STEP = 1.0 / 16.0
 _STEP_ORDER = 14
@@ -58,6 +58,8 @@ _AHEAD = 1024
 # working points farther than this from x0 are served from a spec based at
 # them (CurveSpec.near): no walk from a base exceeds 32 anchors
 _REBASE_DISTANCE = 2.0
+# order of the lift jet at a working point that nearby samples shift from
+_SHIFT_ORDER = 40
 
 
 class IntegrationFailure(Exception):
@@ -259,6 +261,29 @@ def _frame_from_coeffs(g, h, d):
         k = min(m, d) + 1
         out[:k] = out[:k] * h + g[m] * falling[:k, m].reshape((k,) + tail)
     return out
+
+
+def _shifted_lifts(g, h, kmax):
+    """Taylor coefficients 0..kmax of the lift at t + h, (kmax+1, *shape,
+    d+1), from its coefficients g, (N+1, d+1, ...), at t, h (real or
+    complex) broadcast against g's trailing axes; IntegrationFailure when a
+    row's last term is not below roundoff (h beyond the convergence radius)."""
+    order, n = g.shape[0] - 1, g.shape[1]
+    shape = np.broadcast_shapes(g.shape[2:], np.shape(h))
+    # copied: Horner over the broadcast view slowed a d = 3 lax run by 35%
+    pad = (1,) * (len(shape) + 2 - g.ndim)
+    g = np.broadcast_to(g.reshape(g.shape[:2] + pad + g.shape[2:]),
+                        g.shape[:2] + shape).reshape(order + 1, n, -1).copy()
+    h = np.broadcast_to(h, shape).reshape(-1)
+    rows = _frame_from_coeffs(g, h, kmax)  # row k: the k-th derivative
+    k = np.arange(kmax + 1)[:, None]
+    last = (_falling_table(order)[k, order] * np.max(np.abs(g[-1]), axis=0)
+            * np.abs(h) ** (order - k))
+    if np.any(last > np.finfo(g.dtype).eps * np.max(np.abs(rows), axis=1)):
+        raise IntegrationFailure(f"node offset {np.max(np.abs(h)):.3g} lies "
+                                 "outside the lift's radius of convergence")
+    rows = rows / _factorials(kmax + 1, g.dtype)[:, None, None]
+    return np.moveaxis(rows, 1, -1).reshape((kmax + 1,) + shape + (n,))
 
 
 def _lift_coeffs(spec, xs, order):

@@ -12,14 +12,14 @@ import math
 import numpy as np
 
 from . import linalg
-from .expansion import EpsLadder
-from .fitting import fit_poly, loglog_slope
+from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts
+from .expansion import EpsLadder, _contour, _taylor
+from .fitting import loglog_slope
 
 _DEFINED_FLOOR = 1e-10
-# steps 0.2 * 0.8^k, k < 12: slopes over the last 8, limits by a degree-5 fit
+# steps 0.2 * 0.8^k, k < 12: slopes over the last 8
 _LADDER = EpsLadder(0.2, 0.8, 12)
 _FIT_WINDOW = 8
-_FIT_DEGREE = 5
 
 
 class DiscreteCoords:
@@ -86,11 +86,11 @@ def discrete_coords(spec, x, eps):
 class LimitTable:
     """Ladder of recurrence coefficients with fitted orders and limits.
 
-    slopes[i] estimates the decay order of A_i; limits[i] extrapolates
-    A_i/eps^{p_i} to zero step, where p_i = d+1-i except for the top
-    coefficient whose expansion starts one order later (p_d = 2).
-    a0_slope tracks the decay of a_tilde_0 - (-1)^d.  ok flags columns whose
-    fit window was usable (nonzero and monotone); nothing here is fatal.
+    slopes[i] estimates the decay order of A_i; limits[i] is the zero-step
+    value of A_i/eps^{p_i}, where p_i = d+1-i except for the top coefficient
+    whose expansion starts one order later (p_d = 2).  a0_slope tracks the
+    decay of a_tilde_0 - (-1)^d.  ok flags columns whose slope window was
+    usable (nonzero and monotone); nothing here is fatal.
     """
 
     __slots__ = ("d", "x", "eps", "A", "a_tilde", "powers", "slopes",
@@ -111,29 +111,35 @@ class LimitTable:
         self.a0_ok = a0_ok
 
 
+def _decay(eps, vals):
+    """(log-log slope, strictly falling) of vals over the last _FIT_WINDOW
+    rungs, or (nan, False) when no |vals| exceeds _DEFINED_FLOOR."""
+    if np.max(np.abs(vals)) <= _DEFINED_FLOOR:
+        return np.nan, False
+    win = slice(-_FIT_WINDOW, None)
+    return (loglog_slope(eps[win], vals[win]),
+            bool(np.all(np.diff(np.abs(vals[win])) < 0)))
+
+
 def limit_diagnostics(spec, x):
-    """Measure the small-step limits of the recurrence coefficients at x."""
+    """Small-step limits of the recurrence coefficients at x: slopes on the
+    real ladder, where the order is the claim; limits as eps^0 coefficients of
+    A_i/eps^{p_i} on the eps-contour, each window a shift of one lift jet."""
     eps = _LADDER.values()
-    n = eps.size
     spec = spec.near(x)  # the recurrence is SL(d+1)-invariant
     coords = [discrete_coords(spec, x, e) for e in eps]
     A = np.stack([c.A for c in coords])
     a_tilde = np.stack([c.a_tilde for c in coords])
     d = spec.d
     powers = np.array([d + 1 - i if i < d else 2 for i in range(d + 1)])
-    slopes = np.full(d + 1, np.nan)
-    limits = fit_poly(eps, A / eps[:, None] ** powers, _FIT_DEGREE)[0]
-    ok = np.zeros(d + 1, dtype=bool)
-    win = slice(n - _FIT_WINDOW, n)
-    for i in range(d + 1):
-        mags = np.abs(A[:, i])
-        if np.max(mags) <= _DEFINED_FLOOR:
-            continue
-        slopes[i] = loglog_slope(eps[win], A[win, i])
-        ok[i] = bool(np.all(np.diff(mags[win]) < 0))
-    resid0 = a_tilde[:, 0] - (-1.0) ** d
-    a0_defined = np.max(np.abs(resid0)) > _DEFINED_FLOOR
-    a0_slope = loglog_slope(eps[win], resid0[win]) if a0_defined else np.nan
-    a0_ok = a0_defined and bool(np.all(np.diff(np.abs(resid0[win])) < 0))
+    slopes, ok = (np.array(v) for v in zip(*[_decay(eps, a) for a in A.T]))
+    a0_slope, a0_ok = _decay(eps, a_tilde[:, 0] - (-1.0) ** d)
+    offsets = np.arange(d + 2)
+    radius, nodes = _contour(offsets, spec.dtype)
+    lifts = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)[0]
+    windows = _shifted_lifts(lifts[..., 0], nodes[:, None] * offsets, 0)[0]
+    samples = [coords_from_samples(w, x, e).A / e ** powers
+               for e, w in zip(nodes, windows)]
+    limits = _taylor(np.array(samples), radius)[0]
     return LimitTable(d, x, eps, A, a_tilde, powers, slopes, limits, ok,
                       a0_slope, a0_ok)

@@ -107,10 +107,10 @@ def _taylor(samples, radius):
     return np.fft.hfft(samples, n, axis=0) / n / radius ** np.arange(n)[:, None]
 
 
-def _contour(chi, dtype):
-    """(radius, the 13 upper-half nodes in dtype) of chi's contour; the
-    radius keeps every node offset |p ε| within 0.2."""
-    radius = 0.2 / max(1.0, max(abs(p) for g in chi.groups for p in g))
+def _contour(offsets, dtype):
+    """(radius, the 13 upper-half nodes in dtype) of the contour for samples
+    at the node offsets p; the radius keeps every |p ε| within 0.2."""
+    radius = 0.2 / max(1.0, max(abs(p) for p in offsets))
     return radius, radius * _roots_of_unity(_NODES, dtype)[:_NODES // 2 + 1]
 
 
@@ -136,7 +136,7 @@ def _extract(spec, chi, xs, kmax):
     (x, node) pair; a far point is mapped on its own re-based spec.
     """
     check_kmax(kmax)
-    radius, eps = _contour(chi, spec.dtype)
+    radius, eps = _contour([p for g in chi.groups for p in g], spec.dtype)
     bases = [spec.near(x) for x in xs]
     mapped = {}
     for base in dict.fromkeys(bases):  # one application per distinct base

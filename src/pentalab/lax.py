@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .chimap import _shifted_lifts, chi_map_point
-from .curves import _lift_coeffs
+from .chimap import _map_lifted
+from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts
 from .discretize import coords_from_samples
 from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized, _contour,
                         _report, _taylor)
@@ -42,12 +42,11 @@ def u_matrix(spec, x):
     return m
 
 
-def _q2_gamma(spec, x, depth):
-    """Jets of the lift Γ and of Q_2 Γ = Γ'' + 2 u_{d-1} Γ/(d+1) at x."""
-    d = spec.d
-    g, u = _lift_coeffs(spec, np.array([x]), depth)
-    g = Jet(g[..., 0], copy=False)
-    return g, g.derivative().derivative() + g * Jet(u[:, d - 1, 0]) * (2.0 / (d + 1))
+def _q2_gamma(g, u):
+    """Jets of the lift Γ and of Q_2 Γ = Γ'' + 2 u_{d-1} Γ/(d+1) from the
+    coefficients of Γ, (n, d+1), and of the u_i, (n, d), at one point."""
+    g = Jet(g, copy=False)
+    return g, g.derivative().derivative() + g * Jet(u[:, -1]) * (2.0 / g.c.shape[1])
 
 
 def _v_jets(g, q2g, c):
@@ -159,35 +158,36 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None):
     the map covers the contour nodes of the extraction times the window
     columns k = 0..d+1, the configuration shifted by k (its image at x is
     the image at x + kε), and column 0 gives c22 and w as extract_alphas
-    reads them.  Each window is shared between the transfer matrices and
-    the two companions, which makes the discrete relation an identity to
-    solver precision.  Only conj_slope, where the order itself is the
-    claim, comes from the real ladder.  A far x is served from the curve
-    re-based there (CurveSpec.near), which no limit sees.
+    reads them; the node lifts, the curve windows and Γ, Q_2 Γ all come
+    from one order-40 lift jet at x.  Each window is shared between the
+    transfer matrices and the two companions, which makes the discrete
+    relation an identity to solver precision.  Only conj_slope, where the
+    order is the claim, comes from the real ladder.  A far x is served from
+    the curve re-based there (CurveSpec.near), which no limit sees.
     """
     if ladder is None:
         ladder = EpsLadder()
     spec = spec.near(x)
     d = spec.d
-    radius, eps = _contour(chi, spec.dtype)
+    lifts, u_coeffs = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)
+    radius, eps = _contour([p for g in chi.groups for p in g], spec.dtype)
     ks = np.arange(d + 2)
-    windows, u = chi_map_point(spec, chi, x, eps[:, None], 2 * d + 2,
-                               shift=ks)
+    windows, u = _map_lifted(spec, chi, x, eps[:, None], 2 * d + 2, lifts,
+                             shift=ks)
     windows = windows.value  # (node, k, d+1): x .. x + (d+1) eps
     report = _report(spec, x, 2, radius, windows[:, 0], u.value[:, 0])
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     c22 = float(report.alpha[2, 2])
     U = np.asarray(u_matrix(spec, x), dtype=np.float64)
-    g, q2g = _q2_gamma(spec, x, d + 4)
+    g, q2g = _q2_gamma(lifts[:d + 5, :, 0], u_coeffs[:d + 5, :, 0])
     vj = _v_jets(g, q2g, c22)
     V, V_prime = vj.value, vj.derivative().value
     target = V @ U - U @ V + V_prime
     dudt_w = np.zeros_like(U)
     dudt_w[d, :d] = -np.asarray(report.w, dtype=np.float64)
 
-    # the curve windows are shifts of the lift jet at x, like the nodes
-    curves = _shifted_lifts(spec, np.asarray(x), ks * eps[:, None], 0)[0]
+    curves = _shifted_lifts(lifts[..., 0], ks * eps[:, None], 0)[0]
     eye = np.eye(d + 1)
     ident = np.empty(eps.size)
     # per node: conjugated companion, both quotients, both transfer matrices

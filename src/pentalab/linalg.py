@@ -1,8 +1,8 @@
 """Dense linear algebra that works in float64 and in extended precision.
 
-numpy/LAPACK reject np.longdouble, so for it solves, determinants and the
-normal equations of least squares share one hand-written LU with partial
-pivoting, adequate for the small (<= 8 x 8) systems this package produces.
+numpy/LAPACK reject np.longdouble, so for it solves and determinants share
+one hand-written LU with partial pivoting, adequate for the small (<= 8 x 8)
+systems this package produces.
 The nullspace comes from a float64 SVD at every dtype, which is exact
 enough: the basis is only a gauge, since the span normals built on it are
 solved to every order in the working dtype.
@@ -123,16 +123,6 @@ def det_dense(a):
     for pivot in np.diagonal(lu):
         det *= pivot
     return det
-
-
-def lstsq_dense(a, b):
-    """Least-squares solution of a @ x = b (a tall or square, full column rank)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if _is_lapack_friendly(a) and _is_lapack_friendly(b):
-        return np.linalg.lstsq(a, b, rcond=None)[0]
-    # Normal equations are fine here: every caller scales its basis first.
-    return _lu_solve(_lu_ge(a.T @ a), a.T @ b)
 
 
 def null_bases(a):

@@ -13,8 +13,9 @@ from pentalab.chimap import (
 )
 from pentalab.configs import (dual_dented_chi, dual_dented_shift, evenly_spaced_chi,
                               short_diagonal_chi)
-from pentalab.curves import gamma_jet, random_curve_spec, zero_curve_spec
-from pentalab.jets import Jet, det_jet
+from pentalab.curves import (_SHIFT_ORDER, IntegrationFailure, _frame_from_coeffs,
+                             _lift_coeffs, gamma_jet, random_curve_spec, zero_curve_spec)
+from pentalab.jets import Jet, _factorials, det_jet
 
 
 def const_span(rows):
@@ -154,6 +155,29 @@ def test_warm_build_spans_walks_each_u_tree_once(d, monkeypatch):
     assert len(calls) == d  # one per u-tree, for every distinct node at once
 
 
+def test_shift_guards_every_row():
+    # at eps = 0.2 the short-diagonal d = 4 nodes reach |h| = 0.9: the value
+    # row of the unguarded shift still matches frame transport to each node
+    # to 2.2e-16 relative, but row 10 is off by 3.9e-11, which a guard on
+    # the value row alone let through
+    spec = random_curve_spec(4, seed=7)
+    chi = short_diagonal_chi(4)
+    with pytest.raises(IntegrationFailure, match="radius of convergence"):
+        build_spans(spec, chi, 0.3, 0.2, 10)
+    build_spans(spec, chi, 0.3, 0.1, 10)  # |h| <= 0.45 shifts
+    g = _lift_coeffs(spec, np.array([0.3]), _SHIFT_ORDER)[0][..., 0]
+    rel = []
+    for p in sorted({p for group in chi.groups for p in group}):
+        unguarded = (_frame_from_coeffs(g, 0.2 * p, 10)
+                     / _factorials(11, g.dtype)[:, None])
+        want = gamma_jet(spec, 0.3 + 0.2 * p, 10).c
+        rel.append(np.max(np.abs(unguarded - want), axis=1)
+                   / np.max(np.abs(want), axis=1))
+    rel = np.max(rel, axis=0)
+    assert rel[0] <= 1e-15
+    assert rel[10] >= 1e-11
+
+
 # -- the full map ---------------------------------------------------------------
 
 
@@ -258,15 +282,19 @@ def test_extended_normals_annihilate_their_span(d):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-@pytest.mark.parametrize("chi", [
-    short_diagonal_chi(2), short_diagonal_chi(3), short_diagonal_chi(4),
-    dual_dented_chi(3, 1).shift(dual_dented_shift(3, 1)),
-    evenly_spaced_chi([0.0, 1.0], 0.25, 2),
+@pytest.mark.parametrize("chi, eps0", [
+    (short_diagonal_chi(2), 0.2), (short_diagonal_chi(3), 0.2),
+    # nodes reach |p| = 4.5: the extraction's radius keeps every offset
+    # within 0.2 (at eps 0.2 the shift leaves the lift's radius, see
+    # test_shift_guards_every_row)
+    (short_diagonal_chi(4), 0.2 / 4.5),
+    (dual_dented_chi(3, 1).shift(dual_dented_shift(3, 1)), 0.2),
+    (evenly_spaced_chi([0.0, 1.0], 0.25, 2), 0.2),
 ], ids=["sd2", "sd3", "sd4", "dd3", "es2"])
-def test_batch_equals_the_one_pair_loop(chi, dtype):
+def test_batch_equals_the_one_pair_loop(chi, eps0, dtype):
     spec = random_curve_spec(chi.d, seed=7, dtype=dtype)
     xs = np.array([0.3, -0.45, 1.1])
-    eps = dtype(0.2) * dtype(0.85) ** np.arange(4)
+    eps = dtype(eps0) * dtype(0.85) ** np.arange(4)
     k = 2 * chi.d + 2
     lift, u = chi_map_point(spec, chi, xs[:, None], eps, k)
     assert lift.c.shape == (k - chi.d + 1, 3, 4, chi.d + 1)

@@ -53,6 +53,20 @@ class TestDof:
         assert int(out) == expected
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dof", "--m", "0"], "need m >= 1"),
+    (["dof", "--m", "-3"], "need m >= 1"),
+    # the flag was ignored and the integer instance ran
+    (["realize34", "--chi", "integer-instance", "--root-index", "3"],
+     "--root-index only applies to r-root"),
+])
+def test_unusable_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 class TestFamilies:
     def test_short_diagonal_d3(self, capsys):
         code, out, _ = run(capsys, ["families", "short-diagonal", "--d", "3"])

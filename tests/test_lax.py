@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from pentalab.chimap import chi_map_point
 from pentalab.configs import evenly_spaced_chi, short_diagonal_chi
-from pentalab.curves import (CurveSpec, gamma_jet, random_curve_spec,
-                             zero_curve_spec)
+from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, gamma_jet,
+                             random_curve_spec, zero_curve_spec)
 from pentalab.discretize import discrete_coords
 from pentalab.expansion import EpsLadder, extract_alphas
 from pentalab.jets import eval_jet
@@ -38,9 +38,16 @@ def report_d3():
     return spec, lax_limit_diagnostics(spec, short_diagonal_chi(3), X0)
 
 
+def q2_gamma(spec, x, depth):
+    """Jets of Γ and Q_2 Γ at x to the given depth, from the lift's and the
+    u_i's coefficients there, as the ladder builds them."""
+    g, u = _lift_coeffs(spec, np.array([x]), depth)
+    return _q2_gamma(g[..., 0], u[..., 0])
+
+
 def v_jets(spec, x, c, order):
     """Matrix jet of V at x to the given order, as the ladder builds it."""
-    return _v_jets(*_q2_gamma(spec, x, order + spec.d + 2), c)
+    return _v_jets(*q2_gamma(spec, x, order + spec.d + 2), c)
 
 
 def v_matrix(spec, x, c):
@@ -49,7 +56,7 @@ def v_matrix(spec, x, c):
 
 def drift(spec, x, c):
     """Third-order drift at x, from V and Q_2 Γ as the ladder builds them."""
-    g, q2g = _q2_gamma(spec, x, spec.d + 4)
+    g, q2g = q2_gamma(spec, x, spec.d + 4)
     return _drift(spec, x, c, _v_jets(g, q2g, c).value, q2g)
 
 
@@ -280,12 +287,37 @@ class TestLimits:
         monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
         spec = random_curve_spec(3, seed=23)
         x = 0.01  # nearest anchor is the base point
-        g, q2g = _q2_gamma(spec, x, 7)
+        # the ladder reads Γ and Q_2 Γ off the first rows of the deep jet
+        lifts, u = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)
         assert len(calls) == 2 * spec.d  # the u's at the anchor and at x
         monkeypatch.undo()
-        u_top = random_curve_spec(3, seed=23).u_jet(x, 7)[2]
-        want = g.derivative().derivative() + g * u_top * (2.0 / 4)
+        g, q2g = _q2_gamma(lifts[:8, :, 0], u[:8, :, 0])
+        fresh = random_curve_spec(3, seed=23)
+        want_g = gamma_jet(fresh, x, 7)
+        assert np.array_equal(g.c, want_g.c)
+        u_top = fresh.u_jet(x, 7)[2]
+        want = want_g.derivative().derivative() + want_g * u_top * (2.0 / 4)
         assert np.array_equal(q2g.c, want.c)
+
+    def test_one_deep_lift_jet_per_run(self, curve_d2, monkeypatch):
+        # the node lifts, the curve windows and Γ, Q_2 Γ are all read off
+        # one order-40 lift jet at x
+        import sys
+
+        import pentalab.curves
+
+        orders = []
+        inner = pentalab.curves._lift_coeffs
+
+        def counted(spec, xs, order):
+            orders.append(order)
+            return inner(spec, xs, order)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pentalab") and hasattr(module, "_lift_coeffs"):
+                monkeypatch.setattr(module, "_lift_coeffs", counted)
+        lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
+        assert orders == [_SHIFT_ORDER] == [40]
 
     def test_mapped_point_at_x_is_computed_once_per_rung(self, curve_d2,
                                                            monkeypatch):
@@ -295,7 +327,7 @@ class TestLimits:
 
         want = extract_alphas(curve_d2, short_diagonal_chi(2), X0)
         calls = []
-        inner = pentalab.chimap.chi_map_point
+        inner = pentalab.chimap._map_lifted
 
         def counted(*args, **kwargs):
             x, eps, shift = np.broadcast_arrays(*args[2:4], kwargs["shift"])
@@ -304,7 +336,7 @@ class TestLimits:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
-        monkeypatch.setattr(pentalab.lax, "chi_map_point", counted)
+        monkeypatch.setattr(pentalab.lax, "_map_lifted", counted)
         d = 2
         rep = lax_limit_diagnostics(curve_d2, short_diagonal_chi(d), X0)
         # one application maps the 13 contour nodes of the extraction times

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pentalab.linalg import (SingularMatrixError, det_dense, lstsq_dense,
-                             null_bases, solve_dense, stack_solver)
+from pentalab.linalg import (SingularMatrixError, det_dense, null_bases, solve_dense,
+                             stack_solver)
 
 
 # -- the extended path against exact rational answers ---------------------------
@@ -63,21 +63,6 @@ def test_extended_solve_and_det_match_rationals(rng):
         assert rel_err(got_det, [[det]]) <= RTOL_EXTENDED
         worst64 = max(worst64, rel_err(np.linalg.solve(a, b), want))
     assert worst64 > RTOL_EXTENDED  # the tolerance tells the precisions apart
-
-
-def test_extended_lstsq_matches_rational_normal_equations(rng):
-    worst64 = 0.0
-    for t in range(12):
-        n = 2 + t % 3
-        v = rng.integers(-4, 5, (n + 3, n))
-        y = rng.integers(-5, 6, (n + 3, 1))
-        want, det = rational_solve(v.T @ v, v.T @ y)
-        assert det != 0
-        got = lstsq_dense(v.astype(np.longdouble), y.astype(np.longdouble))
-        assert got.dtype == np.longdouble
-        assert rel_err(got, want) <= RTOL_EXTENDED
-        worst64 = max(worst64, rel_err(lstsq_dense(v.astype(float), y), want))
-    assert worst64 > RTOL_EXTENDED
 
 
 def test_extended_singular_matrix_fails_at_factorization():
