@@ -47,8 +47,8 @@ import json
 import numpy as np
 
 from . import linalg
-from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, derivative_stack, det_jet,
-                   eval_jet, jet_solver, trig_poly)
+from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, _falling_table,
+                   derivative_stack, det_jet, eval_jet, jet_solver, trig_poly)
 
 _STEP = 1.0 / 16.0
 _STEP_ORDER = 14
@@ -68,17 +68,6 @@ class IntegrationFailure(Exception):
 
 class DegenerateLift(Exception):
     """No normalized lift exists (vanishing or wrong-sign Wronskian)."""
-
-
-@functools.lru_cache(maxsize=None)
-def _falling_table(order):
-    """Read-only float64 table, entry [k, n] = n (n-1) ... (n-k+1), k, n <= order."""
-    n = np.arange(order + 1, dtype=np.float64)
-    table = np.ones((order + 1, order + 1))
-    for k in range(1, order + 1):
-        table[k] = table[k - 1] * (n - (k - 1))
-    table.flags.writeable = False
-    return table
 
 
 class CurveSpec:
@@ -259,7 +248,8 @@ def _frame_from_coeffs(g, h, d):
     out = np.zeros((d + 1,) + g.shape[1:], dtype=np.result_type(g, h))
     for m in range(order, -1, -1):
         k = min(m, d) + 1
-        out[:k] = out[:k] * h + g[m] * falling[:k, m].reshape((k,) + tail)
+        out[:k] *= h
+        out[:k] += g[m] * falling[:k, m].reshape((k,) + tail)
     return out
 
 

@@ -114,13 +114,14 @@ def _contour(offsets, dtype):
     return radius, radius * _roots_of_unity(_NODES, dtype)[:_NODES // 2 + 1]
 
 
-def _report(base, x, kmax, radius, points, invariants):
+def _report(frame, x, kmax, radius, points, invariants):
     """The extract_alphas report at x from the image points (node, d+1)
-    and invariants (node, d) on the contour nodes, mapped on base."""
-    d = base.d
+    and invariants (node, d) on the contour nodes, resolved against the
+    frame at x of the curve they were mapped on."""
+    d = len(frame) - 1
     # frame coordinates in columns 0..d, curve invariants after them;
     # a non-finite image point raises ValueError, never NaN coefficients
-    coords = solve_dense(base.frame_at(x).T, np.asarray_chkfinite(points.T)).T
+    coords = solve_dense(frame.T, np.asarray_chkfinite(points.T)).T
     samples = np.concatenate([coords, invariants], axis=1)
     coeffs = _taylor(samples, radius)
     # against the same rule on the even-indexed nodes alone
@@ -144,7 +145,7 @@ def _extract(spec, chi, xs, kmax):
         lifted, u = chi_map_point(base, chi, np.asarray(xs)[at, None], eps,
                                   2 * spec.d + 2)
         mapped.update(zip(at, zip(lifted.value, u.value)))
-    return [_report(base, x, kmax, radius, *mapped[i])
+    return [_report(base.frame_at(x), x, kmax, radius, *mapped[i])
             for i, (x, base) in enumerate(zip(xs, bases))]
 
 
@@ -188,7 +189,6 @@ def kdv_rhs_check(spec, chi, x):
     report = extract_alphas(spec, chi, x)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
-    u = spec.u_jet(x, JET_ORDER)
-    flow = kdv_rhs(l_operator([u[i] for i in range(spec.d)]), 2)
-    predicted = report.alpha[2, 2] * np.array([c.value for c in flow])
+    flow = kdv_rhs(l_operator(spec.u_jet(x, JET_ORDER).c), 2)
+    predicted = report.alpha[2, 2] * flow.c[:, 0]
     return float(np.max(np.abs(report.w - predicted)))

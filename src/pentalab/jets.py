@@ -242,6 +242,17 @@ def _factorials(count, dtype):
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _falling_table(order):
+    """Read-only float64 table, entry [k, n] = n (n-1) ... (n-k+1), k, n <= order."""
+    n = np.arange(order + 1, dtype=np.float64)
+    table = np.ones((order + 1, order + 1))
+    for k in range(1, order + 1):
+        table[k] = table[k - 1] * (n - (k - 1))
+    table.flags.writeable = False
+    return table
+
+
 def _trig(c, shift):
     """sin (shift 0) or cos (shift 1) of c.
 

@@ -1,19 +1,27 @@
-"""Truncated pseudodifferential operators with jet coefficients.
+"""Truncated pseudodifferential operators over Taylor coefficient arrays.
 
-An operator is a finite sum c_k D^k, floor <= k <= order, whose
-coefficients are jets of functions at the working point.  Composition uses
-the Leibniz rule extended by generalized binomials, so negative powers of D
-produce the usual infinite tails, cut at the floor.  Powers of D dropped by
-the cut can only influence degrees at or below the floor, which is what
-makes the truncated ring usable for root extraction and commutators.
+An operator is a finite sum c_k D^k, floor <= k <= order, held as one array
+``c`` of shape (order - floor + 1, K+1) in the dtype of its input: row
+k - floor holds the Taylor coefficients of c_k at the working point, in the
+derivative/k! convention of ``jets``.  Every derivative costs a coefficient
+one Taylor order, so each row keeps its own valid order (``valid``); the
+entries past it are never read.  Composition uses the Leibniz rule extended
+by generalized binomials, so negative powers of D produce the usual infinite
+tails, cut at the floor.  Powers of D dropped by the cut can only influence
+degrees at or below the floor, which is what makes the truncated ring usable
+for root extraction and commutators.  A product is one contraction against
+a cached table of the nonzero Leibniz terms.
 
 (R^m)_+ reads only the root's degrees 0 ... 1 - m, so `q_m` builds the root
 only that deep; the deep default of `psdo_root` is the power-back reference.
 """
 
+import functools
+import math
+
 import numpy as np
 
-from .jets import Jet
+from .jets import _falling_table
 
 # Taylor order of the u-jets that the hierarchy checks build L from
 JET_ORDER = 24
@@ -23,152 +31,141 @@ class CommutatorResidue(RuntimeError):
     """[Q_m, L] kept a term at degree d or above: the operator arithmetic broke."""
 
 
-def _binom(k, n):
-    """Generalized binomial C(k, n) for integer k of either sign."""
-    out = 1.0
-    for j in range(n):
-        out = out * (k - j) / (j + 1)
-    return out
-
-
-def _zero_like(op):
-    order = max((c.order for c in op.coeff.values()), default=0)
-    return Jet.const(0.0, order)
-
-
 class PseudoDiffOp:
-    """Sum of c_k D^k between the truncation floor and the top degree."""
+    """Sum of c_k D^k: row k - floor of c holds c_k's Taylor coefficients,
+    the first valid[k - floor] + 1 of them exact to roundoff."""
 
-    __slots__ = ("floor", "coeff")
+    __slots__ = ("floor", "c", "valid")
 
-    def __init__(self, coeff, floor):
+    def __init__(self, c, floor, valid):
         self.floor = int(floor)
-        self.coeff = {int(k): c for k, c in coeff.items() if int(k) >= self.floor}
+        self.c = c
+        self.valid = valid
 
     @property
     def order(self):
-        return max(self.coeff) if self.coeff else self.floor
+        return self.floor + len(self.c) - 1
 
     def coefficient(self, k):
-        c = self.coeff.get(int(k))
-        return c if c is not None else _zero_like(self)
+        """The valid Taylor coefficients of c_k, floor <= k <= order."""
+        if not self.floor <= k <= self.order:
+            raise IndexError(f"degree {k} outside {self.floor}..{self.order}")
+        return self.c[k - self.floor, : self.valid[k - self.floor] + 1]
 
     def differential_part(self):
-        return PseudoDiffOp({k: c for k, c in self.coeff.items() if k >= 0},
-                            self.floor)
+        return self.with_floor(0)
 
     def with_floor(self, floor):
         """Rehome the operator at another floor (raising it truncates)."""
-        return PseudoDiffOp(self.coeff, floor)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, PseudoDiffOp):
-            raise TypeError("expected a PseudoDiffOp")
-        if other.floor != self.floor:
-            raise ValueError("operands carry different truncation floors")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coeff)
-        for k, c in other.coeff.items():
-            out[k] = out[k] + c if k in out else c
-        return PseudoDiffOp(out, self.floor)
-
-    def __neg__(self):
-        return PseudoDiffOp({k: -c for k, c in self.coeff.items()}, self.floor)
+        drop = floor - self.floor
+        if drop >= 0:
+            return PseudoDiffOp(self.c[drop:], floor, self.valid[drop:])
+        return PseudoDiffOp(np.pad(self.c, ((-drop, 0), (0, 0))), floor,
+                            np.pad(self.valid, (-drop, 0),
+                                   constant_values=self.c.shape[1] - 1))
 
     def __sub__(self, other):
-        return self + (-other)
+        if (other.floor, other.order) != (self.floor, self.order):
+            raise ValueError("operands span different degrees")
+        return PseudoDiffOp(self.c - other.c, self.floor,
+                            np.minimum(self.valid, other.valid))
 
-    def __mul__(self, other):
-        return psdo_mul(self, other)
 
-    def to_dict(self):
-        return {
-            "floor": self.floor,
-            "coeff": {str(k): [float(v) for v in self.coeff[k].c]
-                      for k in sorted(self.coeff)},
-        }
+@functools.lru_cache(maxsize=None)
+def _leibniz(floor, top_a, top_b, order):
+    """Read-only table of the nonzero terms C(ka, n) a_ka D^n(b_kb)
+    D^(ka+kb-n) of a product on degrees floor..top_a times floor..top_b.
 
-    def __repr__(self):
-        parts = []
-        for k in sorted(self.coeff, reverse=True):
-            v = self.coeff[k].value
-            if v == 0:
-                continue
-            parts.append(f"({v:.6g})*D^{k}" if k else f"({v:.6g})")
-        body = " + ".join(parts) if parts else "0"
-        return f"PseudoDiffOp[{body}; floor={self.floor}]"
+    Terms run by product row r, then row i of a.  Per term: i, the row of
+    b, n, and the columns of b's row (zero-padded) that give D^n b_kb with
+    their weights C(ka, n) (m+n)!/m!.  Then the first term of each (r, i)
+    group and its slot r * (rows of a) + i, and the first term of each r.
+    """
+    terms = []
+    for i in range(top_a - floor + 1):
+        ka = floor + i
+        for j in range(top_b - floor + 1):
+            for n in range(ka + j + 1):
+                w = math.prod(range(ka, ka - n, -1)) // math.factorial(n)
+                if w == 0:
+                    break  # nonnegative ka: Leibniz terminates at n = ka
+                terms.append((ka + j - n, i, j, n, w))
+    terms.sort(key=lambda t: t[:2])
+    r, i, j, n, w = (np.array(col) for col in zip(*terms))
+    cols = n[:, None] + np.arange(order + 1)
+    weights = w[:, None] * _falling_table(cols.max())[n[:, None], cols]
+    slot = r * (top_a - floor + 1) + i
+    groups = np.flatnonzero(np.diff(slot, prepend=-1))
+    table = (i, j, n, cols, weights, groups, slot[groups],
+             np.flatnonzero(np.diff(r, prepend=-1)))
+    for part in table:
+        part.flags.writeable = False
+    return table
 
 
 def psdo_mul(a, b):
     """Leibniz-composition product, truncated at the common floor."""
-    a._check_compatible(b)
-    floor = a.floor
-    derivs = {}
-    for kb, cb in b.coeff.items():
-        derivs[kb] = [cb]
-    out = {}
-    for ka, ca in a.coeff.items():
-        for kb, cb in b.coeff.items():
-            chain = derivs[kb]
-            for n in range(ka + kb - floor + 1):
-                w = _binom(ka, n)
-                if w == 0.0:
-                    break  # nonnegative ka: Leibniz terminates at n = ka
-                while len(chain) <= n:
-                    last = chain[-1]
-                    if last.order == 0:
-                        raise ValueError(
-                            "coefficient jets too shallow for this floor")
-                    chain.append(last.derivative())
-                term = ca * chain[n]
-                if w != 1.0:
-                    term = term * w
-                deg = ka - n + kb
-                out[deg] = out[deg] + term if deg in out else term
-    return PseudoDiffOp(out, floor)
+    if a.floor != b.floor:
+        raise ValueError("operands carry different truncation floors")
+    floor, order, rows_a = a.floor, a.c.shape[1] - 1, len(a.c)
+    ia, jb, n, cols, weights, groups, slots, rows = _leibniz(
+        floor, a.order, b.order, order)
+    b_pad = np.zeros((len(b.c), cols.max() + 1), dtype=b.c.dtype)
+    b_pad[:, : order + 1] = b.c
+    # met[r, i]: the shifted rows of b that row i of a convolves with on
+    # product row r, summed; zero where no term lands
+    met = np.zeros((len(rows) * rows_a, order + 1), dtype=b.c.dtype)
+    met[slots] = np.add.reduceat(b_pad[jb[:, None], cols] * weights, groups)
+    # row k of a's Toeplitz block i holds a_i's coefficient m - k at m
+    a_pad = np.zeros((rows_a, 2 * order + 1), dtype=a.c.dtype)
+    a_pad[:, order:] = a.c
+    m = np.arange(order + 1)
+    toeplitz = a_pad[:, order + m - m[:, None]].reshape(-1, order + 1)
+    valid = np.minimum.reduceat(np.minimum(a.valid[ia], b.valid[jb] - n), rows)
+    if valid.min() < 0:
+        raise ValueError("coefficient jets too shallow for this floor")
+    return PseudoDiffOp(np.dot(met.reshape(len(rows), -1), toeplitz), floor,
+                        valid)
 
 
 def psdo_pow(a, m):
     if m < 1:
         raise ValueError("power must be a positive integer")
-    out = a
-    for _ in range(m - 1):
-        out = psdo_mul(out, a)
-    return out
+    return functools.reduce(psdo_mul, [a] * m)
 
 
-def l_operator(u_jets):
-    """The normalized operator D^{d+1} + u_{d-1} D^{d-1} + ... + u_0."""
-    d = len(u_jets)
-    order = max(c.order for c in u_jets)
-    coeff = {i: u_jets[i] for i in range(d)}
-    coeff[d + 1] = Jet.const(1.0, order)
-    return PseudoDiffOp(coeff, -(d + 3))
+def l_operator(u):
+    """The normalized operator D^{d+1} + u_{d-1} D^{d-1} + ... + u_0 from
+    the Taylor coefficients of the u_i, an array (K+1, d)."""
+    d, floor = u.shape[1], -(u.shape[1] + 3)
+    c = np.zeros((d + 2 - floor, len(u)), dtype=u.dtype)
+    c[-floor : d - floor] = u.T
+    c[-1, 0] = 1
+    return PseudoDiffOp(c, floor, np.full(len(c), len(u) - 1))
 
 
 def psdo_root(L, depth=None):
     """The root R = D + b_0 + ... + b_{-depth} D^{-depth} of L, R^p = L.
 
     Matched degree by degree, p = L.order: when R is correct above degree g,
-    L - R^p starts at degree p - 1 + g with coefficient p * b_g.  The floor
-    sits p - 1 below the last degree, under every degree the matching reads;
-    the default depth carries the power-back identity down to L's floor.
+    L - R^p starts at degree p - 1 + g with coefficient p * b_g.  A cut at
+    floor f changes R^k, for an R with no row below f, at degrees up to
+    f + k - 3 only.  So the pass for b_g cuts at g + 1, and the root sits at
+    floor -depth: that keeps R^p exact down to L's floor under the default
+    depth, and (R^m)_+ exact for any depth of at least m - 1.
     """
     p = L.order
     if depth is None:
         depth = p - 1 - L.floor
-    floor_r = -depth - (p - 1)
-    deep = L.with_floor(floor_r)
-    order = max(c.order for c in L.coeff.values())
-    root = PseudoDiffOp({1: Jet.const(1.0, order)}, floor_r)
-    for g in range(0, -depth - 1, -1):
-        err = deep - psdo_pow(root, p)
-        c = err.coefficient(p - 1 + g)
-        bump = PseudoDiffOp({g: c * (1.0 / p)}, floor_r)
-        root = root + bump
-    return root
+    deep = L.with_floor(-depth)
+    c = np.zeros((depth + 2, L.c.shape[1]), dtype=L.c.dtype)
+    c[-1, 0] = 1
+    valid = np.full(len(c), L.c.shape[1] - 1)
+    for i in range(depth, -1, -1):  # row i holds b_{i - depth}
+        top = psdo_pow(PseudoDiffOp(c[i + 1:], i + 1 - depth, valid[i + 1:]), p)
+        c[i] = (deep.c[p - 1 + i] - top.c[p - 2]) * (1.0 / p)
+        valid[i] = min(deep.valid[p - 1 + i], top.valid[p - 2])
+    return PseudoDiffOp(c, -depth, valid)
 
 
 def q_m(L, m):
@@ -179,17 +176,16 @@ def q_m(L, m):
 
 
 def kdv_rhs(L, m):
-    """Coefficient jets of D^0..D^{d-1} in [Q_m, L].
+    """[Q_m, L] as the differential operator on degrees 0..d-1 it must be.
 
-    The commutator is differential of order at most d - 1; whatever the
-    algebra leaves at degree d and above must be numerical dust, and a
-    residue above 1e-11 means the operator arithmetic itself broke.
+    Both factors are differential, so their products need no negative
+    degree.  Whatever the algebra leaves at degree d and above must be
+    numerical dust; a residue above 1e-11 means the arithmetic broke.
     """
     d = L.order - 1
-    q = q_m(L, m).with_floor(L.floor)
+    q, L = q_m(L, m), L.differential_part()
     comm = psdo_mul(q, L) - psdo_mul(L, q)
-    for k, c in comm.coeff.items():
-        if k >= d and np.max(np.abs(c.c)) > 1e-11:
-            raise CommutatorResidue(
-                f"commutator coefficient at degree {k} is nonzero")
-    return [comm.coefficient(i) for i in range(d)]
+    for k in range(d, comm.order + 1):
+        if np.max(np.abs(comm.coefficient(k))) > 1e-11:
+            raise CommutatorResidue(f"commutator coefficient at degree {k} is nonzero")
+    return PseudoDiffOp(comm.c[:d], 0, comm.valid[:d])

@@ -93,7 +93,7 @@ def d_eps_inv(d, eps):
     return m
 
 
-def _drift(spec, x, c, v, q2g):
+def _drift(frame, U, c, v, q2g):
     """Third-order drift of the conjugated transfer matrices.
 
     The scaled difference frames are themselves ε-dependent at first order,
@@ -102,18 +102,19 @@ def _drift(spec, x, c, v, q2g):
     frame), where T0 and T' hold the half-integer drift of the difference
     quotients.  Both transfer matrices carry the same Σ, so it cancels in
     the discrete Lax combination; only the shift difference dV/dx survives.
-    v is V at x and q2g a Q_2 Γ jet of order at least d + 1.
+    frame and U are the frame and the companion at x, v is V there and
+    q2g a Q_2 Γ jet of order at least d + 1.
     """
-    d = spec.d
+    d = len(frame) - 1
     for _ in range(d + 1):
         q2g = q2g.derivative()
-    e_coeff = solve_dense(spec.frame_at(x).T, q2g.value)
+    e_coeff = solve_dense(frame.T, q2g.value)
     t0 = np.zeros((d + 1, d + 1))
     tp = np.zeros((d + 1, d + 1))
     for k in range(d):
         t0[k, k + 1] = k / 2.0
         tp[k, k + 1] = k / 2.0
-    tp[d] = (d / 2.0) * u_matrix(spec, x)[d]
+    tp[d] = (d / 2.0) * U[d]
     last = np.zeros(d + 1)
     last[d] = 1.0
     return t0 @ v - v @ tp + c * (d / 2.0) * np.outer(last, e_coeff)
@@ -175,7 +176,8 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None):
     windows, u = _map_lifted(spec, chi, x, eps[:, None], 2 * d + 2, lifts,
                              shift=ks)
     windows = windows.value  # (node, k, d+1): x .. x + (d+1) eps
-    report = _report(spec, x, 2, radius, windows[:, 0], u.value[:, 0])
+    frame = spec.frame_at(x)
+    report = _report(frame, x, 2, radius, windows[:, 0], u.value[:, 0])
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     c22 = float(report.alpha[2, 2])
@@ -227,5 +229,5 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None):
     out.p0_v_dev = _maxabs(p0[2] - V)
     out.p1_v_dev = _maxabs(p1[2] - V)
     out.shift_vprime_dev = _maxabs((p1[3] - p0[3]) - V_prime)
-    out.drift_dev = _maxabs(p0[3] - _drift(spec, x, c22, V, q2g))
+    out.drift_dev = _maxabs(p0[3] - _drift(frame, U, c22, V, q2g))
     return out

@@ -121,9 +121,7 @@ class Realization34Report:
 
 
 def _q3_row(spec, x):
-    u = spec.u_jet(x, JET_ORDER)
-    q3 = q_m(l_operator([u[i] for i in range(spec.d)]), 3)
-    return np.array([q3.coefficient(k).value for k in range(4)])
+    return q_m(l_operator(spec.u_jet(x, JET_ORDER).c), 3).c[:4, 0]
 
 
 def check_34(chi, probe_curves, x):

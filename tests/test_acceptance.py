@@ -249,31 +249,30 @@ def test_08_fractional_power_algebra():
     worst_q2 = 0.0
     for d in (1, 2, 3, 4):
         u_jets = _trig_jets(d, 100 + d)
-        L = l_operator(u_jets)
+        L = l_operator(np.stack([u.c for u in u_jets], axis=1))
         root = psdo_root(L)
         back = psdo_pow(root, d + 1)
         for k in range(L.floor, d + 2):
             lc, bc = L.coefficient(k), back.coefficient(k)
-            n = min(lc.order, bc.order, 4) + 1
+            n = min(len(lc), len(bc), 5)
             worst_back = max(worst_back,
-                             float(np.max(np.abs(bc.c[:n] - lc.c[:n]))))
+                             float(np.max(np.abs(bc[:n] - lc[:n]))))
         for m in range(1, d + 2):
             q = q_m(L, m).with_floor(L.floor)
             comm = psdo_mul(q, L) - psdo_mul(L, q)
-            for k, c in comm.coeff.items():
-                if k >= d:
-                    worst_comm = max(worst_comm, float(np.max(np.abs(c.c))))
+            for k in range(d, comm.order + 1):
+                worst_comm = max(worst_comm,
+                                 float(np.max(np.abs(comm.coefficient(k)))))
         q2 = q_m(L, 2)
         ones = Jet.const(1.0, 6)
-        c2 = q2.coefficient(2)
         worst_q2 = max(worst_q2,
-                       float(np.max(np.abs(c2.c[:7] - ones.c))),
-                       float(np.max(np.abs(q2.coefficient(1).c[:7]))))
+                       float(np.max(np.abs(q2.coefficient(2)[:7] - ones.c))),
+                       float(np.max(np.abs(q2.coefficient(1)[:7]))))
         want0 = u_jets[d - 1] * (2.0 / (d + 1))
         got0 = q2.coefficient(0)
-        n = min(got0.order, want0.order) + 1
+        n = min(len(got0), want0.order + 1)
         worst_q2 = max(worst_q2,
-                       float(np.max(np.abs(got0.c[:n] - want0.c[:n]))))
+                       float(np.max(np.abs(got0[:n] - want0.c[:n]))))
     ok = worst_back <= 1e-10 and worst_comm <= 1e-11 and worst_q2 <= 1e-12
     _verdict(8, "fractional power algebra", ok,
              f"root^(d+1) dev {worst_back:.1e}, commutator residue "

@@ -267,7 +267,7 @@ def test_frame_at_an_array_names_the_point_that_blew_up():
 
 
 def test_falling_factorial_table_is_exact():
-    from pentalab.curves import _falling_table
+    from pentalab.jets import _falling_table
 
     table = _falling_table(18)
     for n in range(19):

@@ -57,7 +57,8 @@ def v_matrix(spec, x, c):
 def drift(spec, x, c):
     """Third-order drift at x, from V and Q_2 Γ as the ladder builds them."""
     g, q2g = q2_gamma(spec, x, spec.d + 4)
-    return _drift(spec, x, c, _v_jets(g, q2g, c).value, q2g)
+    return _drift(spec.frame_at(x), u_matrix(spec, x), c,
+                  _v_jets(g, q2g, c).value, q2g)
 
 
 def shift_companion(spec, x, eps):
@@ -318,6 +319,28 @@ class TestLimits:
                 monkeypatch.setattr(module, "_lift_coeffs", counted)
         lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
         assert orders == [_SHIFT_ORDER] == [40]
+
+    def test_frame_and_u_at_x_are_taken_once(self, curve_d2, monkeypatch):
+        # the lift jet, the frame at x (shared by the report and the drift)
+        # and the conj_slope rungs; U is built once
+        import pentalab.lax
+
+        frames, us = [], []
+        frame_at, u_matrix_ = CurveSpec.frame_at, pentalab.lax.u_matrix
+
+        def counted_frame(spec, x):
+            frames.append(np.shape(x))
+            return frame_at(spec, x)
+
+        def counted_u(spec, x):
+            us.append(x)
+            return u_matrix_(spec, x)
+
+        monkeypatch.setattr(CurveSpec, "frame_at", counted_frame)
+        monkeypatch.setattr(pentalab.lax, "u_matrix", counted_u)
+        lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
+        assert frames == [(1,), (), (14, 4)]
+        assert us == [X0]
 
     def test_mapped_point_at_x_is_computed_once_per_rung(self, curve_d2,
                                                            monkeypatch):
