@@ -1,5 +1,5 @@
 """Command-line front end: build configurations, run the expansion and
-ladder experiments, and emit machine-readable reports.
+transfer-matrix experiments, and emit machine-readable reports.
 
 Every subcommand writes one JSON (or CSV) report and exits 0 when the run's
 verdict is within tolerance, 1 on a tolerance failure or a degenerate run,
@@ -25,7 +25,7 @@ from .configs import (
     solve_alpha_diag,
 )
 from .curves import CurveSpec, DegenerateLift, IntegrationFailure, random_curve_spec
-from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized,
+from .expansion import (FIRST_ORDER_TOL, NotCentralized,
                         alpha_constancy_check, check_kmax, extract_alphas,
                         kdv_rhs_check)
 from .jets import DegenerateSystem, NonPositiveBase
@@ -98,7 +98,7 @@ def _build_family(args, d_default=None):
 class RunConfig:
     """Validated inputs of one subcommand run."""
 
-    __slots__ = ("command", "chi", "spec", "ladder", "xs", "kmax", "out",
+    __slots__ = ("command", "chi", "spec", "xs", "kmax", "out",
                  "fmt", "seed", "dtype", "applied_shift")
 
     @classmethod
@@ -112,8 +112,6 @@ class RunConfig:
         rc.kmax = getattr(args, "kmax", 2)
         try:
             check_kmax(rc.kmax)
-            rc.ladder = (EpsLadder(args.eps0, args.ratio, args.count)
-                         if hasattr(args, "eps0") else None)
         except ValueError as exc:
             raise UsageError(str(exc))
 
@@ -234,7 +232,7 @@ def cmd_kdv_verify(rc):
 
 
 def cmd_lax_verify(rc):
-    report = lax_limit_diagnostics(rc.spec, rc.chi, rc.xs[0], rc.ladder)
+    report = lax_limit_diagnostics(rc.spec, rc.chi, rc.xs[0])
     checks = report.checks()
     ok = all(checks.values())
     payload = {"schema": 1, "seed": rc.seed, "pass": ok, "checks": checks,
@@ -300,12 +298,11 @@ def _add_family_flags(p):
     p.add_argument("--variant", choices=("full", "reduced"), default="full")
 
 
-def _add_ladder_flags(p):
-    p.add_argument("--eps0", type=_finite_float, default=0.2,
-                   help="largest step of the ladder lax-verify reads "
-                        "conj_slope on")
-    p.add_argument("--ratio", type=_finite_float, default=0.85)
-    p.add_argument("--count", type=int, default=14)
+def _add_ignored_step_flags(p):
+    """Step flags older command lines pass; nothing reads them."""
+    p.add_argument("--eps0", type=_finite_float, help=argparse.SUPPRESS)
+    p.add_argument("--ratio", type=_finite_float, help=argparse.SUPPRESS)
+    p.add_argument("--count", type=int, help=argparse.SUPPRESS)
 
 
 def _add_run_flags(p):
@@ -345,7 +342,7 @@ def build_parser():
     _add_run_flags(p)
     p.add_argument("--x", type=_finite_float, default=0.3)
     p.add_argument("--kmax", type=int, default=2)
-    _add_ladder_flags(p)  # accepted and ignored, for older command lines
+    _add_ignored_step_flags(p)
     p.set_defaults(handler=cmd_expand, needs_run_config=True)
 
     p = sub.add_parser("centralize", help="test first-order vanishing and "
@@ -366,7 +363,6 @@ def build_parser():
                                           "transfer-matrix picture")
     _add_run_flags(p)
     p.add_argument("--x", type=_finite_float, default=0.3)
-    _add_ladder_flags(p)
     p.set_defaults(handler=cmd_lax_verify, needs_run_config=True)
 
     p = sub.add_parser("realize34", help="check a plane configuration for "

@@ -4,7 +4,8 @@ The points of a nondegenerate curve sampled at step eps satisfy a
 (d+2)-term linear recurrence.  Its coefficients come in two bases: a_tilde
 multiplies the points themselves, A multiplies iterated forward differences.
 Scaled copies of the A recover the continuous coefficients u_i as the step
-shrinks, which is what `limit_diagnostics` measures.
+shrinks, which is what `limit_diagnostics` reads off a Cauchy contour in
+the step.
 """
 
 import math
@@ -13,13 +14,8 @@ import numpy as np
 
 from . import linalg
 from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts
-from .expansion import EpsLadder, _contour, _taylor
-from .fitting import loglog_slope
-
-_DEFINED_FLOOR = 1e-10
-# steps 0.2 * 0.8^k, k < 12: slopes over the last 8
-_LADDER = EpsLadder(0.2, 0.8, 12)
-_FIT_WINDOW = 8
+from .expansion import _contour, _taylor
+from .fitting import decay_order
 
 
 class DiscreteCoords:
@@ -84,62 +80,48 @@ def discrete_coords(spec, x, eps):
 
 
 class LimitTable:
-    """Ladder of recurrence coefficients with fitted orders and limits.
+    """Taylor coefficients in the step of the recurrence coefficients at x,
+    with their decay orders and limits.
 
-    slopes[i] estimates the decay order of A_i; limits[i] is the zero-step
-    value of A_i/eps^{p_i}, where p_i = d+1-i except for the top coefficient
-    whose expansion starts one order later (p_d = 2).  a0_slope tracks the
-    decay of a_tilde_0 - (-1)^d.  ok flags columns whose slope window was
-    usable (nonzero and monotone); nothing here is fatal.
+    A and a_tilde hold the coefficients of ε^0..ε^{d+1}, one row per order.
+    A_i = O(ε^{p_i}) with p_i = d+1-i, except for the top coefficient whose
+    expansion starts one order later (p_d = 2): orders[i] is the first of
+    rows 0..p_i of A_i above the noise floor (p_i + 1 when none is), and
+    limits[i] is row p_i, the zero-step value of A_i/ε^{p_i}.  a0_order is
+    the order of a_tilde_0 - (-1)^d read the same way on rows 0..3.
     """
 
-    __slots__ = ("d", "x", "eps", "A", "a_tilde", "powers", "slopes",
-                 "limits", "ok", "a0_slope", "a0_ok")
+    __slots__ = ("d", "x", "A", "a_tilde", "powers", "orders", "limits",
+                 "a0_order")
 
-    def __init__(self, d, x, eps, A, a_tilde, powers, slopes, limits, ok,
-                 a0_slope, a0_ok):
+    def __init__(self, d, x, A, a_tilde, powers, orders, limits, a0_order):
         self.d = d
         self.x = x
-        self.eps = eps
         self.A = A
         self.a_tilde = a_tilde
         self.powers = powers
-        self.slopes = slopes
+        self.orders = orders
         self.limits = limits
-        self.ok = ok
-        self.a0_slope = a0_slope
-        self.a0_ok = a0_ok
-
-
-def _decay(eps, vals):
-    """(log-log slope, strictly falling) of vals over the last _FIT_WINDOW
-    rungs, or (nan, False) when no |vals| exceeds _DEFINED_FLOOR."""
-    if np.max(np.abs(vals)) <= _DEFINED_FLOOR:
-        return np.nan, False
-    win = slice(-_FIT_WINDOW, None)
-    return (loglog_slope(eps[win], vals[win]),
-            bool(np.all(np.diff(np.abs(vals[win])) < 0)))
+        self.a0_order = a0_order
 
 
 def limit_diagnostics(spec, x):
-    """Small-step limits of the recurrence coefficients at x: slopes on the
-    real ladder, where the order is the claim; limits as eps^0 coefficients of
-    A_i/eps^{p_i} on the eps-contour, each window a shift of one lift jet."""
-    eps = _LADDER.values()
+    """Small-step expansion of the recurrence coefficients at x, read off
+    the ε-contour, each window a shift of one lift jet."""
     spec = spec.near(x)  # the recurrence is SL(d+1)-invariant
-    coords = [discrete_coords(spec, x, e) for e in eps]
-    A = np.stack([c.A for c in coords])
-    a_tilde = np.stack([c.a_tilde for c in coords])
     d = spec.d
     powers = np.array([d + 1 - i if i < d else 2 for i in range(d + 1)])
-    slopes, ok = (np.array(v) for v in zip(*[_decay(eps, a) for a in A.T]))
-    a0_slope, a0_ok = _decay(eps, a_tilde[:, 0] - (-1.0) ** d)
     offsets = np.arange(d + 2)
     radius, nodes = _contour(offsets, spec.dtype)
     lifts = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)[0]
     windows = _shifted_lifts(lifts[..., 0], nodes[:, None] * offsets, 0)[0]
-    samples = [coords_from_samples(w, x, e).A / e ** powers
-               for e, w in zip(nodes, windows)]
-    limits = _taylor(np.array(samples), radius)[0]
-    return LimitTable(d, x, eps, A, a_tilde, powers, slopes, limits, ok,
-                      a0_slope, a0_ok)
+    coords = [coords_from_samples(w, x, e) for e, w in zip(nodes, windows)]
+    samples = np.array([np.concatenate([c.A, c.a_tilde]) for c in coords])
+    # rows above d + 1 are roundoff amplified by radius^-k
+    coeffs = _taylor(samples, radius)[:d + 2]
+    A, a_tilde = coeffs[:, :d + 1], coeffs[:, d + 1:]
+    orders = np.array([decay_order(A[:p + 1, i]) for i, p in enumerate(powers)])
+    tail = a_tilde[:4, 0].copy()
+    tail[0] -= (-1.0) ** d
+    return LimitTable(d, x, A, a_tilde, powers, orders,
+                      A[powers, np.arange(d + 1)], decay_order(tail))

@@ -39,27 +39,6 @@ def check_kmax(kmax):
         raise ValueError(f"kmax must lie in [0, {KMAX}]")
 
 
-class EpsLadder:
-    """Geometric ladder of real step sizes for the transfer-matrix limits."""
-
-    __slots__ = ("eps0", "ratio", "count")
-
-    def __init__(self, eps0=0.2, ratio=0.85, count=14):
-        if not 0 < eps0 < np.inf:
-            raise ValueError("eps0 must be positive and finite")
-        if not 0 < ratio < 1:
-            raise ValueError("ratio must lie in (0, 1)")
-        if count < 8:
-            raise ValueError("need at least 8 rungs")
-        self.eps0 = float(eps0)
-        self.ratio = float(ratio)
-        self.count = int(count)
-
-    def values(self, dtype=np.float64):
-        base = np.asarray(self.eps0, dtype=dtype)
-        return base * np.asarray(self.ratio, dtype=dtype) ** np.arange(self.count)
-
-
 class ExpansionReport:
     """Expansion coefficients at one working point.
 

@@ -17,9 +17,9 @@ import numpy as np
 from .chimap import _map_lifted
 from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts
 from .discretize import coords_from_samples
-from .expansion import (FIRST_ORDER_TOL, EpsLadder, NotCentralized, _contour,
-                        _report, _taylor)
-from .fitting import loglog_slope
+from .expansion import (FIRST_ORDER_TOL, NotCentralized, _contour, _report,
+                        _taylor)
+from .fitting import decay_order
 from .jets import Jet, derivative_stack, jet_solver
 from .linalg import solve_dense
 
@@ -152,7 +152,7 @@ class LaxReport:
         return {k: getattr(self, k) for k in self.__slots__ if k != "target"}
 
 
-def lax_limit_diagnostics(spec, chi, x, ladder=None):
+def lax_limit_diagnostics(spec, chi, x):
     """Read every limit of the transfer-matrix picture off the ε-contour.
 
     Needs a configuration with no first-order drift.  One application of
@@ -162,12 +162,11 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None):
     reads them; the node lifts, the curve windows and Γ, Q_2 Γ all come
     from one order-40 lift jet at x.  Each window is shared between the
     transfer matrices and the two companions, which makes the discrete
-    relation an identity to solver precision.  Only conj_slope, where the
-    order is the claim, comes from the real ladder.  A far x is served from
-    the curve re-based there (CurveSpec.near), which no limit sees.
+    relation an identity to solver precision.  conj_slope is the decay
+    order of the conjugated companion's approach to U: 1 when its ε^0
+    coefficient is U and its ε^1 coefficient is not zero.  A far x is served
+    from the curve re-based there (CurveSpec.near), which no limit sees.
     """
-    if ladder is None:
-        ladder = EpsLadder()
     spec = spec.near(x)
     d = spec.d
     lifts, u_coeffs = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)
@@ -209,17 +208,11 @@ def lax_limit_diagnostics(spec, chi, x, ladder=None):
     coeffs = _taylor(stacks.reshape(eps.size, -1), radius)
     conj, qlhs, qrhs, p0, p1 = np.moveaxis(
         coeffs.reshape((-1, 5, d + 1, d + 1)), 1, 0)
-    # the conjugated companion's approach to U on the last eight rungs
-    steps = ladder.values(spec.dtype)
-    rungs = spec.frame_at(x + ks * steps[:, None])[..., 0, :]
-    err = [_maxabs((d_eps(d, e) @ _shift_companion(coords_from_samples(
-        curve, x, e).a_tilde) @ d_eps_inv(d, e) - eye) / e - U)
-        for e, curve in zip(steps, rungs)]
 
     out = LaxReport()
     out.d, out.x, out.c = d, float(x), c22
     out.target = target
-    out.conj_slope = loglog_slope(steps[-8:], err[-8:])
+    out.conj_slope = decay_order([conj[0] - U, conj[1]])
     out.conj_limit_dev = _maxabs(conj[0] - U)
     out.identity_max = float(np.max(ident))
     out.quot_lhs_dev = _maxabs(qlhs[0] - target)

@@ -103,7 +103,7 @@ def test_01_normalized_lift_wronskian():
 
 
 def test_02_invariant_drift_orders(curve2, curve3):
-    worst_slope = 0.0
+    worst_order = 0
     worst_limit = 0.0
     min_tail = np.inf
     for spec, x in ((curve2, 0.3), (curve3, 0.1)):
@@ -112,15 +112,15 @@ def test_02_invariant_drift_orders(curve2, curve3):
         targets = [d + 1 - i for i in range(d)] + [2]
         u_vals = [float(spec.u[i](x)) for i in range(d)]
         u_vals.append(u_vals[d - 1])
-        worst_slope = max(worst_slope,
-                          np.max(np.abs(np.asarray(table.slopes) - targets)))
+        worst_order = max(worst_order,
+                          int(np.max(np.abs(table.orders - targets))))
         worst_limit = max(worst_limit,
                           np.max(np.abs(np.asarray(table.limits) - u_vals)))
-        min_tail = min(min_tail, table.a0_slope)
-    ok = worst_slope <= 0.2 and worst_limit <= 1e-3 and min_tail >= 2.8
+        min_tail = min(min_tail, table.a0_order)
+    ok = worst_order <= 0.2 and worst_limit <= 1e-3 and min_tail >= 2.8
     _verdict(2, "invariant drift orders", ok,
-             f"slope gap {worst_slope:.2f}, limit dev {worst_limit:.2e}, "
-             f"tail slope {min_tail:.2f}")
+             f"order gap {worst_order}, limit dev {worst_limit:.2e}, "
+             f"tail order {min_tail}")
 
 
 def test_03_short_diagonal_second_order(sd_report2, sd_report3, curve2,
@@ -280,11 +280,11 @@ def test_08_fractional_power_algebra():
 
 
 def test_09_transfer_kinematics(lax2, lax3):
-    worst_slope = max(abs(lax2.conj_slope - 1.0), abs(lax3.conj_slope - 1.0))
+    worst_order = max(abs(lax2.conj_slope - 1), abs(lax3.conj_slope - 1))
     worst_limit = max(lax2.conj_limit_dev, lax3.conj_limit_dev)
-    ok = worst_slope <= 0.2 and worst_limit <= 1e-3
+    ok = worst_order <= 0.2 and worst_limit <= 1e-3
     _verdict(9, "transfer kinematics", ok,
-             f"slope gap {worst_slope:.2f}, conjugated limit dev "
+             f"order gap {worst_order}, conjugated limit dev "
              f"{worst_limit:.2e}, d = 2 and 3")
 
 

@@ -21,31 +21,12 @@ from pentalab import (
     zero_curve_spec,
 )
 from pentalab.expansion import (
-    EpsLadder,
     NotCentralized,
     alpha_constancy_check,
     extract_alphas,
     kdv_rhs_check,
     verify_G2_structure,
 )
-
-
-class TestLadder:
-    def test_values_geometric(self):
-        lad = EpsLadder(0.2, 0.5, 8)
-        assert_allclose(lad.values(), 0.2 * 0.5 ** np.arange(8))
-
-    def test_values_dtype(self):
-        assert EpsLadder().values(np.longdouble).dtype == np.longdouble
-
-    @pytest.mark.parametrize("bad", [
-        dict(eps0=0.0), dict(eps0=-0.1), dict(ratio=1.0), dict(ratio=0.0),
-        dict(count=7), dict(eps0=np.nan), dict(eps0=np.inf),
-        dict(ratio=np.nan),
-    ])
-    def test_validation(self, bad):
-        with pytest.raises(ValueError):
-            EpsLadder(**bad)
 
 
 class TestExtraction:

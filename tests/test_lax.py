@@ -9,7 +9,7 @@ from pentalab.configs import evenly_spaced_chi, short_diagonal_chi
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, gamma_jet,
                              random_curve_spec, zero_curve_spec)
 from pentalab.discretize import discrete_coords
-from pentalab.expansion import EpsLadder, extract_alphas
+from pentalab.expansion import extract_alphas
 from pentalab.jets import eval_jet
 from pentalab.lax import (
     _drift,
@@ -40,13 +40,14 @@ def report_d3():
 
 def q2_gamma(spec, x, depth):
     """Jets of Γ and Q_2 Γ at x to the given depth, from the lift's and the
-    u_i's coefficients there, as the ladder builds them."""
+    u_i's coefficients there, as lax_limit_diagnostics builds them."""
     g, u = _lift_coeffs(spec, np.array([x]), depth)
     return _q2_gamma(g[..., 0], u[..., 0])
 
 
 def v_jets(spec, x, c, order):
-    """Matrix jet of V at x to the given order, as the ladder builds it."""
+    """Matrix jet of V at x to the given order, as lax_limit_diagnostics
+    builds it."""
     return _v_jets(*q2_gamma(spec, x, order + spec.d + 2), c)
 
 
@@ -55,7 +56,8 @@ def v_matrix(spec, x, c):
 
 
 def drift(spec, x, c):
-    """Third-order drift at x, from V and Q_2 Γ as the ladder builds them."""
+    """Third-order drift at x, from V and Q_2 Γ as lax_limit_diagnostics
+    builds them."""
     g, q2g = q2_gamma(spec, x, spec.d + 4)
     return _drift(spec.frame_at(x), u_matrix(spec, x), c,
                   _v_jets(g, q2g, c).value, q2g)
@@ -211,6 +213,14 @@ class TestLimits:
         assert 0.8 < rep.conj_slope < 1.2
         assert rep.conj_limit_dev <= 1e-3
 
+    def test_conj_order_is_read_off_the_contour(self):
+        # the eps^1 coefficient (7.9e-2) is small against the eps^2 one
+        # (0.47) here, which pulled a log-log slope on real steps to 1.195
+        rep = lax_limit_diagnostics(random_curve_spec(2, seed=6),
+                                    short_diagonal_chi(2), 1.1)
+        assert rep.conj_slope == 1
+        assert rep.checks()["slope_in_band"]
+
     def test_kinematic_limit_d3(self, report_d3):
         _, rep = report_d3
         assert 0.8 < rep.conj_slope < 1.2
@@ -270,8 +280,7 @@ class TestLimits:
             return inner(*args)
 
         monkeypatch.setattr(pentalab.lax, "_q2_gamma", counted)
-        lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0,
-                              EpsLadder(0.2, 0.85, 8))
+        lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
         assert len(calls) == 1
 
     def test_q2_gamma_evaluates_the_u_trees_once(self, monkeypatch):
@@ -288,7 +297,8 @@ class TestLimits:
         monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
         spec = random_curve_spec(3, seed=23)
         x = 0.01  # nearest anchor is the base point
-        # the ladder reads Γ and Q_2 Γ off the first rows of the deep jet
+        # lax_limit_diagnostics reads Γ and Q_2 Γ off the first rows of the
+        # deep jet
         lifts, u = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)
         assert len(calls) == 2 * spec.d  # the u's at the anchor and at x
         monkeypatch.undo()
@@ -321,8 +331,8 @@ class TestLimits:
         assert orders == [_SHIFT_ORDER] == [40]
 
     def test_frame_and_u_at_x_are_taken_once(self, curve_d2, monkeypatch):
-        # the lift jet, the frame at x (shared by the report and the drift)
-        # and the conj_slope rungs; U is built once
+        # the lift jet and the frame at x, shared by the report and the
+        # drift; U is built once
         import pentalab.lax
 
         frames, us = [], []
@@ -339,7 +349,7 @@ class TestLimits:
         monkeypatch.setattr(CurveSpec, "frame_at", counted_frame)
         monkeypatch.setattr(pentalab.lax, "u_matrix", counted_u)
         lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
-        assert frames == [(1,), (), (14, 4)]
+        assert frames == [(1,), ()]
         assert us == [X0]
 
     def test_mapped_point_at_x_is_computed_once_per_rung(self, curve_d2,
