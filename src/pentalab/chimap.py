@@ -31,7 +31,8 @@ def build_spans(spec, chi, x, eps, kmax, shift=0):
     """Jets of the curve points spanning each subspace at step eps.
 
     The jets are taken in the curve variable itself, so every span (and the
-    intersection point computed from them) lives at the common base point x.
+    intersection point computed from them) lives at the common base point x,
+    in the lift based at x with the identity frame.
     Arrays x, eps and shift give each span the batch shape they broadcast to
     ahead of its (q+1, d+1) matrix.  A shift k takes the configuration
     shifted by k, whose image at x is the image at x + k eps.  Each node

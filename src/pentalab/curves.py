@@ -15,29 +15,27 @@ d+1 components.  ``CurveSpec.u_jet`` is the one evaluator of the u_i: a
 (K+1, d) ``Jet`` in the spec's dtype, used by frame transport, lift jets and
 every module that needs the invariants at a point.
 
-Frame transport uses Taylor stepping on a fixed anchor grid (order 14, step
+Every experiment lifts the curve at its working point from the identity
+frame there: the spec's lift is that lift times the spec's frame at x, an
+SL(d+1) transform, and every number pentalab reports (α, w, the recurrence
+and Lax fields) is invariant under it.  So no experiment transports a
+frame, and the base point x0 and frame F0 of a spec reach only
+``frame_at`` and what is built on it (``gamma_jet``, ``wronskian``).
+``_lift_coeffs`` lifts an array of points in one pass over the u-trees and
+one run of the ODE recursion.
+Every curve sample near a working point, at a real or complex offset, is a
+Taylor shift (``_shifted_lifts``, guarded row by row) of the one order-40
+lift jet there, so the map and ``lax`` build that jet once per working
+point.  ``normalized_lift`` takes a stack of lifts.
+
+``frame_at`` uses Taylor stepping on a fixed anchor grid (order 14, step
 1/16) rather than a generic ODE integrator: the recursion hands us the
-Taylor method directly and keeps the Wronskian at machine precision.  Each
-visited anchor keeps its frame and, once a walk steps from it, its order-14
-Taylor series.  A walk makes the series it reads, with the u-jets of their
-anchors from one pass over the u-trees (at most ``_AHEAD`` per pass); only
-the two ends of the visited run lack one.  The cache never changes a
-result.  ``frame_at`` also takes an array of points: it walks out to the
-lowest and the highest, then takes every partial step in one Horner pass,
-each point's frame bit for bit the one a one-point call gives.
-
-Everything downstream of a lift is SL(d+1)-invariant, so a working point
-far from x0 need not walk the anchors out to it: ``CurveSpec.near(x)``
-gives the same curve based at x with the identity frame once x lies more
-than ``_REBASE_DISTANCE`` from x0, and the spec itself otherwise.  The raw
-walk of ``frame_at`` stays for whoever asks it for a far frame.
-
-Lift jets are not cached.  ``_lift_coeffs`` lifts an array of points in
-one pass over the u-trees and one run of the ODE recursion; ``gamma_jet``
-is the one-point case.  Every curve sample near a working point, at a real
-or complex offset, is a Taylor shift (``_shifted_lifts``, guarded row by
-row) of the one order-40 lift jet there, so the map and ``lax`` build that
-jet once per working point.  ``normalized_lift`` takes a stack of lifts.
+Taylor method directly and keeps the Wronskian at machine precision.  It
+holds no state: each call steps from x0 out to its lowest and its highest
+point, with the u-jets of the anchors it visits from one pass over the
+u-trees per ``_AHEAD`` anchors, keeps the frames and series of the anchors
+its points need, then takes every partial step in one Horner pass, each
+point's frame bit for bit the one a one-point call gives.
 """
 
 import functools
@@ -52,12 +50,9 @@ from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, _falling_tabl
 
 _STEP = 1.0 / 16.0
 _STEP_ORDER = 14
-# anchors whose u-jets one pass evaluates during a walk (x = 64 away):
-# bounds the memory of a long walk that the frame check may cut short
+# anchors whose u-jets one pass evaluates (x = 64 away): bounds the memory
+# of a long march that the frame check may cut short
 _AHEAD = 1024
-# working points farther than this from x0 are served from a spec based at
-# them (CurveSpec.near): no walk from a base exceeds 32 anchors
-_REBASE_DISTANCE = 2.0
 # order of the lift jet at a working point that nearby samples shift from
 _SHIFT_ORDER = 40
 
@@ -83,11 +78,8 @@ class CurveSpec:
         f0 = np.array(F0, dtype=self.dtype)
         if f0.shape != (d + 1, d + 1):
             raise ValueError(f"initial frame must be {(d+1, d+1)}, got {f0.shape}")
+        f0.flags.writeable = False
         self.F0 = f0
-        # anchor j -> [frame, Taylor coefficients or None]; the keys are
-        # always the contiguous run lo..hi, which contains 0
-        self._anchors = {0: [f0, None]}
-        self._lo = self._hi = 0
 
     # -- serialization --------------------------------------------------
 
@@ -122,14 +114,6 @@ class CurveSpec:
         with open(path) as fh:
             return CurveSpec.from_dict(json.load(fh), dtype=dtype)
 
-    def near(self, x):
-        """This spec when x lies within _REBASE_DISTANCE of x0; otherwise
-        the same curve up to an SL(d+1) transform, based at x with the
-        identity frame, so nothing is walked out to x."""
-        if abs(float(x) - self.x0) <= _REBASE_DISTANCE:
-            return self
-        return CurveSpec(self.d, self.u, x, np.eye(self.d + 1), dtype=self.dtype)
-
     # -- frame transport -------------------------------------------------
 
     def u_jet(self, x, order) -> Jet:
@@ -138,46 +122,40 @@ class CurveSpec:
         return Jet(np.stack([eval_jet(f, x, order, dtype=self.dtype).c
                              for f in self.u], axis=1), copy=False)
 
-    def _walk(self, j_target, partial):
-        """Visit every anchor from the cached run out to j_target, making the
-        series of each anchor it steps from, and of j_target when partial
-        says a point takes a partial step from it (also inside the run)."""
-        j = min(max(j_target, self._lo), self._hi)
-        step = 1 if j_target > j else -1
-        walk = range(j, j_target + step if partial else j_target, step)
-        u = {}  # anchor -> u-jet, for the anchors of the current pass
-        for n, k in enumerate(walk):
-            anchor = self._anchors[k]
-            if anchor[1] is None:
-                if k not in u:
-                    ks = walk[n:n + _AHEAD]
-                    c = self.u_jet(self.x0 + np.array(ks) * _STEP, _STEP_ORDER).c
-                    u = dict(zip(ks, np.moveaxis(c, -1, 0)))
-                anchor[1] = _ode_taylor_coeffs(u.pop(k), anchor[0], self.d,
-                                               _STEP_ORDER)
-            if k == j_target:
-                break  # the partial step is frame_at's
-            frame = _frame_from_coeffs(anchor[1], step * _STEP, self.d)
-            if not np.all(np.isfinite(frame)) or np.max(np.abs(frame)) > 1e12:
-                raise IntegrationFailure(f"frame blew up near x = {self.x0 + k * _STEP:g}")
-            self._anchors[k + step] = [frame, None]
-            self._lo, self._hi = min(self._lo, k + step), max(self._hi, k + step)
-
     def frame_at(self, x):
         """Rows g(x), g'(x), ..., g^(d)(x) of the normalized lift; an array
         of points gives one frame per point, (*x.shape, d+1, d+1)."""
         x = np.asarray(x)
         xs = x.reshape(-1)
-        js = np.floor((xs - self.x0) / _STEP + 0.5).astype(np.int64)
-        hs = xs - (self.x0 + js * _STEP)
+        x0 = self.dtype.type(self.x0)  # anchors x0 + j/16 in the spec's dtype
+        js = np.floor((xs - x0) / _STEP + 0.5).astype(np.int64)
+        hs = xs - (x0 + js * _STEP)
         partial = hs != 0.0
-        for j in {int(js.max()), int(js.min())}:
-            self._walk(j, bool(np.any(partial & (js == j))))
-        out = np.stack([self._anchors[j][0] for j in js.tolist()])
+        lo, hi = min(int(js.min()), 0), max(int(js.max()), 0)
+        # x0's anchor out to each end it leaves, both ends included
+        runs = [r for r in (range(0, hi + 1), range(0, lo - 1, -1))
+                if len(r) > 1] or [range(0, 1)]
+        need = set(js.tolist())
+        frames, series = {}, {}  # the frame and Taylor series of each needed anchor
+        for run in runs:
+            frame = self.F0
+            for n in range(0, len(run), _AHEAD):
+                ks = run[n:n + _AHEAD]
+                u = self.u_jet(x0 + np.array(ks) * _STEP, _STEP_ORDER).c
+                for k, uk in zip(ks, np.moveaxis(u, -1, 0)):
+                    g = _ode_taylor_coeffs(uk, frame, self.d, _STEP_ORDER)
+                    if k in need:
+                        frames[k], series[k] = frame, g
+                    if k == run[-1]:
+                        break
+                    frame = _frame_from_coeffs(g, run.step * _STEP, self.d)
+                    if not np.all(np.isfinite(frame)) or np.max(np.abs(frame)) > 1e12:
+                        raise IntegrationFailure(
+                            f"frame blew up near x = {self.x0 + k * _STEP:g}")
+        out = np.stack([frames[j] for j in js.tolist()])
         if partial.any():
-            series = np.stack([self._anchors[j][1] for j in js[partial].tolist()],
-                              axis=-1)
-            frames = np.moveaxis(_frame_from_coeffs(series, hs[partial], self.d), -1, 0)
+            g = np.stack([series[j] for j in js[partial].tolist()], axis=-1)
+            frames = np.moveaxis(_frame_from_coeffs(g, hs[partial], self.d), -1, 0)
             bad = ~np.all(np.isfinite(frames), axis=(1, 2))
             if bad.any():
                 raise IntegrationFailure(
@@ -277,19 +255,21 @@ def _shifted_lifts(g, h, kmax):
 
 
 def _lift_coeffs(spec, xs, order):
-    """Coefficient arrays of the lift, (order+1, d+1, P), and of the u_i it
-    was built from, (order+1, d, P), at a 1-D array of P points: one pass
-    over the u-trees and one run of the ODE recursion serve every point."""
-    if order < spec.d:
-        raise ValueError(f"jet order must be at least d = {spec.d}")
+    """Coefficient arrays of the lift based at each of a 1-D array of P
+    points with the identity frame, (order+1, d+1, P), and of the u_i it was
+    built from, (order+1, d, P): one pass over the u-trees and one run of
+    the ODE recursion serve every point, and no frame is transported."""
     u = spec.u_jet(xs, order).c
-    frames = np.moveaxis(spec.frame_at(xs), 0, -1)
+    eye = np.eye(spec.d + 1, dtype=spec.dtype)[..., None]
+    frames = np.broadcast_to(eye, eye.shape[:2] + (len(xs),))
     return _ode_taylor_coeffs(u, frames, spec.d, order), u
 
 
 def gamma_jet(spec: CurveSpec, x, order) -> Jet:
-    """Jet (order+1, d+1) of the normalized lift at x, to the given order (>= d)."""
-    return Jet(_lift_coeffs(spec, np.array([x]), order)[0][..., 0], copy=False)
+    """Jet (order+1, d+1) of the spec's normalized lift at x, to the given
+    order (>= d), from its frame there."""
+    return Jet(_ode_taylor_coeffs(spec.u_jet(x, order).c, spec.frame_at(x),
+                                  spec.d, order), copy=False)
 
 
 def wronskian(spec: CurveSpec, x) -> float:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts
+from .curves import _SHIFT_ORDER, CurveSpec, _lift_coeffs, _shifted_lifts
 from .expansion import _contour, _taylor
 from .fitting import decay_order
 
@@ -74,8 +74,11 @@ def coords_from_samples(pts, x, eps):
 
 
 def discrete_coords(spec, x, eps):
-    """Recurrence coordinates of the curve itself at (x, eps)."""
-    pts = spec.frame_at(x + np.arange(spec.d + 2) * eps)[:, 0]
+    """Recurrence coordinates of the curve itself at (x, eps), sampled on
+    the lift from the identity frame at x: they are SL(d+1)-invariant, and
+    no frame is carried out from x0."""
+    here = CurveSpec(spec.d, spec.u, x, np.eye(spec.d + 1), dtype=spec.dtype)
+    pts = here.frame_at(x + np.arange(spec.d + 2) * eps)[:, 0]
     return coords_from_samples(pts, x, eps)
 
 
@@ -107,8 +110,8 @@ class LimitTable:
 
 def limit_diagnostics(spec, x):
     """Small-step expansion of the recurrence coefficients at x, read off
-    the ε-contour, each window a shift of one lift jet."""
-    spec = spec.near(x)  # the recurrence is SL(d+1)-invariant
+    the ε-contour, each window a shift of one lift jet, based at x with the
+    identity frame: the recurrence is SL(d+1)-invariant."""
     d = spec.d
     powers = np.array([d + 1 - i if i < d else 2 for i in range(d + 1)])
     offsets = np.arange(d + 2)

@@ -1,17 +1,17 @@
 """The small-step expansion of the map, read off a Cauchy contour.
 
 The image curve evaluated at the working point is resolved against the frame
-Γ, Γ', ..., Γ^(d).  The map is analytic in the step ε, so the trapezoidal
-rule on a circle |ε| = r gives the Taylor coefficients of each frame
-coordinate to roundoff over r^k (Lyness & Moler, SIAM J. Numer. Anal. 4
-(1967); Trefethen & Weideman, SIAM Review 56 (2014)); the coefficient of ε^k
-on the j-th frame vector is the operator coefficient α_{k,j}.  The first two
-corrections are heavily structured (a bare first derivative, then a
-Schwarzian like second-order operator), and the checks in this module pin
-that structure.  One application of the map covers every node of the
-circle, and every working point of a constancy check, at once; a working
-point far from the curve's base point is served from the curve re-based
-there (``CurveSpec.near``), which leaves every coefficient invariant.
+Γ, Γ', ..., Γ^(d) there, which is the identity: the curve is lifted from
+the identity frame at its working point (``curves._lift_coeffs``).  The map
+is analytic in the step ε, so the trapezoidal rule on a circle |ε| = r
+gives the Taylor coefficients of each frame coordinate to roundoff over r^k
+(Lyness & Moler, SIAM J. Numer. Anal. 4 (1967); Trefethen & Weideman, SIAM
+Review 56 (2014)); the coefficient of ε^k on the j-th frame vector is the
+operator coefficient α_{k,j}.  The first two corrections are heavily
+structured (a bare first derivative, then a Schwarzian like second-order
+operator), and the checks in this module pin that structure.  One
+application of the map covers every node of the circle, and every working
+point of a constancy check, at once.
 """
 
 import numpy as np
@@ -19,12 +19,18 @@ import numpy as np
 from .chimap import chi_map_point
 from .curves import _roots_of_unity
 from .kdvops import JET_ORDER, kdv_rhs, l_operator
-from .linalg import solve_dense
 
 # deepest expansion order a report carries
 KMAX = 6
 # nodes on the contour; the real map needs only the upper half circle
 _NODES = 24
+# raw trapezoid coefficients of these orders are the samples' own noise
+_NOISE_ORDERS = slice(9, 13)
+# the roundoff floor of the uncertainty in units of that noise: on
+# short-diagonal d = 2..4, curve seeds 0-7, x in {0.3, 1.1}, kmax 6, the
+# error |double - extended| exceeded 3 times it on 3 of 1,344 entries and
+# 4 times it on none
+_NOISE_FACTOR = 4.0
 # |alpha_11| at or below this counts as no first-order term
 FIRST_ORDER_TOL = 1e-3
 
@@ -44,7 +50,9 @@ class ExpansionReport:
 
     alpha[k][j] multiplies the j-th frame vector at order ε^k; w holds the
     ε² coefficients of the transformed curve invariants.  uncertainty is
-    the gap to the same rule on every other node of the contour.
+    the gap to the same rule on every other node of the contour, or, where
+    it is larger, the column's roundoff floor: _NOISE_FACTOR times the
+    largest raw trapezoid coefficient of orders 9..12, over r^k.
     """
 
     __slots__ = ("x", "d", "kmax", "alpha", "uncertainty", "w")
@@ -93,39 +101,35 @@ def _contour(offsets, dtype):
     return radius, radius * _roots_of_unity(_NODES, dtype)[:_NODES // 2 + 1]
 
 
-def _report(frame, x, kmax, radius, points, invariants):
+def _report(x, kmax, radius, points, invariants):
     """The extract_alphas report at x from the image points (node, d+1)
-    and invariants (node, d) on the contour nodes, resolved against the
-    frame at x of the curve they were mapped on."""
-    d = len(frame) - 1
+    and invariants (node, d) on the contour nodes, both lifted from the
+    identity frame at x, so the points are their own frame coordinates."""
+    d = points.shape[1] - 1
     # frame coordinates in columns 0..d, curve invariants after them;
     # a non-finite image point raises ValueError, never NaN coefficients
-    coords = solve_dense(frame.T, np.asarray_chkfinite(points.T)).T
-    samples = np.concatenate([coords, invariants], axis=1)
+    samples = np.concatenate([np.asarray_chkfinite(points), invariants], axis=1)
     coeffs = _taylor(samples, radius)
-    # against the same rule on the even-indexed nodes alone
+    scale = radius ** np.arange(len(coeffs))[:, None]
+    # against the same rule on the even-indexed nodes alone, and the
+    # roundoff the samples carry, which the division by r^k amplifies
     gap = np.abs(coeffs[:_NODES // 2] - _taylor(samples[::2], radius))
+    noise = _NOISE_FACTOR * np.max(np.abs(coeffs * scale)[_NOISE_ORDERS],
+                                   axis=0)
+    uncertainty = np.maximum(gap, noise / scale[:_NODES // 2])
     return ExpansionReport(x, d, kmax, coeffs[:kmax + 1, :d + 1],
-                           gap[:kmax + 1, :d + 1], coeffs[2, d + 1:])
+                           uncertainty[:kmax + 1, :d + 1], coeffs[2, d + 1:])
 
 
 def _extract(spec, chi, xs, kmax):
-    """An extract_alphas report per working point in xs.
-
-    The working points spec keeps share one application of the map to every
-    (x, node) pair; a far point is mapped on its own re-based spec.
-    """
+    """An extract_alphas report per working point in xs, from one
+    application of the map to every (x, node) pair."""
     check_kmax(kmax)
     radius, eps = _contour([p for g in chi.groups for p in g], spec.dtype)
-    bases = [spec.near(x) for x in xs]
-    mapped = {}
-    for base in dict.fromkeys(bases):  # one application per distinct base
-        at = [i for i, b in enumerate(bases) if b is base]
-        lifted, u = chi_map_point(base, chi, np.asarray(xs)[at, None], eps,
-                                  2 * spec.d + 2)
-        mapped.update(zip(at, zip(lifted.value, u.value)))
-    return [_report(base.frame_at(x), x, kmax, radius, *mapped[i])
-            for i, (x, base) in enumerate(zip(xs, bases))]
+    lifted, u = chi_map_point(spec, chi, np.asarray(xs)[:, None], eps,
+                              2 * spec.d + 2)
+    return [_report(x, kmax, radius, *mapped)
+            for x, mapped in zip(xs, zip(lifted.value, u.value))]
 
 
 def verify_G2_structure(report, spec, x):

@@ -93,7 +93,7 @@ def d_eps_inv(d, eps):
     return m
 
 
-def _drift(frame, U, c, v, q2g):
+def _drift(U, c, v, q2g):
     """Third-order drift of the conjugated transfer matrices.
 
     The scaled difference frames are themselves ε-dependent at first order,
@@ -102,13 +102,14 @@ def _drift(frame, U, c, v, q2g):
     frame), where T0 and T' hold the half-integer drift of the difference
     quotients.  Both transfer matrices carry the same Σ, so it cancels in
     the discrete Lax combination; only the shift difference dV/dx survives.
-    frame and U are the frame and the companion at x, v is V there and
-    q2g a Q_2 Γ jet of order at least d + 1.
+    U is the companion at x, v is V there and q2g a Q_2 Γ jet of order at
+    least d + 1 of the lift based at x with the identity frame, in which
+    (Q_2Γ)^{(d+1)} is its own frame coordinates.
     """
-    d = len(frame) - 1
+    d = len(U) - 1
     for _ in range(d + 1):
         q2g = q2g.derivative()
-    e_coeff = solve_dense(frame.T, q2g.value)
+    e_coeff = q2g.value
     t0 = np.zeros((d + 1, d + 1))
     tp = np.zeros((d + 1, d + 1))
     for k in range(d):
@@ -164,10 +165,9 @@ def lax_limit_diagnostics(spec, chi, x):
     transfer matrices and the two companions, which makes the discrete
     relation an identity to solver precision.  conj_slope is the decay
     order of the conjugated companion's approach to U: 1 when its ε^0
-    coefficient is U and its ε^1 coefficient is not zero.  A far x is served
-    from the curve re-based there (CurveSpec.near), which no limit sees.
+    coefficient is U and its ε^1 coefficient is not zero.  The lift jet is
+    based at x with the identity frame, which no limit sees.
     """
-    spec = spec.near(x)
     d = spec.d
     lifts, u_coeffs = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)
     radius, eps = _contour([p for g in chi.groups for p in g], spec.dtype)
@@ -175,8 +175,7 @@ def lax_limit_diagnostics(spec, chi, x):
     windows, u = _map_lifted(spec, chi, x, eps[:, None], 2 * d + 2, lifts,
                              shift=ks)
     windows = windows.value  # (node, k, d+1): x .. x + (d+1) eps
-    frame = spec.frame_at(x)
-    report = _report(frame, x, 2, radius, windows[:, 0], u.value[:, 0])
+    report = _report(x, 2, radius, windows[:, 0], u.value[:, 0])
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     c22 = float(report.alpha[2, 2])
@@ -222,5 +221,5 @@ def lax_limit_diagnostics(spec, chi, x):
     out.p0_v_dev = _maxabs(p0[2] - V)
     out.p1_v_dev = _maxabs(p1[2] - V)
     out.shift_vprime_dev = _maxabs((p1[3] - p0[3]) - V_prime)
-    out.drift_dev = _maxabs(p0[3] - _drift(frame, U, c22, V, q2g))
+    out.drift_dev = _maxabs(p0[3] - _drift(U, c22, V, q2g))
     return out

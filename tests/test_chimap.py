@@ -13,8 +13,9 @@ from pentalab.chimap import (
 )
 from pentalab.configs import (dual_dented_chi, dual_dented_shift, evenly_spaced_chi,
                               short_diagonal_chi)
-from pentalab.curves import (_SHIFT_ORDER, IntegrationFailure, _frame_from_coeffs,
-                             _lift_coeffs, gamma_jet, random_curve_spec, zero_curve_spec)
+from pentalab.curves import (_SHIFT_ORDER, CurveSpec, IntegrationFailure,
+                             _frame_from_coeffs, _lift_coeffs, gamma_jet,
+                             normalized_lift, random_curve_spec, zero_curve_spec)
 from pentalab.jets import Jet, _factorials, det_jet
 
 
@@ -97,7 +98,8 @@ def test_span_shapes(curve_d2):
 
 
 def test_span_vectors_collapse_toward_curve_point(curve_d2):
-    gamma = curve_d2.frame_at(0.3)[0]
+    # the spans live in the lift based at x with the identity frame
+    gamma = CurveSpec(2, curve_d2.u, 0.3, np.eye(3)).frame_at(0.3)[0]
     gap = []
     for eps in (0.1, 0.05):
         spans = build_spans(curve_d2, short_diagonal_chi(2), 0.3, eps, 4)
@@ -124,13 +126,14 @@ def test_build_spans_rejects_dim_mismatch(curve_d2):
 ], ids=["sd2", "sd3", "sd4", "dd3", "es2"])
 def test_build_spans_equals_the_per_point_lifts(chi, dtype):
     # every node is shifted from one deep jet at x; frame transport to each
-    # node gives the same jets to within 32 ulp of the span's largest
-    # coefficient (measured: at most 9.3 ulp, longdouble short-diagonal d = 4)
+    # node of the curve based at x with the identity frame gives the same
+    # jets to within 32 ulp of the span's largest coefficient
     spec = random_curve_spec(chi.d, seed=7, dtype=dtype)
     x, eps, k = 0.45, dtype(0.13) / 3, 2 * chi.d + 2
     spans = build_spans(spec, chi, x, eps, k)
+    here = CurveSpec(chi.d, spec.u, x, np.eye(chi.d + 1), dtype=dtype)
     for s, g in zip(spans, chi.groups):
-        want = np.stack([gamma_jet(spec, x + p * eps, k).c for p in g], axis=1)
+        want = np.stack([gamma_jet(here, x + p * eps, k).c for p in g], axis=1)
         assert s.c.dtype == want.dtype == dtype
         tol = 32 * np.finfo(dtype).eps * np.max(np.abs(want))
         assert np.max(np.abs(s.c - want)) <= tol
@@ -166,11 +169,12 @@ def test_shift_guards_every_row():
         build_spans(spec, chi, 0.3, 0.2, 10)
     build_spans(spec, chi, 0.3, 0.1, 10)  # |h| <= 0.45 shifts
     g = _lift_coeffs(spec, np.array([0.3]), _SHIFT_ORDER)[0][..., 0]
+    here = CurveSpec(4, spec.u, 0.3, np.eye(5))
     rel = []
     for p in sorted({p for group in chi.groups for p in group}):
         unguarded = (_frame_from_coeffs(g, 0.2 * p, 10)
                      / _factorials(11, g.dtype)[:, None])
-        want = gamma_jet(spec, 0.3 + 0.2 * p, 10).c
+        want = gamma_jet(here, 0.3 + 0.2 * p, 10).c
         rel.append(np.max(np.abs(unguarded - want), axis=1)
                    / np.max(np.abs(want), axis=1))
     rel = np.max(rel, axis=0)
@@ -227,13 +231,16 @@ def test_normal_curve_stays_normal(d):
 
 
 def test_projective_equivariance(curve_d2, rng):
+    # spans moved by g in SL(3) meet in the moved point, and the
+    # renormalized lift moves with it while its invariants stay
     lo = np.eye(3) + np.tril(rng.uniform(-0.3, 0.3, (3, 3)), -1)
     up = np.eye(3) + np.triu(rng.uniform(-0.3, 0.3, (3, 3)), 1)
     g = lo @ up  # unit determinant by construction
-    moved = type(curve_d2)(2, curve_d2.u, curve_d2.x0, curve_d2.F0 @ g.T)
-    chi = short_diagonal_chi(2)
-    base, u_base = chi_map_point(curve_d2, chi, 0.25, 0.1, 8)
-    out, u_out = chi_map_point(moved, chi, 0.25, 0.1, 8)
+    spans = build_spans(curve_d2, short_diagonal_chi(2), 0.25, 0.1, 8)
+    moved = [Jet(s.c @ g.T) for s in spans]
+    ref = spans[0].value[0]
+    base, u_base = normalized_lift(intersect_spans(spans), 2, ref=ref)
+    out, u_out = normalized_lift(intersect_spans(moved), 2, ref=ref @ g.T)
     assert_allclose(out.c, base.c @ g.T, atol=1e-9)
     assert_allclose(u_out.c, u_base.c, atol=1e-8)
 
@@ -309,8 +316,10 @@ def test_batch_equals_the_one_pair_loop(chi, eps0, dtype):
 
 
 @pytest.mark.parametrize("d, seed, bad, message", [
-    (2, 5, (20.0, 0.2), "stacked constraints are rank deficient"),
-    (3, 23, (15.0, 0.033468648737922845), "span vectors numerically dependent"),
+    # the normals of the two lines agree to within the nullspace tolerance
+    # for steps between about 1e-10 and 2e-10, the span vectors below that
+    (2, 5, (20.0, 1.4e-10), "stacked constraints are rank deficient"),
+    (3, 23, (15.0, 1e-8), "span vectors numerically dependent"),
 ])
 def test_batch_with_one_degenerate_pair_raises_as_the_loop(d, seed, bad, message):
     spec = random_curve_spec(d, seed=seed)
@@ -357,7 +366,10 @@ def test_shift_maps_the_shifted_configuration(curve_d3):
         assert np.array_equal(lift.c[:, k], one.c)
         assert np.array_equal(u.c[:, k], u_one.c)
     # the image at x of the configuration shifted by k is its image at
-    # x + k eps
+    # x + k eps, each lifted from the identity frame at its own point and
+    # carried into x's by the frame there of the curve based at x
     lift = chi_map_point(curve_d3, chi, 0.3, 0.05, 8, shift=ks)[0]
     moved = chi_map_point(curve_d3, chi, 0.3 + 0.05 * ks, 0.05, 8)[0]
-    assert_allclose(lift.value, moved.value, rtol=0, atol=1e-12)
+    frames = CurveSpec(3, curve_d3.u, 0.3, np.eye(4)).frame_at(0.3 + 0.05 * ks)
+    assert_allclose(lift.value, np.einsum("kj,kji->ki", moved.value, frames),
+                    rtol=0, atol=1e-12)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pentalab
 from pentalab.cli import main
 from pentalab.configs import ChiConfig, short_diagonal_chi
-from pentalab.curves import random_curve_spec
+from pentalab.curves import CurveSpec, random_curve_spec
+from pentalab.discretize import limit_diagnostics
 from pentalab.expansion import alpha_constancy_check
 
 
@@ -38,6 +43,64 @@ print(json.dumps([codes, sorted(m for m in sys.modules
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert scipy_modules == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["families", "dual-dented", "--d", "3", "--s", "1", "--shift", "auto"],
+    ["expand", "--d", "3", "--x", "20", "--kmax", "6"],
+    ["expand", "--d", "2", "--precision", "extended"],
+    ["centralize", "--d", "2"],
+    ["kdv-verify", "--d", "3", "--seed", "23"],
+    ["lax-verify", "--d", "3", "--seed", "2", "--x", "20"],
+    ["realize34"],
+    ["dof", "--m", "5"],
+], ids=lambda argv: argv[0] + ("-extended" if "extended" in argv else ""))
+def test_no_subcommand_transports_a_frame(capsys, monkeypatch, argv):
+    # every experiment lifts from the identity frame at its working point
+    def no_frame(spec, x):
+        raise AssertionError("frame_at called")
+
+    monkeypatch.setattr(CurveSpec, "frame_at", no_frame)
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert out and not err
+
+
+_unit = st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 16),
+       st.floats(-30.0, 30.0), st.lists(_unit, min_size=16, max_size=16),
+       st.floats(-1.0, 1.5))
+def test_reports_read_neither_x0_nor_the_frame(tmp_path_factory, d, seed, x0,
+                                              entries, x):
+    # the same u based at any x0 with any unimodular F0 gives the same
+    # report, bit for bit, from every subcommand that reads a curve, and
+    # the same limit table
+    n = d + 1
+    lower = np.eye(n) + np.tril(np.reshape(entries[:n * n], (n, n)), -1)
+    upper = np.eye(n) + np.triu(np.reshape(entries[-n * n:], (n, n)), 1)
+    base = random_curve_spec(d, seed=seed)
+    moved = CurveSpec(d, base.u, x0, lower @ upper)
+    paths = []
+    for spec in (base, moved):
+        path = tmp_path_factory.mktemp("curve") / "curve.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        paths.append(str(path))
+    for argv in (["expand", "--kmax", "6"], ["centralize"], ["kdv-verify"],
+                 ["lax-verify"]):
+        where = [] if argv[0] == "centralize" else [f"--x={x!r}"]
+        got = []
+        for path in paths:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--d", str(d), "--curve", path] + where)
+            got.append((code, out.getvalue(), err.getvalue()))
+        assert got[0] == got[1]
+    tables = [limit_diagnostics(CurveSpec.load(path), x) for path in paths]
+    for key in ("A", "a_tilde", "orders", "limits", "a0_order"):
+        assert np.array_equal(getattr(tables[0], key), getattr(tables[1], key))
 
 
 class TestDof:
@@ -284,8 +347,8 @@ class TestExpand:
         assert "finite" in captured.err
 
     def test_blown_up_frame_is_a_run_error(self, capsys, tmp_path):
-        # x lies within the re-base distance, so the frame walks out from
-        # x0 and grows like exp(46 x) on the way
+        # the lift at x grows like exp(46 t), and its Taylor series
+        # converges too slowly for the node offsets of 0.2
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({
             "d": 2, "x0": 0.0, "F0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -296,7 +359,8 @@ class TestExpand:
         assert code == 1
         assert out == ""
         assert err.startswith("error in expansion.extract_alphas: "
-                              "IntegrationFailure: frame blew up")
+                              "IntegrationFailure: node offset 0.2 lies "
+                              "outside the lift's radius of convergence")
 
     def test_lift_past_its_radius_of_convergence_is_a_run_error(
             self, capsys, tmp_path):

@@ -5,7 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from pentalab.configs import short_diagonal_chi
+from pentalab.discretize import limit_diagnostics
+from pentalab.expansion import extract_alphas
 from pentalab.jets import AnalyticFn, Jet
+from pentalab.lax import lax_limit_diagnostics
 from pentalab.curves import (
     CurveSpec,
     DegenerateLift,
@@ -71,25 +75,6 @@ def test_frame_at_base_point_is_initial_frame(curve_d3):
     assert np.array_equal(curve_d3.frame_at(curve_d3.x0), curve_d3.F0)
 
 
-@pytest.mark.parametrize("x", [-1.0, 0.5, 2.0, 3.0])
-def test_near_keeps_spec_within_rebase_distance(x):
-    spec = CurveSpec(2, random_curve_spec(2, seed=3).u, 1.0, np.eye(3))
-    assert spec.near(x) is spec
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_near_rebases_far_point(dtype):
-    spec = random_curve_spec(2, seed=5, dtype=dtype)
-    far = spec.near(40.0)
-    assert (far.d, far.u, far.x0, far.dtype) == (2, spec.u, 40.0, spec.dtype)
-    assert far.F0.dtype == dtype and np.array_equal(far.F0, np.eye(3))
-    assert spec.near(-2.0 - 1e-9) is not spec
-    # the walk from x0 reaches x = 40 with its Wronskian off by 8e3; from
-    # the re-based frame it stays unimodular, and x0 keeps its one anchor
-    assert abs(wronskian(far, 40.5) - 1.0) <= 1e-12
-    assert list(spec._anchors) == [0]
-
-
 def test_local_consistency_step_vs_taylor(curve_d2):
     # stepping to x+h must agree with evaluating the order-K jet at x
     x, k = 0.4, 10
@@ -127,24 +112,24 @@ def _count_u_evaluations(monkeypatch):
     return calls
 
 
-def test_repeated_frame_at_reuses_the_anchor_series(monkeypatch):
-    spec = random_curve_spec(3, seed=23)
-    first = spec.frame_at(0.3)  # 0.3 is not an anchor
-    calls = _count_u_evaluations(monkeypatch)
-    assert np.array_equal(spec.frame_at(0.3), first)
-    assert calls == []
-
-
 def test_results_do_not_depend_on_call_history():
-    # a warmed spec has anchors and their series cached on both sides of
-    # x0; every answer must equal the one a fresh spec gives, and no lift
-    # jet a caller holds can be written through
+    # a spec holds no state: every answer equals the one a fresh spec
+    # gives, no call sets an attribute, and no lift jet a caller holds can
+    # be written through
     xs = [1.7, -1.23, 0.3, -0.05, 2.9, 0.3125, -2.6, 0.02]
     warm = random_curve_spec(3, seed=23)
+    state = dict(vars(warm))
     for x in xs:
         warm.frame_at(x)
         with pytest.raises(ValueError):
             gamma_jet(warm, x, 9).c[0, 0] = 99.0
+    extract_alphas(warm, short_diagonal_chi(3), 0.3)
+    lax_limit_diagnostics(warm, short_diagonal_chi(3), 0.3)
+    limit_diagnostics(warm, 0.3)
+    assert vars(warm).keys() == state.keys()
+    assert all(vars(warm)[k] is v for k, v in state.items())
+    with pytest.raises(ValueError):  # and the frame is read-only
+        warm.F0[0, 0] = 2.0
     for x in reversed(xs):
         fresh = random_curve_spec(3, seed=23)
         assert np.array_equal(warm.frame_at(x), fresh.frame_at(x))
@@ -153,14 +138,14 @@ def test_results_do_not_depend_on_call_history():
 
 
 def test_fresh_far_frame_evaluates_each_u_tree_once(monkeypatch):
+    # one pass over each u-tree serves every anchor the call steps across
     spec = random_curve_spec(3, seed=23)
     calls = _count_u_evaluations(monkeypatch)
     spec.frame_at(20.0)  # 320 anchors away
-    assert len(calls) == spec.d
-    assert all(np.shape(x) == (320,) for x in calls)
+    assert [np.shape(x) for x in calls] == [(321,)] * spec.d
     calls.clear()
-    spec.frame_at(20.03)  # one more anchor series, the target's
-    assert len(calls) == spec.d
+    spec.frame_at(np.array([20.03, -1.0]))  # anchors 0..320, then 0..-16
+    assert [np.shape(x) for x in calls] == [(321,)] * spec.d + [(17,)] * spec.d
 
 
 def test_long_walk_evaluates_its_u_trees_in_bounded_passes(monkeypatch):
@@ -171,7 +156,7 @@ def test_long_walk_evaluates_its_u_trees_in_bounded_passes(monkeypatch):
     spec = random_curve_spec(3, seed=23)
     calls = _count_u_evaluations(monkeypatch)
     assert np.array_equal(spec.frame_at(-20.0), want)
-    assert [np.shape(x) for x in calls] == [(100,)] * 9 + [(20,)] * 3
+    assert [np.shape(x) for x in calls] == [(100,)] * 9 + [(21,)] * 3
 
 
 def reference_frames(spec, xs):
@@ -215,9 +200,9 @@ def test_far_frames_match_anchor_by_anchor_reference(d, dtype):
     for xs in ((0.4, 7.03, 19.97), (-3.3, -12.5, -20.0)):
         want = reference_frames(random_curve_spec(d, seed=41, dtype=dtype), xs)
         spec = random_curve_spec(d, seed=41, dtype=dtype)
-        # the farthest point first: one long walk, then points behind it
+        # one point at a time, and all of them in one call
         got = [spec.frame_at(x) for x in xs[::-1]][::-1]
-        for g, w in zip(got, want):
+        for g, w in zip(got + list(spec.frame_at(np.array(xs))), want * 2):
             assert g.dtype == np.dtype(dtype)
             assert np.array_equal(g, w)
 
@@ -225,35 +210,25 @@ def test_far_frames_match_anchor_by_anchor_reference(d, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_frame_at_an_array_equals_the_one_point_frames(dtype, monkeypatch):
     # anchors, partial steps on both sides of x0 and a repeated point, in
-    # no particular order; a fresh spec answers one point at a time
+    # no particular order, against one point at a time
     xs = np.array([[0.3, -1.25, 2.0625], [0.3, 0.0, -0.07]], dtype=dtype)
     spec = random_curve_spec(3, seed=23, dtype=dtype)
     calls = _count_u_evaluations(monkeypatch)
     got = spec.frame_at(xs)
-    assert len(calls) == 2 * spec.d  # one pass for each walk
-    # -1.25 is the anchor the walk ended on: its series is made now, by
-    # the walk to it, which steps nowhere
-    near = np.array([-1.26, 0.31, -1.24, -0.03], dtype=dtype)
-    calls.clear()
-    got_near = spec.frame_at(near)
-    assert [np.shape(x) for x in calls] == [(1,)] * spec.d
+    # one pass for anchors 0..33, one for 0..-20
+    assert [np.shape(x) for x in calls] == [(34,)] * spec.d + [(21,)] * spec.d
     monkeypatch.undo()
     assert got.shape == (2, 3, 4, 4) and got.dtype == np.dtype(dtype)
-    for x, frame in [(xs[idx], got[idx]) for idx in np.ndindex(xs.shape)] \
-            + list(zip(near, got_near)):
-        fresh = random_curve_spec(3, seed=23, dtype=dtype)
-        assert np.array_equal(frame, fresh.frame_at(x))
+    for idx in np.ndindex(xs.shape):
+        assert np.array_equal(got[idx], spec.frame_at(xs[idx]))
 
 
 def test_partial_steps_from_both_ends_of_the_run():
-    # each warm-up walk ends on an anchor, so both ends of the run lack a
-    # series; the array then takes a partial step from each end
-    warm = random_curve_spec(3, seed=23)
-    warm.frame_at(1.0)
-    warm.frame_at(-1.0)
-    assert warm._anchors[16][1] is None and warm._anchors[-16][1] is None
-    xs = np.array([0.99, -0.99, 0.3])
-    got = warm.frame_at(xs)
+    # the anchors at 1 and -1 end the run the call steps across; the array
+    # takes a partial step from each end and from x0
+    spec = random_curve_spec(3, seed=23)
+    xs = np.array([0.99, -0.99, 1.0, 0.3, -1.0])
+    got = spec.frame_at(xs)
     for x, frame in zip(xs, got):
         assert np.array_equal(frame, random_curve_spec(3, seed=23).frame_at(x))
 
@@ -392,3 +367,15 @@ def test_loader_renormalizes_frame():
                u=obj["u"] + [{"op": "const", "value": 0.0}])
     with pytest.raises(ValueError):
         CurveSpec.from_dict(bad)
+
+
+def test_extended_anchors_lie_on_the_extended_grid():
+    # u = 0 lifts to (1, t - x0, (t - x0)^2 / 2) from the identity frame;
+    # anchors x0 + j/16 rounded to double put a 5e-17 error into every
+    # extended frame of a curve based at x0 = 0.3
+    spec = CurveSpec(2, zero_curve_spec(2).u, 0.3, np.eye(3), dtype=np.longdouble)
+    x = np.longdouble(2.7) / 3
+    h = x - np.longdouble(0.3)
+    want = np.array([[1, h, h * h / 2], [0, 1, h], [0, 0, 1]], dtype=np.longdouble)
+    got = spec.frame_at(x)
+    assert np.max(np.abs(got - want)) <= 8 * np.finfo(np.longdouble).eps

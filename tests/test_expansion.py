@@ -13,6 +13,8 @@ from pentalab import (
     ChiConfig,
     CurveSpec,
     alpha11_evenly_spaced,
+    dual_dented_chi,
+    dual_dented_shift,
     evenly_spaced_chi,
     random_curve_spec,
     short_diagonal_chi,
@@ -115,8 +117,38 @@ class TestExtraction:
             extract_alphas(curve_d2, short_diagonal_chi(2), 0.3)
 
 
+class TestUncertainty:
+    @pytest.mark.parametrize("d, chi", [
+        (2, short_diagonal_chi(2)), (3, short_diagonal_chi(3)),
+        (4, short_diagonal_chi(4)),
+        (2, evenly_spaced_chi((-0.8, 0.5), 0.9, 2)),
+        (3, dual_dented_chi(3, 1).shift(dual_dented_shift(3, 1))),
+    ], ids=["sd2", "sd3", "sd4", "es2", "dd3"])
+    def test_bounds_the_double_error(self, d, chi):
+        # the roundoff floor was set on short-diagonal d = 2..4, curve
+        # seeds 0-7, x in {0.3, 1.1}, where the gap alone missed 634 of
+        # 1,344 entries; this grid shares no case with that one, and the
+        # worst entry reads 0.93 of its uncertainty
+        for seed in range(8, 16):
+            double = random_curve_spec(d, seed=seed)
+            extended = random_curve_spec(d, seed=seed, dtype=np.longdouble)
+            for x in (-0.7, 0.45, 1.7):
+                r = extract_alphas(double, chi, x, kmax=6)
+                want = extract_alphas(extended, chi, x, kmax=6).alpha
+                assert np.all(np.abs(r.alpha - want) <= r.uncertainty)
+
+    def test_floor_grows_like_radius_to_the_minus_k(self, curve_d2):
+        # the floor is one noise level per column over r^k, so wherever it
+        # decides the uncertainty consecutive rows differ by 1/r
+        r = extract_alphas(curve_d2, short_diagonal_chi(2), 0.3, kmax=6)
+        radius = 0.2 / 1.5
+        ratio = r.uncertainty[6] / r.uncertainty[5]
+        assert_allclose(ratio, 1 / radius, rtol=1e-12)
+
+
 class TestFarWorkingPoint:
-    """A working point far from x0 is served from the curve re-based there."""
+    """A working point far from x0 is lifted from the identity frame there,
+    as every working point is."""
 
     @pytest.mark.parametrize("x", [20.0, 40.0])
     def test_far_reproducer_d2(self, x):
@@ -125,26 +157,21 @@ class TestFarWorkingPoint:
         r = extract_alphas(spec, short_diagonal_chi(2), x)
         assert abs(r.alpha[1, 1]) < 1e-5
         assert abs(r.alpha[2, 2] - 0.375) < 1e-4
-        assert list(spec._anchors) == [0]  # nothing walked out to x
 
     def test_far_reproducer_d3(self):
         spec = random_curve_spec(3, seed=23)
         r = extract_alphas(spec, short_diagonal_chi(3), 20.0)
         assert abs(r.alpha[1, 1]) < 1e-5
-        assert list(spec._anchors) == [0]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_rebased_curve_gives_the_same_expansion(self, d):
-        # what re-basing rests on: the expansion is SL(d+1)-invariant
+        # the extraction reads neither x0 nor F0
         spec = random_curve_spec(d, seed=11)
         chi = short_diagonal_chi(d)
         here = extract_alphas(spec, chi, 0.3)
         moved = extract_alphas(CurveSpec(d, spec.u, 0.3, np.eye(d + 1)), chi,
                                0.3)
-        assert_allclose(moved.alpha, here.alpha, rtol=0, atol=1e-9)
-        # w reads ε² off the image's invariants, d + 1 derivatives deeper,
-        # and moves by 1.1e-10 at d = 3
-        assert_allclose(moved.w, here.w, rtol=0, atol=1e-8)
+        assert moved.to_dict() == here.to_dict()
 
     def test_near_points_keep_their_bits_next_to_a_far_one(self, curve_d2):
         from pentalab.expansion import _extract
