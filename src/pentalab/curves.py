@@ -55,6 +55,10 @@ _STEP_ORDER = 14
 _AHEAD = 1024
 # order of the lift jet at a working point that nearby samples shift from
 _SHIFT_ORDER = 40
+# frame_at raises past either bound: an entry this large blew up, and a
+# Wronskian this far from 1 no longer belongs to a unimodular frame
+_BLOWUP = 1e12
+_UNIMODULAR_TOL = 1e-3
 
 
 class IntegrationFailure(Exception):
@@ -149,7 +153,7 @@ class CurveSpec:
                     if k == run[-1]:
                         break
                     frame = _frame_from_coeffs(g, run.step * _STEP, self.d)
-                    if not np.all(np.isfinite(frame)) or np.max(np.abs(frame)) > 1e12:
+                    if not np.all(np.isfinite(frame)) or np.max(np.abs(frame)) > _BLOWUP:
                         raise IntegrationFailure(
                             f"frame blew up near x = {self.x0 + k * _STEP:g}")
         out = np.stack([frames[j] for j in js.tolist()])
@@ -161,6 +165,13 @@ class CurveSpec:
                 raise IntegrationFailure(
                     f"frame blew up near x = {xs[partial][bad.argmax()]:g}")
             out[partial] = frames
+        drift = linalg.det_dense(out) - 1
+        if np.any(np.abs(drift) > _UNIMODULAR_TOL):
+            i = int(np.argmax(np.abs(drift)))
+            cond = np.linalg.cond(out[i].astype(np.float64))
+            raise IntegrationFailure(
+                f"frame lost unimodularity at x = {xs[i]:g}: W - 1 = "
+                f"{float(drift[i]):.3g}, condition number {cond:.3g}")
         return out.reshape(x.shape + out.shape[1:])
 
 

@@ -2,15 +2,19 @@
 
 numpy/LAPACK reject np.longdouble, so for it solves and determinants share
 one hand-written LU with partial pivoting, adequate for the small (<= 8 x 8)
-systems this package produces.
+systems this package produces.  It factors a whole stack (..., n, n) in one
+pass of n column steps, each member pivoting on its own, and a solve is n
+forward and n back steps over the stack; every member's result is bit for
+bit the one a stack of that member alone gives.  A single matrix is a stack
+of one.
 The nullspace comes from a float64 SVD at every dtype, which is exact
 enough: the basis is only a gauge, since the span normals built on it are
 solved to every order in the working dtype.
 
-``stack_solver`` and ``null_bases`` take a stack (..., m, n) of matrices and
-treat each on its own, the whole stack in one of numpy's stacked LAPACK
-calls; in extended precision ``stack_solver`` loops the hand-written LU
-over the stack instead.
+``stack_solver``, ``det_dense`` and ``null_bases`` take a stack (..., m, n)
+of matrices and treat each on its own, in float64 the whole stack in one of
+numpy's stacked LAPACK calls, in extended precision in one pass of the
+hand-written LU.
 """
 
 import numpy as np
@@ -27,41 +31,68 @@ def _is_lapack_friendly(a: np.ndarray) -> bool:
 
 
 def _lu_ge(a):
-    """(lu, perm, swaps): a[perm] = L U with the unit-lower L stored below
-    U, and swaps row exchanges; raises SingularMatrixError on a zero pivot."""
-    lu = np.array(a, copy=True)
-    n = lu.shape[0]
-    perm = np.arange(n)
-    swaps = 0
+    """(lu, perm, swaps, singular) of a stack (..., n, n), flattened to B
+    matrices: lu[b] is a[b][perm[b]] = L U with the unit-lower L stored below
+    U, swaps[b] its row exchanges and singular[b] whether a column met a zero
+    pivot.  One pass of n column steps over the whole stack; a singular
+    member goes on with unit pivots so that the others finish undisturbed."""
+    n = a.shape[-1]
+    lu = a.reshape(-1, n, n).copy()
+    members = np.arange(lu.shape[0])
+    perm = np.broadcast_to(np.arange(n), lu.shape[:2]).copy()
+    swaps = np.zeros(lu.shape[0], dtype=np.int64)
+    singular = np.zeros(lu.shape[0], dtype=bool)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0:
-            raise SingularMatrixError(f"zero pivot in column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            swaps += 1
-        m = lu[k + 1:, k] / lu[k, k]
-        lu[k + 1:, k] = m
-        lu[k + 1:, k + 1:] -= m[:, None] * lu[k, k + 1:]
-    return lu, perm, swaps
+        p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
+        moved = p != k
+        if moved.any():
+            # exchange rows k and p of every member in one gather
+            rows = np.broadcast_to(np.arange(n), perm.shape).copy()
+            rows[:, k] = p
+            rows[members, p] = k
+            lu = lu[members[:, None], rows]
+            perm = perm[members[:, None], rows]
+            swaps += moved
+        pivot = lu[:, k, k]
+        zero = pivot == 0
+        if zero.any():
+            singular |= zero
+            pivot = np.where(zero, 1, pivot)
+        m = lu[:, k + 1:, k] / pivot[:, None]
+        lu[:, k + 1:, k] = m
+        lu[:, k + 1:, k + 1:] -= m[:, :, None] * lu[:, k, None, k + 1:]
+    return lu, perm, swaps, singular
 
 
 def _lu_solve(factors, b):
-    """Solve a @ x = b from the factors _lu_ge(a)."""
-    lu, perm, _ = factors
+    """Solve a @ x = b for each of the B matrices _lu_ge factored, b holding
+    one block of n rows per matrix, in order; x has b's shape."""
+    lu, perm, _, _ = factors
     b = np.asarray(b)
-    n = lu.shape[0]
+    count, n = perm.shape
     # every row swap first, then the unit-lower sweep: the stored
     # multipliers moved with their rows, so interleaving the two is wrong
-    x = b.reshape(n, -1)[perm].astype(np.result_type(lu.dtype, b.dtype),
-                                     copy=False)
+    x = b.reshape(count, n, -1)[np.arange(count)[:, None], perm].astype(
+        np.result_type(lu.dtype, b.dtype), copy=False)
     for k in range(n - 1):
-        x[k + 1:] -= lu[k + 1:, k, None] * x[k]
+        x[:, k + 1:] -= lu[:, k + 1:, k, None] * x[:, k, None]
     for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
+        # the dot sum in index order, subtracted once: one row times x
+        x[:, k] -= (lu[:, k, None, k + 1:] @ x[:, k + 1:])[:, 0]
+        x[:, k] /= lu[:, k, k, None]
     return x.reshape(b.shape)
+
+
+def _factor(a):
+    """_lu_ge(a) of a stack the solves can use; raises SingularMatrixError
+    on a non-finite entry or a zero pivot in any matrix, as the float64
+    path does."""
+    if not np.all(np.isfinite(a)):
+        raise SingularMatrixError("array must not contain infs or NaNs")
+    factors = _lu_ge(a)
+    if factors[3].any():
+        raise SingularMatrixError("exactly singular matrix")
+    return factors
 
 
 def solve_dense(a, b):
@@ -73,7 +104,7 @@ def solve_dense(a, b):
             return np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(str(exc)) from exc
-    return _lu_solve(_lu_ge(a), b)
+    return _lu_solve(_factor(a), b)
 
 
 def stack_solver(a):
@@ -84,8 +115,9 @@ def stack_solver(a):
     Raises SingularMatrixError here, when a is checked, not at a solve.  In
     float64 each solve is one call of numpy's stacked LAPACK solve, which
     factors again: for the few-by-few stacks here that costs less than any
-    loop over stored factors.  Other dtypes factor each matrix once with the
-    hand-written LU and loop over the stack at a solve.
+    loop over stored factors.  Other dtypes factor the whole stack once with
+    the hand-written LU, and each solve is one forward and one back sweep
+    over the stack.
     """
     a = np.asarray(a)
     if _is_lapack_friendly(a):
@@ -96,33 +128,23 @@ def stack_solver(a):
         if np.any(np.linalg.slogdet(a)[0] == 0):
             raise SingularMatrixError("exactly singular matrix")
         return lambda b: np.linalg.solve(a, b)
-    n = a.shape[-1]
-    factors = [_lu_ge(m) for m in a.reshape(-1, n, n)]
-    if a.ndim == 2:
-        return lambda b: _lu_solve(factors[0], b)
-
-    def solve(b):
-        b = np.asarray(b)
-        cols = b.reshape((-1,) + b.shape[-2:])
-        return np.stack([_lu_solve(f, c) for f, c in zip(factors, cols)]
-                        ).reshape(b.shape)
-
-    return solve
+    factors = _factor(a)
+    return lambda b: _lu_solve(factors, b)
 
 
 def det_dense(a):
-    """Determinant of square a: the sign of the row swaps times the pivots."""
+    """Determinant of square a, or of each matrix of a stack (..., n, n): the
+    sign of the row swaps times the pivots, so 0 for an exactly singular
+    matrix; a non-finite entry is not rejected, as np.linalg.det does not."""
     a = np.asarray(a)
     if _is_lapack_friendly(a):
         return np.linalg.det(a)
-    try:
-        lu, _, swaps = _lu_ge(a)
-    except SingularMatrixError:
-        return a.dtype.type(0)
-    det = a.dtype.type(-1 if swaps % 2 else 1)
-    for pivot in np.diagonal(lu):
-        det *= pivot
-    return det
+    lu, _, swaps, singular = _lu_ge(a)
+    det = np.where(swaps % 2 == 1, -1, 1).astype(a.dtype)
+    for k in range(lu.shape[-1]):
+        det *= lu[:, k, k]
+    det[singular] = 0
+    return det.reshape(a.shape[:-2])[()]
 
 
 def null_bases(a):

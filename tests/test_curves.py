@@ -241,6 +241,21 @@ def test_frame_at_an_array_names_the_point_that_blew_up():
         spec.frame_at(np.array([0.0, 0.01]))
 
 
+def test_frame_at_raises_when_the_frame_loses_unimodularity():
+    # walked out from x0 = 0 the frame's condition number grows to 6e16
+    # while its entries stay below the blow-up bound; W - 1 reads -1.1e-6
+    # at 20, -5.8e-2 at 30 and 8.07e3 at 40
+    spec = random_curve_spec(2, seed=5)
+    assert abs(wronskian(spec, 20.0) - 1) < 1e-5
+    for x in (30.0, 40.0):
+        with pytest.raises(IntegrationFailure,
+                           match=f"unimodularity at x = {x:g}: W - 1 = .*"
+                                 "condition number"):
+            spec.frame_at(x)
+    with pytest.raises(IntegrationFailure, match="at x = 30"):
+        spec.frame_at(np.array([20.0, 30.0]))
+
+
 def test_falling_factorial_table_is_exact():
     from pentalab.jets import _falling_table
 

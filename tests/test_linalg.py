@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pentalab import cli, linalg
 from pentalab.linalg import (SingularMatrixError, det_dense, null_bases, solve_dense,
                              stack_solver)
 
@@ -114,12 +115,122 @@ def test_stack_solver_solves_each_matrix(rng, dtype):
                         np.asarray(b[i, j], dtype=float), atol=1e-13)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("bad", [0.0, np.nan])
-def test_stack_solver_rejects_any_bad_matrix_up_front(rng, bad):
-    a = rng.standard_normal((3, 2, 2))
+def test_stack_solver_rejects_any_bad_matrix_up_front(rng, bad, dtype):
+    a = rng.standard_normal((3, 2, 2)).astype(dtype)
     a[1] = [[1.0, 2.0], [2.0, 4.0]] if bad == 0.0 else [[1.0, bad], [0.0, 1.0]]
     with pytest.raises(SingularMatrixError):
         stack_solver(a)
+    if dtype == np.longdouble:  # solve_dense factors the same way
+        with pytest.raises(SingularMatrixError):
+            solve_dense(a[1], np.ones(2, dtype=dtype))
+
+
+def looped_lu_solve(a, b):
+    """(x, det) of one matrix by the per-matrix LU the stacked one replaced:
+    the reference its members must equal bit for bit."""
+    lu = np.array(a, copy=True)
+    n = lu.shape[0]
+    perm = np.arange(n)
+    det = lu.dtype.type(1)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            det = -det
+        m = lu[k + 1:, k] / lu[k, k]
+        lu[k + 1:, k] = m
+        lu[k + 1:, k + 1:] -= m[:, None] * lu[k, k + 1:]
+    for pivot in np.diagonal(lu):
+        det *= pivot
+    x = b[perm].astype(np.result_type(lu.dtype, b.dtype))
+    for k in range(n - 1):
+        x[k + 1:] -= lu[k + 1:, k, None] * x[k]
+    for k in range(n - 1, -1, -1):
+        x[k] -= lu[k, k + 1:] @ x[k + 1:]
+        x[k] /= lu[k, k]
+    return x, det
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+def test_stacked_lu_equals_the_looped_lu_bit_for_bit(rng, dtype):
+    def draw(shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype == np.clongdouble else z
+
+    for n in range(1, 9):
+        a = draw((3, 2, n, n)).astype(dtype)
+        a[0, 1] = rng.integers(-2, 3, (n, n)) + n * np.eye(n)  # pivot ties
+        b = draw((3, 2, n, 2)).astype(dtype)
+        x, dets = stack_solver(a)(b), det_dense(a)
+        for idx in np.ndindex(3, 2):
+            want, det = looped_lu_solve(a[idx], b[idx])
+            assert np.array_equal(x[idx], want)
+            assert dets[idx] == det
+
+
+def dominant_systems(rng, n):
+    """A (3, 4) stack of integer n x n matrices, each strictly diagonally
+    dominant by columns, so partial pivoting never exchanges rows, with
+    the rows of members (i, j), i + j odd, reversed, so that it must."""
+    off = rng.integers(-3, 4, (3, 4, n, n)) * (1 - np.eye(n, dtype=int))
+    sign = rng.choice([-1, 1], (3, 4, n))
+    a = off + (np.abs(off).sum(axis=-2) + 1 + rng.integers(0, 3, (3, 4, n))
+               )[..., None, :] * sign[..., None, :] * np.eye(n, dtype=int)
+    odd = np.add.outer(np.arange(3), np.arange(4)) % 2 == 1
+    a[odd] = a[odd][:, ::-1]
+    return a, odd
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_lu_pivots_each_member_on_its_own(rng, n):
+    a, odd = dominant_systems(rng, n)
+    b = rng.integers(-5, 6, (3, 4, n, 2))
+    ext = a.astype(np.longdouble)
+    # the premise: the reversed members exchange rows, the others do not
+    swaps = linalg._lu_ge(ext)[2].reshape(3, 4)
+    assert np.all((swaps > 0) == odd)
+    solve = stack_solver(ext)
+    x_mat = solve(b.astype(np.longdouble))
+    x_vec = solve(b[..., :1].astype(np.longdouble))
+    dets = det_dense(ext)
+    assert dets.shape == (3, 4) and dets.dtype == np.longdouble
+    for idx in np.ndindex(3, 4):
+        want, det = rational_solve(a[idx], b[idx])
+        assert rel_err(x_mat[idx], want) <= RTOL_EXTENDED
+        assert rel_err(x_vec[idx], [w[:1] for w in want]) <= RTOL_EXTENDED
+        one = stack_solver(ext[idx])
+        assert np.array_equal(x_mat[idx], one(b[idx].astype(np.longdouble)))
+        assert np.array_equal(x_vec[idx][:, 0],
+                              one(b[idx][:, 0].astype(np.longdouble)))
+        got_det = det_dense(ext[idx])
+        assert got_det == dets[idx]
+        assert rel_err(got_det, [[det]]) <= RTOL_EXTENDED
+
+
+def test_extended_expand_factors_each_stack_once(monkeypatch, capsys):
+    # one LU pass per stack_solver call, however many matrices it stacks
+    counts, sizes = [], []
+    lu_ge, solver = linalg._lu_ge, linalg.stack_solver
+
+    def counting_lu(a):
+        counts[-1] += 1
+        return lu_ge(a)
+
+    def counting_solver(a):
+        counts.append(0)
+        sizes.append(np.asarray(a[..., 0, 0]).size)
+        return solver(a)
+
+    monkeypatch.setattr(linalg, "_lu_ge", counting_lu)
+    monkeypatch.setattr(linalg, "stack_solver", counting_solver)
+    assert cli.main(["expand", "--chi", "short-diagonal", "--d", "2",
+                     "--kmax", "2", "--precision", "extended"]) == 0
+    capsys.readouterr()
+    assert counts and set(counts) == {1}
+    assert max(sizes) > 1
 
 
 def test_null_bases_of_a_stack_match_each_matrix(rng):
