@@ -39,7 +39,8 @@ def build_spans(spec, chi, x, eps, kmax, shift=0):
     lift, at real or complex eps, is a Taylor shift h = (p + k) eps of the
     order-40 lift jet at its x (``curves._shifted_lifts``, which raises
     IntegrationFailure when h lies outside the lift's radius of
-    convergence).
+    convergence); an offset p + k that repeats across the shifts is
+    shifted once per x and eps.
     """
     return _spans(spec, chi, x, eps, kmax,
                   _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0], shift)
@@ -53,11 +54,27 @@ def _spans(spec, chi, x, eps, kmax, lifts, shift):
     if chi.d != spec.d:
         raise ValueError("configuration dimension does not match the curve")
     nodes = sorted({p for g in chi.groups for p in g})
-    h = (np.array(nodes) + np.asarray(shift)[..., None]) * eps[..., None]
-    rows = _shifted_lifts(lifts.reshape(lifts.shape[:2] + x.shape + (1,)), h,
-                          kmax)
-    return [Jet(rows[..., [nodes.index(p) for p in g], :], copy=False)
-            for g in chi.groups]
+    offsets = np.array(nodes) + np.asarray(shift)[..., None]
+    g = lifts.reshape(lifts.shape[:2] + x.shape + (1,))
+    if offsets.ndim == 1:  # one shift, as every map but lax's: no repeats
+        rows = _shifted_lifts(g, offsets * eps[..., None], kmax)
+        return [Jet(rows[..., [nodes.index(p) for p in grp], :], copy=False)
+                for grp in chi.groups]
+    # an offset p + k repeated across the shifts k is lifted once per x and
+    # eps, and each span gathers its rows by offset: both to (K+1, *batch,
+    # offset, ...)
+    distinct, which = np.unique(offsets, return_inverse=True)
+    lifted = np.broadcast_shapes(x.shape, eps.shape)
+    batch = np.broadcast_shapes(lifted, offsets.shape[:-1])
+    rows = _shifted_lifts(g, distinct * eps[..., None], kmax)
+    rows = rows.reshape(rows.shape[:1] + (1,) * (len(batch) - len(lifted))
+                        + rows.shape[1:])
+    which = which.reshape((1,) * (len(batch) + 2 - offsets.ndim)
+                          + offsets.shape + (1,))
+    return [Jet(np.take_along_axis(
+                rows, which[..., [nodes.index(p) for p in grp], :], axis=-2),
+                copy=False)
+            for grp in chi.groups]
 
 
 def _span_normals(span):

@@ -19,7 +19,9 @@ from .fitting import decay_order
 
 
 class DiscreteCoords:
-    """Both coordinate systems of the one-step recurrence at (x, eps)."""
+    """Both coordinate systems of the one-step recurrence at (x, eps), or at
+    each step of an array eps, with a_tilde and A of shape (*eps.shape,
+    d+1)."""
 
     __slots__ = ("d", "x", "eps", "a_tilde", "A")
 
@@ -32,44 +34,51 @@ class DiscreteCoords:
 
 
 def tilde_from_A(A):
-    """Point-basis coefficients of the recurrence with difference basis A.
+    """Point-basis coefficients of the recurrence with difference basis A,
+    or of each of a stack (..., d+1) of them.
 
     The leading difference coefficient is one, so the i-th point coefficient
-    is an alternating binomial sum over A_i..A_{d+1}.
+    is an alternating binomial sum over A_i..A_{d+1}, summed in order of k.
     """
     A = np.asarray(A)
-    d = A.size - 1
+    d = A.shape[-1] - 1
     dtype = np.result_type(A.dtype, np.float64)
-    full = np.append(A.astype(dtype), dtype.type(1))
-    out = np.empty(d + 1, dtype=dtype)
+    full = np.concatenate([A.astype(dtype), np.ones(A.shape[:-1] + (1,), dtype)],
+                          axis=-1)
+    out = np.empty(A.shape, dtype=dtype)
     for i in range(d + 1):
-        out[i] = sum((-1) ** (k - i + 1) * math.comb(k, i) * full[k]
-                     for k in range(i, d + 2))
+        out[..., i] = sum((-1) ** (k - i + 1) * math.comb(k, i) * full[..., k]
+                          for k in range(i, d + 2))
     return out
 
 
 def coords_from_samples(pts, x, eps):
     """Solve the one-step recurrence from d+2 consecutive curve samples.
 
-    The solve happens in the basis of forward differences scaled by
-    1/eps^i: that keeps the matrix O(1)-conditioned however small the step,
-    and its solution is A_i/eps^{d+1-i} directly, so the tiny A_i are
-    recovered without cancellation on top of what the data already carries.
+    pts may be a stack (..., d+2, d+1) of windows with one step each in
+    eps, (...); all of them take one stacked solve, and each member comes
+    out bit for bit as it does alone.  The solve happens in the basis of
+    forward differences scaled by 1/eps^i: that keeps the matrix
+    O(1)-conditioned however small the step, and its solution is
+    A_i/eps^{d+1-i} directly, so the tiny A_i are recovered without
+    cancellation on top of what the data already carries.
     """
-    if eps == 0:
+    eps = np.asarray(eps)
+    if np.any(eps == 0):
         raise ValueError("eps must be nonzero")
     pts = np.asarray(pts)
-    d = pts.shape[0] - 2
-    if pts.shape != (d + 2, d + 1):
+    d = pts.shape[-2] - 2
+    if pts.shape[-2:] != (d + 2, d + 1):
         raise ValueError("need d+2 samples of a curve in R^{d+1}")
-    diffs = [pts[0]]
+    step = eps[..., None, None]
+    diffs = [pts[..., 0, :]]
     tbl = pts
     for _ in range(d + 1):
-        tbl = (tbl[1:] - tbl[:-1]) / eps
-        diffs.append(tbl[0])
-    cols = np.stack(diffs[: d + 1], axis=1)
-    scaled = linalg.solve_dense(cols, -diffs[d + 1])
-    A = scaled * np.asarray(eps) ** (d + 1 - np.arange(d + 1))
+        tbl = (tbl[..., 1:, :] - tbl[..., :-1, :]) / step
+        diffs.append(tbl[..., 0, :])
+    cols = np.stack(diffs[: d + 1], axis=-1)
+    scaled = linalg.stack_solver(cols)(-diffs[d + 1][..., None])[..., 0]
+    A = scaled * eps[..., None] ** (d + 1 - np.arange(d + 1))
     return DiscreteCoords(d, x, eps, tilde_from_A(A), A)
 
 
@@ -118,8 +127,8 @@ def limit_diagnostics(spec, x):
     radius, nodes = _contour(offsets, spec.dtype)
     lifts = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)[0]
     windows = _shifted_lifts(lifts[..., 0], nodes[:, None] * offsets, 0)[0]
-    coords = [coords_from_samples(w, x, e) for e, w in zip(nodes, windows)]
-    samples = np.array([np.concatenate([c.A, c.a_tilde]) for c in coords])
+    coords = coords_from_samples(windows, x, nodes)
+    samples = np.concatenate([coords.A, coords.a_tilde], axis=-1)
     # rows above d + 1 are roundoff amplified by radius^-k
     coeffs = _taylor(samples, radius)[:d + 2]
     A, a_tilde = coeffs[:, :d + 1], coeffs[:, d + 1:]

@@ -8,6 +8,12 @@ companion U of the differential equation.  Transfer matrices P carry the
 frame of the curve to the frame of its image under the map, and the discrete
 Lax relation between L before and after the map degenerates, at rate step
 cubed, to the zero-curvature equation dU/dt = [V, U] + dV/dx.
+
+The limits are read off a Cauchy contour in the step, and every piece of
+the per-node algebra (the companions, the difference bases, the transfer
+matrices) takes a stack with one member per contour node, so a run does
+each step once for all nodes; each member is bit for bit its one-node
+result.
 """
 
 import math
@@ -21,11 +27,17 @@ from .expansion import (FIRST_ORDER_TOL, NotCentralized, _contour, _report,
                         _taylor)
 from .fitting import decay_order
 from .jets import Jet, derivative_stack, jet_solver
-from .linalg import solve_dense
+from .linalg import stack_solver
 
 
 def _maxabs(m):
     return float(np.max(np.abs(m)))
+
+
+def _u_companion(u):
+    """U from the values (u_0, ..., u_{d-1}) at a point: identity block
+    above, last row (-u_0, ..., -u_{d-1}, 0)."""
+    return _shift_companion(np.append(-u, 0))
 
 
 def u_matrix(spec, x):
@@ -34,12 +46,7 @@ def u_matrix(spec, x):
     Identity block above, last row (-u_0, ..., -u_{d-1}, 0): the frame
     Γ, Γ', ..., Γ^(d) satisfies Φ' = U Φ.
     """
-    d = spec.d
-    m = np.zeros((d + 1, d + 1), dtype=spec.dtype)
-    for i in range(d):
-        m[i, i + 1] = 1
-    m[d, :d] = -spec.u_jet(x, 0).value
-    return m
+    return _u_companion(spec.u_jet(x, 0).value)
 
 
 def _q2_gamma(g, u):
@@ -60,37 +67,43 @@ def _v_jets(g, q2g, c):
 
 
 def _shift_companion(a_tilde):
-    """Zero first column, identity block, recurrence coefficients in last row."""
+    """Zero first column, identity block, recurrence coefficients in last
+    row; a stack (..., d+1) of coefficient rows gives (..., d+1, d+1)."""
     a_tilde = np.asarray(a_tilde)
-    d = a_tilde.size - 1
-    m = np.zeros((d + 1, d + 1), dtype=np.result_type(a_tilde.dtype, np.float64))
-    m[:d, 1:] = np.eye(d)
-    m[d] = a_tilde
+    d = a_tilde.shape[-1] - 1
+    m = np.zeros(a_tilde.shape + (d + 1,),
+                 dtype=np.result_type(a_tilde.dtype, np.float64))
+    m[..., :d, 1:] = np.eye(d)
+    m[..., d, :] = a_tilde
+    return m
+
+
+def _pascal(d, eps, entry):
+    """(*eps.shape, d+1, d+1) lower triangle of entry(k, i, eps) over an
+    array of nonzero steps.  Powers go through np.power: the ``**``
+    operator squares a complex array by another rounding than a complex
+    scalar's power, and the contour's steps are complex."""
+    eps = np.asarray(eps)
+    if np.any(eps == 0):
+        raise ValueError("eps must be nonzero")
+    m = np.zeros(eps.shape + (d + 1, d + 1),
+                 dtype=np.result_type(eps.dtype, np.float64))
+    for k in range(d + 1):
+        for i in range(k + 1):
+            m[..., k, i] = entry(k, i, eps)
     return m
 
 
 def d_eps(d, eps):
-    """Point samples to scaled differences: (-1)^{k-i} C(k,i) / eps^k."""
-    if eps == 0:
-        raise ValueError("eps must be nonzero")
-    dtype = np.result_type(np.asarray(eps).dtype, np.float64)
-    m = np.zeros((d + 1, d + 1), dtype=dtype)
-    for k in range(d + 1):
-        for i in range(k + 1):
-            m[k, i] = (-1) ** (k - i) * math.comb(k, i) / eps ** k
-    return m
+    """Point samples to scaled differences: (-1)^{k-i} C(k,i) / eps^k, one
+    matrix per step of an array eps."""
+    return _pascal(d, eps, lambda k, i, e:
+                   (-1) ** (k - i) * math.comb(k, i) / np.power(e, k))
 
 
 def d_eps_inv(d, eps):
     """Pascal inverse of d_eps: entries C(k,i) eps^i."""
-    if eps == 0:
-        raise ValueError("eps must be nonzero")
-    dtype = np.result_type(np.asarray(eps).dtype, np.float64)
-    m = np.zeros((d + 1, d + 1), dtype=dtype)
-    for k in range(d + 1):
-        for i in range(k + 1):
-            m[k, i] = math.comb(k, i) * eps ** i
-    return m
+    return _pascal(d, eps, lambda k, i, e: math.comb(k, i) * np.power(e, i))
 
 
 def _drift(U, c, v, q2g):
@@ -122,8 +135,10 @@ def _drift(U, c, v, q2g):
 
 
 def _transfer(curve, mapped):
-    """P with P (curve rows) = mapped rows, both sampled at the same steps."""
-    return solve_dense(curve.T, mapped.T).T
+    """P with P (curve rows) = mapped rows, both sampled at the same steps;
+    stacks (..., d+1, d+1) of windows give one P per member."""
+    solve = stack_solver(np.swapaxes(curve, -1, -2))
+    return np.swapaxes(solve(np.swapaxes(mapped, -1, -2)), -1, -2)
 
 
 class LaxReport:
@@ -159,9 +174,11 @@ def lax_limit_diagnostics(spec, chi, x):
     Needs a configuration with no first-order drift.  One application of
     the map covers the contour nodes of the extraction times the window
     columns k = 0..d+1, the configuration shifted by k (its image at x is
-    the image at x + kε), and column 0 gives c22 and w as extract_alphas
-    reads them; the node lifts, the curve windows and Γ, Q_2 Γ all come
-    from one order-40 lift jet at x.  Each window is shared between the
+    the image at x + kε), lifting each distinct node offset p + k once, and
+    column 0 gives c22 and w as extract_alphas reads them; the node lifts,
+    the curve windows, Γ, Q_2 Γ and U all come from one order-40 lift jet
+    at x and its u-coefficients.  The node algebra is one stacked
+    operation over all contour nodes.  Each window is shared between the
     transfer matrices and the two companions, which makes the discrete
     relation an identity to solver precision.  conj_slope is the decay
     order of the conjugated companion's approach to U: 1 when its ε^0
@@ -179,7 +196,7 @@ def lax_limit_diagnostics(spec, chi, x):
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     c22 = float(report.alpha[2, 2])
-    U = np.asarray(u_matrix(spec, x), dtype=np.float64)
+    U = np.asarray(_u_companion(u_coeffs[0, :, 0]), dtype=np.float64)
     g, q2g = _q2_gamma(lifts[:d + 5, :, 0], u_coeffs[:d + 5, :, 0])
     vj = _v_jets(g, q2g, c22)
     V, V_prime = vj.value, vj.derivative().value
@@ -187,23 +204,21 @@ def lax_limit_diagnostics(spec, chi, x):
     dudt_w = np.zeros_like(U)
     dudt_w[d, :d] = -np.asarray(report.w, dtype=np.float64)
 
+    # every node at once, node axis first: both companions, both transfer
+    # matrices, the conjugated companion, then its quotients
     curves = _shifted_lifts(lifts[..., 0], ks * eps[:, None], 0)[0]
     eye = np.eye(d + 1)
-    ident = np.empty(eps.size)
-    # per node: conjugated companion, both quotients, both transfer matrices
-    stacks = np.empty((eps.size, 5, d + 1, d + 1), dtype=windows.dtype)
-    for j, (e, curve, window) in enumerate(zip(eps, curves, windows)):
-        dm, dmi = d_eps(d, e), d_eps_inv(d, e)
-        lt0 = _shift_companion(coords_from_samples(curve, x, e).a_tilde)
-        lt1 = _shift_companion(coords_from_samples(window, x, e).a_tilde)
-        p0 = _transfer(curve[:d + 1], window[:d + 1])
-        p1 = _transfer(curve[1:], window[1:])
-        conjugated = p1 @ lt0 @ solve_dense(p0, eye)
-        ident[j] = _maxabs(lt1 - conjugated)
-        stacks[j] = [(dm @ lt0 @ dmi - eye) / e,
-                     dm @ (lt1 - lt0) @ dmi / e ** 3,
-                     dm @ (conjugated - lt0) @ dmi / e ** 3,
-                     dm @ p0 @ dmi - eye, dm @ p1 @ dmi - eye]
+    dm, dmi = d_eps(d, eps), d_eps_inv(d, eps)
+    lt0, lt1 = _shift_companion(
+        coords_from_samples(np.stack([curves, windows]), x, eps).a_tilde)
+    p0 = _transfer(curves[:, :d + 1], windows[:, :d + 1])
+    p1 = _transfer(curves[:, 1:], windows[:, 1:])
+    conjugated = p1 @ lt0 @ stack_solver(p0)(np.broadcast_to(eye, p0.shape))
+    e = eps[:, None, None]
+    stacks = np.stack([(dm @ lt0 @ dmi - eye) / e,
+                       dm @ (lt1 - lt0) @ dmi / e ** 3,
+                       dm @ (conjugated - lt0) @ dmi / e ** 3,
+                       dm @ p0 @ dmi - eye, dm @ p1 @ dmi - eye], axis=1)
     coeffs = _taylor(stacks.reshape(eps.size, -1), radius)
     conj, qlhs, qrhs, p0, p1 = np.moveaxis(
         coeffs.reshape((-1, 5, d + 1, d + 1)), 1, 0)
@@ -213,7 +228,7 @@ def lax_limit_diagnostics(spec, chi, x):
     out.target = target
     out.conj_slope = decay_order([conj[0] - U, conj[1]])
     out.conj_limit_dev = _maxabs(conj[0] - U)
-    out.identity_max = float(np.max(ident))
+    out.identity_max = _maxabs(lt1 - conjugated)
     out.quot_lhs_dev = _maxabs(qlhs[0] - target)
     out.quot_rhs_dev = _maxabs(qrhs[0] - target)
     out.w_target_dev = _maxabs(dudt_w - target)

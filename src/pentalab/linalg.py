@@ -83,12 +83,18 @@ def _lu_solve(factors, b):
     return x.reshape(b.shape)
 
 
+def _require_finite(a):
+    """Raise SingularMatrixError on a non-finite entry, which LAPACK's solve
+    would pass on as NaN."""
+    if not np.all(np.isfinite(a)):
+        raise SingularMatrixError("array must not contain infs or NaNs")
+
+
 def _factor(a):
     """_lu_ge(a) of a stack the solves can use; raises SingularMatrixError
     on a non-finite entry or a zero pivot in any matrix, as the float64
     path does."""
-    if not np.all(np.isfinite(a)):
-        raise SingularMatrixError("array must not contain infs or NaNs")
+    _require_finite(a)
     factors = _lu_ge(a)
     if factors[3].any():
         raise SingularMatrixError("exactly singular matrix")
@@ -96,10 +102,12 @@ def _factor(a):
 
 
 def solve_dense(a, b):
-    """Solve a @ x = b for square a; raises SingularMatrixError."""
+    """Solve a @ x = b for square a; raises SingularMatrixError on a
+    singular or non-finite a."""
     a = np.asarray(a)
     b = np.asarray(b)
     if _is_lapack_friendly(a) and _is_lapack_friendly(b):
+        _require_finite(a)
         try:
             return np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
@@ -121,8 +129,7 @@ def stack_solver(a):
     """
     a = np.asarray(a)
     if _is_lapack_friendly(a):
-        if not np.all(np.isfinite(a)):
-            raise SingularMatrixError("array must not contain infs or NaNs")
+        _require_finite(a)
         # the sign is 0 exactly when LAPACK meets a zero pivot, which is
         # when the solve would fail
         if np.any(np.linalg.slogdet(a)[0] == 0):

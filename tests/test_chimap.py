@@ -373,3 +373,19 @@ def test_shift_maps_the_shifted_configuration(curve_d3):
     frames = CurveSpec(3, curve_d3.u, 0.3, np.eye(4)).frame_at(0.3 + 0.05 * ks)
     assert_allclose(lift.value, np.einsum("kj,kji->ki", moved.value, frames),
                     rtol=0, atol=1e-12)
+
+
+def test_shift_broadcasts_against_x_and_eps(curve_d2):
+    # the batch (x, eps, shift) = (2, 3, 4) lifts each distinct offset once
+    # per (x, eps) and gathers; every member is its own application
+    chi = short_diagonal_chi(2)
+    xs = np.array([0.3, 0.45])[:, None, None]
+    eps = (0.05 * np.exp(1j * np.array([0.0, 0.4, 1.1])))[:, None]
+    ks = np.arange(4)
+    lift, u = chi_map_point(curve_d2, chi, xs, eps, 6, shift=ks)
+    assert lift.c.shape[1:] == (2, 3, 4, 3)
+    for i, j, k in np.ndindex(2, 3, 4):
+        one, u_one = chi_map_point(curve_d2, chi.shift(k), xs[i, 0, 0],
+                                   eps[j, 0], 6)
+        assert np.array_equal(lift.c[:, i, j, k], one.c)
+        assert np.array_equal(u.c[:, i, j, k], u_one.c)

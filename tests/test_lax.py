@@ -1,15 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pentalab.chimap import chi_map_point
 from pentalab.configs import evenly_spaced_chi, short_diagonal_chi
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, gamma_jet,
                              random_curve_spec, zero_curve_spec)
-from pentalab.discretize import discrete_coords
-from pentalab.expansion import extract_alphas
+from pentalab.discretize import coords_from_samples, discrete_coords
+from pentalab.expansion import _contour, extract_alphas
 from pentalab.jets import eval_jet
 from pentalab.lax import (
     _drift,
@@ -189,6 +192,58 @@ class TestDifferenceBasis:
             d_eps_inv(2, 0j)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def scalar_d_eps(d, e):
+    """(d_eps, d_eps_inv) of one step, entry by entry in scalar arithmetic
+    as the per-node loop built them: the reference for the contour's
+    complex steps, whose stacked powers must round as a scalar's do."""
+    dm = np.zeros((d + 1, d + 1), dtype=e.dtype)
+    dmi = np.zeros_like(dm)
+    for k in range(d + 1):
+        for i in range(k + 1):
+            dm[k, i] = (-1) ** (k - i) * math.comb(k, i) / e ** k
+            dmi[k, i] = math.comb(k, i) * e ** i
+    return dm, dmi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 13), st.booleans(),
+       st.integers(0, 2 ** 16))
+def test_a_stack_equals_its_members(d, size, complex_step, seed):
+    # lax_limit_diagnostics does every contour node's algebra as one stack;
+    # each member must come out as the one-member call gives it
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(0.05, 0.2, size) * rng.choice([-1, 1], size)
+    pts, mapped = rng.standard_normal((2, size, d + 2, d + 1))
+    if complex_step:
+        eps = eps * np.exp(1j * rng.uniform(0, np.pi, size))
+        pts = pts + 1j * rng.standard_normal(pts.shape)
+    coords = coords_from_samples(pts, X0, eps)
+    dm, dmi = d_eps(d, eps), d_eps_inv(d, eps)
+    lt = _shift_companion(coords.a_tilde)
+    p = _transfer(pts[:, 1:], mapped[:, 1:])
+    for j in range(size):
+        one = coords_from_samples(pts[j], X0, eps[j])
+        assert same_bits(coords.A[j], one.A)
+        assert same_bits(coords.a_tilde[j], one.a_tilde)
+        assert same_bits(dm[j], d_eps(d, eps[j]))
+        assert same_bits(dmi[j], d_eps_inv(d, eps[j]))
+        if complex_step:
+            want, want_inv = scalar_d_eps(d, eps[j])
+            assert same_bits(dm[j], want) and same_bits(dmi[j], want_inv)
+        assert same_bits(lt[j], _shift_companion(one.a_tilde))
+        assert same_bits(p[j], _transfer(pts[j, 1:], mapped[j, 1:]))
+    bad = eps.copy()
+    bad[rng.integers(size)] = 0
+    for stacked in (lambda e: d_eps(d, e), lambda e: d_eps_inv(d, e),
+                    lambda e: coords_from_samples(pts, X0, e)):
+        with pytest.raises(ValueError):
+            stacked(bad)
+
+
 class TestTransfer:
     @pytest.mark.parametrize("shift", [0, 1])
     def test_defining_relation(self, curve_d2, shift):
@@ -334,7 +389,8 @@ class TestLimits:
     def test_frame_and_u_at_x_are_taken_once(self, curve_d2, monkeypatch):
         # no frame is transported: the lift jet at x starts from the
         # identity frame, which the report and the drift read as their
-        # own; U is built once
+        # own; U is built from row 0 of the u-coefficients of that jet,
+        # with no second pass over the u-trees through u_matrix
         import pentalab.lax
 
         us = []
@@ -350,7 +406,47 @@ class TestLimits:
         monkeypatch.setattr(CurveSpec, "frame_at", no_frame)
         monkeypatch.setattr(pentalab.lax, "u_matrix", counted_u)
         lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
-        assert us == [X0]
+        assert us == []
+
+    @pytest.mark.parametrize("d,seed", [(2, 11), (3, 23)])
+    def test_one_pass_over_the_u_trees_per_run(self, d, seed, monkeypatch):
+        import pentalab.curves
+
+        calls = []
+        inner = pentalab.curves.eval_jet
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
+        lax_limit_diagnostics(random_curve_spec(d, seed=seed),
+                              short_diagonal_chi(d), X0)
+        assert len(calls) == d  # one u-tree each, at x only
+
+    def test_each_distinct_node_offset_is_lifted_once(self, curve_d3,
+                                                       monkeypatch):
+        # the map lifts node p of window column k at offset (p + k) eps; at
+        # d = 3 the 7 nodes times 5 columns give 35 offsets, 11 distinct
+        import pentalab.chimap
+
+        hs = []
+        inner = pentalab.chimap._shifted_lifts
+
+        def seen(g, h, kmax):
+            hs.append(np.asarray(h))
+            return inner(g, h, kmax)
+
+        monkeypatch.setattr(pentalab.chimap, "_shifted_lifts", seen)
+        d, chi = 3, short_diagonal_chi(3)
+        lax_limit_diagnostics(curve_d3, chi, X0)
+        nodes = {p for g in chi.groups for p in g}
+        offsets = sorted({p + k for p in nodes for k in range(d + 2)})
+        assert (len(nodes) * (d + 2), len(offsets)) == (35, 11)
+        _, eps = _contour(nodes, curve_d3.dtype)
+        [h] = hs
+        assert np.array_equal(h.reshape(eps.size, len(offsets)),
+                              np.array(offsets) * eps[:, None])
 
     def test_mapped_point_at_x_is_computed_once_per_rung(self, curve_d2,
                                                            monkeypatch):

@@ -127,6 +127,17 @@ def test_stack_solver_rejects_any_bad_matrix_up_front(rng, bad, dtype):
             solve_dense(a[1], np.ones(2, dtype=dtype))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_dense_rejects_a_non_finite_matrix(bad, stack, dtype):
+    # np.linalg.solve passes a NaN entry on as a NaN solution
+    a = np.broadcast_to(np.eye(2, dtype=dtype), stack + (2, 2)).copy()
+    a.reshape(-1, 2, 2)[-1, 0, 1] = bad
+    with pytest.raises(SingularMatrixError, match="infs or NaNs"):
+        solve_dense(a, np.ones(stack + (2, 1), dtype=dtype))
+
+
 def looped_lu_solve(a, b):
     """(x, det) of one matrix by the per-matrix LU the stacked one replaced:
     the reference its members must equal bit for bit."""
