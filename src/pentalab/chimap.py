@@ -40,7 +40,10 @@ def build_spans(spec, chi, x, eps, kmax, shift=0):
     order-40 lift jet at its x (``curves._shifted_lifts``, which raises
     IntegrationFailure when h lies outside the lift's radius of
     convergence); an offset p + k that repeats across the shifts is
-    shifted once per x and eps.
+    shifted once per x and eps.  Each x and eps is shifted by every
+    distinct offset, so x and eps must not vary along an axis that the
+    shift spans (ValueError): a member would be shifted by offsets it does
+    not use, and could fail the radius check where its own call would not.
     """
     return _spans(spec, chi, x, eps, kmax,
                   _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0], shift)
@@ -55,24 +58,21 @@ def _spans(spec, chi, x, eps, kmax, lifts, shift):
         raise ValueError("configuration dimension does not match the curve")
     nodes = sorted({p for g in chi.groups for p in g})
     offsets = np.array(nodes) + np.asarray(shift)[..., None]
-    g = lifts.reshape(lifts.shape[:2] + x.shape + (1,))
-    if offsets.ndim == 1:  # one shift, as every map but lax's: no repeats
-        rows = _shifted_lifts(g, offsets * eps[..., None], kmax)
-        return [Jet(rows[..., [nodes.index(p) for p in grp], :], copy=False)
-                for grp in chi.groups]
-    # an offset p + k repeated across the shifts k is lifted once per x and
-    # eps, and each span gathers its rows by offset: both to (K+1, *batch,
-    # offset, ...)
-    distinct, which = np.unique(offsets, return_inverse=True)
     lifted = np.broadcast_shapes(x.shape, eps.shape)
-    batch = np.broadcast_shapes(lifted, offsets.shape[:-1])
+    if any(a > 1 and b > 1
+           for a, b in zip(lifted[::-1], offsets.shape[-2::-1])):
+        raise ValueError("x and eps must not vary along the shift's axes")
+    # an offset p + k repeated across the shifts k is lifted once per x and
+    # eps, to (K+1, *lifted, offset, d+1); a span takes each member's rows
+    # by two index arrays, its flat (x, eps) member and its shift's
+    # offsets, which broadcast to (*batch, group)
+    distinct, which = np.unique(offsets, return_inverse=True)
+    g = lifts.reshape(lifts.shape[:2] + x.shape + (1,))
     rows = _shifted_lifts(g, distinct * eps[..., None], kmax)
-    rows = rows.reshape(rows.shape[:1] + (1,) * (len(batch) - len(lifted))
-                        + rows.shape[1:])
-    which = which.reshape((1,) * (len(batch) + 2 - offsets.ndim)
-                          + offsets.shape + (1,))
-    return [Jet(np.take_along_axis(
-                rows, which[..., [nodes.index(p) for p in grp], :], axis=-2),
+    rows = rows.reshape(rows.shape[:1] + (-1,) + rows.shape[-2:])
+    member = np.arange(rows.shape[1]).reshape(lifted + (1,))
+    which = which.reshape(offsets.shape)
+    return [Jet(rows[:, member, which[..., [nodes.index(p) for p in grp]]],
                 copy=False)
             for grp in chi.groups]
 
@@ -151,7 +151,7 @@ def chi_map_point(spec, chi, x, eps, kmax, shift=0):
     Wronskian rescaling and the coefficient extraction behind it.  Arrays x,
     eps and shift (see build_spans) map the whole batch they broadcast to in
     one pass, and both jets then carry the batch shape ahead of their last
-    axis.
+    axis; x and eps must not vary along the shift's axes.
     """
     return _map_lifted(spec, chi, x, eps, kmax,
                        _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0],

@@ -389,3 +389,14 @@ def test_shift_broadcasts_against_x_and_eps(curve_d2):
                                    eps[j, 0], 6)
         assert np.array_equal(lift.c[:, i, j, k], one.c)
         assert np.array_equal(u.c[:, i, j, k], u_one.c)
+
+
+def test_shift_axes_must_not_carry_x_or_eps(curve_d2):
+    # every x and eps is shifted by each distinct offset of the whole shift,
+    # so an x or eps that varies along the shift's axis is refused
+    chi = short_diagonal_chi(2)
+    ks = np.arange(4)
+    with pytest.raises(ValueError, match="shift's axes"):
+        chi_map_point(curve_d2, chi, 0.3 + 0.01 * ks, 0.05, 6, shift=ks)
+    with pytest.raises(ValueError, match="shift's axes"):
+        chi_map_point(curve_d2, chi, 0.3, 0.05 + 0.01 * ks, 6, shift=ks)
