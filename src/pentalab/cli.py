@@ -5,9 +5,14 @@ Every subcommand writes one JSON (or CSV) report and exits 0 when the run's
 verdict is within tolerance, 1 on a tolerance failure or a degenerate run,
 and 2 on a usage error.  Reports are deterministic for a fixed seed: keys
 are sorted, the seed is recorded, and nothing time-dependent is written.
+
+The parser is built once per process, and a command's handler is looked up
+by name in this module at dispatch, so a patched ``cmd_*`` is the one that
+runs.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -319,6 +324,7 @@ def _add_run_flags(p):
     _add_output_flags(p)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pentalab",
@@ -335,7 +341,7 @@ def build_parser():
     p.add_argument("family", choices=_FAMILY_NAMES)
     _add_family_flags(p)
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_families, needs_run_config=False)
+    p.set_defaults(handler="cmd_families", needs_run_config=False)
 
     p = sub.add_parser("expand", help="the expansion coefficients of the "
                                       "mapped curve at one point")
@@ -343,27 +349,27 @@ def build_parser():
     p.add_argument("--x", type=_finite_float, default=0.3)
     p.add_argument("--kmax", type=int, default=2)
     _add_ignored_step_flags(p)
-    p.set_defaults(handler=cmd_expand, needs_run_config=True)
+    p.set_defaults(handler="cmd_expand", needs_run_config=True)
 
     p = sub.add_parser("centralize", help="test first-order vanishing and "
                                           "coefficient constancy across x")
     _add_run_flags(p)
     p.add_argument("--x", type=_finite_float, nargs="+",
-                   default=[-0.4, 0.3, 1.1])
-    p.set_defaults(handler=cmd_centralize, needs_run_config=True)
+                   default=(-0.4, 0.3, 1.1))
+    p.set_defaults(handler="cmd_centralize", needs_run_config=True)
 
     p = sub.add_parser("kdv-verify", help="compare the second-order flow "
                                           "against the commutator right-hand "
                                           "side")
     _add_run_flags(p)
     p.add_argument("--x", type=_finite_float, default=0.3)
-    p.set_defaults(handler=cmd_kdv_verify, needs_run_config=True)
+    p.set_defaults(handler="cmd_kdv_verify", needs_run_config=True)
 
     p = sub.add_parser("lax-verify", help="check the limits of the "
                                           "transfer-matrix picture")
     _add_run_flags(p)
     p.add_argument("--x", type=_finite_float, default=0.3)
-    p.set_defaults(handler=cmd_lax_verify, needs_run_config=True)
+    p.set_defaults(handler="cmd_lax_verify", needs_run_config=True)
 
     p = sub.add_parser("realize34", help="check a plane configuration for "
                                          "the third-order flow")
@@ -375,12 +381,12 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="seed for random curves, recorded in the report")
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_realize34, needs_run_config=False)
+    p.set_defaults(handler="cmd_realize34", needs_run_config=False)
 
     p = sub.add_parser("dof", help="lower bound on constraints for the "
                                    "order-m flow")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=cmd_dof, needs_run_config=False)
+    p.set_defaults(handler="cmd_dof", needs_run_config=False)
 
     return parser
 
@@ -397,13 +403,12 @@ _OPERATION_NAMES = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()[args.handler]
     try:
         if args.needs_run_config:
-            rc = RunConfig.from_args(args)
-            return args.handler(rc)
-        return args.handler(args)
+            return handler(RunConfig.from_args(args))
+        return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

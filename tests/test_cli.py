@@ -559,3 +559,91 @@ class TestRealize34:
             main(argv + ["--precision", "extended"])
         assert exc.value.code == 2
         assert "--precision" in capsys.readouterr().err
+
+
+class TestDispatch:
+    """main builds one parser per process and finds each handler by name."""
+
+    EXPAND = ["expand", "--chi", "short-diagonal", "--d", "2", "--kmax", "4"]
+
+    def test_parser_is_built_once(self):
+        from pentalab.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_a_patched_handler_is_the_one_that_runs(self, capsys,
+                                                    monkeypatch):
+        first, report, _ = run(capsys, self.EXPAND)
+        calls = []
+        handler = pentalab.cli.cmd_expand
+
+        def counted(rc):
+            calls.append(rc)
+            return handler(rc)
+
+        monkeypatch.setattr(pentalab.cli, "cmd_expand", counted)
+        second, again, _ = run(capsys, self.EXPAND)
+        assert len(calls) == 1
+        assert (second, again) == (first, report)
+
+    def test_repeated_calls_share_no_state(self, capsys):
+        sequence = [
+            ["centralize", "--chi", "short-diagonal", "--d", "2"],
+            ["expand", "--chi", "evenly-spaced", "--d", "2", "--p", "-0.8",
+             "0.5", "--r-step", "0.9"],
+            ["families", "short-diagonal", "--d", "3", "--seed", "5"],
+            ["lax-verify", "--d", "2"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        forward = [outcome(argv) for argv in sequence]
+        backward = [outcome(argv) for argv in reversed(sequence)][::-1]
+        assert forward == backward
+        assert [code for code, _, _ in forward] == [0, 0, 2, 0]
+        assert json.loads(forward[0][1])["x_values"] == [-0.4, 0.3, 1.1]
+
+    def test_the_benchmark_tracer_sees_a_cached_dispatch(self, tmp_path):
+        # perfbench/run.py makes one untraced pass, which builds the parser,
+        # then installs its tracer over every pentalab module namespace
+        import importlib.util
+
+        import pentalab.cli as cli
+
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                      path)
+        tracer_mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_mod)
+
+        def bindings():
+            out = {name: dict(vars(mod)) for name, mod in sys.modules.items()
+                   if mod is not None and name.split(".")[0] == "pentalab"}
+            out["CurveSpec.frame_at"] = CurveSpec.frame_at
+            out["Jet.__init__"] = pentalab.jets.Jet.__init__
+            return out
+
+        argv = self.EXPAND + ["--out", str(tmp_path / "report.json")]
+        assert cli.main(argv) == 0
+        before = bindings()
+        tracer = tracer_mod.Tracer()
+        with tracer:
+            code = cli.main(argv)
+        assert code == 0
+        assert tracer.stats["cli.cmd_expand"][0] == 1
+        after = bindings()
+        assert after.keys() == before.keys()
+        for key, old in before.items():
+            new = after[key]
+            if isinstance(old, dict):
+                assert new.keys() == old.keys(), key
+                assert all(new[k] is v for k, v in old.items()), key
+            else:
+                assert new is old, key
