@@ -41,11 +41,15 @@ from .realize import (DegenerateProbes, NotPlaneConfig, check_34,
                       dof_lower_bound, mari_beffa_family, r_poly_roots)
 
 _FAMILY_NAMES = ("short-diagonal", "evenly-spaced", "dual-dented")
-# what a run can meet on a geometry it cannot handle; anything else is a
-# bug and is raised, not reported as a failed run
+# what a run can meet on a geometry it cannot handle (ZeroDivisionError: a
+# pole of a u_i at the working point); anything else is a bug and is
+# raised, not reported as a failed run
 _RUN_ERRORS = (DegenerateIntersection, DegenerateLift, DegenerateSystem,
                IntegrationFailure, SingularMatrixError, NotCentralized,
-               NonPositiveBase, DegenerateProbes, CommutatorResidue)
+               NonPositiveBase, DegenerateProbes, CommutatorResidue,
+               ZeroDivisionError)
+# what reading a malformed input file can raise: a usage error
+_LOAD_ERRORS = (OSError, KeyError, TypeError, ValueError)
 # largest kdv-verify deviation that passes
 _KDV_TOL = 1e-3
 
@@ -124,7 +128,7 @@ class RunConfig:
         if args.curve != "random":
             try:
                 spec = CurveSpec.load(args.curve, dtype=rc.dtype)
-            except (OSError, KeyError, ValueError) as exc:
+            except _LOAD_ERRORS as exc:
                 raise UsageError(f"cannot load curve from {args.curve!r}: {exc}")
 
         chi_arg = args.chi
@@ -134,7 +138,7 @@ class RunConfig:
         else:
             try:
                 rc.chi = ChiConfig.load(chi_arg)
-            except (OSError, KeyError, ValueError) as exc:
+            except _LOAD_ERRORS as exc:
                 raise UsageError(f"cannot load chi from {chi_arg!r}: {exc}")
             rc.applied_shift = 0.0
 
@@ -263,7 +267,7 @@ def cmd_realize34(args):
     else:
         try:
             chi = ChiConfig.load(args.chi)
-        except (OSError, KeyError, ValueError) as exc:
+        except _LOAD_ERRORS as exc:
             raise UsageError(f"cannot load chi from {args.chi!r}: {exc}")
     curves = [random_curve_spec(3, seed=args.seed + k)
               for k in range(args.probes)]

@@ -22,20 +22,17 @@ and Lax fields) is invariant under it.  So no experiment transports a
 frame, and the base point x0 and frame F0 of a spec reach only
 ``frame_at`` and what is built on it (``gamma_jet``, ``wronskian``).
 ``_lift_coeffs`` lifts an array of points in one pass over the u-trees and
-one run of the ODE recursion.
+one run of the ODE recursion, and it is the only source of lift jets.
 Every curve sample near a working point, at a real or complex offset, is a
 Taylor shift (``_shifted_lifts``, guarded row by row) of the one order-40
 lift jet there, so the map and ``lax`` build that jet once per working
 point.  ``normalized_lift`` takes a stack of lifts.
 
-``frame_at`` uses Taylor stepping on a fixed anchor grid (order 14, step
-1/16) rather than a generic ODE integrator: the recursion hands us the
-Taylor method directly and keeps the Wronskian at machine precision.  It
-holds no state: each call steps from x0 out to its lowest and its highest
-point, with the u-jets of the anchors it visits from one pass over the
-u-trees per ``_AHEAD`` anchors, keeps the frames and series of the anchors
-its points need, then takes every partial step in one Horner pass, each
-point's frame bit for bit the one a one-point call gives.
+``frame_at`` carries F0 along the same path: the identity lifts at the
+anchors x0 + j/2 between x0 and its points come from one ``_lift_coeffs``
+call, the shift of anchor j's lift by h, rows 0..d, is the matrix that
+carries a frame at the anchor to the anchor + h, and each point takes the
+frame at its nearest anchor one shift further.
 """
 
 import functools
@@ -48,16 +45,13 @@ from . import linalg
 from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, _falling_table,
                    derivative_stack, det_jet, eval_jet, jet_solver, trig_poly)
 
-_STEP = 1.0 / 16.0
-_STEP_ORDER = 14
-# anchors whose u-jets one pass evaluates (x = 64 away): bounds the memory
-# of a long march that the frame check may cut short
-_AHEAD = 1024
 # order of the lift jet at a working point that nearby samples shift from
 _SHIFT_ORDER = 40
-# frame_at raises past either bound: an entry this large blew up, and a
-# Wronskian this far from 1 no longer belongs to a unimodular frame
-_BLOWUP = 1e12
+# frame_at's anchor spacing: the radius guard of an order-40 lift first
+# trips at offsets of 1.1 (d = 2..4, random_curve_spec seeds 0-11)
+_STEP = 0.5
+# frame_at raises past it: a Wronskian this far from 1 no longer belongs
+# to a unimodular frame
 _UNIMODULAR_TOL = 1e-3
 
 
@@ -131,40 +125,30 @@ class CurveSpec:
         of points gives one frame per point, (*x.shape, d+1, d+1)."""
         x = np.asarray(x)
         xs = x.reshape(-1)
-        x0 = self.dtype.type(self.x0)  # anchors x0 + j/16 in the spec's dtype
+        x0 = self.dtype.type(self.x0)  # anchors x0 + j/2 in the spec's dtype
         js = np.floor((xs - x0) / _STEP + 0.5).astype(np.int64)
-        hs = xs - (x0 + js * _STEP)
-        partial = hs != 0.0
         lo, hi = min(int(js.min()), 0), max(int(js.max()), 0)
-        # x0's anchor out to each end it leaves, both ends included
-        runs = [r for r in (range(0, hi + 1), range(0, lo - 1, -1))
-                if len(r) > 1] or [range(0, 1)]
-        need = set(js.tolist())
-        frames, series = {}, {}  # the frame and Taylor series of each needed anchor
-        for run in runs:
-            frame = self.F0
-            for n in range(0, len(run), _AHEAD):
-                ks = run[n:n + _AHEAD]
-                u = self.u_jet(x0 + np.array(ks) * _STEP, _STEP_ORDER).c
-                for k, uk in zip(ks, np.moveaxis(u, -1, 0)):
-                    g = _ode_taylor_coeffs(uk, frame, self.d, _STEP_ORDER)
-                    if k in need:
-                        frames[k], series[k] = frame, g
-                    if k == run[-1]:
-                        break
-                    frame = _frame_from_coeffs(g, run.step * _STEP, self.d)
-                    if not np.all(np.isfinite(frame)) or np.max(np.abs(frame)) > _BLOWUP:
-                        raise IntegrationFailure(
-                            f"frame blew up near x = {self.x0 + k * _STEP:g}")
-        out = np.stack([frames[j] for j in js.tolist()])
-        if partial.any():
-            g = np.stack([series[j] for j in js[partial].tolist()], axis=-1)
-            frames = np.moveaxis(_frame_from_coeffs(g, hs[partial], self.d), -1, 0)
-            bad = ~np.all(np.isfinite(frames), axis=(1, 2))
-            if bad.any():
-                raise IntegrationFailure(
-                    f"frame blew up near x = {xs[partial][bad.argmax()]:g}")
-            out[partial] = frames
+        lifts = _lift_coeffs(self, x0 + np.arange(lo, hi + 1) * _STEP,
+                             _SHIFT_ORDER)[0]
+        scale = _factorials(self.d + 1, self.dtype)[:, None]
+
+        def carry(j, h):
+            # rows 0..d of anchor j's identity lift at the anchor + h: the
+            # spec's lift is that lift times the frame at the anchor
+            rows = _shifted_lifts(lifts[..., j - lo], h, self.d)
+            return np.ascontiguousarray(np.moveaxis(rows, 0, -2) * scale)
+
+        walk = [(j, 1) for j in range(hi)] + [(j, -1) for j in range(0, lo, -1)]
+        frames = {0: self.F0}
+        if walk:
+            starts, signs = np.array(walk).T
+            for (j, sign), step in zip(walk, carry(starts, signs * _STEP)):
+                frames[j + sign] = step @ frames[j]
+        out = carry(js, xs - (x0 + js * _STEP)) @ np.stack(
+            [frames[j] for j in js.tolist()])
+        bad = ~np.all(np.isfinite(out), axis=(1, 2))
+        if bad.any():
+            raise IntegrationFailure(f"frame blew up at x = {xs[bad.argmax()]:g}")
         drift = linalg.det_dense(out) - 1
         if np.any(np.abs(drift) > _UNIMODULAR_TOL):
             i = int(np.argmax(np.abs(drift)))
@@ -193,35 +177,30 @@ def _ode_table(order, d):
     return tuple(table)
 
 
-def _ode_taylor_coeffs(u_coeffs, frame, d, order):
-    """Taylor coefficients of the lift at the frame's base point.
+def _ode_taylor_coeffs(u_coeffs, d, order):
+    """Taylor coefficients of the lift from the identity frame, at each of
+    P points, (order+1, d+1, P), from the u_i there, (order+1, d, P).
 
-    Rows 0..d come from the frame; higher rows from the ODE recursion
-    g^(d+1) = -sum_i u_i g^(i), expanded coefficientwise with u_coeffs the
-    (order+1, d) array of the u_i: the m-th Taylor coefficient of
-    u_i g^(i) is sum_k u_i[k] * g[m-k+i] * (m-k+i)!/(m-k)!, one vector-matrix
-    product per i, summed in order of i.  A trailing axis of P points on
-    u_coeffs and on the frame, (d+1, d+1, P), gives (order+1, d+1, P).
+    Rows 0..d come from the identity frame; higher rows from the ODE
+    recursion g^(d+1) = -sum_i u_i g^(i), expanded coefficientwise: the
+    m-th Taylor coefficient of u_i g^(i) is sum_k u_i[k] * g[m-k+i] *
+    (m-k+i)!/(m-k)!, one vector-matrix product per i, summed in order of i.
     """
-    one = frame.ndim == 2
-    if one:
-        u_coeffs, frame = u_coeffs[..., None], frame[..., None]
     # point-major contiguous operands (``take``, where ``g[:, rows]`` is
     # not): one stacked matmul then makes every product with the BLAS call
     # a lone product makes, so each point's result is the same bit for bit
     u = np.ascontiguousarray(np.transpose(u_coeffs, (2, 1, 0)))  # (P, d, order+1)
-    dtype = frame.dtype
+    dtype = u.dtype
     g = np.zeros((u.shape[0], order + 1, d + 1), dtype=dtype)
     for k in range(d + 1):
-        g[:, k] = frame[k].T / math.factorial(k)
+        g[:, k, k] = dtype.type(1) / math.factorial(k)
     for m, (rows, weights, divisor) in enumerate(_ode_table(order, d)):
         terms = (u[:, :, None, : m + 1] * weights[:, None]) @ np.take(g, rows, axis=1)
         acc = np.zeros((u.shape[0], d + 1), dtype=dtype)
         for i in range(d):
             acc += terms[:, i, 0]
         g[:, m + d + 1] = -acc / divisor
-    g = np.moveaxis(g, 0, -1)
-    return g[..., 0] if one else g
+    return np.moveaxis(g, 0, -1)
 
 
 def _frame_from_coeffs(g, h, d):
@@ -246,7 +225,8 @@ def _shifted_lifts(g, h, kmax):
     """Taylor coefficients 0..kmax of the lift at t + h, (kmax+1, *shape,
     d+1), from its coefficients g, (N+1, d+1, ...), at t, h (real or
     complex) broadcast against g's trailing axes; IntegrationFailure when a
-    row's last term is not below roundoff (h beyond the convergence radius)."""
+    row's last term is not below roundoff (h beyond the convergence radius,
+    or a lift that overflowed)."""
     order, n = g.shape[0] - 1, g.shape[1]
     shape = np.broadcast_shapes(g.shape[2:], np.shape(h))
     # copied: Horner over the broadcast view slowed a d = 3 lax run by 35%
@@ -258,7 +238,11 @@ def _shifted_lifts(g, h, kmax):
     k = np.arange(kmax + 1)[:, None]
     last = (_falling_table(order)[k, order] * np.max(np.abs(g[-1]), axis=0)
             * np.abs(h) ** (order - k))
-    if np.any(last > np.finfo(g.dtype).eps * np.max(np.abs(rows), axis=1)):
+    bound = np.finfo(g.dtype).eps * np.max(np.abs(rows), axis=1)
+    if not np.all((last <= bound) & np.isfinite(bound)):  # NaN fails too
+        if not np.all(np.isfinite(g)):
+            raise IntegrationFailure(f"the lift overflowed: its order-{order} "
+                                     "Taylor series is not finite")
         raise IntegrationFailure(f"node offset {np.max(np.abs(h)):.3g} lies "
                                  "outside the lift's radius of convergence")
     rows = rows / _factorials(kmax + 1, g.dtype)[:, None, None]
@@ -271,16 +255,14 @@ def _lift_coeffs(spec, xs, order):
     built from, (order+1, d, P): one pass over the u-trees and one run of
     the ODE recursion serve every point, and no frame is transported."""
     u = spec.u_jet(xs, order).c
-    eye = np.eye(spec.d + 1, dtype=spec.dtype)[..., None]
-    frames = np.broadcast_to(eye, eye.shape[:2] + (len(xs),))
-    return _ode_taylor_coeffs(u, frames, spec.d, order), u
+    return _ode_taylor_coeffs(u, spec.d, order), u
 
 
 def gamma_jet(spec: CurveSpec, x, order) -> Jet:
     """Jet (order+1, d+1) of the spec's normalized lift at x, to the given
-    order (>= d), from its frame there."""
-    return Jet(_ode_taylor_coeffs(spec.u_jet(x, order).c, spec.frame_at(x),
-                                  spec.d, order), copy=False)
+    order (>= d): the identity lift there times the frame there."""
+    lift = _lift_coeffs(spec, np.array([x]), order)[0][..., 0]
+    return Jet(lift @ spec.frame_at(x), copy=False)
 
 
 def wronskian(spec: CurveSpec, x) -> float:

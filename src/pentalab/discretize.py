@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .curves import _SHIFT_ORDER, CurveSpec, _lift_coeffs, _shifted_lifts
+from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts
 from .expansion import _contour, _taylor
 from .fitting import decay_order
 
@@ -83,11 +83,12 @@ def coords_from_samples(pts, x, eps):
 
 
 def discrete_coords(spec, x, eps):
-    """Recurrence coordinates of the curve itself at (x, eps), sampled on
-    the lift from the identity frame at x: they are SL(d+1)-invariant, and
-    no frame is carried out from x0."""
-    here = CurveSpec(spec.d, spec.u, x, np.eye(spec.d + 1), dtype=spec.dtype)
-    pts = here.frame_at(x + np.arange(spec.d + 2) * eps)[:, 0]
+    """Recurrence coordinates of the curve itself at (x, eps), sampled as
+    shifts k·eps of the lift jet from the identity frame at x: they are
+    SL(d+1)-invariant, and no frame is carried out from x0.
+    IntegrationFailure when (d+1)·eps passes the jet's radius guard."""
+    lift = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)[0][..., 0]
+    pts = _shifted_lifts(lift, np.arange(spec.d + 2) * eps, 0)[0]
     return coords_from_samples(pts, x, eps)
 
 

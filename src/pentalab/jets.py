@@ -424,7 +424,7 @@ class AnalyticFn:
     def from_dict(node):
         op = node["op"]
         if op == "const":
-            return AnalyticFn.const(node["value"])
+            return AnalyticFn.const(_finite_number(node["value"]))
         if op == "x":
             return AnalyticFn.x()
         if op in _BINARY:
@@ -435,8 +435,16 @@ class AnalyticFn:
             return AnalyticFn(op, (a,))
         if op == "pow":
             a = AnalyticFn.from_dict(node["arg"])
-            return AnalyticFn("pow", (a,), value=float(node["exponent"]))
+            return AnalyticFn("pow", (a,), value=_finite_number(node["exponent"]))
         raise ValueError(f"unknown op {op!r}")
+
+
+def _finite_number(value):
+    """A coefficient tree's number as a float; ValueError unless finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value} in a coefficient tree")
+    return value
 
 
 def trig_poly(a0, harmonics):

@@ -295,8 +295,18 @@ class TestExpand:
         (["expand", "--curve"], {"d": 2, "x0": 0.0, "F0": [[0, 0, 0]] * 3,
                                  "u": [{"op": "const", "value": 0.0}] * 2},
          "singular"),
+        (["expand", "--curve"], [2, 0.0], "cannot load curve"),
+        (["expand", "--curve"], {"d": 2, "x0": 0.0, "F0": np.eye(3).tolist(),
+                                 "u": [1, 2]}, "cannot load curve"),
+        (["expand", "--curve"], {"d": 2, "x0": 0.0, "F0": np.eye(3).tolist(),
+                                 "u": 5}, "cannot load curve"),
+        (["expand", "--chi"], {"d": 2, "groups": 5}, "cannot load chi"),
+        (["expand", "--chi"], [[-2, 0], [-1, 1]], "cannot load chi"),
+        (["realize34", "--chi"], [[-1, 1], [0, 2]], "cannot load chi"),
     ], ids=["chi-repeated-node",
-            "realize34-repeated-node", "realize34-not-planes", "singular-frame"])
+            "realize34-repeated-node", "realize34-not-planes", "singular-frame",
+            "curve-list", "curve-u-numbers", "curve-u-number",
+            "chi-groups-number", "chi-list", "realize34-chi-list"])
     def test_bad_input_is_a_usage_error(self, capsys, tmp_path, argv, file,
                                         why):
         # rejected before any extraction runs, so exit 2, not a run error
@@ -327,8 +337,15 @@ class TestExpand:
                                  "u": [{"op": "const", "value": 0.0}] * 2}),
         (["expand", "--chi"], {"d": 2, "groups": [[0, float("nan")],
                                                   [-1, 1]]}),
+        (["expand", "--curve"], {"d": 2, "x0": 0.0, "F0": np.eye(3).tolist(),
+                                 "u": [{"op": "const", "value": float("nan")},
+                                       {"op": "const", "value": 0.0}]}),
+        (["expand", "--curve"], {"d": 2, "x0": 0.0, "F0": np.eye(3).tolist(),
+                                 "u": [{"op": "pow", "exponent": "inf",
+                                        "arg": {"op": "x"}},
+                                       {"op": "const", "value": 0.0}]}),
     ], ids=["families-p", "expand-p", "shift", "x", "centralize-x", "eps0",
-            "curve-x0", "curve-F0", "chi-node"])
+            "curve-x0", "curve-F0", "chi-node", "curve-const", "curve-exponent"])
     def test_non_finite_input_is_a_usage_error(self, capsys, tmp_path, argv,
                                                file):
         # these exited 0 with NaN in the report, 1 on an IntegrationFailure,
@@ -379,6 +396,37 @@ class TestExpand:
         assert code == 1
         assert out == ""
         assert "IntegrationFailure" in err
+
+    @pytest.mark.parametrize("command, u0, x, why", [
+        # the order-40 lift jet overflows; its NaN rows passed the radius
+        # guard, and the run died in an SVD
+        ("expand", {"op": "const", "value": 1e30}, "0.3",
+         "IntegrationFailure: the lift overflowed"),
+        ("lax-verify", {"op": "const", "value": 1e30}, "0.3",
+         "IntegrationFailure: the lift overflowed"),
+        ("kdv-verify", {"op": "const", "value": 1e30}, "0.3",
+         "IntegrationFailure: the lift overflowed"),
+        # u_0 = 1/x has a pole at the working point
+        ("expand", {"op": "div", "args": [{"op": "const", "value": 1.0},
+                                          {"op": "x"}]}, "0",
+         "ZeroDivisionError: jet division needs a nonzero constant term"),
+        ("kdv-verify", {"op": "div", "args": [{"op": "const", "value": 1.0},
+                                              {"op": "x"}]}, "0",
+         "ZeroDivisionError: jet division needs a nonzero constant term"),
+    ], ids=["overflow-expand", "overflow-lax-verify", "overflow-kdv-verify",
+            "pole-expand", "pole-kdv-verify"])
+    def test_curve_without_a_lift_at_x_is_a_run_error(self, capsys, tmp_path,
+                                                      command, u0, x, why):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({
+            "d": 2, "x0": 1.0, "F0": np.eye(3).tolist(),
+            "u": [u0, {"op": "const", "value": 0.0}]}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, [command, "--curve", str(path),
+                                          "--x", x])
+        assert code == 1
+        assert out == ""
+        assert why in err
 
     @pytest.mark.parametrize("bug", [np.linalg.LinAlgError("Singular matrix"),
                                      ValueError("operands could not be broadcast"),
