@@ -43,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, _falling_table,
-                   derivative_stack, det_jet, eval_jet, jet_solver, trig_poly)
+                   derivative_stack, eval_jet, jet_factor, jet_solver, trig_poly)
 
 # order of the lift jet at a working point that nearby samples shift from
 _SHIFT_ORDER = 40
@@ -279,6 +279,15 @@ def normalized_lift(raw, d, ref=None):
     lifts, (K+1, ..., d+1), is rescaled all at once, each on its own, and
     gives stacks of both; ref then broadcasts against the stack.
 
+    The raw lift solves its own ODE g^(d+1) + b_d g^(d) + ... + b_0 g = 0,
+    and its Wronskian W obeys Abel's identity W' = -b_d W (Coddington &
+    Levinson, Theory of Ordinary Differential Equations, 1955, ch. 3).  So
+    the scale f = W^(-1/(d+1)) is W0^(-1/(d+1)) exp(int b_d / (d+1)): one
+    jet solve for the b's, whose factorization of the constant-term frame
+    gives W0, and the recurrence m f_m = sum_k b_d[k] f_(m-1-k) / (d+1) of
+    f' = f b_d / (d+1), summed in order of k over whole arrays.  A second
+    solve on the rescaled frame gives the u's.
+
     Sign handling: when d+1 is odd the real odd root of the Wronskian fixes
     the lift uniquely whatever the sign of W.  When d+1 is even the Wronskian
     must be positive (raises DegenerateLift otherwise) and both signs of the
@@ -292,35 +301,46 @@ def normalized_lift(raw, d, ref=None):
     if raw.order < 2 * d + 1:
         raise ValueError(f"component jets must have order >= {2 * d + 1}")
 
-    w = det_jet(derivative_stack(raw, d + 1))
-    w0 = w.value
-    if np.any(w0 == 0.0) or not np.all(np.isfinite(w0)):
-        raise DegenerateLift("vanishing Wronskian")
-    sign_free = (d + 1) % 2 == 0
-    if np.iscomplexobj(w0):
-        f = w ** (-1.0 / (d + 1))
-    elif not sign_free:  # d+1 odd: the odd root handles either sign of W
-        s = np.where(w0 > 0, 1.0, -1.0)
-        f = Jet(w.c * s, copy=False) ** (-1.0 / (d + 1))
-        f = Jet(f.c * s, copy=False)
-    else:
-        if np.any(w0 < 0):
-            raise DegenerateLift("negative Wronskian admits no normalized lift")
-        f = w ** (-1.0 / (d + 1))
+    n = d + 1
+    frame = derivative_stack(raw, d + 2)
+    try:
+        solve, (sign, logdet) = jet_factor(frame[..., :n])
+    except DegenerateSystem as exc:
+        raise DegenerateLift(f"vanishing Wronskian: {exc}") from exc
+    b_d = solve(-frame[..., n]).c[..., d]
+    # one point axis of length >= 1 throughout: numpy's scalar arithmetic
+    # rounds differently from its array loops, and a stack member must come
+    # out as its own call does
+    stack = b_d.shape[1:]
+    rate = b_d.reshape(len(b_d), -1) / n
+    sign, logdet = np.reshape(sign, -1), np.reshape(logdet, -1)
+    if np.iscomplexobj(sign):
+        f0 = np.exp(-(logdet + 1j * np.angle(sign)) / n)
+    elif n % 2 == 0 and np.any(sign < 0):
+        raise DegenerateLift("negative Wronskian admits no normalized lift")
+    else:  # sign is 1 when n is even; when n is odd the odd root keeps it
+        f0 = sign * np.exp(-logdet / n)
+    f = np.empty((len(rate) + 1,) + rate.shape[1:], dtype=rate.dtype)
+    f[0] = f0
+    for m in range(1, len(f)):
+        acc = rate[0] * f[m - 1]
+        for k in range(1, m):
+            acc = acc + rate[k] * f[m - 1 - k]
+        f[m] = acc / m
 
-    scaled = Jet(f.c[..., None], copy=False) * raw
-    if np.iscomplexobj(w0) and ref is not None:
-        turns = _roots_of_unity(d + 1, w0.real.dtype)
+    scaled = Jet(f.reshape(f.shape[:1] + stack + (1,)), copy=False) * raw
+    if np.iscomplexobj(sign) and ref is not None:
+        turns = _roots_of_unity(n, logdet.dtype)
         dots = np.sum(ref * scaled.value, axis=-1)[..., None] * turns
         turn = turns[np.argmin(np.abs(np.angle(dots)), axis=-1)]
         scaled = Jet(scaled.c * turn[..., None], copy=False)
-    elif sign_free and ref is not None:
+    elif n % 2 == 0 and ref is not None:
         flip = np.sum(ref * scaled.value, axis=-1) < 0
         scaled = Jet(np.where(flip[..., None], -scaled.c, scaled.c), copy=False)
 
     frame = derivative_stack(scaled, d + 2)
     try:
-        coeffs = jet_solver(frame[..., :d + 1])(-frame[..., d + 1])
+        coeffs = jet_solver(frame[..., :n])(-frame[..., n])
     except DegenerateSystem as exc:
         raise DegenerateLift(f"frame not invertible: {exc}") from exc
     return scaled, coeffs[..., :d]

@@ -21,12 +21,14 @@ one-point jet bit for bit.  sin and cos of an affine argument (x, 2x) are
 in closed form.  Trees round-trip through JSON, so curve files can carry
 their coefficient functions.
 
-Linear algebra over series (``jet_solver``, ``det_jet``) takes matrix jets
-and pivots on constant terms only: a system is solved order by order against
-the LU factorization of its constant-term matrix.  Both take a stack of
-matrix jets, the stack in the tail ahead of the matrix axes, and treat it in
-stacked calls; every product over series with a tail sums in a fixed order,
-so each member of a stack comes out as it would on its own.
+Linear algebra over series (``jet_solver``, ``jet_factor``) takes matrix
+jets and pivots on constant terms only: a system is solved order by order
+against the LU factorization of its constant-term matrix, which also gives
+that matrix's determinant.  It takes a stack of matrix jets, the stack in
+the tail ahead of the matrix axes, and treats it in stacked calls; every
+product over series with a tail sums in a fixed order, so each member of a
+stack comes out as it would on its own.  No determinant of a series is
+formed: ``curves.normalized_lift`` gets the Wronskian from Abel's identity.
 """
 
 import functools
@@ -49,8 +51,7 @@ class Jet:
     """Truncated Taylor series: c[k] = f^(k)(x0) / k!, c of shape (K+1, *tail).
 
     Sums and products of jets broadcast the tails numpy-style, products
-    with a number scale; ``jet[i]`` indexes the tail.  Powers take scalar
-    jets with a positive or a complex constant term.
+    with a number scale; ``jet[i]`` indexes the tail.
     """
 
     __slots__ = ("c",)
@@ -130,11 +131,6 @@ class Jet:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, p):
-        """Real power of a scalar jet with a positive constant term, or the
-        principal power of a complex one."""
-        return Jet(_pow(self.c, p), copy=False)
 
 
 def _align(a, b):
@@ -487,6 +483,13 @@ def jet_solver(a):
     Solves order by order against the constant-term matrices, so pivoting
     sees constant terms only.
     """
+    return jet_factor(a)[0]
+
+
+def jet_factor(a):
+    """(solve, (sign, logdet)): jet_solver's solve and the determinant of
+    each constant-term matrix, as (sign, log|det|) of shape (...), both
+    from the one factorization of the constant terms."""
     t = a.c
     try:
         solve0 = linalg.stack_solver(t[0])
@@ -506,7 +509,7 @@ def jet_solver(a):
             x[m] = solve0(rhs)
         return Jet(x[..., 0] if vector else x, copy=False)
 
-    return solve
+    return solve, solve0.slogdet
 
 
 def derivative_stack(jet, count):
@@ -517,29 +520,3 @@ def derivative_stack(jet, count):
         chain.append(chain[-1].derivative())
     k = chain[-1].order + 1
     return Jet(np.stack([c.c[:k] for c in chain], axis=-1), copy=False)
-
-
-def det_jet(a):
-    """Determinant of a square matrix jet (K+1, ..., n, n) by cofactor
-    expansion (small n); a stack of matrices gives a stack of determinants."""
-    return Jet(_det(a.c), copy=False)
-
-
-def _det(c):
-    """Cofactor expansion of a (K+1, ..., n, n) coefficient array along its
-    first column, every product a convolution truncated to K+1 terms (each
-    determinant of a stack comes out as it would on its own)."""
-    n = c.shape[-1]
-    if n == 1:
-        return c[..., 0, 0]
-    if n == 2:
-        return (_convolve(c[..., 0, 0], c[..., 1, 1])
-                - _convolve(c[..., 0, 1], c[..., 1, 0]))
-    acc = None
-    for i in range(n):
-        term = _convolve(c[..., i, 0],
-                         _det(np.delete(c[..., 1:], i, axis=-2)))
-        if i % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc

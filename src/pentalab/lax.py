@@ -151,7 +151,7 @@ class LaxReport:
 
     # check -> (fields, lowest and highest passing value of each field)
     _GATES = {
-        "slope_in_band": (("conj_slope",), 0.8, 1.2),
+        "slope_in_band": (("conj_slope",), 1, 1),  # an integer decay order
         "conj_limit": (("conj_limit_dev",), 0.0, 1e-3),
         "identity": (("identity_max",), 0.0, 1e-9),
         "quotients": (("quot_lhs_dev", "quot_rhs_dev"), 0.0, 2e-2),

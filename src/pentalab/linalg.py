@@ -14,8 +14,11 @@ solved to every order in the working dtype.
 ``stack_solver``, ``det_dense`` and ``null_bases`` take a stack (..., m, n)
 of matrices and treat each on its own, in float64 the whole stack in one of
 numpy's stacked LAPACK calls, in extended precision in one pass of the
-hand-written LU.
+hand-written LU.  The solver ``stack_solver`` returns carries each matrix's
+sign and log|det| from that same call or pass.
 """
+
+import functools
 
 import numpy as np
 
@@ -118,25 +121,38 @@ def solve_dense(a, b):
 def stack_solver(a):
     """Check a square matrix, or a stack (..., n, n) of them, once; returns a
     callable solving a @ x = b for b of shape (..., n, k), or (n,) or (n, k)
-    with one matrix.
+    with one matrix, whose ``slogdet`` holds the sign and log|det| of each
+    matrix, each of shape (...).
 
     Raises SingularMatrixError here, when a is checked, not at a solve.  In
-    float64 each solve is one call of numpy's stacked LAPACK solve, which
-    factors again: for the few-by-few stacks here that costs less than any
-    loop over stored factors.  Other dtypes factor the whole stack once with
-    the hand-written LU, and each solve is one forward and one back sweep
-    over the stack.
+    float64 the check is numpy's stacked slogdet, and each solve is one call
+    of numpy's stacked LAPACK solve, which factors again: for the
+    few-by-few stacks here that costs less than any loop over stored
+    factors.  Other dtypes factor the whole stack once with the hand-written
+    LU, whose pivots and row swaps give the slogdet, and each solve is one
+    forward and one back sweep over the stack.
     """
     a = np.asarray(a)
     if _is_lapack_friendly(a):
         _require_finite(a)
+        slogdet = tuple(np.linalg.slogdet(a))
         # the sign is 0 exactly when LAPACK meets a zero pivot, which is
         # when the solve would fail
-        if np.any(np.linalg.slogdet(a)[0] == 0):
+        if np.any(slogdet[0] == 0):
             raise SingularMatrixError("exactly singular matrix")
-        return lambda b: np.linalg.solve(a, b)
-    factors = _factor(a)
-    return lambda b: _lu_solve(factors, b)
+        solve = functools.partial(np.linalg.solve, a)
+    else:
+        factors = _factor(a)
+        lu, _, swaps, _ = factors
+        pivots = np.diagonal(lu, axis1=-2, axis2=-1)
+        sign = np.where(swaps % 2 == 1, -1, 1) * np.prod(pivots / np.abs(pivots), axis=-1)
+        logdet = np.sum(np.log(np.abs(pivots)), axis=-1)
+        slogdet = (sign.reshape(a.shape[:-2])[()], logdet.reshape(a.shape[:-2])[()])
+        solve = functools.partial(_lu_solve, factors)
+    # a partial, not a closure: it takes attributes, and a profiler that
+    # wraps the functions a call returns (perfbench's tracer) leaves it be
+    solve.slogdet = slogdet
+    return solve
 
 
 def det_dense(a):

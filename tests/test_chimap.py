@@ -16,7 +16,9 @@ from pentalab.configs import (dual_dented_chi, dual_dented_shift, evenly_spaced_
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, IntegrationFailure,
                              _frame_from_coeffs, _lift_coeffs, gamma_jet,
                              normalized_lift, random_curve_spec, zero_curve_spec)
-from pentalab.jets import Jet, _factorials, det_jet
+from pentalab.jets import Jet, _factorials
+
+from oracles import cofactor_det
 
 
 def const_span(rows):
@@ -36,8 +38,8 @@ def coplanarity_residual(point, spans):
         k = min(point.order, s.order) + 1
         rows = np.concatenate([point.c[:k, None], s.c[:k]], axis=1)
         for cols in combinations(range(rows.shape[2]), rows.shape[1]):
-            minor = det_jet(Jet(rows[:, :, cols], copy=False))
-            worst = max(worst, float(np.max(np.abs(minor.c))))
+            minor = cofactor_det(rows[:, :, cols])
+            worst = max(worst, float(np.max(np.abs(minor))))
     return worst
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -12,15 +14,20 @@ from pentalab.expansion import extract_alphas
 from pentalab.jets import AnalyticFn, Jet
 from pentalab.lax import lax_limit_diagnostics
 from pentalab.curves import (
+    _SHIFT_ORDER,
     CurveSpec,
     DegenerateLift,
     IntegrationFailure,
+    _lift_coeffs,
+    _shifted_lifts,
     gamma_jet,
     normalized_lift,
     random_curve_spec,
     wronskian,
     zero_curve_spec,
 )
+
+from oracles import cofactor_det
 
 
 def test_affine_motion_d1():
@@ -276,7 +283,7 @@ def test_normalized_lift_idempotent(curve_d2):
     x = 0.3
     fj = gamma_jet(curve_d2, x, 8)
     out, u_eps = normalized_lift(fj, 2)
-    assert out.order == fj.order - 2  # determinant jets cost d orders
+    assert out.order == fj.order - 2  # the Wronskian scale costs d orders
     assert_allclose(out.c, fj.c[: out.order + 1], rtol=1e-11, atol=1e-13)
     for i in range(2):
         assert u_eps[i].value == pytest.approx(curve_d2.u[i](x), abs=1e-10)
@@ -337,8 +344,92 @@ def test_normalized_lift_degenerate():
 
     lift = np.zeros((9, 4))
     lift[0, :2] = 1.0  # components (1, 1, 0, 0): every derivative vanishes
-    with pytest.raises(DegenerateLift):
+    with pytest.raises(DegenerateLift, match="vanishing Wronskian"):
         normalized_lift(Jet(lift), 3)
+
+
+# -- Abel's identity against a cofactor Wronskian --------------------------------
+
+
+def wronskian_series(c):
+    """Taylor coefficients of det(g, g', ..., g^(d)) for a lift with
+    coefficients c, (K+1, d+1), by the cofactor oracle; the derivative
+    series are formed here from k-th coefficients times falling factorials."""
+    d = c.shape[-1] - 1
+    m = np.arange(len(c) - d)
+    cols = [c[k:k + len(m)] * np.array([math.perm(i + k, k) for i in m],
+                                       dtype=c.real.dtype)[:, None]
+            for k in range(d + 1)]
+    return cofactor_det(np.stack(cols, axis=-1))
+
+
+def raw_lift(d, kind, seed, x, negate):
+    """A lift with no unit Wronskian: the lift of a random curve at x, or at
+    a complex contour node offset from x, in a random frame and times a
+    random nonconstant gauge; negate flips the sign of its Wronskian."""
+    rng = np.random.default_rng(seed)
+    dtype = np.longdouble if kind == "longdouble" else np.float64
+    spec = random_curve_spec(d, seed=int(rng.integers(12)), dtype=dtype)
+    order = 2 * d + 4
+    h = rng.uniform(-0.2, 0.2)
+    frame = np.eye(d + 1) + 0.4 * rng.uniform(-1, 1, (d + 1, d + 1))
+    gauge = rng.uniform(-0.5, 0.5, order + 1) * 0.5 ** np.arange(order + 1)
+    gauge[0] = rng.uniform(0.5, 2.0)
+    if kind == "complex":
+        h = 0.2 * np.exp(2j * np.pi * rng.uniform())
+        frame = frame + 0.4j * rng.uniform(-1, 1, (d + 1, d + 1))
+        gauge = gauge * np.exp(1j * rng.uniform(-1, 1))
+    else:
+        frame[0] *= np.sign(np.linalg.det(frame)) * (-1 if negate else 1)
+    lift = _lift_coeffs(spec, np.array([x], dtype=dtype), _SHIFT_ORDER)[0]
+    rows = _shifted_lifts(lift, np.array([h]), order)[:, 0]
+    return (Jet(rows @ frame.astype(np.result_type(rows, frame.dtype)))
+            * Jet(gauge.astype(np.result_type(gauge, dtype))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(["float64", "longdouble", "complex"]),
+       st.integers(0, 2 ** 16), st.floats(-2.0, 2.0), st.booleans())
+def test_normalized_lift_has_unit_wronskian_at_every_order(d, kind, seed, x,
+                                                           negate):
+    # W' = -b_d W gives the scale; the cofactor Wronskian of the result,
+    # which shares no code with it, is 1 at every carried order, to double
+    # roundoff in double and below it in extended precision
+    negate = negate and d % 2 == 0  # an even frame needs W > 0
+    raw = raw_lift(d, kind, seed, x, negate)
+    w_raw = wronskian_series(raw.c)[0]
+    if kind == "complex":
+        assert np.iscomplexobj(w_raw)
+    else:
+        assert (w_raw < 0) == negate
+    out, _ = normalized_lift(raw, d)
+    w = wronskian_series(out.c)
+    assert len(w) == raw.order - 2 * d + 1 and w.dtype == raw.c.dtype
+    tol = 1e-16 if kind == "longdouble" else 1e-12
+    assert np.max(np.abs(w - np.eye(len(w))[0])) <= tol
+
+
+def test_normalized_lift_sign_rules():
+    spec = random_curve_spec(2, seed=4)
+    lift = gamma_jet(spec, 0.3, 9)
+    # d + 1 = 3: -lift has W = -1, and the real odd root gives lift back
+    out, _ = normalized_lift(-lift, 2)
+    assert_allclose(out.c, lift.c[:out.order + 1], rtol=1e-12, atol=1e-14)
+    # d + 1 = 4: one component negated makes W = -1, which no real scale
+    # can fix, and either frame's sign may come back
+    lift3 = gamma_jet(random_curve_spec(3, seed=4), 0.3, 10)
+    with pytest.raises(DegenerateLift, match="negative Wronskian"):
+        normalized_lift(Jet(lift3.c * [-1, 1, 1, 1]), 3)
+    # complex: the principal root, then the cube root of unity that brings
+    # the dot product sum(ref * lift) nearest the positive real axis
+    raw = Jet(lift.c * np.exp(2.5j))  # W = exp(7.5i), Arg W = 7.5 - 2 pi
+    principal, _ = normalized_lift(raw, 2)  # scales by exp(-(7.5 - 2 pi) i/3)
+    assert_allclose(principal.c, lift.c[:principal.order + 1]
+                    * np.exp(2j * np.pi / 3), rtol=1e-12, atol=1e-14)
+    for turn in np.exp(2j * np.pi * np.arange(3) / 3):
+        out, _ = normalized_lift(raw, 2, ref=lift.value / turn)
+        assert_allclose(out.c, lift.c[:out.order + 1] * turn,
+                        rtol=1e-12, atol=1e-14)
 
 
 def test_curve_json_roundtrip(curve_d2, tmp_path):

@@ -9,11 +9,13 @@ from pentalab.jets import (
     DegenerateSystem,
     Jet,
     NonPositiveBase,
-    det_jet,
     eval_jet,
+    jet_factor,
     jet_solver,
     trig_poly,
 )
+
+from oracles import cofactor_det
 
 
 def random_jet(rng, order):
@@ -55,11 +57,12 @@ def test_division_needs_nonzero_constant():
 
 
 def test_fractional_power_roundtrip(rng):
-    a = Jet(rng.uniform(0.5, 1.5, 9))
-    b = (a ** 0.5) * (a ** 0.5)
-    assert_allclose(b.c, a.c, rtol=1e-12)
+    f = 2.0 + random_fn(rng)  # positive constant term
+    x = rng.uniform(-2, 2)
+    root = eval_jet(f ** 0.5, x, 8)
+    assert_allclose((root * root).c, eval_jet(f, x, 8).c, rtol=1e-12)
     with pytest.raises(NonPositiveBase):
-        Jet([-1.0, 0.3, 0.1]) ** 0.5
+        eval_jet((AnalyticFn.x() - 1.0) ** 0.5, 0.0, 2)
     assert issubclass(NonPositiveBase, ValueError)
 
 
@@ -265,13 +268,14 @@ def test_stacked_solve_and_det_equal_each_system(rng, dtype):
     a[0] += 3.0 * np.eye(n, dtype=dtype)
     b = rng.uniform(-1, 1, (order + 1, 2, 3, n)).astype(dtype)
     x = jet_solver(Jet(a))(Jet(b))
-    det = det_jet(Jet(a))
+    _, (sign, logdet) = jet_factor(Jet(a))
     assert x.c.shape == b.shape and x.c.dtype == dtype
-    assert det.c.shape == (order + 1, 2, 3)
+    assert sign.shape == logdet.shape == (2, 3) and logdet.dtype == dtype
     for i, j in np.ndindex(2, 3):
         one = jet_solver(Jet(a[:, i, j]))(Jet(b[:, i, j]))
         assert np.array_equal(x.c[:, i, j], one.c)
-        assert np.array_equal(det.c[:, i, j], det_jet(Jet(a[:, i, j])).c)
+        _, (sign_one, logdet_one) = jet_factor(Jet(a[:, i, j]))
+        assert sign[i, j] == sign_one and logdet[i, j] == logdet_one
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -300,18 +304,28 @@ def test_singular_constant_term_raises_when_factored(dtype):
         jet_solver(Jet(c))
 
 
+# the cofactor oracle, which normalized_lift's tests use for the Wronskian
+
+
 def test_det_identity_and_diagonal(rng):
-    assert_allclose(det_jet(jet_eye(4, 3)).c, [1, 0, 0, 0], atol=1e-15)
+    assert_allclose(cofactor_det(jet_eye(4, 3).c), [1, 0, 0, 0], atol=1e-15)
     a, b = random_jet(rng, 5), random_jet(rng, 5)
     m = np.zeros((6, 2, 2))
     m[:, 0, 0] = a.c
     m[:, 1, 1] = b.c
-    assert_allclose(det_jet(Jet(m)).c, (a * b).c, atol=1e-14)
+    assert_allclose(cofactor_det(m), (a * b).c, atol=1e-14)
 
 
 def test_det_order_zero_matches_scalar(rng):
-    m = rng.uniform(-1, 1, (3, 3))
-    assert det_jet(Jet(m[None])).value == pytest.approx(np.linalg.det(m), rel=1e-12)
+    # the factorization's determinant, the oracle's and numpy's agree
+    for real in (True, False):
+        m = rng.uniform(-1, 1, (3, 3)) + (0 if real else 1j * rng.uniform(-1, 1, (3, 3)))
+        want = np.linalg.det(m)
+        assert cofactor_det(m[None])[0] == pytest.approx(want, rel=1e-12)
+        for dtype in ((np.float64, np.longdouble) if real
+                      else (np.complex128, np.clongdouble)):
+            _, (sign, logdet) = jet_factor(Jet(m[None].astype(dtype)))
+            assert sign * np.exp(logdet) == pytest.approx(want, rel=1e-12)
 
 
 def test_det_higher_order_against_product_expansion(rng):
@@ -326,7 +340,7 @@ def test_det_higher_order_against_product_expansion(rng):
     expect = diag[0]
     for dj in diag[1:]:
         expect = expect * dj
-    assert_allclose(det_jet(Jet(m)).c, expect.c, rtol=1e-12)
+    assert_allclose(cofactor_det(m), expect.c, rtol=1e-12)
 
 
 # -- closed-form trig and evaluation at many points ------------------------------

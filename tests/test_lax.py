@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -276,6 +277,14 @@ class TestLimits:
                                     short_diagonal_chi(2), 1.1)
         assert rep.conj_slope == 1
         assert rep.checks()["slope_in_band"]
+
+    def test_slope_band_takes_exactly_one(self, report_d2):
+        # conj_slope is an integer decay order: 0 or 2 is no first-order
+        # limit, and fails the check that keeps its name
+        rep = copy.copy(report_d2[1])
+        for slope, passes in ((0, False), (1, True), (2, False)):
+            rep.conj_slope = slope
+            assert rep.checks()["slope_in_band"] is passes
 
     def test_kinematic_limit_d3(self, report_d3):
         _, rep = report_d3

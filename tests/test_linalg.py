@@ -62,6 +62,10 @@ def test_extended_solve_and_det_match_rationals(rng):
         got_det = det_dense(a.astype(np.longdouble))
         assert got_det.dtype == np.longdouble
         assert rel_err(got_det, [[det]]) <= RTOL_EXTENDED
+        # the solver's slogdet comes from the same LU
+        sign, logdet = stack_solver(a.astype(np.longdouble)).slogdet
+        assert logdet.dtype == np.longdouble
+        assert rel_err(sign * np.exp(logdet), [[det]]) <= RTOL_EXTENDED
         worst64 = max(worst64, rel_err(np.linalg.solve(a, b), want))
     assert worst64 > RTOL_EXTENDED  # the tolerance tells the precisions apart
 
