@@ -10,14 +10,16 @@ Review 56 (2014)); the coefficient of ε^k on the j-th frame vector is the
 operator coefficient α_{k,j}.  The first two corrections are heavily
 structured (a bare first derivative, then a Schwarzian like second-order
 operator), and the checks in this module pin that structure.  One
-application of the map covers every node of the circle, and every working
-point of a constancy check, at once.
+application of the map covers every node of the circle, every working point
+of a constancy check, and every probe curve of a third-order check, at once:
+each working point's lift is built once (``curves._lift_coeffs``), and the
+map takes the stack of them, which may come from different curves.
 """
 
 import numpy as np
 
-from .chimap import chi_map_point
-from .curves import _roots_of_unity
+from .chimap import _map_lifted
+from .curves import _SHIFT_ORDER, _lift_coeffs, _roots_of_unity
 from .kdvops import JET_ORDER, kdv_rhs, l_operator
 
 # deepest expansion order a report carries
@@ -124,10 +126,27 @@ def _report(x, kmax, radius, points, invariants):
 def _extract(spec, chi, xs, kmax):
     """An extract_alphas report per working point in xs, from one
     application of the map to every (x, node) pair."""
+    return _extract_lifted(spec, chi, xs, kmax, _lift(spec, xs)[0])
+
+
+def _lift(spec, xs):
+    """The order-40 lift coefficients at the working points xs, (41, d+1,
+    len(xs)), and the u-jets they were built from, cut to JET_ORDER,
+    (JET_ORDER+1, d, len(xs)): the cut order-40 jet equals the jet
+    evaluated to JET_ORDER bit for bit."""
+    lifts, u = _lift_coeffs(spec, np.asarray(xs), _SHIFT_ORDER)
+    return lifts, u[:JET_ORDER + 1]
+
+
+def _extract_lifted(spec, chi, xs, kmax, lifts):
+    """An extract_alphas report per working point in xs from the lift
+    coefficients there, one column of lifts per point, and one application
+    of the map to every (x, node) pair.  The columns may come from different
+    curves: spec gives only d and the dtype, which they share."""
     check_kmax(kmax)
     radius, eps = _contour([p for g in chi.groups for p in g], spec.dtype)
-    lifted, u = chi_map_point(spec, chi, np.asarray(xs)[:, None], eps,
-                              2 * spec.d + 2)
+    lifted, u = _map_lifted(spec, chi, np.asarray(xs)[:, None], eps,
+                            2 * spec.d + 2, lifts)
     return [_report(x, kmax, radius, *mapped)
             for x, mapped in zip(xs, zip(lifted.value, u.value))]
 
@@ -169,9 +188,10 @@ def kdv_rhs_check(spec, chi, x):
     Valid only when the first-order term is absent; then the invariants move
     at the ε² timescale with velocity a22 times the commutator coefficients.
     """
-    report = extract_alphas(spec, chi, x)
+    lifts, u = _lift(spec, [x])
+    report = _extract_lifted(spec, chi, [x], 2, lifts)[0]
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
-    flow = kdv_rhs(l_operator(spec.u_jet(x, JET_ORDER).c), 2)
+    flow = kdv_rhs(l_operator(u[..., 0]), 2)
     predicted = report.alpha[2, 2] * flow.c[:, 0]
     return float(np.max(np.abs(report.w - predicted)))

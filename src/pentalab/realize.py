@@ -20,9 +20,9 @@ import numpy as np
 from .chimap import DegenerateIntersection
 from .configs import ChiConfig, SymTable
 from .curves import DegenerateLift
-from .expansion import extract_alphas
+from .expansion import _extract_lifted, _lift
 from .jets import DegenerateSystem, NonPositiveBase
-from .kdvops import JET_ORDER, l_operator, q_m
+from .kdvops import l_operator, q_m
 from .linalg import SingularMatrixError
 
 _G12_TOL = 1e-4
@@ -120,39 +120,52 @@ class Realization34Report:
         }
 
 
-def _q3_row(spec, x):
-    return q_m(l_operator(spec.u_jet(x, JET_ORDER).c), 3).c[:4, 0]
+def _probe(spec, x):
+    """(lift coefficients, (L^{3/4})_+ row) of a probe curve at x: the
+    lift the expansion maps, and the target row built from the u-jet that
+    same lift was built from."""
+    lifts, u = _lift(spec, [x])
+    return lifts, q_m(l_operator(u[..., 0]), 3).c[:4, 0]
 
 
 def check_34(chi, probe_curves, x):
     """Test whether the map on chi produces the third-order flow.
 
     Requires three plane groups in dimension 3 and at least three probe
-    curves.  The node-product condition is exact arithmetic; the residuals
-    are read off the expansion of each probe curve at x to order 3, and
-    the third-order row is compared against c * (L^{3/4})_+ with a single
-    constant shared across probes.  A probe whose intersection degenerates
-    is skipped and recorded.
+    curves of one precision.  The node-product condition is exact
+    arithmetic; the residuals are read off the expansion of each probe
+    curve at x to order 3, and the third-order row is compared against
+    c * (L^{3/4})_+ with a single constant shared across probes.  One
+    application of the map covers every probe, and each probe comes out
+    bit for bit as its own extraction would.  A probe whose intersection
+    degenerates is skipped and recorded.
     """
     _require_planes(chi)
     if len(probe_curves) < 3:
         raise ValueError("need at least three probe curves")
+    if len({(spec.d, spec.dtype) for spec in probe_curves}) > 1:
+        raise ValueError("probe curves must share one dimension and precision")
 
     table = SymTable(chi)
     top = table.top()
     sigma_equal = table.tops_agree() and abs(float(top[0])) > 0.0
 
-    alphas = []
-    targets = []
+    lifts, targets = zip(*(_probe(spec, x) for spec in probe_curves))
+    spec = probe_curves[0]
     skipped = []
-    for idx, spec in enumerate(probe_curves):
-        try:
-            rep = extract_alphas(spec, chi, x, kmax=3)
-        except DegenerateIntersection:
-            skipped.append(idx)
-            continue
-        alphas.append(rep.alpha)
-        targets.append(_q3_row(spec, x))
+    try:
+        reports = _extract_lifted(spec, chi, [x] * len(lifts), 3,
+                                  np.concatenate(lifts, axis=-1))
+    except DegenerateIntersection:
+        # one at a time, to learn which probes degenerate
+        reports = []
+        for idx, lift in enumerate(lifts):
+            try:
+                reports += _extract_lifted(spec, chi, [x], 3, lift)
+            except DegenerateIntersection:
+                skipped.append(idx)
+        targets = [t for idx, t in enumerate(targets) if idx not in skipped]
+    alphas = [rep.alpha for rep in reports]
     if not alphas:
         raise DegenerateProbes("every probe curve hit a degenerate intersection")
 
@@ -242,6 +255,9 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
     if len(probe_curves) < 3:
         raise ValueError("need at least three probe curves")
     probe = probe_curves[0]
+    # only chi changes along the descent: the probe is lifted, and its
+    # target row built, once
+    lifts, target = _probe(probe, x)
 
     params0 = np.array([p for g in seed_chi.groups for p in g])
     resumed = False
@@ -266,10 +282,10 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
         except ValueError:  # projected nodes that collide
             return 1e6
         try:
-            rep = extract_alphas(probe, chi, x, kmax=3)
+            [rep] = _extract_lifted(probe, chi, [x], 3, lifts)
         except _DEGENERATE:
             return 1e6
-        g1, g2, g3, _ = _residuals([rep.alpha], [_q3_row(probe, x)])
+        g1, g2, g3, _ = _residuals([rep.alpha], [target])
         f = g1 * g1 + g2 * g2 + g3 * g3
         if f < best["f"]:
             best["f"] = f

@@ -506,7 +506,7 @@ class TestCentralize:
         import pentalab.expansion
 
         calls = []
-        mapper = pentalab.expansion.chi_map_point
+        mapper = pentalab.expansion._map_lifted
         inner = pentalab.expansion.extract_alphas
 
         def counted(*args):
@@ -514,7 +514,7 @@ class TestCentralize:
             calls.append((x[:, 0].tolist(), eps.shape))
             return mapper(*args)
 
-        monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
+        monkeypatch.setattr(pentalab.expansion, "_map_lifted", counted)
         code, out, _ = run(capsys, ["centralize", "--d", "2", "--seed", "11",
                                     "--x", "-0.4", "0.3", "1.1"])
         monkeypatch.undo()

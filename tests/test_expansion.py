@@ -24,11 +24,13 @@ from pentalab import (
 )
 from pentalab.expansion import (
     NotCentralized,
+    _lift,
     alpha_constancy_check,
     extract_alphas,
     kdv_rhs_check,
     verify_G2_structure,
 )
+from pentalab.kdvops import JET_ORDER, kdv_rhs, l_operator
 
 
 class TestExtraction:
@@ -104,7 +106,7 @@ class TestExtraction:
         import pentalab.expansion as expansion
         from pentalab.jets import Jet
 
-        inner = expansion.chi_map_point
+        inner = expansion._map_lifted
 
         def poisoned(*args):
             lifted, u = inner(*args)
@@ -112,7 +114,7 @@ class TestExtraction:
             c[0, 0, 3, 1] = bad  # the point of rung 3, coordinate 1
             return Jet(c), u
 
-        monkeypatch.setattr(expansion, "chi_map_point", poisoned)
+        monkeypatch.setattr(expansion, "_map_lifted", poisoned)
         with pytest.raises(ValueError, match="infs or NaNs"):
             extract_alphas(curve_d2, short_diagonal_chi(2), 0.3)
 
@@ -219,7 +221,7 @@ class TestConstancy:
         chi = short_diagonal_chi(2)
         xs = [-0.4, 0.3, 1.1]
         calls = []
-        inner = expansion.chi_map_point
+        inner = expansion._map_lifted
 
         def counted(*args):
             x, eps = np.broadcast_arrays(*args[2:4])
@@ -227,7 +229,7 @@ class TestConstancy:
             assert eps.shape == (3, 13)  # the upper half of the contour
             return inner(*args)
 
-        monkeypatch.setattr(expansion, "chi_map_point", counted)
+        monkeypatch.setattr(expansion, "_map_lifted", counted)
         first, spread = alpha_constancy_check(curve_d2, chi, xs)
         monkeypatch.undo()
         assert calls == [xs]  # every point on every node in one application
@@ -256,6 +258,51 @@ class TestKdvCheck:
         with pytest.raises(NotCentralized):
             kdv_rhs_check(curve_d2, chi, 0.3)
         assert issubclass(NotCentralized, ValueError)
+
+    def test_one_u_tree_pass(self, curve_d3, monkeypatch):
+        chi = short_diagonal_chi(3)
+        calls = []
+        inner = CurveSpec.u_jet
+
+        def counted(spec, x, order):
+            calls.append(order)
+            return inner(spec, x, order)
+
+        monkeypatch.setattr(CurveSpec, "u_jet", counted)
+        got = kdv_rhs_check(curve_d3, chi, 0.3)
+        monkeypatch.undo()
+        # the lift's own u-jet builds L: no second pass to JET_ORDER
+        assert len(calls) == 1
+        report = extract_alphas(curve_d3, chi, 0.3)
+        flow = kdv_rhs(l_operator(curve_d3.u_jet(0.3, JET_ORDER).c), 2)
+        want = report.alpha[2, 2] * flow.c[:, 0]
+        assert got == float(np.max(np.abs(report.w - want)))
+
+
+def _general_u(rng, d):
+    """Quotient, square-root and product trees, as in general curve files."""
+    x = AnalyticFn.x()
+    a, b, c = rng.uniform(0.15, 0.35, size=3)
+    trees = [a * x.sin() / (2.0 + x.cos()),
+             b * (1.5 + (2.0 * x).cos()) ** 0.5 - c,
+             a * x.cos() * (2.0 * x).sin() + b]
+    return [trees[i % 3] for i in rng.permutation(d) + rng.integers(3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lift_u_jet_truncates_to_the_jet_order(d, dtype):
+    # kdv_rhs_check and check_34 build L from the order-40 u-jet of the
+    # lift, cut to JET_ORDER; it must equal the jet to JET_ORDER exactly
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for spec in (random_curve_spec(d, seed=seed, dtype=dtype),
+                     CurveSpec(d, _general_u(rng, d), 0.0, np.eye(d + 1),
+                               dtype=dtype)):
+            for x in (-0.7, 0.3, 1.1):
+                got = _lift(spec, [x])[1][..., 0]
+                assert got.dtype == spec.dtype
+                assert np.array_equal(got, spec.u_jet(x, JET_ORDER).c)
 
 
 class TestReport:

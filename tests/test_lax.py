@@ -473,7 +473,7 @@ class TestLimits:
                                   shift.ravel().tolist())))
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
+        monkeypatch.setattr(pentalab.expansion, "_map_lifted", counted)
         monkeypatch.setattr(pentalab.lax, "_map_lifted", counted)
         d = 2
         rep = lax_limit_diagnostics(curve_d2, short_diagonal_chi(d), X0)

@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pentalab.configs import ChiConfig, SymTable, hyperplane_centralization_test
-from pentalab.curves import random_curve_spec
+from pentalab.curves import CurveSpec, random_curve_spec
+from pentalab.expansion import extract_alphas
+from pentalab.kdvops import JET_ORDER, l_operator, q_m
 from pentalab.realize import (
     Realization34Report,
     check_34,
@@ -141,7 +145,7 @@ class TestCheck34:
         def degenerate(*args, **kwargs):
             raise DegenerateIntersection("stacked constraints are rank deficient")
 
-        monkeypatch.setattr(pentalab.realize, "extract_alphas", degenerate)
+        monkeypatch.setattr(pentalab.realize, "_extract_lifted", degenerate)
         with pytest.raises(DegenerateProbes, match="every probe curve"):
             check_34(integer_instance, probes, X0)
         assert issubclass(DegenerateProbes, RuntimeError)
@@ -156,6 +160,124 @@ class TestCheck34:
         assert blob["sigma_equal"] is True
         assert len(blob["sigma_top"]) == 3
         assert blob["chi"]["d"] == 3
+
+
+def _r_root_chi(index):
+    r = r_poly_roots()[index]
+    return ChiConfig(3, [[-1.0, 1.5, 4.0], [1.2, 10.0, -0.5],
+                         [1.0, -r, 6.0 / r]])
+
+
+def _spy_residuals(monkeypatch):
+    """The alpha stacks and results check_34 hands to _residuals."""
+    import pentalab.realize
+
+    seen = []
+    inner = pentalab.realize._residuals
+
+    def spy(alphas, targets):
+        out = inner(alphas, targets)
+        seen.append((np.array(alphas), out))
+        return out
+
+    monkeypatch.setattr(pentalab.realize, "_residuals", spy)
+    return seen
+
+
+def _per_probe(chi, probe_curves, x):
+    """The alpha stack and residuals of one extraction and one u-jet per
+    probe, as check_34 computed them before its probes shared a map."""
+    from pentalab.realize import _residuals
+
+    alphas = [extract_alphas(spec, chi, x, kmax=3).alpha
+              for spec in probe_curves]
+    targets = [q_m(l_operator(spec.u_jet(x, JET_ORDER).c), 3).c[:4, 0]
+               for spec in probe_curves]
+    return np.array(alphas), _residuals(alphas, targets)
+
+
+class TestStackedProbes:
+    @settings(max_examples=12, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 10 ** 6), min_size=3, max_size=5),
+           x=st.floats(-0.7, 1.2), chi=st.sampled_from(["integer", 0, 2]))
+    def test_every_probe_equals_its_own_extraction(self, seeds, x, chi):
+        chi = (mari_beffa_family(-2, 3, -5)[0] if chi == "integer"
+               else _r_root_chi(chi))
+        curves = [random_curve_spec(3, seed=s) for s in seeds]
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _spy_residuals(mp)
+            rep = check_34(chi, curves, x)
+        [(alphas, residuals)] = seen
+        want_alphas, want = _per_probe(chi, curves, x)
+        assert rep.skipped == ()
+        assert np.array_equal(alphas, want_alphas)
+        assert residuals == want
+        assert rep.c_fit == want[3]
+
+    def test_extended_precision(self, integer_instance, monkeypatch):
+        curves = [random_curve_spec(3, seed=s, dtype=np.longdouble)
+                  for s in (23, 41, 57)]
+        seen = _spy_residuals(monkeypatch)
+        rep = check_34(integer_instance, curves, 1.1)
+        [(alphas, residuals)] = seen
+        want_alphas, want = _per_probe(integer_instance, curves, 1.1)
+        assert np.array_equal(alphas, want_alphas)
+        assert residuals == want
+        assert rep.c_fit == want[3]
+
+    def test_mixed_precision_is_refused(self, integer_instance, probes):
+        extended = random_curve_spec(3, seed=5, dtype=np.longdouble)
+        with pytest.raises(ValueError, match="dimension and precision"):
+            check_34(integer_instance, probes + [extended], X0)
+
+    def test_one_map_and_one_u_pass_per_probe(self, integer_instance, probes,
+                                              monkeypatch):
+        import pentalab.expansion
+
+        maps, jets = [], []
+        mapper, u_jet = pentalab.expansion._map_lifted, CurveSpec.u_jet
+
+        def counted_map(*args, **kwargs):
+            maps.append(np.shape(args[2]))
+            return mapper(*args, **kwargs)
+
+        def counted_u(spec, x, order):
+            jets.append(spec)
+            return u_jet(spec, x, order)
+
+        monkeypatch.setattr(pentalab.expansion, "_map_lifted", counted_map)
+        monkeypatch.setattr(CurveSpec, "u_jet", counted_u)
+        rep = check_34(integer_instance, probes, X0)
+        monkeypatch.undo()
+        assert maps == [(3, 1)]  # every probe at x in one application
+        assert jets == probes
+        assert rep.to_dict() == check_34(integer_instance, probes,
+                                         X0).to_dict()
+
+    def test_one_degenerate_probe_is_skipped(self, integer_instance, probes,
+                                             monkeypatch):
+        import pentalab.realize
+        from pentalab.chimap import DegenerateIntersection
+        from pentalab.expansion import _lift
+
+        inner = pentalab.realize._extract_lifted
+        bad = _lift(probes[1], [X0])[0]
+
+        def degenerate(spec, chi, xs, kmax, lifts):
+            # the stacked call and probe 1's own call degenerate
+            if lifts.shape[-1] > 1 or np.array_equal(lifts, bad):
+                raise DegenerateIntersection("rank deficient")
+            return inner(spec, chi, xs, kmax, lifts)
+
+        monkeypatch.setattr(pentalab.realize, "_extract_lifted", degenerate)
+        seen = _spy_residuals(monkeypatch)
+        rep = check_34(integer_instance, probes, X0)
+        assert rep.skipped == (1,)
+        [(alphas, residuals)] = seen
+        want_alphas, want = _per_probe(integer_instance,
+                                       [probes[0], probes[2]], X0)
+        assert np.array_equal(alphas, want_alphas)
+        assert residuals == want
 
 
 class TestSearch:
@@ -213,7 +335,7 @@ class TestSearch:
             calls.append(args[1])
             raise bug("not a geometric failure")
 
-        monkeypatch.setattr(pentalab.realize, "extract_alphas", broken)
+        monkeypatch.setattr(pentalab.realize, "_extract_lifted", broken)
         with pytest.raises(bug, match="not a geometric failure"):
             search_34(integer_instance, probes, X0, max_iters=5)
         # raised by the seed's own evaluation, not scored as a bad point
