@@ -27,29 +27,24 @@ class DegenerateIntersection(Exception):
     """Spans that fail to meet in a single point at working precision."""
 
 
-def build_spans(spec, chi, x, eps, kmax, shift=0):
+def build_spans(spec, chi, x, eps, kmax):
     """Jets of the curve points spanning each subspace at step eps.
 
     The jets are taken in the curve variable itself, so every span (and the
     intersection point computed from them) lives at the common base point x,
     in the lift based at x with the identity frame.
-    Arrays x, eps and shift give each span the batch shape they broadcast to
-    ahead of its (q+1, d+1) matrix.  A shift k takes the configuration
-    shifted by k, whose image at x is the image at x + k eps.  Each node
-    lift, at real or complex eps, is a Taylor shift h = (p + k) eps of the
-    order-40 lift jet at its x (``curves._shifted_lifts``, which raises
-    IntegrationFailure when h lies outside the lift's radius of
-    convergence); an offset p + k that repeats across the shifts is
-    shifted once per x and eps.  Each x and eps is shifted by every
-    distinct offset, so x and eps must not vary along an axis that the
-    shift spans (ValueError): a member would be shifted by offsets it does
-    not use, and could fail the radius check where its own call would not.
+    Arrays x and eps give each span the batch shape they broadcast to ahead
+    of its (q+1, d+1) matrix.  Each node lift, at real or complex eps, is a
+    Taylor shift h = p eps of the order-40 lift jet at its x
+    (``curves._shifted_lifts``, which raises IntegrationFailure when h lies
+    outside the lift's radius of convergence); a node that several groups
+    share is shifted once per x and eps.
     """
     return _spans(spec, chi, x, eps, kmax,
-                  _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0], shift)
+                  _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0])
 
 
-def _spans(spec, chi, x, eps, kmax, lifts, shift):
+def _spans(spec, chi, x, eps, kmax, lifts):
     """build_spans from the lift coefficients at x, (41, d+1, x.size)."""
     x, eps = np.asarray(x), np.asarray(eps)
     if np.any(eps == 0):
@@ -57,23 +52,10 @@ def _spans(spec, chi, x, eps, kmax, lifts, shift):
     if chi.d != spec.d:
         raise ValueError("configuration dimension does not match the curve")
     nodes = sorted({p for g in chi.groups for p in g})
-    offsets = np.array(nodes) + np.asarray(shift)[..., None]
-    lifted = np.broadcast_shapes(x.shape, eps.shape)
-    if any(a > 1 and b > 1
-           for a, b in zip(lifted[::-1], offsets.shape[-2::-1])):
-        raise ValueError("x and eps must not vary along the shift's axes")
-    # an offset p + k repeated across the shifts k is lifted once per x and
-    # eps, to (K+1, *lifted, offset, d+1); a span takes each member's rows
-    # by two index arrays, its flat (x, eps) member and its shift's
-    # offsets, which broadcast to (*batch, group)
-    distinct, which = np.unique(offsets, return_inverse=True)
+    # every node lifted once per x and eps, (K+1, *batch, node, d+1)
     g = lifts.reshape(lifts.shape[:2] + x.shape + (1,))
-    rows = _shifted_lifts(g, distinct * eps[..., None], kmax)
-    rows = rows.reshape(rows.shape[:1] + (-1,) + rows.shape[-2:])
-    member = np.arange(rows.shape[1]).reshape(lifted + (1,))
-    which = which.reshape(offsets.shape)
-    return [Jet(rows[:, member, which[..., [nodes.index(p) for p in grp]]],
-                copy=False)
+    rows = _shifted_lifts(g, np.array(nodes) * eps[..., None], kmax)
+    return [Jet(rows[..., [nodes.index(p) for p in grp], :], copy=False)
             for grp in chi.groups]
 
 
@@ -143,26 +125,24 @@ def intersect_spans(spans):
         raise DegenerateIntersection(str(exc)) from exc
 
 
-def chi_map_point(spec, chi, x, eps, kmax, shift=0):
+def chi_map_point(spec, chi, x, eps, kmax):
     """Apply the map once at x and renormalize.
 
     Returns (lift, u): the output lift as a (K-d+1, d+1) jet and its d
     coefficients as a (K-2d, d) jet.  kmax must leave enough orders for the
-    Wronskian rescaling and the coefficient extraction behind it.  Arrays x,
-    eps and shift (see build_spans) map the whole batch they broadcast to in
-    one pass, and both jets then carry the batch shape ahead of their last
-    axis; x and eps must not vary along the shift's axes.
+    Wronskian rescaling and the coefficient extraction behind it.  Arrays x
+    and eps map the whole batch they broadcast to in one pass, and both jets
+    then carry the batch shape ahead of their last axis.
     """
     return _map_lifted(spec, chi, x, eps, kmax,
-                       _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0],
-                       shift=shift)
+                       _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0])
 
 
-def _map_lifted(spec, chi, x, eps, kmax, lifts, shift=0):
+def _map_lifted(spec, chi, x, eps, kmax, lifts):
     """chi_map_point from the lift coefficients at x, (41, d+1, x.size),
     whose row 0 is the curve point that fixes the output lift's sign."""
     if kmax < 2 * spec.d + 2:
         raise ValueError(f"need jet order >= {2 * spec.d + 2} to renormalize")
-    point = intersect_spans(_spans(spec, chi, x, eps, kmax, lifts, shift))
+    point = intersect_spans(_spans(spec, chi, x, eps, kmax, lifts))
     ref = np.moveaxis(lifts[0], 0, -1).reshape(np.shape(x) + (spec.d + 1,))
     return normalized_lift(point, spec.d, ref=ref)

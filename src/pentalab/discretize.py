@@ -6,31 +6,75 @@ multiplies the points themselves, A multiplies iterated forward differences.
 Scaled copies of the A recover the continuous coefficients u_i as the step
 shrinks, which is what `limit_diagnostics` reads off a Cauchy contour in
 the step.
+
+No curve is sampled.  The q-difference quotients δ_j = Δʲγ/εʲ of the
+samples γ((s+k)ε), k = 0..j, are read from the Taylor coefficients f_m of
+γ at x: the j-th divided difference of t^m at the nodes (s+k)ε is
+ε^{m-j} h_{m-j}(s, ..., s+j), with h the complete homogeneous symmetric
+polynomial (de Boor, "Divided differences", Surveys in Approximation
+Theory 1, 2005), so δ_j = j! Σ_{m≥j} f_m ε^{m-j} h_{m-j}(s, ..., s+j).
+A jet cut at order d+4 gives every δ_j, j <= d+1, as a polynomial in ε
+exact to order 3, and the recurrence δ_{d+1} = -Σ_i s_i δ_i solved in
+that basis is O(1)-conditioned however small the step, with
+A_i = s_i ε^{d+1-i}.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from . import linalg
-from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts
+from .curves import _lift_coeffs
 from .expansion import _contour, _taylor
 from .fitting import decay_order
 
+# orders of a lift jet beyond d that a recurrence window reads: with a jet
+# of order d + 4, orders 0..3 in the step of every scaled difference are exact
+_WINDOW_ORDERS = 4
 
-class DiscreteCoords:
-    """Both coordinate systems of the one-step recurrence at (x, eps), or at
-    each step of an array eps, with a_tilde and A of shape (*eps.shape,
-    d+1)."""
 
-    __slots__ = ("d", "x", "eps", "a_tilde", "A")
+@functools.lru_cache(maxsize=None)
+def _h_table(s, top, n):
+    """(top+1, n) read-only table of j! h_k(s, s+1, ..., s+j), zero where
+    j + k reaches n, from exact integer arithmetic."""
+    table = np.zeros((top + 1, n))
+    for j in range(top + 1):
+        h = [1] + [0] * (n - 1)  # h_k of no variables
+        for v in range(s, s + j + 1):
+            for k in range(1, n):
+                h[k] += v * h[k - 1]
+        table[j, :n - j] = [math.factorial(j) * hk for hk in h[:n - j]]
+    table.flags.writeable = False
+    return table
 
-    def __init__(self, d, x, eps, a_tilde, A):
-        self.d = d
-        self.x = x
-        self.eps = eps
-        self.a_tilde = np.asarray(a_tilde)
-        self.A = np.asarray(A)
+
+def _scaled_differences(coeffs, eps, s, top):
+    """δ_j = Δʲγ/εʲ of the samples γ((s+k)ε), j = 0..top, from the Taylor
+    coefficients (n, ...) of γ at x, (top+1, *shape): eps broadcasts
+    against the trailing axes of coeffs to shape.  Each δ_j is summed by
+    Horner's rule in ε, so a stack of steps gives each member the bits of
+    its own call."""
+    coeffs = np.asarray(coeffs)
+    n = len(coeffs)
+    table = _h_table(s, top, n)
+    # terms[j, k] = j! h_k f_{j+k}, zero past the jet's last order
+    index = np.minimum(np.arange(top + 1)[:, None] + np.arange(n), n - 1)
+    terms = table.reshape(table.shape + (1,) * (coeffs.ndim - 1))
+    terms = terms * coeffs[index]
+    acc = terms[:, -1]
+    for k in range(n - 2, -1, -1):
+        acc = acc * eps + terms[:, k]
+    return acc
+
+
+def _recurrence(deltas):
+    """s with δ_{d+1} = -Σ_i s_i δ_i, (..., d+1), from the scaled
+    differences (d+2, ..., d+1) of each member of a stack, in one stacked
+    solve."""
+    d = deltas.shape[0] - 2
+    cols = np.moveaxis(deltas[:d + 1], 0, -1)
+    return linalg.stack_solver(cols)(-deltas[d + 1][..., None])[..., 0]
 
 
 def tilde_from_A(A):
@@ -50,46 +94,6 @@ def tilde_from_A(A):
         out[..., i] = sum((-1) ** (k - i + 1) * math.comb(k, i) * full[..., k]
                           for k in range(i, d + 2))
     return out
-
-
-def coords_from_samples(pts, x, eps):
-    """Solve the one-step recurrence from d+2 consecutive curve samples.
-
-    pts may be a stack (..., d+2, d+1) of windows with one step each in
-    eps, (...); all of them take one stacked solve, and each member comes
-    out bit for bit as it does alone.  The solve happens in the basis of
-    forward differences scaled by 1/eps^i: that keeps the matrix
-    O(1)-conditioned however small the step, and its solution is
-    A_i/eps^{d+1-i} directly, so the tiny A_i are recovered without
-    cancellation on top of what the data already carries.
-    """
-    eps = np.asarray(eps)
-    if np.any(eps == 0):
-        raise ValueError("eps must be nonzero")
-    pts = np.asarray(pts)
-    d = pts.shape[-2] - 2
-    if pts.shape[-2:] != (d + 2, d + 1):
-        raise ValueError("need d+2 samples of a curve in R^{d+1}")
-    step = eps[..., None, None]
-    diffs = [pts[..., 0, :]]
-    tbl = pts
-    for _ in range(d + 1):
-        tbl = (tbl[..., 1:, :] - tbl[..., :-1, :]) / step
-        diffs.append(tbl[..., 0, :])
-    cols = np.stack(diffs[: d + 1], axis=-1)
-    scaled = linalg.stack_solver(cols)(-diffs[d + 1][..., None])[..., 0]
-    A = scaled * eps[..., None] ** (d + 1 - np.arange(d + 1))
-    return DiscreteCoords(d, x, eps, tilde_from_A(A), A)
-
-
-def discrete_coords(spec, x, eps):
-    """Recurrence coordinates of the curve itself at (x, eps), sampled as
-    shifts k·eps of the lift jet from the identity frame at x: they are
-    SL(d+1)-invariant, and no frame is carried out from x0.
-    IntegrationFailure when (d+1)·eps passes the jet's radius guard."""
-    lift = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)[0][..., 0]
-    pts = _shifted_lifts(lift, np.arange(spec.d + 2) * eps, 0)[0]
-    return coords_from_samples(pts, x, eps)
 
 
 class LimitTable:
@@ -120,16 +124,18 @@ class LimitTable:
 
 def limit_diagnostics(spec, x):
     """Small-step expansion of the recurrence coefficients at x, read off
-    the ε-contour, each window a shift of one lift jet, based at x with the
-    identity frame: the recurrence is SL(d+1)-invariant."""
+    the ε-contour from the scaled differences of one lift jet of order
+    d + 4, based at x with the identity frame: the recurrence is
+    SL(d+1)-invariant."""
     d = spec.d
     powers = np.array([d + 1 - i if i < d else 2 for i in range(d + 1)])
-    offsets = np.arange(d + 2)
-    radius, nodes = _contour(offsets, spec.dtype)
-    lifts = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)[0]
-    windows = _shifted_lifts(lifts[..., 0], nodes[:, None] * offsets, 0)[0]
-    coords = coords_from_samples(windows, x, nodes)
-    samples = np.concatenate([coords.A, coords.a_tilde], axis=-1)
+    radius, eps = _contour(range(d + 2), spec.dtype)
+    lift = _lift_coeffs(spec, np.array([x]), d + _WINDOW_ORDERS)[0]
+    # one window per contour node, (d+2, node, d+1)
+    deltas = _scaled_differences(lift[:, None, :, 0], eps[:, None], 0, d + 1)
+    s = _recurrence(deltas)
+    A = s * np.power(eps[:, None], d + 1 - np.arange(d + 1))
+    samples = np.concatenate([A, tilde_from_A(A)], axis=-1)
     # rows above d + 1 are roundoff amplified by radius^-k
     coeffs = _taylor(samples, radius)[:d + 2]
     A, a_tilde = coeffs[:, :d + 1], coeffs[:, d + 1:]

@@ -1,28 +1,29 @@
 """Transfer matrices of the discretized system and their continuous limits.
 
-The sampled curve satisfies a one-step recurrence, which in matrix form is a
-shift companion L with the point-basis coefficients in its last row.  The
-Pascal-signed change of basis D carries point samples to scaled forward
-differences; conjugating L by D and peeling one power of the step exposes the
-companion U of the differential equation.  Transfer matrices P carry the
-frame of the curve to the frame of its image under the map, and the discrete
-Lax relation between L before and after the map degenerates, at rate step
-cubed, to the zero-curvature equation dU/dt = [V, U] + dV/dx.
+The sampled curve satisfies a one-step recurrence.  In the basis of scaled
+forward differences δ_j = Δʲγ/εʲ, j = 0..d, a window of samples advances by
+one step under I + εK, where the companion K carries the negated
+recurrence coefficients in its last row and tends to the companion U of
+the differential equation as the step shrinks.  Transfer matrices
+P = Δ_image Δ_curve⁻¹ carry the difference window of the curve to that of
+its image under the map, and the discrete Lax relation between I + εK
+before and after the map degenerates, at rate step cubed, to the
+zero-curvature equation dU/dt = [V, U] + dV/dx.
 
-The limits are read off a Cauchy contour in the step, and every piece of
-the per-node algebra (the companions, the difference bases, the transfer
-matrices) takes a stack with one member per contour node, so a run does
-each step once for all nodes; each member is bit for bit its one-node
-result.
+No window is sampled: `discretize._scaled_differences` reads each one from
+a jet, the curve's lift jet at x or the image's jet in the curve variable
+there, which one application of the map gives at every step.  The limits
+are read off a Cauchy contour in the step, and every piece of the per-node
+algebra (the differences, the companions, the transfer matrices) takes a
+stack with one member per contour node, so a run does each step once for
+all nodes; each member is bit for bit its one-node result.
 """
-
-import math
 
 import numpy as np
 
 from .chimap import _map_lifted
-from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts
-from .discretize import coords_from_samples
+from .curves import _SHIFT_ORDER, _lift_coeffs
+from .discretize import _WINDOW_ORDERS, _recurrence, _scaled_differences
 from .expansion import (FIRST_ORDER_TOL, NotCentralized, _contour, _report,
                         _taylor)
 from .fitting import decay_order
@@ -38,15 +39,6 @@ def _u_companion(u):
     """U from the values (u_0, ..., u_{d-1}) at a point: identity block
     above, last row (-u_0, ..., -u_{d-1}, 0)."""
     return _shift_companion(np.append(-u, 0))
-
-
-def u_matrix(spec, x):
-    """Companion of the curve's differential equation at x.
-
-    Identity block above, last row (-u_0, ..., -u_{d-1}, 0): the frame
-    Γ, Γ', ..., Γ^(d) satisfies Φ' = U Φ.
-    """
-    return _u_companion(spec.u_jet(x, 0).value)
 
 
 def _q2_gamma(g, u):
@@ -78,39 +70,11 @@ def _shift_companion(a_tilde):
     return m
 
 
-def _pascal(d, eps, entry):
-    """(*eps.shape, d+1, d+1) lower triangle of entry(k, i, eps) over an
-    array of nonzero steps.  Powers go through np.power: the ``**``
-    operator squares a complex array by another rounding than a complex
-    scalar's power, and the contour's steps are complex."""
-    eps = np.asarray(eps)
-    if np.any(eps == 0):
-        raise ValueError("eps must be nonzero")
-    m = np.zeros(eps.shape + (d + 1, d + 1),
-                 dtype=np.result_type(eps.dtype, np.float64))
-    for k in range(d + 1):
-        for i in range(k + 1):
-            m[..., k, i] = entry(k, i, eps)
-    return m
-
-
-def d_eps(d, eps):
-    """Point samples to scaled differences: (-1)^{k-i} C(k,i) / eps^k, one
-    matrix per step of an array eps."""
-    return _pascal(d, eps, lambda k, i, e:
-                   (-1) ** (k - i) * math.comb(k, i) / np.power(e, k))
-
-
-def d_eps_inv(d, eps):
-    """Pascal inverse of d_eps: entries C(k,i) eps^i."""
-    return _pascal(d, eps, lambda k, i, e: math.comb(k, i) * np.power(e, i))
-
-
 def _drift(U, c, v, q2g):
-    """Third-order drift of the conjugated transfer matrices.
+    """Third-order drift of the transfer matrices.
 
-    The scaled difference frames are themselves ε-dependent at first order,
-    so the conjugated transfer matrix is I + ε²V + ε³Σ + O(ε⁴) with
+    The scaled difference windows are themselves ε-dependent at first order,
+    so the transfer matrix is I + ε²V + ε³Σ + O(ε⁴) with
     Σ = T0 V - V T' + c (d/2) e_d (coefficients of (Q_2Γ)^{(d+1)} in the
     frame), where T0 and T' hold the half-integer drift of the difference
     quotients.  Both transfer matrices carry the same Σ, so it cancels in
@@ -132,13 +96,6 @@ def _drift(U, c, v, q2g):
     last = np.zeros(d + 1)
     last[d] = 1.0
     return t0 @ v - v @ tp + c * (d / 2.0) * np.outer(last, e_coeff)
-
-
-def _transfer(curve, mapped):
-    """P with P (curve rows) = mapped rows, both sampled at the same steps;
-    stacks (..., d+1, d+1) of windows give one P per member."""
-    solve = stack_solver(np.swapaxes(curve, -1, -2))
-    return np.swapaxes(solve(np.swapaxes(mapped, -1, -2)), -1, -2)
 
 
 class LaxReport:
@@ -172,27 +129,27 @@ def lax_limit_diagnostics(spec, chi, x):
     """Read every limit of the transfer-matrix picture off the ε-contour.
 
     Needs a configuration with no first-order drift.  One application of
-    the map covers the contour nodes of the extraction times the window
-    columns k = 0..d+1, the configuration shifted by k (its image at x is
-    the image at x + kε), lifting each distinct node offset p + k once, and
-    column 0 gives c22 and w as extract_alphas reads them; the node lifts,
-    the curve windows, Γ, Q_2 Γ and U all come from one order-40 lift jet
-    at x and its u-coefficients.  The node algebra is one stacked
-    operation over all contour nodes.  Each window is shared between the
-    transfer matrices and the two companions, which makes the discrete
-    relation an identity to solver precision.  conj_slope is the decay
-    order of the conjugated companion's approach to U: 1 when its ε^0
-    coefficient is U and its ε^1 coefficient is not zero.  The lift jet is
-    based at x with the identity frame, which no limit sees.
+    the map covers the contour nodes of the extraction and gives, at each
+    step ε, the image curve's jet in the curve variable at x; its value
+    gives c22 and w as extract_alphas reads them.  The node lifts, Γ,
+    Q_2 Γ and U come from one order-40 lift jet at x and its
+    u-coefficients.  Both jets, cut at order d + 4, give the scaled
+    difference windows of the curve and of its image at shifts 0 and 1,
+    and the node algebra is one stacked operation over all contour nodes.
+    The transfer matrices and both companions share those windows, which
+    makes the discrete relation an identity to solver precision.
+    conj_slope is the decay order of the curve's companion's approach to
+    U: 1 when its ε^0 coefficient is U and its ε^1 coefficient is not
+    zero.  The lift jet is based at x with the identity frame, which no
+    limit sees.
     """
     d = spec.d
+    order = d + _WINDOW_ORDERS
     lifts, u_coeffs = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)
     radius, eps = _contour([p for g in chi.groups for p in g], spec.dtype)
-    ks = np.arange(d + 2)
-    windows, u = _map_lifted(spec, chi, x, eps[:, None], 2 * d + 2, lifts,
-                             shift=ks)
-    windows = windows.value  # (node, k, d+1): x .. x + (d+1) eps
-    report = _report(x, 2, radius, windows[:, 0], u.value[:, 0])
+    # the map goes first: its node shifts guard the lift against overflow
+    mapped, u = _map_lifted(spec, chi, x, eps, order + d, lifts)
+    report = _report(x, 2, radius, mapped.value, u.value)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     c22 = float(report.alpha[2, 2])
@@ -204,21 +161,24 @@ def lax_limit_diagnostics(spec, chi, x):
     dudt_w = np.zeros_like(U)
     dudt_w[d, :d] = -np.asarray(report.w, dtype=np.float64)
 
-    # every node at once, node axis first: both companions, both transfer
-    # matrices, the conjugated companion, then its quotients
-    curves = _shifted_lifts(lifts[..., 0], ks * eps[:, None], 0)[0]
+    # every node at once, node axis after (curve, image) and the shift:
+    # both companions, both transfer matrices, then the quotients
+    jets = np.stack(np.broadcast_arrays(lifts[:order + 1, None, :, 0],
+                                        mapped.c), axis=1)
+    deltas = [_scaled_differences(jets, eps[:, None], s, d + 1) for s in (0, 1)]
+    K0, K1 = _shift_companion(-_recurrence(deltas[0]))
+    # each window with δ_0..δ_d as columns, (shift, curve or image, node,
+    # d+1, d+1): P transposed solves curve @ P^T = image
+    cols = np.stack([np.moveaxis(dl[:d + 1], 0, -1) for dl in deltas])
+    p0, p1 = np.swapaxes(stack_solver(cols[:, 0])(cols[:, 1]), -1, -2)
     eye = np.eye(d + 1)
-    dm, dmi = d_eps(d, eps), d_eps_inv(d, eps)
-    lt0, lt1 = _shift_companion(
-        coords_from_samples(np.stack([curves, windows]), x, eps).a_tilde)
-    p0 = _transfer(curves[:, :d + 1], windows[:, :d + 1])
-    p1 = _transfer(curves[:, 1:], windows[:, 1:])
-    conjugated = p1 @ lt0 @ stack_solver(p0)(np.broadcast_to(eye, p0.shape))
     e = eps[:, None, None]
-    stacks = np.stack([(dm @ lt0 @ dmi - eye) / e,
-                       dm @ (lt1 - lt0) @ dmi / e ** 3,
-                       dm @ (conjugated - lt0) @ dmi / e ** 3,
-                       dm @ p0 @ dmi - eye, dm @ p1 @ dmi - eye], axis=1)
+    p0_inv = stack_solver(p0)(np.broadcast_to(eye, p0.shape))
+    identity = _maxabs(eye + e * K1 - p1 @ (eye + e * K0) @ p0_inv)
+    # P1 (I + εK0) P0⁻¹ - (I + εK0), its difference taken before the product
+    rhs = ((p1 - p0) + e * (p1 @ K0 - K0 @ p0)) @ p0_inv
+    stacks = np.stack([K0, (K1 - K0) / e ** 2, rhs / e ** 3, p0 - eye,
+                       p1 - eye], axis=1)
     coeffs = _taylor(stacks.reshape(eps.size, -1), radius)
     conj, qlhs, qrhs, p0, p1 = np.moveaxis(
         coeffs.reshape((-1, 5, d + 1, d + 1)), 1, 0)
@@ -228,7 +188,7 @@ def lax_limit_diagnostics(spec, chi, x):
     out.target = target
     out.conj_slope = decay_order([conj[0] - U, conj[1]])
     out.conj_limit_dev = _maxabs(conj[0] - U)
-    out.identity_max = _maxabs(lt1 - conjugated)
+    out.identity_max = identity
     out.quot_lhs_dev = _maxabs(qlhs[0] - target)
     out.quot_rhs_dev = _maxabs(qrhs[0] - target)
     out.w_target_dev = _maxabs(dudt_w - target)

@@ -359,46 +359,14 @@ def test_scalar_x_with_an_eps_array(curve_d2, eps):
 
 
 def test_shift_maps_the_shifted_configuration(curve_d3):
+    # the image at x of the configuration shifted by k is the image curve
+    # at x + k eps: the value of the unshifted image's jet in the curve
+    # variable at t = k eps, both in the lift based at x with the identity
+    # frame, which is how lax_limit_diagnostics reads its windows
     chi = short_diagonal_chi(3)
-    ks = np.arange(5)
-    cplx = 0.05 * np.exp(0.3j)
-    lift, u = chi_map_point(curve_d3, chi, 0.3, cplx, 8, shift=ks)
-    for k in ks:
-        one, u_one = chi_map_point(curve_d3, chi.shift(k), 0.3, cplx, 8)
-        assert np.array_equal(lift.c[:, k], one.c)
-        assert np.array_equal(u.c[:, k], u_one.c)
-    # the image at x of the configuration shifted by k is its image at
-    # x + k eps, each lifted from the identity frame at its own point and
-    # carried into x's by the frame there of the curve based at x
-    lift = chi_map_point(curve_d3, chi, 0.3, 0.05, 8, shift=ks)[0]
-    moved = chi_map_point(curve_d3, chi, 0.3 + 0.05 * ks, 0.05, 8)[0]
-    frames = CurveSpec(3, curve_d3.u, 0.3, np.eye(4)).frame_at(0.3 + 0.05 * ks)
-    assert_allclose(lift.value, np.einsum("kj,kji->ki", moved.value, frames),
-                    rtol=0, atol=1e-12)
-
-
-def test_shift_broadcasts_against_x_and_eps(curve_d2):
-    # the batch (x, eps, shift) = (2, 3, 4) lifts each distinct offset once
-    # per (x, eps) and gathers; every member is its own application
-    chi = short_diagonal_chi(2)
-    xs = np.array([0.3, 0.45])[:, None, None]
-    eps = (0.05 * np.exp(1j * np.array([0.0, 0.4, 1.1])))[:, None]
-    ks = np.arange(4)
-    lift, u = chi_map_point(curve_d2, chi, xs, eps, 6, shift=ks)
-    assert lift.c.shape[1:] == (2, 3, 4, 3)
-    for i, j, k in np.ndindex(2, 3, 4):
-        one, u_one = chi_map_point(curve_d2, chi.shift(k), xs[i, 0, 0],
-                                   eps[j, 0], 6)
-        assert np.array_equal(lift.c[:, i, j, k], one.c)
-        assert np.array_equal(u.c[:, i, j, k], u_one.c)
-
-
-def test_shift_axes_must_not_carry_x_or_eps(curve_d2):
-    # every x and eps is shifted by each distinct offset of the whole shift,
-    # so an x or eps that varies along the shift's axis is refused
-    chi = short_diagonal_chi(2)
-    ks = np.arange(4)
-    with pytest.raises(ValueError, match="shift's axes"):
-        chi_map_point(curve_d2, chi, 0.3 + 0.01 * ks, 0.05, 6, shift=ks)
-    with pytest.raises(ValueError, match="shift's axes"):
-        chi_map_point(curve_d2, chi, 0.3, 0.05 + 0.01 * ks, 6, shift=ks)
+    for eps in (0.05, 0.05 * np.exp(0.3j)):
+        jet = chi_map_point(curve_d3, chi, 0.3, eps, 20)[0].c
+        for k in range(5):
+            one = chi_map_point(curve_d3, chi.shift(k), 0.3, eps, 8)[0].value
+            at = np.sum(jet * (k * eps) ** np.arange(len(jet))[:, None], axis=0)
+            assert_allclose(at, one, rtol=0, atol=1e-13)

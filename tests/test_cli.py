@@ -570,6 +570,14 @@ class TestLaxVerify:
         assert blob["pass"] is True
         assert all(blob["checks"].values())
 
+    def test_d4_passes_in_double(self, capsys):
+        # windows sampled from shifted maps and unfolded by the Pascal
+        # conjugation read quot_lhs_dev 3.7e-2 here, past the 2e-2 gate
+        code, out, _ = run(capsys, ["lax-verify", "--d", "4", "--seed", "1",
+                                    "--x", "0.3"])
+        assert code == 0
+        assert all(json.loads(out)["checks"].values())
+
     def test_csv_per_rung(self, capsys):
         # no per-rung table is left: lax-verify emits the (key, value) rows
         # of its JSON report, as every command but expand does

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,38 +7,66 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pentalab.discretize import discrete_coords, limit_diagnostics, tilde_from_A
-from pentalab.curves import CurveSpec, random_curve_spec, zero_curve_spec
+from pentalab.discretize import (_recurrence, _scaled_differences,
+                                 limit_diagnostics, tilde_from_A)
+from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, _shifted_lifts,
+                             random_curve_spec, zero_curve_spec)
 from pentalab.fitting import decay_order
 
-# largest |limit - u_i| per d; measured worst 4.4e-12, 6.4e-10 and 2.7e-8
-_LIMIT_GATES = {2: 1e-10, 3: 1e-8, 4: 1e-6}
+# largest |limit - u_i| per d; measured worst 1.1e-16, 2.2e-16, 2.2e-16 and
+# 5.6e-16 (d = 2..5, seeds 0-9, x in {0.1, 0.3, 1.1, -0.7}); sampled windows
+# read 3.3e-13, 2.7e-11, 4.7e-9 and 6.2e-7
+_LIMIT_GATES = {2: 1e-13, 3: 1e-13, 4: 1e-13, 5: 1e-13}
+
+
+def recurrence(spec, x, eps):
+    """(A, a_tilde) of the one-step recurrence at (x, eps), from the scaled
+    differences of the order-40 lift jet at x with the identity frame, whose
+    series converges at every sample of a real step up to 0.2."""
+    d = spec.d
+    lift = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)[0][..., 0]
+    A = (_recurrence(_scaled_differences(lift, eps, 0, d + 1))
+         * eps ** np.arange(d + 1, 0, -1))
+    return A, tilde_from_A(A)
 
 
 def test_zero_curve_recurrence_is_binomial():
-    spec = zero_curve_spec(2)
-    coords = discrete_coords(spec, 0.4, 0.17)
-    assert_allclose(coords.a_tilde, [1.0, -3.0, 3.0], atol=1e-12)
-    assert_allclose(coords.A, 0.0, atol=1e-12)
+    # the lift of the zero curve is a polynomial of degree d, so its
+    # (d+1)-th difference vanishes exactly, s = 0, and the point basis
+    # holds the binomial row
+    for d, eps in itertools.product((2, 3, 4), (0.17, 0.17j)):
+        lift = _lift_coeffs(zero_curve_spec(d), np.array([0.4]), d + 4)[0][..., 0]
+        deltas = _scaled_differences(lift, eps, 0, d + 1)
+        assert np.all(deltas[d + 1] == 0)
+        s = _recurrence(deltas)
+        assert np.all(s == 0)
+        binomials = [(-1) ** (d - i) * math.comb(d + 1, i) for i in range(d + 1)]
+        assert np.array_equal(tilde_from_A(s), binomials)
 
 
 def test_zero_curve_any_step():
     # the recurrence for polynomial components is exact at every step size
     spec = zero_curve_spec(3)
     for eps in (0.05, 0.3, 1.1):
-        assert_allclose(discrete_coords(spec, 0.0, eps).a_tilde, [-1.0, 4.0, -6.0, 4.0],
+        assert_allclose(recurrence(spec, 0.0, eps)[1], [-1.0, 4.0, -6.0, 4.0],
                         atol=1e-10)
 
 
 def test_round_trip_from_curve(curve_d3):
-    coords = discrete_coords(curve_d3, 0.2, 0.09)
-    assert np.array_equal(tilde_from_A(coords.A), coords.a_tilde)
+    # the difference basis folded by tilde_from_A is the recurrence solved
+    # on the point samples themselves
+    x, eps = 0.2, 0.09
+    A, a_tilde = recurrence(curve_d3, x, eps)
+    g = _lift_coeffs(curve_d3, np.array([x]), _SHIFT_ORDER)[0][..., 0]
+    pts = _shifted_lifts(g, np.arange(5) * eps, 0)[0]
+    direct = np.linalg.solve(pts[:4].T, pts[4])
+    assert_allclose(a_tilde, direct, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("d, x, eps", [(2, 0.3, 0.1), (3, -0.2, 0.08)])
 def test_reconstruction_residual(d, x, eps, curve_d2, curve_d3):
     spec = {2: curve_d2, 3: curve_d3}[d]
-    at = discrete_coords(spec, x, eps).a_tilde
+    at = recurrence(spec, x, eps)[1]
     pts = np.stack([spec.frame_at(x + i * eps)[0] for i in range(d + 2)])
     resid = pts[d + 1] - at @ pts[: d + 1]
     assert np.linalg.norm(resid) <= 1e-11 * np.linalg.norm(pts[d + 1])
@@ -48,9 +77,9 @@ def test_far_point_samples_the_lift_based_there():
     # 8e3, and the coordinates read off it were off by 7.1 against 3.5e-3
     spec = random_curve_spec(2, seed=5)
     here = CurveSpec(2, spec.u, 40.0, np.eye(3))
-    got, want = discrete_coords(spec, 40.0, 0.1), discrete_coords(here, 40.0, 0.1)
-    assert np.array_equal(got.A, want.A)
-    assert np.array_equal(got.a_tilde, want.a_tilde)
+    got, want = recurrence(spec, 40.0, 0.1), recurrence(here, 40.0, 0.1)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 def test_limits_d2(curve_d2):
@@ -140,7 +169,7 @@ def test_second_order_tilde_term_d2(curve_d2):
     u1 = curve_d2.u[1](0.3)
     vals = []
     for eps in (0.1, 0.05):
-        at = discrete_coords(curve_d2, 0.3, eps).a_tilde
+        at = recurrence(curve_d2, 0.3, eps)[1]
         vals.append(abs(at[1] + 3.0 - eps ** 2 * u1))
     assert vals[1] <= 0.25 * vals[0]
 

@@ -10,21 +10,19 @@ from numpy.testing import assert_allclose
 
 from pentalab.chimap import chi_map_point
 from pentalab.configs import evenly_spaced_chi, short_diagonal_chi
-from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, gamma_jet,
-                             random_curve_spec, zero_curve_spec)
-from pentalab.discretize import coords_from_samples, discrete_coords
+from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, _shifted_lifts,
+                             gamma_jet, random_curve_spec, zero_curve_spec)
+from pentalab.discretize import _recurrence, _scaled_differences, tilde_from_A
 from pentalab.expansion import _contour, extract_alphas
 from pentalab.jets import eval_jet
+from pentalab.linalg import stack_solver
 from pentalab.lax import (
     _drift,
     _q2_gamma,
     _shift_companion,
-    _transfer,
+    _u_companion,
     _v_jets,
-    d_eps,
-    d_eps_inv,
     lax_limit_diagnostics,
-    u_matrix,
 )
 
 X0 = 0.3
@@ -66,8 +64,19 @@ def drift(spec, x, c):
     return _drift(u_matrix(spec, x), c, _v_jets(g, q2g, c).value, q2g)
 
 
+def u_matrix(spec, x):
+    """Companion of the curve's differential equation at x: the frame
+    Γ, Γ', ..., Γ^(d) satisfies Φ' = U Φ."""
+    return _u_companion(spec.u_jet(x, 0).value)
+
+
 def shift_companion(spec, x, eps):
-    return _shift_companion(discrete_coords(spec, x, eps).a_tilde)
+    """Point-basis companion of the recurrence at a real step, from the
+    scaled differences of the order-40 lift jet at x, whose series
+    converges at every sample."""
+    lift = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)[0][..., 0]
+    s = _recurrence(_scaled_differences(lift, eps, 0, spec.d + 1))
+    return _shift_companion(tilde_from_A(s * eps ** np.arange(spec.d + 1, 0, -1)))
 
 
 def frame_values(spec, x, rows):
@@ -158,56 +167,71 @@ class TestShiftCompanion:
         assert_allclose(lt @ samples[:d + 1], samples[1:], atol=1e-9)
 
 
+def newton_samples(deltas, eps):
+    """Samples γ((s+k)ε), k = 0..d+1, back from the scaled differences at
+    shift s by Newton's forward formula."""
+    return np.array([sum(math.comb(k, j) * eps ** j * deltas[j]
+                         for j in range(k + 1)) for k in range(len(deltas))])
+
+
 class TestDifferenceBasis:
     def test_d1_entries(self):
-        e = 0.25
-        assert_allclose(d_eps(1, e), [[1, 0], [-4.0, 4.0]], atol=1e-14)
-        assert_allclose(d_eps_inv(1, e), [[1, 0], [1.0, 0.25]], atol=1e-14)
+        # f(t) = 1 + 2t + 3t^2 at steps 0.25 from s = 0 and s = 1
+        f = np.array([[1.0], [2.0], [3.0]])
+        assert_allclose(_scaled_differences(f, 0.25, 0, 2)[:, 0],
+                        [1.0, 2.75, 6.0], rtol=0, atol=1e-15)
+        assert_allclose(_scaled_differences(f, 0.25, 1, 2)[:, 0],
+                        [1.6875, 4.25, 6.0], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_inverse_pair(self, d):
+    def test_inverse_pair(self, d, rng):
+        # Newton's forward formula inverts the differences: the samples of
+        # a polynomial come back from its scaled differences at any shift
+        f = rng.standard_normal((d + 5, d + 1))
         e = 0.13
-        assert_allclose(d_eps(d, e) @ d_eps_inv(d, e), np.eye(d + 1),
-                        atol=1e-10)
+        for s in (0, 1):
+            ts = (s + np.arange(d + 2)) * e
+            want = np.array([np.polyval(f[::-1], t) for t in ts])
+            got = newton_samples(_scaled_differences(f, e, s, d + 1), e)
+            assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_maps_samples_to_difference_quotients(self, curve_d2):
+        # against samples of the spec's own lift, frame transport included
         e = 0.05
         samples = np.stack([curve_d2.frame_at(X0 + k * e)[0]
-                            for k in range(3)])
-        scaled = d_eps(2, e) @ samples
-        for k in range(3):
-            assert_allclose(scaled[k],
+                            for k in range(4)])
+        deltas = _scaled_differences(gamma_jet(curve_d2, X0, _SHIFT_ORDER).c,
+                                     e, 0, 3)
+        for k in range(4):
+            assert_allclose(deltas[k],
                             np.diff(samples, n=k, axis=0)[0] / e ** k,
-                            atol=1e-10)
+                            atol=1e-9)
 
     @pytest.mark.parametrize("e", [-0.13, 0.13j, 0.1 * np.exp(0.7j)])
     def test_any_nonzero_step(self, e):
-        # the contour reads the transfer matrices at complex steps
-        assert_allclose(d_eps(3, e) @ d_eps_inv(3, e), np.eye(4), atol=1e-10)
-        assert d_eps(3, e)[3, 0] == -1 / e ** 3
+        # the contour reads the windows at complex steps: rows of the Taylor
+        # shift of the lift, differenced and scaled, at shifts 0 and 1
+        for d in (2, 3, 4):
+            g = _lift_coeffs(random_curve_spec(d, seed=d), np.array([X0]),
+                             _SHIFT_ORDER)[0][..., 0]
+            for s in (0, 1):
+                rows = _shifted_lifts(g, (s + np.arange(d + 2)) * e, 0)[0]
+                got = _scaled_differences(g, e, s, d + 1)
+                for j in range(d + 2):
+                    want = np.diff(rows, n=j, axis=0)[0] / e ** j
+                    tol = 64 * np.finfo(float).eps * np.max(np.abs(rows))
+                    assert np.max(np.abs(got[j] - want)) <= tol / abs(e) ** j
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            d_eps(2, 0.0)
-        with pytest.raises(ValueError):
-            d_eps_inv(2, 0j)
+    def test_zero_step_reads_derivatives(self, curve_d3):
+        # at eps = 0 the scaled differences are the derivatives at x
+        g = _lift_coeffs(curve_d3, np.array([X0]), 8)[0][..., 0]
+        deltas = _scaled_differences(g, 0.0, 1, 4)
+        for j in range(5):
+            assert np.array_equal(deltas[j], math.factorial(j) * g[j])
 
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def scalar_d_eps(d, e):
-    """(d_eps, d_eps_inv) of one step, entry by entry in scalar arithmetic
-    as the per-node loop built them: the reference for the contour's
-    complex steps, whose stacked powers must round as a scalar's do."""
-    dm = np.zeros((d + 1, d + 1), dtype=e.dtype)
-    dmi = np.zeros_like(dm)
-    for k in range(d + 1):
-        for i in range(k + 1):
-            dm[k, i] = (-1) ** (k - i) * math.comb(k, i) / e ** k
-            dmi[k, i] = math.comb(k, i) * e ** i
-    return dm, dmi
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,53 +239,50 @@ def scalar_d_eps(d, e):
        st.integers(0, 2 ** 16))
 def test_a_stack_equals_its_members(d, size, complex_step, seed):
     # lax_limit_diagnostics does every contour node's algebra as one stack;
-    # each member must come out as the one-member call gives it
+    # each member must come out as the one-node call gives it
     rng = np.random.default_rng(seed)
     eps = rng.uniform(0.05, 0.2, size) * rng.choice([-1, 1], size)
-    pts, mapped = rng.standard_normal((2, size, d + 2, d + 1))
+    jets = rng.standard_normal((d + 5, 2, size, d + 1))
     if complex_step:
         eps = eps * np.exp(1j * rng.uniform(0, np.pi, size))
-        pts = pts + 1j * rng.standard_normal(pts.shape)
-    coords = coords_from_samples(pts, X0, eps)
-    dm, dmi = d_eps(d, eps), d_eps_inv(d, eps)
-    lt = _shift_companion(coords.a_tilde)
-    p = _transfer(pts[:, 1:], mapped[:, 1:])
+        jets = jets + 1j * rng.standard_normal(jets.shape)
+    deltas = [_scaled_differences(jets, eps[:, None], s, d + 1) for s in (0, 1)]
+    s = _recurrence(deltas[0])
+    lt = _shift_companion(-s)
+    windows = np.moveaxis(deltas[1][:d + 1], 0, -2)
+    p = stack_solver(windows[0])(windows[1])
     for j in range(size):
-        one = coords_from_samples(pts[j], X0, eps[j])
-        assert same_bits(coords.A[j], one.A)
-        assert same_bits(coords.a_tilde[j], one.a_tilde)
-        assert same_bits(dm[j], d_eps(d, eps[j]))
-        assert same_bits(dmi[j], d_eps_inv(d, eps[j]))
-        if complex_step:
-            want, want_inv = scalar_d_eps(d, eps[j])
-            assert same_bits(dm[j], want) and same_bits(dmi[j], want_inv)
-        assert same_bits(lt[j], _shift_companion(one.a_tilde))
-        assert same_bits(p[j], _transfer(pts[j, 1:], mapped[j, 1:]))
-    bad = eps.copy()
-    bad[rng.integers(size)] = 0
-    for stacked in (lambda e: d_eps(d, e), lambda e: d_eps_inv(d, e),
-                    lambda e: coords_from_samples(pts, X0, e)):
-        with pytest.raises(ValueError):
-            stacked(bad)
+        one = [_scaled_differences(jets[:, :, j], eps[j], k, d + 1)
+               for k in (0, 1)]
+        assert all(same_bits(a[:, :, j], b) for a, b in zip(deltas, one))
+        assert same_bits(s[:, j], _recurrence(one[0]))
+        assert same_bits(lt[:, j], _shift_companion(-_recurrence(one[0])))
+        mine = np.moveaxis(one[1][:d + 1], 0, -2)
+        assert same_bits(p[j], stack_solver(mine[0])(mine[1]))
 
 
 class TestTransfer:
     @pytest.mark.parametrize("shift", [0, 1])
     def test_defining_relation(self, curve_d2, shift):
-        # P from curve windows and one batched map application of the
-        # shifted configurations, all in the lift based at X0 with the
-        # identity frame, as lax_limit_diagnostics builds them, against
-        # rows taken one point at a time
+        # P = Δ_image Δ_curve^{-1} from the scaled differences of the lift
+        # jet at X0 and of the image's jet there, as lax_limit_diagnostics
+        # builds it, carries the curve's window to the image's, both
+        # differenced from points taken one at a time
         chi = short_diagonal_chi(2)
         e = 0.1
         here = CurveSpec(2, curve_d2.u, X0, np.eye(3))
+        lift = _lift_coeffs(curve_d2, np.array([X0]), 18)[0][..., 0]
+        image = chi_map_point(curve_d2, chi, X0, e, 20)[0].c
+        curve, mapped = (np.moveaxis(_scaled_differences(f, e, shift, 2), 0, -2)
+                         for f in (lift, image))
+        p = np.linalg.solve(curve.T, mapped.T).T
         ks = np.arange(shift, shift + 3)
-        p = _transfer(here.frame_at(X0 + ks * e)[:, 0],
-                      chi_map_point(curve_d2, chi, X0, e, 6, shift=ks)[0].value)
         w = np.stack([here.frame_at(X0 + k * e)[0] for k in ks])
         wt = np.stack([chi_map_point(curve_d2, chi.shift(k), X0, e, 6)[0].value
                        for k in ks])
-        assert_allclose(p @ w, wt, atol=1e-8)
+        scaled = [np.stack([np.diff(v, n=j, axis=0)[0] / e ** j
+                            for j in range(3)]) for v in (w, wt)]
+        assert_allclose(p @ scaled[0], scaled[1], atol=1e-8)
 
 
 class TestLimits:
@@ -399,23 +420,21 @@ class TestLimits:
         # no frame is transported: the lift jet at x starts from the
         # identity frame, which the report and the drift read as their
         # own; U is built from row 0 of the u-coefficients of that jet,
-        # with no second pass over the u-trees through u_matrix
-        import pentalab.lax
-
+        # with no second u-jet at x
         us = []
-        u_matrix_ = pentalab.lax.u_matrix
+        u_jet = CurveSpec.u_jet
 
         def no_frame(spec, x):
             raise AssertionError("frame_at called")
 
-        def counted_u(spec, x):
-            us.append(x)
-            return u_matrix_(spec, x)
+        def counted_u(spec, x, order):
+            us.append(order)
+            return u_jet(spec, x, order)
 
         monkeypatch.setattr(CurveSpec, "frame_at", no_frame)
-        monkeypatch.setattr(pentalab.lax, "u_matrix", counted_u)
+        monkeypatch.setattr(CurveSpec, "u_jet", counted_u)
         lax_limit_diagnostics(curve_d2, short_diagonal_chi(2), X0)
-        assert us == []
+        assert us == [_SHIFT_ORDER]
 
     @pytest.mark.parametrize("d,seed", [(2, 11), (3, 23)])
     def test_one_pass_over_the_u_trees_per_run(self, d, seed, monkeypatch):
@@ -435,8 +454,9 @@ class TestLimits:
 
     def test_each_distinct_node_offset_is_lifted_once(self, curve_d3,
                                                        monkeypatch):
-        # the map lifts node p of window column k at offset (p + k) eps; at
-        # d = 3 the 7 nodes times 5 columns give 35 offsets, 11 distinct
+        # the map lifts each node p at offset p eps once per contour node;
+        # the windows are read off the image's jet, not off shifted
+        # configurations: at d = 3, 7 nodes where 11 distinct offsets were
         import pentalab.chimap
 
         hs = []
@@ -447,15 +467,13 @@ class TestLimits:
             return inner(g, h, kmax)
 
         monkeypatch.setattr(pentalab.chimap, "_shifted_lifts", seen)
-        d, chi = 3, short_diagonal_chi(3)
+        chi = short_diagonal_chi(3)
         lax_limit_diagnostics(curve_d3, chi, X0)
-        nodes = {p for g in chi.groups for p in g}
-        offsets = sorted({p + k for p in nodes for k in range(d + 2)})
-        assert (len(nodes) * (d + 2), len(offsets)) == (35, 11)
+        nodes = sorted({p for g in chi.groups for p in g})
+        assert len(nodes) == 7
         _, eps = _contour(nodes, curve_d3.dtype)
         [h] = hs
-        assert np.array_equal(h.reshape(eps.size, len(offsets)),
-                              np.array(offsets) * eps[:, None])
+        assert np.array_equal(h, np.array(nodes) * eps[:, None])
 
     def test_mapped_point_at_x_is_computed_once_per_rung(self, curve_d2,
                                                            monkeypatch):
@@ -467,29 +485,29 @@ class TestLimits:
         calls = []
         inner = pentalab.chimap._map_lifted
 
-        def counted(*args, **kwargs):
-            x, eps, shift = np.broadcast_arrays(*args[2:4], kwargs["shift"])
-            calls.append(list(zip(x.ravel().tolist(), eps.ravel().tolist(),
-                                  shift.ravel().tolist())))
-            return inner(*args, **kwargs)
+        def counted(*args):
+            x, eps = np.broadcast_arrays(*args[2:4])
+            calls.append((list(zip(x.ravel().tolist(), eps.ravel().tolist())),
+                          args[4]))
+            return inner(*args)
 
         monkeypatch.setattr(pentalab.expansion, "_map_lifted", counted)
         monkeypatch.setattr(pentalab.lax, "_map_lifted", counted)
         d = 2
         rep = lax_limit_diagnostics(curve_d2, short_diagonal_chi(d), X0)
-        # one application maps the 13 contour nodes of the extraction times
-        # the window x .. x + (d+1) eps, all at x with the shifted
-        # configurations, and its k = 0 column is the extraction's own
+        # one application maps the 13 contour nodes of the extraction at x,
+        # to the order d + 4 the windows read after renormalization, and
+        # its value is the extraction's own
         assert len(calls) == 1
         assert rep.c == want.alpha[2, 2]
-        pairs = calls[0]
-        assert len(pairs) == len(set(pairs)) == 13 * (d + 2)
-        assert {x for x, _, _ in pairs} == {X0}
-        assert sorted({k for _, _, k in pairs}) == list(range(d + 2))
+        pairs, kmax = calls[0]
+        assert kmax == 2 * d + 4
+        assert len(pairs) == len(set(pairs)) == 13
+        assert {x for x, _ in pairs} == {X0}
         radius = 0.2 / max(abs(p) for g in short_diagonal_chi(d).groups
                            for p in g)
-        assert_allclose(sorted(abs(e) for _, e, k in pairs if k == 0),
-                        [radius] * 13, rtol=1e-15)
+        assert_allclose(sorted(abs(e) for _, e in pairs), [radius] * 13,
+                        rtol=1e-15)
 
     @pytest.mark.parametrize("d,seed", [(2, 5), (3, 23)])
     def test_far_working_point_is_rebased(self, d, seed):
@@ -546,10 +564,14 @@ POOL_D2 = [
 
 
 @pytest.mark.parametrize("d,seed,x", [(2, s, x) for s, x in POOL_D2]
-                         + [(3, s, X0) for s in (1, 2, 3)])
+                         + [(3, s, X0) for s in (1, 2, 3)]
+                         + [(d, s, x) for d in (4, 5) for s in range(12)
+                            for x in (X0, 1.1)])
 def test_pooled_instances_pass(d, seed, x):
     # on the real-step ladder fits d = 3 seeds 1 and 3 read p0_v_dev 1.3e-3
-    # and 1.6e-3 against the 1e-3 gate
+    # and 1.6e-3 against the 1e-3 gate; with sampled windows unfolded by the
+    # Pascal conjugation d = 4 failed the quotients gate on 12 of these 24
+    # cases (quot_lhs_dev up to 4.9e-2) and d = 5 on all 24
     rep = lax_limit_diagnostics(random_curve_spec(d, seed=seed),
                                 short_diagonal_chi(d), x)
     assert all(rep.checks().values()), rep.to_dict()
@@ -558,10 +580,11 @@ def test_pooled_instances_pass(d, seed, x):
 def test_frame_roundoff_does_not_flip_the_verdict():
     # the ladder fit of d = 3 seed 2 read p0_v_dev 6.3e-4 and moved up to
     # 1.33e-3 under frames perturbed at 2e-16; no experiment reads the
-    # frame, so the roundoff is probed by moving x a few ulp
+    # frame, so the roundoff is probed by moving x a few ulp (7.5e-11 to
+    # 7.8e-11 from jet windows, 7.1e-9 to 8.6e-9 from sampled ones)
     spec = random_curve_spec(3, seed=2)
     for ulps in range(-3, 4):
         x = X0 + ulps * np.spacing(X0)
         rep = lax_limit_diagnostics(spec, short_diagonal_chi(3), x)
         assert all(rep.checks().values())
-        assert rep.p0_v_dev <= 1e-6
+        assert rep.p0_v_dev <= 1e-9
