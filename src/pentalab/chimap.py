@@ -7,19 +7,21 @@ so the output is again a curve germ, which `curves.normalized_lift` rescales
 to the unit-Wronskian representative.  A span of q+1 points is one matrix jet
 of shape (K+1, q+1, d+1), its rows the lift jets of the points.
 
-One application maps a whole batch of (x, eps) pairs: x and eps may be
-arrays that broadcast to a batch shape, and every stage then carries that
-shape in the tail ahead of its own axes, (K+1, *batch, q+1, d+1) for a
-span.  Every node lift is a Taylor shift of the lift jet at its x, and
-each solve, nullspace and determinant is one stacked call, so a whole
-contour costs about what one pair did.  A number for x and for eps is the
-batch of one pair with no batch axes; eps may be real or complex.
+``chi_map_point`` is the map's one entry point, and it never sees a
+curve: it takes the lift coefficients at the working points, each from the
+identity frame there (``curves._lift_coeffs``), whose shape gives d.  One
+application maps a whole batch of (x, eps) pairs: the lifts' point axes
+and eps broadcast to a batch shape, and every stage carries that shape in
+the tail ahead of its own axes, (K+1, *batch, q+1, d+1) for a span.  Every
+node lift is a Taylor shift of the lift jet at its x, and each solve,
+nullspace and determinant is one stacked call, so a whole contour costs
+about what one pair did.  eps may be real or complex.
 """
 
 import numpy as np
 
 from . import linalg
-from .curves import _SHIFT_ORDER, _lift_coeffs, _shifted_lifts, normalized_lift
+from .curves import _shifted_lifts, normalized_lift
 from .jets import DegenerateSystem, Jet, jet_solver
 
 
@@ -27,34 +29,27 @@ class DegenerateIntersection(Exception):
     """Spans that fail to meet in a single point at working precision."""
 
 
-def build_spans(spec, chi, x, eps, kmax):
-    """Jets of the curve points spanning each subspace at step eps.
+def _spans(chi, lifts, eps, kmax):
+    """Jets of the curve points spanning each subspace at step eps, from
+    the lift coefficients at the working points, (N+1, d+1, *shape).
 
-    The jets are taken in the curve variable itself, so every span (and the
-    intersection point computed from them) lives at the common base point x,
-    in the lift based at x with the identity frame.
-    Arrays x and eps give each span the batch shape they broadcast to ahead
-    of its (q+1, d+1) matrix.  Each node lift, at real or complex eps, is a
-    Taylor shift h = p eps of the order-40 lift jet at its x
-    (``curves._shifted_lifts``, which raises IntegrationFailure when h lies
-    outside the lift's radius of convergence); a node that several groups
-    share is shifted once per x and eps.
+    The jets are taken in the curve variable, so every span (and the point
+    the spans meet in) lives at its working point, in the lift based there
+    with the identity frame, and carries the batch shape ahead of its
+    (q+1, d+1) matrix.  Each node lift is a Taylor shift h = p eps of the
+    lift jet at its point (``curves._shifted_lifts``, which raises
+    IntegrationFailure when h lies outside the lift's radius of
+    convergence); a node that several groups share is shifted once.
     """
-    return _spans(spec, chi, x, eps, kmax,
-                  _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0])
-
-
-def _spans(spec, chi, x, eps, kmax, lifts):
-    """build_spans from the lift coefficients at x, (41, d+1, x.size)."""
-    x, eps = np.asarray(x), np.asarray(eps)
+    eps = np.asarray(eps)
     if np.any(eps == 0):
         raise ValueError("eps must be nonzero")
-    if chi.d != spec.d:
+    if chi.d != lifts.shape[1] - 1:
         raise ValueError("configuration dimension does not match the curve")
     nodes = sorted({p for g in chi.groups for p in g})
-    # every node lifted once per x and eps, (K+1, *batch, node, d+1)
-    g = lifts.reshape(lifts.shape[:2] + x.shape + (1,))
-    rows = _shifted_lifts(g, np.array(nodes) * eps[..., None], kmax)
+    # every node lifted once per point and eps, (K+1, *batch, node, d+1)
+    rows = _shifted_lifts(lifts[..., None], np.array(nodes) * eps[..., None],
+                          kmax)
     return [Jet(rows[..., [nodes.index(p) for p in grp], :], copy=False)
             for grp in chi.groups]
 
@@ -125,24 +120,20 @@ def intersect_spans(spans):
         raise DegenerateIntersection(str(exc)) from exc
 
 
-def chi_map_point(spec, chi, x, eps, kmax):
-    """Apply the map once at x and renormalize.
+def chi_map_point(chi, lifts, eps, kmax):
+    """Apply the map once at each working point and renormalize.
 
-    Returns (lift, u): the output lift as a (K-d+1, d+1) jet and its d
-    coefficients as a (K-2d, d) jet.  kmax must leave enough orders for the
-    Wronskian rescaling and the coefficient extraction behind it.  Arrays x
-    and eps map the whole batch they broadcast to in one pass, and both jets
-    then carry the batch shape ahead of their last axis.
+    lifts holds the lift coefficients at the working points, (N+1, d+1,
+    *shape) with N >= kmax, each from the identity frame there
+    (``curves._lift_coeffs``); its row 0, the curve point, fixes the sign
+    of the output lift.  Returns (lift, u): the output lift as a (K-d+1,
+    d+1) jet and its d coefficients as a (K-2d, d) jet, each carrying the
+    batch shape that shape and eps broadcast to ahead of its last axis.
+    kmax must leave enough orders for the Wronskian rescaling and the
+    coefficient extraction behind it.
     """
-    return _map_lifted(spec, chi, x, eps, kmax,
-                       _lift_coeffs(spec, np.ravel(x), _SHIFT_ORDER)[0])
-
-
-def _map_lifted(spec, chi, x, eps, kmax, lifts):
-    """chi_map_point from the lift coefficients at x, (41, d+1, x.size),
-    whose row 0 is the curve point that fixes the output lift's sign."""
-    if kmax < 2 * spec.d + 2:
-        raise ValueError(f"need jet order >= {2 * spec.d + 2} to renormalize")
-    point = intersect_spans(_spans(spec, chi, x, eps, kmax, lifts))
-    ref = np.moveaxis(lifts[0], 0, -1).reshape(np.shape(x) + (spec.d + 1,))
-    return normalized_lift(point, spec.d, ref=ref)
+    d = lifts.shape[1] - 1
+    if kmax < 2 * d + 2:
+        raise ValueError(f"need jet order >= {2 * d + 2} to renormalize")
+    point = intersect_spans(_spans(chi, lifts, eps, kmax))
+    return normalized_lift(point, ref=np.moveaxis(lifts[0], 0, -1))

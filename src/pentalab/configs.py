@@ -179,7 +179,7 @@ def assemble_M0_c0(chi):
 def solve_alpha_diag(chi):
     """(alpha_{1,1}, ..., alpha_{d,d}) for a hyperplane config."""
     m0, c0 = assemble_M0_c0(chi)
-    return linalg.solve_dense(m0, c0)
+    return linalg.stack_solver(m0)(c0)
 
 
 def alpha11_evenly_spaced(p, r_step, d):

@@ -270,7 +270,7 @@ def wronskian(spec: CurveSpec, x) -> float:
     return float(linalg.det_dense(spec.frame_at(x)))
 
 
-def normalized_lift(raw, d, ref=None):
+def normalized_lift(raw, ref=None):
     """Rescale an arbitrary lift to unit Wronskian and read off its u's.
 
     raw: (K+1, d+1) jet of the lift components, K >= 2d+1.
@@ -296,8 +296,7 @@ def normalized_lift(raw, d, ref=None):
     principal root, turned by the (d+1)-th root of unity that brings its dot
     product with ref nearest the positive real axis.
     """
-    if raw.c.shape[-1] != d + 1 or raw.c.ndim < 2:
-        raise ValueError(f"need {d + 1} components, got shape {raw.c.shape[1:]}")
+    d = raw.c.shape[-1] - 1
     if raw.order < 2 * d + 1:
         raise ValueError(f"component jets must have order >= {2 * d + 1}")
 
@@ -365,10 +364,4 @@ def random_curve_spec(d, seed=None, dtype=np.float64):
             for k in (1, 2)
         ]
         u.append(trig_poly(a0, harmonics))
-    return CurveSpec(d, u, 0.0, np.eye(d + 1), dtype=dtype)
-
-
-def zero_curve_spec(d, dtype=np.float64):
-    """The curve with u identically zero: polynomial lift components."""
-    u = [AnalyticFn.const(0.0) for _ in range(d)]
     return CurveSpec(d, u, 0.0, np.eye(d + 1), dtype=dtype)

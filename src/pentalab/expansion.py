@@ -18,7 +18,7 @@ map takes the stack of them, which may come from different curves.
 
 import numpy as np
 
-from .chimap import _map_lifted
+from .chimap import chi_map_point
 from .curves import _SHIFT_ORDER, _lift_coeffs, _roots_of_unity
 from .kdvops import JET_ORDER, kdv_rhs, l_operator
 
@@ -86,7 +86,7 @@ class ExpansionReport:
 
 def extract_alphas(spec, chi, x, kmax=2):
     """Taylor coefficients in ε of the frame coordinates of the image curve."""
-    return _extract(spec, chi, [x], kmax)[0]
+    return _extract(chi, [x], kmax, _lift(spec, [x])[0])[0]
 
 
 def _taylor(samples, radius):
@@ -123,12 +123,6 @@ def _report(x, kmax, radius, points, invariants):
                            uncertainty[:kmax + 1, :d + 1], coeffs[2, d + 1:])
 
 
-def _extract(spec, chi, xs, kmax):
-    """An extract_alphas report per working point in xs, from one
-    application of the map to every (x, node) pair."""
-    return _extract_lifted(spec, chi, xs, kmax, _lift(spec, xs)[0])
-
-
 def _lift(spec, xs):
     """The order-40 lift coefficients at the working points xs, (41, d+1,
     len(xs)), and the u-jets they were built from, cut to JET_ORDER,
@@ -138,15 +132,15 @@ def _lift(spec, xs):
     return lifts, u[:JET_ORDER + 1]
 
 
-def _extract_lifted(spec, chi, xs, kmax, lifts):
+def _extract(chi, xs, kmax, lifts):
     """An extract_alphas report per working point in xs from the lift
-    coefficients there, one column of lifts per point, and one application
-    of the map to every (x, node) pair.  The columns may come from different
-    curves: spec gives only d and the dtype, which they share."""
+    coefficients there, (41, d+1, len(xs)), one column per point, and one
+    application of the map to every (x, node) pair.  The columns may come
+    from different curves of one d and dtype."""
     check_kmax(kmax)
-    radius, eps = _contour([p for g in chi.groups for p in g], spec.dtype)
-    lifted, u = _map_lifted(spec, chi, np.asarray(xs)[:, None], eps,
-                            2 * spec.d + 2, lifts)
+    radius, eps = _contour([p for g in chi.groups for p in g], lifts.dtype)
+    # the least order that renormalizes, 2d + 2
+    lifted, u = chi_map_point(chi, lifts[..., None], eps, 2 * lifts.shape[1])
     return [_report(x, kmax, radius, *mapped)
             for x, mapped in zip(xs, zip(lifted.value, u.value))]
 
@@ -177,7 +171,7 @@ def alpha_constancy_check(spec, chi, xs):
     extraction per working point."""
     if len(set(float(x) for x in xs)) < 3:
         raise ValueError("need at least 3 distinct working points")
-    reports = _extract(spec, chi, xs, 2)
+    reports = _extract(chi, xs, 2, _lift(spec, xs)[0])
     diag = np.array([np.diag(r.alpha) for r in reports])
     return reports[0], float(np.max(diag.max(axis=0) - diag.min(axis=0)))
 
@@ -189,7 +183,7 @@ def kdv_rhs_check(spec, chi, x):
     at the ε² timescale with velocity a22 times the commutator coefficients.
     """
     lifts, u = _lift(spec, [x])
-    report = _extract_lifted(spec, chi, [x], 2, lifts)[0]
+    report = _extract(chi, [x], 2, lifts)[0]
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     flow = kdv_rhs(l_operator(u[..., 0]), 2)

@@ -21,11 +21,10 @@ all nodes; each member is bit for bit its one-node result.
 
 import numpy as np
 
-from .chimap import _map_lifted
-from .curves import _SHIFT_ORDER, _lift_coeffs
+from .chimap import chi_map_point
 from .discretize import _WINDOW_ORDERS, _recurrence, _scaled_differences
-from .expansion import (FIRST_ORDER_TOL, NotCentralized, _contour, _report,
-                        _taylor)
+from .expansion import (FIRST_ORDER_TOL, NotCentralized, _contour, _lift,
+                        _report, _taylor)
 from .fitting import decay_order
 from .jets import Jet, derivative_stack, jet_solver
 from .linalg import stack_solver
@@ -145,10 +144,10 @@ def lax_limit_diagnostics(spec, chi, x):
     """
     d = spec.d
     order = d + _WINDOW_ORDERS
-    lifts, u_coeffs = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)
-    radius, eps = _contour([p for g in chi.groups for p in g], spec.dtype)
+    lifts, u_coeffs = _lift(spec, [x])
+    radius, eps = _contour([p for g in chi.groups for p in g], lifts.dtype)
     # the map goes first: its node shifts guard the lift against overflow
-    mapped, u = _map_lifted(spec, chi, x, eps, order + d, lifts)
+    mapped, u = chi_map_point(chi, lifts[..., 0], eps, order + d)
     report = _report(x, 2, radius, mapped.value, u.value)
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")

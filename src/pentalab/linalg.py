@@ -104,20 +104,6 @@ def _factor(a):
     return factors
 
 
-def solve_dense(a, b):
-    """Solve a @ x = b for square a; raises SingularMatrixError on a
-    singular or non-finite a."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if _is_lapack_friendly(a) and _is_lapack_friendly(b):
-        _require_finite(a)
-        try:
-            return np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(str(exc)) from exc
-    return _lu_solve(_factor(a), b)
-
-
 def stack_solver(a):
     """Check a square matrix, or a stack (..., n, n) of them, once; returns a
     callable solving a @ x = b for b of shape (..., n, k), or (n,) or (n, k)

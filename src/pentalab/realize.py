@@ -20,7 +20,7 @@ import numpy as np
 from .chimap import DegenerateIntersection
 from .configs import ChiConfig, SymTable
 from .curves import DegenerateLift
-from .expansion import _extract_lifted, _lift
+from .expansion import _extract, _lift
 from .jets import DegenerateSystem, NonPositiveBase
 from .kdvops import l_operator, q_m
 from .linalg import SingularMatrixError
@@ -151,17 +151,16 @@ def check_34(chi, probe_curves, x):
     sigma_equal = table.tops_agree() and abs(float(top[0])) > 0.0
 
     lifts, targets = zip(*(_probe(spec, x) for spec in probe_curves))
-    spec = probe_curves[0]
     skipped = []
     try:
-        reports = _extract_lifted(spec, chi, [x] * len(lifts), 3,
-                                  np.concatenate(lifts, axis=-1))
+        reports = _extract(chi, [x] * len(lifts), 3,
+                           np.concatenate(lifts, axis=-1))
     except DegenerateIntersection:
         # one at a time, to learn which probes degenerate
         reports = []
         for idx, lift in enumerate(lifts):
             try:
-                reports += _extract_lifted(spec, chi, [x], 3, lift)
+                reports += _extract(chi, [x], 3, lift)
             except DegenerateIntersection:
                 skipped.append(idx)
         targets = [t for idx, t in enumerate(targets) if idx not in skipped]
@@ -238,6 +237,26 @@ def _write_checkpoint(path, blob):
         raise
 
 
+def _saved_params(path, size):
+    """The params a checkpoint at path holds, or None when it is missing or
+    unreadable: anything but a JSON object whose "params" is a list of size
+    finite numbers."""
+    try:
+        with open(path) as fh:
+            saved = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    params = saved.get("params") if isinstance(saved, dict) else None
+    if (not isinstance(params, list) or len(params) != size
+            or not all(type(v) in (int, float) for v in params)):
+        return None
+    try:
+        params = np.array(params, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
+        return None
+    return params if np.all(np.isfinite(params)) else None
+
+
 def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
     """Derivative-free descent toward a third-order flow configuration.
 
@@ -254,22 +273,16 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
     _require_planes(seed_chi)
     if len(probe_curves) < 3:
         raise ValueError("need at least three probe curves")
-    probe = probe_curves[0]
-    # only chi changes along the descent: the probe is lifted, and its
-    # target row built, once
-    lifts, target = _probe(probe, x)
+    # only chi changes along the descent: the first probe is lifted, and
+    # its target row built, once
+    lifts, target = _probe(probe_curves[0], x)
 
     params0 = np.array([p for g in seed_chi.groups for p in g])
-    resumed = False
-    if checkpoint is not None:
-        try:
-            with open(checkpoint) as fh:
-                saved = json.load(fh)
-            if len(saved.get("params", [])) == params0.size:
-                params0 = np.array(saved["params"], dtype=np.float64)
-                resumed = True
-        except (OSError, ValueError):
-            pass
+    saved = None if checkpoint is None else _saved_params(checkpoint,
+                                                          params0.size)
+    resumed = saved is not None
+    if resumed:
+        params0 = saved
 
     evals = [0]
     best = {"f": np.inf, "params": params0}
@@ -282,7 +295,7 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
         except ValueError:  # projected nodes that collide
             return 1e6
         try:
-            [rep] = _extract_lifted(probe, chi, [x], 3, lifts)
+            [rep] = _extract(chi, [x], 3, lifts)
         except _DEGENERATE:
             return 1e6
         g1, g2, g3, _ = _residuals([rep.alpha], [target])

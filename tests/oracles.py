@@ -1,7 +1,16 @@
-"""Reference computations the tests check the package against; they share
-no code with it."""
+"""Reference computations the tests check the package against, which share
+no code with it, and the test curves built from the package's own types."""
 
 import numpy as np
+
+from pentalab.curves import CurveSpec
+from pentalab.jets import AnalyticFn
+
+
+def zero_curve_spec(d, dtype=np.float64):
+    """The curve with u identically zero: polynomial lift components."""
+    u = [AnalyticFn.const(0.0) for _ in range(d)]
+    return CurveSpec(d, u, 0.0, np.eye(d + 1), dtype=dtype)
 
 
 def series_product(a, b):

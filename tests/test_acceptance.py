@@ -39,6 +39,7 @@ from pentalab import (
     verify_G2_structure,
     wronskian,
 )
+from pentalab.curves import _SHIFT_ORDER, _lift_coeffs
 
 X0 = 0.3
 
@@ -172,6 +173,7 @@ def test_05_dual_dented_centralization(curve3):
     worst_shifted = 0.0
     least_unshifted = np.inf
     worst_pt = 0.0
+    lifts = _lift_coeffs(curve3, np.array([X0]), _SHIFT_ORDER)[0][..., 0]
     for s in (1, 2):
         delta = dual_dented_shift(3, s)
         full = dual_dented_chi(3, s, variant="full")
@@ -182,8 +184,8 @@ def test_05_dual_dented_centralization(curve3):
         least_unshifted = min(least_unshifted, abs(rep0.alpha[1, 1]))
         reduced = dual_dented_chi(3, s, variant="reduced").shift(delta)
         for eps in (0.1, 0.05):
-            a, _ = chi_map_point(curve3, shifted, X0, eps, 10)
-            b, _ = chi_map_point(curve3, reduced, X0, eps, 10)
+            a, _ = chi_map_point(shifted, lifts, eps, 10)
+            b, _ = chi_map_point(reduced, lifts, eps, 10)
             worst_pt = max(worst_pt, float(np.max(np.abs(a.c - b.c))))
     ok = worst_shifted <= 1e-5 and least_unshifted >= 1e-2 and worst_pt <= 1e-10
     _verdict(5, "dual-dented centralization", ok,

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from pentalab.chimap import (
     DegenerateIntersection,
-    build_spans,
+    _spans,
     chi_map_point,
     intersect_spans,
 )
@@ -15,10 +15,18 @@ from pentalab.configs import (dual_dented_chi, dual_dented_shift, evenly_spaced_
                               short_diagonal_chi)
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, IntegrationFailure,
                              _frame_from_coeffs, _lift_coeffs, gamma_jet,
-                             normalized_lift, random_curve_spec, zero_curve_spec)
+                             normalized_lift, random_curve_spec)
 from pentalab.jets import Jet, _factorials
 
-from oracles import cofactor_det
+from oracles import cofactor_det, zero_curve_spec
+
+
+def lifted(spec, x):
+    """The order-40 lift coefficients at x, (41, d+1, *x.shape), each from
+    the identity frame there, as the pipeline hands them to the map."""
+    x = np.asarray(x)
+    g = _lift_coeffs(spec, x.ravel(), _SHIFT_ORDER)[0]
+    return g.reshape(g.shape[:2] + x.shape)
 
 
 def const_span(rows):
@@ -89,11 +97,11 @@ def test_degenerate_repeated_span():
         intersect_spans([const_span(span), const_span(span)])
 
 
-# -- build_spans kinematics ------------------------------------------------------
+# -- span kinematics ------------------------------------------------------
 
 
 def test_span_shapes(curve_d2):
-    spans = build_spans(curve_d2, short_diagonal_chi(2), 0.3, 0.1, 8)
+    spans = _spans(short_diagonal_chi(2), lifted(curve_d2, 0.3), 0.1, 8)
     assert len(spans) == 2
     for s in spans:
         assert s.c.shape == (9, 2, 3)  # order 8, q + 1 = 2 points, d + 1 = 3
@@ -104,7 +112,7 @@ def test_span_vectors_collapse_toward_curve_point(curve_d2):
     gamma = CurveSpec(2, curve_d2.u, 0.3, np.eye(3)).frame_at(0.3)[0]
     gap = []
     for eps in (0.1, 0.05):
-        spans = build_spans(curve_d2, short_diagonal_chi(2), 0.3, eps, 4)
+        spans = _spans(short_diagonal_chi(2), lifted(curve_d2, 0.3), eps, 4)
         v = spans[0].value[0]
         gap.append(np.linalg.norm(direction(v) - direction(gamma)))
     assert gap[1] <= 0.6 * gap[0]
@@ -112,12 +120,12 @@ def test_span_vectors_collapse_toward_curve_point(curve_d2):
 
 def test_build_spans_rejects_zero_eps(curve_d2):
     with pytest.raises(ValueError):
-        build_spans(curve_d2, short_diagonal_chi(2), 0.0, 0.0, 6)
+        chi_map_point(short_diagonal_chi(2), lifted(curve_d2, 0.0), 0.0, 6)
 
 
 def test_build_spans_rejects_dim_mismatch(curve_d2):
     with pytest.raises(ValueError):
-        build_spans(curve_d2, short_diagonal_chi(3), 0.0, 0.1, 6)
+        chi_map_point(short_diagonal_chi(3), lifted(curve_d2, 0.0), 0.1, 6)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -132,7 +140,7 @@ def test_build_spans_equals_the_per_point_lifts(chi, dtype):
     # jets to within 32 ulp of the span's largest coefficient
     spec = random_curve_spec(chi.d, seed=7, dtype=dtype)
     x, eps, k = 0.45, dtype(0.13) / 3, 2 * chi.d + 2
-    spans = build_spans(spec, chi, x, eps, k)
+    spans = _spans(chi, lifted(spec, x), eps, k)
     here = CurveSpec(chi.d, spec.u, x, np.eye(chi.d + 1), dtype=dtype)
     for s, g in zip(spans, chi.groups):
         want = np.stack([gamma_jet(here, x + p * eps, k).c for p in g], axis=1)
@@ -147,7 +155,7 @@ def test_warm_build_spans_walks_each_u_tree_once(d, monkeypatch):
 
     spec = random_curve_spec(d, seed=7)
     chi = short_diagonal_chi(d)
-    build_spans(spec, chi, 0.41, 0.1, 2 * d + 2)  # visits the anchors
+    _spans(chi, lifted(spec, 0.41), 0.1, 2 * d + 2)  # fills the ODE tables
     calls = []
     inner = pentalab.curves.eval_jet
 
@@ -156,8 +164,9 @@ def test_warm_build_spans_walks_each_u_tree_once(d, monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(pentalab.curves, "eval_jet", counted)
-    build_spans(spec, chi, 0.41, 0.0999, 2 * d + 2)
-    assert len(calls) == d  # one per u-tree, for every distinct node at once
+    _spans(chi, lifted(spec, 0.41), 0.0999, 2 * d + 2)
+    # one per u-tree lifts x, and every distinct node is a shift of it
+    assert len(calls) == d
 
 
 def test_shift_guards_every_row():
@@ -168,8 +177,8 @@ def test_shift_guards_every_row():
     spec = random_curve_spec(4, seed=7)
     chi = short_diagonal_chi(4)
     with pytest.raises(IntegrationFailure, match="radius of convergence"):
-        build_spans(spec, chi, 0.3, 0.2, 10)
-    build_spans(spec, chi, 0.3, 0.1, 10)  # |h| <= 0.45 shifts
+        _spans(chi, lifted(spec, 0.3), 0.2, 10)
+    _spans(chi, lifted(spec, 0.3), 0.1, 10)  # |h| <= 0.45 shifts
     g = _lift_coeffs(spec, np.array([0.3]), _SHIFT_ORDER)[0][..., 0]
     here = CurveSpec(4, spec.u, 0.3, np.eye(5))
     rel = []
@@ -189,13 +198,14 @@ def test_shift_guards_every_row():
 
 def test_output_satisfies_coplanarity(curve_d2):
     chi = short_diagonal_chi(2)
-    spans = build_spans(curve_d2, chi, 0.2, 0.1, 8)
-    out, _ = chi_map_point(curve_d2, chi, 0.2, 0.1, 8)
+    spans = _spans(chi, lifted(curve_d2, 0.2), 0.1, 8)
+    out, _ = chi_map_point(chi, lifted(curve_d2, 0.2), 0.1, 8)
     assert coplanarity_residual(out, spans) <= 1e-9
 
 
 def test_output_wronskian_is_one(curve_d3):
-    out, _ = chi_map_point(curve_d3, short_diagonal_chi(3), 0.1, 0.08, 10)
+    out, _ = chi_map_point(short_diagonal_chi(3), lifted(curve_d3, 0.1), 0.08,
+                           10)
     rows = [out.c[k] * math.factorial(k) for k in range(4)]
     assert np.linalg.det(rows) == pytest.approx(1.0, abs=1e-9)
 
@@ -205,8 +215,8 @@ def test_symmetric_config_even_in_eps(d, eps):
     spec = random_curve_spec(d, seed=5 + d)
     chi = short_diagonal_chi(d)
     kmax = 2 * d + 3
-    plus, u_plus = chi_map_point(spec, chi, 0.4, eps, kmax)
-    minus, u_minus = chi_map_point(spec, chi, 0.4, -eps, kmax)
+    plus, u_plus = chi_map_point(chi, lifted(spec, 0.4), eps, kmax)
+    minus, u_minus = chi_map_point(chi, lifted(spec, 0.4), -eps, kmax)
     assert_allclose(plus.c, minus.c, atol=1e-10)
     assert_allclose(u_plus.c, u_minus.c, atol=1e-9)
 
@@ -217,8 +227,8 @@ def test_complex_step_on_the_real_axis_equals_the_real_step(d):
     # the principal Wronskian root and turns it by a root of unity
     spec = random_curve_spec(d, seed=30 + d)
     chi = short_diagonal_chi(d)
-    real, u_real = chi_map_point(spec, chi, 0.3, 0.1, 2 * d + 2)
-    cplx, u_cplx = chi_map_point(spec, chi, 0.3, 0.1 + 0j, 2 * d + 2)
+    real, u_real = chi_map_point(chi, lifted(spec, 0.3), 0.1, 2 * d + 2)
+    cplx, u_cplx = chi_map_point(chi, lifted(spec, 0.3), 0.1 + 0j, 2 * d + 2)
     assert np.iscomplexobj(cplx.c)
     assert_allclose(cplx.value, real.value, rtol=0, atol=1e-12)
     assert_allclose(u_cplx.value, u_real.value, rtol=0, atol=1e-9)
@@ -228,7 +238,8 @@ def test_complex_step_on_the_real_axis_equals_the_real_step(d):
 def test_normal_curve_stays_normal(d):
     # u vanishes identically, so the image must again have zero coefficients
     spec = zero_curve_spec(d)
-    _, u_eps = chi_map_point(spec, short_diagonal_chi(d), 0.3, 0.1, 2 * d + 4)
+    _, u_eps = chi_map_point(short_diagonal_chi(d), lifted(spec, 0.3), 0.1,
+                             2 * d + 4)
     assert_allclose(u_eps.c, 0.0, atol=1e-8)
 
 
@@ -238,17 +249,17 @@ def test_projective_equivariance(curve_d2, rng):
     lo = np.eye(3) + np.tril(rng.uniform(-0.3, 0.3, (3, 3)), -1)
     up = np.eye(3) + np.triu(rng.uniform(-0.3, 0.3, (3, 3)), 1)
     g = lo @ up  # unit determinant by construction
-    spans = build_spans(curve_d2, short_diagonal_chi(2), 0.25, 0.1, 8)
+    spans = _spans(short_diagonal_chi(2), lifted(curve_d2, 0.25), 0.1, 8)
     moved = [Jet(s.c @ g.T) for s in spans]
     ref = spans[0].value[0]
-    base, u_base = normalized_lift(intersect_spans(spans), 2, ref=ref)
-    out, u_out = normalized_lift(intersect_spans(moved), 2, ref=ref @ g.T)
+    base, u_base = normalized_lift(intersect_spans(spans), ref=ref)
+    out, u_out = normalized_lift(intersect_spans(moved), ref=ref @ g.T)
     assert_allclose(out.c, base.c @ g.T, atol=1e-9)
     assert_allclose(u_out.c, u_base.c, atol=1e-8)
 
 
 def test_point_invariant_under_span_rescaling(curve_d2, rng):
-    spans = build_spans(curve_d2, short_diagonal_chi(2), 0.2, 0.1, 8)
+    spans = _spans(short_diagonal_chi(2), lifted(curve_d2, 0.2), 0.1, 8)
     scaled = [Jet(s.c * rng.uniform(0.5, 2.0, size=s.c.shape[1])[:, None])
               for s in spans]
     base = intersect_spans(spans)
@@ -260,15 +271,15 @@ def test_reduced_dual_dented_equals_full(curve_d3):
     delta = dual_dented_shift(3, 1)
     full = dual_dented_chi(3, 1, variant="full").shift(delta)
     red = dual_dented_chi(3, 1, variant="reduced").shift(delta)
-    a, ua = chi_map_point(curve_d3, full, 0.3, 0.07, 10)
-    b, ub = chi_map_point(curve_d3, red, 0.3, 0.07, 10)
+    a, ua = chi_map_point(full, lifted(curve_d3, 0.3), 0.07, 10)
+    b, ub = chi_map_point(red, lifted(curve_d3, 0.3), 0.07, 10)
     assert_allclose(a.c, b.c, atol=1e-10)
     assert_allclose(ua.c, ub.c, atol=1e-9)
 
 
 def test_kmax_floor(curve_d2):
     with pytest.raises(ValueError):
-        chi_map_point(curve_d2, short_diagonal_chi(2), 0.0, 0.1, 5)
+        chi_map_point(short_diagonal_chi(2), lifted(curve_d2, 0.0), 0.1, 5)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -278,7 +289,8 @@ def test_extended_normals_annihilate_their_span(d):
     from pentalab.chimap import _span_normals
 
     spec = random_curve_spec(d, seed=d, dtype=np.longdouble)
-    for span in build_spans(spec, short_diagonal_chi(d), 0.3, 0.1, 2 * d + 2):
+    spans = _spans(short_diagonal_chi(d), lifted(spec, 0.3), 0.1, 2 * d + 2)
+    for span in spans:
         normals = _span_normals(span)
         assert normals.c.dtype == np.longdouble
         scale = np.max(np.abs(span.c)) * np.max(np.abs(normals.c))
@@ -305,12 +317,12 @@ def test_batch_equals_the_one_pair_loop(chi, eps0, dtype):
     xs = np.array([0.3, -0.45, 1.1])
     eps = dtype(eps0) * dtype(0.85) ** np.arange(4)
     k = 2 * chi.d + 2
-    lift, u = chi_map_point(spec, chi, xs[:, None], eps, k)
+    lift, u = chi_map_point(chi, lifted(spec, xs[:, None]), eps, k)
     assert lift.c.shape == (k - chi.d + 1, 3, 4, chi.d + 1)
     assert u.c.shape == (k - 2 * chi.d, 3, 4, chi.d)
     for i, x in enumerate(xs):
         for j, e in enumerate(eps):
-            one, u_one = chi_map_point(spec, chi, x, e, k)
+            one, u_one = chi_map_point(chi, lifted(spec, x), e, k)
             assert one.c.dtype == lift.c.dtype == dtype
             # every stage treats each pair as a call with that pair alone
             assert np.array_equal(lift.c[:, i, j], one.c)
@@ -328,18 +340,20 @@ def test_batch_with_one_degenerate_pair_raises_as_the_loop(d, seed, bad, message
     chi = short_diagonal_chi(d)
     pairs = [(0.3, 0.2), bad, (0.3, 0.1)]
     with pytest.raises(DegenerateIntersection) as one:
-        chi_map_point(spec, chi, *bad, 2 * d + 2)
+        chi_map_point(chi, lifted(spec, bad[0]), bad[1], 2 * d + 2)
     assert message in str(one.value)
     xs, eps = (np.array(v) for v in zip(*pairs))
     with pytest.raises(DegenerateIntersection) as batch:
-        chi_map_point(spec, chi, xs, eps, 2 * d + 2)
+        chi_map_point(chi, lifted(spec, xs), eps, 2 * d + 2)
     assert str(batch.value) == str(one.value)
-    chi_map_point(spec, chi, xs[::2], eps[::2], 2 * d + 2)  # the rest map
+    # the rest map
+    chi_map_point(chi, lifted(spec, xs[::2]), eps[::2], 2 * d + 2)
 
 
 def test_batch_rejects_any_zero_eps(curve_d2):
     with pytest.raises(ValueError, match="eps must be nonzero"):
-        build_spans(curve_d2, short_diagonal_chi(2), 0.3, np.array([0.1, 0.0]), 6)
+        chi_map_point(short_diagonal_chi(2), lifted(curve_d2, 0.3),
+                      np.array([0.1, 0.0]), 6)
 
 
 @pytest.mark.parametrize("eps", [
@@ -350,10 +364,10 @@ def test_scalar_x_with_an_eps_array(curve_d2, eps):
     # a scalar x with a complex eps array did not broadcast against the
     # node offsets
     chi = short_diagonal_chi(2)
-    lift, u = chi_map_point(curve_d2, chi, 0.3, eps, 6)
+    lift, u = chi_map_point(chi, lifted(curve_d2, 0.3), eps, 6)
     assert lift.c.shape == (5, eps.size, 3)
     for j, e in enumerate(eps):
-        one, u_one = chi_map_point(curve_d2, chi, 0.3, e, 6)
+        one, u_one = chi_map_point(chi, lifted(curve_d2, 0.3), e, 6)
         assert np.array_equal(lift.c[:, j], one.c)
         assert np.array_equal(u.c[:, j], u_one.c)
 
@@ -365,8 +379,9 @@ def test_shift_maps_the_shifted_configuration(curve_d3):
     # frame, which is how lax_limit_diagnostics reads its windows
     chi = short_diagonal_chi(3)
     for eps in (0.05, 0.05 * np.exp(0.3j)):
-        jet = chi_map_point(curve_d3, chi, 0.3, eps, 20)[0].c
+        jet = chi_map_point(chi, lifted(curve_d3, 0.3), eps, 20)[0].c
         for k in range(5):
-            one = chi_map_point(curve_d3, chi.shift(k), 0.3, eps, 8)[0].value
+            one = chi_map_point(chi.shift(k), lifted(curve_d3, 0.3), eps,
+                                8)[0].value
             at = np.sum(jet * (k * eps) ** np.arange(len(jet))[:, None], axis=0)
             assert_allclose(at, one, rtol=0, atol=1e-13)

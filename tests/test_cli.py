@@ -16,7 +16,7 @@ from pentalab.cli import main
 from pentalab.configs import ChiConfig, short_diagonal_chi
 from pentalab.curves import CurveSpec, random_curve_spec
 from pentalab.discretize import limit_diagnostics
-from pentalab.expansion import alpha_constancy_check
+from pentalab.expansion import _lift, alpha_constancy_check
 
 
 def run(capsys, argv):
@@ -80,7 +80,7 @@ def test_no_subcommand_transports_a_frame(capsys, monkeypatch, argv):
 ], ids="-".join)
 def test_one_matrix_entry_points_see_no_stack(capsys, monkeypatch, argv):
     # perfbench's tracer takes a condition number of the first argument of
-    # linalg.det_dense and linalg.solve_dense, which must be one matrix
+    # linalg.det_dense, which must be one matrix
     want = run(capsys, argv)
     assert want[0] == 0, want[2]
 
@@ -90,8 +90,7 @@ def test_one_matrix_entry_points_see_no_stack(capsys, monkeypatch, argv):
             return fn(a, *args)
         return checked
 
-    for name in ("det_dense", "solve_dense"):
-        monkeypatch.setattr(linalg, name, one_matrix(getattr(linalg, name)))
+    monkeypatch.setattr(linalg, "det_dense", one_matrix(linalg.det_dense))
     assert run(capsys, argv) == want
 
 
@@ -506,25 +505,28 @@ class TestCentralize:
         import pentalab.expansion
 
         calls = []
-        mapper = pentalab.expansion._map_lifted
+        mapper = pentalab.expansion.chi_map_point
         inner = pentalab.expansion.extract_alphas
 
         def counted(*args):
-            x, eps = np.broadcast_arrays(*args[2:4])
-            calls.append((x[:, 0].tolist(), eps.shape))
+            lifts, eps = args[1:3]
+            calls.append((lifts[..., 0],
+                          np.broadcast_shapes(lifts.shape[2:], eps.shape)))
             return mapper(*args)
 
-        monkeypatch.setattr(pentalab.expansion, "_map_lifted", counted)
+        monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
         code, out, _ = run(capsys, ["centralize", "--d", "2", "--seed", "11",
                                     "--x", "-0.4", "0.3", "1.1"])
         monkeypatch.undo()
         assert code == 0
-        # one application maps every point on the upper half of the
-        # contour, each pair once
-        assert calls == [([-0.4, 0.3, 1.1], (3, 13))]
-        # the report of the first point on its own, then the spread
         spec, chi = random_curve_spec(2, seed=11), short_diagonal_chi(2)
         xs = (-0.4, 0.3, 1.1)
+        # one application maps every point on the upper half of the
+        # contour, each pair once
+        [(lifts, batch)] = calls
+        assert np.array_equal(lifts, _lift(spec, xs)[0])
+        assert batch == (3, 13)
+        # the report of the first point on its own, then the spread
         first = inner(spec, chi, xs[0])
         payload = {"schema": 1, "seed": 11, "chi": chi.to_dict(),
                    "x_values": list(xs),

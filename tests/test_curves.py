@@ -24,10 +24,9 @@ from pentalab.curves import (
     normalized_lift,
     random_curve_spec,
     wronskian,
-    zero_curve_spec,
 )
 
-from oracles import cofactor_det
+from oracles import cofactor_det, zero_curve_spec
 
 
 def test_affine_motion_d1():
@@ -282,7 +281,7 @@ def test_integration_failure_on_exploding_curve():
 def test_normalized_lift_idempotent(curve_d2):
     x = 0.3
     fj = gamma_jet(curve_d2, x, 8)
-    out, u_eps = normalized_lift(fj, 2)
+    out, u_eps = normalized_lift(fj)
     assert out.order == fj.order - 2  # the Wronskian scale costs d orders
     assert_allclose(out.c, fj.c[: out.order + 1], rtol=1e-11, atol=1e-13)
     for i in range(2):
@@ -292,7 +291,7 @@ def test_normalized_lift_idempotent(curve_d2):
 def test_normalized_lift_constant_rescale():
     spec = zero_curve_spec(1)
     fj = gamma_jet(spec, 0.5, 5)
-    out, _ = normalized_lift(fj * 2.0, 1)
+    out, _ = normalized_lift(fj * 2.0)
     rows = [out.c[k] * math.factorial(k) for k in range(2)]
     assert np.linalg.det(rows) == pytest.approx(1.0, abs=1e-13)
     assert_allclose(out.value, fj.value, atol=1e-13)
@@ -301,13 +300,13 @@ def test_normalized_lift_constant_rescale():
 def test_normalized_lift_scalar_gauge_invariance(curve_d3, rng):
     x = -0.6
     fj = gamma_jet(curve_d3, x, 10)
-    base, ub = normalized_lift(fj, 3, ref=fj.value)
+    base, ub = normalized_lift(fj, ref=fj.value)
     gauge = 1.5 + 0.3 * np.sin(x)  # positive scalar jet, nonconstant
     from pentalab.jets import AnalyticFn, eval_jet
 
     gj = eval_jet(1.5 + 0.3 * AnalyticFn.x().sin(), x, 10)
     scaled = gj * fj
-    out, uo = normalized_lift(scaled, 3, ref=fj.value)
+    out, uo = normalized_lift(scaled, ref=fj.value)
     assert gauge > 0
     assert_allclose(out.c, base.c[: out.order + 1], rtol=1e-10, atol=1e-12)
     for i in range(3):
@@ -320,10 +319,10 @@ def test_normalized_lift_even_frame_dimension_sign():
     spec = random_curve_spec(3, seed=9)
     fj = gamma_jet(spec, 0.2, 10)
     flipped = -fj
-    out, _ = normalized_lift(flipped, 3, ref=fj.value)
+    out, _ = normalized_lift(flipped, ref=fj.value)
     k = out.order + 1
     assert_allclose(out.c, fj.c[:k], rtol=1e-11, atol=1e-13)
-    out2, _ = normalized_lift(flipped, 3)  # no ref: keeps the flipped branch
+    out2, _ = normalized_lift(flipped)  # no ref: keeps the flipped branch
     assert_allclose(out2.c, -fj.c[:k], rtol=1e-11, atol=1e-13)
 
 
@@ -332,9 +331,9 @@ def test_normalized_lift_of_a_stack_equals_each_lift(curve_d3, rng):
             for x in (0.1, 0.6, 1.3)]
     refs = np.stack([r.value for r in raws])
     stack = Jet(np.stack([-r.c for r in raws], axis=1))
-    out, u = normalized_lift(stack, 3, ref=refs)
+    out, u = normalized_lift(stack, ref=refs)
     for i, raw in enumerate(raws):
-        one, u_one = normalized_lift(-raw, 3, ref=refs[i])
+        one, u_one = normalized_lift(-raw, ref=refs[i])
         assert np.array_equal(out.c[:, i], one.c)
         assert np.array_equal(u.c[:, i], u_one.c)
 
@@ -345,7 +344,7 @@ def test_normalized_lift_degenerate():
     lift = np.zeros((9, 4))
     lift[0, :2] = 1.0  # components (1, 1, 0, 0): every derivative vanishes
     with pytest.raises(DegenerateLift, match="vanishing Wronskian"):
-        normalized_lift(Jet(lift), 3)
+        normalized_lift(Jet(lift))
 
 
 # -- Abel's identity against a cofactor Wronskian --------------------------------
@@ -402,7 +401,7 @@ def test_normalized_lift_has_unit_wronskian_at_every_order(d, kind, seed, x,
         assert np.iscomplexobj(w_raw)
     else:
         assert (w_raw < 0) == negate
-    out, _ = normalized_lift(raw, d)
+    out, _ = normalized_lift(raw)
     w = wronskian_series(out.c)
     assert len(w) == raw.order - 2 * d + 1 and w.dtype == raw.c.dtype
     tol = 1e-16 if kind == "longdouble" else 1e-12
@@ -413,21 +412,21 @@ def test_normalized_lift_sign_rules():
     spec = random_curve_spec(2, seed=4)
     lift = gamma_jet(spec, 0.3, 9)
     # d + 1 = 3: -lift has W = -1, and the real odd root gives lift back
-    out, _ = normalized_lift(-lift, 2)
+    out, _ = normalized_lift(-lift)
     assert_allclose(out.c, lift.c[:out.order + 1], rtol=1e-12, atol=1e-14)
     # d + 1 = 4: one component negated makes W = -1, which no real scale
     # can fix, and either frame's sign may come back
     lift3 = gamma_jet(random_curve_spec(3, seed=4), 0.3, 10)
     with pytest.raises(DegenerateLift, match="negative Wronskian"):
-        normalized_lift(Jet(lift3.c * [-1, 1, 1, 1]), 3)
+        normalized_lift(Jet(lift3.c * [-1, 1, 1, 1]))
     # complex: the principal root, then the cube root of unity that brings
     # the dot product sum(ref * lift) nearest the positive real axis
     raw = Jet(lift.c * np.exp(2.5j))  # W = exp(7.5i), Arg W = 7.5 - 2 pi
-    principal, _ = normalized_lift(raw, 2)  # scales by exp(-(7.5 - 2 pi) i/3)
+    principal, _ = normalized_lift(raw)  # scales by exp(-(7.5 - 2 pi) i/3)
     assert_allclose(principal.c, lift.c[:principal.order + 1]
                     * np.exp(2j * np.pi / 3), rtol=1e-12, atol=1e-14)
     for turn in np.exp(2j * np.pi * np.arange(3) / 3):
-        out, _ = normalized_lift(raw, 2, ref=lift.value / turn)
+        out, _ = normalized_lift(raw, ref=lift.value / turn)
         assert_allclose(out.c, lift.c[:out.order + 1] * turn,
                         rtol=1e-12, atol=1e-14)
 

@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 from pentalab.discretize import (_recurrence, _scaled_differences,
                                  limit_diagnostics, tilde_from_A)
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, _shifted_lifts,
-                             random_curve_spec, zero_curve_spec)
+                             random_curve_spec)
 from pentalab.fitting import decay_order
+
+from oracles import zero_curve_spec
 
 # largest |limit - u_i| per d; measured worst 1.1e-16, 2.2e-16, 2.2e-16 and
 # 5.6e-16 (d = 2..5, seeds 0-9, x in {0.1, 0.3, 1.1, -0.7}); sampled windows

@@ -20,7 +20,6 @@ from pentalab import (
     short_diagonal_chi,
     solve_alpha_diag,
     trig_poly,
-    zero_curve_spec,
 )
 from pentalab.expansion import (
     NotCentralized,
@@ -31,6 +30,8 @@ from pentalab.expansion import (
     verify_G2_structure,
 )
 from pentalab.kdvops import JET_ORDER, kdv_rhs, l_operator
+
+from oracles import zero_curve_spec
 
 
 class TestExtraction:
@@ -106,7 +107,7 @@ class TestExtraction:
         import pentalab.expansion as expansion
         from pentalab.jets import Jet
 
-        inner = expansion._map_lifted
+        inner = expansion.chi_map_point
 
         def poisoned(*args):
             lifted, u = inner(*args)
@@ -114,7 +115,7 @@ class TestExtraction:
             c[0, 0, 3, 1] = bad  # the point of rung 3, coordinate 1
             return Jet(c), u
 
-        monkeypatch.setattr(expansion, "_map_lifted", poisoned)
+        monkeypatch.setattr(expansion, "chi_map_point", poisoned)
         with pytest.raises(ValueError, match="infs or NaNs"):
             extract_alphas(curve_d2, short_diagonal_chi(2), 0.3)
 
@@ -179,8 +180,10 @@ class TestFarWorkingPoint:
         from pentalab.expansion import _extract
 
         chi = short_diagonal_chi(2)
-        mixed = _extract(curve_d2, chi, (0.2, 0.3, 20.0), 2)
-        near = _extract(curve_d2, chi, (0.2, 0.3, 0.4), 2)
+        mixed = _extract(chi, (0.2, 0.3, 20.0), 2,
+                         _lift(curve_d2, (0.2, 0.3, 20.0))[0])
+        near = _extract(chi, (0.2, 0.3, 0.4), 2,
+                        _lift(curve_d2, (0.2, 0.3, 0.4))[0])
         for got, want in zip(mixed[:2], near[:2]):
             assert got.to_dict() == want.to_dict()
         assert abs(mixed[2].alpha[1, 1]) <= 1e-3
@@ -221,18 +224,21 @@ class TestConstancy:
         chi = short_diagonal_chi(2)
         xs = [-0.4, 0.3, 1.1]
         calls = []
-        inner = expansion._map_lifted
+        inner = expansion.chi_map_point
 
         def counted(*args):
-            x, eps = np.broadcast_arrays(*args[2:4])
-            calls.append(x[:, 0].tolist())
-            assert eps.shape == (3, 13)  # the upper half of the contour
+            lifts, eps = args[1:3]
+            calls.append(lifts[..., 0])
+            # the upper half of the contour
+            assert np.broadcast_shapes(lifts.shape[2:], eps.shape) == (3, 13)
             return inner(*args)
 
-        monkeypatch.setattr(expansion, "_map_lifted", counted)
+        monkeypatch.setattr(expansion, "chi_map_point", counted)
         first, spread = alpha_constancy_check(curve_d2, chi, xs)
         monkeypatch.undo()
-        assert calls == [xs]  # every point on every node in one application
+        # every point on every node in one application
+        [lifts] = calls
+        assert np.array_equal(lifts, _lift(curve_d2, xs)[0])
         diag = np.array([np.diag(extract_alphas(curve_d2, chi, x).alpha)
                          for x in xs])
         assert spread == float(np.max(diag.max(axis=0) - diag.min(axis=0)))

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from pentalab.chimap import chi_map_point
 from pentalab.configs import evenly_spaced_chi, short_diagonal_chi
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, _shifted_lifts,
-                             gamma_jet, random_curve_spec, zero_curve_spec)
+                             gamma_jet, random_curve_spec)
 from pentalab.discretize import _recurrence, _scaled_differences, tilde_from_A
 from pentalab.expansion import _contour, extract_alphas
 from pentalab.jets import eval_jet
@@ -24,6 +24,8 @@ from pentalab.lax import (
     _v_jets,
     lax_limit_diagnostics,
 )
+
+from oracles import zero_curve_spec
 
 X0 = 0.3
 
@@ -272,13 +274,14 @@ class TestTransfer:
         e = 0.1
         here = CurveSpec(2, curve_d2.u, X0, np.eye(3))
         lift = _lift_coeffs(curve_d2, np.array([X0]), 18)[0][..., 0]
-        image = chi_map_point(curve_d2, chi, X0, e, 20)[0].c
+        deep = _lift_coeffs(curve_d2, np.array([X0]), _SHIFT_ORDER)[0][..., 0]
+        image = chi_map_point(chi, deep, e, 20)[0].c
         curve, mapped = (np.moveaxis(_scaled_differences(f, e, shift, 2), 0, -2)
                          for f in (lift, image))
         p = np.linalg.solve(curve.T, mapped.T).T
         ks = np.arange(shift, shift + 3)
         w = np.stack([here.frame_at(X0 + k * e)[0] for k in ks])
-        wt = np.stack([chi_map_point(curve_d2, chi.shift(k), X0, e, 6)[0].value
+        wt = np.stack([chi_map_point(chi.shift(k), deep, e, 6)[0].value
                        for k in ks])
         scaled = [np.stack([np.diff(v, n=j, axis=0)[0] / e ** j
                             for j in range(3)]) for v in (w, wt)]
@@ -483,16 +486,17 @@ class TestLimits:
 
         want = extract_alphas(curve_d2, short_diagonal_chi(2), X0)
         calls = []
-        inner = pentalab.chimap._map_lifted
+        inner = pentalab.chimap.chi_map_point
 
         def counted(*args):
-            x, eps = np.broadcast_arrays(*args[2:4])
-            calls.append((list(zip(x.ravel().tolist(), eps.ravel().tolist())),
-                          args[4]))
+            lifts, eps, kmax = args[1:]
+            batch = np.broadcast_shapes(lifts.shape[2:], eps.shape)
+            calls.append((lifts, np.broadcast_to(eps, batch).ravel().tolist(),
+                          kmax))
             return inner(*args)
 
-        monkeypatch.setattr(pentalab.expansion, "_map_lifted", counted)
-        monkeypatch.setattr(pentalab.lax, "_map_lifted", counted)
+        monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted)
+        monkeypatch.setattr(pentalab.lax, "chi_map_point", counted)
         d = 2
         rep = lax_limit_diagnostics(curve_d2, short_diagonal_chi(d), X0)
         # one application maps the 13 contour nodes of the extraction at x,
@@ -500,13 +504,14 @@ class TestLimits:
         # its value is the extraction's own
         assert len(calls) == 1
         assert rep.c == want.alpha[2, 2]
-        pairs, kmax = calls[0]
+        lifts, steps, kmax = calls[0]
         assert kmax == 2 * d + 4
-        assert len(pairs) == len(set(pairs)) == 13
-        assert {x for x, _ in pairs} == {X0}
+        assert len(steps) == len(set(steps)) == 13
+        assert np.array_equal(
+            lifts, _lift_coeffs(curve_d2, np.array([X0]), _SHIFT_ORDER)[0][..., 0])
         radius = 0.2 / max(abs(p) for g in short_diagonal_chi(d).groups
                            for p in g)
-        assert_allclose(sorted(abs(e) for _, e in pairs), [radius] * 13,
+        assert_allclose(sorted(abs(e) for e in steps), [radius] * 13,
                         rtol=1e-15)
 
     @pytest.mark.parametrize("d,seed", [(2, 5), (3, 23)])

@@ -5,8 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pentalab import cli, linalg
-from pentalab.linalg import (SingularMatrixError, det_dense, null_bases, solve_dense,
-                             stack_solver)
+from pentalab.linalg import SingularMatrixError, det_dense, null_bases, stack_solver
 
 
 # -- the extended path against exact rational answers ---------------------------
@@ -52,18 +51,18 @@ def test_extended_solve_and_det_match_rationals(rng):
     worst64 = 0.0
     for a, b in integer_systems(rng):
         want, det = rational_solve(a, b)
-        got = solve_dense(a.astype(np.longdouble), b.astype(np.longdouble))
+        solve = stack_solver(a.astype(np.longdouble))
+        got = solve(b.astype(np.longdouble))
         assert got.dtype == np.longdouble
         assert rel_err(got, want) <= RTOL_EXTENDED
         for j in range(b.shape[1]):
-            col = solve_dense(a.astype(np.longdouble),
-                              b[:, j].astype(np.longdouble))
+            col = solve(b[:, j].astype(np.longdouble))
             assert rel_err(col, [[w[j]] for w in want]) <= RTOL_EXTENDED
         got_det = det_dense(a.astype(np.longdouble))
         assert got_det.dtype == np.longdouble
         assert rel_err(got_det, [[det]]) <= RTOL_EXTENDED
         # the solver's slogdet comes from the same LU
-        sign, logdet = stack_solver(a.astype(np.longdouble)).slogdet
+        sign, logdet = solve.slogdet
         assert logdet.dtype == np.longdouble
         assert rel_err(sign * np.exp(logdet), [[det]]) <= RTOL_EXTENDED
         worst64 = max(worst64, rel_err(np.linalg.solve(a, b), want))
@@ -126,20 +125,20 @@ def test_stack_solver_rejects_any_bad_matrix_up_front(rng, bad, dtype):
     a[1] = [[1.0, 2.0], [2.0, 4.0]] if bad == 0.0 else [[1.0, bad], [0.0, 1.0]]
     with pytest.raises(SingularMatrixError):
         stack_solver(a)
-    if dtype == np.longdouble:  # solve_dense factors the same way
-        with pytest.raises(SingularMatrixError):
-            solve_dense(a[1], np.ones(2, dtype=dtype))
+    with pytest.raises(SingularMatrixError):  # and the bad matrix alone
+        stack_solver(a[1])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_dense_rejects_a_non_finite_matrix(bad, stack, dtype):
-    # np.linalg.solve passes a NaN entry on as a NaN solution
+    # np.linalg.solve passes a NaN entry on as a NaN solution; one matrix
+    # and a stack are refused alike
     a = np.broadcast_to(np.eye(2, dtype=dtype), stack + (2, 2)).copy()
     a.reshape(-1, 2, 2)[-1, 0, 1] = bad
     with pytest.raises(SingularMatrixError, match="infs or NaNs"):
-        solve_dense(a, np.ones(stack + (2, 1), dtype=dtype))
+        stack_solver(a)
 
 
 def looped_lu_solve(a, b):

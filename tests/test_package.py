@@ -34,3 +34,53 @@ def test_every_function_and_class_has_a_caller():
                        or not node.lineno <= n <= node.end_lineno):
                 orphans.append(f"{name}:{node.name}")
     assert orphans == []
+
+
+# public names that nothing in the package calls yet, each with why it
+# stays for now; a name leaves the list when it gains a caller or goes
+_UNCALLED = {
+    # closed forms read only by tests; `families` could report them
+    "alpha11_evenly_spaced": "acceptance line 4 reads it",
+    "hyperplane_centralization_test": "test_configs and test_realize read it",
+    # `expand` could report its G2 residual
+    "verify_G2_structure": "acceptance lines 3 and 4 read it",
+    "limit_diagnostics": "acceptance line 2 reads it; no command reports it",
+    "search_34": "a paper workload that no command reaches yet",
+    # the frame march's own lift jet and Wronskian, which go with
+    # CurveSpec.frame_at once the benchmark's tracer stops patching it
+    "gamma_jet": "the curves tests read it",
+    "wronskian": "acceptance line 1 reads it",
+}
+
+
+def _references(tree):
+    """(name, line) of every Name, Attribute and from-import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_public_name_has_a_caller():
+    # a name in __all__ is referenced in the package outside its own
+    # definition and __init__.py; the references come from the AST, so a
+    # docstring or comment that names it does not count
+    trees = {path.name: ast.parse(path.read_text())
+             for path in pathlib.Path(pentalab.__file__).parent.glob("*.py")
+             if path.name != "__init__.py"}
+    refs = {(name, home, line) for home, tree in trees.items()
+            for name, line in _references(tree)}
+    uncalled = []
+    for name in pentalab.__all__:
+        home = getattr(pentalab, name).__module__.rsplit(".", 1)[1] + ".py"
+        [node] = [n for n in trees[home].body
+                  if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                  and n.name == name]
+        own = range(node.lineno, node.end_lineno + 1)
+        if not any(ref == name and (where != home or line not in own)
+                   for ref, where, line in refs):
+            uncalled.append(name)
+    assert sorted(uncalled) == sorted(_UNCALLED)

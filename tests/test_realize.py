@@ -145,7 +145,7 @@ class TestCheck34:
         def degenerate(*args, **kwargs):
             raise DegenerateIntersection("stacked constraints are rank deficient")
 
-        monkeypatch.setattr(pentalab.realize, "_extract_lifted", degenerate)
+        monkeypatch.setattr(pentalab.realize, "_extract", degenerate)
         with pytest.raises(DegenerateProbes, match="every probe curve"):
             check_34(integer_instance, probes, X0)
         assert issubclass(DegenerateProbes, RuntimeError)
@@ -235,17 +235,17 @@ class TestStackedProbes:
         import pentalab.expansion
 
         maps, jets = [], []
-        mapper, u_jet = pentalab.expansion._map_lifted, CurveSpec.u_jet
+        mapper, u_jet = pentalab.expansion.chi_map_point, CurveSpec.u_jet
 
         def counted_map(*args, **kwargs):
-            maps.append(np.shape(args[2]))
+            maps.append(args[1].shape[2:])
             return mapper(*args, **kwargs)
 
         def counted_u(spec, x, order):
             jets.append(spec)
             return u_jet(spec, x, order)
 
-        monkeypatch.setattr(pentalab.expansion, "_map_lifted", counted_map)
+        monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted_map)
         monkeypatch.setattr(CurveSpec, "u_jet", counted_u)
         rep = check_34(integer_instance, probes, X0)
         monkeypatch.undo()
@@ -260,16 +260,16 @@ class TestStackedProbes:
         from pentalab.chimap import DegenerateIntersection
         from pentalab.expansion import _lift
 
-        inner = pentalab.realize._extract_lifted
+        inner = pentalab.realize._extract
         bad = _lift(probes[1], [X0])[0]
 
-        def degenerate(spec, chi, xs, kmax, lifts):
+        def degenerate(chi, xs, kmax, lifts):
             # the stacked call and probe 1's own call degenerate
             if lifts.shape[-1] > 1 or np.array_equal(lifts, bad):
                 raise DegenerateIntersection("rank deficient")
-            return inner(spec, chi, xs, kmax, lifts)
+            return inner(chi, xs, kmax, lifts)
 
-        monkeypatch.setattr(pentalab.realize, "_extract_lifted", degenerate)
+        monkeypatch.setattr(pentalab.realize, "_extract", degenerate)
         seen = _spy_residuals(monkeypatch)
         rep = check_34(integer_instance, probes, X0)
         assert rep.skipped == (1,)
@@ -324,6 +324,24 @@ class TestSearch:
         assert again.resumed is True
         assert json.loads(json.dumps(again.to_dict()))["resumed"] is True
 
+    @pytest.mark.parametrize("blob", [
+        "[]", "3", '"abc"', '{"params": 5}', json.dumps({"params": [None] * 9}),
+        json.dumps({"params": [10 ** 400] * 9}),
+    ], ids=["list", "number", "string", "params-number", "nulls",
+            "past-float-range"])
+    def test_wrong_shape_checkpoint_starts_from_the_seed(
+            self, integer_instance, probes, tmp_path, blob):
+        # valid JSON of the wrong shape raised AttributeError or TypeError,
+        # and nine nulls resumed from NaN nodes with objective inf
+        path = tmp_path / "search.json"
+        path.write_text(blob)
+        res = search_34(integer_instance, probes, X0, max_iters=10,
+                        checkpoint=str(path))
+        assert res.resumed is False
+        assert res.evaluations == 1
+        assert res.converged and res.chi == integer_instance
+        assert np.isfinite(res.objective)
+
     @pytest.mark.parametrize("bug", [ValueError, np.linalg.LinAlgError])
     def test_bug_in_extraction_propagates(self, integer_instance, probes,
                                           bug, monkeypatch):
@@ -332,10 +350,10 @@ class TestSearch:
         calls = []
 
         def broken(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[0])
             raise bug("not a geometric failure")
 
-        monkeypatch.setattr(pentalab.realize, "_extract_lifted", broken)
+        monkeypatch.setattr(pentalab.realize, "_extract", broken)
         with pytest.raises(bug, match="not a geometric failure"):
             search_34(integer_instance, probes, X0, max_iters=5)
         # raised by the seed's own evaluation, not scored as a bad point
