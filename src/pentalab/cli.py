@@ -66,6 +66,16 @@ def _finite_float(text):
     return value
 
 
+def _seed(text):
+    """The argparse type of --seed: a non-negative integer, as numpy's
+    random generators need."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative "
+                                         "integer")
+    return value
+
+
 def _shift_value(text):
     """--shift: 'auto' or a finite number."""
     return text if text == "auto" else _finite_float(text)
@@ -76,30 +86,27 @@ def _build_family(args, d_default=None):
     d = args.d if args.d is not None else d_default
     if d is None:
         raise UsageError("a named family needs --d")
-    shift = getattr(args, "shift", None)
     try:
         if name == "short-diagonal":
             chi = short_diagonal_chi(d)
         elif name == "evenly-spaced":
-            if getattr(args, "p", None) is None \
-                    or getattr(args, "r_step", None) is None:
+            if args.p is None or args.r_step is None:
                 raise UsageError("evenly-spaced needs --p and --r-step")
             chi = evenly_spaced_chi(args.p, args.r_step, d)
         elif name == "dual-dented":
-            s = getattr(args, "s", None)
-            if s is None:
+            if args.s is None:
                 raise UsageError("dual-dented needs --s")
-            chi = dual_dented_chi(d, s, variant=getattr(args, "variant",
-                                                        "full"))
+            chi = dual_dented_chi(d, args.s, variant=args.variant)
         else:
             raise UsageError(f"unknown family {name!r}")
     except ValueError as exc:
         raise UsageError(str(exc))
     applied = 0.0
-    if shift is not None:
+    if args.shift is not None:
         if name != "dual-dented":
             raise UsageError("--shift only applies to dual-dented")
-        applied = dual_dented_shift(d, args.s) if shift == "auto" else shift
+        applied = (dual_dented_shift(d, args.s) if args.shift == "auto"
+                   else args.shift)
         chi = chi.shift(applied)
     return chi, applied
 
@@ -323,7 +330,7 @@ def _add_run_flags(p):
     _add_family_flags(p)
     p.add_argument("--precision", choices=("double", "extended"),
                    default="double")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed for random curves, recorded in the report")
     _add_output_flags(p)
 
@@ -382,7 +389,7 @@ def build_parser():
     p.add_argument("--root-index", type=int, default=None)
     p.add_argument("--probes", type=int, default=3)
     p.add_argument("--x", type=_finite_float, default=0.3)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed for random curves, recorded in the report")
     _add_output_flags(p)
     p.set_defaults(handler="cmd_realize34", needs_run_config=False)

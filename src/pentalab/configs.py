@@ -1,4 +1,4 @@
-"""Node configurations for intersection maps, and their closed-form tests.
+"""Node configurations for intersection maps.
 
 A configuration is a family of groups of real offsets {p_{i,j}}.  Group i
 spans a (q_i)-dimensional subspace from q_i + 1 curve points; the group
@@ -58,7 +58,10 @@ class ChiConfig:
 
     @staticmethod
     def from_dict(obj):
-        return ChiConfig(int(obj["d"]), obj["groups"])
+        d = obj["d"]
+        if type(d) is not int:  # a JSON integer: not a bool, float or string
+            raise ValueError(f"d must be an integer, not {d!r}")
+        return ChiConfig(d, obj["groups"])
 
     @staticmethod
     def load(path):
@@ -180,33 +183,3 @@ def solve_alpha_diag(chi):
     """(alpha_{1,1}, ..., alpha_{d,d}) for a hyperplane config."""
     m0, c0 = assemble_M0_c0(chi)
     return linalg.stack_solver(m0)(c0)
-
-
-def alpha11_evenly_spaced(p, r_step, d):
-    """Closed form for the leading coefficient of an evenly spaced family."""
-    s1 = float(np.sum(np.asarray(p, dtype=float)))
-    return (s1 + math.comb(d, 2) * r_step) / d
-
-
-class CentralizationResult:
-    __slots__ = ("centralized_through", "alpha_dd", "sigma_top", "alpha_diag")
-
-    def __init__(self, centralized_through, alpha_dd, sigma_top, alpha_diag):
-        self.centralized_through = centralized_through
-        self.alpha_dd = alpha_dd
-        self.sigma_top = sigma_top
-        self.alpha_diag = alpha_diag
-
-
-def hyperplane_centralization_test(chi):
-    """Equality test of the groups' top symmetric polynomials.
-
-    When they all agree the first d-1 diagonal coefficients vanish and the
-    d-th one is (-1)^(d+1) sigma_d / d!; the full diagonal from the linear
-    system is returned alongside for cross-checking.
-    """
-    table = SymTable(chi)
-    top = table.top()
-    alpha_dd = (-1) ** (chi.d + 1) * top[0] / math.factorial(chi.d)
-    return CentralizationResult(table.tops_agree(), float(alpha_dd), top,
-                                solve_alpha_diag(chi))

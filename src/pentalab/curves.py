@@ -91,7 +91,9 @@ class CurveSpec:
 
     @staticmethod
     def from_dict(obj, dtype=np.float64):
-        d = int(obj["d"])
+        d = obj["d"]
+        if type(d) is not int:  # a JSON integer: not a bool, float or string
+            raise ValueError(f"d must be an integer, not {d!r}")
         u = [AnalyticFn.from_dict(node) for node in obj["u"]]
         x0 = float(obj["x0"])
         f0 = np.array(obj["F0"], dtype=np.float64)

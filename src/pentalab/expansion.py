@@ -9,7 +9,8 @@ gives the Taylor coefficients of each frame coordinate to roundoff over r^k
 Review 56 (2014)); the coefficient of ε^k on the j-th frame vector is the
 operator coefficient α_{k,j}.  The first two corrections are heavily
 structured (a bare first derivative, then a Schwarzian like second-order
-operator), and the checks in this module pin that structure.  One
+operator); the checks in this module test the diagonal's constancy in x
+and the second-order drift of the invariants.  One
 application of the map covers every node of the circle, every working point
 of a constancy check, and every probe curve of a third-order check, at once:
 each working point's lift is built once (``curves._lift_coeffs``), and the
@@ -143,27 +144,6 @@ def _extract(chi, xs, kmax, lifts):
     lifted, u = chi_map_point(chi, lifts[..., None], eps, 2 * lifts.shape[1])
     return [_report(x, kmax, radius, *mapped)
             for x, mapped in zip(xs, zip(lifted.value, u.value))]
-
-
-def verify_G2_structure(report, spec, x):
-    """Residual of the extracted first and second corrections against theory.
-
-    The first correction must be a pure first derivative; the second must be
-    a22*(D^2 + 2 u_{d-1}/(d+1)) - a11^2 u_{d-1}/(d+1) with the report's a11 and
-    a22 plugged in.  Returns the worst coefficient mismatch.
-    """
-    if report.kmax < 2:
-        raise ValueError("report must carry at least the second order")
-    d = report.d
-    u_top = float(spec.u_jet(x, 0).value[d - 1])
-    a11 = report.alpha[1, 1]
-    a22 = report.alpha[2, 2]
-    predicted = np.zeros(d + 1)
-    predicted[2] = a22
-    predicted[0] = (2.0 * a22 - a11 ** 2) * u_top / (d + 1)
-    resid = float(np.max(np.abs(report.alpha[2] - predicted)))
-    off_first = np.abs(np.delete(report.alpha[1], 1))
-    return max(resid, float(np.max(off_first)))
 
 
 def alpha_constancy_check(spec, chi, xs):

@@ -378,28 +378,6 @@ class AnalyticFn:
             return _div(a, b)
         raise ValueError(f"unknown op {op!r}")
 
-    def __call__(self, x):
-        op = self.op
-        if op == "const":
-            return self.value
-        if op == "x":
-            return x
-        if op == "add":
-            return self.args[0](x) + self.args[1](x)
-        if op == "sub":
-            return self.args[0](x) - self.args[1](x)
-        if op == "mul":
-            return self.args[0](x) * self.args[1](x)
-        if op == "div":
-            return self.args[0](x) / self.args[1](x)
-        if op == "sin":
-            return math.sin(self.args[0](x))
-        if op == "cos":
-            return math.cos(self.args[0](x))
-        if op == "pow":
-            return self.args[0](x) ** self.value
-        raise ValueError(f"unknown op {op!r}")
-
     # serialization
 
     def to_dict(self):

@@ -10,11 +10,6 @@ the lower bound on how many constraints higher flows require, and a small
 derivative-free search for new configurations.
 """
 
-import json
-import math
-import os
-import tempfile
-
 import numpy as np
 
 from .chimap import DegenerateIntersection
@@ -209,7 +204,7 @@ class Search34Result:
     """Best configuration found by the descent, with its full report."""
 
     __slots__ = ("chi", "report", "objective", "converged", "improved",
-                 "evaluations", "resumed")
+                 "evaluations")
 
     def to_dict(self):
         return {
@@ -219,45 +214,10 @@ class Search34Result:
             "converged": self.converged,
             "improved": self.improved,
             "evaluations": self.evaluations,
-            "resumed": self.resumed,
         }
 
 
-def _write_checkpoint(path, blob):
-    """Replace path by blob as JSON through a temp file in the same
-    directory, so a crash mid-write leaves the old file, never a torn one."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(blob, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _saved_params(path, size):
-    """The params a checkpoint at path holds, or None when it is missing or
-    unreadable: anything but a JSON object whose "params" is a list of size
-    finite numbers."""
-    try:
-        with open(path) as fh:
-            saved = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    params = saved.get("params") if isinstance(saved, dict) else None
-    if (not isinstance(params, list) or len(params) != size
-            or not all(type(v) in (int, float) for v in params)):
-        return None
-    try:
-        params = np.array(params, dtype=np.float64)
-    except OverflowError:  # an integer past the float range
-        return None
-    return params if np.all(np.isfinite(params)) else None
-
-
-def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
+def search_34(seed_chi, probe_curves, x, max_iters=200):
     """Derivative-free descent toward a third-order flow configuration.
 
     The nine nodes are the free parameters; the node-product equalities are
@@ -265,10 +225,7 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
     squared residual sum g1^2 + g2^2 + g3^2 measured on the first probe
     curve.  Best-effort: a seed already inside tolerance is returned as is,
     and a run that fails to improve on the seed returns the seed flagged as
-    not converged.  When a checkpoint path is given the best point found is
-    saved there after every improvement and reused as the starting point by
-    a later call; ``resumed`` says whether it was (a missing, unreadable or
-    mis-sized checkpoint starts from the seed).
+    not converged.
     """
     _require_planes(seed_chi)
     if len(probe_curves) < 3:
@@ -278,11 +235,6 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
     lifts, target = _probe(probe_curves[0], x)
 
     params0 = np.array([p for g in seed_chi.groups for p in g])
-    saved = None if checkpoint is None else _saved_params(checkpoint,
-                                                          params0.size)
-    resumed = saved is not None
-    if resumed:
-        params0 = saved
 
     evals = [0]
     best = {"f": np.inf, "params": params0}
@@ -303,10 +255,6 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
         if f < best["f"]:
             best["f"] = f
             best["params"] = np.array(params)
-            if checkpoint is not None:
-                blob = {"params": list(map(float, best["params"])),
-                        "objective": f, "evaluations": evals[0]}
-                _write_checkpoint(checkpoint, blob)
         return f
 
     f0 = objective(params0)
@@ -339,5 +287,4 @@ def search_34(seed_chi, probe_curves, x, max_iters=200, checkpoint=None):
     out.converged = bool(best["f"] <= _G3_TOL * _G3_TOL)
     out.improved = improved
     out.evaluations = evals[0]
-    out.resumed = resumed
     return out

@@ -1,6 +1,8 @@
 """Reference computations the tests check the package against, which share
 no code with it, and the test curves built from the package's own types."""
 
+import math
+
 import numpy as np
 
 from pentalab.curves import CurveSpec
@@ -36,3 +38,61 @@ def cofactor_det(c):
         minor = cofactor_det(np.delete(c[..., 1:], i, axis=-2))
         acc = acc + (-1) ** i * series_product(c[..., i, 0], minor)
     return acc
+
+
+def evaluate(tree, x):
+    """The value of a coefficient tree at a real x, in Python floats."""
+    op = tree.op
+    if op == "const":
+        return tree.value
+    if op == "x":
+        return x
+    if op == "pow":
+        return evaluate(tree.args[0], x) ** tree.value
+    if op in ("sin", "cos"):
+        return getattr(math, op)(evaluate(tree.args[0], x))
+    a, b = (evaluate(arg, x) for arg in tree.args)
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    raise ValueError(f"unknown op {op!r}")
+
+
+def alpha11_evenly_spaced(p, r_step, d):
+    """The first-order coefficient of an evenly spaced family: the mean of
+    the base nodes plus (d - 1) r_step / 2."""
+    return (sum(float(v) for v in p) + math.comb(d, 2) * r_step) / d
+
+
+def alpha_dd_hyperplane(sigma_top, d):
+    """alpha_{d,d} of a hyperplane configuration whose groups share the top
+    symmetric polynomial sigma_top: (-1)^(d+1) sigma_d / d! (Khesin &
+    Soloviev, JEMS 18 (2016))."""
+    return (-1) ** (d + 1) * sigma_top / math.factorial(d)
+
+
+def verify_G2_structure(report, spec, x):
+    """Residual of an expansion report's first and second corrections
+    against theory.
+
+    The first correction must be a pure first derivative; the second must be
+    a22*(D^2 + 2 u_{d-1}/(d+1)) - a11^2 u_{d-1}/(d+1) with the report's a11
+    and a22 plugged in.  Returns the worst coefficient mismatch.
+    """
+    if report.kmax < 2:
+        raise ValueError("report must carry at least the second order")
+    d = report.d
+    u_top = evaluate(spec.u[d - 1], x)
+    a11 = report.alpha[1, 1]
+    a22 = report.alpha[2, 2]
+    predicted = np.zeros(d + 1)
+    predicted[2] = a22
+    predicted[0] = (2.0 * a22 - a11 ** 2) * u_top / (d + 1)
+    resid = float(np.max(np.abs(report.alpha[2] - predicted)))
+    off_first = np.abs(np.delete(report.alpha[1], 1))
+    return max(resid, float(np.max(off_first)))

@@ -158,6 +158,21 @@ def test_unusable_input_is_a_usage_error(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--d", "2", "--seed", "-1"],
+    ["kdv-verify", "--d", "2", "--seed", "-3"],
+    ["realize34", "--seed", "-2"],
+], ids=["expand", "kdv-verify", "realize34"])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    # these died on numpy's uncaught "expected non-negative integer"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a non-negative integer" in captured.err
+
+
 class TestFamilies:
     def test_short_diagonal_d3(self, capsys):
         code, out, _ = run(capsys, ["families", "short-diagonal", "--d", "3"])
@@ -346,6 +361,23 @@ class TestExpand:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: ") and why in err
+
+    @pytest.mark.parametrize("d", [2.9, "2", True],
+                             ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("kind", ["curve", "chi"])
+    def test_non_integer_dimension_is_a_usage_error(self, capsys, tmp_path,
+                                                    kind, d):
+        # these loaded as int(d): 2.9 and "2" as d = 2, which ran, and true
+        # as d = 1
+        good = (random_curve_spec(2, seed=5).to_dict() if kind == "curve"
+                else {"d": 2, "groups": [[-2, 0], [-1, 1]]})
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**good, "d": d}))
+        code, out, err = run(capsys, ["expand", f"--{kind}", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot load {kind}")
+        assert "d must be an integer" in err
 
     @pytest.mark.parametrize("argv, file", [
         (["families", "evenly-spaced", "--d", "2", "--p", "nan", "0.5",

@@ -8,16 +8,16 @@ from numpy.testing import assert_allclose
 from pentalab.configs import (
     ChiConfig,
     SymTable,
-    alpha11_evenly_spaced,
     assemble_M0_c0,
     dual_dented_chi,
     dual_dented_shift,
     elementary_symmetric,
     evenly_spaced_chi,
-    hyperplane_centralization_test,
     short_diagonal_chi,
     solve_alpha_diag,
 )
+
+from oracles import alpha11_evenly_spaced, alpha_dd_hyperplane
 
 
 # -- constructor validation ----------------------------------------------------
@@ -269,37 +269,41 @@ def test_alpha11_formula_matches_linear_system(rng, d):
 
 
 def test_criterion_true_for_product_conditioned_groups():
-    res = hyperplane_centralization_test(ChiConfig(3, [
+    chi = ChiConfig(3, [
         [-1.0, 1.5, 4.0],
         [1.2, 10.0, -0.5],
         [1.0, -2.0, 6.0 / 2.0],
-    ]))
-    assert res.centralized_through
-    assert_allclose(res.sigma_top, -6.0, atol=1e-12)
-    assert res.alpha_dd == pytest.approx(-1.0, abs=1e-12)
-    assert_allclose(res.alpha_diag[:2], 0.0, atol=1e-12)
-    assert res.alpha_diag[2] == pytest.approx(-1.0, abs=1e-12)
+    ])
+    table = SymTable(chi)
+    alpha_diag = solve_alpha_diag(chi)
+    assert table.tops_agree()
+    assert_allclose(table.top(), -6.0, atol=1e-12)
+    assert alpha_dd_hyperplane(table.top()[0], 3) == pytest.approx(
+        -1.0, abs=1e-12)
+    assert_allclose(alpha_diag[:2], 0.0, atol=1e-12)
+    assert alpha_diag[2] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_criterion_true_d2_short_diagonal():
-    res = hyperplane_centralization_test(short_diagonal_chi(2))
-    assert res.centralized_through
-    assert res.alpha_dd == pytest.approx(0.375, abs=1e-14)
+    table = SymTable(short_diagonal_chi(2))
+    assert table.tops_agree()
+    assert alpha_dd_hyperplane(table.top()[0], 2) == pytest.approx(
+        0.375, abs=1e-14)
 
 
 def test_criterion_false_d3_short_diagonal():
     # top polynomials are (3, 0, -3): the first-order coefficient still
     # vanishes by symmetry, but order two survives, so the all-orders
     # criterion must come back negative
-    res = hyperplane_centralization_test(short_diagonal_chi(3))
-    assert not res.centralized_through
-    assert res.alpha_diag[1] == pytest.approx(0.5, abs=1e-12)
+    chi = short_diagonal_chi(3)
+    assert not SymTable(chi).tops_agree()
+    assert solve_alpha_diag(chi)[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_criterion_false_after_perturbation():
     groups = [list(g) for g in short_diagonal_chi(2).groups]
     groups[0][0] += 0.1
-    assert not hyperplane_centralization_test(ChiConfig(2, groups)).centralized_through
+    assert not SymTable(ChiConfig(2, groups)).tops_agree()
 
 
 def test_criterion_matches_system_both_ways(rng):
@@ -318,8 +322,7 @@ def test_criterion_matches_system_both_ways(rng):
             chi = ChiConfig(d, groups)
         except ValueError:
             continue
-        res = hyperplane_centralization_test(chi)
-        small = np.max(np.abs(res.alpha_diag[: d - 1])) <= 1e-10
-        assert res.centralized_through == small
+        small = np.max(np.abs(solve_alpha_diag(chi)[: d - 1])) <= 1e-10
+        assert SymTable(chi).tops_agree() == small
         hits += 1
     assert hits >= 6

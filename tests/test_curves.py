@@ -26,7 +26,7 @@ from pentalab.curves import (
     wronskian,
 )
 
-from oracles import cofactor_det, zero_curve_spec
+from oracles import cofactor_det, evaluate, zero_curve_spec
 
 
 def test_affine_motion_d1():
@@ -99,7 +99,7 @@ def test_jet_recursion_matches_ode(curve_d3):
     x = 0.9
     fj = gamma_jet(curve_d3, x, 8)
     rows = [fj.c[k] * math.factorial(k) for k in range(5)]
-    u = [f(x) for f in curve_d3.u]
+    u = [evaluate(f, x) for f in curve_d3.u]
     lhs = rows[4]
     rhs = -(u[0] * rows[0] + u[1] * rows[1] + u[2] * rows[2])
     assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -165,7 +165,7 @@ def _oracle_frames(d, xs):
         f = y.reshape(d + 1, d + 1)
         out = np.empty_like(f)
         out[:d] = f[1:]
-        out[d] = -sum(u(t) * f[i] for i, u in enumerate(spec.u))
+        out[d] = -sum(evaluate(u, t) * f[i] for i, u in enumerate(spec.u))
         return out.ravel()
 
     sol = solve_ivp(rhs, (0.0, xs[-1]), np.eye(d + 1).ravel(), method="DOP853",
@@ -285,7 +285,8 @@ def test_normalized_lift_idempotent(curve_d2):
     assert out.order == fj.order - 2  # the Wronskian scale costs d orders
     assert_allclose(out.c, fj.c[: out.order + 1], rtol=1e-11, atol=1e-13)
     for i in range(2):
-        assert u_eps[i].value == pytest.approx(curve_d2.u[i](x), abs=1e-10)
+        assert u_eps[i].value == pytest.approx(evaluate(curve_d2.u[i], x),
+                                               abs=1e-10)
 
 
 def test_normalized_lift_constant_rescale():

@@ -13,7 +13,7 @@ from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, _shifted_lif
                              random_curve_spec)
 from pentalab.fitting import decay_order
 
-from oracles import zero_curve_spec
+from oracles import evaluate, zero_curve_spec
 
 # largest |limit - u_i| per d; measured worst 1.1e-16, 2.2e-16, 2.2e-16 and
 # 5.6e-16 (d = 2..5, seeds 0-9, x in {0.1, 0.3, 1.1, -0.7}); sampled windows
@@ -86,8 +86,8 @@ def test_far_point_samples_the_lift_based_there():
 
 def test_limits_d2(curve_d2):
     table = limit_diagnostics(curve_d2, 0.3)
-    u0 = curve_d2.u[0](0.3)
-    u1 = curve_d2.u[1](0.3)
+    u0 = evaluate(curve_d2.u[0], 0.3)
+    u1 = evaluate(curve_d2.u[1], 0.3)
     assert table.limits[0] == pytest.approx(u0, abs=1e-3)
     assert table.limits[1] == pytest.approx(u1, abs=1e-3)
     # the top coefficient repeats u_{d-1} one order down
@@ -97,8 +97,10 @@ def test_limits_d2(curve_d2):
 def test_limits_d3(curve_d3):
     table = limit_diagnostics(curve_d3, 0.1)
     for i in range(3):
-        assert table.limits[i] == pytest.approx(curve_d3.u[i](0.1), abs=1e-3)
-    assert table.limits[3] == pytest.approx(curve_d3.u[2](0.1), abs=1e-3)
+        assert table.limits[i] == pytest.approx(evaluate(curve_d3.u[i], 0.1),
+                                                abs=1e-3)
+    assert table.limits[3] == pytest.approx(evaluate(curve_d3.u[2], 0.1),
+                                            abs=1e-3)
 
 
 @pytest.mark.parametrize("d, gate", sorted(_LIMIT_GATES.items()))
@@ -124,7 +126,7 @@ def test_far_point_is_rebased(curve_d2):
     table = limit_diagnostics(curve_d2, x)
     rebased = limit_diagnostics(CurveSpec(2, curve_d2.u, x, np.eye(3)), x)
     assert np.array_equal(table.A, rebased.A)
-    u0, u1 = curve_d2.u[0](x), curve_d2.u[1](x)
+    u0, u1 = evaluate(curve_d2.u[0], x), evaluate(curve_d2.u[1], x)
     assert_allclose(table.limits, [u0, u1, u1], atol=1e-3)
 
 
@@ -139,7 +141,7 @@ def test_point_coefficients_approach_binomials(curve_d2):
     # a_tilde_i -> (-1)^(d-i) C(d+1, i) at rate eps^2 for i >= 1, with
     # eps^2 coefficient -(-1)^(d-i) C(d-1, i-1) u_{d-1}
     table = limit_diagnostics(curve_d2, 0.3)
-    u1 = curve_d2.u[1](0.3)
+    u1 = evaluate(curve_d2.u[1], 0.3)
     for i in (1, 2):
         gap = _binomial_gap(table, i)
         assert decay_order(gap) == 2
@@ -168,7 +170,7 @@ def test_orders_and_limits_read_off_the_contour(d, seed, x):
 
 def test_second_order_tilde_term_d2(curve_d2):
     # a_tilde_1 + 3 - eps^2 u_1 should decay one order faster than eps^2
-    u1 = curve_d2.u[1](0.3)
+    u1 = evaluate(curve_d2.u[1], 0.3)
     vals = []
     for eps in (0.1, 0.05):
         at = recurrence(curve_d2, 0.3, eps)[1]

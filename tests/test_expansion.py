@@ -12,7 +12,6 @@ from pentalab import (
     AnalyticFn,
     ChiConfig,
     CurveSpec,
-    alpha11_evenly_spaced,
     dual_dented_chi,
     dual_dented_shift,
     evenly_spaced_chi,
@@ -27,11 +26,10 @@ from pentalab.expansion import (
     alpha_constancy_check,
     extract_alphas,
     kdv_rhs_check,
-    verify_G2_structure,
 )
 from pentalab.kdvops import JET_ORDER, kdv_rhs, l_operator
 
-from oracles import zero_curve_spec
+from oracles import alpha11_evenly_spaced, verify_G2_structure, zero_curve_spec
 
 
 class TestExtraction:

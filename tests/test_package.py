@@ -39,11 +39,6 @@ def test_every_function_and_class_has_a_caller():
 # public names that nothing in the package calls yet, each with why it
 # stays for now; a name leaves the list when it gains a caller or goes
 _UNCALLED = {
-    # closed forms read only by tests; `families` could report them
-    "alpha11_evenly_spaced": "acceptance line 4 reads it",
-    "hyperplane_centralization_test": "test_configs and test_realize read it",
-    # `expand` could report its G2 residual
-    "verify_G2_structure": "acceptance lines 3 and 4 read it",
     "limit_diagnostics": "acceptance line 2 reads it; no command reports it",
     "search_34": "a paper workload that no command reaches yet",
     # the frame march's own lift jet and Wronskian, which go with
@@ -84,3 +79,23 @@ def test_every_public_name_has_a_caller():
                    for ref, where, line in refs):
             uncalled.append(name)
     assert sorted(uncalled) == sorted(_UNCALLED)
+
+
+# what the oracles may take from the package: the types that build a test
+# curve, never a computation the pipeline under test also runs
+_ORACLE_IMPORTS = {"CurveSpec", "AnalyticFn"}
+
+
+def test_oracles_import_only_fixture_types():
+    # read through the AST, so that no import form slips past: a plain
+    # `import pentalab...` or any other name from it fails
+    path = pathlib.Path(__file__).with_name("oracles.py")
+    taken = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            taken |= {alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "pentalab"}
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "pentalab"):
+            taken |= {alias.name for alias in node.names}
+    assert taken <= _ORACLE_IMPORTS
