@@ -15,7 +15,11 @@ and eps broadcast to a batch shape, and every stage carries that shape in
 the tail ahead of its own axes, (K+1, *batch, q+1, d+1) for a span.  Every
 node lift is a Taylor shift of the lift jet at its x, and each solve,
 nullspace and determinant is one stacked call, so a whole contour costs
-about what one pair did.  eps may be real or complex.
+about what one pair did.  The groups of one size go on one more stack axis:
+one nullspace, one factorization and one jet solve give the normals of all
+of them, put back in group order, so an application makes one span-normal
+solve per group size and one for the intersection.  eps may be real or
+complex.
 """
 
 import numpy as np
@@ -85,6 +89,25 @@ def _span_normals(span):
     return Jet(np.swapaxes(normals.c, -1, -2), copy=False)
 
 
+def _stacked_normals(spans, order):
+    """Every span's normals to the given order, their rows in the order of
+    the spans, (order+1, *batch, d, d+1).
+
+    Spans of one size are stacked on one axis and get one _span_normals
+    call, whose nullspace, factorization and solves each treat the whole
+    stack in one call; every member comes out as it would on its own.
+    """
+    sizes = [s.c.shape[-2] for s in spans]
+    rows = [None] * len(spans)
+    for size in dict.fromkeys(sizes):
+        members = [i for i, s in enumerate(sizes) if s == size]
+        stack = np.stack([spans[i].c[:order + 1] for i in members], axis=-3)
+        normals = _span_normals(Jet(stack, copy=False)).c
+        for j, i in enumerate(members):
+            rows[i] = normals[..., j, :, :]
+    return np.concatenate(rows, axis=-2)
+
+
 def intersect_spans(spans):
     """The common point of the spans as a (K+1, d+1) jet, or (K+1, *batch,
     d+1) for spans over a batch.
@@ -100,9 +123,7 @@ def intersect_spans(spans):
         raise ValueError(f"constraint count {codim} does not match d = {d}")
     if any(s.c.shape[-1] != n for s in spans):
         raise ValueError("spans live in different ambient spaces")
-    order = min(s.order for s in spans)
-    rows = np.concatenate([_span_normals(s).c[:order + 1] for s in spans],
-                          axis=-2)
+    rows = _stacked_normals(spans, min(s.order for s in spans))
     try:
         g0 = linalg.null_bases(rows[0])
     except linalg.SingularMatrixError as exc:

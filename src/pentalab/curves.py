@@ -26,7 +26,10 @@ one run of the ODE recursion, and it is the only source of lift jets.
 Every curve sample near a working point, at a real or complex offset, is a
 Taylor shift (``_shifted_lifts``, guarded row by row) of the one order-40
 lift jet there, so the map and ``lax`` build that jet once per working
-point.  ``normalized_lift`` takes a stack of lifts.
+point.  The shift's Horner pass (``_frame_from_coeffs``, which ``frame_at``
+uses too) forms each term's products once per working point and adds them,
+broadcast, to every offset there.  ``normalized_lift`` takes a stack of
+lifts.
 
 ``frame_at`` carries F0 along the same path: the identity lifts at the
 anchors x0 + j/2 between x0 and its points come from one ``_lift_coeffs``
@@ -208,14 +211,20 @@ def _ode_taylor_coeffs(u_coeffs, d, order):
 def _frame_from_coeffs(g, h, d):
     """Evaluate rows g^(k)(t+h), k = 0..d, from Taylor coefficients at t.
 
-    One Horner pass for all rows: row k takes the terms m = order..k.  A
-    trailing axis of P points on g and on h gives (d+1, d+1, P); a complex
-    h gives complex rows.
+    One Horner pass for all rows: row k takes the terms m = order..k.  g is
+    (N+1, d+1, ...) and h, real or complex, broadcasts against g's trailing
+    axes to a shape; the rows come out (d+1, d+1, *shape), from a contiguous
+    accumulator of that shape.  Each product g[m] falling[k, m] is formed
+    once per trailing entry of g and added, broadcast, to every h that
+    shares it.
     """
     order = g.shape[0] - 1
     falling = _falling_table(order)
+    shape = np.broadcast_shapes(g.shape[2:], np.shape(h))
+    # g's trailing axes aligned with the shape's, padded on the left
+    g = g.reshape(g.shape[:2] + (1,) * (len(shape) + 2 - g.ndim) + g.shape[2:])
     tail = (1,) * (g.ndim - 1)
-    out = np.zeros((d + 1,) + g.shape[1:], dtype=np.result_type(g, h))
+    out = np.zeros((d + 1, g.shape[1]) + shape, dtype=np.result_type(g, h))
     for m in range(order, -1, -1):
         k = min(m, d) + 1
         out[:k] *= h
@@ -226,18 +235,15 @@ def _frame_from_coeffs(g, h, d):
 def _shifted_lifts(g, h, kmax):
     """Taylor coefficients 0..kmax of the lift at t + h, (kmax+1, *shape,
     d+1), from its coefficients g, (N+1, d+1, ...), at t, h (real or
-    complex) broadcast against g's trailing axes; IntegrationFailure when a
-    row's last term is not below roundoff (h beyond the convergence radius,
-    or a lift that overflowed)."""
-    order, n = g.shape[0] - 1, g.shape[1]
-    shape = np.broadcast_shapes(g.shape[2:], np.shape(h))
-    # copied: Horner over the broadcast view slowed a d = 3 lax run by 35%
-    pad = (1,) * (len(shape) + 2 - g.ndim)
-    g = np.broadcast_to(g.reshape(g.shape[:2] + pad + g.shape[2:]),
-                        g.shape[:2] + shape).reshape(order + 1, n, -1).copy()
-    h = np.broadcast_to(h, shape).reshape(-1)
+    complex) broadcast against g's trailing axes; IntegrationFailure when
+    kmax exceeds N, or when a row's last term is not below roundoff (h
+    beyond the convergence radius, or a lift that overflowed)."""
+    order = g.shape[0] - 1
+    if kmax > order:
+        raise IntegrationFailure(f"Taylor rows 0..{kmax} asked of an "
+                                 f"order-{order} lift")
     rows = _frame_from_coeffs(g, h, kmax)  # row k: the k-th derivative
-    k = np.arange(kmax + 1)[:, None]
+    k = np.arange(kmax + 1).reshape((-1,) + (1,) * (rows.ndim - 2))
     last = (_falling_table(order)[k, order] * np.max(np.abs(g[-1]), axis=0)
             * np.abs(h) ** (order - k))
     bound = np.finfo(g.dtype).eps * np.max(np.abs(rows), axis=1)
@@ -247,15 +253,20 @@ def _shifted_lifts(g, h, kmax):
                                      "Taylor series is not finite")
         raise IntegrationFailure(f"node offset {np.max(np.abs(h)):.3g} lies "
                                  "outside the lift's radius of convergence")
-    rows = rows / _factorials(kmax + 1, g.dtype)[:, None, None]
-    return np.moveaxis(rows, 1, -1).reshape((kmax + 1,) + shape + (n,))
+    rows = rows / _factorials(kmax + 1, g.dtype).reshape(k.shape + (1,))
+    return np.moveaxis(rows, 1, -1)
 
 
 def _lift_coeffs(spec, xs, order):
     """Coefficient arrays of the lift based at each of a 1-D array of P
     points with the identity frame, (order+1, d+1, P), and of the u_i it was
     built from, (order+1, d, P): one pass over the u-trees and one run of
-    the ODE recursion serve every point, and no frame is transported."""
+    the ODE recursion serve every point, and no frame is transported;
+    IntegrationFailure when the identity frame's d + 1 rows exceed the
+    order."""
+    if spec.d > order:
+        raise IntegrationFailure(f"the {spec.d + 1} rows of the identity "
+                                 f"frame do not fit an order-{order} lift")
     u = spec.u_jet(xs, order).c
     return _ode_taylor_coeffs(u, spec.d, order), u
 

@@ -27,7 +27,9 @@ against the LU factorization of its constant-term matrix, which also gives
 that matrix's determinant.  It takes a stack of matrix jets, the stack in
 the tail ahead of the matrix axes, and treats it in stacked calls; every
 product over series with a tail sums in a fixed order, so each member of a
-stack comes out as it would on its own.  No determinant of a series is
+stack comes out as it would on its own.  At order m the solve forms all m
+products t_k x_(m-k) in one stacked matmul and subtracts them from b_m in
+order of k, one ``np.subtract.reduce`` that runs sequentially.  No determinant of a series is
 formed: ``curves.normalized_lift`` gets the Wronskian from Abel's identity.
 """
 
@@ -480,11 +482,14 @@ def jet_factor(a):
         if vector:
             bc = bc[..., None]
         x = np.empty(bc.shape, dtype=np.result_type(t.dtype, bc.dtype))
+        # work[0] = b_m, work[k] = t_k x_(m-k): one stacked matmul per order,
+        # then b_m - t_1 x_(m-1) - ... - t_m x_0 subtracted in order of k
+        work = np.empty_like(x)
         for m in range(bc.shape[0]):
-            rhs = bc[m]
-            for k in range(1, m + 1):
-                rhs = rhs - t[k] @ x[m - k]
-            x[m] = solve0(rhs)
+            work[0] = bc[m]
+            if m:
+                np.matmul(t[1:m + 1], x[m - 1::-1], out=work[1:m + 1])
+            x[m] = solve0(np.subtract.reduce(work[:m + 1], axis=0))
         return Jet(x[..., 0] if vector else x, copy=False)
 
     return solve, solve0.slogdet

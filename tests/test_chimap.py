@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pentalab import linalg
 from pentalab.chimap import (
     DegenerateIntersection,
+    _span_normals,
     _spans,
+    _stacked_normals,
     chi_map_point,
     intersect_spans,
 )
-from pentalab.configs import (dual_dented_chi, dual_dented_shift, evenly_spaced_chi,
-                              short_diagonal_chi)
+from pentalab.configs import (ChiConfig, dual_dented_chi, dual_dented_shift,
+                              evenly_spaced_chi, short_diagonal_chi)
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, IntegrationFailure,
                              _frame_from_coeffs, _lift_coeffs, gamma_jet,
                              normalized_lift, random_curve_spec)
@@ -286,8 +289,6 @@ def test_kmax_floor(curve_d2):
 def test_extended_normals_annihilate_their_span(d):
     # the complement is a float64 gauge; the normals built on it must still
     # vanish on the span to longdouble roundoff at every order
-    from pentalab.chimap import _span_normals
-
     spec = random_curve_spec(d, seed=d, dtype=np.longdouble)
     spans = _spans(short_diagonal_chi(d), lifted(spec, 0.3), 0.1, 2 * d + 2)
     for span in spans:
@@ -297,6 +298,46 @@ def test_extended_normals_annihilate_their_span(d):
         for m in range(span.order + 1):
             prod = sum(span.c[j] @ normals.c[m - j].T for j in range(m + 1))
             assert np.max(np.abs(prod)) <= 1e-18 * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("eps", [0.04, 0.04 * np.exp(0.7j)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("chi", [
+    short_diagonal_chi(3),
+    # two groups of 2 and 4 points
+    dual_dented_chi(4, 1, "reduced").shift(dual_dented_shift(4, 1)),
+    # sizes 4, 3, 4: the middle group's normals sit between the others'
+    ChiConfig(4, [[-1.5, -0.5, 0.5, 1.5], [-1.0, 0.25, 1.25],
+                  [-1.25, -0.25, 0.75, 2.0]]),
+], ids=["sd3", "dd4-reduced", "interleaved"])
+def test_stacked_normals_equal_one_call_per_group(chi, eps, dtype):
+    spec = random_curve_spec(chi.d, seed=3, dtype=dtype)
+    spans = _spans(chi, lifted(spec, np.array([0.3, -0.2])), eps,
+                   2 * chi.d + 2)
+    order = spans[0].order
+    want = np.concatenate([_span_normals(s).c for s in spans], axis=-2)
+    got = _stacked_normals(spans, order)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_one_application_solves_each_group_size_once(monkeypatch):
+    # short-diagonal d = 4 has four groups of one size: one nullspace and
+    # one factorization for all their normals, one of each for the
+    # intersection, and two factorizations in the renormalization; one
+    # call per group made 5 and 7
+    spec = random_curve_spec(4, seed=7)
+    calls = []
+    for name in ("null_bases", "stack_solver"):
+        def counted(*args, _inner=getattr(linalg, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    chi_map_point(short_diagonal_chi(4), lifted(spec, 0.3), 0.04, 10)
+    assert calls.count("null_bases") == 2
+    assert calls.count("stack_solver") == 4
 
 
 # -- one application over a batch of (x, eps) pairs ----------------------------

@@ -488,6 +488,22 @@ class TestExpand:
         assert out == ""
         assert why in err
 
+    @pytest.mark.parametrize("d, why", [
+        # the map asks for rows 0..2d+2 of the order-40 lift: this died
+        # with an IndexError in the Taylor shift
+        (20, "IntegrationFailure: Taylor rows 0..42 asked of an order-40 "
+             "lift"),
+        # and past d = 40 the identity frame alone outgrows the lift
+        (41, "IntegrationFailure: the 42 rows of the identity frame do not "
+             "fit an order-40 lift"),
+    ])
+    def test_dimension_past_the_lift_order_is_a_run_error(self, capsys, d,
+                                                          why):
+        code, out, err = run(capsys, ["expand", "--d", str(d)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error in expansion.extract_alphas: {why}\n"
+
     @pytest.mark.parametrize("bug", [np.linalg.LinAlgError("Singular matrix"),
                                      ValueError("operands could not be broadcast"),
                                      RuntimeError("unexpected")])

@@ -269,6 +269,22 @@ def test_frame_from_coeffs_matches_row_by_row_horner(dtype, rng):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("turn", [1, np.exp(0.4j)], ids=["real", "complex"])
+def test_shift_of_a_batch_equals_each_point_and_offset(dtype, turn, rng):
+    # the products of a point's coefficients are formed once and shared by
+    # every offset: each (point, offset) still gets its own shift's bits
+    d, order = 3, 40
+    g = (rng.standard_normal((order + 1, d + 1, 2))
+         * 0.5 ** np.arange(order + 1)[:, None, None]).astype(dtype)
+    h = np.array([-0.2, 0.05, 0.15]) * turn
+    rows = _shifted_lifts(g[..., None], h, 2 * d + 2)
+    assert rows.shape == (2 * d + 3, 2, 3, d + 1)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(rows[:, i, j],
+                              _shifted_lifts(g[..., i], h[j], 2 * d + 2))
+
+
 def test_integration_failure_on_exploding_curve():
     spec = CurveSpec(1, [AnalyticFn.const(-1e8)], 0.0, np.eye(2))
     with pytest.raises(IntegrationFailure):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pentalab import linalg
 from pentalab.jets import (
     AnalyticFn,
     DegenerateSystem,
@@ -278,6 +279,40 @@ def test_stacked_solve_and_det_equal_each_system(rng, dtype):
         assert np.array_equal(x.c[:, i, j], one.c)
         _, (sign_one, logdet_one) = jet_factor(Jet(a[:, i, j]))
         assert sign[i, j] == sign_one and logdet[i, j] == logdet_one
+
+
+def term_by_term_solve(a, b):
+    """The jet solve with one matmul and one subtraction per term:
+    rhs_m = b_m - t_1 x_(m-1) - ... - t_m x_0, subtracted in order."""
+    t, bc = a.c, b.c[:len(a.c)]
+    vector = bc.ndim == t.ndim - 1
+    if vector:
+        bc = bc[..., None]
+    solve0 = linalg.stack_solver(t[0])
+    x = np.empty(bc.shape, dtype=np.result_type(t.dtype, bc.dtype))
+    for m in range(len(bc)):
+        rhs = bc[m]
+        for k in range(1, m + 1):
+            rhs = rhs - t[k] @ x[m - k]
+        x[m] = solve0(rhs)
+    return x[..., 0] if vector else x
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.longdouble])
+@pytest.mark.parametrize("cols", [None, 1, 3], ids=["vector", "one", "three"])
+def test_solve_sums_each_order_as_term_by_term(rng, dtype, cols):
+    n, order = 4, 9
+    a = rng.uniform(-1, 1, (order + 1, 2, 3, n, n)).astype(dtype)
+    b = rng.uniform(-1, 1, (order + 1, 2, 3, n)
+                    + (() if cols is None else (cols,))).astype(dtype)
+    if dtype == np.complex128:
+        a = a + 1j * rng.uniform(-1, 1, a.shape)
+        b = b + 1j * rng.uniform(-1, 1, b.shape)
+    a[0] += 3.0 * np.eye(n, dtype=dtype)
+    x = jet_solver(Jet(a))(Jet(b)).c
+    want = term_by_term_solve(Jet(a), Jet(b))
+    assert x.dtype == want.dtype == dtype
+    assert np.array_equal(x, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
