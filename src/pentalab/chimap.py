@@ -2,10 +2,11 @@
 
 Each group of a configuration picks curve points near x; their span cuts out
 d - q linear conditions, and the stacked conditions of all groups meet in a
-single projective point.  Everything is carried as jets in the curve variable
-so the output is again a curve germ, which `curves.normalized_lift` rescales
-to the unit-Wronskian representative.  A span of q+1 points is one matrix jet
-of shape (K+1, q+1, d+1), its rows the lift jets of the points.
+single projective point.  Everything is carried as Taylor coefficient
+arrays in the curve variable (see ``jets``), so the output is again a curve
+germ, which `curves.normalized_lift` rescales to the unit-Wronskian
+representative.  A span of q+1 points is one array of shape (K+1, q+1,
+d+1), its rows the lift coefficients of the points.
 
 ``chi_map_point`` is the map's one entry point, and it never sees a
 curve: it takes the lift coefficients at the working points, each from the
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .curves import _shifted_lifts, normalized_lift
-from .jets import DegenerateSystem, Jet, jet_solver
+from .jets import DegenerateSystem, jet_solver
 
 
 class DegenerateIntersection(Exception):
@@ -34,8 +35,8 @@ class DegenerateIntersection(Exception):
 
 
 def _spans(chi, lifts, eps, kmax):
-    """Jets of the curve points spanning each subspace at step eps, from
-    the lift coefficients at the working points, (N+1, d+1, *shape).
+    """Coefficients of the curve points spanning each subspace at step eps,
+    from the lift coefficients at the working points, (N+1, d+1, *shape).
 
     The jets are taken in the curve variable, so every span (and the point
     the spans meet in) lives at its working point, in the lift based there
@@ -54,39 +55,34 @@ def _spans(chi, lifts, eps, kmax):
     # every node lifted once per point and eps, (K+1, *batch, node, d+1)
     rows = _shifted_lifts(lifts[..., None], np.array(nodes) * eps[..., None],
                           kmax)
-    return [Jet(rows[..., [nodes.index(p) for p in grp], :], copy=False)
-            for grp in chi.groups]
+    return [rows[..., [nodes.index(p) for p in grp], :] for grp in chi.groups]
 
 
 def _span_normals(span):
-    """Matrix jet of the d - q covectors vanishing on the span, one per row,
-    to every carried order.
+    """Coefficients of the d - q covectors vanishing on the span, one per
+    row, to every carried order.
 
     Constant terms come from the orthogonal complement of the constant-term
     span; higher orders are corrected by solving the span completed with its
     own complement, which makes each correction the minimum-norm one and
     gets all the normals of the span from one solve.
     """
-    order = span.order
-    m, n = span.c.shape[-2:]
-    stack = span.c.shape[1:-2]
+    m, n = span.shape[-2:]
     want = n - m
     if want == 0:
-        return Jet(np.zeros((order + 1,) + stack + (0, n), dtype=span.c.dtype),
-                   copy=False)
+        return np.zeros(span.shape[:-2] + (0, n), dtype=span.dtype)
     try:
-        comp = linalg.null_bases(span.value)
+        comp = linalg.null_bases(span[0])
     except linalg.SingularMatrixError as exc:
         raise DegenerateIntersection(
             f"span vectors numerically dependent: {exc}") from exc
-    dtype = np.result_type(comp.dtype, span.c.dtype)
-    a = np.zeros((order + 1,) + stack + (n, n), dtype=dtype)
-    a[..., :m, :] = span.c
+    dtype = np.result_type(comp.dtype, span.dtype)
+    a = np.zeros(span.shape[:-2] + (n, n), dtype=dtype)
+    a[..., :m, :] = span
     a[0, ..., m:, :] = comp
-    rhs = np.zeros((order + 1,) + stack + (n, want), dtype=dtype)
+    rhs = np.zeros(span.shape[:-2] + (n, want), dtype=dtype)
     rhs[0, ..., m:, :] = np.eye(want)
-    normals = jet_solver(Jet(a, copy=False))(Jet(rhs, copy=False))
-    return Jet(np.swapaxes(normals.c, -1, -2), copy=False)
+    return np.swapaxes(jet_solver(a)(rhs), -1, -2)
 
 
 def _stacked_normals(spans, order):
@@ -97,33 +93,33 @@ def _stacked_normals(spans, order):
     call, whose nullspace, factorization and solves each treat the whole
     stack in one call; every member comes out as it would on its own.
     """
-    sizes = [s.c.shape[-2] for s in spans]
+    sizes = [s.shape[-2] for s in spans]
     rows = [None] * len(spans)
     for size in dict.fromkeys(sizes):
         members = [i for i, s in enumerate(sizes) if s == size]
-        stack = np.stack([spans[i].c[:order + 1] for i in members], axis=-3)
-        normals = _span_normals(Jet(stack, copy=False)).c
+        stack = np.stack([spans[i][:order + 1] for i in members], axis=-3)
+        normals = _span_normals(stack)
         for j, i in enumerate(members):
             rows[i] = normals[..., j, :, :]
     return np.concatenate(rows, axis=-2)
 
 
 def intersect_spans(spans):
-    """The common point of the spans as a (K+1, d+1) jet, or (K+1, *batch,
-    d+1) for spans over a batch.
+    """The coefficients of the spans' common point, (K+1, d+1), or (K+1,
+    *batch, d+1) for spans over a batch.
 
     Each point is gauged so its largest constant-term component equals one;
     callers renormalize afterwards.  Raises DegenerateIntersection when the
     stacked conditions do not cut down to a single point.
     """
-    n = spans[0].c.shape[-1]
+    n = spans[0].shape[-1]
     d = n - 1
-    codim = sum(n - s.c.shape[-2] for s in spans)
+    codim = sum(n - s.shape[-2] for s in spans)
     if codim != d:
         raise ValueError(f"constraint count {codim} does not match d = {d}")
-    if any(s.c.shape[-1] != n for s in spans):
+    if any(s.shape[-1] != n for s in spans):
         raise ValueError("spans live in different ambient spaces")
-    rows = _stacked_normals(spans, min(s.order for s in spans))
+    rows = _stacked_normals(spans, min(len(s) for s in spans) - 1)
     try:
         g0 = linalg.null_bases(rows[0])
     except linalg.SingularMatrixError as exc:
@@ -136,7 +132,7 @@ def intersect_spans(spans):
     rhs = np.zeros(rows.shape[:-2] + (n,), dtype=rows.dtype)
     rhs[0, ..., d] = 1
     try:
-        return jet_solver(Jet(a, copy=False))(Jet(rhs, copy=False))
+        return jet_solver(a)(rhs)
     except DegenerateSystem as exc:
         raise DegenerateIntersection(str(exc)) from exc
 
@@ -147,9 +143,9 @@ def chi_map_point(chi, lifts, eps, kmax):
     lifts holds the lift coefficients at the working points, (N+1, d+1,
     *shape) with N >= kmax, each from the identity frame there
     (``curves._lift_coeffs``); its row 0, the curve point, fixes the sign
-    of the output lift.  Returns (lift, u): the output lift as a (K-d+1,
-    d+1) jet and its d coefficients as a (K-2d, d) jet, each carrying the
-    batch shape that shape and eps broadcast to ahead of its last axis.
+    of the output lift.  Returns (lift, u): the coefficients of the output
+    lift, (K-d+1, d+1), and of its d invariants, (K-2d, d), each carrying
+    the batch shape that shape and eps broadcast to ahead of its last axis.
     kmax must leave enough orders for the Wronskian rescaling and the
     coefficient extraction behind it.
     """

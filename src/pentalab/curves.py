@@ -9,11 +9,12 @@ base point: the lift solves the linear ODE
 componentwise, and because the equation has no g^(d) term the frame
 determinant (Wronskian) is conserved, so det = 1 propagates from the initial
 frame.  Jets of any order then come from the ODE recursion for free, which is
-the ground truth every downstream check leans on.  A lift jet is one
-``Jet`` of shape (K+1, d+1): row k holds the k-th Taylor coefficients of all
-d+1 components.  ``CurveSpec.u_jet`` is the one evaluator of the u_i: a
-(K+1, d) ``Jet`` in the spec's dtype, used by frame transport, lift jets and
-every module that needs the invariants at a point.
+the ground truth every downstream check leans on.  A lift jet is one bare
+coefficient array of shape (K+1, d+1): row k holds the k-th Taylor
+coefficients of all d+1 components.  ``CurveSpec.u_jet`` is the one
+evaluator of the u_i: a (K+1, d) array in the spec's dtype, used by frame
+transport, lift jets and every module that needs the invariants at a
+point.  Only ``gamma_jet`` still wraps its lift in a ``jets.Jet``.
 
 Every experiment lifts the curve at its working point from the identity
 frame there: the spec's lift is that lift times the spec's frame at x, an
@@ -46,7 +47,8 @@ import numpy as np
 
 from . import linalg
 from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, _falling_table,
-                   derivative_stack, eval_jet, jet_factor, jet_solver, trig_poly)
+                   derivative_stack, eval_jet, jet_factor, jet_solver, mul,
+                   trig_poly)
 
 # order of the lift jet at a working point that nearby samples shift from
 _SHIFT_ORDER = 40
@@ -119,11 +121,11 @@ class CurveSpec:
 
     # -- frame transport -------------------------------------------------
 
-    def u_jet(self, x, order) -> Jet:
-        """Jet (order+1, d) of u_0..u_{d-1} at x, in the spec's dtype; a 1-D
-        array of P points gives (order+1, d, P)."""
-        return Jet(np.stack([eval_jet(f, x, order, dtype=self.dtype).c
-                             for f in self.u], axis=1), copy=False)
+    def u_jet(self, x, order) -> np.ndarray:
+        """Taylor coefficients (order+1, d) of u_0..u_{d-1} at x, in the
+        spec's dtype; a 1-D array of P points gives (order+1, d, P)."""
+        return np.stack([eval_jet(f, x, order, dtype=self.dtype)
+                         for f in self.u], axis=1)
 
     def frame_at(self, x):
         """Rows g(x), g'(x), ..., g^(d)(x) of the normalized lift; an array
@@ -267,7 +269,7 @@ def _lift_coeffs(spec, xs, order):
     if spec.d > order:
         raise IntegrationFailure(f"the {spec.d + 1} rows of the identity "
                                  f"frame do not fit an order-{order} lift")
-    u = spec.u_jet(xs, order).c
+    u = spec.u_jet(xs, order)
     return _ode_taylor_coeffs(u, spec.d, order), u
 
 
@@ -275,7 +277,7 @@ def gamma_jet(spec: CurveSpec, x, order) -> Jet:
     """Jet (order+1, d+1) of the spec's normalized lift at x, to the given
     order (>= d): the identity lift there times the frame there."""
     lift = _lift_coeffs(spec, np.array([x]), order)[0][..., 0]
-    return Jet(lift @ spec.frame_at(x), copy=False)
+    return Jet(lift @ spec.frame_at(x))
 
 
 def wronskian(spec: CurveSpec, x) -> float:
@@ -286,9 +288,9 @@ def wronskian(spec: CurveSpec, x) -> float:
 def normalized_lift(raw, ref=None):
     """Rescale an arbitrary lift to unit Wronskian and read off its u's.
 
-    raw: (K+1, d+1) jet of the lift components, K >= 2d+1.
-    Returns (lift, u): the rescaled lift as a (K-d+1, d+1) jet and the d
-    coefficients of the ODE it satisfies as a (K-2d, d) jet.  A stack of
+    raw: (K+1, d+1) Taylor coefficients of the lift components, K >= 2d+1.
+    Returns (lift, u): the coefficients of the rescaled lift, (K-d+1, d+1),
+    and of the d invariants of the ODE it satisfies, (K-2d, d).  A stack of
     lifts, (K+1, ..., d+1), is rescaled all at once, each on its own, and
     gives stacks of both; ref then broadcasts against the stack.
 
@@ -309,8 +311,8 @@ def normalized_lift(raw, ref=None):
     principal root, turned by the (d+1)-th root of unity that brings its dot
     product with ref nearest the positive real axis.
     """
-    d = raw.c.shape[-1] - 1
-    if raw.order < 2 * d + 1:
+    d = raw.shape[-1] - 1
+    if len(raw) < 2 * d + 2:
         raise ValueError(f"component jets must have order >= {2 * d + 1}")
 
     n = d + 1
@@ -319,7 +321,7 @@ def normalized_lift(raw, ref=None):
         solve, (sign, logdet) = jet_factor(frame[..., :n])
     except DegenerateSystem as exc:
         raise DegenerateLift(f"vanishing Wronskian: {exc}") from exc
-    b_d = solve(-frame[..., n]).c[..., d]
+    b_d = solve(-frame[..., n])[..., d]
     # one point axis of length >= 1 throughout: numpy's scalar arithmetic
     # rounds differently from its array loops, and a stack member must come
     # out as its own call does
@@ -340,15 +342,15 @@ def normalized_lift(raw, ref=None):
             acc = acc + rate[k] * f[m - 1 - k]
         f[m] = acc / m
 
-    scaled = Jet(f.reshape(f.shape[:1] + stack + (1,)), copy=False) * raw
+    scaled = mul(f.reshape(f.shape[:1] + stack + (1,)), raw)
     if np.iscomplexobj(sign) and ref is not None:
         turns = _roots_of_unity(n, logdet.dtype)
-        dots = np.sum(ref * scaled.value, axis=-1)[..., None] * turns
+        dots = np.sum(ref * scaled[0], axis=-1)[..., None] * turns
         turn = turns[np.argmin(np.abs(np.angle(dots)), axis=-1)]
-        scaled = Jet(scaled.c * turn[..., None], copy=False)
+        scaled = scaled * turn[..., None]
     elif n % 2 == 0 and ref is not None:
-        flip = np.sum(ref * scaled.value, axis=-1) < 0
-        scaled = Jet(np.where(flip[..., None], -scaled.c, scaled.c), copy=False)
+        flip = np.sum(ref * scaled[0], axis=-1) < 0
+        scaled = np.where(flip[..., None], -scaled, scaled)
 
     frame = derivative_stack(scaled, d + 2)
     try:

@@ -143,7 +143,7 @@ def _extract(chi, xs, kmax, lifts):
     # the least order that renormalizes, 2d + 2
     lifted, u = chi_map_point(chi, lifts[..., None], eps, 2 * lifts.shape[1])
     return [_report(x, kmax, radius, *mapped)
-            for x, mapped in zip(xs, zip(lifted.value, u.value))]
+            for x, mapped in zip(xs, zip(lifted[0], u[0]))]
 
 
 def alpha_constancy_check(spec, chi, xs):

@@ -1,20 +1,21 @@
 """Truncated Taylor series, expression trees, and linear algebra over series.
 
-A ``Jet`` holds the first K+1 Taylor coefficients of a function of x at a
-base point, in the derivative/k! convention, as one array ``c`` of shape
-(K+1, *tail): the Taylor order runs along axis 0 and the trailing axes hold
-the values, which may be a scalar, a vector (a lift of a curve) or a matrix
-(the frame of a span, a Wronskian).  Multiplication is a truncated
-convolution along axis 0 with the tails broadcast, so the series of a curve
-point, of a span or of a whole linear system is one object, and d/dx is
-exact: derivatives are coefficient shifts, never finite differences.
-Coefficients are real or complex; any other array is cast to float64.
+A truncated series is a bare coefficient array of shape (K+1, *tail): row k
+holds the k-th Taylor coefficients f^(k)(x0)/k! at a base point, and the
+trailing axes hold the values, which may be a scalar, a vector (a lift of a
+curve) or a matrix (the frame of a span, a Wronskian).  ``mul`` is a
+truncated convolution along axis 0 with the tails broadcast, so the series
+of a curve point, of a span or of a whole linear system is one array, and
+d/dx is exact: ``derivative`` and ``derivative_stack`` shift coefficients,
+never take finite differences.  Sums, differences and scaling by a number
+are numpy's own.  Coefficients are real or complex.  ``Jet`` is a read-only
+wrapper of such an array that only ``curves.gamma_jet`` still returns.
 
 ``AnalyticFn`` is a tiny closed expression language (constants, x, +, -, *,
 /, sin, cos, powers) used for curve coefficient functions.  ``eval_jet``
 runs a tree on raw coefficient arrays (sums elementwise, products as
 truncated convolutions, quotients, powers, sin and cos by their series
-recurrences) and wraps the result in one ``Jet`` of any requested order.
+recurrences) and returns the coefficients to any requested order.
 It also takes a 1-D array of points and walks the tree once for all of
 them, each array carrying a trailing point axis; every column equals the
 one-point jet bit for bit.  sin and cos of an affine argument (x, 2x) are
@@ -28,9 +29,10 @@ that matrix's determinant.  It takes a stack of matrix jets, the stack in
 the tail ahead of the matrix axes, and treats it in stacked calls; every
 product over series with a tail sums in a fixed order, so each member of a
 stack comes out as it would on its own.  At order m the solve forms all m
-products t_k x_(m-k) in one stacked matmul and subtracts them from b_m in
-order of k, one ``np.subtract.reduce`` that runs sequentially.  No determinant of a series is
-formed: ``curves.normalized_lift`` gets the Wronskian from Abel's identity.
+products a_k x_(m-k) in one stacked matmul and subtracts them from b_m in
+order of k, one ``np.subtract.reduce`` that runs sequentially.  No
+determinant of a series is formed: ``curves.normalized_lift`` gets the
+Wronskian from Abel's identity.
 """
 
 import functools
@@ -50,32 +52,19 @@ class NonPositiveBase(ValueError):
 
 
 class Jet:
-    """Truncated Taylor series: c[k] = f^(k)(x0) / k!, c of shape (K+1, *tail).
-
-    Sums and products of jets broadcast the tails numpy-style, products
-    with a number scale; ``jet[i]`` indexes the tail.
-    """
+    """Truncated Taylor series: c[k] = f^(k)(x0) / k!, c of shape (K+1, *tail),
+    a read-only copy of the coefficients cast to an inexact dtype."""
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs, copy=True):
-        c = np.array(coeffs, copy=copy)
+    def __init__(self, coeffs):
+        c = np.array(coeffs)
         if c.ndim == 0 or len(c) == 0:
             raise ValueError("jet coefficients need a nonempty order axis")
         if not np.issubdtype(c.dtype, np.inexact):
             c = c.astype(np.float64)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
-
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def const(value, order, dtype=np.float64):
-        c = np.zeros(order + 1, dtype=dtype)
-        c[0] = value
-        return Jet(c, copy=False)
-
-    # -- basic queries ------------------------------------------------
 
     @property
     def order(self):
@@ -85,75 +74,42 @@ class Jet:
     def value(self):
         return self.c[0]
 
-    def derivative(self):
-        """Jet of f', one order shorter."""
-        if self.order == 0:
-            return Jet(np.zeros_like(self.c), copy=False)
-        k = np.arange(1, self.order + 1)
-        if self.c.ndim > 1:
-            k = k.reshape((-1,) + (1,) * (self.c.ndim - 1))
-        return Jet(self.c[1:] * k, copy=False)
 
-    def __getitem__(self, index):
-        if not isinstance(index, tuple):
-            index = (index,)
-        return Jet(self.c[(slice(None),) + index], copy=False)
-
-    def __repr__(self):
-        head = np.array2string(self.c[:4], precision=6)
-        tail = f", tail={self.c.shape[1:]}" if self.c.ndim > 1 else ""
-        more = "..." if self.order > 3 else ""
-        return f"Jet(order={self.order}{tail}, c={head}{more})"
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        k = min(self.order, other.order) + 1
-        return Jet(np.add(*_align(self.c[:k], other.c[:k])), copy=False)
-
-    def __neg__(self):
-        return Jet(-self.c, copy=False)
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        k = min(self.order, other.order) + 1
-        return Jet(np.subtract(*_align(self.c[:k], other.c[:k])), copy=False)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            k = min(self.order, other.order) + 1
-            if self.c.ndim == 1 and other.c.ndim == 1:
-                return Jet(np.convolve(self.c[:k], other.c[:k])[:k], copy=False)
-            return Jet(_convolve(*_align(self.c[:k], other.c[:k])), copy=False)
-        if np.isscalar(other) or isinstance(other, np.generic):
-            return Jet(self.c * other, copy=False)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-
-def _align(a, b):
-    """Reshape two coefficient arrays so their tails broadcast numpy-style."""
-    n = max(a.ndim, b.ndim)
-    return (a.reshape(a.shape[:1] + (1,) * (n - a.ndim) + a.shape[1:]),
-            b.reshape(b.shape[:1] + (1,) * (n - b.ndim) + b.shape[1:]))
-
-
-def _convolve(a, b):
-    """Truncated product of two coefficient arrays with broadcastable tails.
+def mul(a, b):
+    """Truncated product of two coefficient arrays, cut to the smaller
+    order, their tails broadcast numpy-style.
 
     out[m] = sum_j a[j] b[m-j], summed in order of j by whole-array steps,
     so every tail entry gets the same arithmetic whatever else the tail
     holds: a stack of series multiplies as each series would on its own.
     """
-    k = a.shape[0]
+    k = min(len(a), len(b))
+    n = max(a.ndim, b.ndim)
+    a = a[:k].reshape((k,) + (1,) * (n - a.ndim) + a.shape[1:])
+    b = b[:k].reshape((k,) + (1,) * (n - b.ndim) + b.shape[1:])
     out = a[0] * b
     for j in range(1, k):
         out[j:] += a[j] * b[:k - j]
     return out
+
+
+def derivative(c):
+    """Coefficients of f' from those of f, one order shorter; an order-0
+    array gives zeros of its own shape."""
+    if len(c) == 1:
+        return np.zeros_like(c)
+    k = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return c[1:] * k
+
+
+def derivative_stack(c, count):
+    """Coefficients whose column k < count on a new last axis is the k-th
+    derivative of c, all cut to the order of the last derivative."""
+    chain = [c]
+    for _ in range(count - 1):
+        chain.append(derivative(chain[-1]))
+    k = len(chain[-1])
+    return np.stack([d[:k] for d in chain], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +134,10 @@ def _mul(a, b):
 
     A factor with no terms past order 0 scales the other: that is exactly
     the convolution, whose sums add only zeros to the one product, and
-    ``+ 0.0`` gives a zero the sign such a sum gives it.
+    ``+ 0.0`` gives a zero the sign such a sum gives it.  Tree products keep
+    ``np.convolve``, not ``mul``: the two sum in different orders, and of
+    160 products of random float64 pairs of order 8 (numpy 2.4), 159 round
+    differently, so the switch would move every number a tree feeds.
     """
     if not a[1:].any():
         return a[0] * b + 0.0
@@ -439,14 +398,15 @@ def trig_poly(a0, harmonics):
 
 
 def eval_jet(f, x, order, dtype=np.float64):
-    """Jet of an AnalyticFn at x: coefficient k is f^(k)(x)/k! to roundoff.
+    """Taylor coefficients of an AnalyticFn at x, (order+1,): coefficient k
+    is f^(k)(x)/k! to roundoff.
 
-    x is a number, or a 1-D array of P points, which gives a (order+1, P)
-    jet whose column p equals the jet at x[p] bit for bit.
+    x is a number, or a 1-D array of P points, which gives (order+1, P)
+    coefficients whose column p equals the jet at x[p] bit for bit.
     """
     if order < 0:
         raise ValueError("jet order must be nonnegative")
-    return Jet(f._coeffs(x, order, np.dtype(dtype)), copy=False)
+    return f._coeffs(x, order, np.dtype(dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +414,8 @@ def eval_jet(f, x, order, dtype=np.float64):
 
 
 def jet_solver(a):
-    """Factor a square matrix jet (K+1, ..., n, n) once; returns solve(b) -> Jet.
+    """Factor a square matrix jet (K+1, ..., n, n) once; returns solve(b),
+    which gives the solution's coefficients.
 
     The tail may stack matrices ahead of the last two axes; each is solved
     on its own, all of them in one stacked call per order.  b is a vector
@@ -470,36 +431,25 @@ def jet_factor(a):
     """(solve, (sign, logdet)): jet_solver's solve and the determinant of
     each constant-term matrix, as (sign, log|det|) of shape (...), both
     from the one factorization of the constant terms."""
-    t = a.c
     try:
-        solve0 = linalg.stack_solver(t[0])
+        solve0 = linalg.stack_solver(a[0])
     except linalg.SingularMatrixError as exc:
         raise DegenerateSystem(str(exc)) from exc
 
     def solve(b):
-        bc = b.c[: t.shape[0]]
-        vector = bc.ndim == t.ndim - 1
+        bc = b[: a.shape[0]]
+        vector = bc.ndim == a.ndim - 1
         if vector:
             bc = bc[..., None]
-        x = np.empty(bc.shape, dtype=np.result_type(t.dtype, bc.dtype))
-        # work[0] = b_m, work[k] = t_k x_(m-k): one stacked matmul per order,
-        # then b_m - t_1 x_(m-1) - ... - t_m x_0 subtracted in order of k
+        x = np.empty(bc.shape, dtype=np.result_type(a.dtype, bc.dtype))
+        # work[0] = b_m, work[k] = a_k x_(m-k): one stacked matmul per order,
+        # then b_m - a_1 x_(m-1) - ... - a_m x_0 subtracted in order of k
         work = np.empty_like(x)
         for m in range(bc.shape[0]):
             work[0] = bc[m]
             if m:
-                np.matmul(t[1:m + 1], x[m - 1::-1], out=work[1:m + 1])
+                np.matmul(a[1:m + 1], x[m - 1::-1], out=work[1:m + 1])
             x[m] = solve0(np.subtract.reduce(work[:m + 1], axis=0))
-        return Jet(x[..., 0] if vector else x, copy=False)
+        return x[..., 0] if vector else x
 
     return solve, solve0.slogdet
-
-
-def derivative_stack(jet, count):
-    """Matrix jet whose column k < count is the k-th derivative of a vector
-    jet, all cut to the order of the last derivative."""
-    chain = [jet]
-    for _ in range(count - 1):
-        chain.append(chain[-1].derivative())
-    k = chain[-1].order + 1
-    return Jet(np.stack([c.c[:k] for c in chain], axis=-1), copy=False)

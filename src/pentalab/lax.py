@@ -16,7 +16,9 @@ there, which one application of the map gives at every step.  The limits
 are read off a Cauchy contour in the step, and every piece of the per-node
 algebra (the differences, the companions, the transfer matrices) takes a
 stack with one member per contour node, so a run does each step once for
-all nodes; each member is bit for bit its one-node result.
+all nodes; each member is bit for bit its one-node result.  Every jet
+here (Γ, Q_2 Γ, V and the image's) is a bare coefficient array, row k the
+k-th Taylor coefficients (see ``jets``).
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from .discretize import _WINDOW_ORDERS, _recurrence, _scaled_differences
 from .expansion import (FIRST_ORDER_TOL, NotCentralized, _contour, _lift,
                         _report, _taylor)
 from .fitting import decay_order
-from .jets import Jet, derivative_stack, jet_solver
+from .jets import derivative, derivative_stack, jet_solver, mul
 from .linalg import stack_solver
 
 
@@ -41,20 +43,19 @@ def _u_companion(u):
 
 
 def _q2_gamma(g, u):
-    """Jets of the lift Γ and of Q_2 Γ = Γ'' + 2 u_{d-1} Γ/(d+1) from the
-    coefficients of Γ, (n, d+1), and of the u_i, (n, d), at one point."""
-    g = Jet(g, copy=False)
-    return g, g.derivative().derivative() + g * Jet(u[:, -1]) * (2.0 / g.c.shape[1])
+    """Coefficients of Q_2 Γ = Γ'' + 2 u_{d-1} Γ/(d+1) from those of the
+    lift Γ, (n, d+1), and of the u_i, (n, d), at one point."""
+    q2g = derivative(derivative(g))
+    return q2g + mul(g, u[:, -1])[:len(q2g)] * (2.0 / g.shape[1])
 
 
 def _v_jets(g, q2g, c):
-    """Matrix jet of V, V Φ = c (Q_2 Γ derivative stack), from the jets of
+    """Coefficients of V, V Φ = c (Q_2 Γ derivative stack), from those of
     Γ and Q_2 Γ: row k resolves (Q_2 Γ)^(k) against the frame in one jet
     solve, and a lift jet of order n gives V to order n - d - 2."""
-    d = g.c.shape[1] - 1
+    d = g.shape[1] - 1
     solve = jet_solver(derivative_stack(g, d + 1))
-    rows = solve(derivative_stack(q2g, d + 1) * c)
-    return Jet(rows.c.transpose(0, 2, 1), copy=False)
+    return solve(derivative_stack(q2g, d + 1) * c).transpose(0, 2, 1)
 
 
 def _shift_companion(a_tilde):
@@ -84,8 +85,8 @@ def _drift(U, c, v, q2g):
     """
     d = len(U) - 1
     for _ in range(d + 1):
-        q2g = q2g.derivative()
-    e_coeff = q2g.value
+        q2g = derivative(q2g)
+    e_coeff = q2g[0]
     t0 = np.zeros((d + 1, d + 1))
     tp = np.zeros((d + 1, d + 1))
     for k in range(d):
@@ -148,14 +149,15 @@ def lax_limit_diagnostics(spec, chi, x):
     radius, eps = _contour([p for g in chi.groups for p in g], lifts.dtype)
     # the map goes first: its node shifts guard the lift against overflow
     mapped, u = chi_map_point(chi, lifts[..., 0], eps, order + d)
-    report = _report(x, 2, radius, mapped.value, u.value)
+    report = _report(x, 2, radius, mapped[0], u[0])
     if abs(report.alpha[1, 1]) > FIRST_ORDER_TOL:
         raise NotCentralized("configuration is not centralized at first order")
     c22 = float(report.alpha[2, 2])
     U = np.asarray(_u_companion(u_coeffs[0, :, 0]), dtype=np.float64)
-    g, q2g = _q2_gamma(lifts[:d + 5, :, 0], u_coeffs[:d + 5, :, 0])
+    g = lifts[:d + 5, :, 0]
+    q2g = _q2_gamma(g, u_coeffs[:d + 5, :, 0])
     vj = _v_jets(g, q2g, c22)
-    V, V_prime = vj.value, vj.derivative().value
+    V, V_prime = vj[0], derivative(vj)[0]
     target = V @ U - U @ V + V_prime
     dudt_w = np.zeros_like(U)
     dudt_w[d, :d] = -np.asarray(report.w, dtype=np.float64)
@@ -163,7 +165,7 @@ def lax_limit_diagnostics(spec, chi, x):
     # every node at once, node axis after (curve, image) and the shift:
     # both companions, both transfer matrices, then the quotients
     jets = np.stack(np.broadcast_arrays(lifts[:order + 1, None, :, 0],
-                                        mapped.c), axis=1)
+                                        mapped), axis=1)
     deltas = [_scaled_differences(jets, eps[:, None], s, d + 1) for s in (0, 1)]
     K0, K1 = _shift_companion(-_recurrence(deltas[0]))
     # each window with δ_0..δ_d as columns, (shift, curve or image, node,

@@ -160,7 +160,8 @@ def null_bases(a):
     """Orthonormal bases (rows) of the nullspaces of a stack (..., m, n) of
     matrices, m <= n, as a stack (..., n - m, n): one float64 (or complex128)
     SVD of the stack, cast back to a's dtype.  Raises SingularMatrixError
-    when the rows of any matrix are numerically dependent."""
+    when the rows of any matrix are numerically dependent, naming the
+    smallest s_m / max(s_1, 1) over the stack and the threshold."""
     a = np.asarray(a)
     m = a.shape[-2]
     work = a
@@ -169,6 +170,9 @@ def null_bases(a):
     _, s, vt = np.linalg.svd(work)
     smax = np.maximum(s[..., :1], 1.0)
     if np.any(np.sum(s > _NULL_RTOL * smax, axis=-1) < m):
-        raise SingularMatrixError("input rows are numerically dependent")
+        worst = np.min(s[..., m - 1] / smax[..., 0])
+        raise SingularMatrixError(
+            "input rows are numerically dependent: the worst "
+            f"s_m/max(s_1, 1) is {worst:.2g}, not above {_NULL_RTOL:g}")
     # the rows of Vᴴ past the rank are the conjugates of null vectors
     return vt[..., m:, :].conj().astype(a.dtype, copy=False)

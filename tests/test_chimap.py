@@ -19,7 +19,7 @@ from pentalab.configs import (ChiConfig, dual_dented_chi, dual_dented_shift,
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, IntegrationFailure,
                              _frame_from_coeffs, _lift_coeffs, gamma_jet,
                              normalized_lift, random_curve_spec)
-from pentalab.jets import Jet, _factorials
+from pentalab.jets import _factorials
 
 from oracles import cofactor_det, zero_curve_spec
 
@@ -33,7 +33,7 @@ def lifted(spec, x):
 
 
 def const_span(rows):
-    return Jet(np.asarray(rows, dtype=float)[None])
+    return np.asarray(rows, dtype=float)[None]
 
 
 def coplanarity_residual(point, spans):
@@ -46,8 +46,8 @@ def coplanarity_residual(point, spans):
     """
     worst = 0.0
     for s in spans:
-        k = min(point.order, s.order) + 1
-        rows = np.concatenate([point.c[:k, None], s.c[:k]], axis=1)
+        k = min(len(point), len(s))
+        rows = np.concatenate([point[:k, None], s[:k]], axis=1)
         for cols in combinations(range(rows.shape[2]), rows.shape[1]):
             minor = cofactor_det(rows[:, :, cols])
             worst = max(worst, float(np.max(np.abs(minor))))
@@ -68,7 +68,7 @@ def test_shared_basis_vector():
         const_span([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         const_span([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     ])
-    assert_allclose(point.value, [0.0, 1.0, 0.0], atol=1e-14)
+    assert_allclose(point[0], [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_generic_lines_match_cross_product(rng):
@@ -77,7 +77,7 @@ def test_generic_lines_match_cross_product(rng):
         b = rng.normal(size=(2, 3))
         point = intersect_spans([const_span(a), const_span(b)])
         oracle = np.cross(np.cross(a[0], a[1]), np.cross(b[0], b[1]))
-        assert_allclose(direction(point.value), direction(oracle),
+        assert_allclose(direction(point[0]), direction(oracle),
                         atol=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_span_shapes(curve_d2):
     spans = _spans(short_diagonal_chi(2), lifted(curve_d2, 0.3), 0.1, 8)
     assert len(spans) == 2
     for s in spans:
-        assert s.c.shape == (9, 2, 3)  # order 8, q + 1 = 2 points, d + 1 = 3
+        assert s.shape == (9, 2, 3)  # order 8, q + 1 = 2 points, d + 1 = 3
 
 
 def test_span_vectors_collapse_toward_curve_point(curve_d2):
@@ -116,7 +116,7 @@ def test_span_vectors_collapse_toward_curve_point(curve_d2):
     gap = []
     for eps in (0.1, 0.05):
         spans = _spans(short_diagonal_chi(2), lifted(curve_d2, 0.3), eps, 4)
-        v = spans[0].value[0]
+        v = spans[0][0, 0]
         gap.append(np.linalg.norm(direction(v) - direction(gamma)))
     assert gap[1] <= 0.6 * gap[0]
 
@@ -147,9 +147,9 @@ def test_build_spans_equals_the_per_point_lifts(chi, dtype):
     here = CurveSpec(chi.d, spec.u, x, np.eye(chi.d + 1), dtype=dtype)
     for s, g in zip(spans, chi.groups):
         want = np.stack([gamma_jet(here, x + p * eps, k).c for p in g], axis=1)
-        assert s.c.dtype == want.dtype == dtype
+        assert s.dtype == want.dtype == dtype
         tol = 32 * np.finfo(dtype).eps * np.max(np.abs(want))
-        assert np.max(np.abs(s.c - want)) <= tol
+        assert np.max(np.abs(s - want)) <= tol
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -209,7 +209,7 @@ def test_output_satisfies_coplanarity(curve_d2):
 def test_output_wronskian_is_one(curve_d3):
     out, _ = chi_map_point(short_diagonal_chi(3), lifted(curve_d3, 0.1), 0.08,
                            10)
-    rows = [out.c[k] * math.factorial(k) for k in range(4)]
+    rows = [out[k] * math.factorial(k) for k in range(4)]
     assert np.linalg.det(rows) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -220,8 +220,8 @@ def test_symmetric_config_even_in_eps(d, eps):
     kmax = 2 * d + 3
     plus, u_plus = chi_map_point(chi, lifted(spec, 0.4), eps, kmax)
     minus, u_minus = chi_map_point(chi, lifted(spec, 0.4), -eps, kmax)
-    assert_allclose(plus.c, minus.c, atol=1e-10)
-    assert_allclose(u_plus.c, u_minus.c, atol=1e-9)
+    assert_allclose(plus, minus, atol=1e-10)
+    assert_allclose(u_plus, u_minus, atol=1e-9)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -232,9 +232,9 @@ def test_complex_step_on_the_real_axis_equals_the_real_step(d):
     chi = short_diagonal_chi(d)
     real, u_real = chi_map_point(chi, lifted(spec, 0.3), 0.1, 2 * d + 2)
     cplx, u_cplx = chi_map_point(chi, lifted(spec, 0.3), 0.1 + 0j, 2 * d + 2)
-    assert np.iscomplexobj(cplx.c)
-    assert_allclose(cplx.value, real.value, rtol=0, atol=1e-12)
-    assert_allclose(u_cplx.value, u_real.value, rtol=0, atol=1e-9)
+    assert np.iscomplexobj(cplx)
+    assert_allclose(cplx[0], real[0], rtol=0, atol=1e-12)
+    assert_allclose(u_cplx[0], u_real[0], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -243,7 +243,7 @@ def test_normal_curve_stays_normal(d):
     spec = zero_curve_spec(d)
     _, u_eps = chi_map_point(short_diagonal_chi(d), lifted(spec, 0.3), 0.1,
                              2 * d + 4)
-    assert_allclose(u_eps.c, 0.0, atol=1e-8)
+    assert_allclose(u_eps, 0.0, atol=1e-8)
 
 
 def test_projective_equivariance(curve_d2, rng):
@@ -253,21 +253,21 @@ def test_projective_equivariance(curve_d2, rng):
     up = np.eye(3) + np.triu(rng.uniform(-0.3, 0.3, (3, 3)), 1)
     g = lo @ up  # unit determinant by construction
     spans = _spans(short_diagonal_chi(2), lifted(curve_d2, 0.25), 0.1, 8)
-    moved = [Jet(s.c @ g.T) for s in spans]
-    ref = spans[0].value[0]
+    moved = [s @ g.T for s in spans]
+    ref = spans[0][0, 0]
     base, u_base = normalized_lift(intersect_spans(spans), ref=ref)
     out, u_out = normalized_lift(intersect_spans(moved), ref=ref @ g.T)
-    assert_allclose(out.c, base.c @ g.T, atol=1e-9)
-    assert_allclose(u_out.c, u_base.c, atol=1e-8)
+    assert_allclose(out, base @ g.T, atol=1e-9)
+    assert_allclose(u_out, u_base, atol=1e-8)
 
 
 def test_point_invariant_under_span_rescaling(curve_d2, rng):
     spans = _spans(short_diagonal_chi(2), lifted(curve_d2, 0.2), 0.1, 8)
-    scaled = [Jet(s.c * rng.uniform(0.5, 2.0, size=s.c.shape[1])[:, None])
+    scaled = [s * rng.uniform(0.5, 2.0, size=s.shape[1])[:, None]
               for s in spans]
     base = intersect_spans(spans)
     alt = intersect_spans(scaled)
-    assert_allclose(base.c, alt.c, atol=1e-10)
+    assert_allclose(base, alt, atol=1e-10)
 
 
 def test_reduced_dual_dented_equals_full(curve_d3):
@@ -276,8 +276,8 @@ def test_reduced_dual_dented_equals_full(curve_d3):
     red = dual_dented_chi(3, 1, variant="reduced").shift(delta)
     a, ua = chi_map_point(full, lifted(curve_d3, 0.3), 0.07, 10)
     b, ub = chi_map_point(red, lifted(curve_d3, 0.3), 0.07, 10)
-    assert_allclose(a.c, b.c, atol=1e-10)
-    assert_allclose(ua.c, ub.c, atol=1e-9)
+    assert_allclose(a, b, atol=1e-10)
+    assert_allclose(ua, ub, atol=1e-9)
 
 
 def test_kmax_floor(curve_d2):
@@ -293,10 +293,10 @@ def test_extended_normals_annihilate_their_span(d):
     spans = _spans(short_diagonal_chi(d), lifted(spec, 0.3), 0.1, 2 * d + 2)
     for span in spans:
         normals = _span_normals(span)
-        assert normals.c.dtype == np.longdouble
-        scale = np.max(np.abs(span.c)) * np.max(np.abs(normals.c))
-        for m in range(span.order + 1):
-            prod = sum(span.c[j] @ normals.c[m - j].T for j in range(m + 1))
+        assert normals.dtype == np.longdouble
+        scale = np.max(np.abs(span)) * np.max(np.abs(normals))
+        for m in range(len(span)):
+            prod = sum(span[j] @ normals[m - j].T for j in range(m + 1))
             assert np.max(np.abs(prod)) <= 1e-18 * scale
 
 
@@ -315,8 +315,8 @@ def test_stacked_normals_equal_one_call_per_group(chi, eps, dtype):
     spec = random_curve_spec(chi.d, seed=3, dtype=dtype)
     spans = _spans(chi, lifted(spec, np.array([0.3, -0.2])), eps,
                    2 * chi.d + 2)
-    order = spans[0].order
-    want = np.concatenate([_span_normals(s).c for s in spans], axis=-2)
+    order = len(spans[0]) - 1
+    want = np.concatenate([_span_normals(s) for s in spans], axis=-2)
     got = _stacked_normals(spans, order)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -359,15 +359,15 @@ def test_batch_equals_the_one_pair_loop(chi, eps0, dtype):
     eps = dtype(eps0) * dtype(0.85) ** np.arange(4)
     k = 2 * chi.d + 2
     lift, u = chi_map_point(chi, lifted(spec, xs[:, None]), eps, k)
-    assert lift.c.shape == (k - chi.d + 1, 3, 4, chi.d + 1)
-    assert u.c.shape == (k - 2 * chi.d, 3, 4, chi.d)
+    assert lift.shape == (k - chi.d + 1, 3, 4, chi.d + 1)
+    assert u.shape == (k - 2 * chi.d, 3, 4, chi.d)
     for i, x in enumerate(xs):
         for j, e in enumerate(eps):
             one, u_one = chi_map_point(chi, lifted(spec, x), e, k)
-            assert one.c.dtype == lift.c.dtype == dtype
+            assert one.dtype == lift.dtype == dtype
             # every stage treats each pair as a call with that pair alone
-            assert np.array_equal(lift.c[:, i, j], one.c)
-            assert np.array_equal(u.c[:, i, j], u_one.c)
+            assert np.array_equal(lift[:, i, j], one)
+            assert np.array_equal(u[:, i, j], u_one)
 
 
 @pytest.mark.parametrize("d, seed, bad, message", [
@@ -406,11 +406,11 @@ def test_scalar_x_with_an_eps_array(curve_d2, eps):
     # node offsets
     chi = short_diagonal_chi(2)
     lift, u = chi_map_point(chi, lifted(curve_d2, 0.3), eps, 6)
-    assert lift.c.shape == (5, eps.size, 3)
+    assert lift.shape == (5, eps.size, 3)
     for j, e in enumerate(eps):
         one, u_one = chi_map_point(chi, lifted(curve_d2, 0.3), e, 6)
-        assert np.array_equal(lift.c[:, j], one.c)
-        assert np.array_equal(u.c[:, j], u_one.c)
+        assert np.array_equal(lift[:, j], one)
+        assert np.array_equal(u[:, j], u_one)
 
 
 def test_shift_maps_the_shifted_configuration(curve_d3):
@@ -420,9 +420,9 @@ def test_shift_maps_the_shifted_configuration(curve_d3):
     # frame, which is how lax_limit_diagnostics reads its windows
     chi = short_diagonal_chi(3)
     for eps in (0.05, 0.05 * np.exp(0.3j)):
-        jet = chi_map_point(chi, lifted(curve_d3, 0.3), eps, 20)[0].c
+        jet = chi_map_point(chi, lifted(curve_d3, 0.3), eps, 20)[0]
         for k in range(5):
             one = chi_map_point(chi.shift(k), lifted(curve_d3, 0.3), eps,
-                                8)[0].value
+                                8)[0][0]
             at = np.sum(jet * (k * eps) ** np.arange(len(jet))[:, None], axis=0)
             assert_allclose(at, one, rtol=0, atol=1e-13)

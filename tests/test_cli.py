@@ -504,6 +504,19 @@ class TestExpand:
         assert out == ""
         assert err == f"error in expansion.extract_alphas: {why}\n"
 
+    def test_dependent_spans_name_their_conditioning(self, capsys):
+        # at d = 7 the worst span's s_m/max(s_1, 1) on the contour is
+        # 9.6e-11 (1.1e-8 at d = 6), under the nullspace threshold 1e-10;
+        # the error names both numbers
+        code, out, err = run(capsys, ["expand", "--d", "7", "--seed", "0",
+                                      "--x", "0.3"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error in expansion.extract_alphas: "
+                              "DegenerateIntersection: span vectors "
+                              "numerically dependent")
+        assert f"is 9.6e-11, not above {linalg._NULL_RTOL:g}\n" in err
+
     @pytest.mark.parametrize("bug", [np.linalg.LinAlgError("Singular matrix"),
                                      ValueError("operands could not be broadcast"),
                                      RuntimeError("unexpected")])

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from pentalab.configs import short_diagonal_chi
 from pentalab.discretize import limit_diagnostics
 from pentalab.expansion import extract_alphas
-from pentalab.jets import AnalyticFn, Jet
+from pentalab.jets import AnalyticFn, mul
 from pentalab.lax import lax_limit_diagnostics
 from pentalab.curves import (
     _SHIFT_ORDER,
@@ -296,72 +296,70 @@ def test_integration_failure_on_exploding_curve():
 
 def test_normalized_lift_idempotent(curve_d2):
     x = 0.3
-    fj = gamma_jet(curve_d2, x, 8)
+    fj = gamma_jet(curve_d2, x, 8).c
     out, u_eps = normalized_lift(fj)
-    assert out.order == fj.order - 2  # the Wronskian scale costs d orders
-    assert_allclose(out.c, fj.c[: out.order + 1], rtol=1e-11, atol=1e-13)
+    assert len(out) == len(fj) - 2  # the Wronskian scale costs d orders
+    assert_allclose(out, fj[:len(out)], rtol=1e-11, atol=1e-13)
     for i in range(2):
-        assert u_eps[i].value == pytest.approx(evaluate(curve_d2.u[i], x),
-                                               abs=1e-10)
+        assert u_eps[0, i] == pytest.approx(evaluate(curve_d2.u[i], x),
+                                            abs=1e-10)
 
 
 def test_normalized_lift_constant_rescale():
     spec = zero_curve_spec(1)
-    fj = gamma_jet(spec, 0.5, 5)
+    fj = gamma_jet(spec, 0.5, 5).c
     out, _ = normalized_lift(fj * 2.0)
-    rows = [out.c[k] * math.factorial(k) for k in range(2)]
+    rows = [out[k] * math.factorial(k) for k in range(2)]
     assert np.linalg.det(rows) == pytest.approx(1.0, abs=1e-13)
-    assert_allclose(out.value, fj.value, atol=1e-13)
+    assert_allclose(out[0], fj[0], atol=1e-13)
 
 
 def test_normalized_lift_scalar_gauge_invariance(curve_d3, rng):
     x = -0.6
-    fj = gamma_jet(curve_d3, x, 10)
-    base, ub = normalized_lift(fj, ref=fj.value)
+    fj = gamma_jet(curve_d3, x, 10).c
+    base, ub = normalized_lift(fj, ref=fj[0])
     gauge = 1.5 + 0.3 * np.sin(x)  # positive scalar jet, nonconstant
     from pentalab.jets import AnalyticFn, eval_jet
 
     gj = eval_jet(1.5 + 0.3 * AnalyticFn.x().sin(), x, 10)
-    scaled = gj * fj
-    out, uo = normalized_lift(scaled, ref=fj.value)
+    scaled = mul(gj, fj)
+    out, uo = normalized_lift(scaled, ref=fj[0])
     assert gauge > 0
-    assert_allclose(out.c, base.c[: out.order + 1], rtol=1e-10, atol=1e-12)
+    assert_allclose(out, base[:len(out)], rtol=1e-10, atol=1e-12)
     for i in range(3):
-        assert_allclose(ub[i].c, uo[i].c, rtol=1e-9, atol=1e-10)
+        assert_allclose(ub[:, i], uo[:, i], rtol=1e-9, atol=1e-10)
 
 
 def test_normalized_lift_even_frame_dimension_sign():
     # d = 3: negating a valid lift leaves the Wronskian positive, and the
     # reference vector picks the branch continuously
     spec = random_curve_spec(3, seed=9)
-    fj = gamma_jet(spec, 0.2, 10)
+    fj = gamma_jet(spec, 0.2, 10).c
     flipped = -fj
-    out, _ = normalized_lift(flipped, ref=fj.value)
-    k = out.order + 1
-    assert_allclose(out.c, fj.c[:k], rtol=1e-11, atol=1e-13)
+    out, _ = normalized_lift(flipped, ref=fj[0])
+    k = len(out)
+    assert_allclose(out, fj[:k], rtol=1e-11, atol=1e-13)
     out2, _ = normalized_lift(flipped)  # no ref: keeps the flipped branch
-    assert_allclose(out2.c, -fj.c[:k], rtol=1e-11, atol=1e-13)
+    assert_allclose(out2, -fj[:k], rtol=1e-11, atol=1e-13)
 
 
 def test_normalized_lift_of_a_stack_equals_each_lift(curve_d3, rng):
-    raws = [Jet(gamma_jet(curve_d3, x, 9).c * rng.uniform(0.5, 2.0))
+    raws = [gamma_jet(curve_d3, x, 9).c * rng.uniform(0.5, 2.0)
             for x in (0.1, 0.6, 1.3)]
-    refs = np.stack([r.value for r in raws])
-    stack = Jet(np.stack([-r.c for r in raws], axis=1))
+    refs = np.stack([r[0] for r in raws])
+    stack = np.stack([-r for r in raws], axis=1)
     out, u = normalized_lift(stack, ref=refs)
     for i, raw in enumerate(raws):
         one, u_one = normalized_lift(-raw, ref=refs[i])
-        assert np.array_equal(out.c[:, i], one.c)
-        assert np.array_equal(u.c[:, i], u_one.c)
+        assert np.array_equal(out[:, i], one)
+        assert np.array_equal(u[:, i], u_one)
 
 
 def test_normalized_lift_degenerate():
-    from pentalab.jets import Jet
-
     lift = np.zeros((9, 4))
     lift[0, :2] = 1.0  # components (1, 1, 0, 0): every derivative vanishes
     with pytest.raises(DegenerateLift, match="vanishing Wronskian"):
-        normalized_lift(Jet(lift))
+        normalized_lift(lift)
 
 
 # -- Abel's identity against a cofactor Wronskian --------------------------------
@@ -399,8 +397,8 @@ def raw_lift(d, kind, seed, x, negate):
         frame[0] *= np.sign(np.linalg.det(frame)) * (-1 if negate else 1)
     lift = _lift_coeffs(spec, np.array([x], dtype=dtype), _SHIFT_ORDER)[0]
     rows = _shifted_lifts(lift, np.array([h]), order)[:, 0]
-    return (Jet(rows @ frame.astype(np.result_type(rows, frame.dtype)))
-            * Jet(gauge.astype(np.result_type(gauge, dtype))))
+    return mul(rows @ frame.astype(np.result_type(rows, frame.dtype)),
+               gauge.astype(np.result_type(gauge, dtype)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,38 +411,38 @@ def test_normalized_lift_has_unit_wronskian_at_every_order(d, kind, seed, x,
     # roundoff in double and below it in extended precision
     negate = negate and d % 2 == 0  # an even frame needs W > 0
     raw = raw_lift(d, kind, seed, x, negate)
-    w_raw = wronskian_series(raw.c)[0]
+    w_raw = wronskian_series(raw)[0]
     if kind == "complex":
         assert np.iscomplexobj(w_raw)
     else:
         assert (w_raw < 0) == negate
     out, _ = normalized_lift(raw)
-    w = wronskian_series(out.c)
-    assert len(w) == raw.order - 2 * d + 1 and w.dtype == raw.c.dtype
+    w = wronskian_series(out)
+    assert len(w) == len(raw) - 2 * d and w.dtype == raw.dtype
     tol = 1e-16 if kind == "longdouble" else 1e-12
     assert np.max(np.abs(w - np.eye(len(w))[0])) <= tol
 
 
 def test_normalized_lift_sign_rules():
     spec = random_curve_spec(2, seed=4)
-    lift = gamma_jet(spec, 0.3, 9)
+    lift = gamma_jet(spec, 0.3, 9).c
     # d + 1 = 3: -lift has W = -1, and the real odd root gives lift back
     out, _ = normalized_lift(-lift)
-    assert_allclose(out.c, lift.c[:out.order + 1], rtol=1e-12, atol=1e-14)
+    assert_allclose(out, lift[:len(out)], rtol=1e-12, atol=1e-14)
     # d + 1 = 4: one component negated makes W = -1, which no real scale
     # can fix, and either frame's sign may come back
     lift3 = gamma_jet(random_curve_spec(3, seed=4), 0.3, 10)
     with pytest.raises(DegenerateLift, match="negative Wronskian"):
-        normalized_lift(Jet(lift3.c * [-1, 1, 1, 1]))
+        normalized_lift(lift3.c * [-1, 1, 1, 1])
     # complex: the principal root, then the cube root of unity that brings
     # the dot product sum(ref * lift) nearest the positive real axis
-    raw = Jet(lift.c * np.exp(2.5j))  # W = exp(7.5i), Arg W = 7.5 - 2 pi
+    raw = lift * np.exp(2.5j)  # W = exp(7.5i), Arg W = 7.5 - 2 pi
     principal, _ = normalized_lift(raw)  # scales by exp(-(7.5 - 2 pi) i/3)
-    assert_allclose(principal.c, lift.c[:principal.order + 1]
+    assert_allclose(principal, lift[:len(principal)]
                     * np.exp(2j * np.pi / 3), rtol=1e-12, atol=1e-14)
     for turn in np.exp(2j * np.pi * np.arange(3) / 3):
-        out, _ = normalized_lift(raw, ref=lift.value / turn)
-        assert_allclose(out.c, lift.c[:out.order + 1] * turn,
+        out, _ = normalized_lift(raw, ref=lift[0] / turn)
+        assert_allclose(out, lift[:len(out)] * turn,
                         rtol=1e-12, atol=1e-14)
 
 

@@ -103,15 +103,13 @@ class TestExtraction:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_image_point_raises(self, curve_d2, bad, monkeypatch):
         import pentalab.expansion as expansion
-        from pentalab.jets import Jet
 
         inner = expansion.chi_map_point
 
         def poisoned(*args):
             lifted, u = inner(*args)
-            c = lifted.c.copy()
-            c[0, 0, 3, 1] = bad  # the point of rung 3, coordinate 1
-            return Jet(c), u
+            lifted[0, 0, 3, 1] = bad  # the point of rung 3, coordinate 1
+            return lifted, u
 
         monkeypatch.setattr(expansion, "chi_map_point", poisoned)
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -278,7 +276,7 @@ class TestKdvCheck:
         # the lift's own u-jet builds L: no second pass to JET_ORDER
         assert len(calls) == 1
         report = extract_alphas(curve_d3, chi, 0.3)
-        flow = kdv_rhs(l_operator(curve_d3.u_jet(0.3, JET_ORDER).c), 2)
+        flow = kdv_rhs(l_operator(curve_d3.u_jet(0.3, JET_ORDER)), 2)
         want = report.alpha[2, 2] * flow.c[:, 0]
         assert got == float(np.max(np.abs(report.w - want)))
 
@@ -306,7 +304,7 @@ def test_lift_u_jet_truncates_to_the_jet_order(d, dtype):
             for x in (-0.7, 0.3, 1.1):
                 got = _lift(spec, [x])[1][..., 0]
                 assert got.dtype == spec.dtype
-                assert np.array_equal(got, spec.u_jet(x, JET_ORDER).c)
+                assert np.array_equal(got, spec.u_jet(x, JET_ORDER))
 
 
 class TestReport:

@@ -14,7 +14,7 @@ from pentalab.curves import (_SHIFT_ORDER, CurveSpec, _lift_coeffs, _shifted_lif
                              gamma_jet, random_curve_spec)
 from pentalab.discretize import _recurrence, _scaled_differences, tilde_from_A
 from pentalab.expansion import _contour, extract_alphas
-from pentalab.jets import eval_jet
+from pentalab.jets import derivative, eval_jet, mul
 from pentalab.linalg import stack_solver
 from pentalab.lax import (
     _drift,
@@ -46,7 +46,7 @@ def q2_gamma(spec, x, depth):
     """Jets of Γ and Q_2 Γ at x to the given depth, from the lift's and the
     u_i's coefficients there, as lax_limit_diagnostics builds them."""
     g, u = _lift_coeffs(spec, np.array([x]), depth)
-    return _q2_gamma(g[..., 0], u[..., 0])
+    return g[..., 0], _q2_gamma(g[..., 0], u[..., 0])
 
 
 def v_jets(spec, x, c, order):
@@ -56,20 +56,20 @@ def v_jets(spec, x, c, order):
 
 
 def v_matrix(spec, x, c):
-    return v_jets(spec, x, c, 0).value
+    return v_jets(spec, x, c, 0)[0]
 
 
 def drift(spec, x, c):
     """Third-order drift at x, from V and Q_2 Γ as lax_limit_diagnostics
     builds them."""
     g, q2g = q2_gamma(spec, x, spec.d + 4)
-    return _drift(u_matrix(spec, x), c, _v_jets(g, q2g, c).value, q2g)
+    return _drift(u_matrix(spec, x), c, _v_jets(g, q2g, c)[0], q2g)
 
 
 def u_matrix(spec, x):
     """Companion of the curve's differential equation at x: the frame
     Γ, Γ', ..., Γ^(d) satisfies Φ' = U Φ."""
-    return _u_companion(spec.u_jet(x, 0).value)
+    return _u_companion(spec.u_jet(x, 0)[0])
 
 
 def shift_companion(spec, x, eps):
@@ -83,11 +83,11 @@ def shift_companion(spec, x, eps):
 
 def frame_values(spec, x, rows):
     """Stack of derivative rows Γ, Γ', ... as plain floats."""
-    g = gamma_jet(spec, x, rows + 1)
+    g = gamma_jet(spec, x, rows + 1).c
     out = np.empty((rows, spec.d + 1))
     for i in range(rows):
-        out[i] = g.value
-        g = g.derivative()
+        out[i] = g[0]
+        g = derivative(g)
     return out
 
 
@@ -99,14 +99,14 @@ class TestCompanion:
 
     def test_last_row_holds_coefficients(self, curve_d3):
         u = u_matrix(curve_d3, X0)
-        vals = [eval_jet(f, X0, 0).value for f in curve_d3.u]
+        vals = [eval_jet(f, X0, 0)[0] for f in curve_d3.u]
         assert_allclose(u[3, :3], np.negative(vals), atol=1e-14)
         assert u[3, 3] == 0.0
 
     def test_characteristic_polynomial(self, curve_d3):
         # det(lam*I - U) recovers the coefficients of the curve's equation
         u = u_matrix(curve_d3, X0)
-        vals = [eval_jet(f, X0, 0).value for f in curve_d3.u]
+        vals = [eval_jet(f, X0, 0)[0] for f in curve_d3.u]
         expected = [1.0, 0.0, vals[2], vals[1], vals[0]]
         assert_allclose(np.poly(np.asarray(u, dtype=float)), expected,
                         atol=1e-10)
@@ -134,20 +134,21 @@ class TestVMatrix:
         spec = random_curve_spec(d, seed=seed)
         c = 0.4
         v = v_matrix(spec, X0, c)
-        g = gamma_jet(spec, X0, d + 4)
+        g = gamma_jet(spec, X0, d + 4).c
         u_top = eval_jet(spec.u[d - 1], X0, d + 4)
-        q2g = g.derivative().derivative() + g * u_top * (2.0 / (d + 1))
+        q2g = derivative(derivative(g))
+        q2g = q2g + mul(g, u_top)[:len(q2g)] * (2.0 / (d + 1))
         rows = np.empty((d + 1, d + 1))
         for k in range(d + 1):
-            rows[k] = q2g.value
-            q2g = q2g.derivative()
+            rows[k] = q2g[0]
+            q2g = derivative(q2g)
         frame = frame_values(spec, X0, d + 1)
         assert_allclose(v @ frame, c * rows, atol=1e-9)
 
     def test_jet_derivative_matches_difference(self, curve_d2):
         h = 1e-4
         vj = v_jets(curve_d2, X0, 0.375, 2)
-        vp = vj.derivative().value
+        vp = derivative(vj)[0]
         fd = (v_matrix(curve_d2, X0 + h, 0.375)
               - v_matrix(curve_d2, X0 - h, 0.375)) / (2 * h)
         assert_allclose(vp, fd, atol=1e-5)
@@ -275,13 +276,13 @@ class TestTransfer:
         here = CurveSpec(2, curve_d2.u, X0, np.eye(3))
         lift = _lift_coeffs(curve_d2, np.array([X0]), 18)[0][..., 0]
         deep = _lift_coeffs(curve_d2, np.array([X0]), _SHIFT_ORDER)[0][..., 0]
-        image = chi_map_point(chi, deep, e, 20)[0].c
+        image = chi_map_point(chi, deep, e, 20)[0]
         curve, mapped = (np.moveaxis(_scaled_differences(f, e, shift, 2), 0, -2)
                          for f in (lift, image))
         p = np.linalg.solve(curve.T, mapped.T).T
         ks = np.arange(shift, shift + 3)
         w = np.stack([here.frame_at(X0 + k * e)[0] for k in ks])
-        wt = np.stack([chi_map_point(chi.shift(k), deep, e, 6)[0].value
+        wt = np.stack([chi_map_point(chi.shift(k), deep, e, 6)[0][0]
                        for k in ks])
         scaled = [np.stack([np.diff(v, n=j, axis=0)[0] / e ** j
                             for j in range(3)]) for v in (w, wt)]
@@ -391,13 +392,15 @@ class TestLimits:
         lifts, u = _lift_coeffs(spec, np.array([x]), _SHIFT_ORDER)
         assert len(calls) == spec.d  # the u's at x
         monkeypatch.undo()
-        g, q2g = _q2_gamma(lifts[:8, :, 0], u[:8, :, 0])
+        g = lifts[:8, :, 0]
+        q2g = _q2_gamma(g, u[:8, :, 0])
         fresh = CurveSpec(3, spec.u, x, np.eye(4))
         want_g = gamma_jet(fresh, x, 7)
-        assert np.array_equal(g.c, want_g.c)
-        u_top = fresh.u_jet(x, 7)[2]
-        want = want_g.derivative().derivative() + want_g * u_top * (2.0 / 4)
-        assert np.array_equal(q2g.c, want.c)
+        assert np.array_equal(g, want_g.c)
+        u_top = fresh.u_jet(x, 7)[:, 2]
+        want = derivative(derivative(want_g.c))
+        want = want + mul(want_g.c, u_top)[:len(want)] * (2.0 / 4)
+        assert np.array_equal(q2g, want)
 
     def test_one_deep_lift_jet_per_run(self, curve_d2, monkeypatch):
         # the node lifts, the curve windows and Γ, Q_2 Γ are all read off

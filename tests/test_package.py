@@ -3,6 +3,8 @@ import pathlib
 import re
 import types
 
+import numpy as np
+
 import pentalab
 
 
@@ -79,6 +81,46 @@ def test_every_public_name_has_a_caller():
                    for ref, where, line in refs):
             uncalled.append(name)
     assert sorted(uncalled) == sorted(_UNCALLED)
+
+
+def test_only_gamma_jet_wraps_a_series():
+    # every series in the package is a bare coefficient array; outside
+    # jets.py and __init__.py the name Jet is read (through the AST, so a
+    # docstring does not count) only by curves.gamma_jet and its import
+    stray = []
+    for path in sorted(pathlib.Path(pentalab.__file__).parent.glob("*.py")):
+        if path.name in ("jets.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "curves.py":
+            for node in tree.body:
+                if (isinstance(node, ast.ImportFrom)
+                        or (isinstance(node, ast.FunctionDef)
+                            and node.name == "gamma_jet")):
+                    allowed.update(range(node.lineno, node.end_lineno + 1))
+        stray += [f"{path.name}:{line}" for name, line in _references(tree)
+                  if name == "Jet" and line not in allowed]
+    assert stray == []
+
+
+def test_series_come_back_as_bare_arrays():
+    from pentalab.chimap import _spans
+    from pentalab.curves import _SHIFT_ORDER, _lift_coeffs
+
+    spec = pentalab.random_curve_spec(2, seed=1)
+    chi = pentalab.short_diagonal_chi(2)
+    lifts = _lift_coeffs(spec, np.array([0.3]), _SHIFT_ORDER)[0][..., 0]
+    point = pentalab.intersect_spans(_spans(chi, lifts, 0.1, 6))
+    results = {
+        "eval_jet": [pentalab.eval_jet(spec.u[0], 0.3, 4)],
+        "CurveSpec.u_jet": [spec.u_jet(0.3, 4)],
+        "intersect_spans": [point],
+        "normalized_lift": list(pentalab.normalized_lift(point)),
+        "chi_map_point": list(pentalab.chi_map_point(chi, lifts, 0.1, 6)),
+    }
+    assert {name: [type(r) for r in got] for name, got in results.items()} \
+        == {name: [np.ndarray] * len(got) for name, got in results.items()}
 
 
 # what the oracles may take from the package: the types that build a test

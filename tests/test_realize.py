@@ -191,7 +191,7 @@ def _per_probe(chi, probe_curves, x):
 
     alphas = [extract_alphas(spec, chi, x, kmax=3).alpha
               for spec in probe_curves]
-    targets = [q_m(l_operator(spec.u_jet(x, JET_ORDER).c), 3).c[:4, 0]
+    targets = [q_m(l_operator(spec.u_jet(x, JET_ORDER)), 3).c[:4, 0]
                for spec in probe_curves]
     return np.array(alphas), _residuals(alphas, targets)
 
