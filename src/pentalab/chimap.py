@@ -150,7 +150,7 @@ def chi_map_point(chi, lifts, eps, kmax):
     coefficient extraction behind it.
     """
     d = lifts.shape[1] - 1
-    if kmax < 2 * d + 2:
-        raise ValueError(f"need jet order >= {2 * d + 2} to renormalize")
+    if kmax < 2 * d + 1:
+        raise ValueError(f"need jet order >= {2 * d + 1} to renormalize")
     point = intersect_spans(_spans(chi, lifts, eps, kmax))
     return normalized_lift(point, ref=np.moveaxis(lifts[0], 0, -1))

@@ -38,7 +38,8 @@ from .kdvops import CommutatorResidue
 from .lax import lax_limit_diagnostics
 from .linalg import SingularMatrixError
 from .realize import (DegenerateProbes, NotPlaneConfig, check_34,
-                      dof_lower_bound, mari_beffa_family, r_poly_roots)
+                      dof_lower_bound, mari_beffa_family, r_poly_roots,
+                      search_34)
 
 _FAMILY_NAMES = ("short-diagonal", "evenly-spaced", "dual-dented")
 # what a run can meet on a geometry it cannot handle (ZeroDivisionError: a
@@ -279,11 +280,15 @@ def cmd_realize34(args):
     curves = [random_curve_spec(3, seed=args.seed + k)
               for k in range(args.probes)]
     try:
-        report = check_34(chi, curves, args.x)
+        if args.search:  # descend from chi; the report is the result's
+            result = search_34(chi, curves, args.x)
+            report = result.report
+        else:
+            result = report = check_34(chi, curves, args.x)
     except NotPlaneConfig as exc:
         raise UsageError(str(exc))
     payload = {"schema": 1, "seed": args.seed, "x": float(args.x),
-               **report.to_dict()}
+               **result.to_dict()}
     _emit(payload, args.out, args.format)
     return 0 if report.passes() else 1
 
@@ -391,6 +396,9 @@ def build_parser():
     p.add_argument("--x", type=_finite_float, default=0.3)
     p.add_argument("--seed", type=_seed, default=0,
                    help="seed for random curves, recorded in the report")
+    p.add_argument("--search", action="store_true",
+                   help="descend from the configuration toward one that "
+                        "passes, and report the best found")
     _add_output_flags(p)
     p.set_defaults(handler="cmd_realize34", needs_run_config=False)
 
@@ -424,7 +432,8 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except _RUN_ERRORS as exc:
-        op = _OPERATION_NAMES.get(args.command, args.command)
+        op = ("realize.search_34" if getattr(args, "search", False)
+              else _OPERATION_NAMES.get(args.command, args.command))
         print(f"error in {op}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

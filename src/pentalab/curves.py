@@ -27,9 +27,10 @@ one run of the ODE recursion, and it is the only source of lift jets.
 Every curve sample near a working point, at a real or complex offset, is a
 Taylor shift (``_shifted_lifts``, guarded row by row) of the one order-40
 lift jet there, so the map and ``lax`` build that jet once per working
-point.  The shift's Horner pass (``_frame_from_coeffs``, which ``frame_at``
-uses too) forms each term's products once per working point and adds them,
-broadcast, to every offset there.  ``normalized_lift`` takes a stack of
+point.  The shift (``_frame_from_coeffs``, which ``frame_at`` uses too) is
+one matrix product: each working point's coefficients, weighted once per
+row from a cached table, times a table of the powers of every offset
+there, summed highest order first.  ``normalized_lift`` takes a stack of
 lifts.
 
 ``frame_at`` carries F0 along the same path: the identity lifts at the
@@ -210,34 +211,91 @@ def _ode_taylor_coeffs(u_coeffs, d, order):
     return np.moveaxis(g, 0, -1)
 
 
+# OpenBLAS's dgemm sums each entry in order, so an entry's bits do not
+# depend on the other rows and columns, but only when the product has at
+# least two rows (one row goes to a dgemv, summed in another order) and
+# its columns come in whole blocks of 8 (a short tail block is summed in
+# another order); the shift pads its power table to whole blocks
+_COLUMN_BLOCK = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_table(order, rows):
+    """Read-only gather indices and weights of the shift product, each
+    (rows, order+1): entry [k, i] is term j = order - i of row k, the
+    coefficient k + j weighted falling[k, k + j], so a sum along i adds
+    the terms highest order (smallest) first.  Terms past the series,
+    k + j > order, read coefficient order with weight 0."""
+    k = np.arange(rows)[:, None]
+    m = k + order - np.arange(order + 1)
+    index = np.minimum(m, order)
+    weights = np.where(m <= order, _falling_table(order)[k, index], 0.0)
+    index.flags.writeable = weights.flags.writeable = False
+    return index, weights
+
+
 def _frame_from_coeffs(g, h, d):
     """Evaluate rows g^(k)(t+h), k = 0..d, from Taylor coefficients at t.
 
-    One Horner pass for all rows: row k takes the terms m = order..k.  g is
-    (N+1, d+1, ...) and h, real or complex, broadcasts against g's trailing
-    axes to a shape; the rows come out (d+1, d+1, *shape), from a contiguous
-    accumulator of that shape.  Each product g[m] falling[k, m] is formed
-    once per trailing entry of g and added, broadcast, to every h that
-    shares it.
+    Row k is sum_j falling[k, k+j] g[k+j] h^j, and every row at every
+    offset comes from one matrix product: the weighted coefficients of
+    each point, (rows, order+1), times a table of the powers h^j,
+    (order+1, offsets), with j running down so that the smallest terms are
+    added first.  g is (N+1, d+1, ...) and h, real or complex, broadcasts
+    against g's trailing axes to a shape; the rows come out (d+1, d+1,
+    *shape).  The axes g varies on are the product's stack (or its rows,
+    when h does not vary there too), the rest are its columns; a complex h
+    of a real g goes in as the real view of its power table, so a float64
+    product stays in BLAS's real gemm.
     """
     order = g.shape[0] - 1
-    falling = _falling_table(order)
-    shape = np.broadcast_shapes(g.shape[2:], np.shape(h))
-    # g's trailing axes aligned with the shape's, padded on the left
-    g = g.reshape(g.shape[:2] + (1,) * (len(shape) + 2 - g.ndim) + g.shape[2:])
-    tail = (1,) * (g.ndim - 1)
-    out = np.zeros((d + 1, g.shape[1]) + shape, dtype=np.result_type(g, h))
-    for m in range(order, -1, -1):
-        k = min(m, d) + 1
-        out[:k] *= h
-        out[:k] += g[m] * falling[:k, m].reshape((k,) + tail)
-    return out
+    h = np.asarray(h)
+    dtype = np.result_type(g, h)
+    shape = np.broadcast_shapes(g.shape[2:], h.shape)
+    tail = (1,) * (len(shape) + 2 - g.ndim) + g.shape[2:]
+    h = h.reshape((1,) * (len(shape) - h.ndim) + h.shape)
+    own = [i for i, n in enumerate(tail) if n != 1]
+    cols = [i for i, n in enumerate(tail) if n == 1]
+    batch = tuple(shape[i] for i in own)
+    # the weighted coefficients of each point, (*batch, d+1 components,
+    # d+1 rows, N+1 terms)
+    index, weights = _shift_table(order, d + 1)
+    coeffs = np.moveaxis(g.reshape(g.shape[:2] + batch), (0, 1), (-1, -2))
+    lhs = np.take(coeffs, index, axis=-1) * weights
+    lhs = lhs.reshape(batch + (-1, order + 1))
+    # the powers h^j at each offset of a point, (*stack, N+1, offsets)
+    stack = tuple(h.shape[i] for i in own)
+    if all(n == 1 for n in stack):
+        stack, lhs = (), lhs.reshape(-1, order + 1)
+    offsets = math.prod(shape[i] for i in cols)
+    h = np.broadcast_to(h, [h.shape[i] if i in own else shape[i]
+                            for i in range(len(shape))])
+    h = h.transpose(own + cols).reshape(stack + (1, offsets)).astype(dtype)
+    real = dtype.kind == "c" and g.dtype.kind != "c"
+    width = offsets * (2 if real else 1)
+    table = np.zeros(stack + (order + 1, -(-width // _COLUMN_BLOCK)
+                              * _COLUMN_BLOCK),
+                     dtype=g.dtype if real else dtype)
+    powers = table[..., :width]
+    np.power(h, np.arange(order, -1, -1)[:, None],
+             out=powers.view(dtype) if real else powers)
+    # numpy's own loop for a dtype BLAS lacks (longdouble) runs about 2.5
+    # times faster under dot than under matmul, with the same sum order
+    out = (lhs @ table if stack else np.dot(lhs, table))[..., :width]
+    if real:
+        out = out.view(dtype)
+    out = out.reshape(batch + (g.shape[1], d + 1)
+                      + tuple(shape[i] for i in cols))
+    axes = [len(own) + 2 + cols.index(i) if i in cols else own.index(i)
+            for i in range(len(shape))]
+    return out.transpose([len(own) + 1, len(own)] + axes)
 
 
 def _shifted_lifts(g, h, kmax):
     """Taylor coefficients 0..kmax of the lift at t + h, (kmax+1, *shape,
     d+1), from its coefficients g, (N+1, d+1, ...), at t, h (real or
-    complex) broadcast against g's trailing axes; IntegrationFailure when
+    complex) broadcast against g's trailing axes: the rows of the shift
+    product (``_frame_from_coeffs``) over k!.  IntegrationFailure when
     kmax exceeds N, or when a row's last term is not below roundoff (h
     beyond the convergence radius, or a lift that overflowed)."""
     order = g.shape[0] - 1
@@ -246,8 +304,9 @@ def _shifted_lifts(g, h, kmax):
                                  f"order-{order} lift")
     rows = _frame_from_coeffs(g, h, kmax)  # row k: the k-th derivative
     k = np.arange(kmax + 1).reshape((-1,) + (1,) * (rows.ndim - 2))
+    # |h|^(order-k) in float64: a threshold, and longdouble's pow is slow
     last = (_falling_table(order)[k, order] * np.max(np.abs(g[-1]), axis=0)
-            * np.abs(h) ** (order - k))
+            * np.abs(h).astype(np.float64) ** (order - k))
     bound = np.finfo(g.dtype).eps * np.max(np.abs(rows), axis=1)
     if not np.all((last <= bound) & np.isfinite(bound)):  # NaN fails too
         if not np.all(np.isfinite(g)):

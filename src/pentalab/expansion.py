@@ -31,8 +31,10 @@ _NODES = 24
 _NOISE_ORDERS = slice(9, 13)
 # the roundoff floor of the uncertainty in units of that noise: on
 # short-diagonal d = 2..4, curve seeds 0-7, x in {0.3, 1.1}, kmax 6, the
-# error |double - extended| exceeded 3 times it on 3 of 1,344 entries and
-# 4 times it on none
+# error |double - extended| exceeds 3 times it on 3 of 1,344 entries and
+# 4 times it on 2 (4.6 at worst); on d = 4, seeds 16-31, x in {-0.2, 0.8,
+# 2.3}, on 5 and 2 of 1,680 (5.2), and the uncertainty misses 4 entries
+# over both grids (ROADMAP item 3)
 _NOISE_FACTOR = 4.0
 # |alpha_11| at or below this counts as no first-order term
 FIRST_ORDER_TOL = 1e-3
@@ -140,8 +142,10 @@ def _extract(chi, xs, kmax, lifts):
     from different curves of one d and dtype."""
     check_kmax(kmax)
     radius, eps = _contour([p for g in chi.groups for p in g], lifts.dtype)
-    # the least order that renormalizes, 2d + 2
-    lifted, u = chi_map_point(chi, lifts[..., None], eps, 2 * lifts.shape[1])
+    # the least order that renormalizes, 2d + 1: the report reads the
+    # image point and its invariants at order 0 alone
+    lifted, u = chi_map_point(chi, lifts[..., None], eps,
+                              2 * lifts.shape[1] - 1)
     return [_report(x, kmax, radius, *mapped)
             for x, mapped in zip(xs, zip(lifted[0], u[0]))]
 

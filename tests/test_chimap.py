@@ -281,8 +281,11 @@ def test_reduced_dual_dented_equals_full(curve_d3):
 
 
 def test_kmax_floor(curve_d2):
-    with pytest.raises(ValueError):
-        chi_map_point(short_diagonal_chi(2), lifted(curve_d2, 0.0), 0.1, 5)
+    # order 2d + 1 leaves normalized_lift its d + 2 frame rows
+    with pytest.raises(ValueError, match="need jet order >= 5"):
+        chi_map_point(short_diagonal_chi(2), lifted(curve_d2, 0.0), 0.1, 4)
+    lift, u = chi_map_point(short_diagonal_chi(2), lifted(curve_d2, 0.0), 0.1, 5)
+    assert lift.shape == (4, 3) and u.shape == (1, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -17,6 +17,7 @@ from pentalab.configs import ChiConfig, short_diagonal_chi
 from pentalab.curves import CurveSpec, random_curve_spec
 from pentalab.discretize import limit_diagnostics
 from pentalab.expansion import _lift, alpha_constancy_check
+from pentalab.realize import mari_beffa_family
 
 
 def run(capsys, argv):
@@ -489,9 +490,9 @@ class TestExpand:
         assert why in err
 
     @pytest.mark.parametrize("d, why", [
-        # the map asks for rows 0..2d+2 of the order-40 lift: this died
+        # the map asks for rows 0..2d+1 of the order-40 lift: this died
         # with an IndexError in the Taylor shift
-        (20, "IntegrationFailure: Taylor rows 0..42 asked of an order-40 "
+        (20, "IntegrationFailure: Taylor rows 0..41 asked of an order-40 "
              "lift"),
         # and past d = 40 the identity frame alone outgrows the lift
         (41, "IntegrationFailure: the 42 rows of the identity frame do not "
@@ -687,6 +688,27 @@ class TestRealize34:
         code, out, _ = run(capsys, ["realize34", "--chi", str(path)])
         assert code == 1
         assert json.loads(out)["passes"] is False
+
+    def test_search_stops_at_a_passing_seed(self, capsys):
+        # the integer instance already passes on the probes, so the descent
+        # returns it after its one evaluation, without scipy
+        code, out, _ = run(capsys, ["realize34", "--search", "--seed", "2"])
+        assert code == 0
+        blob = json.loads(out)
+        assert (blob["schema"], blob["seed"], blob["x"]) == (1, 2, 0.3)
+        assert blob["chi"] == mari_beffa_family(-2, 3, -5)[0].to_dict()
+        assert blob["report"]["chi"] == blob["chi"]
+        assert blob["report"]["passes"] is True
+        assert blob["converged"] is True and blob["improved"] is False
+        assert blob["evaluations"] == 1
+
+    def test_search_needs_planes(self, capsys, tmp_path):
+        path = tmp_path / "chi.json"
+        path.write_text(json.dumps({"d": 2, "groups": [[-1, 1], [0, 2]]}))
+        code, _, err = run(capsys, ["realize34", "--search", "--chi",
+                                    str(path)])
+        assert code == 2
+        assert "three plane groups" in err
 
     def test_root_index_bounds(self, capsys):
         code, _, err = run(capsys, ["realize34", "--chi", "r-root",

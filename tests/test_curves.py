@@ -252,21 +252,41 @@ def test_falling_factorial_table_is_exact():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_frame_from_coeffs_matches_row_by_row_horner(dtype, rng):
+@pytest.mark.parametrize("turn", [1, np.exp(0.4j)], ids=["real", "complex"])
+@pytest.mark.parametrize("order", [14, 40])
+def test_frame_from_coeffs_matches_an_mpmath_shift(dtype, turn, order, rng):
+    # row k at offset h is sum_m m!/(m-k)! g[m] h^(m-k), summed at 40
+    # digits from the exact values of g and h; each row is held to the
+    # rounding bound of a sum of N+1 terms, (N+1) eps sum|terms| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, ch. 4); the
+    # worst row reads 0.064 of it.  Rows 0..9 (2d + 1 at d = 4, the
+    # deepest the map asks for) keep every weight exact in float64
+    mpmath = pytest.importorskip("mpmath")
     from pentalab.curves import _frame_from_coeffs
 
-    d, order = 3, 14
-    g = rng.standard_normal((order + 1, d + 1)).astype(dtype)
-    for h in (0.0625, -0.0625, dtype(0.0217)):
-        want = np.empty((d + 1, d + 1), dtype=dtype)
-        for k in range(d + 1):
-            acc = np.zeros(d + 1, dtype=dtype)
-            for m in range(order, k - 1, -1):
-                acc = acc * h + g[m] * np.float64(math.perm(m, k))
-            want[k] = acc
-        got = _frame_from_coeffs(g, h, d)
-        assert got.dtype == dtype
-        assert np.array_equal(got, want)
+    def exact(v):  # a longdouble is the sum of two doubles
+        hi = float(v)
+        return mpmath.mpf(hi) + mpmath.mpf(float(v - type(v)(hi)))
+
+    def exact_c(v):
+        return mpmath.mpc(exact(np.real(v)), exact(np.imag(v)))
+
+    rows, comps = 10, 4
+    g = (rng.standard_normal((order + 1, comps))
+         * 0.5 ** np.arange(order + 1)[:, None]).astype(dtype)
+    h = np.array([-0.2, 0.05, 0.15, 1.1]) * turn
+    h = h.astype(np.result_type(dtype, h.dtype))
+    got = _frame_from_coeffs(g[..., None], h, rows - 1)
+    assert got.shape == (rows, comps, len(h)) and got.dtype == h.dtype
+    value = exact_c if np.iscomplexobj(h) else exact
+    eps = np.finfo(dtype).eps
+    with mpmath.workdps(40):
+        for k, c, i in np.ndindex(got.shape):
+            terms = [math.perm(m, k) * exact(g[m, c]) * value(h[i]) ** (m - k)
+                     for m in range(k, order + 1)]
+            err = abs(value(got[k, c, i]) - mpmath.fsum(terms))
+            bound = (order + 1) * eps * mpmath.fsum(abs(t) for t in terms)
+            assert err <= bound, (k, c, i, float(err / bound))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -283,6 +303,19 @@ def test_shift_of_a_batch_equals_each_point_and_offset(dtype, turn, rng):
     for i, j in np.ndindex(2, 3):
         assert np.array_equal(rows[:, i, j],
                               _shifted_lifts(g[..., i], h[j], 2 * d + 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_shift_rows_do_not_depend_on_how_many_are_asked(dtype, d):
+    # the map stops at order 2d + 1: its reports are the bits of a map
+    # carried to 2d + 2 because rows 0..2d+1 keep theirs
+    spec = random_curve_spec(d, seed=d, dtype=dtype)
+    g = _lift_coeffs(spec, np.array([0.3, 1.1], dtype=dtype), _SHIFT_ORDER)[0]
+    h = 0.1 * np.exp(2j * np.pi * np.arange(13) / 24)[:, None] * [-2, 0.5, 1]
+    fewer = _shifted_lifts(g[..., None, None], h, 2 * d + 1)
+    more = _shifted_lifts(g[..., None, None], h, 2 * d + 2)
+    assert np.array_equal(fewer, more[:2 * d + 2])
 
 
 def test_integration_failure_on_exploding_curve():

@@ -42,7 +42,6 @@ def test_every_function_and_class_has_a_caller():
 # stays for now; a name leaves the list when it gains a caller or goes
 _UNCALLED = {
     "limit_diagnostics": "acceptance line 2 reads it; no command reports it",
-    "search_34": "a paper workload that no command reaches yet",
     # the frame march's own lift jet and Wronskian, which go with
     # CurveSpec.frame_at once the benchmark's tracer stops patching it
     "gamma_jet": "the curves tests read it",
