@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from . import linalg
+from .jets import _json_number
 
 _TOP_RTOL = 1e-12
 
@@ -61,7 +62,8 @@ class ChiConfig:
         d = obj["d"]
         if type(d) is not int:  # a JSON integer: not a bool, float or string
             raise ValueError(f"d must be an integer, not {d!r}")
-        return ChiConfig(d, obj["groups"])
+        return ChiConfig(d, [[_json_number(p, "a node") for p in g]
+                             for g in obj["groups"]])
 
     @staticmethod
     def load(path):

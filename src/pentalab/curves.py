@@ -22,8 +22,9 @@ SL(d+1) transform, and every number pentalab reports (α, w, the recurrence
 and Lax fields) is invariant under it.  So no experiment transports a
 frame, and the base point x0 and frame F0 of a spec reach only
 ``frame_at`` and what is built on it (``gamma_jet``, ``wronskian``).
-``_lift_coeffs`` lifts an array of points in one pass over the u-trees and
-one run of the ODE recursion, and it is the only source of lift jets.
+``_lift_coeffs`` lifts an array of points from one walk of the u-trees per
+point and one run of the ODE recursion, and it is the only source of lift
+jets.
 Every curve sample near a working point, at a real or complex offset, is a
 Taylor shift (``_shifted_lifts``, guarded row by row) of the one order-40
 lift jet there, so the map and ``lax`` build that jet once per working
@@ -48,8 +49,8 @@ import numpy as np
 
 from . import linalg
 from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, _falling_table,
-                   derivative_stack, eval_jet, jet_factor, jet_solver, mul,
-                   trig_poly)
+                   _json_number, derivative_stack, eval_jet, jet_factor,
+                   jet_solver, mul, trig_poly)
 
 # order of the lift jet at a working point that nearby samples shift from
 _SHIFT_ORDER = 40
@@ -101,8 +102,9 @@ class CurveSpec:
         if type(d) is not int:  # a JSON integer: not a bool, float or string
             raise ValueError(f"d must be an integer, not {d!r}")
         u = [AnalyticFn.from_dict(node) for node in obj["u"]]
-        x0 = float(obj["x0"])
-        f0 = np.array(obj["F0"], dtype=np.float64)
+        x0 = float(_json_number(obj["x0"], "x0"))
+        f0 = np.array([[_json_number(v, "an F0 entry") for v in row]
+                       for row in obj["F0"]], dtype=np.float64)
         if not (math.isfinite(x0) and np.all(np.isfinite(f0))):
             raise ValueError("x0 and the initial frame must be finite")
         det = float(np.linalg.det(f0))
@@ -220,16 +222,20 @@ _COLUMN_BLOCK = 8
 
 
 @functools.lru_cache(maxsize=None)
-def _shift_table(order, rows):
+def _shift_table(order, rows, dtype):
     """Read-only gather indices and weights of the shift product, each
     (rows, order+1): entry [k, i] is term j = order - i of row k, the
     coefficient k + j weighted falling[k, k + j], so a sum along i adds
     the terms highest order (smallest) first.  Terms past the series,
-    k + j > order, read coefficient order with weight 0."""
+    k + j > order, read coefficient order with weight 0.  Each weight is
+    the exact integer (k + j)!/j! rounded once to the real dtype: a
+    float64 table would round longdouble weights from row 13 on at order
+    40."""
     k = np.arange(rows)[:, None]
     m = k + order - np.arange(order + 1)
     index = np.minimum(m, order)
-    weights = np.where(m <= order, _falling_table(order)[k, index], 0.0)
+    weights = np.where(m <= order, np.frompyfunc(math.perm, 2, 1)(index, k),
+                       0).astype(dtype)
     index.flags.writeable = weights.flags.writeable = False
     return index, weights
 
@@ -259,7 +265,7 @@ def _frame_from_coeffs(g, h, d):
     batch = tuple(shape[i] for i in own)
     # the weighted coefficients of each point, (*batch, d+1 components,
     # d+1 rows, N+1 terms)
-    index, weights = _shift_table(order, d + 1)
+    index, weights = _shift_table(order, d + 1, np.finfo(g.dtype).dtype)
     coeffs = np.moveaxis(g.reshape(g.shape[:2] + batch), (0, 1), (-1, -2))
     lhs = np.take(coeffs, index, axis=-1) * weights
     lhs = lhs.reshape(batch + (-1, order + 1))
@@ -321,14 +327,19 @@ def _shifted_lifts(g, h, kmax):
 def _lift_coeffs(spec, xs, order):
     """Coefficient arrays of the lift based at each of a 1-D array of P
     points with the identity frame, (order+1, d+1, P), and of the u_i it was
-    built from, (order+1, d, P): one pass over the u-trees and one run of
-    the ODE recursion serve every point, and no frame is transported;
+    built from, (order+1, d, P): one walk of the u-trees per point and one
+    run of the ODE recursion serve every point, and no frame is transported;
     IntegrationFailure when the identity frame's d + 1 rows exceed the
-    order."""
+    order, or when the u_i have no finite Taylor series at a point."""
     if spec.d > order:
         raise IntegrationFailure(f"the {spec.d + 1} rows of the identity "
                                  f"frame do not fit an order-{order} lift")
-    u = spec.u_jet(xs, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = spec.u_jet(xs, order)
+    bad = ~np.all(np.isfinite(u), axis=(0, 1))
+    if bad.any():
+        raise IntegrationFailure("the coefficient functions are not finite "
+                                 f"to order {order} at x = {xs[bad.argmax()]:g}")
     return _ode_taylor_coeffs(u, spec.d, order), u
 
 

@@ -16,10 +16,9 @@ wrapper of such an array that only ``curves.gamma_jet`` still returns.
 runs a tree on raw coefficient arrays (sums elementwise, products as
 truncated convolutions, quotients, powers, sin and cos by their series
 recurrences) and returns the coefficients to any requested order.
-It also takes a 1-D array of points and walks the tree once for all of
-them, each array carrying a trailing point axis; every column equals the
-one-point jet bit for bit.  sin and cos of an affine argument (x, 2x) are
-in closed form.  Trees round-trip through JSON, so curve files can carry
+It also takes a 1-D array of points and walks the tree once per point,
+stacking the columns.  sin and cos of an affine argument (x, 2x) are in
+closed form.  Trees round-trip through JSON, so curve files can carry
 their coefficient functions.
 
 Linear algebra over series (``jet_solver``, ``jet_factor``) takes matrix
@@ -113,45 +112,22 @@ def derivative_stack(c, count):
 
 
 # ---------------------------------------------------------------------------
-# kernels on raw coefficient arrays of shape (K+1,), or (K+1, P) with one
-# column per point
-
-
-def _by_point(kernel, *arrays):
-    """kernel on each point column of (K+1, *tail) arrays, stacked back.
-
-    Columns are handed over contiguous, so every column gets the arithmetic,
-    summation order included, of a one-point call.
-    """
-    shape = arrays[0].shape
-    columns = zip(*(np.ascontiguousarray(a.reshape(shape[0], -1).T)
-                    for a in arrays))
-    return np.stack([kernel(*col) for col in columns], axis=1).reshape(shape)
+# kernels on the raw coefficient array, (K+1,), of a tree node at one point
 
 
 def _mul(a, b):
     """Truncated product of two series.
 
-    A factor with no terms past order 0 scales the other: that is exactly
-    the convolution, whose sums add only zeros to the one product, and
-    ``+ 0.0`` gives a zero the sign such a sum gives it.  Tree products keep
-    ``np.convolve``, not ``mul``: the two sum in different orders, and of
-    160 products of random float64 pairs of order 8 (numpy 2.4), 159 round
-    differently, so the switch would move every number a tree feeds.
+    Tree products keep ``np.convolve``, not ``mul``: the two sum in
+    different orders, and of 160 products of random float64 pairs of order
+    8 (numpy 2.4), 159 round differently, so the switch would move every
+    number a tree feeds.
     """
-    if not a[1:].any():
-        return a[0] * b + 0.0
-    if not b[1:].any():
-        return a * b[0] + 0.0
-    if a.ndim > 1:
-        return _by_point(_mul, a, b)
     return np.convolve(a, b)[:len(a)]
 
 
 def _compose(c, series):
     """f(a0 + h) = sum series[n] h^n by Horner, h the nilpotent part of c."""
-    if c.ndim > 1:
-        return _by_point(_compose, c, series)
     h = c.copy()
     h[0] = 0
     acc = np.zeros_like(c)
@@ -164,8 +140,6 @@ def _compose(c, series):
 
 def _pow(c, p):
     """c ** p for real p by the generalized binomial series around c[0]."""
-    if c.ndim > 1:
-        return _by_point(functools.partial(_pow, p=p), c)
     a0 = c[0]
     if not np.iscomplexobj(c) and a0 <= 0:
         raise NonPositiveBase("fractional jet power needs a positive constant term")
@@ -178,8 +152,6 @@ def _pow(c, p):
 
 def _div(a, b):
     """a / b by the recurrence b[0] q[m] = a[m] - sum_{j>=1} b[j] q[m-j]."""
-    if a.ndim > 1:
-        return _by_point(_div, a, b)
     if b[0] == 0:
         raise ZeroDivisionError("jet division needs a nonzero constant term")
     out = np.zeros(len(a), dtype=np.result_type(a.dtype, b.dtype))
@@ -221,15 +193,14 @@ def _trig(c, shift):
     composed by Horner; at order 0 the series is the answer.
     """
     k = len(c)
-    tail = (1,) * (c.ndim - 1)
     s, co = np.sin(c[0]), np.cos(c[0])
     series = (np.stack((s, co, -s, -co))[(np.arange(k) + shift) % 4]
-              / _factorials(k, c.dtype).reshape((k,) + tail))
+              / _factorials(k, c.dtype))
     if k == 1:
         return series
     if c[2:].any():
         return _compose(c, series)
-    return series * c[1] ** np.arange(k).reshape((k,) + tail) + 0.0
+    return series * c[1] ** np.arange(k) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +281,10 @@ class AnalyticFn:
     # evaluation
 
     def _coeffs(self, x, order, dtype):
-        """Taylor coefficients at x, (order+1,) + np.shape(x), raw array."""
+        """Taylor coefficients at the point x, (order+1,), raw array."""
         op = self.op
         if op == "const" or op == "x":
-            c = np.zeros((order + 1,) + np.shape(x), dtype=dtype)
+            c = np.zeros(order + 1, dtype=dtype)
             if op == "const":
                 c[0] = self.value
             else:
@@ -374,9 +345,18 @@ class AnalyticFn:
         raise ValueError(f"unknown op {op!r}")
 
 
+def _json_number(value, what):
+    """value, a number read from JSON; ValueError for anything else, a
+    bool, a string or null included, which float() would coerce."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    return value
+
+
 def _finite_number(value):
-    """A coefficient tree's number as a float; ValueError unless finite."""
-    value = float(value)
+    """A coefficient tree's number as a float; ValueError unless it is a
+    finite JSON number."""
+    value = float(_json_number(value, "a coefficient tree's number"))
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {value} in a coefficient tree")
     return value
@@ -402,11 +382,15 @@ def eval_jet(f, x, order, dtype=np.float64):
     is f^(k)(x)/k! to roundoff.
 
     x is a number, or a 1-D array of P points, which gives (order+1, P)
-    coefficients whose column p equals the jet at x[p] bit for bit.
+    coefficients, column p the jet at x[p]: the tree is walked once per
+    point.
     """
     if order < 0:
         raise ValueError("jet order must be nonnegative")
-    return f._coeffs(x, order, np.dtype(dtype))
+    dtype = np.dtype(dtype)
+    if np.ndim(x) == 0:
+        return f._coeffs(x, order, dtype)
+    return np.stack([f._coeffs(p, order, dtype) for p in x], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,30 @@ class TestExpand:
         assert err.startswith(f"usage error: cannot load {kind}")
         assert "d must be an integer" in err
 
+    @pytest.mark.parametrize("kind, key, value, what", [
+        ("curve", "x0", "0.0", "x0"),
+        ("curve", "F0", [["1", 0, 0], [0, 1, 0], [0, 0, 1]], "an F0 entry"),
+        ("curve", "F0", [[1, 0, 0], [0, True, 0], [0, 0, 1]], "an F0 entry"),
+        ("curve", "u", [{"op": "const", "value": "0.25"}, {"op": "x"}],
+         "a coefficient tree's number"),
+        ("curve", "u", [{"op": "pow", "exponent": True, "arg": {"op": "x"}},
+                        {"op": "x"}], "a coefficient tree's number"),
+        ("chi", "groups", [["0", True], [-1, 1]], "a node"),
+    ], ids=["x0-string", "F0-string", "F0-bool", "const-string",
+            "exponent-bool", "chi-node"])
+    def test_non_number_value_is_a_usage_error(self, capsys, tmp_path, kind,
+                                               key, value, what):
+        # each loaded with the value coerced by float() and ran to exit 0
+        good = (random_curve_spec(2, seed=5).to_dict() if kind == "curve"
+                else {"d": 2, "groups": [[-2, 0], [-1, 1]]})
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**good, key: value}))
+        code, out, err = run(capsys, ["expand", f"--{kind}", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot load {kind}")
+        assert f"{what} must be a number" in err
+
     @pytest.mark.parametrize("argv, file", [
         (["families", "evenly-spaced", "--d", "2", "--p", "nan", "0.5",
           "--r-step", "0.7"], None),
@@ -488,6 +513,22 @@ class TestExpand:
         assert code == 1
         assert out == ""
         assert why in err
+
+    @pytest.mark.parametrize("x, code", [("1e308", 1), ("1e300", 0)])
+    def test_working_point_the_trees_cannot_evaluate_is_one_line(
+            self, capsys, x, code):
+        # at 1e308 the trig argument 2x overflows: three numpy
+        # RuntimeWarnings came first, and the error blamed the lift
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = run(capsys, ["expand", "--d", "2", "--x", x])
+        assert got == code
+        assert caught == []
+        if code:
+            assert out == ""
+            assert err == ("error in expansion.extract_alphas: "
+                           "IntegrationFailure: the coefficient functions "
+                           "are not finite to order 40 at x = 1e+308\n")
 
     @pytest.mark.parametrize("d, why", [
         # the map asks for rows 0..2d+1 of the order-40 lift: this died
