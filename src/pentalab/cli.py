@@ -37,9 +37,9 @@ from .jets import DegenerateSystem, NonPositiveBase
 from .kdvops import CommutatorResidue
 from .lax import lax_limit_diagnostics
 from .linalg import SingularMatrixError
-from .realize import (DegenerateProbes, NotPlaneConfig, check_34,
-                      dof_lower_bound, mari_beffa_family, r_poly_roots,
-                      search_34)
+from .realize import (DegenerateProbes, MissingScipy, NotPlaneConfig,
+                      check_34, dof_lower_bound, mari_beffa_family,
+                      r_poly_roots, search_34)
 
 _FAMILY_NAMES = ("short-diagonal", "evenly-spaced", "dual-dented")
 # what a run can meet on a geometry it cannot handle (ZeroDivisionError: a
@@ -285,7 +285,7 @@ def cmd_realize34(args):
             report = result.report
         else:
             result = report = check_34(chi, curves, args.x)
-    except NotPlaneConfig as exc:
+    except (NotPlaneConfig, MissingScipy) as exc:
         raise UsageError(str(exc))
     payload = {"schema": 1, "seed": args.seed, "x": float(args.x),
                **result.to_dict()}

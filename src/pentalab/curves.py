@@ -22,9 +22,9 @@ SL(d+1) transform, and every number pentalab reports (α, w, the recurrence
 and Lax fields) is invariant under it.  So no experiment transports a
 frame, and the base point x0 and frame F0 of a spec reach only
 ``frame_at`` and what is built on it (``gamma_jet``, ``wronskian``).
-``_lift_coeffs`` lifts an array of points from one walk of the u-trees per
-point and one run of the ODE recursion, and it is the only source of lift
-jets.
+``_lift_coeffs`` lifts an array of points, of one curve or of several,
+from one walk of the u-trees per curve and point and one run of the ODE
+recursion, and it is the only source of lift jets.
 Every curve sample near a working point, at a real or complex offset, is a
 Taylor shift (``_shifted_lifts``, guarded row by row) of the one order-40
 lift jet there, so the map and ``lax`` build that jet once per working
@@ -171,20 +171,25 @@ class CurveSpec:
 
 @functools.lru_cache(maxsize=None)
 def _ode_table(order, d):
-    """Per-order index and weight arrays of the ODE recursion, read-only.
+    """Read-only tables of the ODE recursion over its M = order - d orders.
 
-    Entry m is (rows, weights, divisor): row i < d of rows holds j + i and
-    of weights (j + i)!/j! for j = m..0, and the divisor is (m + d + 1)!/m!.
+    (weights, steps): weights, (d, M, order+1), holds at [i, m, k] the
+    weight (j + i)!/j!, j = m - k, of the term u_i[k] g[j + i] of order m,
+    and 0 where k > m; entry m of steps is (rows, divisor): row i of rows,
+    (d, m+1), holds j + i for j = m..0, and the divisor is -(m + d + 1)!/m!,
+    negated so that one division gives the new row.
     """
     falling = _falling_table(order)
-    table = []
+    j = np.arange(order - d)[:, None] - np.arange(order + 1)  # (M, order+1)
+    i = np.arange(d)[:, None, None]
+    weights = np.where(j >= 0, falling[i, np.maximum(j, 0) + i], 0)
+    weights.flags.writeable = False
+    steps = []
     for m in range(order - d):
-        js = np.arange(m, -1, -1)  # j = m-k as k runs 0..m
-        rows = js + np.arange(d)[:, None]
-        weights = falling[np.arange(d)[:, None], rows]
-        rows.flags.writeable = weights.flags.writeable = False
-        table.append((rows, weights, falling[d + 1, m + d + 1]))
-    return tuple(table)
+        rows = np.arange(m, -1, -1) + np.arange(d)[:, None]
+        rows.flags.writeable = False
+        steps.append((rows, -falling[d + 1, m + d + 1]))
+    return weights, tuple(steps)
 
 
 def _ode_taylor_coeffs(u_coeffs, d, order):
@@ -194,22 +199,26 @@ def _ode_taylor_coeffs(u_coeffs, d, order):
     Rows 0..d come from the identity frame; higher rows from the ODE
     recursion g^(d+1) = -sum_i u_i g^(i), expanded coefficientwise: the
     m-th Taylor coefficient of u_i g^(i) is sum_k u_i[k] * g[m-k+i] *
-    (m-k+i)!/(m-k)!, one vector-matrix product per i, summed in order of i.
+    (m-k+i)!/(m-k)!.  Every product u_i[k] (m-k+i)!/(m-k)! of every order
+    is formed in one multiply up front; each order is then one
+    vector-matrix product per (point, i), all in one stacked matmul, a sum
+    over i in order of i from +0.0 (``initial=0``), and one division.
     """
     # point-major contiguous operands (``take``, where ``g[:, rows]`` is
-    # not): one stacked matmul then makes every product with the BLAS call
-    # a lone product makes, so each point's result is the same bit for bit
+    # not, and a contiguous u, which makes the products contiguous): one
+    # stacked matmul then makes every product with the BLAS call a lone
+    # product makes, so each point's result is the same bit for bit
     u = np.ascontiguousarray(np.transpose(u_coeffs, (2, 1, 0)))  # (P, d, order+1)
     dtype = u.dtype
     g = np.zeros((u.shape[0], order + 1, d + 1), dtype=dtype)
     for k in range(d + 1):
         g[:, k, k] = dtype.type(1) / math.factorial(k)
-    for m, (rows, weights, divisor) in enumerate(_ode_table(order, d)):
-        terms = (u[:, :, None, : m + 1] * weights[:, None]) @ np.take(g, rows, axis=1)
-        acc = np.zeros((u.shape[0], d + 1), dtype=dtype)
-        for i in range(d):
-            acc += terms[:, i, 0]
-        g[:, m + d + 1] = -acc / divisor
+    weights, steps = _ode_table(order, d)
+    terms = u[:, :, None] * weights  # (P, d, M, order+1)
+    for m, (rows, divisor) in enumerate(steps):
+        sums = terms[:, :, m, None, : m + 1] @ np.take(g, rows, axis=1)
+        np.divide(np.add.reduce(sums[:, :, 0], axis=1, initial=0), divisor,
+                  out=g[:, m + d + 1])
     return np.moveaxis(g, 0, -1)
 
 
@@ -328,19 +337,25 @@ def _lift_coeffs(spec, xs, order):
     """Coefficient arrays of the lift based at each of a 1-D array of P
     points with the identity frame, (order+1, d+1, P), and of the u_i it was
     built from, (order+1, d, P): one walk of the u-trees per point and one
-    run of the ODE recursion serve every point, and no frame is transported;
-    IntegrationFailure when the identity frame's d + 1 rows exceed the
-    order, or when the u_i have no finite Taylor series at a point."""
-    if spec.d > order:
-        raise IntegrationFailure(f"the {spec.d + 1} rows of the identity "
+    run of the ODE recursion serve every point, and no frame is transported.
+    spec may be a sequence of specs of one d and dtype: each is walked at
+    every point, its P columns after those of the spec before it, and one
+    recursion still serves them all.  IntegrationFailure when the identity
+    frame's d + 1 rows exceed the order, or when the u_i have no finite
+    Taylor series at a point."""
+    specs = [spec] if isinstance(spec, CurveSpec) else spec
+    d = specs[0].d
+    if d > order:
+        raise IntegrationFailure(f"the {d + 1} rows of the identity "
                                  f"frame do not fit an order-{order} lift")
     with np.errstate(over="ignore", invalid="ignore"):
-        u = spec.u_jet(xs, order)
+        u = np.concatenate([s.u_jet(xs, order) for s in specs], axis=-1)
     bad = ~np.all(np.isfinite(u), axis=(0, 1))
     if bad.any():
-        raise IntegrationFailure("the coefficient functions are not finite "
-                                 f"to order {order} at x = {xs[bad.argmax()]:g}")
-    return _ode_taylor_coeffs(u, spec.d, order), u
+        raise IntegrationFailure(
+            "the coefficient functions are not finite to order "
+            f"{order} at x = {xs[bad.argmax() % len(xs)]:g}")
+    return _ode_taylor_coeffs(u, d, order), u
 
 
 def gamma_jet(spec: CurveSpec, x, order) -> Jet:

@@ -130,7 +130,8 @@ def _lift(spec, xs):
     """The order-40 lift coefficients at the working points xs, (41, d+1,
     len(xs)), and the u-jets they were built from, cut to JET_ORDER,
     (JET_ORDER+1, d, len(xs)): the cut order-40 jet equals the jet
-    evaluated to JET_ORDER bit for bit."""
+    evaluated to JET_ORDER bit for bit.  A sequence of specs gives the
+    columns of each in turn, from one recursion (``_lift_coeffs``)."""
     lifts, u = _lift_coeffs(spec, np.asarray(xs), _SHIFT_ORDER)
     return lifts, u[:JET_ORDER + 1]
 

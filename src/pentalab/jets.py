@@ -182,25 +182,38 @@ def _falling_table(order):
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _trig_table(count, shift):
+    """Read-only (cycle, powers) of a trig series of count terms: cycle[n]
+    picks coefficient n's entry of (sin, cos, -sin, -cos), starting shift
+    entries in, and powers is 0..count-1."""
+    powers = np.arange(count)
+    cycle = (powers + shift) % 4
+    cycle.flags.writeable = powers.flags.writeable = False
+    return cycle, powers
+
+
 def _trig(c, shift):
     """sin (shift 0) or cos (shift 1) of c.
 
     The Taylor series of sin at c[0] cycles through (sin, cos, -sin, -cos)
-    / n!, cos starts one later.  An affine argument c[0] + a h has the
-    closed form series[n] a^n: Horner's rule would only multiply by a, n
-    times, which gives the same bits when a is a power of two (``+ 0.0``
-    gives zeros the sign Horner's sums give them).  Any other argument is
-    composed by Horner; at order 0 the series is the answer.
+    / n!, cos starts one later; the cycle's indices and the powers of the
+    affine case come from a table cached per (length, shift).  An affine
+    argument c[0] + a h has the closed form series[n] a^n: Horner's rule
+    would only multiply by a, n times, which gives the same bits when a is
+    a power of two (``+ 0.0`` gives zeros the sign Horner's sums give
+    them).  Any other argument is composed by Horner; at order 0 the
+    series is the answer.
     """
     k = len(c)
+    cycle, powers = _trig_table(k, shift)
     s, co = np.sin(c[0]), np.cos(c[0])
-    series = (np.stack((s, co, -s, -co))[(np.arange(k) + shift) % 4]
-              / _factorials(k, c.dtype))
+    series = np.array((s, co, -s, -co))[cycle] / _factorials(k, c.dtype)
     if k == 1:
         return series
     if c[2:].any():
         return _compose(c, series)
-    return series * c[1] ** np.arange(k) + 0.0
+    return series * c[1] ** powers + 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ class NotPlaneConfig(ValueError):
     """A configuration that is not three plane groups in dimension 3."""
 
 
+class MissingScipy(ImportError):
+    """search_34 has to descend, and scipy is not installed."""
+
+
 def _require_planes(chi):
     if chi.d != 3 or any(chi.q(i) != 2 for i in range(chi.r)):
         raise NotPlaneConfig("need three plane groups in dimension 3")
@@ -115,12 +119,14 @@ class Realization34Report:
         }
 
 
-def _probe(spec, x):
-    """(lift coefficients, (L^{3/4})_+ row) of a probe curve at x: the
-    lift the expansion maps, and the target row built from the u-jet that
-    same lift was built from."""
-    lifts, u = _lift(spec, [x])
-    return lifts, q_m(l_operator(u[..., 0]), 3).c[:4, 0]
+def _probes(curves, x):
+    """(lift coefficients, (L^{3/4})_+ rows) of probe curves at x: the
+    lifts the expansion maps, one column per curve, each curve's trees
+    walked on their own and all of them lifted in one recursion; and per
+    curve the target row built from the u-jet its lift was built from."""
+    lifts, u = _lift(curves, [x])
+    return lifts, [q_m(l_operator(u[..., p]), 3).c[:4, 0]
+                   for p in range(len(curves))]
 
 
 def check_34(chi, probe_curves, x):
@@ -131,9 +137,10 @@ def check_34(chi, probe_curves, x):
     arithmetic; the residuals are read off the expansion of each probe
     curve at x to order 3, and the third-order row is compared against
     c * (L^{3/4})_+ with a single constant shared across probes.  One
-    application of the map covers every probe, and each probe comes out
-    bit for bit as its own extraction would.  A probe whose intersection
-    degenerates is skipped and recorded.
+    run of the lift recursion and one application of the map cover every
+    probe, and each probe comes out bit for bit as its own extraction
+    would.  A probe whose intersection degenerates is skipped and
+    recorded.
     """
     _require_planes(chi)
     if len(probe_curves) < 3:
@@ -145,17 +152,16 @@ def check_34(chi, probe_curves, x):
     top = table.top()
     sigma_equal = table.tops_agree() and abs(float(top[0])) > 0.0
 
-    lifts, targets = zip(*(_probe(spec, x) for spec in probe_curves))
+    lifts, targets = _probes(probe_curves, x)
     skipped = []
     try:
-        reports = _extract(chi, [x] * len(lifts), 3,
-                           np.concatenate(lifts, axis=-1))
+        reports = _extract(chi, [x] * len(targets), 3, lifts)
     except DegenerateIntersection:
         # one at a time, to learn which probes degenerate
         reports = []
-        for idx, lift in enumerate(lifts):
+        for idx in range(len(targets)):
             try:
-                reports += _extract(chi, [x], 3, lift)
+                reports += _extract(chi, [x], 3, lifts[..., idx, None])
             except DegenerateIntersection:
                 skipped.append(idx)
         targets = [t for idx, t in enumerate(targets) if idx not in skipped]
@@ -232,7 +238,7 @@ def search_34(seed_chi, probe_curves, x, max_iters=200):
         raise ValueError("need at least three probe curves")
     # only chi changes along the descent: the first probe is lifted, and
     # its target row built, once
-    lifts, target = _probe(probe_curves[0], x)
+    lifts, [target] = _probes(probe_curves[:1], x)
 
     params0 = np.array([p for g in seed_chi.groups for p in g])
 
@@ -259,8 +265,13 @@ def search_34(seed_chi, probe_curves, x, max_iters=200):
 
     f0 = objective(params0)
     if f0 > _G3_TOL * _G3_TOL:
-        # imported here, its only use: scipy.optimize costs about 0.35 s
-        from scipy import optimize
+        # imported here, its only use: scipy.optimize costs about 0.35 s,
+        # and a seed that already passes needs no scipy at all
+        try:
+            from scipy import optimize
+        except ImportError as exc:
+            raise MissingScipy("the descent needs scipy, which "
+                               'pip install -e ".[test]" brings') from exc
 
         def stop_when_inside(_xk):
             if best["f"] <= _G3_TOL * _G3_TOL:

@@ -514,19 +514,27 @@ class TestExpand:
         assert out == ""
         assert why in err
 
-    @pytest.mark.parametrize("x, code", [("1e308", 1), ("1e300", 0)])
+    @pytest.mark.parametrize("argv, code", [
+        (["expand", "--d", "2", "--x", "1e308"], 1),
+        (["expand", "--d", "2", "--x", "1e300"], 0),
+        # the probes are lifted together: each probe's trees are still
+        # walked under the lift's finiteness check
+        (["realize34", "--x", "1e308"], 1),
+    ], ids=["1e308-1", "1e300-0", "realize34-1e308"])
     def test_working_point_the_trees_cannot_evaluate_is_one_line(
-            self, capsys, x, code):
+            self, capsys, argv, code):
         # at 1e308 the trig argument 2x overflows: three numpy
         # RuntimeWarnings came first, and the error blamed the lift
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got, out, err = run(capsys, ["expand", "--d", "2", "--x", x])
+            got, out, err = run(capsys, argv)
         assert got == code
         assert caught == []
         if code:
+            op = {"expand": "expansion.extract_alphas",
+                  "realize34": "realize.check_34"}[argv[0]]
             assert out == ""
-            assert err == ("error in expansion.extract_alphas: "
+            assert err == (f"error in {op}: "
                            "IntegrationFailure: the coefficient functions "
                            "are not finite to order 40 at x = 1e+308\n")
 
@@ -742,6 +750,24 @@ class TestRealize34:
         assert blob["report"]["passes"] is True
         assert blob["converged"] is True and blob["improved"] is False
         assert blob["evaluations"] == 1
+
+    def test_search_without_scipy_is_one_line(self, capsys, tmp_path,
+                                              monkeypatch):
+        # this start has to descend, and the descent is scipy's; the
+        # integer instance passes at once and still runs without it
+        path = tmp_path / "chi.json"
+        path.write_text(json.dumps({"d": 3, "groups": [
+            [-1.0, 0.5, 2.0], [1.0, -0.5, 2.0], [1.0, -2.0, 0.5]]}))
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        code, out, err = run(capsys, ["realize34", "--search", "--chi",
+                                      str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == ("usage error: the descent needs scipy, which "
+                       'pip install -e ".[test]" brings\n')
+        code, out, _ = run(capsys, ["realize34", "--search", "--seed", "2"])
+        assert code == 0
+        assert json.loads(out)["evaluations"] == 1
 
     def test_search_needs_planes(self, capsys, tmp_path):
         path = tmp_path / "chi.json"

@@ -251,6 +251,58 @@ def test_falling_factorial_table_is_exact():
     assert not table.flags.writeable
 
 
+def _recursion_reference(u_coeffs, d, order):
+    """The ODE recursion as one loop over orders: at order m the u_i are
+    weighted afresh, one stacked matmul makes the products, they are
+    summed by += from zeros in order of i, and the row is -acc / divisor."""
+    from pentalab.jets import _falling_table
+
+    falling = _falling_table(order)
+    u = np.ascontiguousarray(np.transpose(u_coeffs, (2, 1, 0)))
+    g = np.zeros((u.shape[0], order + 1, d + 1), dtype=u.dtype)
+    for k in range(d + 1):
+        g[:, k, k] = u.dtype.type(1) / math.factorial(k)
+    for m in range(order - d):
+        rows = np.arange(m, -1, -1) + np.arange(d)[:, None]
+        weights = falling[np.arange(d)[:, None], rows]
+        terms = ((u[:, :, None, :m + 1] * weights[:, None])
+                 @ np.take(g, rows, axis=1))
+        acc = np.zeros((u.shape[0], d + 1), dtype=u.dtype)
+        for i in range(d):
+            acc += terms[:, i, 0]
+        g[:, m + d + 1] = -acc / falling[d + 1, m + d + 1]
+    return np.moveaxis(g, 0, -1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("points", [1, 3, 13])
+def test_recursion_equals_the_loop_over_orders(dtype, d, points):
+    # the kernel forms every weighted u_i[k] up front and sums over i in
+    # one reduce: each bit, the sign of each zero included, is the loop's.
+    # Compared by value and sign: the padding bytes of a longdouble differ
+    # between two calls of the same kernel, so tobytes does not
+    from pentalab.curves import _ode_taylor_coeffs
+
+    order = _SHIFT_ORDER
+    rng = np.random.default_rng(100 * d + points)
+    u = (rng.standard_normal((order + 1, d, points))
+         * 0.5 ** np.arange(order + 1)[:, None, None])
+    u[rng.random(u.shape) < 0.2] = 0.0
+    u[rng.random(u.shape) < 0.2] = -0.0
+    u[order // 2:, :, 0] = 0.0  # a trig polynomial's tail: exact zeros
+    if points > 1:
+        # a curve with every u_i zero, half of them -0.0: the new rows of
+        # its lift are all sums of signed zeros
+        u[..., -1] = np.where(rng.random(u.shape[:2]) < 0.5, -0.0, 0.0)
+    u = u.astype(dtype)
+    got = _ode_taylor_coeffs(u, d, order)
+    want = _recursion_reference(u, d, order)
+    assert got.shape == (order + 1, d + 1, points) and got.dtype == dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("turn", [1, np.exp(0.4j)], ids=["real", "complex"])
 @pytest.mark.parametrize("order", [14, 40])

@@ -232,10 +232,12 @@ class TestStackedProbes:
 
     def test_one_map_and_one_u_pass_per_probe(self, integer_instance, probes,
                                               monkeypatch):
+        import pentalab.curves
         import pentalab.expansion
 
-        maps, jets = [], []
+        maps, jets, recursions = [], [], []
         mapper, u_jet = pentalab.expansion.chi_map_point, CurveSpec.u_jet
+        recursion = pentalab.curves._ode_taylor_coeffs
 
         def counted_map(*args, **kwargs):
             maps.append(args[1].shape[2:])
@@ -245,12 +247,19 @@ class TestStackedProbes:
             jets.append(spec)
             return u_jet(spec, x, order)
 
+        def counted_recursion(u, d, order):
+            recursions.append(u.shape[-1])
+            return recursion(u, d, order)
+
         monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted_map)
         monkeypatch.setattr(CurveSpec, "u_jet", counted_u)
+        monkeypatch.setattr(pentalab.curves, "_ode_taylor_coeffs",
+                            counted_recursion)
         rep = check_34(integer_instance, probes, X0)
         monkeypatch.undo()
         assert maps == [(3, 1)]  # every probe at x in one application
         assert jets == probes
+        assert recursions == [3]  # and every probe lifted in one recursion
         assert rep.to_dict() == check_34(integer_instance, probes,
                                          X0).to_dict()
 
