@@ -17,10 +17,13 @@ the tail ahead of its own axes, (K+1, *batch, q+1, d+1) for a span.  Every
 node lift is a Taylor shift of the lift jet at its x, and each solve,
 nullspace and determinant is one stacked call, so a whole contour costs
 about what one pair did.  The groups of one size go on one more stack axis:
-one nullspace, one factorization and one jet solve give the normals of all
-of them, put back in group order, so an application makes one span-normal
-solve per group size and one for the intersection.  eps may be real or
-complex.
+one checked SVD gives the normals of all of them, put back in group order,
+so an application makes one span-normal solve per group size and one for
+the intersection.  In float64 and complex128 that SVD also solves for the
+normals at every order, in the gauge of the Hermitian complement of the
+constant-term span (see ``_span_normals``); an extended-precision span
+takes it as a gauge only and solves with the jet solve in its own dtype.
+The intersection is one LU jet solve.  eps may be real or complex.
 """
 
 import numpy as np
@@ -62,27 +65,49 @@ def _span_normals(span):
     """Coefficients of the d - q covectors vanishing on the span, one per
     row, to every carried order.
 
-    Constant terms come from the orthogonal complement of the constant-term
-    span; higher orders are corrected by solving the span completed with its
-    own complement, which makes each correction the minimum-norm one and
-    gets all the normals of the span from one solve.
+    The normals X (columns) solve span(t) X(t) = 0 order by order under a
+    gauge G X(t) = I, G the rows of Vᴴ past the rank in the one checked SVD
+    U S Vᴴ of the constant-term span (``linalg.checked_svd``).  In float64
+    and complex128 that SVD also solves: G is the Hermitian complement of
+    the span, so X_0 = Gᴴ, and each later order is the minimum-norm
+    correction X_k = Vᴴ[:m]ᴴ (S⁻¹ Uᴴ r_k), r_k = -Σ_{j≥1} span_j X_(k-j),
+    two stacked matmuls against factors formed once; an SVD solve is
+    backward stable (Golub & Van Loan, Matrix Computations, §5.5).  An
+    extended-precision span takes the float64 SVD as a gauge only, the
+    conjugated complement, and solves the span completed with it by the
+    jet solve in its own dtype.
     """
     m, n = span.shape[-2:]
     want = n - m
     if want == 0:
         return np.zeros(span.shape[:-2] + (0, n), dtype=span.dtype)
     try:
-        comp = linalg.null_bases(span[0])
+        u, s, vh = linalg.checked_svd(span[0])
     except linalg.SingularMatrixError as exc:
         raise DegenerateIntersection(
             f"span vectors numerically dependent: {exc}") from exc
-    dtype = np.result_type(comp.dtype, span.dtype)
-    a = np.zeros(span.shape[:-2] + (n, n), dtype=dtype)
-    a[..., :m, :] = span
-    a[0, ..., m:, :] = comp
-    rhs = np.zeros(span.shape[:-2] + (n, want), dtype=dtype)
-    rhs[0, ..., m:, :] = np.eye(want)
-    return np.swapaxes(jet_solver(a)(rhs), -1, -2)
+    if vh.dtype != span.dtype:  # extended: the SVD ran in float64
+        a = np.zeros(span.shape[:-2] + (n, n), dtype=span.dtype)
+        a[..., :m, :] = span
+        a[0, ..., m:, :] = vh[..., m:, :].conj()
+        rhs = np.zeros(span.shape[:-2] + (n, want), dtype=span.dtype)
+        rhs[0, ..., m:, :] = np.eye(want)
+        return np.swapaxes(jet_solver(a)(rhs), -1, -2)
+    # Vᴴ[:m]ᴴ and S⁻¹ Uᴴ, contiguous so that a stack member's matmuls run
+    # as its own call's do
+    vm_h = np.ascontiguousarray(np.swapaxes(vh[..., :m, :], -1, -2).conj())
+    s_inv_uh = np.ascontiguousarray(np.swapaxes(u, -1, -2).conj()
+                                    / s[..., :, None])
+    x = np.empty(span.shape[:-2] + (n, want), dtype=span.dtype)
+    x[0] = np.swapaxes(vh[..., m:, :], -1, -2).conj()
+    # work[0] = 0, work[j] = span_j X_(k-j): one stacked matmul per order,
+    # then -span_1 X_(k-1) - ... - span_k X_0 subtracted in order of j
+    work = np.zeros(span.shape[:-1] + (want,), dtype=span.dtype)
+    for k in range(1, len(span)):
+        np.matmul(span[1:k + 1], x[k - 1::-1], out=work[1:k + 1])
+        np.matmul(vm_h, s_inv_uh @ np.subtract.reduce(work[:k + 1], axis=0),
+                  out=x[k])
+    return np.swapaxes(x, -1, -2)
 
 
 def _stacked_normals(spans, order):
@@ -90,8 +115,8 @@ def _stacked_normals(spans, order):
     the spans, (order+1, *batch, d, d+1).
 
     Spans of one size are stacked on one axis and get one _span_normals
-    call, whose nullspace, factorization and solves each treat the whole
-    stack in one call; every member comes out as it would on its own.
+    call, whose SVD and solves each treat the whole stack in one call;
+    every member comes out as it would on its own.
     """
     sizes = [s.shape[-2] for s in spans]
     rows = [None] * len(spans)

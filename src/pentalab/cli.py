@@ -208,7 +208,9 @@ def cmd_families(args):
 def cmd_expand(rc):
     report = extract_alphas(rc.spec, rc.chi, rc.xs[0], rc.kmax)
     payload = {"schema": 1, "seed": rc.seed, **report.to_dict()}
-    _emit(payload, rc.out, rc.fmt, csv_rows=report.csv_rows(),
+    # the rows are built only for the format that prints them
+    rows = report.csv_rows() if rc.fmt == "csv" else None
+    _emit(payload, rc.out, rc.fmt, csv_rows=rows,
           csv_header=("order", "frame_index", "alpha", "uncertainty"))
     return 0
 

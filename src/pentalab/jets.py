@@ -446,7 +446,7 @@ def jet_factor(a):
             work[0] = bc[m]
             if m:
                 np.matmul(a[1:m + 1], x[m - 1::-1], out=work[1:m + 1])
-            x[m] = solve0(np.subtract.reduce(work[:m + 1], axis=0))
+            solve0(np.subtract.reduce(work[:m + 1], axis=0), out=x[m])
         return x[..., 0] if vector else x
 
     return solve, solve0.slogdet

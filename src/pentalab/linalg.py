@@ -9,18 +9,34 @@ bit the one a stack of that member alone gives.  A single matrix is a stack
 of one.
 The nullspace comes from a float64 SVD at every dtype, which is exact
 enough: the basis is only a gauge, since the span normals built on it are
-solved to every order in the working dtype.
+solved to every order in the working dtype.  ``checked_svd`` gives that SVD
+whole, after the one rank check, so that a float64 caller can also solve
+with its U, s and Vᴴ.
 
-``stack_solver``, ``det_dense`` and ``null_bases`` take a stack (..., m, n)
-of matrices and treat each on its own, in float64 the whole stack in one of
-numpy's stacked LAPACK calls, in extended precision in one pass of the
-hand-written LU.  The solver ``stack_solver`` returns carries each matrix's
-sign and log|det| from that same call or pass.
+``stack_solver``, ``det_dense``, ``null_bases`` and ``checked_svd`` take a
+stack (..., m, n) of matrices and treat each on its own, in float64 and
+complex128 the whole stack in one of numpy's stacked LAPACK calls, in
+extended precision in one pass of the hand-written LU.  The solver
+``stack_solver`` returns carries each matrix's sign and log|det| from that
+same call or pass.
+
+In float64 and complex128 ``stack_solver`` calls the LAPACK gufuncs of
+``numpy.linalg._umath_linalg`` directly: ``slogdet`` for the check, and
+``solve`` or ``solve1`` for each solve, the signature picked once from the
+matrix's dtype.  They are the gufuncs ``np.linalg.slogdet`` and
+``np.linalg.solve`` run, so the results are the same bits
+(``tests/test_linalg.py::test_gufunc_solver_equals_numpy``), without the
+wrapper's dtype checks and errstate, which cost more than the gufunc
+itself on the few-by-few systems here.  No errstate is needed: a solve's
+gufunc clears the floating-point status when it succeeds and raises
+invalid only on a singular matrix, which the check has refused already.
+Only this module imports the private module (``tests/test_package.py``).
 """
 
 import functools
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 _NULL_RTOL = 1e-10
 
@@ -30,7 +46,7 @@ class SingularMatrixError(Exception):
 
 
 def _is_lapack_friendly(a: np.ndarray) -> bool:
-    return a.dtype in (np.float32, np.float64, np.complex64, np.complex128)
+    return a.dtype in (np.float64, np.complex128)
 
 
 def _lu_ge(a):
@@ -67,9 +83,10 @@ def _lu_ge(a):
     return lu, perm, swaps, singular
 
 
-def _lu_solve(factors, b):
+def _lu_solve(factors, b, out=None):
     """Solve a @ x = b for each of the B matrices _lu_ge factored, b holding
-    one block of n rows per matrix, in order; x has b's shape."""
+    one block of n rows per matrix, in order; x has b's shape, and goes
+    into out when out is given."""
     lu, perm, _, _ = factors
     b = np.asarray(b)
     count, n = perm.shape
@@ -83,7 +100,21 @@ def _lu_solve(factors, b):
         # the dot sum in index order, subtracted once: one row times x
         x[:, k] -= (lu[:, k, None, k + 1:] @ x[:, k + 1:])[:, 0]
         x[:, k] /= lu[:, k, k, None]
-    return x.reshape(b.shape)
+    if out is None:
+        return x.reshape(b.shape)
+    out[...] = x.reshape(b.shape)
+    return out
+
+
+def _lapack_solve(a, signature, b, out=None):
+    """np.linalg.solve(a, b) of a checked float64 or complex128 stack a, by
+    the gufunc it runs, b of shape (n,) or (..., n, k); into out when out
+    is given.  A complex b turns a real a's signature complex, as numpy's
+    wrapper does."""
+    gufunc = _umath_linalg.solve1 if np.ndim(b) == 1 else _umath_linalg.solve
+    if signature == "dd->d" and np.iscomplexobj(b):
+        signature = "DD->D"
+    return gufunc(a, b, signature=signature, out=out)
 
 
 def _require_finite(a):
@@ -106,27 +137,32 @@ def _factor(a):
 
 def stack_solver(a):
     """Check a square matrix, or a stack (..., n, n) of them, once; returns a
-    callable solving a @ x = b for b of shape (..., n, k), or (n,) or (n, k)
-    with one matrix, whose ``slogdet`` holds the sign and log|det| of each
-    matrix, each of shape (...).
+    callable solve(b, out=None) solving a @ x = b for b of shape
+    (..., n, k), or (n,) or (n, k) with one matrix, into out when given,
+    whose ``slogdet`` holds the sign and log|det| of each matrix, each of
+    shape (...).
 
     Raises SingularMatrixError here, when a is checked, not at a solve.  In
-    float64 the check is numpy's stacked slogdet, and each solve is one call
-    of numpy's stacked LAPACK solve, which factors again: for the
-    few-by-few stacks here that costs less than any loop over stored
-    factors.  Other dtypes factor the whole stack once with the hand-written
-    LU, whose pivots and row swaps give the slogdet, and each solve is one
-    forward and one back sweep over the stack.
+    float64 and complex128 the check is LAPACK's stacked slogdet, and each
+    solve is one call of LAPACK's stacked solve, which factors again: for
+    the few-by-few stacks here that costs less than any loop over stored
+    factors.  Both are numpy's own gufuncs, called without numpy's wrapper
+    (see the module docstring).  Other dtypes factor the whole stack once
+    with the hand-written LU, whose pivots and row swaps give the slogdet,
+    and each solve is one forward and one back sweep over the stack.
     """
     a = np.asarray(a)
     if _is_lapack_friendly(a):
         _require_finite(a)
-        slogdet = tuple(np.linalg.slogdet(a))
+        complex_ = a.dtype == np.complex128
+        slogdet = _umath_linalg.slogdet(
+            a, signature="D->Dd" if complex_ else "d->dd")
         # the sign is 0 exactly when LAPACK meets a zero pivot, which is
         # when the solve would fail
         if np.any(slogdet[0] == 0):
             raise SingularMatrixError("exactly singular matrix")
-        solve = functools.partial(np.linalg.solve, a)
+        solve = functools.partial(_lapack_solve, a,
+                                  "DD->D" if complex_ else "dd->d")
     else:
         factors = _factor(a)
         lu, _, swaps, _ = factors
@@ -156,23 +192,32 @@ def det_dense(a):
     return det.reshape(a.shape[:-2])[()]
 
 
-def null_bases(a):
-    """Orthonormal bases (rows) of the nullspaces of a stack (..., m, n) of
-    matrices, m <= n, as a stack (..., n - m, n): one float64 (or complex128)
-    SVD of the stack, cast back to a's dtype.  Raises SingularMatrixError
-    when the rows of any matrix are numerically dependent, naming the
-    smallest s_m / max(s_1, 1) over the stack and the threshold."""
+def checked_svd(a):
+    """(u, s, vh), the full SVD of a stack (..., m, n) of matrices, m <= n,
+    in float64 (or complex128) at any dtype of a: one stacked LAPACK call.
+    Raises SingularMatrixError when the rows of any matrix are numerically
+    dependent, naming the smallest s_m / max(s_1, 1) over the stack and the
+    threshold."""
     a = np.asarray(a)
     m = a.shape[-2]
     work = a
     if not _is_lapack_friendly(a):
         work = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
-    _, s, vt = np.linalg.svd(work)
+    u, s, vh = np.linalg.svd(work)
     smax = np.maximum(s[..., :1], 1.0)
     if np.any(np.sum(s > _NULL_RTOL * smax, axis=-1) < m):
         worst = np.min(s[..., m - 1] / smax[..., 0])
         raise SingularMatrixError(
             "input rows are numerically dependent: the worst "
             f"s_m/max(s_1, 1) is {worst:.2g}, not above {_NULL_RTOL:g}")
+    return u, s, vh
+
+
+def null_bases(a):
+    """Orthonormal bases (rows) of the nullspaces of a stack (..., m, n) of
+    matrices, m <= n, as a stack (..., n - m, n), from ``checked_svd``,
+    cast back to a's dtype; raises SingularMatrixError as it does."""
+    a = np.asarray(a)
+    vh = checked_svd(a)[2]
     # the rows of Vᴴ past the rank are the conjugates of null vectors
-    return vt[..., m:, :].conj().astype(a.dtype, copy=False)
+    return vh[..., a.shape[-2]:, :].conj().astype(a.dtype, copy=False)

@@ -303,6 +303,29 @@ def test_extended_normals_annihilate_their_span(d):
             assert np.max(np.abs(prod)) <= 1e-18 * scale
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("eps", [0.1, 0.1 * np.exp(0.7j)],
+                         ids=["real", "complex"])
+def test_double_normals_annihilate_their_span(d, eps):
+    # in float64 and complex128 the normals come from the span's own SVD:
+    # they vanish on the span to n eps scale at every order, and the gauge
+    # rows Vᴴ[m:] take their constant term to the identity
+    spec = random_curve_spec(d, seed=d)
+    spans = _spans(short_diagonal_chi(d), lifted(spec, 0.3), eps, 2 * d + 2)
+    for span in spans:
+        normals = _span_normals(span)
+        assert normals.dtype == span.dtype
+        n = span.shape[-1]
+        scale = np.max(np.abs(span)) * np.max(np.abs(normals))
+        for m in range(len(span)):
+            prod = sum(span[j] @ normals[m - j].T for j in range(m + 1))
+            assert np.max(np.abs(prod)) <= n * np.finfo(float).eps * scale
+        vh = np.linalg.svd(span[0])[2]
+        gauge = vh[span.shape[-2]:] @ normals[0].T
+        assert_allclose(gauge, np.eye(len(gauge)), rtol=0,
+                        atol=n * np.finfo(float).eps)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("eps", [0.04, 0.04 * np.exp(0.7j)],
                          ids=["real", "complex"])
@@ -326,21 +349,24 @@ def test_stacked_normals_equal_one_call_per_group(chi, eps, dtype):
 
 
 def test_one_application_solves_each_group_size_once(monkeypatch):
-    # short-diagonal d = 4 has four groups of one size: one nullspace and
-    # one factorization for all their normals, one of each for the
-    # intersection, and two factorizations in the renormalization; one
-    # call per group made 5 and 7
+    # short-diagonal d = 4 has four groups of one size: in double one
+    # checked SVD solves all their normals, the intersection takes one
+    # more for its nullspace and one factorization, and the
+    # renormalization two factorizations; one call per group made 5
+    # nullspaces and 7 factorizations, and a jet solve of the stacked
+    # normals 2 and 4
     spec = random_curve_spec(4, seed=7)
     calls = []
-    for name in ("null_bases", "stack_solver"):
+    for name in ("checked_svd", "null_bases", "stack_solver"):
         def counted(*args, _inner=getattr(linalg, name), _name=name):
             calls.append(_name)
             return _inner(*args)
 
         monkeypatch.setattr(linalg, name, counted)
     chi_map_point(short_diagonal_chi(4), lifted(spec, 0.3), 0.04, 10)
-    assert calls.count("null_bases") == 2
-    assert calls.count("stack_solver") == 4
+    assert calls.count("checked_svd") == 2
+    assert calls.count("null_bases") == 1
+    assert calls.count("stack_solver") == 3
 
 
 # -- one application over a batch of (x, eps) pairs ----------------------------

@@ -263,6 +263,18 @@ class TestExpand:
         assert lines[0] == "order,frame_index,alpha,uncertainty"
         assert len(lines) == 1 + 9
 
+    def test_json_builds_no_csv_rows(self, capsys, monkeypatch):
+        from pentalab.expansion import ExpansionReport
+
+        def unwanted(self):
+            raise AssertionError("csv rows built for a JSON report")
+
+        monkeypatch.setattr(ExpansionReport, "csv_rows", unwanted)
+        code, out, _ = run(capsys, ["expand", "--chi", "short-diagonal",
+                                    "--d", "2"])
+        assert code == 0
+        assert json.loads(out)["schema"] == 1
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["expand", "--chi", "short-diagonal",
                                    "--d", "2", "--seed", "3"])

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,76 @@ def test_solve_dense_rejects_a_non_finite_matrix(bad, stack, dtype):
     a = np.broadcast_to(np.eye(2, dtype=dtype), stack + (2, 2)).copy()
     a.reshape(-1, 2, 2)[-1, 0, 1] = bad
     with pytest.raises(SingularMatrixError, match="infs or NaNs"):
+        stack_solver(a)
+
+
+# -- the LAPACK gufuncs, called without numpy's wrapper ------------------------
+
+
+def _draw(rng, shape, dtype):
+    z = rng.standard_normal(shape)
+    if dtype == np.complex128:
+        z = z + 1j * rng.standard_normal(shape)
+    return z.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("case", ["vector", "matrix", "stack", "broadcast"])
+def test_gufunc_solver_equals_numpy(rng, dtype, case):
+    # stack_solver calls the gufuncs np.linalg.solve and np.linalg.slogdet
+    # run; the bits must be theirs
+    n = 4
+    if case == "vector":
+        a, b = _draw(rng, (n, n), dtype), _draw(rng, (n,), dtype)
+    elif case == "matrix":
+        a, b = _draw(rng, (n, n), dtype), _draw(rng, (n, 3), dtype)
+    elif case == "stack":
+        a, b = _draw(rng, (2, 3, n, n), dtype), _draw(rng, (2, 3, n, 2), dtype)
+    else:  # one right-hand side, broadcast over the stack as a view
+        a = _draw(rng, (5, n, n), dtype)
+        b = np.broadcast_to(_draw(rng, (n, 2), dtype), (5, n, 2))
+    solve = stack_solver(a)
+    x = solve(b)
+    want = np.linalg.solve(a, b)
+    assert x.dtype == want.dtype and np.array_equal(x, want)
+    out = np.empty_like(want)
+    assert solve(b, out=out) is out and np.array_equal(out, want)
+    sign, logdet = solve.slogdet
+    want_sign, want_logdet = np.linalg.slogdet(a)
+    assert type(sign) is type(want_sign) and np.array_equal(sign, want_sign)
+    assert np.array_equal(logdet, want_logdet)
+
+
+def test_gufunc_solver_takes_a_complex_right_hand_side(rng):
+    a = _draw(rng, (3, 3, 3), np.float64)
+    b = _draw(rng, (3, 3, 2), np.complex128)
+    x = stack_solver(a)(b)
+    assert x.dtype == np.complex128
+    assert np.array_equal(x, np.linalg.solve(a, b))
+
+
+def test_gufunc_solver_warns_of_nothing_numpy_keeps_quiet(rng):
+    # numpy's wrapper runs the gufunc with overflow ignored; the gufunc
+    # clears the floating-point status itself when it succeeds, so the
+    # direct call needs no errstate to stay as quiet
+    a = np.diag([1e-300, 1.0])
+    b = np.array([[1e308, 1.0], [1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = stack_solver(a)(b)
+    assert np.array_equal(x, np.linalg.solve(a, b))
+    assert np.isinf(x[0, 0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("bad, message", [
+    (0.0, "exactly singular matrix"), (np.nan, "infs or NaNs"),
+    (np.inf, "infs or NaNs")])
+def test_gufunc_solver_refuses_a_bad_matrix_at_check_time(rng, dtype, bad,
+                                                          message):
+    a = _draw(rng, (3, 2, 2), dtype)
+    a[1] = [[1.0, 2.0], [2.0, 4.0]] if bad == 0.0 else [[1.0, bad], [0.0, 1.0]]
+    with pytest.raises(SingularMatrixError, match=message):
         stack_solver(a)
 
 

@@ -140,3 +140,25 @@ def test_oracles_import_only_fixture_types():
               and node.module.split(".")[0] == "pentalab"):
             taken |= {alias.name for alias in node.names}
     assert taken <= _ORACLE_IMPORTS
+
+
+def _takes_umath_linalg(node):
+    """Whether an AST node imports or reads numpy's private LAPACK module."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.linalg._umath_linalg")
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.linalg._umath_linalg") \
+            or any(alias.name == "_umath_linalg" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "_umath_linalg"
+
+
+def test_only_linalg_takes_the_private_lapack_module():
+    # linalg calls numpy's LAPACK gufuncs without numpy's wrapper; every
+    # other module goes through linalg, so a numpy that moves the private
+    # module breaks one file
+    takers = sorted(path.name for path in
+                    pathlib.Path(pentalab.__file__).parent.glob("*.py")
+                    if any(_takes_umath_linalg(node)
+                           for node in ast.walk(ast.parse(path.read_text()))))
+    assert takers == ["linalg.py"]
