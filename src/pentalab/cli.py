@@ -49,8 +49,9 @@ _RUN_ERRORS = (DegenerateIntersection, DegenerateLift, DegenerateSystem,
                IntegrationFailure, SingularMatrixError, NotCentralized,
                NonPositiveBase, DegenerateProbes, CommutatorResidue,
                ZeroDivisionError)
-# what reading a malformed input file can raise: a usage error
-_LOAD_ERRORS = (OSError, KeyError, TypeError, ValueError)
+# what reading a malformed input file can raise: a usage error; a file
+# nested too deep for the json decoder raises RecursionError
+_LOAD_ERRORS = (OSError, KeyError, TypeError, ValueError, RecursionError)
 # largest kdv-verify deviation that passes
 _KDV_TOL = 1e-3
 

@@ -60,6 +60,8 @@ _STEP = 0.5
 # frame_at raises past it: a Wronskian this far from 1 no longer belongs
 # to a unimodular frame
 _UNIMODULAR_TOL = 1e-3
+# random_curve_spec's damping of a0 and of the first and second harmonics
+_DAMP = (1.0, 0.5, 0.5, 0.25, 0.25)
 
 
 class IntegrationFailure(Exception):
@@ -452,16 +454,10 @@ def _roots_of_unity(n, dtype):
 
 
 def random_curve_spec(d, seed=None, dtype=np.float64):
-    """Random test curve: trig-polynomial u_i with damped harmonics, identity frame."""
-    rng = np.random.default_rng(seed)
-    u = []
-    for _ in range(d):
-        damp = (1.0, 0.5, 0.25)
-        a0 = rng.uniform(-0.5, 0.5) * damp[0]
-        harmonics = [
-            (rng.uniform(-0.5, 0.5) * damp[k],
-             rng.uniform(-0.5, 0.5) * damp[k])
-            for k in (1, 2)
-        ]
-        u.append(trig_poly(a0, harmonics))
+    """Random test curve: identity frame, and u_i trig-polynomial nodes
+    (``trig_poly``) whose amplitudes, damped harmonic by harmonic, come
+    from one draw of the seed's stream."""
+    # row i: a0, c_1, s_1, c_2, s_2 of u_i, drawn in that order, damped
+    amps = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(d, 5)) * _DAMP
+    u = [trig_poly(a0, [(c1, s1), (c2, s2)]) for a0, c1, s1, c2, s2 in amps]
     return CurveSpec(d, u, 0.0, np.eye(d + 1), dtype=dtype)

@@ -12,14 +12,18 @@ are numpy's own.  Coefficients are real or complex.  ``Jet`` is a read-only
 wrapper of such an array that only ``curves.gamma_jet`` still returns.
 
 ``AnalyticFn`` is a tiny closed expression language (constants, x, +, -, *,
-/, sin, cos, powers) used for curve coefficient functions.  ``eval_jet``
-runs a tree on raw coefficient arrays (sums elementwise, products as
-truncated convolutions, quotients, powers, sin and cos by their series
-recurrences) and returns the coefficients to any requested order.
-It also takes a 1-D array of points and walks the tree once per point,
-stacking the columns.  sin and cos of an affine argument (x, 2x) are in
-closed form.  Trees round-trip through JSON, so curve files can carry
-their coefficient functions.
+/, sin, cos, powers, trig polynomials) used for curve coefficient
+functions.  ``eval_jet`` runs a tree on raw coefficient arrays (sums
+elementwise, products as truncated convolutions, quotients, powers, sin and
+cos by their series recurrences) and returns the coefficients to any
+requested order.  It also takes a 1-D array of points and walks the tree
+once per point, stacking the columns.  sin and cos of an affine argument
+(x, 2x) are in closed form, and one kernel (``_trig_affine``) holds it: a
+trig-polynomial node (``trig_poly``) puts all its terms through that
+kernel in one pass and adds them in the order its sin/cos tree would, so
+it gives that tree's bits.  Trees round-trip through JSON, so curve files
+can carry their coefficient functions; a trig-polynomial node is written
+as the tree it stands for, and read back as that tree.
 
 Linear algebra over series (``jet_solver``, ``jet_factor``) takes matrix
 jets and pivots on constant terms only: a system is solved order by order
@@ -193,27 +197,61 @@ def _trig_table(count, shift):
     return cycle, powers
 
 
+def _trig_series(t, index):
+    """Taylor series of sin or cos at t, a number or a 1-D array of T
+    arguments: coefficient n is entry index[..., n] of the table of
+    (sin, cos, -sin, -cos) at every argument, entry j of argument i at
+    j T + i, over n!."""
+    s, co = np.sin(t), np.cos(t)
+    table = np.array((s, co, -s, -co)).ravel()
+    return table[index] / _factorials(index.shape[-1], table.dtype)
+
+
+def _trig_affine(t, index, slope_powers):
+    """sin or cos of affine arguments t + a h in closed form: the series at
+    t (``_trig_series``) times a^n.  ``_trig`` takes it for one argument,
+    a trig-polynomial node for all its terms at once.
+
+    Horner's rule would only multiply by a, n times, which gives the same
+    bits when a is a power of two; ``+ 0.0`` gives zeros the sign Horner's
+    sums give them.
+    """
+    return _trig_series(t, index) * slope_powers + 0.0
+
+
 def _trig(c, shift):
     """sin (shift 0) or cos (shift 1) of c.
 
     The Taylor series of sin at c[0] cycles through (sin, cos, -sin, -cos)
     / n!, cos starts one later; the cycle's indices and the powers of the
     affine case come from a table cached per (length, shift).  An affine
-    argument c[0] + a h has the closed form series[n] a^n: Horner's rule
-    would only multiply by a, n times, which gives the same bits when a is
-    a power of two (``+ 0.0`` gives zeros the sign Horner's sums give
-    them).  Any other argument is composed by Horner; at order 0 the
-    series is the answer.
+    argument c[0] + a h has the closed form series[n] a^n
+    (``_trig_affine``).  Any other argument is composed by Horner; at
+    order 0 the series is the answer.
     """
     k = len(c)
     cycle, powers = _trig_table(k, shift)
-    s, co = np.sin(c[0]), np.cos(c[0])
-    series = np.array((s, co, -s, -co))[cycle] / _factorials(k, c.dtype)
-    if k == 1:
-        return series
-    if c[2:].any():
-        return _compose(c, series)
-    return series * c[1] ** powers + 0.0
+    if k > 1 and not c[2:].any():
+        return _trig_affine(c[0], cycle, c[1] ** powers)
+    series = _trig_series(c[0], cycle)
+    return series if k == 1 else _compose(c, series)
+
+
+@functools.lru_cache(maxsize=None)
+def _harmonic_tables(harmonics, count, dtype):
+    """Read-only (ks, index, kpow) of trig-polynomial terms whose harmonics
+    are ((k, "cos" or "sin"), ...), at count coefficients: each k in dtype,
+    the index of each term's cycle into ``_trig_series``'s table, and each
+    k^n, taken as ``_trig`` takes the powers of a slope k."""
+    n = len(harmonics)
+    ks = np.array([k for k, _ in harmonics], dtype=dtype)
+    cycles = [_trig_table(count, _UNARY.index(fn))[0] for _, fn in harmonics]
+    index = np.array(cycles, dtype=np.intp) * n + np.arange(n)[:, None]
+    powers = _trig_table(count, 0)[1]
+    kpow = np.array([k ** powers for k in ks], dtype=dtype)
+    for table in (ks, index, kpow):
+        table.flags.writeable = False
+    return ks, index, kpow
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +263,12 @@ _UNARY = ("sin", "cos")
 
 
 class AnalyticFn:
-    """Expression tree over constants, x, +, -, *, /, sin, cos, pow."""
+    """Expression tree over constants, x, +, -, *, /, sin, cos, pow, and
+    trig-polynomial nodes.
+
+    A trig-polynomial node (``trig_poly``) holds a0 as its value and its
+    terms (k, amplitude, "cos" or "sin") as its args.
+    """
 
     __slots__ = ("op", "args", "value")
 
@@ -305,6 +348,8 @@ class AnalyticFn:
                 if order >= 1:
                     c[1] = 1
             return c
+        if op == "trig_poly":
+            return self._trig_poly_coeffs(x, order, dtype)
         a = self.args[0]._coeffs(x, order, dtype)
         if op == "sin":
             return _trig(a, 0)
@@ -323,10 +368,37 @@ class AnalyticFn:
             return _div(a, b)
         raise ValueError(f"unknown op {op!r}")
 
+    def _trig_poly_coeffs(self, x, order, dtype):
+        """The node's coefficients in one pass over its terms: the series of
+        each term's sin or cos of k x (``_trig_affine``), times its
+        amplitude, added into [a0, 0, ...] one by one in the order the tree
+        adds them; these are the tree's own operations, so its bits.
+
+        The tree's products sum from +0.0, so no term of it carries a -0,
+        and a zero a0 reads +0 once a term is added: a0 + 0.0 gives that.
+        """
+        out = np.zeros(order + 1, dtype=dtype)
+        if not self.args:
+            out[0] = self.value
+            return out
+        out[0] = self.value + 0.0
+        ks, index, kpow = _harmonic_tables(
+            tuple((k, fn) for k, _, fn in self.args), order + 1, dtype)
+        amps = np.array([amp for _, amp, _ in self.args], dtype=dtype)
+        for row in _trig_affine(ks * dtype.type(x), index, kpow) * amps[:, None]:
+            out += row
+        return out
+
     # serialization
 
     def to_dict(self):
         op = self.op
+        if op == "trig_poly":  # the file format knows the tree it stands for
+            f = AnalyticFn.const(self.value)
+            x = AnalyticFn.x()
+            for k, amp, fn in self.args:
+                f = f + AnalyticFn.const(amp) * getattr(AnalyticFn.const(k) * x, fn)()
+            return f.to_dict()
         if op == "const":
             return {"op": "const", "value": self.value}
         if op == "x":
@@ -378,16 +450,19 @@ def _finite_number(value):
 def trig_poly(a0, harmonics):
     """a0 + sum_k (c_k cos(kx) + s_k sin(kx)); harmonics = [(c_1, s_1), ...].
 
-    Integer harmonics only, so the result is honestly 2*pi-periodic.
+    Integer harmonics only, so the result is honestly 2*pi-periodic.  One
+    node holds a0 and the nonzero terms, (k, c_k, "cos") before
+    (k, s_k, "sin"), and evaluates them in closed form; it stands for, and
+    writes to JSON as, the tree a0 + c_1 cos(1 x) + s_1 sin(1 x) + ...
+    added left to right.
     """
-    f = AnalyticFn.const(a0)
-    x = AnalyticFn.x()
+    terms = []
     for k, (ck, sk) in enumerate(harmonics, start=1):
         if ck:
-            f = f + AnalyticFn.const(ck) * (AnalyticFn.const(k) * x).cos()
+            terms.append((k, float(ck), "cos"))
         if sk:
-            f = f + AnalyticFn.const(sk) * (AnalyticFn.const(k) * x).sin()
-    return f
+            terms.append((k, float(sk), "sin"))
+    return AnalyticFn("trig_poly", terms, value=float(a0))
 
 
 def eval_jet(f, x, order, dtype=np.float64):
@@ -396,7 +471,8 @@ def eval_jet(f, x, order, dtype=np.float64):
 
     x is a number, or a 1-D array of P points, which gives (order+1, P)
     coefficients, column p the jet at x[p]: the tree is walked once per
-    point.
+    point.  A trig-polynomial node is one step of the walk, its terms all
+    taken at once in closed form.
     """
     if order < 0:
         raise ValueError("jet order must be nonnegative")

@@ -10,6 +10,8 @@ the lower bound on how many constraints higher flows require, and a small
 derivative-free search for new configurations.
 """
 
+import functools
+
 import numpy as np
 
 from .chimap import DegenerateIntersection
@@ -78,8 +80,10 @@ def mari_beffa_family(a, b, c):
 _R_COEFFS = (2480.0, 33006.0, 72121.0, -198036.0, 89280.0)
 
 
+@functools.cache
 def r_poly_roots():
-    """Real roots of the quartic gate polynomial, ascending.
+    """Real roots of the quartic gate polynomial, ascending, as one
+    read-only array computed on the first call.
 
     Companion-matrix eigenvalues polished by a few Newton steps; all four
     roots of this particular quartic are real.
@@ -92,7 +96,9 @@ def r_poly_roots():
         for _ in range(4):
             r = r - np.polyval(poly, r) / np.polyval(deriv, r)
         out.append(float(r))
-    return np.sort(np.array(out))
+    roots = np.sort(np.array(out))
+    roots.flags.writeable = False
+    return roots
 
 
 class Realization34Report:

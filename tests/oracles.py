@@ -15,6 +15,20 @@ def zero_curve_spec(d, dtype=np.float64):
     return CurveSpec(d, u, 0.0, np.eye(d + 1), dtype=dtype)
 
 
+def trig_tree(a0, harmonics):
+    """a0 + sum_k (c_k cos(kx) + s_k sin(kx)) as the explicit tree of sin
+    and cos nodes, added left to right, zero amplitudes skipped: the tree a
+    trig-polynomial node stands for."""
+    f = AnalyticFn.const(a0)
+    x = AnalyticFn.x()
+    for k, (ck, sk) in enumerate(harmonics, start=1):
+        if ck:
+            f = f + AnalyticFn.const(ck) * (AnalyticFn.const(k) * x).cos()
+        if sk:
+            f = f + AnalyticFn.const(sk) * (AnalyticFn.const(k) * x).sin()
+    return f
+
+
 def series_product(a, b):
     """Truncated product of two coefficient arrays (K+1, ...), summed in
     order of j: out[m] = sum_j a[j] b[m-j]."""
@@ -47,6 +61,11 @@ def evaluate(tree, x):
         return tree.value
     if op == "x":
         return x
+    if op == "trig_poly":  # a0 + amp cos(k x) + amp sin(k x) + ..., in order
+        acc = tree.value
+        for k, amp, fn in tree.args:
+            acc = acc + amp * getattr(math, fn)(k * x)
+        return acc
     if op == "pow":
         return evaluate(tree.args[0], x) ** tree.value
     if op in ("sin", "cos"):

@@ -27,6 +27,17 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _curve_text(u0):
+    """A d = 2 curve file whose u_0 is the JSON text u0."""
+    return ('{"d": 2, "x0": 0.0, "F0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+            f'"u": [{u0}, {{"op": "const", "value": 0.1}}]}}')
+
+
+def _chi_text(depth):
+    """A chi file whose groups are empty lists nested depth deep."""
+    return '{"d": 2, "groups": ' + "[" * depth + "]" * depth + "}"
+
+
 def test_runs_without_importing_scipy():
     # scipy costs about two thirds of a one-shot run's start-up; only
     # search_34 uses it, and imports it itself
@@ -375,6 +386,28 @@ class TestExpand:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: ") and why in err
+
+    @pytest.mark.parametrize("argv, text, kind", [
+        (["expand", "--curve"],
+         _curve_text('{"op": "sin", "arg": ' * 5000 + '{"op": "x"}' + "}" * 5000),
+         "curve"),
+        (["expand", "--curve"],
+         _curve_text('{"op": "add", "args": [' * 495 + '{"op": "x"}'
+                     + ', {"op": "x"}]}' * 495), "curve"),
+        (["expand", "--chi"], _chi_text(5000), "chi"),
+        (["realize34", "--chi"], _chi_text(5000), "chi"),
+    ], ids=["curve-sin-5000", "curve-add-495", "chi-groups-5000",
+            "realize34-chi-groups-5000"])
+    def test_too_deeply_nested_file_is_a_usage_error(self, capsys, tmp_path,
+                                                     argv, text, kind):
+        # each exited 1 with the json decoder's RecursionError traceback
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run(capsys, argv + [str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot load {kind} from ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("d", [2.9, "2", True],
                              ids=["float", "string", "bool"])

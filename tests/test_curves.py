@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from pentalab.curves import (
     wronskian,
 )
 
-from oracles import cofactor_det, evaluate, zero_curve_spec
+from oracles import cofactor_det, evaluate, trig_tree, zero_curve_spec
 
 
 def test_affine_motion_d1():
@@ -541,6 +542,48 @@ def test_curve_json_roundtrip(curve_d2, tmp_path):
     assert back.d == 2
     for x in (-1.0, 0.25, 2.0):
         assert_allclose(back.frame_at(x), curve_d2.frame_at(x), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_reloaded_curve_gives_the_same_u_jets(dtype):
+    # a curve file carries each trig-polynomial node as the tree it stands
+    # for, and the tree walk gives the node's bits
+    spec = random_curve_spec(3, seed=23, dtype=dtype)
+    back = CurveSpec.from_dict(json.loads(json.dumps(spec.to_dict())), dtype=dtype)
+    assert [f.op for f in spec.u] == ["trig_poly"] * 3
+    assert [f.op for f in back.u] == ["add"] * 3
+    xs = np.array([-0.7, -0.0, 0.3, 20.0])
+    for order in (0, 24, 40):
+        got, want = back.u_jet(xs, order), spec.u_jet(xs, order)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17, 23])
+def test_random_curve_amplitudes_are_the_scalar_draws(seed):
+    # one (d, 5) draw takes the numbers 5 d scalar draws took, in order
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(4):
+        a0 = rng.uniform(-0.5, 0.5)
+        harmonics = [(rng.uniform(-0.5, 0.5) * damp, rng.uniform(-0.5, 0.5) * damp)
+                     for damp in (0.5, 0.25)]
+        want.append(json.dumps(trig_tree(a0, harmonics).to_dict()))
+    assert [json.dumps(f.to_dict()) for f in random_curve_spec(4, seed=seed).u] == want
+
+
+def test_u_jet_walks_one_node_per_trig_poly(monkeypatch):
+    # the tree each node stands for has 29 nodes: 87 calls at d = 3
+    calls = []
+    inner = AnalyticFn._coeffs
+
+    def counted(self, *args):
+        calls.append(self.op)
+        return inner(self, *args)
+
+    monkeypatch.setattr(AnalyticFn, "_coeffs", counted)
+    random_curve_spec(3, seed=7).u_jet(0.3, 40)
+    assert calls == ["trig_poly"] * 3
 
 
 def test_loader_renormalizes_frame():

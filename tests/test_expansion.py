@@ -127,7 +127,8 @@ class TestUncertainty:
         # the roundoff floor was set on short-diagonal d = 2..4, curve
         # seeds 0-7, x in {0.3, 1.1}, where the gap alone missed 634 of
         # 1,344 entries; this grid shares no case with that one, and the
-        # worst entry reads 0.93 of its uncertainty
+        # worst entry reads 0.994 of its uncertainty (sd4, seed 13,
+        # x -0.7, alpha[3,1])
         for seed in range(8, 16):
             double = random_curve_spec(d, seed=seed)
             extended = random_curve_spec(d, seed=seed, dtype=np.longdouble)

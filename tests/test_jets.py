@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from pentalab.jets import (
     trig_poly,
 )
 
-from oracles import cofactor_det, evaluate
+from oracles import cofactor_det, evaluate, trig_tree
 
 
 def random_jet(rng, order):
@@ -503,6 +504,7 @@ def every_node_kind():
         "pow": (1.5 + (two * x).cos()) ** 0.5,
         "sin": (x * x).sin(),
         "cos": (-2.0 * x).cos(),
+        "trig_poly": trig_poly(0.3, [(0.2, -0.1), (0.0, 0.05), (-0.4, 0.0)]),
     }
 
 
@@ -517,3 +519,45 @@ def test_eval_jet_at_points_matches_per_point_calls(kind, dtype):
         assert batch.dtype == np.dtype(dtype)
         for p, x in enumerate(xs):
             assert np.array_equal(batch[:, p], eval_jet(f, x, order, dtype))
+
+
+# -- the trig-polynomial node against the tree it stands for -------------------
+
+_draw = np.random.default_rng(2024)
+TRIG_POLYS = {
+    "two-harmonics": (0.31, [(0.2, -0.45), (-0.125, 0.07)]),
+    "zero-amplitude": (0.2, [(0.0, 0.3), (-0.1, 0.0)]),
+    "no-harmonics": (0.4, []),
+    "negative-a0": (-0.35, [(0.25, 0.1)]),
+    "negative-a0-alone": (-1.5, []),
+    "signed-zero-a0": (-0.0, [(0.0, -0.2), (0.0, -0.3)]),
+    "five-harmonics": (0.05, [(0.1 / k, -0.2 / k) for k in range(1, 6)]),
+    **{f"random-{i}": (float(_draw.uniform(-0.5, 0.5)),
+                       [tuple(_draw.uniform(-0.5, 0.5, 2) / k) for k in (1, 2, 3)])
+       for i in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIG_POLYS))
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_trig_poly_node_equals_its_tree_bit_for_bit(name, dtype):
+    a0, harmonics = TRIG_POLYS[name]
+    node, tree = trig_poly(a0, harmonics), trig_tree(a0, harmonics)
+    assert node.op == "trig_poly"
+    for order in (0, 1, 24, 40):
+        for x in (0.0, -0.0, 0.3, -0.7, 20.0, 1e5):
+            got = eval_jet(node, x, order, dtype)
+            want = eval_jet(tree, x, order, dtype)
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", sorted(TRIG_POLYS))
+def test_trig_poly_node_writes_its_tree(name):
+    a0, harmonics = TRIG_POLYS[name]
+    node, tree = trig_poly(a0, harmonics), trig_tree(a0, harmonics)
+    # json text, so that a -0.0 must be written as one
+    assert json.dumps(node.to_dict()) == json.dumps(tree.to_dict())
+    for x in (0.0, -0.7, 20.0):
+        assert evaluate(node, x) == evaluate(tree, x)

@@ -86,6 +86,16 @@ class TestRootGate:
         for r in r_poly_roots():
             assert abs(np.polyval(poly, r)) <= 1e-8
 
+    def test_roots_are_computed_once_and_read_only(self):
+        roots = r_poly_roots()
+        assert r_poly_roots() is roots
+        with pytest.raises(ValueError):
+            roots[0] = 0.0
+        # the values each call computed afresh before the cache
+        want = ["-0x1.23484862e6ce3p+3", "-0x1.78a3bd702792fp+2",
+                "0x1.517caa3c6a904p-1", "0x1.0500b8c87cc5fp+0"]
+        assert [float(r).hex() for r in roots] == want
+
 
 class TestCheck34:
     def test_integer_instance_passes(self, integer_report):
