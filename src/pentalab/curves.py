@@ -30,9 +30,9 @@ Taylor shift (``_shifted_lifts``, guarded row by row) of the one order-40
 lift jet there, so the map and ``lax`` build that jet once per working
 point.  The shift (``_frame_from_coeffs``, which ``frame_at`` uses too) is
 one matrix product: each working point's coefficients, weighted once per
-row from a cached table, times a table of the powers of every offset
-there, summed highest order first.  ``normalized_lift`` takes a stack of
-lifts.
+row by the falling factorials of ``jets._falling`` (which also weigh the
+ODE recursion), times a table of the powers of every offset there, summed
+highest order first.  ``normalized_lift`` takes a stack of lifts.
 
 ``frame_at`` carries F0 along the same path: the identity lifts at the
 anchors x0 + j/2 between x0 and its points come from one ``_lift_coeffs``
@@ -48,9 +48,9 @@ import json
 import numpy as np
 
 from . import linalg
-from .jets import (AnalyticFn, DegenerateSystem, Jet, _factorials, _falling_table,
-                   _json_number, derivative_stack, eval_jet, jet_factor,
-                   jet_solver, mul, trig_poly)
+from .jets import (AnalyticFn, DegenerateSystem, Jet, _falling, _json_number,
+                   derivative_stack, eval_jet, jet_factor, jet_solver, mul,
+                   trig_poly)
 
 # order of the lift jet at a working point that nearby samples shift from
 _SHIFT_ORDER = 40
@@ -142,7 +142,7 @@ class CurveSpec:
         lo, hi = min(int(js.min()), 0), max(int(js.max()), 0)
         lifts = _lift_coeffs(self, x0 + np.arange(lo, hi + 1) * _STEP,
                              _SHIFT_ORDER)[0]
-        scale = _factorials(self.d + 1, self.dtype)[:, None]
+        scale = _falling(self.d, self.dtype).diagonal()[:, None]
 
         def carry(j, h):
             # rows 0..d of anchor j's identity lift at the anchor + h: the
@@ -181,7 +181,7 @@ def _ode_table(order, d):
     (d, m+1), holds j + i for j = m..0, and the divisor is -(m + d + 1)!/m!,
     negated so that one division gives the new row.
     """
-    falling = _falling_table(order)
+    falling = _falling(order, np.float64)
     j = np.arange(order - d)[:, None] - np.arange(order + 1)  # (M, order+1)
     i = np.arange(d)[:, None, None]
     weights = np.where(j >= 0, falling[i, np.maximum(j, 0) + i], 0)
@@ -236,17 +236,14 @@ _COLUMN_BLOCK = 8
 def _shift_table(order, rows, dtype):
     """Read-only gather indices and weights of the shift product, each
     (rows, order+1): entry [k, i] is term j = order - i of row k, the
-    coefficient k + j weighted falling[k, k + j], so a sum along i adds
-    the terms highest order (smallest) first.  Terms past the series,
-    k + j > order, read coefficient order with weight 0.  Each weight is
-    the exact integer (k + j)!/j! rounded once to the real dtype: a
-    float64 table would round longdouble weights from row 13 on at order
-    40."""
+    coefficient k + j weighted (k + j)!/j!, entry [k, k + j] of the real
+    dtype's ``_falling`` table, so a sum along i adds the terms highest
+    order (smallest) first.  Terms past the series, k + j > order, read
+    coefficient order with weight 0."""
     k = np.arange(rows)[:, None]
     m = k + order - np.arange(order + 1)
     index = np.minimum(m, order)
-    weights = np.where(m <= order, np.frompyfunc(math.perm, 2, 1)(index, k),
-                       0).astype(dtype)
+    weights = np.where(m <= order, _falling(order, dtype)[k, index], 0)
     index.flags.writeable = weights.flags.writeable = False
     return index, weights
 
@@ -322,7 +319,8 @@ def _shifted_lifts(g, h, kmax):
     rows = _frame_from_coeffs(g, h, kmax)  # row k: the k-th derivative
     k = np.arange(kmax + 1).reshape((-1,) + (1,) * (rows.ndim - 2))
     # |h|^(order-k) in float64: a threshold, and longdouble's pow is slow
-    last = (_falling_table(order)[k, order] * np.max(np.abs(g[-1]), axis=0)
+    last = (_falling(order, np.float64)[k, order]
+            * np.max(np.abs(g[-1]), axis=0)
             * np.abs(h).astype(np.float64) ** (order - k))
     bound = np.finfo(g.dtype).eps * np.max(np.abs(rows), axis=1)
     if not np.all((last <= bound) & np.isfinite(bound)):  # NaN fails too
@@ -331,7 +329,7 @@ def _shifted_lifts(g, h, kmax):
                                      "Taylor series is not finite")
         raise IntegrationFailure(f"node offset {np.max(np.abs(h)):.3g} lies "
                                  "outside the lift's radius of convergence")
-    rows = rows / _factorials(kmax + 1, g.dtype).reshape(k.shape + (1,))
+    rows = rows / _falling(kmax, g.dtype).diagonal().reshape(k.shape + (1,))
     return np.moveaxis(rows, 1, -1)
 
 

@@ -17,13 +17,21 @@ functions.  ``eval_jet`` runs a tree on raw coefficient arrays (sums
 elementwise, products as truncated convolutions, quotients, powers, sin and
 cos by their series recurrences) and returns the coefficients to any
 requested order.  It also takes a 1-D array of points and walks the tree
-once per point, stacking the columns.  sin and cos of an affine argument
-(x, 2x) are in closed form, and one kernel (``_trig_affine``) holds it: a
-trig-polynomial node (``trig_poly``) puts all its terms through that
-kernel in one pass and adds them in the order its sin/cos tree would, so
-it gives that tree's bits.  Trees round-trip through JSON, so curve files
-can carry their coefficient functions; a trig-polynomial node is written
-as the tree it stands for, and read back as that tree.
+once per point, stacking the columns.  One kernel (``_trig_series``) gives
+the sin and cos series at any number of arguments, in closed form for an
+affine argument (x, 2x): ``_trig`` takes it for one argument, a
+trig-polynomial node (``trig_poly``) for all its terms in one pass, which
+it adds in the order its sin/cos tree would, so it gives that tree's bits.
+Trees round-trip through JSON, so curve files can carry their coefficient
+functions; a trig-polynomial node is written as the tree it stands for,
+and read back as that tree; a file's tree may nest at most 200 nodes deep
+(``_MAX_DEPTH``).
+
+One cached table, ``_falling`` per order and dtype, holds every
+falling factorial n!/(n-k)! the series code weighs by, each the exact
+integer rounded once to the dtype: the n! of the trig series (its
+diagonal), the weights of the lift recursion and of the Taylor shift in
+``curves``, and those of the Leibniz products in ``kdvops``.
 
 Linear algebra over series (``jet_solver``, ``jet_factor``) takes matrix
 jets and pivots on constant terms only: a system is solved order by order
@@ -168,90 +176,61 @@ def _div(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _factorials(count, dtype):
-    """Read-only array of n!, n < count, in dtype."""
-    table = np.array([math.factorial(n) for n in range(count)], dtype=dtype)
+def _falling(order, dtype):
+    """Read-only table of falling factorials, k, n <= order: entry [k, n]
+    is n (n-1) ... (n-k+1) = n!/(n-k)!, the exact integer rounded once to
+    dtype (inf past its range), and 0 where k > n; its diagonal holds n!.
+    One table per dtype: float64 entries past 2^53 would round longdouble
+    ones, from row 13 on at order 40."""
+    n = np.arange(order + 1)
+    with np.errstate(over="ignore"):
+        table = np.frompyfunc(math.perm, 2, 1)(n, n[:, None]).astype(dtype)
     table.flags.writeable = False
     return table
 
 
 @functools.lru_cache(maxsize=None)
-def _falling_table(order):
-    """Read-only float64 table, entry [k, n] = n (n-1) ... (n-k+1), k, n <= order."""
-    n = np.arange(order + 1, dtype=np.float64)
-    table = np.ones((order + 1, order + 1))
-    for k in range(1, order + 1):
-        table[k] = table[k - 1] * (n - (k - 1))
-    table.flags.writeable = False
-    return table
+def _trig_index(shifts, count):
+    """Read-only index, (T, count), into the table of (sin, cos, -sin, -cos)
+    at T arguments, entry j of argument i at j T + i: coefficient n of
+    argument i picks entry (n + shifts[i]) % 4."""
+    t = len(shifts)
+    index = ((np.arange(count) + np.array(shifts)[:, None]) % 4 * t
+             + np.arange(t)[:, None])
+    index.flags.writeable = False
+    return index
 
 
-@functools.lru_cache(maxsize=None)
-def _trig_table(count, shift):
-    """Read-only (cycle, powers) of a trig series of count terms: cycle[n]
-    picks coefficient n's entry of (sin, cos, -sin, -cos), starting shift
-    entries in, and powers is 0..count-1."""
-    powers = np.arange(count)
-    cycle = (powers + shift) % 4
-    cycle.flags.writeable = powers.flags.writeable = False
-    return cycle, powers
+def _trig_series(t, shifts, count, slopes=None):
+    """Taylor series, (T, count), of sin (shift 0) or cos (shift 1) at each
+    of T arguments t, a 1-D array: coefficient n of argument i is entry
+    (n + shifts[i]) % 4 of (sin, cos, -sin, -cos) at t[i], over n!.
 
-
-def _trig_series(t, index):
-    """Taylor series of sin or cos at t, a number or a 1-D array of T
-    arguments: coefficient n is entry index[..., n] of the table of
-    (sin, cos, -sin, -cos) at every argument, entry j of argument i at
-    j T + i, over n!."""
-    s, co = np.sin(t), np.cos(t)
-    table = np.array((s, co, -s, -co)).ravel()
-    return table[index] / _factorials(index.shape[-1], table.dtype)
-
-
-def _trig_affine(t, index, slope_powers):
-    """sin or cos of affine arguments t + a h in closed form: the series at
-    t (``_trig_series``) times a^n.  ``_trig`` takes it for one argument,
-    a trig-polynomial node for all its terms at once.
-
-    Horner's rule would only multiply by a, n times, which gives the same
-    bits when a is a power of two; ``+ 0.0`` gives zeros the sign Horner's
-    sums give them.
+    Given the slopes a_i, (T,), it is the series of the affine arguments
+    t_i + a_i h instead, in closed form: coefficient n times a_i^n, the
+    powers taken in t's dtype.  Horner's rule would only multiply by a_i,
+    n times, which gives the same bits when a_i is a power of two;
+    ``+ 0.0`` gives zeros the sign Horner's sums give them.
     """
-    return _trig_series(t, index) * slope_powers + 0.0
+    table = np.concatenate((np.sin(t), np.cos(t)))
+    table = np.concatenate((table, -table))
+    series = (table[_trig_index(shifts, count)]
+              / _falling(count - 1, table.dtype).diagonal())
+    if slopes is None:
+        return series
+    powers = np.arange(count, dtype=table.dtype)
+    return series * slopes[:, None] ** powers + 0.0
 
 
 def _trig(c, shift):
-    """sin (shift 0) or cos (shift 1) of c.
-
-    The Taylor series of sin at c[0] cycles through (sin, cos, -sin, -cos)
-    / n!, cos starts one later; the cycle's indices and the powers of the
-    affine case come from a table cached per (length, shift).  An affine
-    argument c[0] + a h has the closed form series[n] a^n
-    (``_trig_affine``).  Any other argument is composed by Horner; at
-    order 0 the series is the answer.
+    """sin (shift 0) or cos (shift 1) of c: an affine argument c[0] + a h
+    takes the closed form of ``_trig_series``; any other is composed by
+    Horner from the series at c[0], and at order 0 the series is the answer.
     """
     k = len(c)
-    cycle, powers = _trig_table(k, shift)
-    if k > 1 and not c[2:].any():
-        return _trig_affine(c[0], cycle, c[1] ** powers)
-    series = _trig_series(c[0], cycle)
-    return series if k == 1 else _compose(c, series)
-
-
-@functools.lru_cache(maxsize=None)
-def _harmonic_tables(harmonics, count, dtype):
-    """Read-only (ks, index, kpow) of trig-polynomial terms whose harmonics
-    are ((k, "cos" or "sin"), ...), at count coefficients: each k in dtype,
-    the index of each term's cycle into ``_trig_series``'s table, and each
-    k^n, taken as ``_trig`` takes the powers of a slope k."""
-    n = len(harmonics)
-    ks = np.array([k for k, _ in harmonics], dtype=dtype)
-    cycles = [_trig_table(count, _UNARY.index(fn))[0] for _, fn in harmonics]
-    index = np.array(cycles, dtype=np.intp) * n + np.arange(n)[:, None]
-    powers = _trig_table(count, 0)[1]
-    kpow = np.array([k ** powers for k in ks], dtype=dtype)
-    for table in (ks, index, kpow):
-        table.flags.writeable = False
-    return ks, index, kpow
+    affine = k > 1 and not c[2:].any()
+    series = _trig_series(c[:1], (shift,), k, c[1:2] if affine else None)[0]
+    return series if affine or k == 1 else _compose(c, series)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +239,9 @@ def _harmonic_tables(harmonics, count, dtype):
 
 _BINARY = ("add", "sub", "mul", "div")
 _UNARY = ("sin", "cos")
+# deepest tree ``from_dict`` builds: the walk recurses once per level, and
+# from the CLI a chain of sin about 980 deep overflows Python's stack
+_MAX_DEPTH = 200
 
 
 class AnalyticFn:
@@ -370,24 +352,25 @@ class AnalyticFn:
 
     def _trig_poly_coeffs(self, x, order, dtype):
         """The node's coefficients in one pass over its terms: the series of
-        each term's sin or cos of k x (``_trig_affine``), times its
-        amplitude, added into [a0, 0, ...] one by one in the order the tree
-        adds them; these are the tree's own operations, so its bits.
+        each term's sin or cos of k x (``_trig_series`` with slope k), times
+        its amplitude, added to [a0, 0, ...] one by one in the order the
+        tree adds them, by a running sum down the rows; these are the
+        tree's own operations, so its bits.
 
         The tree's products sum from +0.0, so no term of it carries a -0,
         and a zero a0 reads +0 once a term is added: a0 + 0.0 gives that.
         """
-        out = np.zeros(order + 1, dtype=dtype)
+        rows = np.zeros((len(self.args) + 1, order + 1), dtype=dtype)
         if not self.args:
-            out[0] = self.value
-            return out
-        out[0] = self.value + 0.0
-        ks, index, kpow = _harmonic_tables(
-            tuple((k, fn) for k, _, fn in self.args), order + 1, dtype)
-        amps = np.array([amp for _, amp, _ in self.args], dtype=dtype)
-        for row in _trig_affine(ks * dtype.type(x), index, kpow) * amps[:, None]:
-            out += row
-        return out
+            rows[0, 0] = self.value
+            return rows[0]
+        rows[0, 0] = self.value + 0.0
+        ks, amps = np.array([(k, amp) for k, amp, _ in self.args],
+                            dtype=dtype).T
+        shifts = tuple(_UNARY.index(fn) for _, _, fn in self.args)
+        np.multiply(_trig_series(ks * dtype.type(x), shifts, order + 1, ks),
+                    amps[:, None], out=rows[1:])
+        return np.add.accumulate(rows)[-1]
 
     # serialization
 
@@ -413,21 +396,29 @@ class AnalyticFn:
 
     @staticmethod
     def from_dict(node):
-        op = node["op"]
-        if op == "const":
-            return AnalyticFn.const(_finite_number(node["value"]))
-        if op == "x":
-            return AnalyticFn.x()
-        if op in _BINARY:
-            a, b = (AnalyticFn.from_dict(n) for n in node["args"])
-            return AnalyticFn(op, (a, b))
-        if op in _UNARY:
-            a = AnalyticFn.from_dict(node["arg"])
-            return AnalyticFn(op, (a,))
-        if op == "pow":
-            a = AnalyticFn.from_dict(node["arg"])
-            return AnalyticFn("pow", (a,), value=_finite_number(node["exponent"]))
-        raise ValueError(f"unknown op {op!r}")
+        """The tree a JSON node stands for; ValueError for an unknown op, a
+        number that is not a finite JSON number, or a tree more than
+        ``_MAX_DEPTH`` nodes deep."""
+        def build(node, depth):
+            if depth > _MAX_DEPTH:
+                raise ValueError("coefficient tree nested more than "
+                                 f"{_MAX_DEPTH} nodes deep")
+            op = node["op"]
+            if op == "const":
+                return AnalyticFn.const(_finite_number(node["value"]))
+            if op == "x":
+                return AnalyticFn.x()
+            if op in _BINARY:
+                a, b = (build(n, depth + 1) for n in node["args"])
+                return AnalyticFn(op, (a, b))
+            if op in _UNARY:
+                return AnalyticFn(op, (build(node["arg"], depth + 1),))
+            if op == "pow":
+                return AnalyticFn("pow", (build(node["arg"], depth + 1),),
+                                  value=_finite_number(node["exponent"]))
+            raise ValueError(f"unknown op {op!r}")
+
+        return build(node, 1)
 
 
 def _json_number(value, what):

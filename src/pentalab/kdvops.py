@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .jets import _falling_table
+from .jets import _falling
 
 # Taylor order of the u-jets that the hierarchy checks build L from
 JET_ORDER = 24
@@ -93,7 +93,7 @@ def _leibniz(floor, top_a, top_b, order):
     terms.sort(key=lambda t: t[:2])
     r, i, j, n, w = (np.array(col) for col in zip(*terms))
     cols = n[:, None] + np.arange(order + 1)
-    weights = w[:, None] * _falling_table(cols.max())[n[:, None], cols]
+    weights = w[:, None] * _falling(cols.max(), np.float64)[n[:, None], cols]
     slot = r * (top_a - floor + 1) + i
     groups = np.flatnonzero(np.diff(slot, prepend=-1))
     table = (i, j, n, cols, weights, groups, slot[groups],

@@ -19,7 +19,7 @@ from pentalab.configs import (ChiConfig, dual_dented_chi, dual_dented_shift,
 from pentalab.curves import (_SHIFT_ORDER, CurveSpec, IntegrationFailure,
                              _frame_from_coeffs, _lift_coeffs, gamma_jet,
                              normalized_lift, random_curve_spec)
-from pentalab.jets import _factorials
+from pentalab.jets import _falling
 
 from oracles import cofactor_det, zero_curve_spec
 
@@ -187,7 +187,7 @@ def test_shift_guards_every_row():
     rel = []
     for p in sorted({p for group in chi.groups for p in group}):
         unguarded = (_frame_from_coeffs(g, 0.2 * p, 10)
-                     / _factorials(11, g.dtype)[:, None])
+                     / _falling(10, g.dtype).diagonal()[:, None])
         want = gamma_jet(here, 0.3 + 0.2 * p, 10).c
         rel.append(np.max(np.abs(unguarded - want), axis=1)
                    / np.max(np.abs(want), axis=1))

@@ -27,6 +27,11 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+# the environment of a fresh python process that imports this pentalab
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(
+    os.path.dirname(os.path.abspath(pentalab.__file__))))
+
+
 def _curve_text(u0):
     """A d = 2 curve file whose u_0 is the JSON text u0."""
     return ('{"d": 2, "x0": 0.0, "F0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
@@ -50,9 +55,7 @@ codes = [pentalab.cli.main(["expand", "--chi", "short-diagonal", "--d", "2",
 print(json.dumps([codes, sorted(m for m in sys.modules
                                 if m.split(".")[0] == "scipy")]))
 """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pentalab.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_SRC_ENV,
                           capture_output=True, text=True, check=True)
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
@@ -394,20 +397,27 @@ class TestExpand:
         (["expand", "--curve"],
          _curve_text('{"op": "add", "args": [' * 495 + '{"op": "x"}'
                      + ', {"op": "x"}]}' * 495), "curve"),
+        (["expand", "--curve"],
+         _curve_text('{"op": "sin", "arg": ' * 980 + '{"op": "x"}' + "}" * 980),
+         "curve"),
         (["expand", "--chi"], _chi_text(5000), "chi"),
         (["realize34", "--chi"], _chi_text(5000), "chi"),
-    ], ids=["curve-sin-5000", "curve-add-495", "chi-groups-5000",
-            "realize34-chi-groups-5000"])
-    def test_too_deeply_nested_file_is_a_usage_error(self, capsys, tmp_path,
-                                                     argv, text, kind):
-        # each exited 1 with the json decoder's RecursionError traceback
+    ], ids=["curve-sin-5000", "curve-add-495", "curve-sin-980",
+            "chi-groups-5000", "realize34-chi-groups-5000"])
+    def test_too_deeply_nested_file_is_a_usage_error(self, tmp_path, argv,
+                                                     text, kind):
+        # each exited 1 with a RecursionError traceback, the json decoder's
+        # or, for sin 980 deep, the tree walk's; run in a fresh process,
+        # since under a deeper stack (pytest's) the decoder refuses sin 980
         path = tmp_path / "input.json"
         path.write_text(text)
-        code, out, err = run(capsys, argv + [str(path)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"usage error: cannot load {kind} from ")
-        assert err.count("\n") == 1
+        proc = subprocess.run([sys.executable, "-m", "pentalab.cli", *argv,
+                               str(path)], env=_SRC_ENV, capture_output=True,
+                              text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"usage error: cannot load {kind} from ")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("d", [2.9, "2", True],
                              ids=["float", "string", "bool"])

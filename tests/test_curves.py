@@ -243,22 +243,40 @@ def test_frame_at_raises_when_the_frame_loses_unimodularity():
 
 
 def test_falling_factorial_table_is_exact():
-    from pentalab.jets import _falling_table
+    # a float64 product recursion, the table this replaced, first rounds
+    # at [20, 24]; the shift's weights are entries of the same table
+    from pentalab.curves import _shift_table
+    from pentalab.jets import _falling
 
-    table = _falling_table(18)
-    for n in range(19):
-        for k in range(n + 1):
-            assert table[k, n] == float(math.perm(n, k))
-    assert not table.flags.writeable
+    def rounded(v, bits):  # to bits significant bits, ties to even
+        drop = max(v.bit_length() - bits, 0)
+        q, r = divmod(v, 1 << drop)
+        if drop and (2 * r > 1 << drop or (2 * r == 1 << drop and q & 1)):
+            q += 1
+        return q << drop
+
+    for dtype in (np.float64, np.longdouble):
+        table = _falling(44, dtype)
+        assert table.dtype == dtype and not table.flags.writeable
+        bits = np.finfo(dtype).nmant + 1
+        for n in range(45):
+            for k in range(45):
+                want = rounded(math.perm(n, k), bits)
+                assert int(table[k, n]) == want, (k, n)
+        index, weights = _shift_table(40, 15, np.dtype(dtype))
+        k = np.arange(15)[:, None]
+        inside = k + 40 - np.arange(41) <= 40
+        assert np.array_equal(
+            weights, np.where(inside, _falling(40, dtype)[k, index], 0))
 
 
 def _recursion_reference(u_coeffs, d, order):
     """The ODE recursion as one loop over orders: at order m the u_i are
     weighted afresh, one stacked matmul makes the products, they are
     summed by += from zeros in order of i, and the row is -acc / divisor."""
-    from pentalab.jets import _falling_table
+    from pentalab.jets import _falling
 
-    falling = _falling_table(order)
+    falling = _falling(order, np.float64)
     u = np.ascontiguousarray(np.transpose(u_coeffs, (2, 1, 0)))
     g = np.zeros((u.shape[0], order + 1, d + 1), dtype=u.dtype)
     for k in range(d + 1):

@@ -130,6 +130,19 @@ def test_json_roundtrip(rng):
         assert_allclose(eval_jet(g, x, 5), eval_jet(f, x, 5), rtol=1e-13)
 
 
+def test_tree_deeper_than_the_limit_is_refused():
+    # a chain 200 nodes deep loads; one node more, on any branch, is refused
+    node = {"op": "x"}
+    for _ in range(199):
+        node = {"op": "sin", "arg": node}
+    assert eval_jet(AnalyticFn.from_dict(node), 0.3, 2).shape == (3,)
+    power = {"op": "pow", "arg": node, "exponent": 2.0}
+    for deeper in ({"op": "cos", "arg": node},
+                   {"op": "add", "args": [{"op": "x"}, power]}):
+        with pytest.raises(ValueError, match="more than 200 nodes deep"):
+            AnalyticFn.from_dict(deeper)
+
+
 def trig_oracle(a0, harmonics, x, order, dtype):
     """Closed-form Taylor coefficients of a trig polynomial at x: coefficient
     n of cos(kx) is k^n cos(kx + n pi/2)/n!, of sin(kx) it is
@@ -436,7 +449,7 @@ def affine(x, slope, order, dtype):
     return c
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.float32])
 @pytest.mark.parametrize("slope", [1.0, 2.0, -2.0, 0.5])
 @pytest.mark.parametrize("order", [0, 1, 14, 24])
 def test_affine_trig_equals_horner_bit_for_bit(rng, dtype, slope, order):
@@ -539,7 +552,7 @@ TRIG_POLYS = {
 
 
 @pytest.mark.parametrize("name", sorted(TRIG_POLYS))
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.float32])
 def test_trig_poly_node_equals_its_tree_bit_for_bit(name, dtype):
     a0, harmonics = TRIG_POLYS[name]
     node, tree = trig_poly(a0, harmonics), trig_tree(a0, harmonics)
