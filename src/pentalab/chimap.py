@@ -110,19 +110,20 @@ def _span_normals(span):
     return np.swapaxes(x, -1, -2)
 
 
-def _stacked_normals(spans, order):
-    """Every span's normals to the given order, their rows in the order of
-    the spans, (order+1, *batch, d, d+1).
+def _stacked_normals(spans):
+    """Every span's normals to the order of the shortest span, their rows in
+    the order of the spans, (K+1, *batch, d, d+1).
 
     Spans of one size are stacked on one axis and get one _span_normals
     call, whose SVD and solves each treat the whole stack in one call;
     every member comes out as it would on its own.
     """
+    orders = min(len(s) for s in spans)
     sizes = [s.shape[-2] for s in spans]
     rows = [None] * len(spans)
     for size in dict.fromkeys(sizes):
         members = [i for i, s in enumerate(sizes) if s == size]
-        stack = np.stack([spans[i][:order + 1] for i in members], axis=-3)
+        stack = np.stack([spans[i][:orders] for i in members], axis=-3)
         normals = _span_normals(stack)
         for j, i in enumerate(members):
             rows[i] = normals[..., j, :, :]
@@ -144,13 +145,16 @@ def intersect_spans(spans):
         raise ValueError(f"constraint count {codim} does not match d = {d}")
     if any(s.shape[-1] != n for s in spans):
         raise ValueError("spans live in different ambient spaces")
-    rows = _stacked_normals(spans, min(len(s) for s in spans) - 1)
+    rows = _stacked_normals(spans)
     try:
-        g0 = linalg.null_bases(rows[0])
+        vh = linalg.checked_svd(rows[0])[2]
     except linalg.SingularMatrixError as exc:
         raise DegenerateIntersection(
             f"stacked constraints are rank deficient: {exc}") from exc
-    pivot = np.argmax(np.abs(g0[..., 0, :]), axis=-1)
+    # the row of Vᴴ past the rank is the conjugated null vector; its
+    # largest magnitude, taken in the rows' dtype, picks the gauge
+    pivot = np.argmax(np.abs(vh[..., d, :].astype(rows.dtype, copy=False)),
+                      axis=-1)
     a = np.zeros(rows.shape[:-2] + (n, n), dtype=rows.dtype)
     a[..., :d, :] = rows
     a[0, ..., d, :] = np.arange(n) == pivot[..., None]

@@ -116,15 +116,13 @@ def _build_family(args, d_default=None):
 class RunConfig:
     """Validated inputs of one subcommand run."""
 
-    __slots__ = ("command", "chi", "spec", "xs", "kmax", "out",
-                 "fmt", "seed", "dtype", "applied_shift")
+    __slots__ = ("chi", "spec", "xs", "kmax", "out", "fmt", "seed")
 
     @classmethod
     def from_args(cls, args):
         rc = cls()
-        rc.command = args.command
         rc.seed = args.seed
-        rc.dtype = np.longdouble if args.precision == "extended" else np.float64
+        dtype = np.longdouble if args.precision == "extended" else np.float64
         rc.out = args.out
         rc.fmt = args.format
         rc.kmax = getattr(args, "kmax", 2)
@@ -136,27 +134,26 @@ class RunConfig:
         spec = None
         if args.curve != "random":
             try:
-                spec = CurveSpec.load(args.curve, dtype=rc.dtype)
+                spec = CurveSpec.load(args.curve, dtype=dtype)
             except _LOAD_ERRORS as exc:
                 raise UsageError(f"cannot load curve from {args.curve!r}: {exc}")
 
         chi_arg = args.chi
         if chi_arg in _FAMILY_NAMES:
             d_default = None if spec is None else spec.d
-            rc.chi, rc.applied_shift = _build_family(args, d_default)
+            rc.chi = _build_family(args, d_default)[0]
         else:
             try:
                 rc.chi = ChiConfig.load(chi_arg)
             except _LOAD_ERRORS as exc:
                 raise UsageError(f"cannot load chi from {chi_arg!r}: {exc}")
-            rc.applied_shift = 0.0
 
         d = args.d if args.d is not None else rc.chi.d
         if d != rc.chi.d:
             raise UsageError(f"--d {d} contradicts the configuration's "
                              f"dimension {rc.chi.d}")
         if spec is None:
-            rc.spec = random_curve_spec(d, seed=rc.seed, dtype=rc.dtype)
+            rc.spec = random_curve_spec(d, seed=rc.seed, dtype=dtype)
         else:
             rc.spec = spec
             if rc.spec.d != rc.chi.d:

@@ -172,8 +172,9 @@ class CurveSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def _ode_table(order, d):
-    """Read-only tables of the ODE recursion over its M = order - d orders.
+def _ode_table(order, d, dtype):
+    """Read-only tables of the ODE recursion over its M = order - d orders,
+    entries of dtype's ``_falling`` table.
 
     (weights, steps): weights, (d, M, order+1), holds at [i, m, k] the
     weight (j + i)!/j!, j = m - k, of the term u_i[k] g[j + i] of order m,
@@ -181,7 +182,7 @@ def _ode_table(order, d):
     (d, m+1), holds j + i for j = m..0, and the divisor is -(m + d + 1)!/m!,
     negated so that one division gives the new row.
     """
-    falling = _falling(order, np.float64)
+    falling = _falling(order, dtype)
     j = np.arange(order - d)[:, None] - np.arange(order + 1)  # (M, order+1)
     i = np.arange(d)[:, None, None]
     weights = np.where(j >= 0, falling[i, np.maximum(j, 0) + i], 0)
@@ -194,7 +195,7 @@ def _ode_table(order, d):
     return weights, tuple(steps)
 
 
-def _ode_taylor_coeffs(u_coeffs, d, order):
+def _ode_taylor_coeffs(u_coeffs):
     """Taylor coefficients of the lift from the identity frame, at each of
     P points, (order+1, d+1, P), from the u_i there, (order+1, d, P).
 
@@ -211,11 +212,12 @@ def _ode_taylor_coeffs(u_coeffs, d, order):
     # stacked matmul then makes every product with the BLAS call a lone
     # product makes, so each point's result is the same bit for bit
     u = np.ascontiguousarray(np.transpose(u_coeffs, (2, 1, 0)))  # (P, d, order+1)
+    order, d = len(u_coeffs) - 1, u_coeffs.shape[1]
     dtype = u.dtype
     g = np.zeros((u.shape[0], order + 1, d + 1), dtype=dtype)
     for k in range(d + 1):
         g[:, k, k] = dtype.type(1) / math.factorial(k)
-    weights, steps = _ode_table(order, d)
+    weights, steps = _ode_table(order, d, dtype)
     terms = u[:, :, None] * weights  # (P, d, M, order+1)
     for m, (rows, divisor) in enumerate(steps):
         sums = terms[:, :, m, None, : m + 1] @ np.take(g, rows, axis=1)
@@ -355,7 +357,7 @@ def _lift_coeffs(spec, xs, order):
         raise IntegrationFailure(
             "the coefficient functions are not finite to order "
             f"{order} at x = {xs[bad.argmax() % len(xs)]:g}")
-    return _ode_taylor_coeffs(u, d, order), u
+    return _ode_taylor_coeffs(u), u
 
 
 def gamma_jet(spec: CurveSpec, x, order) -> Jet:

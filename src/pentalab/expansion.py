@@ -31,10 +31,10 @@ _NODES = 24
 _NOISE_ORDERS = slice(9, 13)
 # the roundoff floor of the uncertainty in units of that noise: on
 # short-diagonal d = 2..4, curve seeds 0-7, x in {0.3, 1.1}, kmax 6, the
-# error |double - extended| exceeds 3 times it on 3 of 1,344 entries and
-# 4 times it on 2 (4.6 at worst); on d = 4, seeds 16-31, x in {-0.2, 0.8,
-# 2.3}, on 5 and 2 of 1,680 (5.2), and the uncertainty misses 4 entries
-# over both grids (ROADMAP item 3)
+# error |double - extended| stays within 2.41 times it on all 1,344
+# entries; on d = 4, seeds 16-31, x in {-0.2, 0.8, 2.3}, it exceeds 3
+# times it on 11 of 1,680 and 4 times it on 3 (5.33 at worst), and the
+# uncertainty misses 3 entries, all on that grid (ROADMAP item 3)
 _NOISE_FACTOR = 4.0
 # |alpha_11| at or below this counts as no first-order term
 FIRST_ORDER_TOL = 1e-3

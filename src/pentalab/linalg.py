@@ -10,10 +10,11 @@ of one.
 The nullspace comes from a float64 SVD at every dtype, which is exact
 enough: the basis is only a gauge, since the span normals built on it are
 solved to every order in the working dtype.  ``checked_svd`` gives that SVD
-whole, after the one rank check, so that a float64 caller can also solve
-with its U, s and Vᴴ.
+whole, after the one rank check: the rows of Vᴴ past the rank span the
+conjugated nullspace, and a float64 caller can also solve with its U, s
+and Vᴴ.
 
-``stack_solver``, ``det_dense``, ``null_bases`` and ``checked_svd`` take a
+``stack_solver``, ``det_dense`` and ``checked_svd`` take a
 stack (..., m, n) of matrices and treat each on its own, in float64 and
 complex128 the whole stack in one of numpy's stacked LAPACK calls, in
 extended precision in one pass of the hand-written LU.  The solver
@@ -22,12 +23,12 @@ same call or pass.
 
 In float64 and complex128 ``stack_solver`` calls the LAPACK gufuncs of
 ``numpy.linalg._umath_linalg`` directly: ``slogdet`` for the check, and
-``solve`` or ``solve1`` for each solve, the signature picked once from the
-matrix's dtype.  They are the gufuncs ``np.linalg.slogdet`` and
-``np.linalg.solve`` run, so the results are the same bits
-(``tests/test_linalg.py::test_gufunc_solver_equals_numpy``), without the
-wrapper's dtype checks and errstate, which cost more than the gufunc
-itself on the few-by-few systems here.  No errstate is needed: a solve's
+``solve`` or ``solve1`` for each solve, the signature picked from the
+dtypes of the matrix and the right-hand side.  They are the gufuncs
+``np.linalg.slogdet`` and ``np.linalg.solve`` run, so the results are the
+same bits (``tests/test_linalg.py::test_gufunc_solver_equals_numpy``),
+without the wrapper's dtype checks and errstate, which cost more than the
+gufunc itself on the few-by-few systems here.  No errstate is needed: a solve's
 gufunc clears the floating-point status when it succeeds and raises
 invalid only on a singular matrix, which the check has refused already.
 Only this module imports the private module (``tests/test_package.py``).
@@ -106,33 +107,14 @@ def _lu_solve(factors, b, out=None):
     return out
 
 
-def _lapack_solve(a, signature, b, out=None):
+def _lapack_solve(a, b, out=None):
     """np.linalg.solve(a, b) of a checked float64 or complex128 stack a, by
     the gufunc it runs, b of shape (n,) or (..., n, k); into out when out
-    is given.  A complex b turns a real a's signature complex, as numpy's
-    wrapper does."""
+    is given.  The signature is complex when a or b is, as numpy's wrapper
+    makes it."""
     gufunc = _umath_linalg.solve1 if np.ndim(b) == 1 else _umath_linalg.solve
-    if signature == "dd->d" and np.iscomplexobj(b):
-        signature = "DD->D"
-    return gufunc(a, b, signature=signature, out=out)
-
-
-def _require_finite(a):
-    """Raise SingularMatrixError on a non-finite entry, which LAPACK's solve
-    would pass on as NaN."""
-    if not np.all(np.isfinite(a)):
-        raise SingularMatrixError("array must not contain infs or NaNs")
-
-
-def _factor(a):
-    """_lu_ge(a) of a stack the solves can use; raises SingularMatrixError
-    on a non-finite entry or a zero pivot in any matrix, as the float64
-    path does."""
-    _require_finite(a)
-    factors = _lu_ge(a)
-    if factors[3].any():
-        raise SingularMatrixError("exactly singular matrix")
-    return factors
+    complex_ = a.dtype == np.complex128 or np.iscomplexobj(b)
+    return gufunc(a, b, signature="DD->D" if complex_ else "dd->d", out=out)
 
 
 def stack_solver(a):
@@ -152,20 +134,22 @@ def stack_solver(a):
     and each solve is one forward and one back sweep over the stack.
     """
     a = np.asarray(a)
+    # LAPACK's solve would pass a non-finite entry on as NaN
+    if not np.all(np.isfinite(a)):
+        raise SingularMatrixError("array must not contain infs or NaNs")
     if _is_lapack_friendly(a):
-        _require_finite(a)
-        complex_ = a.dtype == np.complex128
         slogdet = _umath_linalg.slogdet(
-            a, signature="D->Dd" if complex_ else "d->dd")
+            a, signature="D->Dd" if a.dtype == np.complex128 else "d->dd")
         # the sign is 0 exactly when LAPACK meets a zero pivot, which is
         # when the solve would fail
         if np.any(slogdet[0] == 0):
             raise SingularMatrixError("exactly singular matrix")
-        solve = functools.partial(_lapack_solve, a,
-                                  "DD->D" if complex_ else "dd->d")
+        solve = functools.partial(_lapack_solve, a)
     else:
-        factors = _factor(a)
-        lu, _, swaps, _ = factors
+        factors = _lu_ge(a)
+        lu, _, swaps, singular = factors
+        if singular.any():
+            raise SingularMatrixError("exactly singular matrix")
         pivots = np.diagonal(lu, axis1=-2, axis2=-1)
         sign = np.where(swaps % 2 == 1, -1, 1) * np.prod(pivots / np.abs(pivots), axis=-1)
         logdet = np.sum(np.log(np.abs(pivots)), axis=-1)
@@ -212,12 +196,3 @@ def checked_svd(a):
             f"s_m/max(s_1, 1) is {worst:.2g}, not above {_NULL_RTOL:g}")
     return u, s, vh
 
-
-def null_bases(a):
-    """Orthonormal bases (rows) of the nullspaces of a stack (..., m, n) of
-    matrices, m <= n, as a stack (..., n - m, n), from ``checked_svd``,
-    cast back to a's dtype; raises SingularMatrixError as it does."""
-    a = np.asarray(a)
-    vh = checked_svd(a)[2]
-    # the rows of Vᴴ past the rank are the conjugates of null vectors
-    return vh[..., a.shape[-2]:, :].conj().astype(a.dtype, copy=False)

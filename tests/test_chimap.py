@@ -341,9 +341,8 @@ def test_stacked_normals_equal_one_call_per_group(chi, eps, dtype):
     spec = random_curve_spec(chi.d, seed=3, dtype=dtype)
     spans = _spans(chi, lifted(spec, np.array([0.3, -0.2])), eps,
                    2 * chi.d + 2)
-    order = len(spans[0]) - 1
     want = np.concatenate([_span_normals(s) for s in spans], axis=-2)
-    got = _stacked_normals(spans, order)
+    got = _stacked_normals(spans)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -357,7 +356,7 @@ def test_one_application_solves_each_group_size_once(monkeypatch):
     # normals 2 and 4
     spec = random_curve_spec(4, seed=7)
     calls = []
-    for name in ("checked_svd", "null_bases", "stack_solver"):
+    for name in ("checked_svd", "stack_solver"):
         def counted(*args, _inner=getattr(linalg, name), _name=name):
             calls.append(_name)
             return _inner(*args)
@@ -365,7 +364,6 @@ def test_one_application_solves_each_group_size_once(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     chi_map_point(short_diagonal_chi(4), lifted(spec, 0.3), 0.04, 10)
     assert calls.count("checked_svd") == 2
-    assert calls.count("null_bases") == 1
     assert calls.count("stack_solver") == 3
 
 

@@ -242,18 +242,20 @@ def test_frame_at_raises_when_the_frame_loses_unimodularity():
         spec.frame_at(np.array([20.0, 30.0]))
 
 
+def _rounded(v, bits):
+    """The integer v rounded to bits significant bits, ties to even."""
+    drop = max(v.bit_length() - bits, 0)
+    q, r = divmod(v, 1 << drop)
+    if drop and (2 * r > 1 << drop or (2 * r == 1 << drop and q & 1)):
+        q += 1
+    return q << drop
+
+
 def test_falling_factorial_table_is_exact():
     # a float64 product recursion, the table this replaced, first rounds
     # at [20, 24]; the shift's weights are entries of the same table
     from pentalab.curves import _shift_table
     from pentalab.jets import _falling
-
-    def rounded(v, bits):  # to bits significant bits, ties to even
-        drop = max(v.bit_length() - bits, 0)
-        q, r = divmod(v, 1 << drop)
-        if drop and (2 * r > 1 << drop or (2 * r == 1 << drop and q & 1)):
-            q += 1
-        return q << drop
 
     for dtype in (np.float64, np.longdouble):
         table = _falling(44, dtype)
@@ -261,13 +263,31 @@ def test_falling_factorial_table_is_exact():
         bits = np.finfo(dtype).nmant + 1
         for n in range(45):
             for k in range(45):
-                want = rounded(math.perm(n, k), bits)
+                want = _rounded(math.perm(n, k), bits)
                 assert int(table[k, n]) == want, (k, n)
         index, weights = _shift_table(40, 15, np.dtype(dtype))
         k = np.arange(15)[:, None]
         inside = k + 40 - np.arange(41) <= 40
         assert np.array_equal(
             weights, np.where(inside, _falling(40, dtype)[k, index], 0))
+
+
+def test_ode_table_rounds_each_weight_once_in_the_lifts_dtype():
+    # at d = 13 the recursion reads weights (j + i)!/j! and divisors
+    # (m + d + 1)!/m! past 2^53, which a float64 table holds rounded to
+    # 53 bits; a longdouble lift must weigh with math.perm rounded once
+    from pentalab.curves import _ode_table
+
+    order, d = 40, 13
+    weights, steps = _ode_table(order, d, np.longdouble)
+    assert weights.dtype == np.longdouble and not weights.flags.writeable
+    bits = np.finfo(np.longdouble).nmant + 1
+    for i, m, k in np.ndindex(weights.shape):
+        want = _rounded(math.perm(m - k + i, i), bits) if k <= m else 0
+        assert int(weights[i, m, k]) == want, (i, m, k)
+    for m, (_, divisor) in enumerate(steps):
+        assert divisor.dtype == np.longdouble
+        assert int(-divisor) == _rounded(math.perm(m + d + 1, d + 1), bits), m
 
 
 def _recursion_reference(u_coeffs, d, order):
@@ -315,7 +335,7 @@ def test_recursion_equals_the_loop_over_orders(dtype, d, points):
         # its lift are all sums of signed zeros
         u[..., -1] = np.where(rng.random(u.shape[:2]) < 0.5, -0.0, 0.0)
     u = u.astype(dtype)
-    got = _ode_taylor_coeffs(u, d, order)
+    got = _ode_taylor_coeffs(u)
     want = _recursion_reference(u, d, order)
     assert got.shape == (order + 1, d + 1, points) and got.dtype == dtype
     assert np.array_equal(got, want)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pentalab import cli, linalg
-from pentalab.linalg import SingularMatrixError, det_dense, null_bases, stack_solver
+from pentalab.linalg import SingularMatrixError, checked_svd, det_dense, stack_solver
 
 
 # -- the extended path against exact rational answers ---------------------------
@@ -86,10 +86,11 @@ def test_null_basis_rank_verdict_is_the_same_at_both_dtypes(gap):
         a = np.array([[1, 2, 3, 4], [1, 2, 3, 4]], dtype=dtype)
         a[1, 3] += dtype(gap)
         try:
-            basis, = null_bases(a[None])
+            _, s, vh = checked_svd(a[None])
         except SingularMatrixError:
             return "dependent"
-        assert basis.dtype == dtype and basis.shape == (2, 4)
+        # the SVD runs in float64 at either dtype
+        assert s.dtype == vh.dtype == np.float64 and vh.shape == (1, 4, 4)
         return "independent"
 
     assert verdict(np.float64) == verdict(np.longdouble)
@@ -99,7 +100,9 @@ def test_null_basis_rank_verdict_is_the_same_at_both_dtypes(gap):
 def test_null_basis_annihilates_complex_input(shape):
     rng = np.random.default_rng(41)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    basis, = null_bases(a[None])
+    vh = checked_svd(a[None])[2][0]
+    # the rows of Vᴴ past the rank are the conjugates of null vectors
+    basis = vh[shape[0]:].conj()
     assert basis.shape == (shape[1] - shape[0], shape[1])
     assert np.max(np.abs(a @ basis.T)) <= 1e-14
 
@@ -320,11 +323,12 @@ def test_extended_expand_factors_each_stack_once(monkeypatch, capsys):
 
 def test_null_bases_of_a_stack_match_each_matrix(rng):
     a = rng.standard_normal((5, 2, 4))
-    bases = null_bases(a)
-    assert bases.shape == (5, 2, 4)
-    for m, basis in zip(a, bases):
-        assert np.array_equal(basis, null_bases(m[None])[0])
-        assert np.max(np.abs(m @ basis.T)) <= 1e-14
+    u, s, vh = checked_svd(a)
+    assert (u.shape, s.shape, vh.shape) == ((5, 2, 2), (5, 2), (5, 4, 4))
+    for i, m in enumerate(a):
+        for stacked, alone in zip((u, s, vh), checked_svd(m[None])):
+            assert np.array_equal(stacked[i], alone[0])
+        assert np.max(np.abs(m @ vh[i, 2:].T)) <= 1e-14
     a[3, 1] = 2 * a[3, 0]
     with pytest.raises(SingularMatrixError, match="numerically dependent"):
-        null_bases(a)
+        checked_svd(a)

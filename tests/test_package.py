@@ -38,6 +38,27 @@ def test_every_function_and_class_has_a_caller():
     assert orphans == []
 
 
+def test_every_import_is_read():
+    # an unused-import check that needs no linter: each name a module
+    # binds by import is read as a name in that module (an attribute read
+    # such as np.zeros reads np); __init__.py imports only to re-export
+    unread = []
+    for path in sorted(pathlib.Path(pentalab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.name}:{node.lineno}:{alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0])
+                           not in read]
+    assert unread == []
+
+
 # public names that nothing in the package calls yet, each with why it
 # stays for now; a name leaves the list when it gains a caller or goes
 _UNCALLED = {

@@ -257,9 +257,9 @@ class TestStackedProbes:
             jets.append(spec)
             return u_jet(spec, x, order)
 
-        def counted_recursion(u, d, order):
+        def counted_recursion(u):
             recursions.append(u.shape[-1])
-            return recursion(u, d, order)
+            return recursion(u)
 
         monkeypatch.setattr(pentalab.expansion, "chi_map_point", counted_map)
         monkeypatch.setattr(CurveSpec, "u_jet", counted_u)
