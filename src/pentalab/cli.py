@@ -6,9 +6,10 @@ verdict is within tolerance, 1 on a tolerance failure or a degenerate run,
 and 2 on a usage error.  Reports are deterministic for a fixed seed: keys
 are sorted, the seed is recorded, and nothing time-dependent is written.
 
-The parser is built once per process, and a command's handler is looked up
-by name in this module at dispatch, so a patched ``cmd_*`` is the one that
-runs.
+The parser is built once per process.  Each subcommand's parser defaults
+carry its handler's name, looked up in this module at dispatch so that a
+patched ``cmd_*`` is the one that runs, and ``op``, the module operation a
+run error names.
 """
 
 import argparse
@@ -113,73 +114,64 @@ def _build_family(args, d_default=None):
     return chi, applied
 
 
-class RunConfig:
-    """Validated inputs of one subcommand run."""
+def _run_inputs(args):
+    """(curve spec, configuration) of a run command, checked in order:
+    --kmax, the curve file, the family or chi file, --d against the
+    configuration, and the curve's dimension against the configuration's."""
+    dtype = np.longdouble if args.precision == "extended" else np.float64
+    try:
+        check_kmax(getattr(args, "kmax", 2))
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
-    __slots__ = ("chi", "spec", "xs", "kmax", "out", "fmt", "seed")
-
-    @classmethod
-    def from_args(cls, args):
-        rc = cls()
-        rc.seed = args.seed
-        dtype = np.longdouble if args.precision == "extended" else np.float64
-        rc.out = args.out
-        rc.fmt = args.format
-        rc.kmax = getattr(args, "kmax", 2)
+    spec = None
+    if args.curve != "random":
         try:
-            check_kmax(rc.kmax)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+            spec = CurveSpec.load(args.curve, dtype=dtype)
+        except _LOAD_ERRORS as exc:
+            raise UsageError(f"cannot load curve from {args.curve!r}: {exc}")
 
-        spec = None
-        if args.curve != "random":
-            try:
-                spec = CurveSpec.load(args.curve, dtype=dtype)
-            except _LOAD_ERRORS as exc:
-                raise UsageError(f"cannot load curve from {args.curve!r}: {exc}")
+    if args.chi in _FAMILY_NAMES:
+        chi = _build_family(args, None if spec is None else spec.d)[0]
+    else:
+        try:
+            chi = ChiConfig.load(args.chi)
+        except _LOAD_ERRORS as exc:
+            raise UsageError(f"cannot load chi from {args.chi!r}: {exc}")
 
-        chi_arg = args.chi
-        if chi_arg in _FAMILY_NAMES:
-            d_default = None if spec is None else spec.d
-            rc.chi = _build_family(args, d_default)[0]
-        else:
-            try:
-                rc.chi = ChiConfig.load(chi_arg)
-            except _LOAD_ERRORS as exc:
-                raise UsageError(f"cannot load chi from {chi_arg!r}: {exc}")
-
-        d = args.d if args.d is not None else rc.chi.d
-        if d != rc.chi.d:
-            raise UsageError(f"--d {d} contradicts the configuration's "
-                             f"dimension {rc.chi.d}")
-        if spec is None:
-            rc.spec = random_curve_spec(d, seed=rc.seed, dtype=dtype)
-        else:
-            rc.spec = spec
-            if rc.spec.d != rc.chi.d:
-                raise UsageError("curve and configuration dimensions differ")
-
-        xs = getattr(args, "x", 0.3)
-        rc.xs = tuple(xs) if isinstance(xs, (list, tuple)) else (float(xs),)
-        return rc
+    d = args.d if args.d is not None else chi.d
+    if d != chi.d:
+        raise UsageError(f"--d {d} contradicts the configuration's "
+                         f"dimension {chi.d}")
+    if spec is None:
+        return random_curve_spec(d, seed=args.seed, dtype=dtype), chi
+    if spec.d != chi.d:
+        raise UsageError("curve and configuration dimensions differ")
+    return spec, chi
 
 
-def _emit(payload, out, fmt, csv_rows=None, csv_header=None):
-    if fmt == "csv" and csv_rows is not None:
+def _emit(args, payload, csv_rows=None, csv_header=None):
+    """Write the report to args.out in args.format; a path that cannot be
+    written is a usage error."""
+    if args.format == "csv" and csv_rows is not None:
         lines = [",".join(csv_header)]
         lines += [",".join(repr(v) for v in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
-    elif fmt == "csv":
+    elif args.format == "csv":
         lines = [f"{k},{json.dumps(v, sort_keys=True)}"
                  for k, v in sorted(payload.items())]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out == "-":
+    if args.out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
+        return
+    try:
+        with open(args.out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write report to {args.out!r}: "
+                         f"{exc.strerror}")
 
 
 def cmd_families(args):
@@ -199,62 +191,66 @@ def cmd_families(args):
         "alpha_diag": None if diag is None else [float(v) for v in diag],
         "centralized": centralized,
     }
-    _emit(payload, args.out, args.format)
+    _emit(args, payload)
     return 0
 
 
-def cmd_expand(rc):
-    report = extract_alphas(rc.spec, rc.chi, rc.xs[0], rc.kmax)
-    payload = {"schema": 1, "seed": rc.seed, **report.to_dict()}
+def cmd_expand(args):
+    spec, chi = _run_inputs(args)
+    report = extract_alphas(spec, chi, args.x, args.kmax)
+    payload = {"schema": 1, "seed": args.seed, **report.to_dict()}
     # the rows are built only for the format that prints them
-    rows = report.csv_rows() if rc.fmt == "csv" else None
-    _emit(payload, rc.out, rc.fmt, csv_rows=rows,
+    rows = report.csv_rows() if args.format == "csv" else None
+    _emit(args, payload, csv_rows=rows,
           csv_header=("order", "frame_index", "alpha", "uncertainty"))
     return 0
 
 
-def cmd_centralize(rc):
-    if len(set(rc.xs)) < 3:
+def cmd_centralize(args):
+    spec, chi = _run_inputs(args)
+    if len(set(args.x)) < 3:
         raise UsageError("centralize needs at least three distinct --x values")
-    report, spread = alpha_constancy_check(rc.spec, rc.chi, rc.xs)
+    report, spread = alpha_constancy_check(spec, chi, args.x)
     alpha11 = float(report.alpha[1, 1])
     centralized = bool(abs(alpha11) <= FIRST_ORDER_TOL)
     payload = {
         "schema": 1,
-        "seed": rc.seed,
-        "chi": rc.chi.to_dict(),
-        "x_values": [float(v) for v in rc.xs],
+        "seed": args.seed,
+        "chi": chi.to_dict(),
+        "x_values": [float(v) for v in args.x],
         "alpha11": alpha11,
         "diag_spread": float(spread),
         "centralized": centralized,
     }
-    _emit(payload, rc.out, rc.fmt)
+    _emit(args, payload)
     return 0 if centralized else 1
 
 
-def cmd_kdv_verify(rc):
-    deviation = float(kdv_rhs_check(rc.spec, rc.chi, rc.xs[0]))
+def cmd_kdv_verify(args):
+    spec, chi = _run_inputs(args)
+    deviation = float(kdv_rhs_check(spec, chi, args.x))
     ok = deviation <= _KDV_TOL
     payload = {
         "schema": 1,
-        "seed": rc.seed,
-        "chi": rc.chi.to_dict(),
-        "x": float(rc.xs[0]),
+        "seed": args.seed,
+        "chi": chi.to_dict(),
+        "x": args.x,
         "deviation": deviation,
         "tolerance": _KDV_TOL,
         "pass": ok,
     }
-    _emit(payload, rc.out, rc.fmt)
+    _emit(args, payload)
     return 0 if ok else 1
 
 
-def cmd_lax_verify(rc):
-    report = lax_limit_diagnostics(rc.spec, rc.chi, rc.xs[0])
+def cmd_lax_verify(args):
+    spec, chi = _run_inputs(args)
+    report = lax_limit_diagnostics(spec, chi, args.x)
     checks = report.checks()
     ok = all(checks.values())
-    payload = {"schema": 1, "seed": rc.seed, "pass": ok, "checks": checks,
+    payload = {"schema": 1, "seed": args.seed, "pass": ok, "checks": checks,
                **report.to_dict()}
-    _emit(payload, rc.out, rc.fmt)
+    _emit(args, payload)
     return 0 if ok else 1
 
 
@@ -289,7 +285,7 @@ def cmd_realize34(args):
         raise UsageError(str(exc))
     payload = {"schema": 1, "seed": args.seed, "x": float(args.x),
                **result.to_dict()}
-    _emit(payload, args.out, args.format)
+    _emit(args, payload)
     return 0 if report.passes() else 1
 
 
@@ -357,7 +353,7 @@ def build_parser():
     p.add_argument("family", choices=_FAMILY_NAMES)
     _add_family_flags(p)
     _add_output_flags(p)
-    p.set_defaults(handler="cmd_families", needs_run_config=False)
+    p.set_defaults(handler="cmd_families", op="configs.solve_alpha_diag")
 
     p = sub.add_parser("expand", help="the expansion coefficients of the "
                                       "mapped curve at one point")
@@ -365,27 +361,28 @@ def build_parser():
     p.add_argument("--x", type=_finite_float, default=0.3)
     p.add_argument("--kmax", type=int, default=2)
     _add_ignored_step_flags(p)
-    p.set_defaults(handler="cmd_expand", needs_run_config=True)
+    p.set_defaults(handler="cmd_expand", op="expansion.extract_alphas")
 
     p = sub.add_parser("centralize", help="test first-order vanishing and "
                                           "coefficient constancy across x")
     _add_run_flags(p)
     p.add_argument("--x", type=_finite_float, nargs="+",
                    default=(-0.4, 0.3, 1.1))
-    p.set_defaults(handler="cmd_centralize", needs_run_config=True)
+    p.set_defaults(handler="cmd_centralize",
+                   op="expansion.alpha_constancy_check")
 
     p = sub.add_parser("kdv-verify", help="compare the second-order flow "
                                           "against the commutator right-hand "
                                           "side")
     _add_run_flags(p)
     p.add_argument("--x", type=_finite_float, default=0.3)
-    p.set_defaults(handler="cmd_kdv_verify", needs_run_config=True)
+    p.set_defaults(handler="cmd_kdv_verify", op="expansion.kdv_rhs_check")
 
     p = sub.add_parser("lax-verify", help="check the limits of the "
                                           "transfer-matrix picture")
     _add_run_flags(p)
     p.add_argument("--x", type=_finite_float, default=0.3)
-    p.set_defaults(handler="cmd_lax_verify", needs_run_config=True)
+    p.set_defaults(handler="cmd_lax_verify", op="lax.lax_limit_diagnostics")
 
     p = sub.add_parser("realize34", help="check a plane configuration for "
                                          "the third-order flow")
@@ -400,40 +397,27 @@ def build_parser():
                    help="descend from the configuration toward one that "
                         "passes, and report the best found")
     _add_output_flags(p)
-    p.set_defaults(handler="cmd_realize34", needs_run_config=False)
+    p.set_defaults(handler="cmd_realize34", op="realize.check_34")
 
     p = sub.add_parser("dof", help="lower bound on constraints for the "
                                    "order-m flow")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler="cmd_dof", needs_run_config=False)
+    p.set_defaults(handler="cmd_dof", op="realize.dof_lower_bound")
 
     return parser
-
-
-_OPERATION_NAMES = {
-    "families": "configs.solve_alpha_diag",
-    "expand": "expansion.extract_alphas",
-    "centralize": "expansion.alpha_constancy_check",
-    "kdv-verify": "expansion.kdv_rhs_check",
-    "lax-verify": "lax.lax_limit_diagnostics",
-    "realize34": "realize.check_34",
-    "dof": "realize.dof_lower_bound",
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     handler = globals()[args.handler]
     try:
-        if args.needs_run_config:
-            return handler(RunConfig.from_args(args))
         return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except _RUN_ERRORS as exc:
         op = ("realize.search_34" if getattr(args, "search", False)
-              else _OPERATION_NAMES.get(args.command, args.command))
+              else args.op)
         print(f"error in {op}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

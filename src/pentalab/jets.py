@@ -201,14 +201,28 @@ def _trig_index(shifts, count):
     return index
 
 
-def _trig_series(t, shifts, count, slopes=None):
+def _powers(slopes, count):
+    """slopes[i] ** n, (T, count), in the slopes' dtype."""
+    return slopes[:, None] ** np.arange(count, dtype=slopes.dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def _slope_powers(slopes, count, dtype):
+    """Read-only table, (T, count), of slopes[i] ** n in dtype: the powers
+    of a trig-polynomial node's harmonics, which are fixed integers."""
+    table = _powers(np.array(slopes, dtype=dtype), count)
+    table.flags.writeable = False
+    return table
+
+
+def _trig_series(t, shifts, count, powers=None):
     """Taylor series, (T, count), of sin (shift 0) or cos (shift 1) at each
     of T arguments t, a 1-D array: coefficient n of argument i is entry
     (n + shifts[i]) % 4 of (sin, cos, -sin, -cos) at t[i], over n!.
 
-    Given the slopes a_i, (T,), it is the series of the affine arguments
-    t_i + a_i h instead, in closed form: coefficient n times a_i^n, the
-    powers taken in t's dtype.  Horner's rule would only multiply by a_i,
+    Given the powers a_i^n of slopes a_i in t's dtype (``_powers``), it is
+    the series of the affine arguments t_i + a_i h instead, in closed form:
+    coefficient n times a_i^n.  Horner's rule would only multiply by a_i,
     n times, which gives the same bits when a_i is a power of two;
     ``+ 0.0`` gives zeros the sign Horner's sums give them.
     """
@@ -216,10 +230,7 @@ def _trig_series(t, shifts, count, slopes=None):
     table = np.concatenate((table, -table))
     series = (table[_trig_index(shifts, count)]
               / _falling(count - 1, table.dtype).diagonal())
-    if slopes is None:
-        return series
-    powers = np.arange(count, dtype=table.dtype)
-    return series * slopes[:, None] ** powers + 0.0
+    return series if powers is None else series * powers + 0.0
 
 
 def _trig(c, shift):
@@ -229,7 +240,8 @@ def _trig(c, shift):
     """
     k = len(c)
     affine = k > 1 and not c[2:].any()
-    series = _trig_series(c[:1], (shift,), k, c[1:2] if affine else None)[0]
+    series = _trig_series(c[:1], (shift,), k,
+                          _powers(c[1:2], k) if affine else None)[0]
     return series if affine or k == 1 else _compose(c, series)
 
 
@@ -368,8 +380,10 @@ class AnalyticFn:
         ks, amps = np.array([(k, amp) for k, amp, _ in self.args],
                             dtype=dtype).T
         shifts = tuple(_UNARY.index(fn) for _, _, fn in self.args)
-        np.multiply(_trig_series(ks * dtype.type(x), shifts, order + 1, ks),
-                    amps[:, None], out=rows[1:])
+        powers = _slope_powers(tuple(k for k, _, _ in self.args), order + 1,
+                               dtype)
+        series = _trig_series(ks * dtype.type(x), shifts, order + 1, powers)
+        np.multiply(series, amps[:, None], out=rows[1:])
         return np.add.accumulate(rows)[-1]
 
     # serialization

@@ -1,4 +1,7 @@
+import argparse
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -187,6 +190,58 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not a non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--d", "2"],
+    ["families", "short-diagonal", "--d", "2"],
+], ids=["expand", "families"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
+    # each ended in a FileNotFoundError or IsADirectoryError traceback
+    if target == "missing-dir":
+        out = tmp_path / "no-such-dir" / "r.json"
+        why = "No such file or directory"
+    else:
+        out, why = tmp_path, "Is a directory"
+    code, stdout, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert err == f"usage error: cannot write report to {str(out)!r}: {why}\n"
+
+
+@pytest.mark.parametrize("case", ["kmax-then-curve", "curve-then-chi",
+                                  "d-then-curve-dimension",
+                                  "curve-then-distinct-x"])
+def test_usage_errors_come_in_order(capsys, tmp_path, case):
+    # each command line has two faults; the one checked first is reported
+    missing = str(tmp_path / "missing.json")
+    no_file = f"[Errno 2] No such file or directory: {missing!r}"
+    if case == "kmax-then-curve":
+        argv = ["expand", "--d", "2", "--kmax", "9", "--curve", missing]
+        message = "kmax must lie in [0, 6]"
+    elif case == "curve-then-chi":
+        argv = ["expand", "--curve", missing, "--chi",
+                str(tmp_path / "missing-chi.json")]
+        message = f"cannot load curve from {missing!r}: {no_file}"
+    elif case == "d-then-curve-dimension":
+        chi, curve = tmp_path / "chi.json", tmp_path / "curve.json"
+        chi.write_text(json.dumps(short_diagonal_chi(3).to_dict()))
+        curve.write_text(json.dumps(random_curve_spec(4, seed=5).to_dict()))
+        argv = ["kdv-verify", "--d", "2", "--chi", str(chi), "--curve",
+                str(curve)]
+        message = "--d 2 contradicts the configuration's dimension 3"
+    else:
+        curve = tmp_path / "curve.json"
+        curve.write_text("not json")
+        argv = ["centralize", "--d", "2", "--x", "0.1", "0.2", "--curve",
+                str(curve)]
+        message = (f"cannot load curve from {str(curve)!r}: "
+                   "Expecting value: line 1 column 1 (char 0)")
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 class TestFamilies:
@@ -862,6 +917,30 @@ class TestDispatch:
         from pentalab.cli import build_parser
 
         assert build_parser() is build_parser()
+
+    def test_every_subcommand_names_a_real_operation(self):
+        # a renamed function fails here instead of leaving a stale
+        # "error in <op>" prefix behind
+        from pentalab.cli import build_parser
+
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        handlers = set()
+        for name, parser in sub.choices.items():
+            handler = parser.get_default("handler")
+            op = parser.get_default("op")
+            assert handler is not None and op is not None, name
+            assert handler.startswith("cmd_"), name
+            assert inspect.isfunction(getattr(pentalab.cli, handler, None))
+            handlers.add(handler)
+            module, dot, function = op.partition(".")
+            assert dot and "." not in function, (name, op)
+            found = getattr(importlib.import_module(f"pentalab.{module}"),
+                            function, None)
+            assert inspect.isfunction(found), (name, op)
+        commands = {n for n, f in vars(pentalab.cli).items()
+                    if n.startswith("cmd_") and inspect.isfunction(f)}
+        assert handlers == commands
 
     def test_a_patched_handler_is_the_one_that_runs(self, capsys,
                                                     monkeypatch):
